@@ -226,34 +226,6 @@ func BenchmarkAblationCombiner(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPartition compares block vs hash vertex placement on
-// incremental PageRank (DESIGN.md A7): hash placement scatters neighbours,
-// raising cross-worker traffic.
-func BenchmarkAblationPartition(b *testing.B) {
-	g, err := bench.LoadDataset("wikipedia-s")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := core.Compile(programs.MustSource("pagerank"), core.Options{Mode: core.Incremental})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, part := range []pregel.Partition{pregel.PartitionBlock, pregel.PartitionHash} {
-		part := part
-		b.Run(part.String(), func(b *testing.B) {
-			var cross int64
-			for i := 0; i < b.N; i++ {
-				res, err := vm.Run(prog, g, vm.RunOptions{Partition: part, Combine: true, Workers: bench.BenchWorkers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cross = res.Stats.CrossWorker
-			}
-			b.ReportMetric(float64(cross), "cross-worker")
-		})
-	}
-}
-
 // BenchmarkCompile measures raw compiler throughput over the corpus.
 func BenchmarkCompile(b *testing.B) {
 	for _, mode := range []core.Mode{core.Incremental, core.Baseline} {

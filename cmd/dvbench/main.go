@@ -241,10 +241,6 @@ func run(ctx context.Context, exp string, runs int, scales []int, jsonPath, labe
 				comb, err := bench.AblationCombiner(ctx, ds, runs)
 				return err, bench.RenderCombiner(out, comb)
 			},
-			func() (error, error) {
-				part, err := bench.AblationPartition(ctx, "wikipedia-s", runs)
-				return err, bench.RenderPartition(out, part)
-			},
 		}
 		for _, step := range steps {
 			abortErr, renderErr := step()

@@ -7,7 +7,7 @@
 //	      (-dataset name | -edges file [-directed] | -gen spec [-seed n])
 //	      [-graph-format auto|el|dvg] [-repr flat|compact|mmap]
 //	      [-save-graph out.dvg]
-//	      [-param k=v]... [-workers N] [-queue] [-hash] [-combine] [-epsilon e]
+//	      [-param k=v]... [-workers N] [-queue] [-combine] [-epsilon e]
 //	      [-show field] [-top N] [-trace] [-timeout d]
 //	      [-checkpoint-dir dir [-checkpoint-every N] [-checkpoint-incremental]]
 //	      [-resume snapshot-or-chain-dir]
@@ -41,7 +41,9 @@
 // barrier (rebased periodically), so steady-state checkpoint bytes scale
 // with what a superstep touched rather than with graph size.
 // -resume continues a run from a snapshot file or from such a chain
-// directory (the chain is replayed to its tip) — the same program, mode,
+// directory (the chain is replayed to its tip; a chain that also carries
+// mutation logs replays them over the loaded graph, checking the
+// fingerprint the chain recorded after each) — the same program, mode,
 // params, graph and scheduler flags must be given (the graph fingerprint
 // and scheduler are validated) — executing only the remaining supersteps.
 //
@@ -68,40 +70,21 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/deltav/vm"
 	"repro/internal/graph"
 	"repro/internal/pregel"
 	"repro/internal/programs"
 )
-
-type paramFlags map[string]float64
-
-func (p paramFlags) String() string { return fmt.Sprint(map[string]float64(p)) }
-
-func (p paramFlags) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want name=value, got %q", s)
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return err
-	}
-	p[k] = f
-	return nil
-}
 
 // flagVals holds the parsed flag values; registerFlags binds them onto a
 // FlagSet so tests can enumerate the registered flags and check them
@@ -114,7 +97,7 @@ type flagVals struct {
 	directed             bool
 	seed                 int64
 	workers              int
-	queue, hash, combine bool
+	queue, combine       bool
 	trace                bool
 	epsilon              float64
 	show                 string
@@ -126,11 +109,11 @@ type flagVals struct {
 	resume               string
 	mutations            string
 	warmStart            string
-	params               paramFlags
+	params               cli.ParamFlags
 }
 
 func registerFlags(fs *flag.FlagSet) *flagVals {
-	v := &flagVals{params: paramFlags{}}
+	v := &flagVals{params: cli.ParamFlags{}}
 	fs.StringVar(&v.mode, "mode", "dv", "compile mode: dv, dvstar, memotable")
 	fs.StringVar(&v.progName, "program", "", "embedded program name")
 	fs.StringVar(&v.file, "file", "", "ΔV source file")
@@ -144,7 +127,6 @@ func registerFlags(fs *flag.FlagSet) *flagVals {
 	fs.Int64Var(&v.seed, "seed", 1, "generator seed")
 	fs.IntVar(&v.workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	fs.BoolVar(&v.queue, "queue", false, "use the work-queue (halt-by-default) scheduler")
-	fs.BoolVar(&v.hash, "hash", false, "use hash (v mod W) vertex placement instead of blocks")
 	fs.BoolVar(&v.combine, "combine", true, "enable message combiners")
 	fs.BoolVar(&v.trace, "trace", false, "print per-superstep statistics")
 	fs.Float64Var(&v.epsilon, "epsilon", 0, "allowable-slop ε (§9)")
@@ -166,7 +148,7 @@ func (v *flagVals) config() runConfig {
 		mode: v.mode, progName: v.progName, file: v.file,
 		dataset: v.dataset, edges: v.edges, directed: v.directed, gen: v.gen, seed: v.seed,
 		graphFormat: v.graphFormat, repr: v.repr, saveGraph: v.saveGraph,
-		workers: v.workers, queue: v.queue, hash: v.hash, combine: v.combine,
+		workers: v.workers, queue: v.queue, combine: v.combine,
 		epsilon: v.epsilon, show: v.show, top: v.top, trace: v.trace,
 		timeout: v.timeout, ckptDir: v.ckptDir, ckptEvery: v.ckptEvery,
 		ckptIncremental: v.ckptIncremental,
@@ -195,7 +177,7 @@ type runConfig struct {
 	directed             bool
 	seed                 int64
 	workers              int
-	queue, hash, combine bool
+	queue, combine       bool
 	epsilon              float64
 	show                 string
 	top                  int
@@ -207,132 +189,7 @@ type runConfig struct {
 	resume               string
 	mutations            string
 	warmStart            string
-	params               paramFlags
-}
-
-func loadGraph(dataset, edges string, directed bool, gen string, seed int64, format, repr string) (*graph.Graph, error) {
-	var sources []string
-	if dataset != "" {
-		sources = append(sources, "-dataset")
-	}
-	if edges != "" {
-		sources = append(sources, "-edges")
-	}
-	if gen != "" {
-		sources = append(sources, "-gen")
-	}
-	switch len(sources) {
-	case 0:
-		return nil, fmt.Errorf("need one of -dataset, -edges, -gen")
-	case 1:
-		// fall through to the single selected source below
-	default:
-		return nil, fmt.Errorf("conflicting graph sources: %s — pick exactly one", strings.Join(sources, " and "))
-	}
-	var g *graph.Graph
-	switch {
-	case dataset != "":
-		d, err := graph.DatasetByName(dataset)
-		if err != nil {
-			return nil, err
-		}
-		g = d.Build()
-	case edges != "":
-		dvg, err := isDVGRAF(format, edges)
-		if err != nil {
-			return nil, err
-		}
-		if dvg {
-			// The DVGRAF loader builds the requested representation
-			// directly — flat never exists as an intermediate for compact
-			// loads, and mmap never touches the heap.
-			mode, err := loadModeOf(repr)
-			if err != nil {
-				return nil, err
-			}
-			return graph.ReadGraphFile(edges, mode)
-		}
-		f, err := os.Open(edges)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, err = graph.ReadEdgeList(f, directed)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		var err error
-		g, err = generate(gen, directed, seed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	switch repr {
-	case "", "flat":
-		return g, nil
-	case "compact":
-		return graph.Compact(g)
-	case "mmap":
-		return nil, fmt.Errorf("-repr mmap needs a DVGRAF -edges file (make one with -save-graph)")
-	}
-	return nil, fmt.Errorf("unknown representation %q (want flat, compact or mmap)", repr)
-}
-
-// isDVGRAF decides whether the -edges file holds a binary DVGRAF graph,
-// honouring an explicit -graph-format and sniffing the magic for auto.
-func isDVGRAF(format, path string) (bool, error) {
-	switch format {
-	case "", "auto":
-		return graph.IsGraphFile(path), nil
-	case "el":
-		return false, nil
-	case "dvg":
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown -graph-format %q (want auto, el or dvg)", format)
-}
-
-func loadModeOf(repr string) (graph.LoadMode, error) {
-	switch repr {
-	case "", "flat":
-		return graph.LoadFlat, nil
-	case "compact":
-		return graph.LoadCompact, nil
-	case "mmap":
-		return graph.LoadMmap, nil
-	}
-	return 0, fmt.Errorf("unknown representation %q (want flat, compact or mmap)", repr)
-}
-
-func generate(spec string, directed bool, seed int64) (*graph.Graph, error) {
-	parts := strings.Split(spec, ":")
-	atoi := func(i int) int {
-		if i >= len(parts) {
-			return 0
-		}
-		v, _ := strconv.Atoi(parts[i])
-		return v
-	}
-	switch parts[0] {
-	case "rmat":
-		return graph.RMAT(atoi(1), atoi(2), 0.57, 0.19, 0.19, directed, seed), nil
-	case "ba":
-		return graph.PreferentialAttachment(atoi(1), atoi(2), seed), nil
-	case "er":
-		return graph.ErdosRenyi(atoi(1), atoi(2), directed, seed), nil
-	case "grid":
-		return graph.Grid(atoi(1), atoi(2), 10, seed), nil
-	case "ws":
-		beta := 0.1
-		if len(parts) > 3 {
-			if b, err := strconv.ParseFloat(parts[3], 64); err == nil {
-				beta = b
-			}
-		}
-		return graph.WattsStrogatz(atoi(1), atoi(2), beta, seed), nil
-	}
-	return nil, fmt.Errorf("unknown generator %q", parts[0])
+	params               cli.ParamFlags
 }
 
 func run(ctx context.Context, cfg runConfig) error {
@@ -385,7 +242,10 @@ func run(ctx context.Context, cfg runConfig) error {
 		return fmt.Errorf("-warm-start and -resume are mutually exclusive")
 	}
 
-	g, err := loadGraph(cfg.dataset, cfg.edges, cfg.directed, cfg.gen, cfg.seed, cfg.graphFormat, cfg.repr)
+	g, err := cli.GraphSource{
+		Dataset: cfg.dataset, Edges: cfg.edges, Gen: cfg.gen, Directed: cfg.directed, Seed: cfg.seed,
+		Format: cfg.graphFormat, Repr: cfg.repr,
+	}.Load()
 	if err != nil {
 		return err
 	}
@@ -423,10 +283,6 @@ func run(ctx context.Context, cfg runConfig) error {
 	if cfg.queue {
 		sched = pregel.WorkQueue
 	}
-	part := pregel.PartitionBlock
-	if cfg.hash {
-		part = pregel.PartitionHash
-	}
 
 	if cfg.ckptEvery > 0 && cfg.ckptDir == "" {
 		return fmt.Errorf("-checkpoint-every needs -checkpoint-dir")
@@ -450,15 +306,8 @@ func run(ctx context.Context, cfg runConfig) error {
 			}
 			// A chain written by dvserve also carries mutation logs; replay
 			// them so the tip snapshot meets the graph it was taken on.
-			for i, payload := range st.GraphDeltas {
-				d, err := graph.ReadDeltaLog(bytes.NewReader(payload))
-				if err != nil {
-					return fmt.Errorf("chain mutation log %d: %w", i, err)
-				}
-				g, _, err = graph.ApplyDelta(g, d)
-				if err != nil {
-					return fmt.Errorf("replaying chain mutation log %d: %w", i, err)
-				}
+			if g, err = st.Replay(g); err != nil {
+				return err
 			}
 			resumeSnap = st.Snapshot
 			fmt.Printf("resume: chain %s (superstep %d, %d records, %d mutation logs)\n",
@@ -475,10 +324,8 @@ func run(ctx context.Context, cfg runConfig) error {
 		Params:     cfg.params,
 		Workers:    cfg.workers,
 		Scheduler:  sched,
-		Partition:  part,
 		Combine:    cfg.combine,
 		Checkpoint: ckpt,
-		Resume:     resumeSnap,
 	}
 	var res *vm.Result
 	var runErr error
@@ -504,6 +351,8 @@ func run(ctx context.Context, cfg runConfig) error {
 			Snapshot:   snap,
 			Changes:    applied,
 		})
+	} else if resumeSnap != nil {
+		res, runErr = vm.ResumeContext(ctx, prog, g, runOpts, resumeSnap)
 	} else {
 		res, runErr = vm.RunContext(ctx, prog, g, runOpts)
 	}

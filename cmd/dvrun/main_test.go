@@ -12,8 +12,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pregel"
+	"repro/internal/programs"
+	"repro/internal/serve"
 )
 
 func capture(t *testing.T, fn func() error) string {
@@ -40,7 +44,7 @@ func TestRunSSSPOnGrid(t *testing.T) {
 		return run(context.Background(), runConfig{
 			mode: "dv", progName: "sssp", gen: "grid:10:10", seed: 1,
 			workers: 2, combine: true, show: "dist", top: 3, trace: true,
-			params: paramFlags{"src": 0},
+			params: cli.ParamFlags{"src": 0},
 		})
 	})
 	for _, want := range []string{"graph:", "supersteps:", "top 3 by dist", "superstep  active"} {
@@ -50,13 +54,13 @@ func TestRunSSSPOnGrid(t *testing.T) {
 	}
 }
 
-func TestRunModesAndPlacement(t *testing.T) {
+func TestRunModesAndScheduler(t *testing.T) {
 	for _, mode := range []string{"dv", "dvstar", "memotable"} {
 		out := capture(t, func() error {
 			return run(context.Background(), runConfig{
 				mode: mode, progName: "pagerank", gen: "rmat:7:4", seed: 2,
-				workers: 3, hash: true, queue: true, combine: true,
-				params: paramFlags{},
+				workers: 3, queue: true, combine: true,
+				params: cli.ParamFlags{},
 			})
 		})
 		if !strings.Contains(out, "messages:") {
@@ -79,7 +83,7 @@ func TestRunFromEdgeListFile(t *testing.T) {
 	out := capture(t, func() error {
 		return run(context.Background(), runConfig{
 			mode: "dv", progName: "bfs", edges: f, directed: true,
-			combine: true, params: paramFlags{"src": 0}, show: "hop", top: 6,
+			combine: true, params: cli.ParamFlags{"src": 0}, show: "hop", top: 6,
 		})
 	})
 	if !strings.Contains(out, "top 6 by hop") {
@@ -94,7 +98,7 @@ func TestRunProgramFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := capture(t, func() error {
-		return run(context.Background(), runConfig{mode: "dv", file: f, gen: "er:50:150", seed: 3, combine: true, params: paramFlags{}})
+		return run(context.Background(), runConfig{mode: "dv", file: f, gen: "er:50:150", seed: 3, combine: true, params: cli.ParamFlags{}})
 	})
 	if !strings.Contains(out, "wall time:") {
 		t.Fatalf("program file run output:\n%s", out)
@@ -103,36 +107,20 @@ func TestRunProgramFile(t *testing.T) {
 
 func TestRunErrorPaths(t *testing.T) {
 	bad := []runConfig{
-		{mode: "dv", params: paramFlags{}},                                                  // no program
-		{mode: "bogus", progName: "sssp", gen: "grid:3:3", params: paramFlags{}},            // bad mode
-		{mode: "dv", progName: "sssp", params: paramFlags{}},                                // no graph
-		{mode: "dv", progName: "sssp", gen: "bogus:1", params: paramFlags{}},                // bad generator
-		{mode: "dv", progName: "nope", gen: "grid:3:3", params: paramFlags{}},               // unknown program
-		{mode: "dv", progName: "cc", gen: "rmat:4:2", directed: true, params: paramFlags{}}, // #neighbors on directed
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", params: paramFlags{"q": 1}},         // unknown param
-		{mode: "dv", progName: "sssp", edges: "/nonexistent", params: paramFlags{}},         // missing file
-		{mode: "dv", file: "/nonexistent.dv", gen: "grid:3:3", params: paramFlags{}},
+		{mode: "dv", params: cli.ParamFlags{}},                                                  // no program
+		{mode: "bogus", progName: "sssp", gen: "grid:3:3", params: cli.ParamFlags{}},            // bad mode
+		{mode: "dv", progName: "sssp", params: cli.ParamFlags{}},                                // no graph
+		{mode: "dv", progName: "sssp", gen: "bogus:1", params: cli.ParamFlags{}},                // bad generator
+		{mode: "dv", progName: "nope", gen: "grid:3:3", params: cli.ParamFlags{}},               // unknown program
+		{mode: "dv", progName: "cc", gen: "rmat:4:2", directed: true, params: cli.ParamFlags{}}, // #neighbors on directed
+		{mode: "dv", progName: "sssp", gen: "grid:3:3", params: cli.ParamFlags{"q": 1}},         // unknown param
+		{mode: "dv", progName: "sssp", edges: "/nonexistent", params: cli.ParamFlags{}},         // missing file
+		{mode: "dv", file: "/nonexistent.dv", gen: "grid:3:3", params: cli.ParamFlags{}},
 	}
 	for i, cfg := range bad {
 		if err := run(context.Background(), cfg); err == nil {
 			t.Fatalf("case %d: run succeeded, want error", i)
 		}
-	}
-}
-
-func TestParamFlagParsing(t *testing.T) {
-	p := paramFlags{}
-	if err := p.Set("src=5"); err != nil || p["src"] != 5 {
-		t.Fatalf("Set(src=5): %v %v", err, p)
-	}
-	if err := p.Set("bogus"); err == nil {
-		t.Fatal("Set without '=' should fail")
-	}
-	if err := p.Set("x=abc"); err == nil {
-		t.Fatal("Set with non-numeric value should fail")
-	}
-	if p.String() == "" {
-		t.Fatal("String empty")
 	}
 }
 
@@ -152,36 +140,6 @@ func captureErr(t *testing.T, fn func() error) (string, error) {
 	buf := make([]byte, 1<<20)
 	n, _ := r.Read(buf)
 	return string(buf[:n]), errRun
-}
-
-func TestLoadGraphConflictingSources(t *testing.T) {
-	cases := []struct {
-		dataset, edges, gen string
-		wantNames           []string
-	}{
-		{"wikipedia-s", "g.el", "", []string{"-dataset", "-edges"}},
-		{"wikipedia-s", "", "grid:3:3", []string{"-dataset", "-gen"}},
-		{"", "g.el", "grid:3:3", []string{"-edges", "-gen"}},
-		{"wikipedia-s", "g.el", "grid:3:3", []string{"-dataset", "-edges", "-gen"}},
-	}
-	for _, c := range cases {
-		_, err := loadGraph(c.dataset, c.edges, true, c.gen, 1, "auto", "flat")
-		if err == nil {
-			t.Fatalf("loadGraph(%q, %q, %q) succeeded, want conflict error", c.dataset, c.edges, c.gen)
-		}
-		for _, name := range c.wantNames {
-			if !strings.Contains(err.Error(), name) {
-				t.Fatalf("conflict error %q does not name %s", err, name)
-			}
-		}
-	}
-	// A single source must still work (and none must still say so).
-	if _, err := loadGraph("", "", true, "grid:3:3", 1, "auto", "flat"); err != nil {
-		t.Fatalf("single -gen source: %v", err)
-	}
-	if _, err := loadGraph("", "", true, "", 1, "auto", "flat"); err == nil || !strings.Contains(err.Error(), "need one of") {
-		t.Fatalf("no source error = %v", err)
-	}
 }
 
 // TestDocCommentListsAllFlags guards against doc drift: every flag
@@ -256,7 +214,7 @@ func TestRunTimeoutPartialStats(t *testing.T) {
 		return run(context.Background(), runConfig{
 			mode: "dv", progName: "pagerank", gen: "rmat:15:16", seed: 4,
 			workers: 2, combine: true, trace: true, timeout: time.Millisecond,
-			params: paramFlags{},
+			params: cli.ParamFlags{},
 		})
 	})
 	if err == nil {
@@ -280,7 +238,7 @@ func TestRunCancelledContext(t *testing.T) {
 	_, err := captureErr(t, func() error {
 		return run(ctx, runConfig{
 			mode: "dv", progName: "pagerank", gen: "grid:10:10", seed: 1,
-			combine: true, params: paramFlags{},
+			combine: true, params: cli.ParamFlags{},
 		})
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -295,7 +253,7 @@ func TestRunPanicSurfacesRunError(t *testing.T) {
 	// that panics were converted to errors).
 	err := run(context.Background(), runConfig{
 		mode: "dv", progName: "pagerank", gen: "grid:5:5", seed: 1,
-		combine: true, show: "nosuchfield", params: paramFlags{},
+		combine: true, show: "nosuchfield", params: cli.ParamFlags{},
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Fatalf("err = %v, want unknown-field error", err)
@@ -354,7 +312,7 @@ func TestRunCheckpointResumeDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	base := runConfig{
 		mode: "dv", progName: "pagerank", gen: "rmat:8:6", seed: 5,
-		workers: 2, combine: true, show: "vl", top: 5, params: paramFlags{},
+		workers: 2, combine: true, show: "vl", top: 5, params: cli.ParamFlags{},
 	}
 	full := base
 	full.ckptDir = dir
@@ -391,7 +349,7 @@ func TestRunCheckpointResumeDeterministic(t *testing.T) {
 func TestRunInterruptResume(t *testing.T) {
 	base := runConfig{
 		mode: "dv", progName: "pagerank", gen: "rmat:13:8", seed: 6,
-		workers: 2, combine: true, show: "vl", top: 5, params: paramFlags{},
+		workers: 2, combine: true, show: "vl", top: 5, params: cli.ParamFlags{},
 	}
 	fullOut := capture(t, func() error { return run(context.Background(), base) })
 	S := superstepsOf(t, fullOut)
@@ -462,7 +420,7 @@ func TestRunWarmStartDeltaRecompute(t *testing.T) {
 	base := runConfig{
 		mode: "dv", progName: "sssp", edges: el, directed: true,
 		workers: 2, combine: true, show: "dist", top: 5,
-		params: paramFlags{"src": 0},
+		params: cli.ParamFlags{"src": 0},
 	}
 
 	// Seed run on the pre-mutation graph, keeping the terminal snapshot.
@@ -511,7 +469,7 @@ func TestRunCheckpointIncrementalResume(t *testing.T) {
 	dir := t.TempDir()
 	base := runConfig{
 		mode: "dv", progName: "pagerank", gen: "rmat:8:6", seed: 5,
-		workers: 2, combine: true, show: "vl", top: 5, params: paramFlags{},
+		workers: 2, combine: true, show: "vl", top: 5, params: cli.ParamFlags{},
 	}
 	full := base
 	full.ckptDir = dir
@@ -553,6 +511,61 @@ func TestRunCheckpointIncrementalResume(t *testing.T) {
 	}
 }
 
+// TestRunResumeServedChain: -resume of a chain written by dvserve replays
+// its mutation logs over the loaded graph with the fingerprint check the
+// daemon's own restart applies — the right boot graph lands on the served
+// values with zero supersteps, the wrong one fails naming the first
+// mutation log it diverges at instead of seeding state onto a graph the
+// chain does not describe.
+func TestRunResumeServedChain(t *testing.T) {
+	dir := t.TempDir()
+	boot := cli.GraphSource{Gen: "grid:8:8", Seed: 3}
+	g, err := boot.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := core.Compile(programs.MustSource("sssp"), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(context.Background(), serve.Config{
+		Prog: prog, Graph: g, Params: map[string]float64{"src": 0}, Workers: 2, Combine: true, ChainDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Enqueue([]graph.Mutation{{Op: graph.MutAddEdge, U: 0, V: 63, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := srv.Flush(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, _ := v.Field("dist")
+	want := dist[63]
+	srv.Close()
+
+	base := runConfig{
+		mode: "dv", progName: "sssp", gen: boot.Gen, seed: boot.Seed, directed: true,
+		workers: 2, combine: true, show: "dist", top: 64, resume: dir,
+		params: cli.ParamFlags{"src": 0},
+	}
+	out := capture(t, func() error { return run(context.Background(), base) })
+	if !strings.Contains(out, "1 mutation logs") || superstepsOf(t, out) != 0 {
+		t.Fatalf("chain resume did not replay one log with zero supersteps:\n%s", out)
+	}
+	if line := fmt.Sprintf("vertex %-8d %g\n", 63, want); !strings.Contains(out, line) {
+		t.Fatalf("resumed values miss the served dist[63] = %g:\n%s", want, out)
+	}
+
+	wrong := base
+	wrong.seed = boot.Seed + 1 // same shape, different weights
+	_, err = captureErr(t, func() error { return run(context.Background(), wrong) })
+	if err == nil || !errors.Is(err, pregel.ErrSnapshotMismatch) || !strings.Contains(err.Error(), "mutation log 0") {
+		t.Fatalf("wrong boot graph: err = %v, want ErrSnapshotMismatch naming mutation log 0", err)
+	}
+}
+
 // TestRunWarmStartVertexGrowth: a mutation log that grows the vertex set is
 // warm-startable when the program's repairability matrix admits vertex-add
 // (sssp does: init{} is local, so the newcomers are initialized and primed
@@ -573,7 +586,7 @@ func TestRunWarmStartVertexGrowth(t *testing.T) {
 	base := runConfig{
 		mode: "dv", progName: "sssp", edges: el, directed: true,
 		workers: 2, combine: true, show: "dist", top: 5,
-		params: paramFlags{"src": 0},
+		params: cli.ParamFlags{"src": 0},
 	}
 	seed := base
 	seed.ckptDir = dir
@@ -625,7 +638,7 @@ func TestRunWarmStartGrowthRejectedByVerdict(t *testing.T) {
 	}
 	base := runConfig{
 		mode: "dv", file: f, gen: "grid:8:8", seed: 1,
-		combine: true, params: paramFlags{},
+		combine: true, params: cli.ParamFlags{},
 	}
 	dir := t.TempDir()
 	seed := base
@@ -655,7 +668,7 @@ func TestRunMutationErrorPaths(t *testing.T) {
 	ctx := context.Background()
 	base := runConfig{
 		mode: "dv", progName: "sssp", gen: "grid:5:5", seed: 1,
-		combine: true, params: paramFlags{"src": 0},
+		combine: true, params: cli.ParamFlags{"src": 0},
 	}
 	// -warm-start without -mutations.
 	cfg := base
@@ -714,7 +727,7 @@ func TestRunCheckpointErrorPaths(t *testing.T) {
 	// -checkpoint-every without -checkpoint-dir is a flag error.
 	err := run(ctx, runConfig{
 		mode: "dv", progName: "pagerank", gen: "grid:3:3",
-		combine: true, ckptEvery: 2, params: paramFlags{},
+		combine: true, ckptEvery: 2, params: cli.ParamFlags{},
 	})
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 		t.Fatalf("err = %v, want -checkpoint-dir requirement", err)
@@ -722,7 +735,7 @@ func TestRunCheckpointErrorPaths(t *testing.T) {
 	// -checkpoint-incremental without -checkpoint-dir likewise.
 	err = run(ctx, runConfig{
 		mode: "dv", progName: "pagerank", gen: "grid:3:3",
-		combine: true, ckptIncremental: true, params: paramFlags{},
+		combine: true, ckptIncremental: true, params: cli.ParamFlags{},
 	})
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 		t.Fatalf("err = %v, want -checkpoint-dir requirement for -checkpoint-incremental", err)
@@ -730,7 +743,7 @@ func TestRunCheckpointErrorPaths(t *testing.T) {
 	// -resume with a missing file.
 	err = run(ctx, runConfig{
 		mode: "dv", progName: "pagerank", gen: "grid:3:3",
-		combine: true, resume: "/nonexistent.dvsnap", params: paramFlags{},
+		combine: true, resume: "/nonexistent.dvsnap", params: cli.ParamFlags{},
 	})
 	if err == nil {
 		t.Fatal("resume from missing file succeeded")
@@ -740,7 +753,7 @@ func TestRunCheckpointErrorPaths(t *testing.T) {
 	_ = capture(t, func() error {
 		return run(ctx, runConfig{
 			mode: "dv", progName: "pagerank", gen: "grid:5:5", seed: 1,
-			combine: true, ckptDir: dir, ckptEvery: 1, params: paramFlags{},
+			combine: true, ckptDir: dir, ckptEvery: 1, params: cli.ParamFlags{},
 		})
 	})
 	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.dvsnap"))
@@ -750,7 +763,7 @@ func TestRunCheckpointErrorPaths(t *testing.T) {
 	_, err = captureErr(t, func() error {
 		return run(ctx, runConfig{
 			mode: "dv", progName: "pagerank", gen: "grid:6:6", seed: 1,
-			combine: true, resume: snaps[0], params: paramFlags{},
+			combine: true, resume: snaps[0], params: cli.ParamFlags{},
 		})
 	})
 	if !errors.Is(err, pregel.ErrSnapshotMismatch) {

@@ -11,7 +11,7 @@
 //	dvserve [-mode dv|dvstar|memotable] (-program name | -file prog.dv)
 //	        (-dataset name | -edges file [-directed] | -gen spec [-seed n])
 //	        [-graph-format auto|el|dvg] [-repr flat|compact|mmap]
-//	        [-param k=v]... [-workers N] [-queue] [-hash] [-combine]
+//	        [-param k=v]... [-workers N] [-queue] [-combine]
 //	        [-epsilon e] [-addr host:port]
 //	        [-batch-interval d] [-max-batch N] [-max-pending N]
 //	        [-no-quarantine] [-chain-dir dir] [-repair-budget f]
@@ -71,33 +71,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/pregel"
 	"repro/internal/programs"
 	"repro/internal/serve"
 )
-
-type paramFlags map[string]float64
-
-func (p paramFlags) String() string { return fmt.Sprint(map[string]float64(p)) }
-
-func (p paramFlags) Set(s string) error {
-	k, v, ok := strings.Cut(s, "=")
-	if !ok {
-		return fmt.Errorf("want name=value, got %q", s)
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return err
-	}
-	p[k] = f
-	return nil
-}
 
 // flagVals holds the parsed flag values; registerFlags binds them onto a
 // FlagSet so tests can enumerate the registered flags and check them
@@ -109,7 +90,7 @@ type flagVals struct {
 	directed             bool
 	seed                 int64
 	workers              int
-	queue, hash, combine bool
+	queue, combine       bool
 	epsilon              float64
 	addr                 string
 	batchInterval        time.Duration
@@ -117,11 +98,11 @@ type flagVals struct {
 	noQuarantine         bool
 	chainDir             string
 	repairBudget         float64
-	params               paramFlags
+	params               cli.ParamFlags
 }
 
 func registerFlags(fs *flag.FlagSet) *flagVals {
-	v := &flagVals{params: paramFlags{}}
+	v := &flagVals{params: cli.ParamFlags{}}
 	fs.StringVar(&v.mode, "mode", "dv", "compile mode: dv, dvstar, memotable")
 	fs.StringVar(&v.progName, "program", "", "embedded program name")
 	fs.StringVar(&v.file, "file", "", "ΔV source file")
@@ -134,7 +115,6 @@ func registerFlags(fs *flag.FlagSet) *flagVals {
 	fs.Int64Var(&v.seed, "seed", 1, "generator seed")
 	fs.IntVar(&v.workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	fs.BoolVar(&v.queue, "queue", false, "use the work-queue (halt-by-default) scheduler")
-	fs.BoolVar(&v.hash, "hash", false, "use hash (v mod W) vertex placement instead of blocks")
 	fs.BoolVar(&v.combine, "combine", true, "enable message combiners")
 	fs.Float64Var(&v.epsilon, "epsilon", 0, "allowable-slop ε (§9)")
 	fs.StringVar(&v.addr, "addr", "127.0.0.1:7473", "HTTP listen address")
@@ -197,7 +177,10 @@ func run(ctx context.Context, v *flagVals, out *os.File) error {
 		return err
 	}
 	fmt.Fprintln(out, prog.Repairability())
-	g, err := loadGraph(v)
+	g, err := cli.GraphSource{
+		Dataset: v.dataset, Edges: v.edges, Gen: v.gen, Directed: v.directed, Seed: v.seed,
+		Format: v.graphFormat, Repr: v.repr,
+	}.Load()
 	if err != nil {
 		return err
 	}
@@ -208,17 +191,12 @@ func run(ctx context.Context, v *flagVals, out *os.File) error {
 	if v.queue {
 		sched = pregel.WorkQueue
 	}
-	part := pregel.PartitionBlock
-	if v.hash {
-		part = pregel.PartitionHash
-	}
 	srv, err := serve.New(ctx, serve.Config{
 		Prog:          prog,
 		Graph:         g,
 		Params:        v.params,
 		Workers:       v.workers,
 		Scheduler:     sched,
-		Partition:     part,
 		Combine:       v.combine,
 		Quarantine:    !v.noQuarantine,
 		MaxPending:    v.maxPending,
@@ -255,124 +233,4 @@ func run(ctx context.Context, v *flagVals, out *os.File) error {
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return hs.Shutdown(shutCtx)
-}
-
-// loadGraph resolves the one graph source, mirroring dvrun's rules.
-func loadGraph(v *flagVals) (*graph.Graph, error) {
-	var sources []string
-	if v.dataset != "" {
-		sources = append(sources, "-dataset")
-	}
-	if v.edges != "" {
-		sources = append(sources, "-edges")
-	}
-	if v.gen != "" {
-		sources = append(sources, "-gen")
-	}
-	switch len(sources) {
-	case 0:
-		return nil, fmt.Errorf("need one of -dataset, -edges, -gen")
-	case 1:
-	default:
-		return nil, fmt.Errorf("conflicting graph sources: %s — pick exactly one", strings.Join(sources, " and "))
-	}
-	var g *graph.Graph
-	switch {
-	case v.dataset != "":
-		d, err := graph.DatasetByName(v.dataset)
-		if err != nil {
-			return nil, err
-		}
-		g = d.Build()
-	case v.edges != "":
-		dvg, err := isDVGRAF(v.graphFormat, v.edges)
-		if err != nil {
-			return nil, err
-		}
-		if dvg {
-			mode, err := loadModeOf(v.repr)
-			if err != nil {
-				return nil, err
-			}
-			return graph.ReadGraphFile(v.edges, mode)
-		}
-		f, err := os.Open(v.edges)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, err = graph.ReadEdgeList(f, v.directed)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		g2, err := generate(v.gen, v.directed, v.seed)
-		if err != nil {
-			return nil, err
-		}
-		g = g2
-	}
-	switch v.repr {
-	case "", "flat":
-		return g, nil
-	case "compact":
-		return graph.Compact(g)
-	case "mmap":
-		return nil, fmt.Errorf("-repr mmap needs a DVGRAF -edges file (make one with dvrun -save-graph)")
-	}
-	return nil, fmt.Errorf("unknown representation %q (want flat, compact or mmap)", v.repr)
-}
-
-func isDVGRAF(format, path string) (bool, error) {
-	switch format {
-	case "", "auto":
-		return graph.IsGraphFile(path), nil
-	case "el":
-		return false, nil
-	case "dvg":
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown -graph-format %q (want auto, el or dvg)", format)
-}
-
-func loadModeOf(repr string) (graph.LoadMode, error) {
-	switch repr {
-	case "", "flat":
-		return graph.LoadFlat, nil
-	case "compact":
-		return graph.LoadCompact, nil
-	case "mmap":
-		return graph.LoadMmap, nil
-	}
-	return 0, fmt.Errorf("unknown representation %q (want flat, compact or mmap)", repr)
-}
-
-func generate(spec string, directed bool, seed int64) (*graph.Graph, error) {
-	parts := strings.Split(spec, ":")
-	atoi := func(i int) int {
-		if i >= len(parts) {
-			return 0
-		}
-		n, _ := strconv.Atoi(parts[i])
-		return n
-	}
-	switch parts[0] {
-	case "rmat":
-		return graph.RMAT(atoi(1), atoi(2), 0.57, 0.19, 0.19, directed, seed), nil
-	case "ba":
-		return graph.PreferentialAttachment(atoi(1), atoi(2), seed), nil
-	case "er":
-		return graph.ErdosRenyi(atoi(1), atoi(2), directed, seed), nil
-	case "grid":
-		return graph.Grid(atoi(1), atoi(2), 10, seed), nil
-	case "ws":
-		beta := 0.1
-		if len(parts) > 3 {
-			if b, err := strconv.ParseFloat(parts[3], 64); err == nil {
-				beta = b
-			}
-		}
-		return graph.WattsStrogatz(atoi(1), atoi(2), beta, seed), nil
-	}
-	return nil, fmt.Errorf("unknown generator %q", parts[0])
 }

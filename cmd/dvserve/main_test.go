@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cli"
 )
 
 // TestDocCommentListsAllFlags guards against doc drift: every flag
@@ -59,18 +61,18 @@ func TestRegisterFlagsRoundTrip(t *testing.T) {
 // before a listener is opened.
 func TestRunErrorPaths(t *testing.T) {
 	cases := []*flagVals{
-		{mode: "dv", params: paramFlags{}},                                                      // no program
-		{mode: "bogus", progName: "sssp", gen: "grid:3:3", params: paramFlags{}},                // bad mode
-		{mode: "dv", progName: "sssp", params: paramFlags{}},                                    // no graph
-		{mode: "dv", progName: "sssp", gen: "bogus:1", params: paramFlags{}},                    // bad generator
-		{mode: "dv", progName: "nope", gen: "grid:3:3", params: paramFlags{}},                   // unknown program
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", params: paramFlags{"q": 1}},             // unknown param
-		{mode: "dv", progName: "sssp", edges: "/nonexistent", params: paramFlags{}},             // missing file
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", dataset: "x", params: paramFlags{}},     // two sources
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", repr: "mmap", params: paramFlags{}},     // mmap needs dvg
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", repr: "bogus", params: paramFlags{}},    // bad repr
-		{mode: "dv", file: "/nonexistent.dv", gen: "grid:3:3", params: paramFlags{}},            // missing source file
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", addr: "bogus:::", params: paramFlags{}}, // bad listen addr
+		{mode: "dv", params: cli.ParamFlags{}},                                                      // no program
+		{mode: "bogus", progName: "sssp", gen: "grid:3:3", params: cli.ParamFlags{}},                // bad mode
+		{mode: "dv", progName: "sssp", params: cli.ParamFlags{}},                                    // no graph
+		{mode: "dv", progName: "sssp", gen: "bogus:1", params: cli.ParamFlags{}},                    // bad generator
+		{mode: "dv", progName: "nope", gen: "grid:3:3", params: cli.ParamFlags{}},                   // unknown program
+		{mode: "dv", progName: "sssp", gen: "grid:3:3", params: cli.ParamFlags{"q": 1}},             // unknown param
+		{mode: "dv", progName: "sssp", edges: "/nonexistent", params: cli.ParamFlags{}},             // missing file
+		{mode: "dv", progName: "sssp", gen: "grid:3:3", dataset: "x", params: cli.ParamFlags{}},     // two sources
+		{mode: "dv", progName: "sssp", gen: "grid:3:3", repr: "mmap", params: cli.ParamFlags{}},     // mmap needs dvg
+		{mode: "dv", progName: "sssp", gen: "grid:3:3", repr: "bogus", params: cli.ParamFlags{}},    // bad repr
+		{mode: "dv", file: "/nonexistent.dv", gen: "grid:3:3", params: cli.ParamFlags{}},            // missing source file
+		{mode: "dv", progName: "sssp", gen: "grid:3:3", addr: "bogus:::", params: cli.ParamFlags{}}, // bad listen addr
 	}
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {

@@ -34,11 +34,11 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/algorithms"
+	"repro/internal/cli"
 	"repro/internal/graph"
 	"repro/internal/pregel"
 	"repro/internal/pregel/transport"
@@ -111,7 +111,7 @@ func run(ctx context.Context, cfg *config, out io.Writer) error {
 	if cfg.shards < 1 || cfg.shard < 0 || cfg.shard >= cfg.shards {
 		return fmt.Errorf("bad -shard %d of -shards %d", cfg.shard, cfg.shards)
 	}
-	g, err := loadGraph(cfg)
+	g, err := cli.GraphSource{Edges: cfg.edges, Gen: cfg.gen, Directed: cfg.directed, Seed: cfg.seed}.Load()
 	if err != nil {
 		return err
 	}
@@ -157,7 +157,7 @@ func run(ctx context.Context, cfg *config, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		opts.Resume = snap
+		opts.Seed = pregel.Continue(snap)
 	}
 	opts.MaxSupersteps = cfg.maxSupersteps
 
@@ -217,56 +217,6 @@ func runAlgo(g *graph.Graph, cfg *config, opts algorithms.RunOptions) ([]float64
 		return vals, st, nil
 	}
 	return nil, nil, fmt.Errorf("unknown -algo %q (want pagerank, sssp or cc)", cfg.algo)
-}
-
-func loadGraph(cfg *config) (*graph.Graph, error) {
-	switch {
-	case cfg.gen != "" && cfg.edges != "":
-		return nil, fmt.Errorf("conflicting graph sources: -gen and -edges — pick exactly one")
-	case cfg.edges != "":
-		if graph.IsGraphFile(cfg.edges) {
-			return graph.ReadGraphFile(cfg.edges, graph.LoadFlat)
-		}
-		f, err := os.Open(cfg.edges)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ReadEdgeList(f, cfg.directed)
-	case cfg.gen != "":
-		return generate(cfg.gen, cfg.directed, cfg.seed)
-	}
-	return nil, fmt.Errorf("need -gen or -edges")
-}
-
-func generate(spec string, directed bool, seed int64) (*graph.Graph, error) {
-	parts := strings.Split(spec, ":")
-	atoi := func(i int) int {
-		if i >= len(parts) {
-			return 0
-		}
-		v, _ := strconv.Atoi(parts[i])
-		return v
-	}
-	switch parts[0] {
-	case "rmat":
-		return graph.RMAT(atoi(1), atoi(2), 0.57, 0.19, 0.19, directed, seed), nil
-	case "ba":
-		return graph.PreferentialAttachment(atoi(1), atoi(2), seed), nil
-	case "er":
-		return graph.ErdosRenyi(atoi(1), atoi(2), directed, seed), nil
-	case "grid":
-		return graph.Grid(atoi(1), atoi(2), 10, seed), nil
-	case "ws":
-		beta := 0.1
-		if len(parts) > 3 {
-			if b, err := strconv.ParseFloat(parts[3], 64); err == nil {
-				beta = b
-			}
-		}
-		return graph.WattsStrogatz(atoi(1), atoi(2), beta, seed), nil
-	}
-	return nil, fmt.Errorf("unknown generator %q", parts[0])
 }
 
 // loadSnapshot reads a snapshot file, or the highest-numbered

@@ -162,7 +162,7 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{"no workers", []string{"-gen", "grid:4:4", "-shards", "1", "-addrs", "unix:/tmp/x.sock"}, "-workers"},
 		{"bad shard", []string{"-gen", "grid:4:4", "-workers", "2", "-shard", "3", "-shards", "2"}, "bad -shard"},
-		{"no graph", []string{"-workers", "2", "-shards", "1", "-addrs", "unix:/tmp/x.sock"}, "need -gen or -edges"},
+		{"no graph", []string{"-workers", "2", "-shards", "1", "-addrs", "unix:/tmp/x.sock"}, "need one of"},
 		{"addr count", []string{"-gen", "grid:4:4", "-workers", "2", "-shards", "2", "-addrs", "unix:/tmp/x.sock"}, "-addrs lists"},
 		{"bad algo", []string{"-gen", "grid:4:4", "-workers", "2", "-shards", "1", "-addrs", "unix:/tmp/a.sock", "-algo", "nope"}, "unknown -algo"},
 	}

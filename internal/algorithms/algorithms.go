@@ -27,9 +27,9 @@ type RunOptions struct {
 	// the algorithms install portable codecs for their state types, so
 	// snapshots are architecture-independent.
 	Checkpoint pregel.CheckpointOptions
-	// Resume continues a previous run from a barrier snapshot instead of
-	// starting at superstep 0 (see pregel.Options.Resume).
-	Resume *pregel.Snapshot
+	// Seed is the state the run starts from instead of superstep 0 (see
+	// pregel.Options.Seed); nil is a cold start.
+	Seed *pregel.Seed
 	// MaxSupersteps aborts the run after this many supersteps; 0 means
 	// no limit (see pregel.Options.MaxSupersteps).
 	MaxSupersteps int
@@ -53,7 +53,7 @@ func (o RunOptions) engineOpts() pregel.Options {
 		Workers:       o.Workers,
 		Scheduler:     o.Scheduler,
 		Checkpoint:    o.Checkpoint,
-		Resume:        o.Resume,
+		Seed:          o.Seed,
 		MaxSupersteps: o.MaxSupersteps,
 		Shard:         o.Shard,
 	}

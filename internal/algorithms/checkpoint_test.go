@@ -101,7 +101,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 							t.Fatalf("k=%d: %v", k, err)
 						}
 						res := base
-						res.Resume = snap
+						res.Seed = pregel.Continue(snap)
 						got, stats := run(t, res)
 						if want2 := S - (k + 1); stats.Supersteps != want2 {
 							t.Errorf("k=%d: resumed run took %d supersteps, want %d", k, stats.Supersteps, want2)

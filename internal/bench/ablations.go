@@ -196,63 +196,6 @@ func RenderScheduler(w io.Writer, rows []SchedulerRow) error {
 	return tw.Flush()
 }
 
-// PartitionRow compares vertex placements: the fraction of delivered
-// envelopes that cross worker boundaries is what graph-partitioning
-// research (the paper's related-work axis) optimizes.
-type PartitionRow struct {
-	Program   string
-	Dataset   string
-	Partition string
-	Seconds   float64
-	Delivered int64
-	Cross     int64
-}
-
-// AblationPartition measures block vs hash placement on incremental
-// PageRank.
-func AblationPartition(ctx context.Context, dataset string, runs int) ([]PartitionRow, error) {
-	g, err := LoadDataset(dataset)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := core.Compile(programs.MustSource("pagerank"), core.Options{Mode: core.Incremental})
-	if err != nil {
-		return nil, err
-	}
-	var rows []PartitionRow
-	for _, part := range []pregel.Partition{pregel.PartitionBlock, pregel.PartitionHash} {
-		row := PartitionRow{Program: "pagerank", Dataset: dataset, Partition: part.String()}
-		for i := 0; i < maxInt(1, runs); i++ {
-			res, err := vm.RunContext(ctx, prog, g, vm.RunOptions{Partition: part, Combine: true, Workers: BenchWorkers})
-			if err != nil {
-				return rows, err // completed placement rows survive an abort
-			}
-			row.Seconds += res.Stats.Duration.Seconds()
-			row.Delivered = res.Stats.CombinedMessages
-			row.Cross = res.Stats.CrossWorker
-		}
-		row.Seconds /= float64(maxInt(1, runs))
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// RenderPartition writes the partitioning ablation as text.
-func RenderPartition(w io.Writer, rows []PartitionRow) error {
-	fmt.Fprintln(w, "== Ablation: block vs hash vertex placement ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Dataset\tProgram\tPlacement\tRuntime (s)\tDelivered\tCross-worker\tCross %")
-	for _, r := range rows {
-		pct := 0.0
-		if r.Delivered > 0 {
-			pct = 100 * float64(r.Cross) / float64(r.Delivered)
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%.4f\t%d\t%d\t%.1f%%\n",
-			r.Dataset, r.Program, r.Partition, r.Seconds, r.Delivered, r.Cross, pct)
-	}
-	return tw.Flush()
-}
-
 // CombinerRow compares message delivery with and without sender-side
 // combining.
 type CombinerRow struct {

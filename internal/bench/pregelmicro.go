@@ -77,9 +77,8 @@ func (p microProgram) Compute(ctx *pregel.Context[microVal, float64], msgs []flo
 }
 
 // PregelMicro runs the engine micro-benchmark suite (combined PageRank
-// message plane on R-MAT and grid graphs, both schedulers, both
-// partitionings) via testing.Benchmark and returns one row per
-// configuration. When ctx is cancelled, remaining configurations are
+// message plane on R-MAT and grid graphs, both schedulers) via
+// testing.Benchmark and returns one row per configuration. When ctx is cancelled, remaining configurations are
 // emitted as rows with AbortReason set instead of measurements, so the
 // snapshot records how far the suite got.
 func PregelMicro(ctx context.Context) []MicroRow {
@@ -104,42 +103,42 @@ func PregelMicro(ctx context.Context) []MicroRow {
 	var rows []MicroRow
 	for _, gs := range graphs {
 		for _, sc := range scheds {
-			for _, part := range []pregel.Partition{pregel.PartitionBlock, pregel.PartitionHash} {
-				gs, sc, part := gs, sc, part
-				name := "message-plane/" + gs.name + "/" + sc.name + "/" + part.String()
-				if err := ctx.Err(); err != nil {
-					rows = append(rows, MicroRow{Name: name, AbortReason: err.Error()})
-					continue
-				}
-				msgs := int64(rounds+1) * int64(gs.g.NumArcs())
-				var runErr error
-				r := testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						e := pregel.New[microVal, float64](gs.g, pregel.Options{
-							Workers:   4,
-							Scheduler: sc.s,
-							Partition: part,
-						})
-						e.SetCombiner(pregel.CombinerFunc[float64](func(a, b float64) float64 { return a + b }))
-						if _, err := e.RunContext(ctx, microProgram{rounds: rounds}); err != nil {
-							runErr = err
-							return
-						}
-					}
-				})
-				row := MicroRow{
-					Name:        name,
-					NsPerOp:     float64(r.NsPerOp()),
-					BytesPerOp:  r.AllocedBytesPerOp(),
-					AllocsPerOp: r.AllocsPerOp(),
-					MsgsPerOp:   msgs,
-				}
-				if runErr != nil {
-					row.AbortReason = runErr.Error()
-				}
-				rows = append(rows, row)
+			gs, sc := gs, sc
+			// The "/block" suffix keeps these rows lined up with the committed
+			// BENCH_pregel.json, whose "/hash" rows are the evidence hash
+			// placement was deleted on (EXPERIMENTS.md A7).
+			name := "message-plane/" + gs.name + "/" + sc.name + "/block"
+			if err := ctx.Err(); err != nil {
+				rows = append(rows, MicroRow{Name: name, AbortReason: err.Error()})
+				continue
 			}
+			msgs := int64(rounds+1) * int64(gs.g.NumArcs())
+			var runErr error
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					e := pregel.New[microVal, float64](gs.g, pregel.Options{
+						Workers:   4,
+						Scheduler: sc.s,
+					})
+					e.SetCombiner(pregel.CombinerFunc[float64](func(a, b float64) float64 { return a + b }))
+					if _, err := e.RunContext(ctx, microProgram{rounds: rounds}); err != nil {
+						runErr = err
+						return
+					}
+				}
+			})
+			row := MicroRow{
+				Name:        name,
+				NsPerOp:     float64(r.NsPerOp()),
+				BytesPerOp:  r.AllocedBytesPerOp(),
+				AllocsPerOp: r.AllocsPerOp(),
+				MsgsPerOp:   msgs,
+			}
+			if runErr != nil {
+				row.AbortReason = runErr.Error()
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows

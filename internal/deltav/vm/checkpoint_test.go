@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -67,9 +68,7 @@ func TestDeltaVCheckpointResumeEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("k=%d: %v", k, err)
 					}
-					res := base
-					res.Resume = snap
-					out, err := Run(compileT(t, tc.program, tc.mode), gr, res)
+					out, err := ResumeContext(context.Background(), compileT(t, tc.program, tc.mode), gr, base, snap)
 					if err != nil {
 						t.Fatalf("k=%d: resume: %v", k, err)
 					}
@@ -113,17 +112,21 @@ func TestDeltaVResumeRejectsWrongProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Different layout (state width) → the machine payload must refuse.
-	if _, err := Run(compileT(t, "sssp", core.Incremental), g, RunOptions{Workers: 2, Resume: snap}); err == nil {
+	resume := func(prog *core.Program, snap *pregel.Snapshot) error {
+		_, err := ResumeContext(context.Background(), prog, g, RunOptions{Workers: 2}, snap)
+		return err
+	}
+	if resume(compileT(t, "sssp", core.Incremental), snap) == nil {
 		t.Fatal("sssp machine resumed a pagerank snapshot")
 	}
 	// Memo-table mode expects table payloads the dv snapshot lacks.
-	if _, err := Run(compileT(t, "pagerank", core.MemoTable), g, RunOptions{Workers: 2, Resume: snap}); err == nil {
+	if resume(compileT(t, "pagerank", core.MemoTable), snap) == nil {
 		t.Fatal("memo-table machine resumed an incremental snapshot")
 	}
 	// Empty Extra (engine-only snapshot) must be rejected too.
 	bare := *snap
 	bare.Extra = nil
-	if _, err := Run(compileT(t, "pagerank", core.Incremental), g, RunOptions{Workers: 2, Resume: &bare}); err == nil {
+	if resume(compileT(t, "pagerank", core.Incremental), &bare) == nil {
 		t.Fatal("machine resumed a snapshot with no Extra payload")
 	}
 }

@@ -138,12 +138,7 @@ func (m *Machine) RunDeltaContext(ctx context.Context, opts DeltaRunOptions) (*R
 		delete(m.tables[sg.site][sg.dest], sg.sender)
 	}
 	m.repair = plan
-	warm := &pregel.WarmStartOptions{
-		Snapshot:          opts.Snapshot,
-		ExpectFingerprint: opts.Changes.OldFingerprint,
-		Activate:          plan.frontier,
-		AllowGrowth:       opts.Changes.NewVertices > 0,
-	}
+	warm := pregel.Warm(opts.Snapshot, plan.frontier, opts.Changes.OldFingerprint, opts.Changes.NewVertices > 0)
 	return m.execute(ctx, opts.RunOptions, warm, &globals{Phase: gl.Phase, Mode: modeRepair, Iter: 1})
 }
 
@@ -199,9 +194,6 @@ func (m *Machine) validateDelta(opts *DeltaRunOptions) error {
 	}
 	if opts.Changes == nil {
 		return fmt.Errorf("vm: delta run needs the applied delta")
-	}
-	if opts.Resume != nil {
-		return fmt.Errorf("vm: Resume and a delta run are mutually exclusive")
 	}
 	rp := m.prog.Repairability()
 	if b := rp.Blocked(); b != nil {

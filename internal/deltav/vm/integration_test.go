@@ -10,30 +10,27 @@ import (
 	"repro/internal/pregel"
 )
 
-// End-to-end integration scenarios combining generators, placements,
-// schedulers and programs in ways no single unit test does.
+// End-to-end integration scenarios combining generators, schedulers and
+// programs in ways no single unit test does.
 
 func TestSSSPOnSmallWorldAllConfigurations(t *testing.T) {
 	g := graph.WithRandomWeights(graph.WattsStrogatz(400, 6, 0.05, 11), 1, 5, 12)
 	want := algorithms.SSSPOracle(g, 7)
 	for _, mode := range allModes {
-		for _, part := range []pregel.Partition{pregel.PartitionBlock, pregel.PartitionHash} {
-			for _, sched := range []pregel.Scheduler{pregel.ScanAll, pregel.WorkQueue} {
-				res, err := Run(mustCompile("sssp", mode), g, RunOptions{
-					Params:    map[string]float64{"src": 7},
-					Workers:   5,
-					Partition: part,
-					Scheduler: sched,
-					Combine:   true,
-				})
-				if err != nil {
-					t.Fatalf("%v/%v/%v: %v", mode, part, sched, err)
-				}
-				for u := range want {
-					if !almostEqual(res.Field("dist", graph.VertexID(u)), want[u], 1e-9) {
-						t.Fatalf("%v/%v/%v: dist[%d] = %g, want %g",
-							mode, part, sched, u, res.Field("dist", graph.VertexID(u)), want[u])
-					}
+		for _, sched := range []pregel.Scheduler{pregel.ScanAll, pregel.WorkQueue} {
+			res, err := Run(mustCompile("sssp", mode), g, RunOptions{
+				Params:    map[string]float64{"src": 7},
+				Workers:   5,
+				Scheduler: sched,
+				Combine:   true,
+			})
+			if err != nil {
+				t.Fatalf("%v/%v: %v", mode, sched, err)
+			}
+			for u := range want {
+				if !almostEqual(res.Field("dist", graph.VertexID(u)), want[u], 1e-9) {
+					t.Fatalf("%v/%v: dist[%d] = %g, want %g",
+						mode, sched, u, res.Field("dist", graph.VertexID(u)), want[u])
 				}
 			}
 		}

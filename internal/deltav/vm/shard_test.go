@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -20,6 +21,15 @@ import (
 // runCorpusSharded2 compiles name in mode and runs it on both shards of
 // a fresh unix-socket mesh, returning each shard's Result.
 func runCorpusSharded2(t *testing.T, name string, mode core.Mode, g *graph.Graph, base RunOptions) [2]*Result {
+	t.Helper()
+	return runSharded2(t, g, base, func(opts RunOptions) (*Result, error) {
+		return Run(compileT(t, name, mode), g, opts)
+	})
+}
+
+// runSharded2 calls run once per shard of a fresh 2-shard unix-socket
+// mesh over g, with base's options placed on that shard.
+func runSharded2(t *testing.T, g *graph.Graph, base RunOptions, run func(RunOptions) (*Result, error)) [2]*Result {
 	t.Helper()
 	dir := t.TempDir()
 	addrs := []string{
@@ -44,7 +54,7 @@ func runCorpusSharded2(t *testing.T, name string, mode core.Mode, g *graph.Graph
 			defer tr.Close()
 			opts := base
 			opts.Shard = &pregel.ShardOptions{Index: i, Count: 2, Transport: tr}
-			out[i], errs[i] = Run(compileT(t, name, mode), g, opts)
+			out[i], errs[i] = run(opts)
 		}(i)
 	}
 	wg.Wait()
@@ -93,6 +103,79 @@ func TestShardedCorpusBitIdentical(t *testing.T) {
 					}
 					for u := range want {
 						if got[u] != want[u] {
+							t.Fatalf("shard %d: %s[%d] = %v, want %v (bitwise)", i, tc.field, u, got[u], want[u])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestShardedRunDeltaBitIdentical: a delta repair across shards falls out
+// of the engine's seed composing with sharding — every shard is handed
+// the same whole terminal snapshot and applied delta, plans the same
+// repair, runs its own vertex range, and lands on the in-process repair's
+// fields and statistics bit for bit. The corpus pagerank.dv is bounded by
+// an iteration count, which no delta run accepts in any configuration, so
+// the PageRank row is prFieldSrc: the same program with until{fixpoint}.
+func TestShardedRunDeltaBitIdentical(t *testing.T) {
+	prG := directedTestGraph()
+	prD := &graph.Delta{}
+	prD.AddEdge(3, 11)
+	prD.AddEdge(40, 2)
+	ssspG := graph.Grid(12, 15, 9, 3)
+	ssspD := &graph.Delta{}
+	ssspD.AddWeightedEdge(5, 170, 1)
+	ssspD.AddWeightedEdge(20, 99, 2)
+	cases := []*struct {
+		deltaCase
+		field string
+		g     *graph.Graph
+		d     *graph.Delta
+	}{
+		{deltaCase{name: "pagerank", src: prFieldSrc, epsilon: 1e-9}, "vl", prG, prD},
+		{deltaCase{name: "sssp", prog: "sssp", params: map[string]float64{"src": 5}}, "dist", ssspG, ssspD},
+	}
+	for _, tc := range cases {
+		for schedName, sched := range deltaScheds {
+			t.Run(tc.name+"/"+schedName, func(t *testing.T) {
+				base := RunOptions{Workers: 4, Combine: true, Params: tc.params}
+				opts := base
+				opts.Scheduler = sched
+				snap, _ := terminalVMSnapshot(t, tc.compile(t), tc.g, base)
+				g1, ad, err := graph.ApplyDelta(tc.g, tc.d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				repair := func(opts RunOptions) (*Result, error) {
+					return RunDelta(tc.compile(t), g1, DeltaRunOptions{
+						RunOptions: opts, Snapshot: snap, Changes: ad,
+					})
+				}
+				ref, err := repair(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref.Stats.CrossWorker == 0 {
+					t.Fatal("reference repair never crossed a worker boundary")
+				}
+				want, err := ref.FieldVector(tc.field)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, res := range runSharded2(t, g1, opts, repair) {
+					if res.Stats.MessagesSent != ref.Stats.MessagesSent ||
+						res.Stats.CombinedMessages != ref.Stats.CombinedMessages ||
+						res.Stats.Supersteps != ref.Stats.Supersteps {
+						t.Fatalf("shard %d stats diverge: %+v vs %+v", i, res.Stats, ref.Stats)
+					}
+					got, err := res.FieldVector(tc.field)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for u := range want {
+						if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
 							t.Fatalf("shard %d: %s[%d] = %v, want %v (bitwise)", i, tc.field, u, got[u], want[u])
 						}
 					}

@@ -281,5 +281,7 @@ func SeedFromSnapshot(prog *core.Program, g *graph.Graph, opts RunOptions, snap 
 		Iterations:       m.iterations,
 		NonMonotoneSends: m.nonMonotone.Load(),
 		machine:          m,
+		end:              snap,
+		endGlobals:       gl,
 	}, nil
 }

@@ -65,8 +65,6 @@ type RunOptions struct {
 	Workers int
 	// Scheduler selects the engine's vertex scheduler.
 	Scheduler pregel.Scheduler
-	// Partition selects the vertex-to-worker placement.
-	Partition pregel.Partition
 	// Combine enables sender-side combining of combinable send groups.
 	Combine bool
 	// MaxSupersteps bounds the engine (default 10h of supersteps: 100k).
@@ -76,11 +74,6 @@ type RunOptions struct {
 	// flat state, memo tables, and master phase there — so any Extra
 	// callback set here is ignored.
 	Checkpoint pregel.CheckpointOptions
-	// Resume continues from a snapshot taken by a previous run of the
-	// same compiled program (same mode) on the same graph. The machine
-	// payload and the engine state are both validated before the run
-	// continues at the snapshot's superstep + 1.
-	Resume *pregel.Snapshot
 	// Quarantine contains a panic inside a single vertex's evaluation to
 	// that vertex (skip + remove + record in Stats.Quarantined) instead
 	// of aborting the run — the resident-server posture. See
@@ -90,8 +83,8 @@ type RunOptions struct {
 	// pregel.ShardOptions). Every shard runs the same compiled program
 	// over the same graph with identical options; after a successful run
 	// the machine's state rows are all-gathered so Result fields are
-	// whole on every shard. Requires PartitionBlock and an explicit
-	// Workers value identical on every shard.
+	// whole on every shard. Requires an explicit Workers value identical
+	// on every shard.
 	Shard *pregel.ShardOptions
 }
 
@@ -113,6 +106,25 @@ type Result struct {
 	NonMonotoneSends int64
 
 	machine *Machine
+	// end is the engine's terminal barrier state and endGlobals the master
+	// state machine at that barrier (nil when the run did not finish);
+	// Snapshot joins them with the machine payload on demand.
+	end        *pregel.Snapshot
+	endGlobals *globals
+}
+
+// Snapshot returns the terminal snapshot of a finished run as a value —
+// byte for byte what a Checkpoint.Sink would have received last — ready to
+// seed the next RunDelta or SeedFromSnapshot. It is nil when the run did
+// not finish. The machine payload is encoded on each call, so a caller
+// that never asks pays nothing for it.
+func (r *Result) Snapshot() *pregel.Snapshot {
+	if r.end == nil {
+		return nil
+	}
+	s := *r.end
+	s.Extra = r.machine.encodeExtra(nil, r.endGlobals)
+	return &s
 }
 
 // Field returns vertex u's final value of the named user field, decoded
@@ -291,27 +303,38 @@ func (m *Machine) RunContext(ctx context.Context, opts RunOptions) (*Result, err
 		return nil, fmt.Errorf("vm: Machine.Run called twice")
 	}
 	m.ran = true
-	var gl *globals
-	if opts.Resume != nil {
-		// Validate graph identity before decoding the machine payload so a
-		// wrong-graph snapshot fails with the engine's mismatch error, not a
-		// confusing state-size complaint.
-		if opts.Resume.Fingerprint != m.g.Fingerprint() {
-			return nil, fmt.Errorf("vm: %w: snapshot was taken on a different graph", pregel.ErrSnapshotMismatch)
-		}
-		var err error
-		if gl, err = m.restoreExtra(opts.Resume.Extra, m.g.NumVertices()); err != nil {
-			return nil, err
-		}
-	} else {
-		gl = &globals{Phase: 0, Mode: modePrime}
-	}
-	return m.execute(ctx, opts, nil, gl)
+	return m.execute(ctx, opts, nil, &globals{Phase: 0, Mode: modePrime})
 }
 
-// execute runs the machine on a fresh engine seeded with gl. Exactly one of
-// opts.Resume and warm may be set; both nil is a from-scratch run.
-func (m *Machine) execute(ctx context.Context, opts RunOptions, warm *pregel.WarmStartOptions, gl *globals) (*Result, error) {
+// ResumeContext continues a run from snap, a barrier snapshot taken by a
+// previous run of the same compiled program (same mode) on the same graph:
+// the machine payload and the engine state are both validated, then the
+// run continues at the snapshot's superstep + 1 (a Done snapshot
+// rehydrates the finished run and executes nothing).
+func ResumeContext(ctx context.Context, prog *core.Program, g *graph.Graph, opts RunOptions, snap *pregel.Snapshot) (*Result, error) {
+	if snap == nil {
+		return nil, fmt.Errorf("vm: resume needs a snapshot")
+	}
+	m, err := NewMachine(prog, g, opts)
+	if err != nil {
+		return nil, err
+	}
+	// Validate graph identity before decoding the machine payload so a
+	// wrong-graph snapshot fails with the engine's mismatch error, not a
+	// confusing state-size complaint.
+	if snap.Fingerprint != g.Fingerprint() {
+		return nil, fmt.Errorf("vm: %w: snapshot was taken on a different graph", pregel.ErrSnapshotMismatch)
+	}
+	gl, err := m.restoreExtra(snap.Extra, g.NumVertices())
+	if err != nil {
+		return nil, err
+	}
+	return m.execute(ctx, opts, pregel.Continue(snap), gl)
+}
+
+// execute runs the machine on a fresh engine started from seed (nil: from
+// scratch) with master state gl.
+func (m *Machine) execute(ctx context.Context, opts RunOptions, seed *pregel.Seed, gl *globals) (*Result, error) {
 	if opts.MaxSupersteps <= 0 {
 		opts.MaxSupersteps = 100_000
 	}
@@ -331,11 +354,9 @@ func (m *Machine) execute(ctx context.Context, opts RunOptions, warm *pregel.War
 	eng = pregel.New[VState, Msg](m.g, pregel.Options{
 		Workers:       opts.Workers,
 		Scheduler:     opts.Scheduler,
-		Partition:     opts.Partition,
 		MaxSupersteps: opts.MaxSupersteps,
 		Checkpoint:    ckpt,
-		Resume:        opts.Resume,
-		WarmStart:     warm,
+		Seed:          seed,
 		Quarantine:    opts.Quarantine,
 		Shard:         opts.Shard,
 	})
@@ -376,6 +397,10 @@ func (m *Machine) execute(ctx context.Context, opts RunOptions, warm *pregel.War
 	if m.masterErr != nil {
 		return res, m.masterErr
 	}
+	if res.end, err = eng.Snapshot(); err != nil {
+		return res, err
+	}
+	res.endGlobals = eng.Globals().(*globals)
 	return res, nil
 }
 

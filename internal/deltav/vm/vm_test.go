@@ -664,3 +664,29 @@ func TestHaltByDefaultActivity(t *testing.T) {
 			inc.Stats.TotalActive, base.Stats.TotalActive)
 	}
 }
+
+// An empty graph is a finished run like any other: no error, and a terminal
+// snapshot that encodes, decodes and seeds the next run.
+func TestRunEmptyGraph(t *testing.T) {
+	g := graph.NewBuilder(0, true).Finalize()
+	for _, name := range []string{"sssp", "pagerank"} {
+		for _, mode := range allModes {
+			prog := compileT(t, name, mode)
+			res, err := Run(prog, g, RunOptions{Workers: 1})
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, mode, err)
+			}
+			snap := res.Snapshot()
+			if snap == nil || !snap.Done || snap.NumVertices != 0 {
+				t.Fatalf("%s %v: terminal snapshot = %+v, want Done over 0 vertices", name, mode, snap)
+			}
+			back, _, err := pregel.DecodeSnapshot(snap.AppendTo(nil))
+			if err != nil {
+				t.Fatalf("%s %v: snapshot round trip: %v", name, mode, err)
+			}
+			if _, err := SeedFromSnapshot(prog, g, RunOptions{Workers: 1}, back); err != nil {
+				t.Fatalf("%s %v: seeding from the empty snapshot: %v", name, mode, err)
+			}
+		}
+	}
+}

@@ -188,8 +188,7 @@ func TestAbortPanickingCompute(t *testing.T) {
 				if !re.HasVertex || re.Vertex != 17 {
 					t.Fatalf("RunError vertex attribution = (%v, %d), want (true, 17)", re.HasVertex, re.Vertex)
 				}
-				// With block partitioning vertex 17 of 64 over 4 workers
-				// (block 16) lives on worker 1.
+				// Vertex 17 of 64 over 4 workers (block 16) lives on worker 1.
 				if re.Worker != 1 {
 					t.Fatalf("RunError.Worker = %d, want 1", re.Worker)
 				}
@@ -208,6 +207,10 @@ func TestAbortPanickingCompute(t *testing.T) {
 				// Supersteps 0 and 1 completed before the panic.
 				if stats.Supersteps != 2 {
 					t.Fatalf("partial stats: %d supersteps, want 2", stats.Supersteps)
+				}
+				// The panicking superstep is torn: no snapshot value either.
+				if snap, err := e.Snapshot(); err == nil {
+					t.Fatalf("Snapshot() after a panic abort = superstep %d, want an error", snap.Superstep)
 				}
 			})
 		})

@@ -140,30 +140,27 @@ func messagePlaneGraphs() []struct {
 
 // BenchmarkMessagePlane is the headline engine micro-benchmark: combined
 // PageRank-style traffic (Send → combine → exchange → deliver) per
-// iteration, across both graph shapes, both schedulers and both
-// partitionings. BENCH_pregel.json records its before/after numbers.
+// iteration, across both graph shapes and both schedulers.
+// BENCH_pregel.json records its before/after numbers.
 func BenchmarkMessagePlane(b *testing.B) {
 	const rounds = 5
 	for _, gs := range messagePlaneGraphs() {
 		for _, sched := range []Scheduler{ScanAll, WorkQueue} {
-			for _, part := range []Partition{PartitionBlock, PartitionHash} {
-				gs, sched, part := gs, sched, part
-				b.Run(gs.name+"/"+schedName(sched)+"/"+part.String(), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						e := New[prVal, float64](gs.g, Options{
-							Workers:   4,
-							Scheduler: sched,
-							Partition: part,
-						})
-						e.SetCombiner(CombinerFunc[float64](func(a, b float64) float64 { return a + b }))
-						if _, err := e.Run(prProgram{rounds: rounds}); err != nil {
-							b.Fatal(err)
-						}
+			gs, sched := gs, sched
+			b.Run(gs.name+"/"+schedName(sched), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					e := New[prVal, float64](gs.g, Options{
+						Workers:   4,
+						Scheduler: sched,
+					})
+					e.SetCombiner(CombinerFunc[float64](func(a, b float64) float64 { return a + b }))
+					if _, err := e.Run(prProgram{rounds: rounds}); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(float64((rounds+1)*gs.g.NumArcs()), "msgs/op")
-				})
-			}
+				}
+				b.ReportMetric(float64((rounds+1)*gs.g.NumArcs()), "msgs/op")
+			})
 		}
 	}
 }
@@ -172,18 +169,13 @@ func BenchmarkMessagePlane(b *testing.B) {
 // outboxes: each vertex sends 1.0 along all its out-edges from its owning
 // worker's context, exactly as a compute phase would.
 func fillOutboxes(e *Engine[sumVal, float64]) {
-	n := e.g.NumVertices()
 	for _, w := range e.workers {
 		for d := range w.outTo {
 			w.outTo[d] = w.outTo[d][:0]
 			w.outMsg[d] = w.outMsg[d][:0]
 		}
 		ctx := &w.ctx
-		for slot := w.lo; slot < w.hi; slot++ {
-			u := e.vertexAt(slot)
-			if u >= n {
-				continue
-			}
+		for u := w.lo; u < w.hi; u++ {
 			for _, v := range e.g.OutNeighbors(VertexID(u)) {
 				ctx.Send(v, 1)
 			}
@@ -192,43 +184,36 @@ func fillOutboxes(e *Engine[sumVal, float64]) {
 }
 
 // BenchmarkSend measures the raw Send path (owner lookup + SoA appends)
-// into warm outboxes, per graph shape and partitioning.
+// into warm outboxes, per graph shape.
 func BenchmarkSend(b *testing.B) {
 	for _, gs := range messagePlaneGraphs() {
-		for _, part := range []Partition{PartitionBlock, PartitionHash} {
-			gs, part := gs, part
-			b.Run(gs.name+"/"+part.String(), func(b *testing.B) {
-				e := New[sumVal, float64](gs.g, Options{Workers: 4, Partition: part})
-				fillOutboxes(e) // warm outbox capacity
-				w := e.workers[0]
-				ctx := &w.ctx
-				n := gs.g.NumVertices()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for d := range w.outTo {
-						w.outTo[d] = w.outTo[d][:0]
-						w.outMsg[d] = w.outMsg[d][:0]
-					}
-					for slot := w.lo; slot < w.hi; slot++ {
-						u := e.vertexAt(slot)
-						if u >= n {
-							continue
-						}
-						for _, v := range gs.g.OutNeighbors(VertexID(u)) {
-							ctx.Send(v, 1)
-						}
+		gs := gs
+		b.Run(gs.name, func(b *testing.B) {
+			e := New[sumVal, float64](gs.g, Options{Workers: 4})
+			fillOutboxes(e) // warm outbox capacity
+			w := e.workers[0]
+			ctx := &w.ctx
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for d := range w.outTo {
+					w.outTo[d] = w.outTo[d][:0]
+					w.outMsg[d] = w.outMsg[d][:0]
+				}
+				for u := w.lo; u < w.hi; u++ {
+					for _, v := range gs.g.OutNeighbors(VertexID(u)) {
+						ctx.Send(v, 1)
 					}
 				}
-				b.ReportMetric(float64(w.sent)/float64(b.N), "sends/op")
-			})
-		}
+			}
+			b.ReportMetric(float64(w.sent)/float64(b.N), "sends/op")
+		})
 	}
 }
 
 // BenchmarkCombine measures one worker's sender-side combining pass over a
-// full broadcast round: the dense slot-table path against the map-indexed
-// KeyedCombiner fallback, per graph shape and partitioning.
+// full broadcast round: the dense epoch-stamped table against the
+// map-indexed KeyedCombiner fallback, per graph shape.
 func BenchmarkCombine(b *testing.B) {
 	type cfg struct {
 		name string
@@ -236,35 +221,33 @@ func BenchmarkCombine(b *testing.B) {
 	}
 	sum := CombinerFunc[float64](func(a, b float64) float64 { return a + b })
 	for _, gs := range messagePlaneGraphs() {
-		for _, part := range []Partition{PartitionBlock, PartitionHash} {
-			for _, tc := range []cfg{{"dense", sum}, {"keyed-map", benchKeyCombiner{}}} {
-				gs, part, tc := gs, part, tc
-				b.Run(gs.name+"/"+part.String()+"/"+tc.name, func(b *testing.B) {
-					e := New[sumVal, float64](gs.g, Options{Workers: 4, Partition: part})
-					e.SetCombiner(tc.c)
-					w := e.workers[0]
-					w.combSlot = make([]int32, e.block)
-					w.combStamp = make([]uint32, e.block)
-					fillOutboxes(e)
-					// Snapshot worker 0's outboxes: combining compacts them
-					// in place, so each iteration restores from the copy.
-					to := make([][]VertexID, len(w.outTo))
-					msg := make([][]float64, len(w.outMsg))
-					for d := range w.outTo {
-						to[d] = append([]VertexID(nil), w.outTo[d]...)
-						msg[d] = append([]float64(nil), w.outMsg[d]...)
+		for _, tc := range []cfg{{"dense", sum}, {"keyed-map", benchKeyCombiner{}}} {
+			gs, tc := gs, tc
+			b.Run(gs.name+"/"+tc.name, func(b *testing.B) {
+				e := New[sumVal, float64](gs.g, Options{Workers: 4})
+				e.SetCombiner(tc.c)
+				w := e.workers[0]
+				w.combSlot = make([]int32, e.block)
+				w.combStamp = make([]uint32, e.block)
+				fillOutboxes(e)
+				// Snapshot worker 0's outboxes: combining compacts them
+				// in place, so each iteration restores from the copy.
+				to := make([][]VertexID, len(w.outTo))
+				msg := make([][]float64, len(w.outMsg))
+				for d := range w.outTo {
+					to[d] = append([]VertexID(nil), w.outTo[d]...)
+					msg[d] = append([]float64(nil), w.outMsg[d]...)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for d := range to {
+						w.outTo[d] = append(w.outTo[d][:0], to[d]...)
+						w.outMsg[d] = append(w.outMsg[d][:0], msg[d]...)
 					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for d := range to {
-							w.outTo[d] = append(w.outTo[d][:0], to[d]...)
-							w.outMsg[d] = append(w.outMsg[d][:0], msg[d]...)
-						}
-						w.combineOut()
-					}
-				})
-			}
+					w.combineOut()
+				}
+			})
 		}
 	}
 }
@@ -277,51 +260,29 @@ func (benchKeyCombiner) Combine(a, b float64) float64 { return a + b }
 func (benchKeyCombiner) Key(float64) uint32           { return 0 }
 
 // BenchmarkExchange measures the count/scatter/wake delivery pass over a
-// full uncombined broadcast round, per graph shape, scheduler and
-// partitioning. Outboxes are filled once; exchange does not consume them.
+// full uncombined broadcast round, per graph shape and scheduler. Outboxes
+// are filled once; exchange does not consume them.
 func BenchmarkExchange(b *testing.B) {
 	for _, gs := range messagePlaneGraphs() {
 		for _, sched := range []Scheduler{ScanAll, WorkQueue} {
-			for _, part := range []Partition{PartitionBlock, PartitionHash} {
-				gs, sched, part := gs, sched, part
-				b.Run(gs.name+"/"+schedName(sched)+"/"+part.String(), func(b *testing.B) {
-					e := New[sumVal, float64](gs.g, Options{Workers: 4, Scheduler: sched, Partition: part})
-					e.superstep = 1 // deliveries behave as a steady-state superstep
-					fillOutboxes(e)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for _, w := range e.workers {
-							// Mimic the compute-phase queue reset so the
-							// wake pass re-enqueues receivers every round.
-							w.stamp++
-							w.next = w.next[:0]
-							w.exchange()
-						}
+			gs, sched := gs, sched
+			b.Run(gs.name+"/"+schedName(sched), func(b *testing.B) {
+				e := New[sumVal, float64](gs.g, Options{Workers: 4, Scheduler: sched})
+				e.superstep = 1 // deliveries behave as a steady-state superstep
+				fillOutboxes(e)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, w := range e.workers {
+						// Mimic the compute-phase queue reset so the
+						// wake pass re-enqueues receivers every round.
+						w.stamp++
+						w.next = w.next[:0]
+						w.exchange()
 					}
-					b.ReportMetric(float64(gs.g.NumArcs()), "msgs/op")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkPartitions measures block vs hash placement exchange cost.
-func BenchmarkPartitions(b *testing.B) {
-	g := benchGraph()
-	for _, part := range []Partition{PartitionBlock, PartitionHash} {
-		part := part
-		b.Run(part.String(), func(b *testing.B) {
-			var cross int64
-			for i := 0; i < b.N; i++ {
-				e := New[sumVal, float64](g, Options{Workers: 8, Partition: part})
-				stats, err := e.Run(sumAllProgram{rounds: 3})
-				if err != nil {
-					b.Fatal(err)
 				}
-				cross = stats.CrossWorker
-			}
-			b.ReportMetric(float64(cross), "cross-worker")
-		})
+				b.ReportMetric(float64(gs.g.NumArcs()), "msgs/op")
+			})
+		}
 	}
 }

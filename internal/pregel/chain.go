@@ -1,12 +1,15 @@
 package pregel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/graph"
 )
 
 // This file implements the checkpoint chain: a directory holding one full
@@ -187,36 +190,45 @@ type ChainWriter struct {
 	sinceBase   int       // delta records since the last base
 }
 
-// NewChainWriter opens (or creates) the chain in dir. An existing manifest
-// is loaded and fully replayed so subsequent appends diff against the
-// chain's real tip; a corrupt chain returns an error rather than being
-// silently overwritten. rebaseEvery <= 0 selects DefaultRebaseEvery.
+// NewChainWriter opens (or creates) the chain in dir; see OpenChain.
 func NewChainWriter(dir string, rebaseEvery int) (*ChainWriter, error) {
+	w, _, err := OpenChain(dir, rebaseEvery)
+	return w, err
+}
+
+// OpenChain opens (or creates) the chain in dir for appending. An existing
+// manifest is loaded and fully replayed so subsequent appends diff against
+// the chain's real tip, and the replayed state is returned alongside the
+// writer (nil for a new chain) so a caller that also boots from the chain
+// does not load it a second time; a corrupt chain returns an error rather
+// than being silently overwritten. rebaseEvery <= 0 selects
+// DefaultRebaseEvery.
+func OpenChain(dir string, rebaseEvery int) (*ChainWriter, *ChainState, error) {
 	if rebaseEvery <= 0 {
 		rebaseEvery = DefaultRebaseEvery
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	w := &ChainWriter{dir: dir, rebaseEvery: rebaseEvery}
-	if _, err := os.Stat(filepath.Join(dir, ChainManifestName)); err == nil {
-		st, err := LoadChain(dir)
-		if err != nil {
-			return nil, fmt.Errorf("pregel: resuming chain %s: %w", dir, err)
-		}
-		w.entries = st.Entries
-		w.last = st.Snapshot
-		w.sinceBase = 0
-		for _, e := range st.Entries {
-			switch e.Kind {
-			case ChainBase:
-				w.sinceBase = 0
-			case ChainDelta:
-				w.sinceBase++
-			}
+	if !IsChainDir(dir) {
+		return w, nil, nil
+	}
+	st, err := LoadChain(dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pregel: resuming chain %s: %w", dir, err)
+	}
+	w.entries = st.Entries
+	w.last = st.Snapshot
+	for _, e := range st.Entries {
+		switch e.Kind {
+		case ChainBase:
+			w.sinceBase = 0
+		case ChainDelta:
+			w.sinceBase++
 		}
 	}
-	return w, nil
+	return w, st, nil
 }
 
 // Dir returns the chain directory.
@@ -226,10 +238,6 @@ func (w *ChainWriter) Dir() string { return w.dir }
 func (w *ChainWriter) Entries() []ChainEntry {
 	return append([]ChainEntry(nil), w.entries...)
 }
-
-// Tip returns the last appended snapshot (nil for an empty chain). The
-// returned snapshot is the writer's diff base; callers must not modify it.
-func (w *ChainWriter) Tip() *Snapshot { return w.last }
 
 // snapshotEntry encodes the already-cloned snapshot c as the chain's next
 // snapshot record — a full base if the chain is empty or rebaseEvery deltas
@@ -434,6 +442,48 @@ func LoadChain(dir string) (*ChainState, error) {
 		return nil, fmt.Errorf("%w: chain %s has no snapshot records", ErrSnapshotCorrupt, dir)
 	}
 	return st, nil
+}
+
+// Replay rebuilds the graph the chain's tip snapshot was taken on: each
+// mutation log is applied in commit order on top of boot — the graph the
+// chain was started from, which the chain itself does not store — and the
+// result is checked against the fingerprint the chain recorded for that
+// step, so the wrong boot graph fails naming the first log it diverges at
+// instead of seeding state onto a graph it does not describe. With no logs
+// the result is boot itself; otherwise it is a new graph the caller owns
+// (intermediate graphs are closed, boot never is). Continue(st.Snapshot)
+// on the returned graph is the chain-tip seed.
+func (st *ChainState) Replay(boot *graph.Graph) (*graph.Graph, error) {
+	g := boot
+	fail := func(err error) (*graph.Graph, error) {
+		if g != boot {
+			g.Close()
+		}
+		return nil, fmt.Errorf("chain %s: %w", st.Dir, err)
+	}
+	for i, payload := range st.GraphDeltas {
+		d, err := graph.ReadDeltaLog(bytes.NewReader(payload))
+		if err != nil {
+			return fail(fmt.Errorf("decoding mutation log %d: %w", i, err))
+		}
+		next, _, err := graph.ApplyDelta(g, d)
+		if err != nil {
+			return fail(fmt.Errorf("replaying mutation log %d: %w", i, err))
+		}
+		if g != boot {
+			g.Close()
+		}
+		g = next
+		if fp := g.Fingerprint(); fp != st.GraphFingerprints[i] {
+			return fail(fmt.Errorf("%w: graph fingerprint %016x after mutation log %d, chain recorded %016x — wrong boot-time graph?",
+				ErrSnapshotMismatch, fp, i, st.GraphFingerprints[i]))
+		}
+	}
+	if fp := g.Fingerprint(); fp != st.Snapshot.Fingerprint {
+		return fail(fmt.Errorf("%w: replayed graph has fingerprint %016x but the tip snapshot was taken on %016x — wrong boot-time graph?",
+			ErrSnapshotMismatch, fp, st.Snapshot.Fingerprint))
+	}
+	return g, nil
 }
 
 // IsChainDir reports whether dir holds a chain manifest — used by CLIs to

@@ -41,114 +41,111 @@ func copyTree(t *testing.T, src, dst string) {
 func TestChainCheckpointResumeEquivalence(t *testing.T) {
 	g := graph.ErdosRenyi(60, 240, true, 7)
 	for _, sched := range []Scheduler{ScanAll, WorkQueue} {
-		for _, part := range []Partition{PartitionBlock, PartitionHash} {
-			t.Run(schedName(sched)+"/"+part.String(), func(t *testing.T) {
-				dir := t.TempDir()
-				copies := t.TempDir()
-				var chains []string
-				prev := chainCommitHook
-				chainCommitHook = func(stage string) {
-					// Copy at both stages: before the manifest rename the
-					// copy must load to the previous commit, after it to
-					// the new one — either way resume must be exact.
-					dst := filepath.Join(copies, fmt.Sprintf("crash-%03d-%s", len(chains), stage))
-					copyTree(t, dir, dst)
-					chains = append(chains, dst)
-				}
-				defer func() { chainCommitHook = prev }()
+		t.Run(schedName(sched), func(t *testing.T) {
+			dir := t.TempDir()
+			copies := t.TempDir()
+			var chains []string
+			prev := chainCommitHook
+			chainCommitHook = func(stage string) {
+				// Copy at both stages: before the manifest rename the
+				// copy must load to the previous commit, after it to
+				// the new one — either way resume must be exact.
+				dst := filepath.Join(copies, fmt.Sprintf("crash-%03d-%s", len(chains), stage))
+				copyTree(t, dir, dst)
+				chains = append(chains, dst)
+			}
+			defer func() { chainCommitHook = prev }()
 
-				e := New[ckptVal, float64](g, Options{
-					Workers:   4,
-					Scheduler: sched,
-					Partition: part,
-					Checkpoint: CheckpointOptions{
-						Every:       1,
-						Dir:         dir,
-						Incremental: true,
-						RebaseEvery: 3,
-					},
-				})
-				if err := e.RegisterAggregator("total", AggSum, true); err != nil {
-					t.Fatal(err)
-				}
-				if err := e.RegisterAggregator("peak", AggMax, false); err != nil {
-					t.Fatal(err)
-				}
-				e.SetMasterHook(func(mc *MasterContext) {
-					if mc.AggValue("total") > 400 {
-						mc.Stop()
-					}
-				})
-				fullStats, err := e.Run(ckptProgram{rounds: 8})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fullStats.CheckpointBytes == 0 {
-					t.Fatal("chain run recorded no CheckpointBytes")
-				}
-				want := append([]ckptVal(nil), e.Values()...)
-				wantPeak := e.AggregatorValue("peak")
-				wantTotal := e.AggregatorValue("total")
-				S := fullStats.Supersteps
-				if S < 5 {
-					t.Fatalf("full run too short to be interesting: %d supersteps", S)
-				}
-				if len(chains) < S {
-					t.Fatalf("only %d crash states for %d supersteps", len(chains), S)
-				}
-
-				seen := map[int]bool{}
-				for _, cdir := range chains {
-					st, err := LoadChain(cdir)
-					if err != nil {
-						if os.IsNotExist(err) {
-							continue // crash before the first commit: no manifest yet
-						}
-						t.Fatalf("%s: %v", cdir, err)
-					}
-					k := st.Snapshot.Superstep
-					seen[k] = true
-					res := newCkptEngine(g, sched, part, st.Snapshot, "", 0)
-					stats, err := res.Run(ckptProgram{rounds: 8})
-					if err != nil {
-						t.Fatalf("%s (k=%d): resume: %v", cdir, k, err)
-					}
-					wantLeft := S - (k + 1)
-					if st.Snapshot.Done {
-						wantLeft = 0
-					}
-					if stats.Supersteps != wantLeft {
-						t.Errorf("%s (k=%d): resumed run took %d supersteps, want %d", cdir, k, stats.Supersteps, wantLeft)
-					}
-					for u, w := range want {
-						got := res.Value(VertexID(u))
-						if math.Float64bits(got.X) != math.Float64bits(w.X) || got.N != w.N {
-							t.Fatalf("%s (k=%d): value[%d] = %+v, want %+v", cdir, k, u, got, w)
-						}
-					}
-					if got := res.AggregatorValue("peak"); got != wantPeak {
-						t.Errorf("k=%d: peak = %g, want %g", k, got, wantPeak)
-					}
-					if got := res.AggregatorValue("total"); got != wantTotal {
-						t.Errorf("k=%d: total = %g, want %g", k, got, wantTotal)
-					}
-				}
-				// Kill-anywhere must have covered every checkpointed superstep.
-				for k := 0; k < S; k++ {
-					if !seen[k] {
-						t.Errorf("no crash state resumed from superstep %d", k)
-					}
-				}
-				// The final chain itself must load to the Done tip.
-				st, err := LoadChain(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !st.Snapshot.Done {
-					t.Fatal("final chain tip is not Done")
+			e := New[ckptVal, float64](g, Options{
+				Workers:   4,
+				Scheduler: sched,
+				Checkpoint: CheckpointOptions{
+					Every:       1,
+					Dir:         dir,
+					Incremental: true,
+					RebaseEvery: 3,
+				},
+			})
+			if err := e.RegisterAggregator("total", AggSum, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.RegisterAggregator("peak", AggMax, false); err != nil {
+				t.Fatal(err)
+			}
+			e.SetMasterHook(func(mc *MasterContext) {
+				if mc.AggValue("total") > 400 {
+					mc.Stop()
 				}
 			})
-		}
+			fullStats, err := e.Run(ckptProgram{rounds: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fullStats.CheckpointBytes == 0 {
+				t.Fatal("chain run recorded no CheckpointBytes")
+			}
+			want := append([]ckptVal(nil), e.Values()...)
+			wantPeak := e.AggregatorValue("peak")
+			wantTotal := e.AggregatorValue("total")
+			S := fullStats.Supersteps
+			if S < 5 {
+				t.Fatalf("full run too short to be interesting: %d supersteps", S)
+			}
+			if len(chains) < S {
+				t.Fatalf("only %d crash states for %d supersteps", len(chains), S)
+			}
+
+			seen := map[int]bool{}
+			for _, cdir := range chains {
+				st, err := LoadChain(cdir)
+				if err != nil {
+					if os.IsNotExist(err) {
+						continue // crash before the first commit: no manifest yet
+					}
+					t.Fatalf("%s: %v", cdir, err)
+				}
+				k := st.Snapshot.Superstep
+				seen[k] = true
+				res := newCkptEngine(g, sched, Continue(st.Snapshot), "", 0)
+				stats, err := res.Run(ckptProgram{rounds: 8})
+				if err != nil {
+					t.Fatalf("%s (k=%d): resume: %v", cdir, k, err)
+				}
+				wantLeft := S - (k + 1)
+				if st.Snapshot.Done {
+					wantLeft = 0
+				}
+				if stats.Supersteps != wantLeft {
+					t.Errorf("%s (k=%d): resumed run took %d supersteps, want %d", cdir, k, stats.Supersteps, wantLeft)
+				}
+				for u, w := range want {
+					got := res.Value(VertexID(u))
+					if math.Float64bits(got.X) != math.Float64bits(w.X) || got.N != w.N {
+						t.Fatalf("%s (k=%d): value[%d] = %+v, want %+v", cdir, k, u, got, w)
+					}
+				}
+				if got := res.AggregatorValue("peak"); got != wantPeak {
+					t.Errorf("k=%d: peak = %g, want %g", k, got, wantPeak)
+				}
+				if got := res.AggregatorValue("total"); got != wantTotal {
+					t.Errorf("k=%d: total = %g, want %g", k, got, wantTotal)
+				}
+			}
+			// Kill-anywhere must have covered every checkpointed superstep.
+			for k := 0; k < S; k++ {
+				if !seen[k] {
+					t.Errorf("no crash state resumed from superstep %d", k)
+				}
+			}
+			// The final chain itself must load to the Done tip.
+			st, err := LoadChain(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Snapshot.Done {
+				t.Fatal("final chain tip is not Done")
+			}
+		})
 	}
 }
 

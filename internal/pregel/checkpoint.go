@@ -1,16 +1,16 @@
 package pregel
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 )
 
-// This file is the engine side of checkpoint/restore: serializing a
-// consistent barrier cut into the reusable Snapshot held by the Engine, and
-// rehydrating a fresh Engine from a decoded Snapshot before its superstep
-// loop starts. The wire format and codecs live in snapshot.go.
+// This file is the engine side of checkpointing: copying a consistent
+// barrier cut into a Snapshot value and writing it out. Rehydrating a
+// fresh Engine from a Snapshot is seed.go; the wire format and codecs live
+// in snapshot.go.
 
 // SetValueCodec installs the codec used to serialize vertex values in
 // snapshots. When checkpointing or resuming is requested and no codec was
@@ -46,52 +46,72 @@ func (e *Engine[V, M]) ensureCodecs() error {
 	return nil
 }
 
-// capture serializes the barrier state of the given completed superstep and
-// writes it to the configured Dir and/or Sink. It must only be called at a
-// barrier (all workers parked): it walks worker inboxes and queues without
-// synchronization. The Snapshot and encode buffer are reused across
-// captures, so a warmed-up capture allocates only for buffer growth and the
-// file write itself.
-func (e *Engine[V, M]) capture(superstep int, done bool) error {
-	n := e.g.NumVertices()
-	s := &e.snap
+// fill writes the barrier state the engine holds — that of superstep
+// e.barrier — into s, reusing s's buffers. It must only be called with
+// every worker parked: it walks worker inboxes and queues without
+// synchronization. Everything is copied, so s stays valid after the engine
+// moves on. Extra is left alone: it is the caller's payload.
+func (e *Engine[V, M]) fill(s *Snapshot) {
 	s.Version = SnapshotVersion
 	s.Fingerprint = e.g.Fingerprint()
-	s.Superstep = superstep
-	s.NumVertices = n
+	s.Superstep = e.barrier
+	s.NumVertices = e.g.NumVertices()
 	s.ActivateAll = e.activateAll
 	s.Stopped = e.stopped
-	s.Done = done
+	s.Done = e.done
 	s.WorkQueue = e.opts.Scheduler == WorkQueue
 	s.Aggs = s.Aggs[:0]
 	for _, a := range e.aggList {
 		s.Aggs = append(s.Aggs, a.value)
 	}
-	// The bitsets are aliased, not copied: AppendTo only reads them and the
-	// workers are parked.
-	s.Active = e.active
-	s.Removed = e.removed
+	s.Active = append(s.Active[:0], e.active...)
+	s.Removed = append(s.Removed[:0], e.removed...)
 	s.Queue = s.Queue[:0]
+	s.InboxCounts = s.InboxCounts[:0]
+	s.Inbox = s.Inbox[:0]
+	// Workers own consecutive vertex ranges, so walking them in order
+	// yields the vertex-major inbox layout.
 	for _, wk := range e.workers {
 		s.Queue = append(s.Queue, wk.cur...)
-	}
-	if len(s.InboxCounts) != n {
-		s.InboxCounts = make([]uint32, n)
-	}
-	s.Inbox = s.Inbox[:0]
-	for u := 0; u < n; u++ {
-		wk := e.workers[e.ownerOf(VertexID(u))]
-		li := e.slotOf(VertexID(u)) - wk.lo
-		lo, hi := wk.msgOff[li], wk.msgOff[li+1]
-		s.InboxCounts[u] = uint32(hi - lo)
-		for _, m := range wk.msgBuf[lo:hi] {
-			s.Inbox = e.msgCodec.AppendValue(s.Inbox, m)
+		for li := 0; li < wk.hi-wk.lo; li++ {
+			lo, hi := wk.msgOff[li], wk.msgOff[li+1]
+			s.InboxCounts = append(s.InboxCounts, uint32(hi-lo))
+			for _, m := range wk.msgBuf[lo:hi] {
+				s.Inbox = e.msgCodec.AppendValue(s.Inbox, m)
+			}
 		}
 	}
 	s.Values = s.Values[:0]
 	for i := range e.values {
 		s.Values = e.valCodec.AppendValue(s.Values, e.values[i])
 	}
+}
+
+// Snapshot returns, as a value independent of the engine, the barrier
+// state a finished run ended on: what a Checkpoint.Sink would have
+// received last, minus Extra, which the caller that owns that payload
+// appends itself. Feed it to Continue or Warm to start the next run. It is
+// valid after Run returned without aborting (an abort can leave a torn
+// superstep behind; use Options.Checkpoint for resumable aborts).
+func (e *Engine[V, M]) Snapshot() (*Snapshot, error) {
+	if e.barrier < 0 || e.stats.Aborted {
+		return nil, errors.New("pregel: Snapshot needs a run that reached a barrier and did not abort")
+	}
+	if err := e.ensureCodecs(); err != nil {
+		return nil, err
+	}
+	s := new(Snapshot)
+	e.fill(s)
+	return s, nil
+}
+
+// capture fills the engine's reusable Snapshot with the current barrier
+// state and writes it to the configured Dir and/or Sink. The Snapshot and
+// encode buffer are reused across captures, so a warmed-up capture
+// allocates only for buffer growth and the file write itself.
+func (e *Engine[V, M]) capture() error {
+	s := &e.snap
+	e.fill(s)
 	s.Extra = s.Extra[:0]
 	if fn := e.opts.Checkpoint.Extra; fn != nil {
 		s.Extra = fn(s.Extra)
@@ -124,7 +144,7 @@ func (e *Engine[V, M]) capture(superstep int, done bool) error {
 	case dir != "":
 		// Temp-file + rename so a crash mid-write (a sharded peer can be
 		// SIGKILLed at any point) never leaves a torn snapshot behind.
-		path := filepath.Join(dir, SnapshotFileName(superstep))
+		path := filepath.Join(dir, SnapshotFileName(s.Superstep))
 		tmp := path + ".tmp"
 		if err := os.WriteFile(tmp, e.snapBuf, 0o644); err != nil {
 			return fmt.Errorf("pregel: checkpoint: %w", err)
@@ -142,134 +162,6 @@ func (e *Engine[V, M]) capture(superstep int, done bool) error {
 	// abort, CheckpointPath can name a snapshot many supersteps behind
 	// Stats.Supersteps (e.g. the last periodic one before a panic), and
 	// resume tooling must not assume the two agree.
-	e.stats.CheckpointSuperstep = superstep
-	return nil
-}
-
-// restore rehydrates the engine from a barrier snapshot, before the
-// superstep loop starts. It validates that the snapshot belongs to this
-// run's graph and aggregator registration and rebuilds the per-worker
-// inboxes and work queues exactly as they stood at the snapshot barrier —
-// including per-vertex message order and queue order, which is what makes
-// resumed float reductions bitwise identical to the uninterrupted run.
-func (e *Engine[V, M]) restore(s *Snapshot) error {
-	n := e.g.NumVertices()
-	if s.Version != SnapshotVersion {
-		return fmt.Errorf("%w: got %d, want %d", ErrSnapshotVersion, s.Version, SnapshotVersion)
-	}
-	if fp := e.g.Fingerprint(); s.Fingerprint != fp {
-		return fmt.Errorf("%w: graph fingerprint %016x, snapshot was taken on %016x",
-			ErrSnapshotMismatch, fp, s.Fingerprint)
-	}
-	if s.NumVertices != n {
-		return fmt.Errorf("%w: graph has %d vertices, snapshot has %d",
-			ErrSnapshotMismatch, n, s.NumVertices)
-	}
-	if len(s.Aggs) != len(e.aggList) {
-		return fmt.Errorf("%w: run registers %d aggregators, snapshot has %d",
-			ErrSnapshotMismatch, len(e.aggList), len(s.Aggs))
-	}
-	// The queue section is scheduler-specific: a ScanAll snapshot has no
-	// queue for WorkQueue to run (it would silently truncate the
-	// computation), and the schedulers' active-set semantics differ.
-	if wq := e.opts.Scheduler == WorkQueue; s.WorkQueue != wq {
-		schedName := func(q bool) string {
-			if q {
-				return "work-queue"
-			}
-			return "scan-all"
-		}
-		return fmt.Errorf("%w: run uses the %s scheduler, snapshot was taken under %s",
-			ErrSnapshotMismatch, schedName(wq), schedName(s.WorkQueue))
-	}
-	if len(s.Active) != n || len(s.Removed) != n || len(s.InboxCounts) != n {
-		return fmt.Errorf("%w: bitset/inbox sizes do not match vertex count", ErrSnapshotCorrupt)
-	}
-	b := s.Values
-	for i := 0; i < n; i++ {
-		v, rest, err := e.valCodec.DecodeValue(b)
-		if err != nil {
-			return fmt.Errorf("pregel: snapshot value %d: %w", i, err)
-		}
-		e.values[i] = v
-		b = rest
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("%w: %d trailing value bytes", ErrSnapshotCorrupt, len(b))
-	}
-	copy(e.active, s.Active)
-	copy(e.removed, s.Removed)
-	for i, a := range e.aggList {
-		a.value = s.Aggs[i]
-		if a.persistent {
-			a.pending = 0
-		} else {
-			a.pending = aggIdentity(a.op)
-		}
-	}
-	// Rebuild each worker's CSR inbox from the per-vertex counts, then fill
-	// payloads in vertex order (one sequential decode of s.Inbox).
-	var total int64
-	for _, c := range s.InboxCounts {
-		total += int64(c)
-	}
-	if total > math.MaxInt32 {
-		return fmt.Errorf("%w: inbox count %d overflows", ErrSnapshotCorrupt, total)
-	}
-	for _, wk := range e.workers {
-		off := wk.msgOff
-		for i := range off {
-			off[i] = 0
-		}
-		for slot := wk.lo; slot < wk.hi; slot++ {
-			u := e.vertexAt(slot)
-			if u < n {
-				off[slot-wk.lo+1] = int32(s.InboxCounts[u])
-			}
-		}
-		for i := 1; i < len(off); i++ {
-			off[i] += off[i-1]
-		}
-		wtotal := int(off[len(off)-1])
-		if cap(wk.msgBuf) < wtotal {
-			wk.msgBuf = make([]M, wtotal)
-		} else {
-			wk.msgBuf = wk.msgBuf[:wtotal]
-		}
-	}
-	b = s.Inbox
-	for u := 0; u < n; u++ {
-		c := int(s.InboxCounts[u])
-		if c == 0 {
-			continue
-		}
-		wk := e.workers[e.ownerOf(VertexID(u))]
-		base := int(wk.msgOff[e.slotOf(VertexID(u))-wk.lo])
-		for j := 0; j < c; j++ {
-			m, rest, err := e.msgCodec.DecodeValue(b)
-			if err != nil {
-				return fmt.Errorf("pregel: snapshot inbox for vertex %d: %w", u, err)
-			}
-			wk.msgBuf[base+j] = m
-			b = rest
-		}
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("%w: %d trailing inbox bytes", ErrSnapshotCorrupt, len(b))
-	}
-	// Distribute the work queue back to its owners, preserving relative
-	// order within each worker.
-	for _, wk := range e.workers {
-		wk.cur = wk.cur[:0]
-	}
-	for _, v := range s.Queue {
-		if int(v) >= n {
-			return fmt.Errorf("%w: queued vertex %d out of range", ErrSnapshotCorrupt, v)
-		}
-		wk := e.workers[e.ownerOf(v)]
-		wk.cur = append(wk.cur, v)
-	}
-	e.activateAll = s.ActivateAll
-	e.stopped = s.Stopped
+	e.stats.CheckpointSuperstep = s.Superstep
 	return nil
 }

@@ -53,12 +53,11 @@ func (p ckptProgram) Compute(ctx *Context[ckptVal, float64], msgs []float64) {
 }
 
 // newCkptEngine builds the engine/program pair the equivalence tests run.
-func newCkptEngine(g *graph.Graph, sched Scheduler, part Partition, resume *Snapshot, dir string, every int) *Engine[ckptVal, float64] {
+func newCkptEngine(g *graph.Graph, sched Scheduler, seed *Seed, dir string, every int) *Engine[ckptVal, float64] {
 	e := New[ckptVal, float64](g, Options{
 		Workers:   4,
 		Scheduler: sched,
-		Partition: part,
-		Resume:    resume,
+		Seed:      seed,
 		Checkpoint: CheckpointOptions{
 			Every: every,
 			Dir:   dir,
@@ -82,56 +81,54 @@ func newCkptEngine(g *graph.Graph, sched Scheduler, part Partition, resume *Snap
 // run to completion with a checkpoint at every barrier, then resume from
 // every superstep-k snapshot and require bitwise-identical final values,
 // identical remaining-superstep counts, and identical aggregator state —
-// under both schedulers and both partitionings.
+// under both schedulers.
 func TestCheckpointResumeEquivalence(t *testing.T) {
 	g := graph.ErdosRenyi(60, 240, true, 7)
 	for _, sched := range []Scheduler{ScanAll, WorkQueue} {
-		for _, part := range []Partition{PartitionBlock, PartitionHash} {
-			t.Run(schedName(sched)+"/"+part.String(), func(t *testing.T) {
-				dir := t.TempDir()
-				full := newCkptEngine(g, sched, part, nil, dir, 1)
-				fullStats, err := full.Run(ckptProgram{rounds: 8})
+		t.Run(schedName(sched), func(t *testing.T) {
+			dir := t.TempDir()
+			full := newCkptEngine(g, sched, nil, dir, 1)
+			fullStats, err := full.Run(ckptProgram{rounds: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append([]ckptVal(nil), full.Values()...)
+			wantPeak := full.AggregatorValue("peak")
+			wantTotal := full.AggregatorValue("total")
+			S := fullStats.Supersteps
+			if S < 5 {
+				t.Fatalf("full run too short to be interesting: %d supersteps", S)
+			}
+			if fullStats.CheckpointPath == "" {
+				t.Fatal("full run recorded no CheckpointPath")
+			}
+			for k := 0; k < S; k++ {
+				snap, err := ReadSnapshotFile(filepath.Join(dir, SnapshotFileName(k)))
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("k=%d: %v", k, err)
 				}
-				want := append([]ckptVal(nil), full.Values()...)
-				wantPeak := full.AggregatorValue("peak")
-				wantTotal := full.AggregatorValue("total")
-				S := fullStats.Supersteps
-				if S < 5 {
-					t.Fatalf("full run too short to be interesting: %d supersteps", S)
+				res := newCkptEngine(g, sched, Continue(snap), "", 0)
+				stats, err := res.Run(ckptProgram{rounds: 8})
+				if err != nil {
+					t.Fatalf("k=%d: resume: %v", k, err)
 				}
-				if fullStats.CheckpointPath == "" {
-					t.Fatal("full run recorded no CheckpointPath")
+				if got, wantLeft := stats.Supersteps, S-(k+1); got != wantLeft {
+					t.Errorf("k=%d: resumed run took %d supersteps, want %d", k, got, wantLeft)
 				}
-				for k := 0; k < S; k++ {
-					snap, err := ReadSnapshotFile(filepath.Join(dir, SnapshotFileName(k)))
-					if err != nil {
-						t.Fatalf("k=%d: %v", k, err)
-					}
-					res := newCkptEngine(g, sched, part, snap, "", 0)
-					stats, err := res.Run(ckptProgram{rounds: 8})
-					if err != nil {
-						t.Fatalf("k=%d: resume: %v", k, err)
-					}
-					if got, wantLeft := stats.Supersteps, S-(k+1); got != wantLeft {
-						t.Errorf("k=%d: resumed run took %d supersteps, want %d", k, got, wantLeft)
-					}
-					for u, w := range want {
-						got := res.Value(VertexID(u))
-						if math.Float64bits(got.X) != math.Float64bits(w.X) || got.N != w.N {
-							t.Fatalf("k=%d: value[%d] = %+v, want %+v", k, u, got, w)
-						}
-					}
-					if got := res.AggregatorValue("peak"); got != wantPeak {
-						t.Errorf("k=%d: peak = %g, want %g", k, got, wantPeak)
-					}
-					if got := res.AggregatorValue("total"); got != wantTotal {
-						t.Errorf("k=%d: total = %g, want %g", k, got, wantTotal)
+				for u, w := range want {
+					got := res.Value(VertexID(u))
+					if math.Float64bits(got.X) != math.Float64bits(w.X) || got.N != w.N {
+						t.Fatalf("k=%d: value[%d] = %+v, want %+v", k, u, got, w)
 					}
 				}
-			})
-		}
+				if got := res.AggregatorValue("peak"); got != wantPeak {
+					t.Errorf("k=%d: peak = %g, want %g", k, got, wantPeak)
+				}
+				if got := res.AggregatorValue("total"); got != wantTotal {
+					t.Errorf("k=%d: total = %g, want %g", k, got, wantTotal)
+				}
+			}
+		})
 	}
 }
 
@@ -186,7 +183,7 @@ func TestCheckpointSinkStream(t *testing.T) {
 // reaches the same final state as the uninterrupted run.
 func TestCheckpointOnAbort(t *testing.T) {
 	g := graph.ErdosRenyi(50, 200, true, 11)
-	full := newCkptEngine(g, WorkQueue, PartitionBlock, nil, "", 0)
+	full := newCkptEngine(g, WorkQueue, nil, "", 0)
 	if _, err := full.Run(ckptProgram{rounds: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +191,7 @@ func TestCheckpointOnAbort(t *testing.T) {
 
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
-	e := newCkptEngine(g, WorkQueue, PartitionBlock, nil, dir, 0)
+	e := newCkptEngine(g, WorkQueue, nil, dir, 0)
 	hops := 0
 	e.SetMasterHook(func(mc *MasterContext) {
 		if hops++; hops == 3 {
@@ -218,7 +215,7 @@ func TestCheckpointOnAbort(t *testing.T) {
 	if snap.Done {
 		t.Fatal("abort snapshot claims the run finished")
 	}
-	res := newCkptEngine(g, WorkQueue, PartitionBlock, snap, "", 0)
+	res := newCkptEngine(g, WorkQueue, Continue(snap), "", 0)
 	if _, err := res.Run(ckptProgram{rounds: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -235,14 +232,14 @@ func TestCheckpointOnAbort(t *testing.T) {
 // matches an unbounded run.
 func TestCheckpointOnSuperstepLimit(t *testing.T) {
 	g := graph.ErdosRenyi(40, 160, true, 5)
-	full := newCkptEngine(g, ScanAll, PartitionBlock, nil, "", 0)
+	full := newCkptEngine(g, ScanAll, nil, "", 0)
 	if _, err := full.Run(ckptProgram{rounds: 8}); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]ckptVal(nil), full.Values()...)
 
 	dir := t.TempDir()
-	e := newCkptEngine(g, ScanAll, PartitionBlock, nil, dir, 0)
+	e := newCkptEngine(g, ScanAll, nil, dir, 0)
 	e.opts.MaxSupersteps = 4
 	_, err := e.Run(ckptProgram{rounds: 8})
 	if err == nil {
@@ -252,7 +249,7 @@ func TestCheckpointOnSuperstepLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := newCkptEngine(g, ScanAll, PartitionBlock, snap, "", 0)
+	res := newCkptEngine(g, ScanAll, Continue(snap), "", 0)
 	if _, err := res.Run(ckptProgram{rounds: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -262,57 +259,6 @@ func TestCheckpointOnSuperstepLimit(t *testing.T) {
 			t.Fatalf("value[%d] = %+v, want %+v", u, got, w)
 		}
 	}
-}
-
-// TestResumeValidation exercises every mismatch restore must refuse.
-func TestResumeValidation(t *testing.T) {
-	g := graph.ErdosRenyi(30, 90, true, 2)
-	dir := t.TempDir()
-	e := newCkptEngine(g, ScanAll, PartitionBlock, nil, dir, 1)
-	if _, err := e.Run(ckptProgram{rounds: 4}); err != nil {
-		t.Fatal(err)
-	}
-	good, err := ReadSnapshotFile(filepath.Join(dir, SnapshotFileName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("wrong graph", func(t *testing.T) {
-		other := graph.ErdosRenyi(30, 90, true, 99)
-		res := newCkptEngine(other, ScanAll, PartitionBlock, good, "", 0)
-		if _, err := res.Run(ckptProgram{rounds: 4}); !errors.Is(err, ErrSnapshotMismatch) {
-			t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
-		}
-	})
-	t.Run("wrong vertex count", func(t *testing.T) {
-		other := graph.ErdosRenyi(31, 90, true, 2)
-		res := newCkptEngine(other, ScanAll, PartitionBlock, good, "", 0)
-		if _, err := res.Run(ckptProgram{rounds: 4}); !errors.Is(err, ErrSnapshotMismatch) {
-			t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
-		}
-	})
-	t.Run("wrong aggregators", func(t *testing.T) {
-		res := New[ckptVal, float64](g, Options{Resume: good})
-		if _, err := res.Run(ckptProgram{rounds: 4}); !errors.Is(err, ErrSnapshotMismatch) {
-			t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
-		}
-	})
-	t.Run("wrong version", func(t *testing.T) {
-		bad := *good
-		bad.Version = SnapshotVersion + 1
-		res := newCkptEngine(g, ScanAll, PartitionBlock, &bad, "", 0)
-		if _, err := res.Run(ckptProgram{rounds: 4}); !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("err = %v, want ErrSnapshotVersion", err)
-		}
-	})
-	t.Run("wrong scheduler", func(t *testing.T) {
-		// A ScanAll snapshot carries no work queue; resuming it under
-		// WorkQueue would silently run nothing, so it must be refused.
-		res := newCkptEngine(g, WorkQueue, PartitionBlock, good, "", 0)
-		if _, err := res.Run(ckptProgram{rounds: 4}); !errors.Is(err, ErrSnapshotMismatch) {
-			t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
-		}
-	})
 }
 
 // TestCodecRequired checks that checkpointing a pointered value type

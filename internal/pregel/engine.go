@@ -37,6 +37,12 @@ type Engine[V, M any] struct {
 	activateAll bool
 	stopped     bool
 	superstep   int
+	// barrier is the last completed superstep — the one whose barrier state
+	// (values, active set, inboxes, queues) the engine currently holds — or
+	// -1 before any; done records whether the run terminated there. fill
+	// snapshots exactly this pair.
+	barrier int
+	done    bool
 
 	// stepDeadline is the wall-clock bound of the current superstep's
 	// compute phase, written by the master before each compute broadcast
@@ -62,7 +68,7 @@ type Engine[V, M any] struct {
 	shard *shardState
 }
 
-// worker owns a contiguous slot range and all the scratch its superstep
+// worker owns a contiguous vertex range and all the scratch its superstep
 // loop needs. Every buffer here is allocated once (in New or at the start
 // of Run) and reused across supersteps, so a warmed-up steady-state
 // superstep performs no heap allocation — see DESIGN.md "Message plane".
@@ -161,22 +167,15 @@ func New[V, M any](g *graph.Graph, opts Options) *Engine[V, M] {
 		aggs:     map[string]*aggregator{},
 		msgBytes: int(unsafe.Sizeof(zero)),
 		block:    (n + opts.Workers - 1) / opts.Workers,
+		barrier:  -1,
 	}
 	if e.block == 0 {
 		e.block = 1
 	}
 	for w := 0; w < opts.Workers; w++ {
-		lo := w * e.block
-		hi := lo + e.block
-		if opts.Partition == PartitionBlock {
-			// Block slots are vertex IDs; trailing workers may be empty.
-			if lo > n {
-				lo = n
-			}
-			if hi > n {
-				hi = n
-			}
-		}
+		// Trailing workers may be empty.
+		lo := min(w*e.block, n)
+		hi := min(lo+e.block, n)
 		wk := &worker[V, M]{
 			id:     w,
 			lo:     lo,
@@ -253,35 +252,8 @@ func (e *Engine[V, M]) AggregatorValue(name string) float64 {
 	return a.value
 }
 
-// slotOf maps a vertex to its scheduling slot. With block partitioning
-// slots are vertex IDs; with hash partitioning vertex v lives at slot
-// (v mod W)·block + v/W so that each worker still owns one contiguous
-// slot range.
-func (e *Engine[V, M]) slotOf(v VertexID) int {
-	if e.opts.Partition == PartitionHash {
-		return (int(v)%e.opts.Workers)*e.block + int(v)/e.opts.Workers
-	}
-	return int(v)
-}
-
-// vertexAt inverts slotOf; the result may be >= NumVertices for padding
-// slots in hash mode (callers skip those).
-func (e *Engine[V, M]) vertexAt(slot int) int {
-	if e.opts.Partition == PartitionHash {
-		w := slot / e.block
-		i := slot % e.block
-		return i*e.opts.Workers + w
-	}
-	return slot
-}
-
-func (e *Engine[V, M]) ownerOf(v VertexID) int {
-	w := e.slotOf(v) / e.block
-	if w >= e.opts.Workers {
-		w = e.opts.Workers - 1
-	}
-	return w
-}
+// ownerOf returns the worker whose contiguous block holds v.
+func (e *Engine[V, M]) ownerOf(v VertexID) int { return int(v) / e.block }
 
 type workerCmd int
 
@@ -327,13 +299,10 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 	sharded := e.shard.count > 1
 
 	ckptOn := e.opts.Checkpoint.enabled()
-	if ckptOn || e.opts.Resume != nil || e.opts.WarmStart != nil {
+	if ckptOn || e.opts.Seed != nil {
 		if err := e.ensureCodecs(); err != nil {
 			return nil, err
 		}
-	}
-	if e.opts.Resume != nil && e.opts.WarmStart != nil {
-		return nil, errors.New("pregel: Resume and WarmStart are mutually exclusive")
 	}
 
 	// The effective run deadline is the earlier of Options.Deadline and
@@ -346,13 +315,12 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 	// cause is returned as-is (it already carries superstep and worker
 	// attribution); everything else is wrapped with the abort superstep.
 	abort := func(cause error) (*Stats, error) {
-		e.stats.Duration = time.Since(start)
 		e.stats.Aborted = true
 		e.stats.AbortReason = cause.Error()
 		if re, ok := cause.(*RunError); ok {
-			return &e.stats, re
+			return e.finish(start), re
 		}
-		return &e.stats, fmt.Errorf("pregel: run aborted at superstep %d: %w", e.superstep, cause)
+		return e.finish(start), fmt.Errorf("pregel: run aborted at superstep %d: %w", e.superstep, cause)
 	}
 
 	var mc *MasterContext
@@ -366,13 +334,13 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 
 	if e.g.NumVertices() == 0 {
 		e.stats.Steps = make([]StepStats, 0)
+		e.barrier, e.done = 0, true // terminal, so Snapshot() hands out the empty end state
 		if e.masterHook != nil {
 			if err := e.fireMasterHook(mc, StepStats{}, 0); err != nil {
 				return abort(err)
 			}
 		}
-		e.stats.Duration = time.Since(start)
-		return &e.stats, nil
+		return e.finish(start), nil
 	}
 
 	// Size the remaining per-run scratch now that combiner and aggregators
@@ -391,30 +359,16 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 	}
 	e.stats.Steps = make([]StepStats, 0, min(e.opts.MaxSupersteps, 4096))
 
-	// A resumed run restores the snapshot barrier's state and continues at
-	// the next superstep; a snapshot of a finished run just rehydrates the
-	// final values and returns.
+	// One start: a cold run begins at superstep 0, where Init runs on every
+	// vertex; a seeded run begins where its seed says, with the active set
+	// the seed left (a seed that is already terminal runs nothing).
 	startStep := 0
-	if s := e.opts.Resume; s != nil {
-		if err := e.restore(s); err != nil {
+	e.activateAll = true
+	if sd := e.opts.Seed; sd != nil {
+		var err error
+		if startStep, err = e.applySeed(sd); err != nil {
 			return nil, err
 		}
-		if s.Done {
-			if err := e.shardGatherValues(); err != nil {
-				return abort(err)
-			}
-			e.stats.Duration = time.Since(start)
-			return &e.stats, nil
-		}
-		startStep = s.Superstep + 1
-	}
-	// A warm start seeds values from a converged snapshot and begins a new
-	// computation at superstep 1 with only the delta frontier active.
-	if ws := e.opts.WarmStart; ws != nil {
-		if err := e.warmRestore(ws); err != nil {
-			return nil, err
-		}
-		startStep = 1
 	}
 
 	// Only this shard's workers get goroutines; the rest of e.workers are
@@ -447,18 +401,12 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 	// and this shutdown broadcast can never deadlock, abort or not.
 	defer broadcast(cmdStop)
 
-	// Superstep 0 runs Init on every vertex (a resumed run restored
-	// activateAll from the snapshot instead and starts past 0; a warm
-	// start activates exactly its frontier).
-	if e.opts.Resume == nil && e.opts.WarmStart == nil {
-		e.activateAll = true
-	}
 	// pendingAbort defers an abort detected between the compute and
 	// exchange phases: with checkpointing on, the run first drains through
 	// the exchange to the next barrier — where outboxes are empty and the
 	// cut is consistent — takes the final snapshot, and only then aborts.
 	var pendingAbort error
-	for e.superstep = startStep; e.superstep < e.opts.MaxSupersteps; e.superstep++ {
+	for e.superstep = startStep; !e.done && e.superstep < e.opts.MaxSupersteps; e.superstep++ {
 		stepStart := time.Now() //lint:allow timenow — step-timeout/stats timing, not fold input
 		if err := e.checkAbort(ctx, deadline, stepStart); err != nil {
 			if sharded {
@@ -469,7 +417,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 			} else if ckptOn && e.superstep > startStep {
 				// State sits at the previous superstep's barrier; persist it
 				// so the abort leaves a resumable snapshot behind.
-				_ = e.capture(e.superstep-1, false)
+				_ = e.capture()
 			}
 			return abort(err)
 		}
@@ -548,11 +496,13 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 				return abort(err)
 			}
 		}
-		done := e.stopped || (nextActive == 0 && st.CombinedMessages == 0 && !e.activateAll)
+		// Terminal when the master stopped the run or at global quiescence.
+		e.barrier = e.superstep
+		e.done = e.stopped || (nextActive == 0 && st.CombinedMessages == 0 && !e.activateAll)
 		if ckptOn {
 			every := e.opts.Checkpoint.Every
-			if pendingAbort != nil || done || (every > 0 && (e.superstep+1)%every == 0) {
-				if err := e.capture(e.superstep, done); err != nil && pendingAbort == nil {
+			if pendingAbort != nil || e.done || (every > 0 && (e.superstep+1)%every == 0) {
+				if err := e.capture(); err != nil && pendingAbort == nil {
 					return abort(err)
 				}
 			}
@@ -560,28 +510,35 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 		if pendingAbort != nil {
 			return abort(pendingAbort)
 		}
-		if e.stopped {
-			break
-		}
-		if nextActive == 0 && st.CombinedMessages == 0 && !e.activateAll {
-			break // global quiescence
+		if e.done {
+			break // keeps e.superstep at the terminal superstep
 		}
 	}
-	e.stats.Duration = time.Since(start)
-	if e.superstep >= e.opts.MaxSupersteps && !e.stopped {
+	if !e.done {
 		if ckptOn && e.superstep > startStep {
 			// The limit is a consistent barrier too: leave a resumable
 			// snapshot so a rerun with a higher limit can continue.
-			_ = e.capture(e.superstep-1, false)
+			_ = e.capture()
 		}
-		return &e.stats, fmt.Errorf("pregel: superstep limit %d reached", e.opts.MaxSupersteps)
+		return e.finish(start), fmt.Errorf("pregel: superstep limit %d reached", e.opts.MaxSupersteps)
 	}
 	// A finished sharded run gathers every shard's owned value range so
 	// Values() is whole on all shards.
 	if err := e.shardGatherValues(); err != nil {
 		return abort(err)
 	}
-	return &e.stats, nil
+	return e.finish(start), nil
+}
+
+// finish stamps the run's duration and returns a copy of its statistics
+// (Steps included, whose presized array would otherwise ride along): the
+// caller may keep the result for as long as it likes without keeping the
+// engine — its inboxes, outboxes and scratch — reachable.
+func (e *Engine[V, M]) finish(start time.Time) *Stats {
+	e.stats.Duration = time.Since(start)
+	st := e.stats
+	st.Steps = append(make([]StepStats, 0, len(st.Steps)), st.Steps...)
+	return &st
 }
 
 // checkAbort evaluates the run-lifecycle conditions at a barrier. The
@@ -746,7 +703,6 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 		w.stamp++
 		w.next = w.next[:0]
 	}
-	n := e.g.NumVertices()
 	// Cooperative StepTimeout: re-read the clock every 32 vertices run, so
 	// a worker whose vertices are individually slow stops shortly past the
 	// deadline instead of draining its whole range. The check is two
@@ -755,7 +711,7 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 	w.timedOut = false
 	deadline := e.stepDeadline
 	quarantine := e.opts.Quarantine
-	runVertex := func(u, slot int) {
+	runVertex := func(u int) {
 		if !deadline.IsZero() && w.ran&31 == 0 && time.Now().After(deadline) { //lint:allow timenow — deadline enforcement by design
 			w.timedOut = true
 			return
@@ -767,7 +723,7 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 		ctx.removeSelf = false
 		w.inVertex = true
 		if quarantine {
-			if w.runGuarded(prog, slot) {
+			if w.runGuarded(prog, u) {
 				// The vertex panicked and was quarantined: its sends were
 				// rolled back and it is removed; nothing else to update.
 				w.inVertex = false
@@ -776,8 +732,8 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 		} else if e.superstep == 0 {
 			prog.Init(ctx)
 		} else {
-			lo := w.msgOff[slot-w.lo]
-			hi := w.msgOff[slot-w.lo+1]
+			lo := w.msgOff[u-w.lo]
+			hi := w.msgOff[u-w.lo+1]
 			prog.Compute(ctx, w.msgBuf[lo:hi])
 		}
 		w.inVertex = false
@@ -787,18 +743,17 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 			e.active[u] = false
 		}
 		if queue && e.active[u] {
-			w.enqueue(slot)
+			w.enqueue(u)
 		}
 	}
 	switch {
 	case e.activateAll:
-		for slot := w.lo; slot < w.hi && !w.timedOut; slot++ {
-			u := e.vertexAt(slot)
-			if u >= n || e.removed[u] {
+		for u := w.lo; u < w.hi && !w.timedOut; u++ {
+			if e.removed[u] {
 				continue
 			}
 			e.active[u] = true
-			runVertex(u, slot)
+			runVertex(u)
 		}
 	case queue:
 		for _, v := range w.cur {
@@ -806,20 +761,15 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 				break
 			}
 			u := int(v)
-			slot := e.slotOf(v)
-			if e.removed[u] || (!e.active[u] && !w.hasMsgs(slot)) {
+			if e.removed[u] || (!e.active[u] && !w.hasMsgs(u)) {
 				continue
 			}
-			runVertex(u, slot)
+			runVertex(u)
 		}
 	default:
-		for slot := w.lo; slot < w.hi && !w.timedOut; slot++ {
-			u := e.vertexAt(slot)
-			if u >= n || e.removed[u] {
-				continue
-			}
-			if e.active[u] || w.hasMsgs(slot) {
-				runVertex(u, slot)
+		for u := w.lo; u < w.hi && !w.timedOut; u++ {
+			if !e.removed[u] && (e.active[u] || w.hasMsgs(u)) {
+				runVertex(u)
 			}
 		}
 	}
@@ -835,7 +785,7 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 // and the vertex is removed from the computation. The worker loop then
 // continues with the next vertex, so one poisoned vertex cannot abort a
 // resident run. Returns whether the vertex panicked.
-func (w *worker[V, M]) runGuarded(prog Program[V, M], slot int) (panicked bool) {
+func (w *worker[V, M]) runGuarded(prog Program[V, M], u int) (panicked bool) {
 	e := w.eng
 	for d := range w.outTo {
 		w.sendMark[d] = len(w.outTo[d])
@@ -861,24 +811,24 @@ func (w *worker[V, M]) runGuarded(prog Program[V, M], slot int) (panicked bool) 
 	if e.superstep == 0 {
 		prog.Init(ctx)
 	} else {
-		lo := w.msgOff[slot-w.lo]
-		hi := w.msgOff[slot-w.lo+1]
+		lo := w.msgOff[u-w.lo]
+		hi := w.msgOff[u-w.lo+1]
 		prog.Compute(ctx, w.msgBuf[lo:hi])
 	}
 	return false
 }
 
-func (w *worker[V, M]) hasMsgs(slot int) bool {
+func (w *worker[V, M]) hasMsgs(u int) bool {
 	if w.eng.superstep == 0 {
 		return false
 	}
-	return w.msgOff[slot-w.lo+1] > w.msgOff[slot-w.lo]
+	return w.msgOff[u-w.lo+1] > w.msgOff[u-w.lo]
 }
 
 // combineOut merges messages per destination vertex (and per key, for
 // KeyedCombiners) within each destination-worker bucket, deterministically
 // (insertion order). The plain-combiner path indexes envelopes by
-// destination slot through a dense epoch-stamped table and compacts each
+// destination vertex through a dense epoch-stamped table and compacts each
 // bucket in place: the combined prefix [0, j) only ever trails the read
 // position, so no fresh buffer and no per-bucket map is needed.
 func (w *worker[V, M]) combineOut() {
@@ -901,7 +851,7 @@ func (w *worker[V, M]) combineOut() {
 		base := d * block
 		j := 0
 		for i, t := range to {
-			li := w.eng.slotOf(t) - base
+			li := int(t) - base
 			if w.combStamp[li] == w.combEpoch {
 				k := w.combSlot[li]
 				msg[k] = c.Combine(msg[k], msg[i])
@@ -965,7 +915,7 @@ func (w *worker[V, M]) exchange() {
 			if e.removed[to] {
 				continue
 			}
-			off[e.slotOf(to)-w.lo+1]++
+			off[int(to)-w.lo+1]++
 			w.delivered++
 			if src.id != w.id {
 				w.cross++
@@ -988,7 +938,7 @@ func (w *worker[V, M]) exchange() {
 			if e.removed[to] {
 				continue
 			}
-			li := e.slotOf(to) - w.lo
+			li := int(to) - w.lo
 			w.msgBuf[cursor[li]] = msgs[i]
 			cursor[li]++
 		}
@@ -1005,20 +955,17 @@ func (w *worker[V, M]) exchange() {
 					continue
 				}
 				e.active[to] = true
-				w.enqueue(e.slotOf(to))
+				w.enqueue(int(to))
 			}
 		}
 		w.nextActive = len(w.next)
 	} else {
 		w.nextActive = 0
-		n := e.g.NumVertices()
-		for slot := w.lo; slot < w.hi; slot++ {
-			li := slot - w.lo
-			u := e.vertexAt(slot)
-			if u >= n || e.removed[u] {
+		for u := w.lo; u < w.hi; u++ {
+			if e.removed[u] {
 				continue
 			}
-			if off[li+1] > off[li] {
+			if li := u - w.lo; off[li+1] > off[li] {
 				e.active[u] = true
 			}
 			if e.active[u] {
@@ -1029,13 +976,12 @@ func (w *worker[V, M]) exchange() {
 	w.cur, w.next = w.next, w.cur
 }
 
-// enqueue adds the vertex at the local slot to the next-superstep queue,
-// at most once.
-func (w *worker[V, M]) enqueue(slot int) {
-	li := slot - w.lo
+// enqueue adds local vertex u to the next-superstep queue, at most once.
+func (w *worker[V, M]) enqueue(u int) {
+	li := u - w.lo
 	if w.queued[li] == w.stamp {
 		return
 	}
 	w.queued[li] = w.stamp
-	w.next = append(w.next, VertexID(w.eng.vertexAt(slot)))
+	w.next = append(w.next, VertexID(u))
 }

@@ -373,6 +373,18 @@ func TestEmptyGraph(t *testing.T) {
 	if stats.Aborted {
 		t.Fatalf("empty-graph run marked aborted: %q", stats.AbortReason)
 	}
+	// It is a finished run, so it has an end state to hand out, and that
+	// state survives the wire format.
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot after an empty-graph run: %v", err)
+	}
+	if !snap.Done || snap.NumVertices != 0 {
+		t.Fatalf("empty-graph snapshot = Done %v, %d vertices; want Done, 0", snap.Done, snap.NumVertices)
+	}
+	if _, _, err := DecodeSnapshot(snap.AppendTo(nil)); err != nil {
+		t.Fatalf("empty-graph snapshot does not round-trip: %v", err)
+	}
 }
 
 // Property: on a random directed graph, a program where every vertex sends
@@ -453,84 +465,16 @@ func (*idSendProgram) Compute(ctx *Context[sumVal, float64], msgs []float64) {
 	ctx.VoteToHalt()
 }
 
-// Property: block and hash partitioning produce identical vertex values
-// and message counts for any worker count; only the cross-worker traffic
-// may differ.
-func TestPartitionEquivalenceProperty(t *testing.T) {
-	f := func(seed int64, workerHint uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(60)
-		m := rng.Intn(4 * n)
-		b := graph.NewBuilder(n, true)
-		for i := 0; i < m; i++ {
-			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
-		}
-		g := b.Finalize()
-		workers := 1 + int(workerHint%7)
-		run := func(p Partition) ([]echoVal, int64) {
-			e := New[echoVal, float64](g, Options{Workers: workers, Partition: p})
-			st, err := e.Run(maxPropProgram{})
-			if err != nil {
-				return nil, -1
-			}
-			return e.Values(), st.MessagesSent
-		}
-		v1, m1 := run(PartitionBlock)
-		v2, m2 := run(PartitionHash)
-		if m1 != m2 || v1 == nil {
-			return false
-		}
-		for i := range v1 {
-			if v1[i] != v2[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHashPartitionSpreadsVertices(t *testing.T) {
-	g := graph.Path(10, true)
-	e := New[echoVal, float64](g, Options{Workers: 2, Partition: PartitionHash})
-	// Vertex v lives on worker v mod 2.
-	for v := 0; v < 10; v++ {
-		if got := e.ownerOf(graph.VertexID(v)); got != v%2 {
-			t.Fatalf("ownerOf(%d) = %d, want %d", v, got, v%2)
-		}
-	}
-	if _, err := e.Run(echoProgram{}); err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 10; u++ {
-		want := float64(u)
-		if u == 0 {
-			want = 1
-		}
-		if got := e.Value(graph.VertexID(u)).Best; got != want {
-			t.Fatalf("hash-partitioned value[%d] = %g, want %g", u, got, want)
-		}
-	}
-}
-
 func TestCrossWorkerCounting(t *testing.T) {
-	// A path graph: with block partitioning only boundary edges cross;
-	// with hash partitioning every consecutive pair crosses.
+	// A path graph split into two blocks: only the boundary edge crosses.
 	g := graph.Path(16, true)
-	for _, tc := range []struct {
-		part Partition
-		want int64
-	}{{PartitionBlock, 1}, {PartitionHash, 15}} {
-		e := New[echoVal, float64](g, Options{Workers: 2, Partition: tc.part})
-		stats, err := e.Run(echoProgram{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.CrossWorker != tc.want {
-			t.Fatalf("%v: cross-worker = %d, want %d", tc.part, stats.CrossWorker, tc.want)
-		}
+	e := New[echoVal, float64](g, Options{Workers: 2})
+	stats, err := e.Run(echoProgram{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CrossWorker != 1 {
+		t.Fatalf("cross-worker = %d, want 1", stats.CrossWorker)
 	}
 }
 
@@ -585,7 +529,7 @@ func (constKeyCombiner) Key(float64) uint32           { return 0 }
 // values on random graphs — the dense rework must be observationally
 // equivalent to the original map scheme.
 func TestDenseCombinerMatchesKeyedFallbackProperty(t *testing.T) {
-	f := func(seed int64, workerHint uint8, hashPart bool) bool {
+	f := func(seed int64, workerHint uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(60)
 		m := rng.Intn(6 * n)
@@ -594,13 +538,9 @@ func TestDenseCombinerMatchesKeyedFallbackProperty(t *testing.T) {
 			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
 		}
 		g := b.Finalize()
-		part := PartitionBlock
-		if hashPart {
-			part = PartitionHash
-		}
 		workers := 1 + int(workerHint%7)
 		run := func(c Combiner[float64]) ([]sumVal, int64, int64) {
-			e := New[sumVal, float64](g, Options{Workers: workers, Partition: part})
+			e := New[sumVal, float64](g, Options{Workers: workers})
 			e.SetCombiner(c)
 			st, err := e.Run(sumAllProgram{rounds: 3})
 			if err != nil {
@@ -634,6 +574,9 @@ func TestStatsStringAndSteps(t *testing.T) {
 	}
 	if len(stats.Steps) != stats.Supersteps {
 		t.Fatalf("steps len %d != supersteps %d", len(stats.Steps), stats.Supersteps)
+	}
+	if stats == &e.stats {
+		t.Fatal("Run returned a pointer into the engine: whoever keeps the stats keeps every inbox and outbox alive")
 	}
 	if stats.String() == "" {
 		t.Fatal("empty stats string")

@@ -74,29 +74,6 @@ const (
 	WorkQueue
 )
 
-// Partition selects how vertices are assigned to workers.
-type Partition int
-
-const (
-	// PartitionBlock gives each worker a contiguous vertex range. Graph
-	// generators emit correlated IDs, so blocks preserve locality.
-	PartitionBlock Partition = iota
-	// PartitionHash assigns vertex v to worker v mod W — the classic
-	// Pregel default hash partitioning, which scatters neighbours across
-	// workers. The paper cites partitioning research as the orthogonal
-	// way to cut communication; the two placements are exposed here so
-	// the partitioning ablation can quantify cross-worker traffic.
-	PartitionHash
-)
-
-// String names the partition scheme.
-func (p Partition) String() string {
-	if p == PartitionHash {
-		return "hash"
-	}
-	return "block"
-}
-
 // Options configure a run.
 type Options struct {
 	// Workers is the number of worker goroutines. Defaults to
@@ -107,8 +84,6 @@ type Options struct {
 	MaxSupersteps int
 	// Scheduler selects the active-vertex discovery strategy.
 	Scheduler Scheduler
-	// Partition selects the vertex-to-worker placement.
-	Partition Partition
 	// StepTimeout, when positive, bounds each superstep's wall-clock
 	// time. It is checked at the superstep barriers and cooperatively
 	// inside each worker's vertex loop (every few dozen vertices), so a
@@ -129,28 +104,17 @@ type Options struct {
 	// plus a final snapshot at the terminal barrier and on every
 	// cancellation/deadline abort. See CheckpointOptions.
 	Checkpoint CheckpointOptions
-	// Resume, when non-nil, restores engine state from a barrier snapshot
-	// (see ReadSnapshotFile / DecodeSnapshot) instead of running superstep
-	// 0: the snapshot's graph fingerprint and aggregator registration are
-	// validated against this run, then execution continues at the
-	// snapshot's superstep + 1. Resuming a snapshot whose Done flag is set
-	// rehydrates the final vertex values and returns immediately.
-	Resume *Snapshot
-	// WarmStart, when non-nil, seeds a fresh computation from a converged
-	// snapshot instead of running superstep 0: vertex values come from
-	// the snapshot, only the listed vertices start active, and execution
-	// begins at superstep 1 with empty inboxes. Mutually exclusive with
-	// Resume. See WarmStartOptions.
-	WarmStart *WarmStartOptions
+	// Seed is the state the run starts from; nil is a cold start at
+	// superstep 0. See Seed, Continue and Warm.
+	Seed *Seed
 	// Shard, when non-nil with Count > 1, places this engine in a
 	// multi-process sharded run: this process executes only its shard's
 	// contiguous worker range and exchanges messages, aggregator
 	// partials, and statistics with its peers over Shard.Transport at
 	// the superstep barriers. The merged run is bit-identical to an
-	// in-process run with the same total Workers count. Requires
-	// PartitionBlock and an explicit Workers value identical on every
-	// shard; Quarantine and WarmStart are not supported sharded. See
-	// ShardOptions.
+	// in-process run with the same total Workers count. Requires an
+	// explicit Workers value identical on every shard; Quarantine is not
+	// supported sharded. See ShardOptions.
 	Shard *ShardOptions
 	// Quarantine contains a panic raised inside a single vertex's
 	// Init/Compute to that vertex instead of aborting the run: the panic
@@ -168,41 +132,6 @@ type Options struct {
 	// server posture: a poisoned vertex program must not take down a
 	// long-lived serving process (see DESIGN.md "Serving").
 	Quarantine bool
-}
-
-// WarmStartOptions seed a run from the terminal snapshot of a previous,
-// converged run — the delta-recomputation entry point: after an edge
-// delta, a warm start activates only the vertices incident to the change
-// and lets the computation repair outward from that frontier.
-//
-// Unlike Resume, a warm start begins a new computation: the snapshot's
-// scheduler flag, active set, and queue are ignored (so a ScanAll
-// snapshot can warm-start a WorkQueue run), and the engine's graph is
-// not fingerprint-checked against the snapshot — it is expected to
-// differ, since the point is to run on a mutated graph. The snapshot
-// must be terminal (Done) and quiescent (no in-flight messages): a
-// mid-run snapshot has senders whose recorded state already reflects
-// messages their receivers have not folded in, and seeding from such a
-// cut would double- or under-count contributions.
-type WarmStartOptions struct {
-	// Snapshot is the converged snapshot to seed values from.
-	Snapshot *Snapshot
-	// ExpectFingerprint, when non-zero, must equal the fingerprint
-	// recorded in the snapshot — callers pass the pre-mutation graph's
-	// fingerprint to prove the snapshot belongs to the graph the delta
-	// was computed against.
-	ExpectFingerprint uint64
-	// Activate lists the vertices to run in the first superstep; all
-	// others start halted and wake only on incoming messages. Removed
-	// vertices are skipped. An empty list converges immediately.
-	Activate []VertexID
-	// AllowGrowth accepts a snapshot with fewer vertices than the graph:
-	// the snapshot seeds the prefix it covers and vertices past
-	// Snapshot.NumVertices start with zero values, halted, for the caller
-	// to initialize and activate (the ΔV repair planner runs init{} for
-	// them and puts them on the frontier). Without it a grown graph is a
-	// mismatch.
-	AllowGrowth bool
 }
 
 // ErrStepTimeout is wrapped by the run error when a superstep exceeds

@@ -26,9 +26,10 @@ import (
 // process must run the same program over the same graph with identical
 // Options (in particular an explicit, identical Workers count — the
 // GOMAXPROCS default would diverge across machines), differing only in
-// Index. Sharding requires PartitionBlock and supports Checkpoint and
-// Resume (each shard owns its own snapshot files); Quarantine and
-// WarmStart are not supported sharded.
+// Index. Checkpoints are per shard (each owns its own snapshot files); a
+// Seed works as it does in-process — Continue from this shard's own
+// snapshot, Warm from one whole terminal snapshot handed to every shard.
+// Quarantine is not supported sharded.
 type ShardOptions struct {
 	// Index is this process's shard number, in [0, Count).
 	Index int
@@ -103,14 +104,8 @@ func (e *Engine[V, M]) initShard() error {
 	if so.Count > w {
 		return fmt.Errorf("pregel: %d shards over %d workers; every shard needs at least one", so.Count, w)
 	}
-	if e.opts.Partition != PartitionBlock {
-		return errors.New("pregel: sharding requires PartitionBlock (contiguous vertex ownership)")
-	}
 	if e.opts.Quarantine {
 		return errors.New("pregel: Quarantine is not supported sharded")
-	}
-	if e.opts.WarmStart != nil {
-		return errors.New("pregel: WarmStart is not supported sharded")
 	}
 	// Frames and the value gather serialize through the codecs even when
 	// checkpointing is off.
@@ -282,7 +277,7 @@ func (e *Engine[V, M]) shardSignalAbort(kind byte, cause error) {
 
 // shardGatherValues completes a successful sharded run: every shard
 // broadcasts its owned [lo, hi) value range so Values() is whole
-// everywhere. PartitionBlock makes each range contiguous.
+// everywhere.
 func (e *Engine[V, M]) shardGatherValues() error {
 	s := e.shard
 	if s == nil || s.count == 1 {

@@ -3,6 +3,7 @@ package pregel
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -77,21 +78,31 @@ func shardAddrs(t *testing.T, count int) []string {
 }
 
 // shardOutcome is one shard's view of a sharded run.
-type shardOutcome struct {
-	eng   *Engine[shardVal, float64]
+type shardOutcome[V any] struct {
+	eng   *Engine[V, float64]
 	stats *Stats
 	err   error
 }
 
-// runMassSharded runs the mass program across count shards over a
-// unix-socket mesh, one goroutine per shard. perShard tweaks each
-// shard's options (checkpoint dir, resume snapshot); ctxOf supplies
-// each shard's run context. Either may be nil.
+// runMassSharded runs the mass program across count shards; see runSharded.
 func runMassSharded(t *testing.T, g *graph.Graph, base Options, combine bool, rounds, count int,
-	perShard func(shard int, o *Options), ctxOf func(shard int) context.Context) []shardOutcome {
+	perShard func(shard int, o *Options), ctxOf func(shard int) context.Context) []shardOutcome[shardVal] {
+	t.Helper()
+	return runSharded(t, g, base, count, perShard, ctxOf,
+		func(o Options) *Engine[shardVal, float64] { return massEngine(g, o, combine) },
+		func() Program[shardVal, float64] { return &massProgram{rounds: rounds} })
+}
+
+// runSharded runs a program across count shards over a unix-socket mesh,
+// one goroutine per shard. perShard tweaks each shard's options
+// (checkpoint dir, seed); ctxOf supplies each shard's run context. Either
+// may be nil.
+func runSharded[V any](t *testing.T, g *graph.Graph, base Options, count int,
+	perShard func(shard int, o *Options), ctxOf func(shard int) context.Context,
+	engine func(Options) *Engine[V, float64], prog func() Program[V, float64]) []shardOutcome[V] {
 	t.Helper()
 	addrs := shardAddrs(t, count)
-	out := make([]shardOutcome, count)
+	out := make([]shardOutcome[V], count)
 	var wg sync.WaitGroup
 	for i := 0; i < count; i++ {
 		wg.Add(1)
@@ -102,7 +113,7 @@ func runMassSharded(t *testing.T, g *graph.Graph, base Options, combine bool, ro
 				Fingerprint: g.Fingerprint(), Timeout: 10 * time.Second,
 			})
 			if err != nil {
-				out[i] = shardOutcome{err: fmt.Errorf("dial: %w", err)}
+				out[i] = shardOutcome[V]{err: fmt.Errorf("dial: %w", err)}
 				return
 			}
 			defer tr.Close()
@@ -111,13 +122,13 @@ func runMassSharded(t *testing.T, g *graph.Graph, base Options, combine bool, ro
 			if perShard != nil {
 				perShard(i, &o)
 			}
-			e := massEngine(g, o, combine)
+			e := engine(o)
 			ctx := context.Background()
 			if ctxOf != nil {
 				ctx = ctxOf(i)
 			}
-			st, err := e.RunContext(ctx, &massProgram{rounds: rounds})
-			out[i] = shardOutcome{eng: e, stats: st, err: err}
+			st, err := e.RunContext(ctx, prog())
+			out[i] = shardOutcome[V]{eng: e, stats: st, err: err}
 		}(i)
 	}
 	wg.Wait()
@@ -230,7 +241,7 @@ func TestShardCheckpointResumeEquivalence(t *testing.T) {
 				snaps[i] = s
 			}
 			outs = runMassSharded(t, g, opts, true, rounds, shards, func(i int, o *Options) {
-				o.Resume = snaps[i]
+				o.Seed = Continue(snaps[i])
 			}, nil)
 			for i, o := range outs {
 				if o.err != nil {
@@ -239,6 +250,77 @@ func TestShardCheckpointResumeEquivalence(t *testing.T) {
 				requireBitIdentical(t, fmt.Sprintf("resumed shard %d", i), o.eng.Values(), ref.Values())
 				if got, want := o.eng.AggregatorValue("mass"), ref.AggregatorValue("mass"); got != want {
 					t.Fatalf("resumed shard %d: mass = %v, want %v", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestShardedWarmStartBitIdenticalToLocal: a warm start composes with
+// sharding because nothing special-cases it. Every shard is handed the
+// same whole terminal snapshot and frontier; the repair wave crosses
+// worker and shard boundaries; values, merged statistics and the
+// first-superstep frontier must match the in-process warm start bit for
+// bit, under both schedulers and an uneven worker split.
+func TestShardedWarmStartBitIdenticalToLocal(t *testing.T) {
+	g := graph.RMAT(8, 4, 0.57, 0.19, 0.19, true, 42)
+	d := &graph.Delta{}
+	d.AddEdge(0, 200)
+	d.AddEdge(0, 77)
+	d.AddEdge(130, 5)
+	mg, ad, err := graph.ApplyDelta(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontier := ad.Touched(g.NumVertices())
+	for _, tc := range []struct {
+		name            string
+		workers, shards int
+		sched           Scheduler
+	}{
+		{"2x4-scan", 4, 2, ScanAll},
+		{"2x4-queue", 4, 2, WorkQueue},
+		{"3x5-uneven-scan", 5, 3, ScanAll},
+		{"3x5-uneven-queue", 5, 3, WorkQueue},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, _, _ := terminalSnapshot(t, g, ScanAll)
+			opts := Options{
+				Workers:   tc.workers,
+				Scheduler: tc.sched,
+				Seed:      Warm(snap, frontier, g.Fingerprint(), false),
+			}
+			engine := func(o Options) *Engine[wsVal, float64] {
+				e := New[wsVal, float64](mg, o)
+				e.SetCombiner(CombinerFunc[float64](math.Min))
+				return e
+			}
+			ref := engine(opts)
+			refStats, err := ref.Run(wsProgram{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if refStats.Supersteps < 3 || refStats.CrossWorker == 0 {
+				t.Fatalf("reference repair too small to cross shards: %v", refStats)
+			}
+			outs := runSharded(t, mg, opts, tc.shards, nil, nil, engine,
+				func() Program[wsVal, float64] { return wsProgram{} })
+			for i, o := range outs {
+				if o.err != nil {
+					t.Fatalf("shard %d: %v", i, o.err)
+				}
+				for u, want := range ref.Values() {
+					if got := o.eng.Value(VertexID(u)); math.Float64bits(got.D) != math.Float64bits(want.D) {
+						t.Fatalf("shard %d: vertex %d = %v, want %v (bitwise)", i, u, got.D, want.D)
+					}
+				}
+				if o.stats.Supersteps != refStats.Supersteps ||
+					o.stats.MessagesSent != refStats.MessagesSent ||
+					o.stats.CombinedMessages != refStats.CombinedMessages ||
+					o.stats.CrossWorker != refStats.CrossWorker ||
+					o.stats.TotalActive != refStats.TotalActive ||
+					o.stats.Steps[0].ActiveVertices != refStats.Steps[0].ActiveVertices {
+					t.Fatalf("shard %d merged stats diverge:\n got %v\nwant %v", i, o.stats, refStats)
 				}
 			}
 		})
@@ -266,7 +348,7 @@ func TestShardMismatchedResumeRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.Resume = s
+		o.Seed = Continue(s)
 	}, nil)
 	sawMismatch := false
 	for i, o := range outs {
@@ -377,7 +459,6 @@ func TestShardOptionValidation(t *testing.T) {
 	}{
 		{"no transport", Options{Workers: 4, Shard: &ShardOptions{Index: 0, Count: 2}}, "transport"},
 		{"bad index", Options{Workers: 4, Shard: &ShardOptions{Index: 2, Count: 2, Transport: tr}}, "bad shard"},
-		{"hash partition", Options{Workers: 4, Partition: PartitionHash, Shard: &ShardOptions{Index: 0, Count: 2, Transport: tr}}, "PartitionBlock"},
 		{"quarantine", Options{Workers: 4, Quarantine: true, Shard: &ShardOptions{Index: 0, Count: 2, Transport: tr}}, "Quarantine"},
 		{"more shards than workers", Options{Workers: 2, Shard: &ShardOptions{Index: 0, Count: 3, Transport: tr}}, "shards"},
 	}

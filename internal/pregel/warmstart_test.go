@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -56,6 +55,8 @@ func (wsProgram) Compute(ctx *Context[wsVal, float64], msgs []float64) {
 
 // terminalSnapshot runs prog on g to completion, capturing only the
 // terminal barrier, and returns the decoded Done snapshot plus the stats.
+// It also pins the way out: the snapshot the engine hands back as a value
+// encodes to exactly the bytes the Sink received.
 func terminalSnapshot(t *testing.T, g *graph.Graph, sched Scheduler) (*Snapshot, *Stats, []wsVal) {
 	t.Helper()
 	var sink bytes.Buffer
@@ -78,6 +79,13 @@ func terminalSnapshot(t *testing.T, g *graph.Graph, sched Scheduler) (*Snapshot,
 	}
 	if !s.Done {
 		t.Fatal("terminal snapshot not marked Done")
+	}
+	val, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(val.AppendTo(nil), sink.Bytes()) {
+		t.Fatal("Engine.Snapshot() does not encode to the bytes the Sink received")
 	}
 	return s, stats, append([]wsVal(nil), e.Values()...)
 }
@@ -113,11 +121,7 @@ func TestWarmStartDeltaRecompute(t *testing.T) {
 			warm := New[wsVal, float64](mg, Options{
 				Workers:   3,
 				Scheduler: sched,
-				WarmStart: &WarmStartOptions{
-					Snapshot:          snap,
-					ExpectFingerprint: oldFP,
-					Activate:          ad.Touched(g.NumVertices()),
-				},
+				Seed:      Warm(snap, ad.Touched(g.NumVertices()), oldFP, false),
 			})
 			warm.SetCombiner(CombinerFunc[float64](math.Min))
 			warmStats, err := warm.Run(wsProgram{})
@@ -153,8 +157,8 @@ func TestWarmStartEmptyFrontier(t *testing.T) {
 	g := graph.Path(10, true)
 	snap, _, want := terminalSnapshot(t, g, ScanAll)
 	e := New[wsVal, float64](g, Options{
-		Workers:   2,
-		WarmStart: &WarmStartOptions{Snapshot: snap},
+		Workers: 2,
+		Seed:    Warm(snap, nil, 0, false),
 	})
 	stats, err := e.Run(wsProgram{})
 	if err != nil {
@@ -166,77 +170,6 @@ func TestWarmStartEmptyFrontier(t *testing.T) {
 	for u, w := range want {
 		if got := e.Value(VertexID(u)); got != w {
 			t.Fatalf("value[%d] = %+v, want %+v", u, got, w)
-		}
-	}
-}
-
-func TestWarmStartValidation(t *testing.T) {
-	g := graph.Path(10, true)
-	done, _, _ := terminalSnapshot(t, g, ScanAll)
-
-	// A mid-run snapshot: not Done, possibly with in-flight messages.
-	dir := t.TempDir()
-	e := New[wsVal, float64](g, Options{
-		Workers:    2,
-		Checkpoint: CheckpointOptions{Every: 1, Dir: dir},
-	})
-	if _, err := e.Run(wsProgram{}); err != nil {
-		t.Fatal(err)
-	}
-	mid, err := ReadSnapshotFile(filepath.Join(dir, SnapshotFileName(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mid.Done {
-		t.Fatal("superstep-2 snapshot unexpectedly Done")
-	}
-
-	run := func(g *graph.Graph, ws *WarmStartOptions, resume *Snapshot) error {
-		e := New[wsVal, float64](g, Options{Workers: 2, WarmStart: ws, Resume: resume})
-		_, err := e.Run(wsProgram{})
-		return err
-	}
-
-	if err := run(g, &WarmStartOptions{Snapshot: mid}, nil); err == nil || !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("non-Done snapshot: err = %v, want ErrSnapshotMismatch", err)
-	}
-	if err := run(g, &WarmStartOptions{Snapshot: done, ExpectFingerprint: 12345}, nil); err == nil || !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("wrong expected fingerprint: err = %v, want ErrSnapshotMismatch", err)
-	}
-	// A grown graph (delta added vertices, caller fed the old snapshot)
-	// must be named precisely — added-vertex count plus the remedy — not
-	// surface as a generic size or decode failure.
-	if err := run(graph.Path(12, true), &WarmStartOptions{Snapshot: done}, nil); err == nil || !errors.Is(err, ErrSnapshotMismatch) ||
-		!strings.Contains(err.Error(), "gained 2 vertices") || !strings.Contains(err.Error(), "rerun from scratch") {
-		t.Errorf("grown graph: err = %v, want ErrSnapshotMismatch naming 2 added vertices", err)
-	}
-	if err := run(graph.Path(9, true), &WarmStartOptions{Snapshot: done}, nil); err == nil || !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("shrunk graph: err = %v, want ErrSnapshotMismatch", err)
-	}
-	if err := run(g, &WarmStartOptions{Snapshot: done, Activate: []VertexID{99}}, nil); err == nil || !errors.Is(err, ErrSnapshotMismatch) ||
-		!strings.Contains(err.Error(), "activates vertex") {
-		t.Errorf("out-of-range activation: err = %v, want ErrSnapshotMismatch", err)
-	}
-	if err := run(g, &WarmStartOptions{Snapshot: done}, done); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("Resume+WarmStart: err = %v", err)
-	}
-	if err := run(g, &WarmStartOptions{}, nil); err == nil || !strings.Contains(err.Error(), "needs a snapshot") {
-		t.Errorf("nil snapshot: err = %v", err)
-	}
-
-	// A quiescent-looking but in-flight snapshot: doctor the Done flag on
-	// the mid-run snapshot so only the inbox check can catch it.
-	if inflight := func() int64 {
-		var n int64
-		for _, c := range mid.InboxCounts {
-			n += int64(c)
-		}
-		return n
-	}(); inflight > 0 {
-		mid.Done = true
-		err := run(g, &WarmStartOptions{Snapshot: mid}, nil)
-		if err == nil || !strings.Contains(err.Error(), "not quiescent") {
-			t.Errorf("in-flight snapshot: err = %v, want quiescence rejection", err)
 		}
 	}
 }

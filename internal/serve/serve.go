@@ -96,11 +96,10 @@ type Config struct {
 
 	// Params override program parameter defaults by name.
 	Params map[string]float64
-	// Workers, Scheduler, Partition and Combine configure every run the
-	// server performs, exactly as in vm.RunOptions.
+	// Workers, Scheduler and Combine configure every run the server
+	// performs, exactly as in vm.RunOptions.
 	Workers   int
 	Scheduler pregel.Scheduler
-	Partition pregel.Partition
 	Combine   bool
 	// Quarantine contains vertex-program panics to the panicking vertex
 	// instead of failing the batch (see pregel.Options.Quarantine).
@@ -154,7 +153,8 @@ type Version struct {
 	// Repaired is true when this version was produced by delta repair
 	// (vm.RunDelta), false for from-scratch runs (epoch 1, fallbacks).
 	Repaired bool
-	// Stats is the run that produced this version.
+	// Stats is the run that produced this version (a copy: a published
+	// version keeps nothing of the engine that computed it alive).
 	Stats *pregel.Stats
 
 	g      *graph.Graph
@@ -248,28 +248,30 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	for _, f := range cfg.Prog.Layout.Fields[:cfg.Prog.Layout.UserFields] {
 		s.fields = append(s.fields, f.Name)
 	}
+	var tip *pregel.ChainState
 	if cfg.ChainDir != "" {
-		// Opened (and an existing manifest validated) before any compute, so
-		// a corrupt chain fails fast with cfg.Graph still owned by the caller.
-		w, err := pregel.NewChainWriter(cfg.ChainDir, cfg.RebaseEvery)
+		// Opened (and an existing manifest replayed, once, for both the
+		// writer's diff base and the boot below) before any compute, so a
+		// corrupt chain fails fast with cfg.Graph still owned by the caller.
+		var err error
+		s.chain, tip, err = pregel.OpenChain(cfg.ChainDir, cfg.RebaseEvery)
 		if err != nil {
 			return nil, fmt.Errorf("serve: opening chain %s: %w", cfg.ChainDir, err)
 		}
-		s.chain = w
 	}
 	var v *Version
-	if s.chain != nil && s.chain.Tip() != nil {
+	if tip != nil {
 		var err error
-		v, err = s.bootFromChain(cfg.ChainDir)
+		v, err = s.bootFromChain(tip)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		res, snap, err := s.runScratch(ctx, cfg.Graph)
+		res, err := s.runScratch(ctx, cfg.Graph)
 		if err != nil {
 			return nil, fmt.Errorf("serve: initial convergence: %w", err)
 		}
-		v, err = s.buildVersion(1, cfg.Graph, res, snap, false)
+		v, err = s.buildVersion(1, cfg.Graph, res, res.Snapshot(), false)
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +288,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// bootFromChain replays the chain in dir over the boot-time graph
+// bootFromChain replays the loaded chain over the boot-time graph
 // cfg.Graph: each persisted mutation log advances the graph one batch, the
 // reconstructed tip snapshot then seeds serving state directly
 // (vm.SeedFromSnapshot) — no superstep is executed and no full vertex
@@ -295,44 +297,21 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 // left open (the caller owns it); on success, ownership of the replayed
 // graph passes to the returned version and cfg.Graph is retired if the
 // replay superseded it.
-func (s *Server) bootFromChain(dir string) (*Version, error) {
-	st, err := pregel.LoadChain(dir)
+func (s *Server) bootFromChain(st *pregel.ChainState) (*Version, error) {
+	g, err := st.Replay(s.cfg.Graph)
 	if err != nil {
-		return nil, fmt.Errorf("serve: loading chain %s: %w", dir, err)
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	g := s.cfg.Graph
-	// fail closes the intermediate replay graph (never the caller's).
+	// fail closes the replayed graph (never the caller's).
 	fail := func(err error) (*Version, error) {
 		if g != s.cfg.Graph {
 			g.Close()
 		}
 		return nil, err
 	}
-	for i, payload := range st.GraphDeltas {
-		d, err := graph.ReadDeltaLog(bytes.NewReader(payload))
-		if err != nil {
-			return fail(fmt.Errorf("serve: chain %s: decoding mutation log %d: %w", dir, i, err))
-		}
-		next, _, err := graph.ApplyDelta(g, d)
-		if err != nil {
-			return fail(fmt.Errorf("serve: chain %s: replaying mutation log %d: %w", dir, i, err))
-		}
-		if g != s.cfg.Graph {
-			g.Close()
-		}
-		g = next
-		if fp := g.Fingerprint(); fp != st.GraphFingerprints[i] {
-			return fail(fmt.Errorf("serve: chain %s: graph fingerprint %016x after mutation log %d, chain recorded %016x",
-				dir, fp, i, st.GraphFingerprints[i]))
-		}
-	}
-	if fp := g.Fingerprint(); fp != st.Snapshot.Fingerprint {
-		return fail(fmt.Errorf("serve: chain %s: replayed graph has fingerprint %016x but the tip snapshot was taken on %016x — wrong boot-time graph?",
-			dir, fp, st.Snapshot.Fingerprint))
-	}
-	res, err := vm.SeedFromSnapshot(s.cfg.Prog, g, s.runOpts(nil), st.Snapshot)
+	res, err := vm.SeedFromSnapshot(s.cfg.Prog, g, s.runOpts(), st.Snapshot)
 	if err != nil {
-		return fail(fmt.Errorf("serve: chain %s: seeding from tip snapshot: %w", dir, err))
+		return fail(fmt.Errorf("serve: chain %s: seeding from tip snapshot: %w", st.Dir, err))
 	}
 	epoch := int64(1 + len(st.GraphDeltas))
 	v, err := s.buildVersion(epoch, g, res, st.Snapshot, false)
@@ -345,7 +324,7 @@ func (s *Server) bootFromChain(dir string) (*Version, error) {
 		s.cfg.Graph.Close()
 	}
 	s.logf("serve: chain: seeded epoch %d from %s (superstep %d, fingerprint %016x, %d batches replayed)",
-		epoch, dir, st.Snapshot.Superstep, st.Snapshot.Fingerprint, len(st.GraphDeltas))
+		epoch, st.Dir, st.Snapshot.Superstep, st.Snapshot.Fingerprint, len(st.GraphDeltas))
 	return v, nil
 }
 
@@ -455,16 +434,15 @@ func (s *Server) applyBatch(ctx context.Context, cur *Version, muts []graph.Muta
 	}
 	repaired := false
 	var res *vm.Result
-	var snap *pregel.Snapshot
 	if bad := s.admitBatch(muts); bad != nil {
 		// The matrix rules the batch out before any values are looked at;
 		// attempting the repair would only rediscover the same verdict.
 		s.fallbacks.Add(1)
 		s.logf("serve: batch holds %s mutations the program cannot repair (%s); recomputing from scratch",
 			bad.Class, bad.Reason)
-		res, snap, err = s.runScratch(ctx, g)
+		res, err = s.runScratch(ctx, g)
 	} else {
-		res, snap, err = s.runDelta(ctx, g, cur.snap, applied, s.repairBudget(cur))
+		res, err = s.runDelta(ctx, g, cur.snap, applied, s.repairBudget(cur))
 		if err != nil {
 			// A per-value guard rejected the batch (retracting a live
 			// contribution, loosening a clamped fixpoint, …), the repair
@@ -478,7 +456,7 @@ func (s *Server) applyBatch(ctx context.Context, cur *Version, muts []graph.Muta
 			} else {
 				s.logf("serve: delta repair unavailable (%v); recomputing from scratch", err)
 			}
-			res, snap, err = s.runScratch(ctx, g)
+			res, err = s.runScratch(ctx, g)
 		} else {
 			repaired = true
 			s.repairs.Add(1)
@@ -488,7 +466,7 @@ func (s *Server) applyBatch(ctx context.Context, cur *Version, muts []graph.Muta
 		g.Close()
 		return nil, fmt.Errorf("from-scratch fallback: %w", err)
 	}
-	next, err := s.buildVersion(cur.Epoch+1, g, res, snap, repaired)
+	next, err := s.buildVersion(cur.Epoch+1, g, res, res.Snapshot(), repaired)
 	if err != nil {
 		g.Close()
 		return nil, err
@@ -535,20 +513,14 @@ func (s *Server) admitBatch(muts []graph.Mutation) *core.ClassVerdict {
 	return first
 }
 
-// runScratch converges the program from scratch on g, capturing the
-// terminal snapshot for the next repair.
-func (s *Server) runScratch(ctx context.Context, g *graph.Graph) (*vm.Result, *pregel.Snapshot, error) {
-	var sink lastSink
-	res, err := vm.RunContext(ctx, s.cfg.Prog, g, s.runOpts(&sink))
+// runScratch converges the program from scratch on g.
+func (s *Server) runScratch(ctx context.Context, g *graph.Graph) (*vm.Result, error) {
+	res, err := vm.RunContext(ctx, s.cfg.Prog, g, s.runOpts())
 	if err != nil {
-		return nil, nil, err
-	}
-	snap, err := sink.snapshot()
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.noteRun(res)
-	return res, snap, nil
+	return res, nil
 }
 
 // repairBudget translates Config.RepairBudget into a superstep bound for
@@ -568,41 +540,31 @@ func (s *Server) repairBudget(cur *Version) int {
 
 // runDelta repairs the fixpoint in snap for the mutated graph g, giving
 // up past budget body supersteps (0 = unbounded).
-func (s *Server) runDelta(ctx context.Context, g *graph.Graph, snap *pregel.Snapshot, applied *graph.AppliedDelta, budget int) (*vm.Result, *pregel.Snapshot, error) {
+func (s *Server) runDelta(ctx context.Context, g *graph.Graph, snap *pregel.Snapshot, applied *graph.AppliedDelta, budget int) (*vm.Result, error) {
 	if hookDeltaRepair != nil {
 		hookDeltaRepair()
 	}
-	var sink lastSink
 	res, err := vm.RunDeltaContext(ctx, s.cfg.Prog, g, vm.DeltaRunOptions{
-		RunOptions:      s.runOpts(&sink),
+		RunOptions:      s.runOpts(),
 		Snapshot:        snap,
 		Changes:         applied,
 		SuperstepBudget: budget,
 	})
 	if err != nil {
-		return nil, nil, err
-	}
-	next, err := sink.snapshot()
-	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.noteRun(res)
-	return res, next, nil
+	return res, nil
 }
 
-func (s *Server) runOpts(sink *lastSink) vm.RunOptions {
-	opts := vm.RunOptions{
+func (s *Server) runOpts() vm.RunOptions {
+	return vm.RunOptions{
 		Params:     s.cfg.Params,
 		Workers:    s.cfg.Workers,
 		Scheduler:  s.cfg.Scheduler,
-		Partition:  s.cfg.Partition,
 		Combine:    s.cfg.Combine,
 		Quarantine: s.cfg.Quarantine,
 	}
-	if sink != nil {
-		opts.Checkpoint = pregel.CheckpointOptions{Sink: sink}
-	}
-	return opts
 }
 
 // persistBatch appends the flushed batch to the chain: the mutation log
@@ -764,31 +726,4 @@ func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
 	}
-}
-
-// lastSink keeps the bytes of the most recent snapshot Write. The engine
-// writes each barrier snapshot as exactly one Write call, and with no
-// periodic interval configured a converged run writes only the terminal
-// snapshot — which is precisely the seed the next repair needs.
-type lastSink struct {
-	buf []byte
-}
-
-func (k *lastSink) Write(p []byte) (int, error) {
-	k.buf = append(k.buf[:0], p...)
-	return len(p), nil
-}
-
-func (k *lastSink) snapshot() (*pregel.Snapshot, error) {
-	if len(k.buf) == 0 {
-		return nil, fmt.Errorf("serve: run produced no terminal snapshot")
-	}
-	snap, rest, err := pregel.DecodeSnapshot(k.buf)
-	if err != nil {
-		return nil, fmt.Errorf("serve: decoding terminal snapshot: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("serve: %d trailing snapshot bytes", len(rest))
-	}
-	return snap, nil
 }

@@ -288,12 +288,13 @@ func (h *HITS) send(ctx *pregel.Context[HITSState, HITSMsg]) {
 	}
 }
 
-// hitsCombiner sums contributions of the same kind; mixed-kind messages
-// are never combined.
+// hitsCombiner sums contributions of the same kind; the two kinds are its
+// two classes, so mixed-kind messages are never combined.
 type hitsCombiner struct{}
 
-func (hitsCombiner) Combine(a, b HITSMsg) HITSMsg { a.Val += b.Val; return a }
-func (hitsCombiner) Key(m HITSMsg) uint32 {
+func (hitsCombiner) Combine(acc, m *HITSMsg) { acc.Val += m.Val }
+func (hitsCombiner) Classes() int            { return 2 }
+func (hitsCombiner) Class(m *HITSMsg) int {
 	if m.ToAuth {
 		return 1
 	}

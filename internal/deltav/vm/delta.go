@@ -151,8 +151,7 @@ func (m *Machine) initNewVertices(oldN, phase int) {
 	if oldN >= n {
 		return
 	}
-	ev := &evaluator{m: m}
-	ev.lets = make([]float64, m.prog.MaxLetDepth)
+	ev := m.newEvaluator()
 	for u := oldN; u < n; u++ {
 		ev.u, ev.base = graph.VertexID(u), u*m.stride
 		for i, f := range m.prog.Layout.Fields {
@@ -160,24 +159,7 @@ func (m *Machine) initNewVertices(oldN, phase int) {
 		}
 		ev.eval(m.prog.Init)
 		for _, gid := range m.prog.Phases[phase].Groups {
-			g := m.prog.Groups[gid]
-			if g.DirtySlot >= 0 {
-				m.state[ev.base+g.DirtySlot] = 0
-			}
-			for _, sid := range g.Sites {
-				s := m.prog.Sites[sid]
-				for i, fslot := range s.Fields {
-					if s.OldSlots != nil {
-						m.state[ev.base+s.OldSlots[i]] = m.state[ev.base+fslot]
-					}
-				}
-				if s.LastNNSlot >= 0 {
-					ev.curWeight = 1
-					if v := ev.eval(s.SlotExpr); v != 0 {
-						m.state[ev.base+s.LastNNSlot] = v
-					}
-				}
-			}
+			m.recordPrimed(ev, m.prog.Groups[gid])
 		}
 	}
 }
@@ -267,8 +249,7 @@ func (m *Machine) planRepair(ch *graph.AppliedDelta) (*repairPlan, error) {
 			inDelta[a.V]--
 		}
 	}
-	ev := &evaluator{m: m}
-	ev.lets = make([]float64, m.prog.MaxLetDepth)
+	ev := m.newEvaluator()
 	clamped := core.SelfFoldingFields(m.prog.Phases[0].Body, m.prog.Layout.UserFields)
 	for _, gid := range m.prog.Phases[0].Groups {
 		if err := m.planGroup(plan, ev, m.prog.Groups[gid], ch, inDelta, outDelta, clamped); err != nil {
@@ -318,11 +299,10 @@ func (m *Machine) planRepair(ch *graph.AppliedDelta) (*repairPlan, error) {
 // planGroup plans one send group's repair. clamped names the body's
 // self-folding fields (empty for pure-function bodies).
 func (m *Machine) planGroup(plan *repairPlan, ev *evaluator, g *core.SendGroup, ch *graph.AppliedDelta, inDelta, outDelta map[graph.VertexID]int, clamped []string) error {
-	sites := make([]*core.AggSite, len(g.Sites))
+	sites := m.groupSites[g.ID]
 	readsIn, readsOut := false, false
-	for i, sid := range g.Sites {
-		sites[i] = m.prog.Sites[sid]
-		ri, ro, _ := core.SlotTopology(sites[i].SlotExpr)
+	for _, s := range sites {
+		ri, ro, _ := core.SlotTopology(s.SlotExpr)
 		readsIn = readsIn || ri
 		readsOut = readsOut || ro
 	}
@@ -370,7 +350,7 @@ func (m *Machine) planGroup(plan *repairPlan, ev *evaluator, g *core.SendGroup, 
 	}
 	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
 
-	usesW := m.groupUsesWeight(g.ID)
+	usesW := m.groupWeighted[g.ID]
 	for _, s := range senders {
 		ev.u, ev.base = s, int(s)*m.stride
 		if err := m.checkClampedLoosening(ev, sites, perSender[s], resweep[s], clamped); err != nil {
@@ -397,9 +377,9 @@ func (m *Machine) planGroup(plan *repairPlan, ev *evaluator, g *core.SendGroup, 
 // pushArcs lists the sender's current push-side arcs in destination order.
 func (m *Machine) pushArcs(ev *evaluator, dir ast.GraphDir) []pushArc {
 	var out []pushArc
-	ev.forPushEdges(dir, func(dest graph.VertexID, w float64) {
-		out = append(out, pushArc{dest, w})
-	})
+	for it := ev.pushIter(dir); it.Next(); {
+		out = append(out, pushArc{it.To(), it.Weight()})
+	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].dest < out[j].dest })
 	return out
 }
@@ -431,7 +411,7 @@ func (m *Machine) repairSlotVal(ev *evaluator, s *core.AggSite, w float64, old *
 	ev.curWeight = w
 	ev.degOverride = old
 	if old != nil {
-		ev.redirect = m.redirectFor(s)
+		ev.redirect = m.redirects[s.ID]
 	}
 	v := ev.eval(s.SlotExpr)
 	ev.redirect = nil

@@ -14,7 +14,9 @@ import (
 
 // evaluator interprets resolved ΔV expressions for one vertex during one
 // superstep. All values are float64-encoded: bools are 0/1 and ints are
-// integral floats (exact up to 2^53).
+// integral floats (exact up to 2^53). A run keeps one evaluator per engine
+// worker and re-aims it at each vertex (Machine.vertexEvaluator), so a
+// vertex call allocates nothing.
 type evaluator struct {
 	m    *Machine
 	ctx  *pregel.Context[VState, Msg]
@@ -25,14 +27,17 @@ type evaluator struct {
 	msgs []Msg
 	cur  *Msg
 	iter int
+	// fixpoint is what FixpointRef reads; only the master's until{}
+	// evaluation sets it.
+	fixpoint bool
 
 	curWeight float64
 	curDest   graph.VertexID
 
-	// redirect, when non-nil, remaps field slots during evaluation; used
-	// to recompute a slot expression against the $old fields for Δ
-	// synthesis (Eq. 11).
-	redirect map[int]int
+	// redirect, when non-nil, is a row of Machine.redirects: it remaps
+	// field slots during evaluation, to recompute a slot expression against
+	// the $old fields for Δ synthesis (Eq. 11).
+	redirect []int
 
 	// degOverride, when non-nil, substitutes the vertex's degrees during
 	// Cardinality evaluation. The repair planner uses it to evaluate
@@ -52,9 +57,7 @@ type vertexDegrees struct {
 
 func (ev *evaluator) field(slot int) float64 {
 	if ev.redirect != nil {
-		if o, ok := ev.redirect[slot]; ok {
-			slot = o
-		}
+		slot = ev.redirect[slot]
 	}
 	return ev.m.state[ev.base+slot]
 }
@@ -73,6 +76,8 @@ func (ev *evaluator) eval(e ast.Expr) float64 {
 		return math.Inf(1)
 	case *ast.GraphSize:
 		return float64(ev.m.g.NumVertices())
+	case *ast.FixpointRef:
+		return boolTo01(ev.fixpoint)
 	case *ast.VertexID:
 		return float64(ev.u)
 	case *ast.EdgeWeight:
@@ -184,22 +189,25 @@ func (ev *evaluator) eval(e ast.Expr) float64 {
 		// Broadcast fast path (the runtime side of the Eq. 7 lift): when
 		// the loop body is a send whose payload does not read the edge
 		// weight, the message is identical on every edge — build it once.
-		if send, ok := n.Body.(*ast.Send); ok && !ev.m.groupUsesWeight(send.Group) {
+		it := ev.pushIter(n.G)
+		if send, ok := n.Body.(*ast.Send); ok && !ev.m.groupWeighted[send.Group] {
 			ev.curWeight = 1
 			if msg, sendIt := ev.buildMsg(send); sendIt {
-				ev.forPushEdges(n.G, func(dest graph.VertexID, _ float64) {
-					ev.ctx.Send(dest, msg)
-				})
+				for it.Next() {
+					ev.ctx.Send(it.To(), msg)
+				}
 			}
 			return 0
 		}
-		ev.forPushEdges(n.G, func(dest graph.VertexID, w float64) {
-			ev.curDest, ev.curWeight = dest, w
+		for it.Next() {
+			ev.curDest, ev.curWeight = it.To(), it.Weight()
 			ev.eval(n.Body)
-		})
+		}
 		return 0
-	case *ast.Send:
-		ev.send(n)
+	case *ast.Send: // one message for the current edge, set by the enclosing ForNeighbors
+		if msg, sendIt := ev.buildMsg(n); sendIt {
+			ev.ctx.Send(ev.curDest, msg)
+		}
 		return 0
 	case *ast.MsgLoop:
 		for i := range ev.msgs {
@@ -249,29 +257,13 @@ func (ev *evaluator) degree(g ast.GraphDir) int {
 	}
 }
 
-// forPushEdges iterates the sender-perspective edges of a push direction,
-// yielding each destination and edge weight.
-func (ev *evaluator) forPushEdges(dir ast.GraphDir, fn func(dest graph.VertexID, w float64)) {
-	g := ev.m.g
-	var it graph.ArcIter
-	switch dir {
-	case ast.DirIn:
-		it = g.InArcs(ev.u)
-	default: // DirOut and DirNeighbors
-		it = g.OutArcs(ev.u)
+// pushIter is a cursor over the sender-perspective arcs of a push
+// direction.
+func (ev *evaluator) pushIter(dir ast.GraphDir) graph.ArcIter {
+	if dir == ast.DirIn {
+		return ev.m.g.InArcs(ev.u)
 	}
-	for it.Next() {
-		v, w := it.To(), it.Weight()
-		fn(v, w)
-	}
-}
-
-// send assembles and emits one message for the current edge (set by the
-// enclosing ForNeighbors).
-func (ev *evaluator) send(n *ast.Send) {
-	if msg, sendIt := ev.buildMsg(n); sendIt {
-		ev.ctx.Send(ev.curDest, msg)
-	}
+	return ev.m.g.OutArcs(ev.u) // DirOut and DirNeighbors
 }
 
 // buildMsg assembles a message from a Send node's payload; the second
@@ -302,23 +294,13 @@ func (ev *evaluator) buildMsg(n *ast.Send) (Msg, bool) {
 	return msg, !noop
 }
 
-// groupUsesWeight reports whether any site of the group reads ew.
-func (m *Machine) groupUsesWeight(group int) bool {
-	for _, sid := range m.prog.Groups[group].Sites {
-		if m.prog.Sites[sid].UsesWeight {
-			return true
-		}
-	}
-	return false
-}
-
 // delta synthesizes the Δ-message value for one slot (P5, Eq. 11): the
 // value v such that acc ⊞ new ≃ (acc ⊞ old) ⊞ v, with the §6.4.1 nullary
 // tags for multiplicative operators.
 func (ev *evaluator) delta(d *ast.Delta) (val float64, isNull, prevNull, noop bool) {
 	s := ev.m.prog.Sites[d.Site]
 	newV := ev.eval(d.X)
-	ev.redirect = ev.m.redirectFor(s)
+	ev.redirect = ev.m.redirects[s.ID]
 	oldV := ev.eval(d.X)
 	ev.redirect = nil
 	if newV == oldV {
@@ -356,11 +338,6 @@ func (ev *evaluator) delta(d *ast.Delta) (val float64, isNull, prevNull, noop bo
 		return newV, false, true, false
 	}
 	panic("vm: delta for unknown operator")
-}
-
-// redirectFor returns the precomputed field→old-field remapping of a site.
-func (m *Machine) redirectFor(s *core.AggSite) map[int]int {
-	return m.redirects[s.ID]
 }
 
 // tableUpdate implements the §4.2.1 receive path: record each sender's

@@ -2,8 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/deltav/ast"
@@ -30,7 +28,7 @@ func (m *Machine) masterHook(mc *pregel.MasterContext) {
 		// finished; every vertex must run the first body superstep, since
 		// a body execution can differ from the init{} values even without
 		// messages.
-		mc.SetGlobals(&globals{Phase: gl.Phase, Mode: modeBody, Iter: 1})
+		*gl = globals{Phase: gl.Phase, Mode: modeBody, Iter: 1}
 		mc.ActivateAll()
 	case modeRepair:
 		// The repair frontier has injected its corrections; body supersteps
@@ -40,17 +38,17 @@ func (m *Machine) masterHook(mc *pregel.MasterContext) {
 		// counter restarts so iteration-bounded until{} conditions grant the
 		// repair wave a full budget; quiescence fast-forwarding still ends
 		// the phase as soon as the wave dies out.
-		mc.SetGlobals(&globals{Phase: gl.Phase, Mode: modeBody, Iter: 1})
+		*gl = globals{Phase: gl.Phase, Mode: modeBody, Iter: 1}
 	case modeBody:
 		ph := &m.prog.Phases[gl.Phase]
 		m.iterations[gl.Phase]++
 		if ph.Kind == core.PhaseStep {
-			m.advance(mc, gl.Phase)
+			m.advance(mc, gl)
 			return
 		}
 		fix := mc.AggValue(aggUnchanged) != 0
 		if m.untilSatisfied(ph, gl.Iter, fix) {
-			m.advance(mc, gl.Phase)
+			m.advance(mc, gl)
 			return
 		}
 		if gl.Iter >= m.prog.Opts.MaxIterations {
@@ -71,7 +69,7 @@ func (m *Machine) masterHook(mc *pregel.MasterContext) {
 					return
 				}
 				if m.untilSatisfied(ph, k, true) {
-					m.advance(mc, gl.Phase)
+					m.advance(mc, gl)
 					return
 				}
 			}
@@ -88,7 +86,7 @@ func (m *Machine) masterHook(mc *pregel.MasterContext) {
 			mc.Stop()
 			return
 		}
-		mc.SetGlobals(&globals{Phase: gl.Phase, Mode: modeBody, Iter: gl.Iter + 1})
+		gl.Iter++
 		if !ph.Halts {
 			// Halt-by-default is off for this phase (scratch groups or an
 			// iteration-dependent body): every vertex runs every body
@@ -103,150 +101,81 @@ func (m *Machine) failf(mc *pregel.MasterContext, format string, args ...any) {
 	mc.Stop()
 }
 
-// advance moves the state machine past the given phase.
-func (m *Machine) advance(mc *pregel.MasterContext, phase int) {
-	next := phase + 1
+// advance moves the state machine past gl's phase.
+func (m *Machine) advance(mc *pregel.MasterContext, gl *globals) {
+	next := gl.Phase + 1
 	if next >= len(m.prog.Phases) {
 		mc.Stop()
 		return
 	}
 	if len(m.prog.Phases[next].Groups) > 0 {
-		mc.SetGlobals(&globals{Phase: next, Mode: modePrime})
+		*gl = globals{Phase: next, Mode: modePrime}
 	} else {
-		mc.SetGlobals(&globals{Phase: next, Mode: modeBody, Iter: 1})
+		*gl = globals{Phase: next, Mode: modeBody, Iter: 1}
 	}
 	mc.ActivateAll()
 }
 
-// untilSatisfied evaluates the (master-evaluable) until condition.
+// untilSatisfied evaluates the until condition on the master. The type
+// checker admits there only the iteration counter, params, fixpoint,
+// graphSize, literals and pure operators — a subset of what the vertex
+// evaluator interprets, so the master keeps one aimed at no vertex.
 func (m *Machine) untilSatisfied(ph *core.Phase, iter int, fixpoint bool) bool {
 	if ph.Until == nil {
 		return true
 	}
-	return m.evalMaster(ph.Until, iter, fixpoint) != 0
-}
-
-// evalMaster evaluates the restricted until{} expression language: the
-// iteration counter, params, fixpoint, graphSize, literals and pure
-// operators (enforced by the type checker).
-func (m *Machine) evalMaster(e ast.Expr, iter int, fixpoint bool) float64 {
-	ev := func(x ast.Expr) float64 { return m.evalMaster(x, iter, fixpoint) }
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return float64(n.Val)
-	case *ast.FloatLit:
-		return n.Val
-	case *ast.BoolLit:
-		return boolTo01(n.Val)
-	case *ast.Infty:
-		return math.Inf(1)
-	case *ast.GraphSize:
-		return float64(m.g.NumVertices())
-	case *ast.FixpointRef:
-		return boolTo01(fixpoint)
-	case *ast.Var:
-		if n.Slot == core.IterVarSlot {
-			return float64(iter)
-		}
-		return m.params[core.ParamIndex(n.Slot)]
-	case *ast.Unary:
-		if n.Op == "not" {
-			return boolTo01(ev(n.X) == 0)
-		}
-		return -ev(n.X)
-	case *ast.Binary:
-		switch n.Op {
-		case "&&":
-			return boolTo01(ev(n.L) != 0 && ev(n.R) != 0)
-		case "||":
-			return boolTo01(ev(n.L) != 0 || ev(n.R) != 0)
-		}
-		l, r := ev(n.L), ev(n.R)
-		switch n.Op {
-		case "+":
-			return l + r
-		case "-":
-			return l - r
-		case "*":
-			return l * r
-		case "/":
-			return l / r
-		case "<":
-			return boolTo01(l < r)
-		case ">":
-			return boolTo01(l > r)
-		case "<=":
-			return boolTo01(l <= r)
-		case ">=":
-			return boolTo01(l >= r)
-		case "==":
-			return boolTo01(l == r)
-		case "!=":
-			return boolTo01(l != r)
-		}
-	case *ast.MinMax:
-		a, b := ev(n.A), ev(n.B)
-		if n.IsMax {
-			return math.Max(a, b)
-		}
-		return math.Min(a, b)
-	case *ast.If:
-		if ev(n.Cond) != 0 {
-			return ev(n.Then)
-		}
-		if n.Else != nil {
-			return ev(n.Else)
-		}
-		return 0
-	}
-	panic(fmt.Sprintf("vm: until{} contains unsupported form %T", e))
+	m.master.iter, m.master.fixpoint = iter, fixpoint
+	return m.master.eval(ph.Until) != 0
 }
 
 // combiner builds the sender-side combiner for the program, or nil when no
-// group is combinable. Messages of a combinable group (single-strategy,
-// non-multiplicative slots, no sender identity) combine slot-wise with
-// their sites' operators; all other messages get unique keys and pass
-// through untouched.
+// group is combinable. Each combinable send group (single-strategy,
+// non-multiplicative slots, no sender identity) is a class, its messages
+// combining slot-wise with their sites' operators; all other messages pass
+// through as sent.
 func (m *Machine) combiner() pregel.Combiner[Msg] {
-	combinable := make([]bool, len(m.prog.Groups))
-	any := false
+	c := &vmCombiner{groups: make([]combineGroup, len(m.prog.Groups))}
 	for _, g := range m.prog.Groups {
+		cg := &c.groups[g.ID]
+		cg.class, cg.slots = -1, len(g.Sites)
 		ok := g.Strategy != core.StrategyTable
-		for _, sid := range g.Sites {
-			s := m.prog.Sites[sid]
-			if s.Multiplicative() {
-				ok = false // nullary tags are not mergeable
-			}
+		for i, s := range m.groupSites[g.ID] {
+			cg.ops[i] = s.Op
+			ok = ok && !s.Multiplicative() // nullary tags are not mergeable
 		}
-		combinable[g.ID] = ok
-		any = any || ok
+		if ok {
+			cg.class = c.classes
+			c.classes++
+		}
 	}
-	if !any {
+	if c.classes == 0 {
 		return nil
 	}
-	return &vmCombiner{m: m, combinable: combinable}
+	return c
 }
 
+// vmCombiner is indexed by Msg.Group.
 type vmCombiner struct {
-	m          *Machine
-	combinable []bool
-	serial     atomic.Uint32
+	groups  []combineGroup
+	classes int
 }
 
-// Key implements pregel.KeyedCombiner: combinable groups share a key per
-// group; everything else gets a unique key so it is never combined.
-func (c *vmCombiner) Key(msg Msg) uint32 {
-	if c.combinable[msg.Group] {
-		return uint32(msg.Group)
-	}
-	return 1<<31 | c.serial.Add(1)
+// combineGroup is one send group's row: its class (negative: not
+// combinable) and the operator of each of its slots.
+type combineGroup struct {
+	class, slots int
+	ops          [MaxSlots]ast.AggOp
 }
 
-// Combine merges two same-group messages slot-wise with each slot's ⊞.
-func (c *vmCombiner) Combine(a, b Msg) Msg {
-	g := c.m.prog.Groups[a.Group]
-	for i, sid := range g.Sites {
-		a.Vals[i] = core.Apply(c.m.prog.Sites[sid].Op, a.Vals[i], b.Vals[i])
+func (c *vmCombiner) Classes() int { return c.classes }
+
+func (c *vmCombiner) Class(msg *Msg) int { return c.groups[msg.Group].class }
+
+// Combine merges m into acc, a message of the same group, slot-wise with
+// each slot's ⊞.
+func (c *vmCombiner) Combine(acc, m *Msg) {
+	g := &c.groups[acc.Group]
+	for i := 0; i < g.slots; i++ {
+		acc.Vals[i] = core.Apply(g.ops[i], acc.Vals[i], m.Vals[i])
 	}
-	return a
 }

@@ -49,8 +49,9 @@ const (
 	modeRepair                 // emit planned delta-repair sends (RunDelta)
 )
 
-// globals is the engine-wide state vertices read; replaced (not mutated)
-// by the master between supersteps.
+// globals is the engine-wide state vertices read. One value lives as long
+// as the run: the master rewrites it in place, only between supersteps,
+// when no vertex is running.
 type globals struct {
 	Phase int
 	Mode  stepMode
@@ -161,9 +162,23 @@ type Machine struct {
 	// allocated lazily. Only non-nil in MemoTable mode.
 	tables [][]map[graph.VertexID]float64
 
-	// redirects[site] maps user-field slots to $old slots, precomputed so
-	// workers never mutate shared state during Δ evaluation.
-	redirects []map[int]int
+	// redirects[site][slot] is the slot Δ synthesis reads in place of slot
+	// when it re-evaluates the site against the $old fields: the $old slot
+	// for the site's user fields, slot itself otherwise. Nil for sites
+	// without $old fields.
+	redirects [][]int
+	// Per send group, resolved once so no vertex call chases
+	// Groups → Sites: the group's sites, and whether any reads the edge
+	// weight (otherwise one message serves every arc, the Eq. 7 lift).
+	groupSites    [][]*core.AggSite
+	groupWeighted []bool
+
+	// evs[w] is engine worker w's evaluator, re-aimed at each vertex the
+	// worker runs, and master the one until{} conditions run on;
+	// unchangedAgg is the fixpoint aggregator's engine id.
+	evs          []*evaluator
+	master       *evaluator
+	unchangedAgg int
 
 	iterations  []int
 	nonMonotone atomic.Int64
@@ -221,16 +236,29 @@ func NewMachine(prog *core.Program, g *graph.Graph, opts RunOptions) (*Machine, 
 	}
 	m.iterations = make([]int, len(prog.Phases))
 	m.msgBytes = MessageBytes(prog)
-	m.redirects = make([]map[int]int, len(prog.Sites))
+	m.redirects = make([][]int, len(prog.Sites))
 	for _, s := range prog.Sites {
 		if s.OldSlots == nil {
 			continue
 		}
-		r := make(map[int]int, len(s.Fields))
+		r := make([]int, m.stride)
+		for slot := range r {
+			r[slot] = slot
+		}
 		for i, f := range s.Fields {
 			r[f] = s.OldSlots[i]
 		}
 		m.redirects[s.ID] = r
+	}
+	m.master = m.newEvaluator()
+	m.groupSites = make([][]*core.AggSite, len(prog.Groups))
+	m.groupWeighted = make([]bool, len(prog.Groups))
+	for _, g := range prog.Groups {
+		for _, sid := range g.Sites {
+			s := prog.Sites[sid]
+			m.groupSites[g.ID] = append(m.groupSites[g.ID], s)
+			m.groupWeighted[g.ID] = m.groupWeighted[g.ID] || s.UsesWeight
+		}
 	}
 	return m, nil
 }
@@ -249,7 +277,7 @@ func paramIndex(p *core.Program, name string) (int, bool) {
 // any multiplicative site exists, plus the sender id in MemoTable mode
 // (the §4.2.1 "tagged with the sending vertex's id" overhead).
 func MessageBytes(p *core.Program) int {
-	n := 1 + 8*maxInt(1, p.MaxSlotsPerGroup)
+	n := 1 + 8*max(1, p.MaxSlotsPerGroup)
 	for _, s := range p.Sites {
 		if s.Multiplicative() {
 			n++
@@ -260,13 +288,6 @@ func MessageBytes(p *core.Program) int {
 		n += 4
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Run executes the program to completion. It is RunContext with a
@@ -363,8 +384,13 @@ func (m *Machine) execute(ctx context.Context, opts RunOptions, seed *pregel.See
 	eng.SetMessageSize(m.msgBytes)
 	eng.SetValueCodec(vstateCodec{})
 	eng.SetMessageCodec(msgCodec{})
-	if err := eng.RegisterAggregator(aggUnchanged, pregel.AggAnd, false); err != nil {
+	var err error
+	if m.unchangedAgg, err = eng.RegisterAggregator(aggUnchanged, pregel.AggAnd, false); err != nil {
 		return nil, err
+	}
+	m.evs = make([]*evaluator, eng.Workers())
+	for w := range m.evs {
+		m.evs[w] = m.newEvaluator()
 	}
 	if opts.Combine {
 		if c := m.combiner(); c != nil {
@@ -374,6 +400,9 @@ func (m *Machine) execute(ctx context.Context, opts RunOptions, seed *pregel.See
 	eng.SetGlobals(gl)
 	eng.SetMasterHook(m.masterHook)
 	stats, err := eng.RunContext(ctx, m)
+	// The evaluators point into the engine through their contexts; the
+	// machine outlives the run (Result holds it) and the engine must not.
+	m.evs = nil
 	if stats == nil {
 		return nil, err
 	}
@@ -481,13 +510,10 @@ func (m *Machine) StateBytes() float64 {
 // synthesized fields, evaluate the init{} body, and prime phase 0's send
 // groups with full slot values.
 func (m *Machine) Init(ctx *pregel.Context[VState, Msg]) {
-	u := ctx.ID()
-	base := int(u) * m.stride
+	ev := m.vertexEvaluator(ctx, nil, 0)
 	for i, f := range m.prog.Layout.Fields {
-		m.state[base+i] = m.fieldDefault(f)
+		m.state[ev.base+i] = m.fieldDefault(f)
 	}
-	ev := &evaluator{m: m, ctx: ctx, base: base, u: u}
-	ev.lets = make([]float64, m.prog.MaxLetDepth)
 	ev.eval(m.prog.Init)
 	if len(m.prog.Phases) > 0 {
 		m.primeSends(ev, 0)
@@ -515,20 +541,16 @@ func (m *Machine) fieldDefault(f core.FieldSpec) float64 {
 // Compute runs a vertex at supersteps >= 1.
 func (m *Machine) Compute(ctx *pregel.Context[VState, Msg], msgs []Msg) {
 	gl := ctx.Globals().(*globals)
-	u := ctx.ID()
-	base := int(u) * m.stride
-	ev := &evaluator{m: m, ctx: ctx, base: base, u: u, msgs: msgs, iter: gl.Iter}
-	ev.lets = make([]float64, m.prog.MaxLetDepth)
-	ph := &m.prog.Phases[gl.Phase]
 	switch gl.Mode {
 	case modePrime:
 		// Messages in flight at a prime superstep belong to the previous,
 		// finished phase; they are dropped (see package docs).
-		m.primeSends(ev, gl.Phase)
+		m.primeSends(m.vertexEvaluator(ctx, msgs, gl.Iter), gl.Phase)
 		ctx.VoteToHalt()
 	case modeBody:
-		ev.eval(ph.Body)
-		ctx.Aggregate(aggUnchanged, boolTo01(!ev.changed))
+		ev := m.vertexEvaluator(ctx, msgs, gl.Iter)
+		ev.eval(m.prog.Phases[gl.Phase].Body)
+		ctx.Aggregate(m.unchangedAgg, boolTo01(!ev.changed))
 		// Halting is performed by the Halt node for incremental programs;
 		// non-halting programs stay active for the next body superstep.
 	case modeRepair:
@@ -536,6 +558,7 @@ func (m *Machine) Compute(ctx *pregel.Context[VState, Msg], msgs []Msg) {
 		// vertex's mutated arcs. Pure senders halt; vertices flagged by the
 		// planner (memo-table surgery receivers) stay active so the next
 		// body superstep refolds their state even if no message wakes them.
+		u := ctx.ID()
 		for _, ps := range m.repair.sends[u] {
 			ctx.Send(ps.dest, ps.msg)
 		}
@@ -558,61 +581,37 @@ func boolTo01(b bool) float64 {
 // state, and clears the dirty bits.
 func (m *Machine) primeSends(ev *evaluator, phase int) {
 	for _, gid := range m.prog.Phases[phase].Groups {
-		g := m.prog.Groups[gid]
-		m.primeGroup(ev, g)
+		m.primeGroup(ev, m.prog.Groups[gid])
 	}
 }
 
 func (m *Machine) primeGroup(ev *evaluator, g *core.SendGroup) {
-	sites := make([]*core.AggSite, len(g.Sites))
-	for i, sid := range g.Sites {
-		sites[i] = m.prog.Sites[sid]
-	}
-	buildFull := func(w float64) (Msg, bool) {
-		msg := Msg{Group: uint8(g.ID), NVals: uint8(len(sites)), Sender: ev.u}
-		noop := true
-		for i, s := range sites {
-			ev.curWeight = w
-			v := ev.eval(s.SlotExpr)
-			msg.Vals[i] = v
-			if s.Multiplicative() {
-				if abs, _ := core.Absorbing(s.Op); v == abs {
-					msg.TagNull |= 1 << i
-					noop = false
-					continue
-				}
-			}
-			if v != core.Identity(s.Op) {
-				noop = false
-			}
-		}
-		if noop && g.Strategy != core.StrategyTable {
-			// An all-identity message cannot affect any accumulator;
-			// receivers' caches already agree (Def. 1's initial
-			// coherence), so it is never meaningful.
-			return msg, false
-		}
-		return msg, true
-	}
-	if !m.groupUsesWeight(g.ID) {
+	it := ev.pushIter(g.PushDir)
+	if !m.groupWeighted[g.ID] {
 		// Edge-independent payload: build once, broadcast (Eq. 7 lift).
-		if msg, sendIt := buildFull(1); sendIt {
-			ev.forPushEdges(g.PushDir, func(dest graph.VertexID, _ float64) {
-				ev.ctx.Send(dest, msg)
-			})
+		if msg, sendIt := ev.fullMsg(g, 1); sendIt {
+			for it.Next() {
+				ev.ctx.Send(it.To(), msg)
+			}
 		}
 	} else {
-		ev.forPushEdges(g.PushDir, func(dest graph.VertexID, w float64) {
-			if msg, sendIt := buildFull(w); sendIt {
-				ev.ctx.Send(dest, msg)
+		for it.Next() {
+			if msg, sendIt := ev.fullMsg(g, it.Weight()); sendIt {
+				ev.ctx.Send(it.To(), msg)
 			}
-		})
+		}
 	}
-	// Record what receivers now believe (§6.2) and reset the dirty bits.
+	m.recordPrimed(ev, g)
+}
+
+// recordPrimed records, after a group's full-value send (or in place of one,
+// for a vertex a delta run adds), what receivers now believe (§6.2), and
+// resets the dirty bit.
+func (m *Machine) recordPrimed(ev *evaluator, g *core.SendGroup) {
 	if g.DirtySlot >= 0 {
 		m.state[ev.base+g.DirtySlot] = 0
 	}
-	for _, s := range sites {
+	for _, s := range m.groupSites[g.ID] {
 		for i, fslot := range s.Fields {
 			if s.OldSlots != nil {
 				m.state[ev.base+s.OldSlots[i]] = m.state[ev.base+fslot]
@@ -625,4 +624,46 @@ func (m *Machine) primeGroup(ev *evaluator, g *core.SendGroup) {
 			}
 		}
 	}
+}
+
+// fullMsg assembles a group's full-value message for an arc of weight w;
+// the second result is false when the message cannot affect any accumulator.
+func (ev *evaluator) fullMsg(g *core.SendGroup, w float64) (Msg, bool) {
+	sites := ev.m.groupSites[g.ID]
+	msg := Msg{Group: uint8(g.ID), NVals: uint8(len(sites)), Sender: ev.u}
+	noop := true
+	for i, s := range sites {
+		ev.curWeight = w
+		v := ev.eval(s.SlotExpr)
+		msg.Vals[i] = v
+		if s.Multiplicative() {
+			if abs, _ := core.Absorbing(s.Op); v == abs {
+				msg.TagNull |= 1 << i
+				noop = false
+				continue
+			}
+		}
+		if v != core.Identity(s.Op) {
+			noop = false
+		}
+	}
+	// An all-identity message cannot affect any accumulator; receivers'
+	// caches already agree (Def. 1's initial coherence), so it is never
+	// meaningful — except to a lookup table, which records every sender.
+	return msg, !noop || g.Strategy == core.StrategyTable
+}
+
+// newEvaluator returns an evaluator with its scratch sized for the program,
+// aimed at no vertex yet.
+func (m *Machine) newEvaluator() *evaluator {
+	return &evaluator{m: m, lets: make([]float64, m.prog.MaxLetDepth)}
+}
+
+// vertexEvaluator re-aims the calling worker's evaluator at ctx's vertex.
+func (m *Machine) vertexEvaluator(ctx *pregel.Context[VState, Msg], msgs []Msg, iter int) *evaluator {
+	ev := m.evs[ctx.Worker()]
+	u := ctx.ID()
+	*ev = evaluator{m: m, ctx: ctx, u: u, base: int(u) * m.stride, lets: ev.lets, msgs: msgs, iter: iter, foldKeys: ev.foldKeys}
+	clear(ev.lets)
+	return ev
 }

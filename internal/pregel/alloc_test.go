@@ -10,7 +10,7 @@ import (
 
 // TestSteadyStateAllocs pins the engine's zero-allocation invariant: once
 // the per-run scratch is warm (superstep >= 2), a superstep performs no
-// heap allocation on the non-keyed PageRank and SSSP message paths, under
+// heap allocation on the PageRank and SSSP message paths, under
 // both schedulers.
 //
 // Measuring "allocations per superstep" directly is awkward because Run

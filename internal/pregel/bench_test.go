@@ -1,6 +1,7 @@
 package pregel
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -166,8 +167,9 @@ func BenchmarkMessagePlane(b *testing.B) {
 }
 
 // fillOutboxes replays a full broadcast round into every worker's
-// outboxes: each vertex sends 1.0 along all its out-edges from its owning
-// worker's context, exactly as a compute phase would.
+// outboxes: each vertex sends along all its out-edges from its owning
+// worker's context, exactly as a compute phase would. The payload is the arc
+// index mod 3, which benchClassCombiner reads as the message's class.
 func fillOutboxes(e *Engine[sumVal, float64]) {
 	for _, w := range e.workers {
 		for d := range w.outTo {
@@ -176,8 +178,8 @@ func fillOutboxes(e *Engine[sumVal, float64]) {
 		}
 		ctx := &w.ctx
 		for u := w.lo; u < w.hi; u++ {
-			for _, v := range e.g.OutNeighbors(VertexID(u)) {
-				ctx.Send(v, 1)
+			for i, v := range e.g.OutNeighbors(VertexID(u)) {
+				ctx.Send(v, float64(i%3))
 			}
 		}
 	}
@@ -212,8 +214,7 @@ func BenchmarkSend(b *testing.B) {
 }
 
 // BenchmarkCombine measures one worker's sender-side combining pass over a
-// full broadcast round: the dense epoch-stamped table against the
-// map-indexed KeyedCombiner fallback, per graph shape.
+// full broadcast round, with one class and with three, per graph shape.
 func BenchmarkCombine(b *testing.B) {
 	type cfg struct {
 		name string
@@ -221,14 +222,13 @@ func BenchmarkCombine(b *testing.B) {
 	}
 	sum := CombinerFunc[float64](func(a, b float64) float64 { return a + b })
 	for _, gs := range messagePlaneGraphs() {
-		for _, tc := range []cfg{{"dense", sum}, {"keyed-map", benchKeyCombiner{}}} {
+		for _, tc := range []cfg{{"dense", sum}, {"classes=3", benchClassCombiner{}}} {
 			gs, tc := gs, tc
 			b.Run(gs.name+"/"+tc.name, func(b *testing.B) {
 				e := New[sumVal, float64](gs.g, Options{Workers: 4})
 				e.SetCombiner(tc.c)
 				w := e.workers[0]
-				w.combSlot = make([]int32, e.block)
-				w.combStamp = make([]uint32, e.block)
+				w.combTab = make([]combEntry, e.block*tc.c.Classes())
 				fillOutboxes(e)
 				// Snapshot worker 0's outboxes: combining compacts them
 				// in place, so each iteration restores from the copy.
@@ -245,19 +245,22 @@ func BenchmarkCombine(b *testing.B) {
 						w.outTo[d] = append(w.outTo[d][:0], to[d]...)
 						w.outMsg[d] = append(w.outMsg[d][:0], msg[d]...)
 					}
-					w.combineOut()
+					for d := range w.outTo {
+						w.combineBucket(d)
+					}
 				}
 			})
 		}
 	}
 }
 
-// benchKeyCombiner forces the KeyedCombiner map fallback with a constant
-// key — semantically identical to the dense sum path.
-type benchKeyCombiner struct{}
+// benchClassCombiner splits fillOutboxes' traffic into three classes by
+// payload; min keeps a payload, and so its class, unchanged.
+type benchClassCombiner struct{}
 
-func (benchKeyCombiner) Combine(a, b float64) float64 { return a + b }
-func (benchKeyCombiner) Key(float64) uint32           { return 0 }
+func (benchClassCombiner) Combine(acc, m *float64) { *acc = math.Min(*acc, *m) }
+func (benchClassCombiner) Classes() int            { return 3 }
+func (benchClassCombiner) Class(m *float64) int    { return int(*m) }
 
 // BenchmarkExchange measures the count/scatter/wake delivery pass over a
 // full uncombined broadcast round, per graph shape and scheduler. Outboxes

@@ -66,10 +66,10 @@ func TestChainCheckpointResumeEquivalence(t *testing.T) {
 					RebaseEvery: 3,
 				},
 			})
-			if err := e.RegisterAggregator("total", AggSum, true); err != nil {
+			if _, err := e.RegisterAggregator("total", AggSum, true); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.RegisterAggregator("peak", AggMax, false); err != nil {
+			if _, err := e.RegisterAggregator("peak", AggMax, false); err != nil {
 				t.Fatal(err)
 			}
 			e.SetMasterHook(func(mc *MasterContext) {
@@ -166,10 +166,10 @@ func TestChainCheckpointBytesIncremental(t *testing.T) {
 				RebaseEvery: 1 << 30, // never rebase: isolate delta-record size
 			},
 		})
-		if err := e.RegisterAggregator("total", AggSum, true); err != nil {
+		if _, err := e.RegisterAggregator("total", AggSum, true); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.RegisterAggregator("peak", AggMax, false); err != nil {
+		if _, err := e.RegisterAggregator("peak", AggMax, false); err != nil {
 			t.Fatal(err)
 		}
 		stats, err := e.Run(ckptProgram{rounds: 6})

@@ -26,6 +26,13 @@ type ckptVal struct {
 
 type ckptProgram struct{ rounds int }
 
+// The ids ckptProgram's two aggregators get: every engine that runs it
+// registers "total" first and "peak" second.
+const (
+	ckptTotal = iota
+	ckptPeak
+)
+
 func (p ckptProgram) Init(ctx *Context[ckptVal, float64]) {
 	ctx.Value().X = float64(ctx.ID()) + 1
 	ctx.BroadcastOut(ctx.Value().X)
@@ -40,8 +47,8 @@ func (p ckptProgram) Compute(ctx *Context[ckptVal, float64], msgs []float64) {
 		v.X += m / float64(ctx.Superstep())
 	}
 	v.N++
-	ctx.Aggregate("total", 1)
-	ctx.Aggregate("peak", v.X)
+	ctx.Aggregate(ckptTotal, 1)
+	ctx.Aggregate(ckptPeak, v.X)
 	if ctx.ID() == 7 && ctx.Superstep() == 3 {
 		ctx.RemoveSelf()
 		return
@@ -63,10 +70,10 @@ func newCkptEngine(g *graph.Graph, sched Scheduler, seed *Seed, dir string, ever
 			Dir:   dir,
 		},
 	})
-	if err := e.RegisterAggregator("total", AggSum, true); err != nil {
+	if _, err := e.RegisterAggregator("total", AggSum, true); err != nil {
 		panic(err)
 	}
-	if err := e.RegisterAggregator("peak", AggMax, false); err != nil {
+	if _, err := e.RegisterAggregator("peak", AggMax, false); err != nil {
 		panic(err)
 	}
 	e.SetMasterHook(func(mc *MasterContext) {
@@ -142,10 +149,10 @@ func TestCheckpointSinkStream(t *testing.T) {
 		Workers:    3,
 		Checkpoint: CheckpointOptions{Every: 1, Sink: &buf},
 	})
-	if err := e.RegisterAggregator("total", AggSum, true); err != nil {
+	if _, err := e.RegisterAggregator("total", AggSum, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterAggregator("peak", AggMax, false); err != nil {
+	if _, err := e.RegisterAggregator("peak", AggMax, false); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := e.Run(ckptProgram{rounds: 5})

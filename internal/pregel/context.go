@@ -17,6 +17,10 @@ type Context[V, M any] struct {
 // ID returns the vertex this context belongs to.
 func (c *Context[V, M]) ID() VertexID { return c.id }
 
+// Worker returns the index, in [0, Engine.Workers()), of the worker running
+// this vertex: a program keeps per-worker scratch under it without locking.
+func (c *Context[V, M]) Worker() int { return c.w.id }
+
 // Superstep returns the current superstep number (0 = Init).
 func (c *Context[V, M]) Superstep() int { return c.eng.superstep }
 
@@ -111,27 +115,19 @@ func (c *Context[V, M]) VoteToHalt() { c.votedHalt = true }
 // the paper's §9 deletion sketch).
 func (c *Context[V, M]) RemoveSelf() { c.removeSelf = true }
 
-// Aggregate contributes v to the named master aggregator; the reduced value
-// becomes visible through AggValue at the next superstep. Contributions
-// accumulate into a dense per-worker array indexed by the aggregator's
-// registration order, so the hot path never touches a string-keyed map.
-func (c *Context[V, M]) Aggregate(name string, v float64) {
-	a, ok := c.eng.aggs[name]
-	if !ok {
-		panic("pregel: Aggregate to unregistered aggregator " + name)
-	}
+// Aggregate contributes v to the aggregator RegisterAggregator returned id
+// for; the reduced value becomes visible through AggValue at the next
+// superstep. Contributions accumulate into a dense per-worker array indexed
+// by id, so the hot path never touches a string-keyed map. An id that was
+// never returned panics with an index out of range.
+func (c *Context[V, M]) Aggregate(id int, v float64) {
 	w := c.w
-	i := a.index
-	if !w.aggSeen[i] {
-		w.aggSeen[i] = true
-		w.aggPend[i] = v
+	if !w.aggSeen[id] {
+		w.aggSeen[id] = true
+		w.aggPend[id] = v
 		return
 	}
-	if a.persistent {
-		w.aggPend[i] += v
-	} else {
-		w.aggPend[i] = aggReduce(a.op, w.aggPend[i], v)
-	}
+	w.aggPend[id] = aggReduce(c.eng.aggList[id].op, w.aggPend[id], v)
 }
 
 // AggValue returns the named aggregator's committed value (reduced over the

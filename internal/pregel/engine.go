@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -30,7 +31,7 @@ type Engine[V, M any] struct {
 	combiner   Combiner[M]
 	msgBytes   int
 	aggs       map[string]*aggregator
-	aggList    []*aggregator // registration order; index == aggregator.index
+	aggList    []*aggregator // registration order; the position is the aggregator's id
 	masterHook func(*MasterContext)
 	globals    any
 
@@ -96,17 +97,16 @@ type worker[V, M any] struct {
 	// Exchange scatter cursor, sized once in New.
 	cursor []int32
 
-	// Dense combining scratch: combSlot[li] is the index (into the
-	// combined prefix of the bucket being processed) of the envelope
-	// addressed to local destination slot li; valid only while
-	// combStamp[li] == combEpoch, so the table is never cleared.
-	combSlot  []int32
-	combStamp []uint32
+	// Combining scratch: combTab[li*classes+cl] locates, in the combined
+	// prefix of the bucket being combined, the envelope of class cl
+	// addressed to local destination slot li; an entry is valid only while
+	// its stamp equals combEpoch, so the table is never cleared.
+	combTab   []combEntry
 	combEpoch uint32
-
-	// Reusable fallback index for KeyedCombiner, where (vertex, key)
-	// pairs are too sparse for a dense table.
-	keyedIdx map[uint64]int32
+	// compactAt is the value of sent at which the vertex loop next looks
+	// for buckets to compact (see compactFilled); no bucket can reach three
+	// quarters of its capacity sooner.
+	compactAt int
 
 	ctx Context[V, M]
 
@@ -140,6 +140,12 @@ type worker[V, M any] struct {
 	// Pending aggregator contributions, dense over registration order.
 	aggPend []float64
 	aggSeen []bool
+}
+
+// combEntry is one cell of a worker's combining table.
+type combEntry struct {
+	stamp uint32
+	slot  int32
 }
 
 // New creates an Engine over g with the given options.
@@ -208,30 +214,22 @@ func (e *Engine[V, M]) SetMasterHook(fn func(*MasterContext)) { e.masterHook = f
 // Context.Globals. The master hook may replace it between supersteps.
 func (e *Engine[V, M]) SetGlobals(g any) { e.globals = g }
 
-// RegisterAggregator registers a master aggregator. Persistent aggregators
-// must use AggSum; their value carries across supersteps and vertex
-// contributions are treated as adjustments. Names are resolved to dense
-// indices here, once, so the per-superstep aggregation path stays free of
-// string-keyed maps.
-func (e *Engine[V, M]) RegisterAggregator(name string, op AggregatorOp, persistent bool) error {
+// RegisterAggregator registers a master aggregator and returns its dense id,
+// the handle Context.Aggregate takes: names are resolved here, once, so the
+// per-vertex contribution path is free of string-keyed maps. Persistent
+// aggregators must use AggSum; their value carries across supersteps and
+// vertex contributions are treated as adjustments.
+func (e *Engine[V, M]) RegisterAggregator(name string, op AggregatorOp, persistent bool) (int, error) {
 	if persistent && op != AggSum {
-		return fmt.Errorf("pregel: persistent aggregator %q must use AggSum", name)
+		return 0, fmt.Errorf("pregel: persistent aggregator %q must use AggSum", name)
 	}
 	if _, dup := e.aggs[name]; dup {
-		return fmt.Errorf("pregel: duplicate aggregator %q", name)
+		return 0, fmt.Errorf("pregel: duplicate aggregator %q", name)
 	}
-	a := &aggregator{op: op, persistent: persistent, index: len(e.aggList)}
-	a.value = aggIdentity(op)
-	if persistent {
-		a.value = 0
-	}
-	a.pending = aggIdentity(op)
-	if persistent {
-		a.pending = 0
-	}
+	a := &aggregator{op: op, persistent: persistent, value: aggIdentity(op), pending: aggIdentity(op)}
 	e.aggs[name] = a
 	e.aggList = append(e.aggList, a)
-	return nil
+	return len(e.aggList) - 1, nil
 }
 
 // Values returns the vertex values; valid after Run.
@@ -239,6 +237,9 @@ func (e *Engine[V, M]) Values() []V { return e.values }
 
 // Value returns vertex u's value; valid after Run.
 func (e *Engine[V, M]) Value(u VertexID) V { return e.values[u] }
+
+// Workers returns the worker count the engine settled on in New.
+func (e *Engine[V, M]) Workers() int { return e.opts.Workers }
 
 // Graph returns the underlying graph.
 func (e *Engine[V, M]) Graph() *graph.Graph { return e.g }
@@ -345,13 +346,11 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 
 	// Size the remaining per-run scratch now that combiner and aggregators
 	// are known; nothing below allocates per superstep.
-	_, keyed := e.combiner.(KeyedCombiner[M])
 	for _, wk := range e.workers {
 		wk.aggPend = make([]float64, len(e.aggList))
 		wk.aggSeen = make([]bool, len(e.aggList))
-		if e.combiner != nil && !keyed && e.shard.owns(wk.id) {
-			wk.combSlot = make([]int32, e.block)
-			wk.combStamp = make([]uint32, e.block)
+		if e.combiner != nil && e.shard.owns(wk.id) {
+			wk.combTab = make([]combEntry, e.block*e.combiner.Classes())
 		}
 		if e.opts.Quarantine {
 			wk.sendMark = make([]int, e.opts.Workers)
@@ -671,11 +670,7 @@ func (e *Engine[V, M]) mergeAggregators() {
 			}
 			wk.aggSeen[i] = false
 			a := e.aggList[i]
-			if a.persistent {
-				a.pending += wk.aggPend[i]
-			} else {
-				a.pending = aggReduce(a.op, a.pending, wk.aggPend[i])
-			}
+			a.pending = aggReduce(a.op, a.pending, wk.aggPend[i])
 		}
 	}
 	for _, a := range e.aggList {
@@ -693,7 +688,7 @@ func (e *Engine[V, M]) mergeAggregators() {
 // flushes (and optionally combines) outgoing messages.
 func (w *worker[V, M]) compute(prog Program[V, M]) {
 	e := w.eng
-	w.sent, w.ran = 0, 0
+	w.sent, w.ran, w.compactAt = 0, 0, 0
 	for d := range w.outTo {
 		w.outTo[d] = w.outTo[d][:0]
 		w.outMsg[d] = w.outMsg[d][:0]
@@ -712,6 +707,9 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 	deadline := e.stepDeadline
 	quarantine := e.opts.Quarantine
 	runVertex := func(u int) {
+		if w.sent >= w.compactAt {
+			w.compactFilled()
+		}
 		if !deadline.IsZero() && w.ran&31 == 0 && time.Now().After(deadline) { //lint:allow timenow — deadline enforcement by design
 			w.timedOut = true
 			return
@@ -722,19 +720,13 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 		ctx.votedHalt = false
 		ctx.removeSelf = false
 		w.inVertex = true
-		if quarantine {
-			if w.runGuarded(prog, u) {
-				// The vertex panicked and was quarantined: its sends were
-				// rolled back and it is removed; nothing else to update.
-				w.inVertex = false
-				return
-			}
-		} else if e.superstep == 0 {
-			prog.Init(ctx)
-		} else {
-			lo := w.msgOff[u-w.lo]
-			hi := w.msgOff[u-w.lo+1]
-			prog.Compute(ctx, w.msgBuf[lo:hi])
+		if !quarantine {
+			w.call(prog, u)
+		} else if w.runGuarded(prog, u) {
+			// The vertex panicked and was quarantined: its sends were
+			// rolled back and it is removed; nothing else to update.
+			w.inVertex = false
+			return
 		}
 		w.inVertex = false
 		e.active[u] = !ctx.votedHalt
@@ -774,7 +766,9 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 		}
 	}
 	if e.combiner != nil && !w.timedOut {
-		w.combineOut()
+		for d := range w.outTo {
+			w.combineBucket(d)
+		}
 	}
 }
 
@@ -807,15 +801,18 @@ func (w *worker[V, M]) runGuarded(prog Program[V, M], u int) (panicked bool) {
 		e.active[u] = false
 		w.quarantined = append(w.quarantined, u)
 	}()
-	ctx := &w.ctx
-	if e.superstep == 0 {
-		prog.Init(ctx)
-	} else {
-		lo := w.msgOff[u-w.lo]
-		hi := w.msgOff[u-w.lo+1]
-		prog.Compute(ctx, w.msgBuf[lo:hi])
-	}
+	w.call(prog, u)
 	return false
+}
+
+// call runs the vertex program on u, which w.ctx is already aimed at.
+func (w *worker[V, M]) call(prog Program[V, M], u int) {
+	if w.eng.superstep == 0 {
+		prog.Init(&w.ctx)
+		return
+	}
+	li := u - w.lo
+	prog.Compute(&w.ctx, w.msgBuf[w.msgOff[li]:w.msgOff[li+1]])
 }
 
 func (w *worker[V, M]) hasMsgs(u int) bool {
@@ -825,76 +822,97 @@ func (w *worker[V, M]) hasMsgs(u int) bool {
 	return w.msgOff[u-w.lo+1] > w.msgOff[u-w.lo]
 }
 
-// combineOut merges messages per destination vertex (and per key, for
-// KeyedCombiners) within each destination-worker bucket, deterministically
-// (insertion order). The plain-combiner path indexes envelopes by
-// destination vertex through a dense epoch-stamped table and compacts each
-// bucket in place: the combined prefix [0, j) only ever trails the read
-// position, so no fresh buffer and no per-bucket map is needed.
-func (w *worker[V, M]) combineOut() {
-	if keyed, ok := w.eng.combiner.(KeyedCombiner[M]); ok {
-		w.combineKeyed(keyed)
+// minLook is the fewest sends between two looks at the buckets, so that a
+// worker with many small or unused buckets does not look at every vertex; a
+// bucket of a few hundred envelopes is left to append's own growth.
+const minLook = 64
+
+// compactFilled runs at a vertex boundary once sent has reached compactAt. A
+// bucket at three quarters of its capacity is combined down to its distinct
+// (destination, class) pairs and grown only if that leaves it more than a
+// quarter full: a bucket's size follows the pairs it holds, not the messages
+// sent into it, and between two combines of a bucket at least twice its
+// combined prefix arrives, which keeps re-stamping that prefix (see
+// combineBucket) under half a table write per message. The next look is due
+// when the tightest bucket could first reach its mark. Never inside a vertex
+// call: Quarantine rolls a panicking vertex's sends back by truncating to
+// marks taken at the boundary.
+func (w *worker[V, M]) compactFilled() {
+	if w.eng.combiner == nil {
+		w.compactAt = math.MaxInt
+		return
+	}
+	next := math.MaxInt
+	for d := range w.outTo {
+		n, c := len(w.outTo[d]), cap(w.outTo[d])
+		if n > 0 && n >= c-c/4 {
+			w.combineBucket(d)
+			if n = len(w.outTo[d]); 4*n > c {
+				for c < 4*n {
+					c *= 2
+				}
+				w.outTo[d] = append(make([]VertexID, 0, c), w.outTo[d]...)
+				w.outMsg[d] = append(make([]M, 0, c), w.outMsg[d]...)
+			}
+		}
+		next = min(next, max(c-c/4-n, minLook))
+	}
+	w.compactAt = w.sent + next
+}
+
+// combineBucket folds bucket d in place down to one envelope per
+// (destination, class), leaving pass-through messages where they are. The
+// combined prefix [0, j) only ever trails the read position, so no second
+// buffer is needed; an envelope keeps the position of its first occurrence
+// and each slot is a left fold in send order, so combining a bucket again
+// after more sends (its prefix is simply re-stamped) yields exactly what one
+// pass over all of them would.
+func (w *worker[V, M]) combineBucket(d int) {
+	to, msg := w.outTo[d], w.outMsg[d]
+	if len(to) <= 1 {
 		return
 	}
 	c := w.eng.combiner
-	block := w.eng.block
-	for d := range w.outTo {
-		to, msg := w.outTo[d], w.outMsg[d]
-		if len(to) <= 1 {
-			continue
+	// A CombinerFunc has one class and passes nothing through: its cell is
+	// the local destination. Not asking it per envelope is worth a seventh of
+	// a handwritten PageRank superstep.
+	_, scalar := c.(CombinerFunc[M])
+	classes := len(w.combTab) / w.eng.block
+	w.combEpoch++
+	if w.combEpoch == 0 { // uint32 wrap: stale stamps would alias
+		clear(w.combTab)
+		w.combEpoch = 1
+	}
+	epoch := w.combEpoch
+	base := d * w.eng.block
+	j := 0
+	for i, t := range to {
+		cell := int(t) - base // the envelope's table cell; negative: pass through
+		if !scalar {
+			cl := c.Class(&msg[i])
+			if cl >= classes {
+				panic(fmt.Sprintf("pregel: Combiner.Class returned %d, Classes is %d", cl, classes))
+			}
+			cell = cell*classes + cl
+			if cl < 0 {
+				cell = -1
+			}
 		}
-		w.combEpoch++
-		if w.combEpoch == 0 { // uint32 wrap: stale stamps would alias
-			clear(w.combStamp)
-			w.combEpoch = 1
-		}
-		base := d * block
-		j := 0
-		for i, t := range to {
-			li := int(t) - base
-			if w.combStamp[li] == w.combEpoch {
-				k := w.combSlot[li]
-				msg[k] = c.Combine(msg[k], msg[i])
+		if cell >= 0 {
+			e := &w.combTab[cell]
+			if e.stamp == epoch {
+				c.Combine(&msg[e.slot], &msg[i])
 				continue
 			}
-			w.combStamp[li] = w.combEpoch
-			w.combSlot[li] = int32(j)
-			to[j] = t
-			msg[j] = msg[i]
-			j++
+			e.stamp, e.slot = epoch, int32(j)
 		}
-		w.outTo[d] = to[:j]
-		w.outMsg[d] = msg[:j]
-	}
-}
-
-// combineKeyed is the sparse fallback: (destination, key) pairs don't fit
-// a dense table, so a reusable per-worker map indexes the combined prefix.
-func (w *worker[V, M]) combineKeyed(c KeyedCombiner[M]) {
-	if w.keyedIdx == nil {
-		w.keyedIdx = make(map[uint64]int32)
-	}
-	for d := range w.outTo {
-		to, msg := w.outTo[d], w.outMsg[d]
-		if len(to) <= 1 {
-			continue
+		if i != j {
+			to[j], msg[j] = t, msg[i]
 		}
-		clear(w.keyedIdx)
-		j := 0
-		for i, t := range to {
-			k := uint64(t) | uint64(c.Key(msg[i]))<<32
-			if p, ok := w.keyedIdx[k]; ok {
-				msg[p] = c.Combine(msg[p], msg[i])
-				continue
-			}
-			w.keyedIdx[k] = int32(j)
-			to[j] = t
-			msg[j] = msg[i]
-			j++
-		}
-		w.outTo[d] = to[:j]
-		w.outMsg[d] = msg[:j]
+		j++
 	}
+	w.outTo[d] = to[:j]
+	w.outMsg[d] = msg[:j]
 }
 
 // exchange gathers inbound envelopes into a per-vertex CSR inbox, wakes

@@ -71,65 +71,3 @@ func (*deletionProgram) Compute(ctx *Context[delVal, float64], msgs []float64) {
 	}
 	ctx.VoteToHalt()
 }
-
-// TestKeyedCombinerSeparatesChannels checks that a KeyedCombiner only
-// merges same-key messages — the "message channels" behaviour the paper's
-// future work points at.
-func TestKeyedCombinerSeparatesChannels(t *testing.T) {
-	// 8 senders → 1 hub, alternating channels; one worker so that without
-	// keys everything would combine into a single envelope.
-	b := graph.NewBuilder(9, true)
-	for v := 1; v <= 8; v++ {
-		b.AddEdge(graph.VertexID(v), 0)
-	}
-	g := b.Finalize()
-	e := New[chanVal, chanMsg](g, Options{Workers: 1})
-	e.SetCombiner(chanCombiner{})
-	stats, err := e.Run(&chanProgram{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.MessagesSent != 8 {
-		t.Fatalf("sent = %d, want 8", stats.MessagesSent)
-	}
-	// Two channels → exactly two combined envelopes.
-	if stats.CombinedMessages != 2 {
-		t.Fatalf("combined = %d, want 2 (one per channel)", stats.CombinedMessages)
-	}
-	v := e.Value(0)
-	if v.A != 4 || v.B != 4 {
-		t.Fatalf("channel sums = (%g, %g), want (4, 4)", v.A, v.B)
-	}
-}
-
-type chanVal struct{ A, B float64 }
-
-type chanMsg struct {
-	Chan uint32
-	Val  float64
-}
-
-type chanCombiner struct{}
-
-func (chanCombiner) Combine(a, b chanMsg) chanMsg { a.Val += b.Val; return a }
-func (chanCombiner) Key(m chanMsg) uint32         { return m.Chan }
-
-type chanProgram struct{}
-
-func (*chanProgram) Init(ctx *Context[chanVal, chanMsg]) {
-	if ctx.ID() != 0 {
-		ctx.Send(0, chanMsg{Chan: uint32(ctx.ID() % 2), Val: 1})
-	}
-	ctx.VoteToHalt()
-}
-
-func (*chanProgram) Compute(ctx *Context[chanVal, chanMsg], msgs []chanMsg) {
-	for _, m := range msgs {
-		if m.Chan == 0 {
-			ctx.Value().A += m.Val
-		} else {
-			ctx.Value().B += m.Val
-		}
-	}
-	ctx.VoteToHalt()
-}

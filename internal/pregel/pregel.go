@@ -39,26 +39,34 @@ type Program[V, M any] interface {
 	Compute(ctx *Context[V, M], msgs []M)
 }
 
-// Combiner merges two messages addressed to the same destination vertex.
-// It must be commutative and associative.
+// Combiner merges messages addressed to the same destination vertex before
+// they leave the sending worker. Messages are partitioned into a small dense
+// space of classes — a message channel, a send group — and only messages of
+// one class to one vertex are merged; the engine sizes its combining table
+// by Classes, so keep it a handful.
 type Combiner[M any] interface {
-	Combine(a, b M) M
+	// Combine folds m into acc in place. It must be commutative and
+	// associative, and must leave acc's class unchanged.
+	Combine(acc, m *M)
+	// Classes is the size of the class space, at least 1.
+	Classes() int
+	// Class returns m's class in [0, Classes()), or a negative value for a
+	// message that is delivered as sent, never combined.
+	Class(m *M) int
 }
 
-// CombinerFunc adapts a function to the Combiner interface.
+// CombinerFunc adapts a function over scalar messages to the Combiner
+// interface: one class, every message combinable.
 type CombinerFunc[M any] func(a, b M) M
 
 // Combine implements Combiner.
-func (f CombinerFunc[M]) Combine(a, b M) M { return f(a, b) }
+func (f CombinerFunc[M]) Combine(acc, m *M) { *acc = f(*acc, *m) }
 
-// KeyedCombiner is a Combiner that only combines messages sharing a key
-// (e.g. a message-channel or send-group id). Messages with different keys
-// to the same vertex are delivered separately.
-type KeyedCombiner[M any] interface {
-	Combiner[M]
-	// Key partitions messages: only equal-key messages are combined.
-	Key(m M) uint32
-}
+// Classes implements Combiner.
+func (f CombinerFunc[M]) Classes() int { return 1 }
+
+// Class implements Combiner.
+func (f CombinerFunc[M]) Class(*M) int { return 0 }
 
 // Scheduler selects how workers find the vertices to run each superstep.
 type Scheduler int
@@ -222,7 +230,6 @@ const (
 type aggregator struct {
 	op         AggregatorOp
 	persistent bool
-	index      int     // registration order; position in worker pending arrays
 	value      float64 // committed value visible to vertices
 	pending    float64 // being accumulated this superstep
 }

@@ -109,7 +109,7 @@ func TestSeedValidation(t *testing.T) {
 			}
 			e := New[wsVal, float64](on, Options{Workers: 2, Scheduler: tc.sched, Seed: tc.seed})
 			for i := 0; i < tc.aggs; i++ {
-				if err := e.RegisterAggregator("extra", AggSum, false); err != nil {
+				if _, err := e.RegisterAggregator("extra", AggSum, false); err != nil {
 					t.Fatal(err)
 				}
 			}

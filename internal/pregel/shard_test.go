@@ -30,9 +30,12 @@ type shardVal struct{ Score float64 }
 // folds every vertex's score into a sum aggregator each superstep.
 type massProgram struct{ rounds int }
 
+// massAgg is the id of "mass", the only aggregator massEngine registers.
+const massAgg = 0
+
 func (p *massProgram) Init(ctx *Context[shardVal, float64]) {
 	ctx.Value().Score = 1 + float64(ctx.ID()%7)*0.125
-	ctx.Aggregate("mass", ctx.Value().Score)
+	ctx.Aggregate(massAgg, ctx.Value().Score)
 	p.spread(ctx)
 }
 
@@ -42,7 +45,7 @@ func (p *massProgram) Compute(ctx *Context[shardVal, float64], msgs []float64) {
 		sum += m
 	}
 	ctx.Value().Score = 0.2*ctx.Value().Score + 0.8*sum
-	ctx.Aggregate("mass", ctx.Value().Score)
+	ctx.Aggregate(massAgg, ctx.Value().Score)
 	if ctx.Superstep() < p.rounds {
 		p.spread(ctx)
 	} else {
@@ -61,7 +64,7 @@ func massEngine(g *graph.Graph, opts Options, combine bool) *Engine[shardVal, fl
 	if combine {
 		e.SetCombiner(CombinerFunc[float64](func(a, b float64) float64 { return a + b }))
 	}
-	if err := e.RegisterAggregator("mass", AggSum, false); err != nil {
+	if _, err := e.RegisterAggregator("mass", AggSum, false); err != nil {
 		panic(err)
 	}
 	return e

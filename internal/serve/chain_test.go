@@ -68,11 +68,11 @@ func TestServeChainKillAnywhereResume(t *testing.T) {
 	defer s.Close()
 
 	batches := [][]graph.Mutation{
-		{{Op: graph.MutAddEdge, U: 0, V: 100, W: 2}},                                      // repairable injection
+		{{Op: graph.MutAddEdge, U: 0, V: 100, W: 2}},                                       // repairable injection
 		{{Op: graph.MutAddVertices, Count: 1}, {Op: graph.MutAddEdge, U: 5, V: 144, W: 1}}, // repairable growth
-		{{Op: graph.MutSetWeight, U: 0, V: 100, W: 0.5}},                                  // repairable tightening
-		{{Op: graph.MutRemoveEdge, U: 0, V: 1}},                                           // loosening: from-scratch fallback
-		{{Op: graph.MutAddEdge, U: 7, V: 60, W: 1.5}},                                     // repair again after a fallback
+		{{Op: graph.MutSetWeight, U: 0, V: 100, W: 0.5}},                                   // repairable tightening
+		{{Op: graph.MutRemoveEdge, U: 0, V: 1}},                                            // loosening: from-scratch fallback
+		{{Op: graph.MutAddEdge, U: 7, V: 60, W: 1.5}},                                      // repair again after a fallback
 	}
 
 	// refs[j], mirror[j], fps[j]: the mutated graph, published dist vector,

@@ -698,18 +698,18 @@ func (s *Server) Stats() Stats {
 	}
 	v := s.current.Load()
 	return Stats{
-		Epoch:             v.Epoch,
-		Fingerprint:       fmt.Sprintf("%016x", v.Fingerprint),
-		Superstep:         v.Superstep,
-		Repaired:          v.Repaired,
-		NumVertices:       v.g.NumVertices(),
-		NumArcs:           v.g.NumArcs(),
-		Repr:              v.g.Repr(),
-		Fields:            s.fields,
-		Pending:           s.Pending(),
-		Reads:             s.reads.Load(),
-		MutationsAccepted: s.mutAccepted.Load(),
-		MutationsRejected: s.mutRejected.Load(),
+		Epoch:                 v.Epoch,
+		Fingerprint:           fmt.Sprintf("%016x", v.Fingerprint),
+		Superstep:             v.Superstep,
+		Repaired:              v.Repaired,
+		NumVertices:           v.g.NumVertices(),
+		NumArcs:               v.g.NumArcs(),
+		Repr:                  v.g.Repr(),
+		Fields:                s.fields,
+		Pending:               s.Pending(),
+		Reads:                 s.reads.Load(),
+		MutationsAccepted:     s.mutAccepted.Load(),
+		MutationsRejected:     s.mutRejected.Load(),
 		Batches:               s.batches.Load(),
 		RepairedBatches:       s.repairs.Load(),
 		FallbackBatches:       s.fallbacks.Load(),
@@ -717,8 +717,8 @@ func (s *Server) Stats() Stats {
 		FailedBatches:         s.failed.Load(),
 		Quarantined:           s.quarantined.Load(),
 		ChainDir:              s.cfg.ChainDir,
-		Repairability:     matrix,
-		StaticFallbacks:   statics,
+		Repairability:         matrix,
+		StaticFallbacks:       statics,
 	}
 }
 

@@ -511,6 +511,22 @@ func TestRunCheckpointIncrementalResume(t *testing.T) {
 	}
 }
 
+// TestRunResumeRefusesV1Files: -resume of a snapshot or a chain written at
+// format version 1 fails for its version, never as a mismatched graph.
+func TestRunResumeRefusesV1Files(t *testing.T) {
+	v1 := filepath.Join("..", "..", "internal", "pregel", "testdata", "v1")
+	for _, resume := range []string{filepath.Join(v1, "snap.dvsnap"), filepath.Join(v1, "chain")} {
+		cfg := runConfig{
+			mode: "dv", progName: "sssp", gen: "grid:3:3", workers: 1, combine: true,
+			params: cli.ParamFlags{}, resume: resume,
+		}
+		_, err := captureErr(t, func() error { return run(context.Background(), cfg) })
+		if !errors.Is(err, pregel.ErrSnapshotVersion) || errors.Is(err, pregel.ErrSnapshotMismatch) {
+			t.Errorf("-resume %s: err = %v, want ErrSnapshotVersion (and not ErrSnapshotMismatch)", resume, err)
+		}
+	}
+}
+
 // TestRunResumeServedChain: -resume of a chain written by dvserve replays
 // its mutation logs over the loaded graph with the fingerprint check the
 // daemon's own restart applies — the right boot graph lands on the served

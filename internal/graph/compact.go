@@ -282,9 +282,7 @@ func Compact(g *Graph) (*Graph, error) {
 			}
 		}
 	}
-	if fp := g.fp.Load(); fp != 0 {
-		ng.fp.Store(fp)
-	}
+	ng.inheritFingerprint(g)
 	return ng, nil
 }
 
@@ -319,9 +317,7 @@ func Flatten(g *Graph) *Graph {
 			ng.inAdj = decodeAdj(g.inOff, g.cIn)
 		}
 	}
-	if fp := g.fp.Load(); fp != 0 {
-		ng.fp.Store(fp)
-	}
+	ng.inheritFingerprint(g)
 	return ng
 }
 

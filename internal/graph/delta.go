@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -13,11 +15,19 @@ import (
 // contributions and inject new ones without a full rerun.
 //
 // Deltas are graph-agnostic: mirroring for undirected graphs happens at
-// apply time, exactly as Builder mirrors AddEdge. The rebuilt CSR keeps
+// apply time, exactly as Builder mirrors AddEdge. The mutated CSR keeps
 // the Builder invariants (arcs sorted by (u,v), undirected arcs stored in
 // both directions, self-loops single) so code that binary-searches
 // adjacency or fingerprints the structure sees no difference between a
-// built graph and a mutated one.
+// built graph and a mutated one — array for array.
+//
+// The cost is proportional to the delta, not the graph: the log is
+// interpreted against per-pair state, only the adjacency blocks of the
+// touched source vertices are merged and re-encoded, every span of
+// untouched vertices between them is copied wholesale (its offsets
+// shifted by the arcs and bytes the delta has added or removed so far), and
+// the fingerprint is adjusted by the touched blocks' arcs. What remains linear in the graph is that one sequential
+// copy.
 
 // MutationOp is the kind of a single Delta entry.
 type MutationOp uint8
@@ -162,95 +172,106 @@ func (a *AppliedDelta) Touched(oldN int) []VertexID {
 type pairKey struct{ u, v VertexID }
 
 // pendingAdd is an addition not yet folded into the CSR; dead additions
-// were cancelled by a later RemoveEdge in the same log.
+// were cancelled by a later RemoveEdge in the same log. prev chains the
+// live additions of one pair, newest first: 1 + the index of the previous
+// one, 0 at the end of the chain.
 type pendingAdd struct {
 	u, v VertexID
 	w    float64
 	dead bool
+	prev int32
+}
+
+// pairState is what the log has done so far to one endpoint pair. The zero
+// value is a pair the log has not mentioned.
+type pairState struct {
+	removed    bool    // every original arc of the pair is dropped
+	reweighted bool    // the original arcs that survive are rewritten to w
+	w          float64 // meaningful with reweighted
+	lastAdd    int32   // 1 + index of the newest live pending addition, 0 when none
+	orig       int8    // g stores arcs u→v: 0 not looked up yet, 1 yes, -1 no
 }
 
 // deltaState carries the sequential interpretation of a mutation log.
+// Every operation is one map access plus a walk of the pair's own pending
+// additions, so a log is interpreted in time linear in its length.
 type deltaState struct {
-	g        *Graph
-	n        int                 // current vertex count (grows with MutAddVertices)
-	removed  map[pairKey]bool    // all original arcs of the pair dropped
-	override map[pairKey]float64 // surviving original arcs reweighted
-	adds     []pendingAdd
-}
-
-// origArcRange returns the index range of original arcs u→v (arcs are
-// sorted by (u,v), so parallel arcs are contiguous).
-func (st *deltaState) origArcRange(u, v VertexID) (int64, int64) {
-	if int(u) >= st.g.n {
-		return 0, 0
-	}
-	lo, hi := st.g.outOff[u], st.g.outOff[u+1]
-	adj := st.g.outAdj[lo:hi]
-	a := int64(sort.Search(len(adj), func(i int) bool { return adj[i] >= v }))
-	b := int64(sort.Search(len(adj), func(i int) bool { return adj[i] > v }))
-	return lo + a, lo + b
+	g       *Graph
+	n       int // current vertex count (grows with MutAddVertices)
+	pairs   map[pairKey]pairState
+	adds    []pendingAdd
+	touched []VertexID // source vertex of every arc operation, with repeats
 }
 
 // arcExists reports whether any arc u→v is live at this point in the log.
 func (st *deltaState) arcExists(u, v VertexID) bool {
-	if lo, hi := st.origArcRange(u, v); hi > lo && !st.removed[pairKey{u, v}] {
+	k := pairKey{u, v}
+	ps := st.pairs[k]
+	if ps.lastAdd != 0 {
 		return true
 	}
-	for i := range st.adds {
-		if a := &st.adds[i]; !a.dead && a.u == u && a.v == v {
-			return true
+	if ps.orig == 0 {
+		ps.orig = -1
+		if int(u) < st.g.n {
+			for it := st.g.OutArcs(u); it.Next() && it.To() <= v; {
+				if it.To() == v {
+					ps.orig = 1
+					break
+				}
+			}
 		}
+		st.pairs[k] = ps
 	}
-	return false
+	return ps.orig > 0 && !ps.removed
 }
 
 func (st *deltaState) doAdd(u, v VertexID, w float64) {
-	st.adds = append(st.adds, pendingAdd{u: u, v: v, w: w})
+	k := pairKey{u, v}
+	ps := st.pairs[k]
+	st.adds = append(st.adds, pendingAdd{u: u, v: v, w: w, prev: ps.lastAdd})
+	ps.lastAdd = int32(len(st.adds))
+	st.pairs[k] = ps
+	st.touched = append(st.touched, u)
 }
 
 func (st *deltaState) doRemove(u, v VertexID) {
-	p := pairKey{u, v}
-	st.removed[p] = true
-	delete(st.override, p)
-	for i := range st.adds {
-		if a := &st.adds[i]; !a.dead && a.u == u && a.v == v {
-			a.dead = true
-		}
+	k := pairKey{u, v}
+	ps := st.pairs[k]
+	for i := ps.lastAdd; i != 0; i = st.adds[i-1].prev {
+		st.adds[i-1].dead = true
 	}
+	ps.removed, ps.lastAdd = true, 0
+	st.pairs[k] = ps
+	st.touched = append(st.touched, u)
 }
 
 func (st *deltaState) doSet(u, v VertexID, w float64) {
-	p := pairKey{u, v}
-	if lo, hi := st.origArcRange(u, v); hi > lo && !st.removed[p] {
-		st.override[p] = w
+	k := pairKey{u, v}
+	ps := st.pairs[k]
+	for i := ps.lastAdd; i != 0; i = st.adds[i-1].prev {
+		st.adds[i-1].w = w
 	}
-	for i := range st.adds {
-		if a := &st.adds[i]; !a.dead && a.u == u && a.v == v {
-			a.w = w
-		}
-	}
+	ps.reweighted, ps.w = true, w
+	st.pairs[k] = ps
+	st.touched = append(st.touched, u)
 }
 
 // ApplyDelta replays the mutation log against g and returns the mutated
 // graph plus the directed-arc diff. g itself is never modified — it stays
-// immutable and shareable; the result is a fresh CSR whose cached
-// fingerprint starts uncomputed, so Fingerprint() on the mutated graph
-// hashes the new structure instead of inheriting g's stale digest.
+// immutable and shareable — and the result shares no storage with it, so
+// a result made from a file-mapped graph outlives that graph's Close. The
+// result's fingerprint is derived from g's by the touched arcs alone and
+// equals what a from-scratch build of the same edges would hash to.
 //
 // If g had its reverse adjacency built, the result's is built too, so a
-// mutated graph can drop into any pipeline the original ran in. The
-// representation is preserved: mutating a compact graph yields a compact
-// graph (the merge itself runs over a transient flat decode, and a
-// deferred reverse adjacency stays deferred).
+// mutated graph can drop into any pipeline the original ran in
+// (undirected graphs alias it, compact directed graphs defer it to first
+// use, flat directed graphs rebuild it). The representation is preserved:
+// mutating a compact graph yields a compact graph, re-encoding only the
+// touched vertices' streams.
 func ApplyDelta(g *Graph, d *Delta) (*Graph, *AppliedDelta, error) {
-	oldFP := g.Fingerprint() // before any structural change
-	flat := Flatten(g)       // no-op for flat graphs
-	st := &deltaState{
-		g:        flat,
-		n:        g.n,
-		removed:  make(map[pairKey]bool),
-		override: make(map[pairKey]float64),
-	}
+	oldFP := g.Fingerprint() // also caches the arc-hash sum spliced below
+	st := &deltaState{g: g, n: g.n, pairs: make(map[pairKey]pairState)}
 	for i, m := range d.Muts {
 		switch m.Op {
 		case MutAddVertices:
@@ -294,26 +315,32 @@ func ApplyDelta(g *Graph, d *Delta) (*Graph, *AppliedDelta, error) {
 			}
 		}
 	}
-	ng, ad, err := rebuild(flat, st, oldFP)
-	if err == nil && g.IsCompact() {
-		ng, err = Compact(ng)
-		if err != nil {
-			return nil, nil, err
-		}
-		if g.HasReverse() && ng.directed && !ng.HasReverse() {
-			ng.BuildReverse() // re-arm the deferred reverse adjacency
-		}
-	}
-	return ng, ad, err
+	return splice(g, st, oldFP)
 }
 
-// rebuild merges the surviving original arcs with the live additions into
-// a fresh sorted CSR, emitting the arc diff along the way. The original
-// arcs of each source are already sorted by target; additions are sorted
-// stably (log order preserved among parallel arcs) and merged in, with
-// originals first on equal targets — fully deterministic, no map
-// iteration anywhere on the structure path.
-func rebuild(g *Graph, st *deltaState, oldFP uint64) (*Graph, *AppliedDelta, error) {
+// touchedBlocks holds the new adjacency blocks of the touched source
+// vertices, concatenated in vertex order: the merge's output and the
+// splice's input.
+type touchedBlocks struct {
+	us  []VertexID // touched sources, ascending
+	off []int64    // block i is adj[off[i]:off[i+1]]
+	adj []VertexID // new neighbour lists
+	w   []float64  // new weights, parallel to adj
+
+	changes  []ArcChange
+	weighted bool   // some new arc carries a weight other than 1
+	oldSum   uint64 // arc-hash sum of the touched vertices' old blocks
+	newSum   uint64 // … and of their new blocks
+}
+
+// merge builds the new block of every touched source: its surviving
+// original arcs merged with its live additions, emitting the arc diff
+// along the way. The original arcs of a source are already sorted by
+// target; additions are sorted stably (log order preserved among parallel
+// arcs) and merged in, with originals first on equal targets — fully
+// deterministic, no map iteration anywhere on the structure path.
+func (st *deltaState) merge() *touchedBlocks {
+	g := st.g
 	live := make([]pendingAdd, 0, len(st.adds))
 	for _, a := range st.adds {
 		if !a.dead {
@@ -326,74 +353,145 @@ func rebuild(g *Graph, st *deltaState, oldFP uint64) (*Graph, *AppliedDelta, err
 		}
 		return live[i].v < live[j].v
 	})
-
-	n2 := st.n
-	ng := &Graph{n: n2, directed: g.directed, weighted: g.weighted}
-	ng.outOff = make([]int64, n2+1)
-	ng.outAdj = make([]VertexID, 0, len(g.outAdj)+len(live))
-	outW := make([]float64, 0, len(g.outAdj)+len(live))
-	var changes []ArcChange
-
-	origW := func(i int64) float64 {
-		if g.outW == nil {
-			return 1
-		}
-		return g.outW[i]
-	}
-	emit := func(u, v VertexID, w float64) {
-		ng.outAdj = append(ng.outAdj, v)
-		outW = append(outW, w)
-		if w != 1 {
-			ng.weighted = true
-		}
-		ng.outOff[u+1]++
-	}
-
+	slices.Sort(st.touched)
+	tb := &touchedBlocks{us: slices.Compact(st.touched), off: []int64{0}}
 	ai := 0 // cursor into live additions
-	for u := 0; u < n2; u++ {
-		var oi, oend int64
-		if u < g.n {
-			oi, oend = g.outOff[u], g.outOff[u+1]
+	for _, u := range tb.us {
+		var oldH, newH blockHasher
+		emit := func(v VertexID, w float64) {
+			tb.adj = append(tb.adj, v)
+			tb.w = append(tb.w, w)
+			if w != 1 {
+				tb.weighted = true
+			}
+			newH.add(u, v, w)
 		}
-		for oi < oend || (ai < len(live) && int(live[ai].u) == u) {
-			takeOrig := oi < oend &&
-				(ai >= len(live) || int(live[ai].u) != u || g.outAdj[oi] <= live[ai].v)
-			if takeOrig {
-				v, ow := g.outAdj[oi], origW(oi)
-				oi++
-				p := pairKey{VertexID(u), v}
-				if st.removed[p] {
-					changes = append(changes, ArcChange{Kind: ArcRemove, U: VertexID(u), V: v, OldW: ow})
+		var it ArcIter
+		if int(u) < g.n {
+			it = g.OutArcs(u)
+		}
+		more := it.Next()
+		for more || (ai < len(live) && live[ai].u == u) {
+			if more && (ai == len(live) || live[ai].u != u || it.To() <= live[ai].v) {
+				v, ow := it.To(), it.Weight()
+				more = it.Next()
+				oldH.add(u, v, ow)
+				ps := st.pairs[pairKey{u, v}]
+				if ps.removed {
+					tb.changes = append(tb.changes, ArcChange{Kind: ArcRemove, U: u, V: v, OldW: ow})
 					continue
 				}
 				w := ow
-				if nw, ok := st.override[p]; ok {
-					w = nw
+				if ps.reweighted {
+					w = ps.w
 				}
 				if math.Float64bits(w) != math.Float64bits(ow) {
-					changes = append(changes, ArcChange{Kind: ArcReweight, U: VertexID(u), V: v, OldW: ow, NewW: w})
+					tb.changes = append(tb.changes, ArcChange{Kind: ArcReweight, U: u, V: v, OldW: ow, NewW: w})
 				}
-				emit(VertexID(u), v, w)
+				emit(v, w)
 			} else {
 				a := live[ai]
 				ai++
-				changes = append(changes, ArcChange{Kind: ArcAdd, U: a.u, V: a.v, NewW: a.w})
-				emit(a.u, a.v, a.w)
+				tb.changes = append(tb.changes, ArcChange{Kind: ArcAdd, U: a.u, V: a.v, NewW: a.w})
+				emit(a.v, a.w)
 			}
 		}
+		tb.off = append(tb.off, int64(len(tb.adj)))
+		tb.oldSum += oldH.sum
+		tb.newSum += newH.sum
 	}
-	for i := 0; i < n2; i++ {
-		ng.outOff[i+1] += ng.outOff[i]
+	return tb
+}
+
+// splice assembles the mutated graph: the spans of untouched vertices
+// between touched ones are copied from g, the touched blocks come from the
+// merge. Flat and compact graphs take the same two routines and differ
+// only in the adjacency's element and offset types.
+func splice(g *Graph, st *deltaState, oldFP uint64) (*Graph, *AppliedDelta, error) {
+	tb := st.merge()
+	n2 := st.n
+	ng := &Graph{n: n2, directed: g.directed, weighted: g.weighted || tb.weighted}
+	ng.outOff, _, _ = spliceOffsets(g.outOff, n2, tb.us, tb.off, math.MaxInt64)
+	if g.cOutIdx == nil {
+		ng.outAdj = spliceData(g.outAdj, g.outOff, ng.outOff, tb.us, tb.adj)
+	} else {
+		enc, encOff, err := encodeAdj(tb.off, tb.adj, "out")
+		if err != nil {
+			var ov *CompactOverflowError
+			if errors.As(err, &ov) {
+				ov.Vertex = int(tb.us[ov.Vertex]) // encodeAdj counted blocks
+			}
+			return nil, nil, err
+		}
+		var over int
+		var bytes int64
+		ng.cOutIdx, over, bytes = spliceOffsets(g.cOutIdx, n2, tb.us, encOff, int64(maxCompactStream))
+		if over >= 0 {
+			return nil, nil, &CompactOverflowError{Direction: "out", Vertex: over, Bytes: uint64(bytes)}
+		}
+		ng.cOut = spliceData(g.cOut, g.cOutIdx, ng.cOutIdx, tb.us, enc)
 	}
 	if ng.weighted {
-		ng.outW = outW
+		oldW := g.outW
+		if oldW == nil {
+			// The delta promoted an unweighted graph: every old arc gets
+			// its implicit weight 1 spelled out.
+			oldW = make([]float64, g.NumArcs())
+			for i := range oldW {
+				oldW[i] = 1
+			}
+		}
+		ng.outW = spliceData(oldW, g.outOff, ng.outOff, tb.us, tb.w)
 	}
-	// ng.fp is the zero value: the mutated graph's fingerprint is computed
-	// from its own structure on first use, never inherited from g.
-	if !ng.directed {
-		ng.inOff, ng.inAdj, ng.inW = ng.outOff, ng.outAdj, ng.outW
-	} else if g.HasReverse() {
+	ng.setFingerprint(g.fpSum.Load() - tb.oldSum + tb.newSum)
+	if !ng.directed || g.HasReverse() {
 		ng.BuildReverse()
 	}
-	return ng, &AppliedDelta{OldFingerprint: oldFP, NewVertices: n2 - g.n, Arcs: changes}, nil
+	return ng, &AppliedDelta{OldFingerprint: oldFP, NewVertices: n2 - g.n, Arcs: tb.changes}, nil
+}
+
+// spliceOffsets builds the offset array of a spliced graph with n2
+// vertices: a touched vertex us[i] gets the length of block i
+// (blockOff[i+1]-blockOff[i]), any other vertex keeps the length it has in
+// old (appended vertices have none). It also reports the first vertex
+// whose end offset exceeds limit, with that offset, or -1: the caller must
+// not use offsets that wrapped.
+func spliceOffsets[O int64 | uint32](old []O, n2 int, us []VertexID, blockOff []O, limit int64) (off []O, over int, overEnd int64) {
+	oldN := len(old) - 1
+	off = make([]O, n2+1)
+	over = -1
+	next := 0 // next touched vertex, as an index into us
+	var end int64
+	for u := 0; u < n2; u++ {
+		switch {
+		case next < len(us) && int(us[next]) == u:
+			end += int64(blockOff[next+1] - blockOff[next])
+			next++
+		case u < oldN:
+			end += int64(old[u+1] - old[u])
+		}
+		if end > limit && over < 0 {
+			over, overEnd = u, end
+		}
+		off[u+1] = O(end)
+	}
+	return off, over, overEnd
+}
+
+// spliceData builds one data array (neighbours, stream bytes or weights)
+// of a spliced graph laid out by newOff: the touched vertices us take
+// their elements from blocks, in order; every span of vertices between
+// them is one copy out of old.
+func spliceData[E any, O int64 | uint32](old []E, oldOff, newOff []O, us []VertexID, blocks []E) []E {
+	oldN := len(oldOff) - 1
+	out := make([]E, newOff[len(newOff)-1])
+	from := 0 // first old vertex not copied yet
+	for _, u := range us {
+		to := min(int(u), oldN)
+		copy(out[newOff[from]:], old[oldOff[from]:oldOff[to]])
+		blocks = blocks[copy(out[newOff[u]:newOff[u+1]], blocks):]
+		from = min(int(u)+1, oldN)
+	}
+	copy(out[newOff[from]:], old[oldOff[from]:oldOff[oldN]])
+	return out
 }

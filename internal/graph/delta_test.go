@@ -61,9 +61,9 @@ func TestApplyDeltaDirected(t *testing.T) {
 }
 
 // TestApplyDeltaFingerprint is the mutate-then-fingerprint regression test:
-// Fingerprint caches its hash, so a mutated graph must start with the cache
-// invalid — its fingerprint must be computed from the new structure and
-// must match a from-scratch build of the same edges.
+// Fingerprint caches its hash, so a mutated graph must never inherit the
+// source's — the digest ApplyDelta derives for it must describe the new
+// structure and match a from-scratch build of the same edges.
 func TestApplyDeltaFingerprint(t *testing.T) {
 	b := NewBuilder(3, true)
 	b.AddEdge(0, 1)
@@ -93,8 +93,8 @@ func TestApplyDeltaFingerprint(t *testing.T) {
 	if g.Fingerprint() != oldFP {
 		t.Fatalf("original graph's fingerprint changed")
 	}
-	// An empty delta rebuilds the same structure, so the (recomputed)
-	// fingerprint must agree with the original.
+	// An empty delta copies the same structure, so the derived fingerprint
+	// must agree with the original.
 	same, _, err := ApplyDelta(g, &Delta{})
 	if err != nil {
 		t.Fatal(err)

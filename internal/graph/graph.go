@@ -10,9 +10,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -77,8 +78,10 @@ type Graph struct {
 	refs atomic.Int64
 
 	// fp caches Fingerprint (0 = not yet computed; the hash is folded so
-	// it can never legitimately be 0).
-	fp atomic.Uint64
+	// it can never legitimately be 0) and fpSum the arc-hash sum it was
+	// finished from, which ApplyDelta adjusts instead of recomputing.
+	fp    atomic.Uint64
+	fpSum atomic.Uint64
 }
 
 // NumVertices returns |V|.
@@ -254,64 +257,129 @@ func (g *Graph) BuildReverse() {
 }
 
 // Fingerprint returns a deterministic 64-bit digest of the graph's
-// structure: vertex count, directedness, the out-CSR offsets and adjacency,
-// and the edge weights. Two graphs built from the same edges in the same
-// order hash identically across processes and runs (the hash is FNV-1a over
-// a fixed little-endian serialization), and the digest is
-// representation-independent: a compact graph hashes exactly like its
-// flat equivalent, so snapshots warm-start across representations. The
-// digest is computed once and cached; it is never 0.
+// structure: vertex count, directedness, and the multiset of stored arcs
+// with their weights. It is
+//
+//	finish(n, directed, Σ_arcs arcHash(u, v, k, bits(w)) mod 2⁶⁴)
+//
+// where k is the arc's ordinal among the parallel arcs u→v, so two graphs
+// built from the same edges in the same order hash identically across
+// processes and runs, and two unequal parallel arcs in the other order do
+// not. The digest is representation-independent (a compact graph hashes
+// exactly like its flat equivalent, an unweighted arc like weight 1), so
+// snapshots warm-start across representations. A sum rather than a
+// sequential hash because a sum composes under mutation: ApplyDelta
+// derives the mutated graph's digest from this one by subtracting the
+// touched vertices' old arcs and adding their new ones, and never
+// re-hashes the untouched ones. The digest is computed once and
+// cached; it is never 0.
 func (g *Graph) Fingerprint() uint64 {
 	if fp := g.fp.Load(); fp != 0 {
 		return fp
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	byte1 := func(b byte) {
-		h = (h ^ uint64(b)) * prime64
+	return g.setFingerprint(g.arcHashSum())
+}
+
+// VerifyFingerprint re-hashes every stored arc and reports an error when
+// the result is not the cached digest. A digest ApplyDelta derived vouches
+// for the touched vertices' blocks only — the untouched spans it copied
+// never went through the hash — so this is the check that the arrays and
+// the digest still describe the same graph. It costs what a first
+// Fingerprint call costs; on a graph with no cached digest it is that call.
+func (g *Graph) VerifyFingerprint() error {
+	fp := g.fp.Load()
+	if fp == 0 {
+		g.Fingerprint()
+		return nil
 	}
-	word := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			byte1(byte(v >> (8 * i)))
+	if got := finishFingerprint(g.n, g.directed, g.arcHashSum()); got != fp {
+		return fmt.Errorf("graph: stored arcs hash to fingerprint %016x, the graph carries %016x", got, fp)
+	}
+	return nil
+}
+
+// setFingerprint caches sum as the graph's arc-hash sum and returns the
+// digest it finishes to. The sum is stored first: a non-zero fp implies a
+// valid fpSum.
+func (g *Graph) setFingerprint(sum uint64) uint64 {
+	fp := finishFingerprint(g.n, g.directed, sum)
+	g.fpSum.Store(sum)
+	g.fp.Store(fp)
+	return fp
+}
+
+// inheritFingerprint copies from's cached digest, if it has one, onto g —
+// for graphs that store the same arcs in another representation.
+func (g *Graph) inheritFingerprint(from *Graph) {
+	if fp := from.fp.Load(); fp != 0 {
+		g.fpSum.Store(from.fpSum.Load())
+		g.fp.Store(fp)
+	}
+}
+
+// arcHashSum is the from-scratch pass behind Fingerprint: the sum of
+// arcHash over every stored arc.
+func (g *Graph) arcHashSum() uint64 {
+	var sum uint64
+	for u := 0; u < g.n; u++ {
+		var h blockHasher
+		it := g.OutArcs(VertexID(u))
+		for it.Next() {
+			h.add(VertexID(u), it.To(), it.Weight())
 		}
+		sum += h.sum
 	}
-	word(uint64(g.n))
-	if g.directed {
-		byte1(1)
+	return sum
+}
+
+// blockHasher sums arcHash over one vertex's adjacency list fed to it in
+// order, numbering parallel arcs (equal consecutive targets) as it goes.
+type blockHasher struct {
+	sum  uint64
+	prev VertexID
+	k    uint64 // ordinal of the last arc among its parallels
+	any  bool
+}
+
+func (h *blockHasher) add(u, v VertexID, w float64) {
+	if h.any && v == h.prev {
+		h.k++
 	} else {
-		byte1(0)
+		h.prev, h.k, h.any = v, 0, true
 	}
-	for _, o := range g.outOff {
-		word(uint64(o))
+	h.sum += arcHash(u, v, h.k, math.Float64bits(w))
+}
+
+// arcHash mixes one stored arc into 64 bits. Every term of the sum goes
+// through the outer mix, so that endpoints, ordinal and weight bits decide
+// it jointly: a sum of terms linear in any one of them could not tell two
+// arcs from the same two arcs with that part exchanged.
+func arcHash(u, v VertexID, k, wbits uint64) uint64 {
+	return mix64(mix64(uint64(u)<<32|uint64(v)) ^ wbits ^ k*0x9e3779b97f4a7c15)
+}
+
+// finishFingerprint folds the vertex count and directedness into an
+// arc-hash sum. 0 is reserved for "not computed".
+func finishFingerprint(n int, directed bool, sum uint64) uint64 {
+	shape := uint64(n) << 1
+	if directed {
+		shape |= 1
 	}
-	if g.cOutIdx != nil {
-		for u := 0; u < g.n; u++ {
-			it := g.OutArcs(VertexID(u))
-			for it.Next() {
-				word(uint64(it.To()))
-			}
-		}
-	} else {
-		for _, v := range g.outAdj {
-			word(uint64(v))
-		}
+	if fp := mix64(sum ^ mix64(shape)); fp != 0 {
+		return fp
 	}
-	if g.outW != nil {
-		byte1(1)
-		for _, w := range g.outW {
-			word(math.Float64bits(w))
-		}
-	} else {
-		byte1(0)
-	}
-	if h == 0 {
-		h = 1 // reserve 0 as "not computed"
-	}
-	g.fp.Store(h)
-	return h
+	return 1
+}
+
+// mix64 is the splitmix64 finalizer, a bijection on uint64 with full
+// avalanche.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // Graph lifetime state bits held in Graph.refs alongside the pin count.
@@ -418,7 +486,9 @@ func (g *Graph) String() string {
 //
 // For an undirected builder, AddEdge(u,v) records the single undirected
 // edge {u,v}; the builder mirrors it internally. Self-loops are kept as a
-// single arc in undirected graphs.
+// single arc in undirected graphs. Parallel edges are kept, in the order
+// they were added — the order ApplyDelta gives them too, and the order
+// Fingerprint counts.
 type Builder struct {
 	directed bool
 	weighted bool
@@ -490,19 +560,23 @@ func (b *Builder) finalizeFlat() *Graph {
 	type arc struct {
 		u, v VertexID
 		w    float64
+		i    int // insertion rank: parallel arcs keep the order they were added in
 	}
 	arcs := make([]arc, 0, len(b.srcs)*2)
 	for i := range b.srcs {
-		arcs = append(arcs, arc{b.srcs[i], b.dsts[i], b.ws[i]})
+		arcs = append(arcs, arc{b.srcs[i], b.dsts[i], b.ws[i], i})
 		if !b.directed && b.srcs[i] != b.dsts[i] {
-			arcs = append(arcs, arc{b.dsts[i], b.srcs[i], b.ws[i]})
+			arcs = append(arcs, arc{b.dsts[i], b.srcs[i], b.ws[i], i})
 		}
 	}
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i].u != arcs[j].u {
-			return arcs[i].u < arcs[j].u
+	slices.SortFunc(arcs, func(x, y arc) int {
+		if c := cmp.Compare(x.u, y.u); c != 0 {
+			return c
 		}
-		return arcs[i].v < arcs[j].v
+		if c := cmp.Compare(x.v, y.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.i, y.i)
 	})
 	if b.dedup {
 		out := arcs[:0]

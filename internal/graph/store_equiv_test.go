@@ -1,0 +1,675 @@
+package graph
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+)
+
+// This file is the store's generative equivalence suite. Its oracle is a
+// model of the mutation semantics that knows nothing about CSR: a list of
+// logical edges in insertion order. ApplyDelta must produce exactly the
+// graph the Builder builds from the model's final list — array for array,
+// fingerprint included — and exactly the arc diff between the two lists.
+
+// modelEdge is one logical edge (an undirected edge is one entry). seq is
+// its insertion rank over the model's whole life: it identifies the edge
+// across mutations and orders parallel arcs.
+type modelEdge struct {
+	u, v VertexID
+	w    float64
+	seq  int
+}
+
+type model struct {
+	n        int
+	directed bool
+	weighted bool // see settle
+	edges    []modelEdge
+	nextSeq  int
+}
+
+// settle fixes weightedness at the end of a build or a log: a graph is
+// weighted when it was before, or when an edge it now holds carries a
+// weight other than 1 — a graph never becomes unweighted again, and an
+// addition the same log removed promotes nothing.
+func (m *model) settle() {
+	for _, e := range m.edges {
+		if e.w != 1 {
+			m.weighted = true
+		}
+	}
+}
+
+// applyLog is the reference semantics of a whole log.
+func (m *model) applyLog(muts []Mutation) error {
+	for _, mut := range muts {
+		if err := m.apply(mut); err != nil {
+			return err
+		}
+	}
+	m.settle()
+	return nil
+}
+
+func (m *model) clone() *model {
+	c := *m
+	c.edges = slices.Clone(m.edges)
+	return &c
+}
+
+func (m *model) add(u, v VertexID, w float64) {
+	m.edges = append(m.edges, modelEdge{u, v, w, m.nextSeq})
+	m.nextSeq++
+}
+
+func (m *model) matches(e modelEdge, u, v VertexID) bool {
+	return (e.u == u && e.v == v) || (!m.directed && e.u == v && e.v == u)
+}
+
+// apply is the reference semantics of one log entry.
+func (m *model) apply(mut Mutation) error {
+	if mut.Op == MutAddVertices {
+		if mut.Count <= 0 {
+			return fmt.Errorf("bad addv")
+		}
+		m.n += mut.Count
+		return nil
+	}
+	if int(mut.U) >= m.n || int(mut.V) >= m.n {
+		return fmt.Errorf("out of range")
+	}
+	switch mut.Op {
+	case MutAddEdge:
+		m.add(mut.U, mut.V, mut.W)
+	case MutRemoveEdge:
+		kept := m.edges[:0:0]
+		for _, e := range m.edges {
+			if !m.matches(e, mut.U, mut.V) {
+				kept = append(kept, e)
+			}
+		}
+		if len(kept) == len(m.edges) {
+			return fmt.Errorf("no such edge")
+		}
+		m.edges = kept
+	case MutSetWeight:
+		found := false
+		for i, e := range m.edges {
+			if m.matches(e, mut.U, mut.V) {
+				m.edges[i].w, found = mut.W, true
+			}
+		}
+		if !found {
+			return fmt.Errorf("no such edge")
+		}
+	default:
+		return fmt.Errorf("unknown op")
+	}
+	return nil
+}
+
+// build is the from-scratch construction the store must agree with.
+func (m *model) build(compact bool) *Graph {
+	b := NewBuilder(m.n, m.directed)
+	for _, e := range m.edges {
+		b.AddWeightedEdge(e.u, e.v, e.w)
+	}
+	b.weighted = m.weighted
+	b.SetCompact(compact)
+	return b.Finalize()
+}
+
+// arcs lists the stored arcs in storage order — by (u, v), parallel arcs by
+// insertion — each as the edge it came from, oriented the way it is stored.
+func (m *model) arcs() []modelEdge {
+	var out []modelEdge
+	for _, e := range m.edges {
+		out = append(out, e)
+		if !m.directed && e.u != e.v {
+			out = append(out, modelEdge{e.v, e.u, e.w, e.seq})
+		}
+	}
+	slices.SortFunc(out, func(a, b modelEdge) int {
+		if a.u != b.u {
+			return int(a.u) - int(b.u)
+		}
+		if a.v != b.v {
+			return int(a.v) - int(b.v)
+		}
+		return a.seq - b.seq
+	})
+	return out
+}
+
+// diff is the arc diff between two states of one model: edges are
+// identified by seq, so "del; add" of the same pair is a removal plus an
+// addition, never a no-op.
+func diff(before, after *model) []ArcChange {
+	type key struct {
+		u, v VertexID
+		seq  int
+	}
+	now := make(map[key]float64)
+	for _, a := range after.arcs() {
+		now[key{a.u, a.v, a.seq}] = a.w
+	}
+	type entry struct {
+		c   ArcChange
+		seq int
+	}
+	var es []entry
+	was := make(map[key]bool)
+	for _, a := range before.arcs() {
+		k := key{a.u, a.v, a.seq}
+		was[k] = true
+		w, ok := now[k]
+		switch {
+		case !ok:
+			es = append(es, entry{ArcChange{Kind: ArcRemove, U: a.u, V: a.v, OldW: a.w}, a.seq})
+		case math.Float64bits(w) != math.Float64bits(a.w):
+			es = append(es, entry{ArcChange{Kind: ArcReweight, U: a.u, V: a.v, OldW: a.w, NewW: w}, a.seq})
+		}
+	}
+	for _, a := range after.arcs() {
+		if !was[key{a.u, a.v, a.seq}] {
+			es = append(es, entry{ArcChange{Kind: ArcAdd, U: a.u, V: a.v, NewW: a.w}, a.seq})
+		}
+	}
+	slices.SortFunc(es, func(a, b entry) int {
+		if a.c.U != b.c.U {
+			return int(a.c.U) - int(b.c.U)
+		}
+		if a.c.V != b.c.V {
+			return int(a.c.V) - int(b.c.V)
+		}
+		return a.seq - b.seq
+	})
+	var out []ArcChange
+	for _, e := range es {
+		out = append(out, e.c)
+	}
+	return out
+}
+
+// sameArrays fails unless got and want hold identical storage: offsets,
+// adjacency slice or stream bytes plus their index, and weights.
+func sameArrays(t *testing.T, label string, got, want *Graph) {
+	t.Helper()
+	if got.n != want.n || got.directed != want.directed || got.weighted != want.weighted {
+		t.Fatalf("%s: shape n=%d directed=%v weighted=%v, want n=%d directed=%v weighted=%v",
+			label, got.n, got.directed, got.weighted, want.n, want.directed, want.weighted)
+	}
+	if got.IsCompact() != want.IsCompact() {
+		t.Fatalf("%s: representation %s, want %s", label, got.Repr(), want.Repr())
+	}
+	if !slices.Equal(got.outOff, want.outOff) {
+		t.Fatalf("%s: outOff\n got %v\nwant %v", label, got.outOff, want.outOff)
+	}
+	if !slices.Equal(got.outAdj, want.outAdj) {
+		t.Fatalf("%s: outAdj\n got %v\nwant %v", label, got.outAdj, want.outAdj)
+	}
+	if !slices.Equal(got.cOutIdx, want.cOutIdx) {
+		t.Fatalf("%s: cOutIdx\n got %v\nwant %v", label, got.cOutIdx, want.cOutIdx)
+	}
+	if !bytes.Equal(got.cOut, want.cOut) {
+		t.Fatalf("%s: cOut\n got %v\nwant %v", label, got.cOut, want.cOut)
+	}
+	if (got.outW == nil) != (want.outW == nil) || !slices.EqualFunc(got.outW, want.outW, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b)
+	}) {
+		t.Fatalf("%s: outW\n got %v\nwant %v", label, got.outW, want.outW)
+	}
+}
+
+// sameReverse fails unless the two graphs agree on every in-list.
+func sameReverse(t *testing.T, label string, got, want *Graph) {
+	t.Helper()
+	for u := 0; u < want.n; u++ {
+		id := VertexID(u)
+		checkSame(t, fmt.Sprintf("%s: in-list of %d", label, u),
+			want.InNeighbors(id), got.InNeighbors(id), want.InWeights(id), got.InWeights(id))
+	}
+}
+
+// scratchFingerprint recomputes g's digest from its arcs, ignoring the
+// cache ApplyDelta filled.
+func scratchFingerprint(g *Graph) uint64 {
+	return finishFingerprint(g.n, g.directed, g.arcHashSum())
+}
+
+// checkApplyDelta holds ApplyDelta(build(before), muts) to the oracle on
+// both representations and reports whether the log was valid.
+func checkApplyDelta(t *testing.T, before *model, muts []Mutation) (after *model, ok bool) {
+	t.Helper()
+	after = before.clone()
+	wantErr := after.applyLog(muts)
+	var results [2]*Graph
+	var diffs [2][]ArcChange
+	for i, compact := range []bool{false, true} {
+		label := map[bool]string{false: "flat", true: "compact"}[compact]
+		g := before.build(compact)
+		if before.directed {
+			g.BuildReverse()
+		}
+		oldFP := g.Fingerprint()
+		ng, ad, err := ApplyDelta(g, &Delta{Muts: muts})
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("%s: ApplyDelta error = %v, model says %v", label, err, wantErr)
+		}
+		sameArrays(t, label+": source graph after ApplyDelta", g, before.build(compact))
+		if err != nil {
+			continue
+		}
+		want := after.build(compact)
+		sameArrays(t, label, ng, want)
+		if !reflect.DeepEqual(ad.Arcs, diff(before, after)) {
+			t.Fatalf("%s: Arcs\n got %v\nwant %v", label, ad.Arcs, diff(before, after))
+		}
+		if ad.OldFingerprint != oldFP || ad.NewVertices != after.n-before.n {
+			t.Fatalf("%s: AppliedDelta{OldFingerprint %016x NewVertices %d}, want {%016x %d}",
+				label, ad.OldFingerprint, ad.NewVertices, oldFP, after.n-before.n)
+		}
+		if fp := ng.Fingerprint(); fp != scratchFingerprint(ng) || fp != want.Fingerprint() {
+			t.Fatalf("%s: derived fingerprint %016x, recomputed %016x, Builder graph %016x",
+				label, fp, scratchFingerprint(ng), want.Fingerprint())
+		}
+		if !ng.HasReverse() {
+			t.Fatalf("%s: reverse adjacency lost", label)
+		}
+		want.BuildReverse()
+		sameReverse(t, label, ng, want)
+		results[i], diffs[i] = ng, ad.Arcs
+	}
+	if wantErr != nil {
+		return nil, false
+	}
+	if results[0].Fingerprint() != results[1].Fingerprint() || !reflect.DeepEqual(diffs[0], diffs[1]) {
+		t.Fatalf("flat and compact disagree: %016x %v vs %016x %v",
+			results[0].Fingerprint(), diffs[0], results[1].Fingerprint(), diffs[1])
+	}
+	sameArrays(t, "Flatten(compact result)", Flatten(results[1]), results[0])
+	return after, true
+}
+
+var modelWeights = []float64{1, 1, 2, 0.5, 3.25, math.Float64frombits(math.Float64bits(2) + 1)}
+
+// randModel draws a small graph dense in the awkward cases: parallel arcs,
+// self-loops, isolated vertices.
+func randModel(rng *rand.Rand) *model {
+	m := &model{n: 1 + rng.Intn(10), directed: rng.Intn(2) == 0}
+	weighted := rng.Intn(2) == 0
+	for i := rng.Intn(4 * m.n); i > 0; i-- {
+		w := 1.0
+		if weighted {
+			w = modelWeights[rng.Intn(len(modelWeights))]
+		}
+		m.add(VertexID(rng.Intn(m.n)), VertexID(rng.Intn(m.n)), w)
+	}
+	m.settle()
+	return m
+}
+
+// randLog draws a log against a scratch copy of m, so most entries are
+// valid where they stand: removals and reweights of original edges, of
+// edges the same log added (add-then-del), re-additions of removed pairs
+// (del-then-add), appended vertices and edges on them. With invalid set, one
+// log in eight also carries an entry that may not apply.
+func randLog(rng *rand.Rand, m *model, entries int, invalid bool) []Mutation {
+	sc := m.clone()
+	var d Delta
+	var gone [][2]VertexID
+	for len(d.Muts) < entries {
+		switch op := rng.Intn(10); {
+		case op < 4 || len(sc.edges) == 0 && op < 8:
+			u, v := VertexID(rng.Intn(sc.n)), VertexID(rng.Intn(sc.n))
+			if len(gone) > 0 && rng.Intn(3) == 0 {
+				p := gone[rng.Intn(len(gone))]
+				u, v = p[0], p[1]
+			}
+			d.AddWeightedEdge(u, v, modelWeights[rng.Intn(len(modelWeights))])
+		case op < 6:
+			e := sc.edges[rng.Intn(len(sc.edges))]
+			if !sc.directed && rng.Intn(2) == 0 {
+				e.u, e.v = e.v, e.u
+			}
+			d.RemoveEdge(e.u, e.v)
+			gone = append(gone, [2]VertexID{e.u, e.v})
+		case op < 8:
+			e := sc.edges[rng.Intn(len(sc.edges))]
+			d.SetWeight(e.u, e.v, modelWeights[rng.Intn(len(modelWeights))])
+		case op < 9:
+			d.AddVertices(1 + rng.Intn(2))
+		default:
+			if !invalid || rng.Intn(8) != 0 {
+				continue
+			}
+			u, v := VertexID(rng.Intn(sc.n+1)), VertexID(rng.Intn(sc.n))
+			if rng.Intn(2) == 0 {
+				d.RemoveEdge(u, v)
+			} else {
+				d.SetWeight(u, v, 2)
+			}
+		}
+		if sc.apply(d.Muts[len(d.Muts)-1]) != nil {
+			break // the log ends at its first invalid entry
+		}
+	}
+	return d.Muts
+}
+
+func TestApplyDeltaEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	valid := 0
+	for i := 0; i < 1500; i++ {
+		m := randModel(rng)
+		if _, ok := checkApplyDelta(t, m, randLog(rng, m, rng.Intn(12), true)); ok {
+			valid++
+		}
+	}
+	if valid < 1000 {
+		t.Fatalf("only %d of 1500 random logs were valid; the generator is off", valid)
+	}
+}
+
+// TestApplyDeltaChainEqualsConcatenation applies 32 deltas one after the
+// other and the same 32 logs as one delta: same graph, same fingerprint,
+// both equal to the Builder's.
+func TestApplyDeltaChainEqualsConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 40; i++ {
+		m0 := randModel(rng)
+		for _, compact := range []bool{false, true} {
+			m, g := m0.clone(), m0.build(compact)
+			var all []Mutation
+			for k := 0; k < 32; k++ {
+				muts := randLog(rng, m, 1+rng.Intn(4), false)
+				if err := m.applyLog(muts); err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, muts...)
+				var err error
+				if g, _, err = ApplyDelta(g, &Delta{Muts: muts}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			once, _, err := ApplyDelta(m0.build(compact), &Delta{Muts: all})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameArrays(t, "32 chained deltas vs one", g, once)
+			sameArrays(t, "32 chained deltas vs Builder", g, m.build(compact))
+			if g.Fingerprint() != once.Fingerprint() || g.Fingerprint() != scratchFingerprint(g) {
+				t.Fatalf("chained %016x, concatenated %016x, recomputed %016x",
+					g.Fingerprint(), once.Fingerprint(), scratchFingerprint(g))
+			}
+		}
+	}
+}
+
+// TestFingerprintSeparates pins what the digest must still tell apart now
+// that it is a sum: the sum alone is blind to n and directedness, and a
+// sum of per-arc terms without the parallel ordinal would be blind to the
+// order of parallel arcs.
+func TestFingerprintSeparates(t *testing.T) {
+	build := func(n int, directed bool, edges ...modelEdge) uint64 {
+		b := NewBuilder(n, directed)
+		for _, e := range edges {
+			b.AddWeightedEdge(e.u, e.v, e.w)
+		}
+		return b.Finalize().Fingerprint()
+	}
+	e := func(u, v VertexID, w float64) modelEdge { return modelEdge{u: u, v: v, w: w} }
+	base := build(3, true, e(0, 1, 2), e(0, 1, 3), e(1, 0, 2), e(1, 0, 3))
+	for name, other := range map[string]uint64{
+		"one more isolated vertex":     build(4, true, e(0, 1, 2), e(0, 1, 3), e(1, 0, 2), e(1, 0, 3)),
+		"undirected, same stored arcs": build(3, false, e(0, 1, 2), e(0, 1, 3)),
+		"one weight bit":               build(3, true, e(0, 1, 2), e(0, 1, math.Float64frombits(math.Float64bits(3)^1)), e(1, 0, 2), e(1, 0, 3)),
+		"parallel arcs swapped":        build(3, true, e(0, 1, 3), e(0, 1, 2), e(1, 0, 2), e(1, 0, 3)),
+		"weights moved across pairs":   build(3, true, e(0, 1, 2), e(0, 1, 2), e(1, 0, 3), e(1, 0, 3)),
+	} {
+		if other == base {
+			t.Errorf("%s: fingerprint %016x does not change", name, base)
+		}
+	}
+	if again := build(3, true, e(0, 1, 2), e(1, 0, 2), e(0, 1, 3), e(1, 0, 3)); again != base {
+		t.Errorf("insertion order across different pairs changed the fingerprint: %016x != %016x", again, base)
+	}
+}
+
+// TestVerifyFingerprint: a digest ApplyDelta derived passes the re-hash on
+// both representations, and fails it once an untouched span — which the
+// derivation never looked at — no longer holds what the source held.
+func TestVerifyFingerprint(t *testing.T) {
+	b := NewBuilder(6, true)
+	for u := 0; u < 6; u++ {
+		b.AddWeightedEdge(VertexID(u), VertexID((u+1)%6), 2)
+		b.AddWeightedEdge(VertexID(u), VertexID((u+2)%6), 3)
+	}
+	d := &Delta{}
+	d.AddWeightedEdge(0, 3, 5)
+	d.RemoveEdge(4, 5)
+	flat := b.Finalize()
+	compact, err := Compact(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Graph{flat, compact} {
+		if err := g.VerifyFingerprint(); err != nil {
+			t.Fatalf("no cached digest yet: %v", err)
+		}
+		ng, _, err := ApplyDelta(g, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ng.VerifyFingerprint(); err != nil {
+			t.Fatalf("compact=%v: spliced graph: %v", g.IsCompact(), err)
+		}
+		ng.outW[len(ng.outW)-1]++ // vertex 5: untouched by the delta
+		if err := ng.VerifyFingerprint(); err == nil {
+			t.Errorf("compact=%v: a changed weight in an untouched span passes the re-hash", g.IsCompact())
+		}
+	}
+}
+
+// TestApplyDeltaOutlivesMappedSource closes a file-mapped source graph and
+// then reads every array of the graph ApplyDelta made from it: a result
+// that borrowed any span from the mapping would fault here.
+func TestApplyDeltaOutlivesMappedSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := &model{n: 200, directed: true}
+	for i := 0; i < 1500; i++ {
+		m.add(VertexID(rng.Intn(m.n)), VertexID(rng.Intn(m.n)), modelWeights[rng.Intn(len(modelWeights))])
+	}
+	m.settle()
+	path := filepath.Join(t.TempDir(), "g.dvg")
+	if err := WriteGraphFile(path, m.build(true)); err != nil {
+		t.Fatal(err)
+	}
+	src, err := ReadGraphFile(path, LoadMmap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !src.Mapped() {
+		src.Close()
+		t.Skip("file mapping unavailable on this host")
+	}
+	muts := randLog(rng, m, 20, false)
+	ng, _, err := ApplyDelta(src, &Delta{Muts: muts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if src.Mapped() || ng.Mapped() {
+		t.Fatalf("after Close: source mapped=%v, result mapped=%v", src.Mapped(), ng.Mapped())
+	}
+	if err := m.applyLog(muts); err != nil {
+		t.Fatal(err)
+	}
+	sameArrays(t, "result of a mapped source, after its Close", ng, m.build(true))
+}
+
+// TestApplyDeltaLongLogIsLinear is the regression test for log
+// interpretation that rescanned every pending addition per removal: a
+// 32 k-entry log alternating additions with removals of earlier additions
+// (and re-additions of removed pairs) must still produce the Builder's
+// graph, and an 8× longer log must not cost anywhere near 64× the time.
+func TestApplyDeltaLongLogIsLinear(t *testing.T) {
+	g := RMAT(14, 8, 0.57, 0.19, 0.19, true, 5)
+	// alternating returns the log and the additions that survive it, in
+	// log order. It never names a pair g already stores, so a removal
+	// takes exactly one pending addition with it.
+	alternating := func(entries int) (*Delta, [][2]VertexID) {
+		rng := rand.New(rand.NewSource(6))
+		d := &Delta{}
+		taken := map[[2]VertexID]bool{}
+		for u := 0; u < g.n; u++ {
+			g.ForEachOutNeighbor(VertexID(u), func(v VertexID) { taken[[2]VertexID{VertexID(u), v}] = true })
+		}
+		addedAt := map[[2]VertexID]int{} // pending pair → its log entry
+		var pending [][2]VertexID
+		for d.Len() < entries {
+			p := [2]VertexID{VertexID(rng.Intn(g.n)), VertexID(rng.Intn(g.n))}
+			if taken[p] {
+				continue
+			}
+			taken[p], addedAt[p] = true, d.Len()
+			d.AddEdge(p[0], p[1])
+			pending = append(pending, p)
+			if rng.Intn(4) != 0 {
+				k := rng.Intn(len(pending))
+				q := pending[k]
+				d.RemoveEdge(q[0], q[1])
+				pending[k] = pending[len(pending)-1]
+				pending = pending[:len(pending)-1]
+				delete(taken, q) // free to come back: del-then-add
+				delete(addedAt, q)
+			}
+		}
+		slices.SortFunc(pending, func(a, b [2]VertexID) int { return addedAt[a] - addedAt[b] })
+		return d, pending
+	}
+	d, survivors := alternating(32000)
+	ng, _, err := ApplyDelta(g, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(g.n, true)
+	for u := 0; u < g.n; u++ {
+		g.ForEachOutNeighbor(VertexID(u), func(v VertexID) { b.AddEdge(VertexID(u), v) })
+	}
+	for _, p := range survivors {
+		b.AddEdge(p[0], p[1])
+	}
+	sameArrays(t, "32k-entry log", ng, b.Finalize())
+
+	best := func(entries int) time.Duration {
+		d, _ := alternating(entries)
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 3; i++ {
+			t0 := time.Now()
+			if _, _, err := ApplyDelta(g, d); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(t0))
+		}
+		return best
+	}
+	short, long := best(8000), best(64000)
+	t.Logf("8k entries %v, 64k entries %v (×%.1f)", short, long, float64(long)/float64(short))
+	if long > 24*short {
+		t.Fatalf("64k-entry log took %v, 8k-entry log %v: ×%.1f for 8× the entries",
+			long, short, float64(long)/float64(short))
+	}
+}
+
+// TestApplyDeltaCompactOverflow lowers the stream limit so a delta pushes a
+// compact graph's stream past it: the typed error must come back, not
+// wrapped offsets.
+func TestApplyDeltaCompactOverflow(t *testing.T) {
+	g := fanOut(60) // 60 one-byte gaps out of vertex 0
+	c := MustCompact(g)
+	withStreamLimit(t, uint64(len(c.cOut))+2)
+	d := &Delta{}
+	d.AddEdge(1, 2)
+	d.AddEdge(1, 3)
+	if _, _, err := ApplyDelta(c, d); err != nil {
+		t.Fatalf("a delta that fits the limit exactly: %v", err)
+	}
+	d.AddEdge(2, 3)
+	_, _, err := ApplyDelta(c, d)
+	var ov *CompactOverflowError
+	if !errors.As(err, &ov) || ov.Direction != "out" || ov.Vertex != 2 || ov.Bytes != uint64(len(c.cOut))+3 {
+		t.Fatalf("err = %v, want out-overflow at vertex 2 with %d bytes", err, len(c.cOut)+3)
+	}
+	if _, _, err := ApplyDelta(g, d); err != nil {
+		t.Fatalf("the flat graph has no stream limit: %v", err)
+	}
+}
+
+// fuzzReader hands out the fuzz input byte by byte; past the end it reads
+// zeros, so every input is a complete case.
+type fuzzReader struct{ b []byte }
+
+func (r *fuzzReader) next() int {
+	if len(r.b) == 0 {
+		return 0
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return int(c)
+}
+
+// FuzzApplyDelta drives the equivalence oracle from fuzz input: the bytes
+// pick a small graph and a log over it.
+func FuzzApplyDelta(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 1, 1, 3, 0, 1, 2, 0, 1, 3, 1, 2, 0, 4, 0, 0, 1, 2, 1, 0, 1, 0, 2, 0, 1, 3})
+	f.Add([]byte{3, 0, 0, 2, 0, 1, 0, 0, 1, 0, 3, 3, 1, 0, 0, 3, 2, 0, 3, 1, 0, 3})
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 4; i++ {
+		seed := make([]byte, 64)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r := &fuzzReader{b: b}
+		m := &model{n: 1 + r.next()%8, directed: r.next()%2 == 0}
+		weighted := r.next()%2 == 0
+		for i := r.next() % 24; i > 0; i-- {
+			w := 1.0
+			if weighted {
+				w = modelWeights[r.next()%len(modelWeights)]
+			}
+			m.add(VertexID(r.next()%m.n), VertexID(r.next()%m.n), w)
+		}
+		m.settle()
+		var d Delta
+		n := m.n
+		for len(r.b) > 0 && d.Len() < 32 {
+			// One id past the end keeps out-of-range entries reachable.
+			u, v := VertexID(r.next()%(n+1)), VertexID(r.next()%(n+1))
+			switch r.next() % 4 {
+			case 0:
+				d.AddWeightedEdge(u, v, modelWeights[r.next()%len(modelWeights)])
+			case 1:
+				d.RemoveEdge(u, v)
+			case 2:
+				d.SetWeight(u, v, modelWeights[r.next()%len(modelWeights)])
+			case 3:
+				d.AddVertices(r.next() % 3) // 0 is an invalid count
+				n += d.Muts[len(d.Muts)-1].Count
+			}
+		}
+		checkApplyDelta(t, m, d.Muts)
+	})
+}

@@ -25,8 +25,9 @@ import (
 // behind, which replay ignores, so the chain always loads to the last
 // committed entry.
 
-// ChainManifestVersion is the current manifest format version.
-const ChainManifestVersion = 1
+// ChainManifestVersion is the current manifest format version (see
+// SnapshotVersion for what 2 means).
+const ChainManifestVersion = 2
 
 // ChainManifestName is the manifest's file name inside a chain directory.
 const ChainManifestName = "chain.dvchmf"
@@ -377,6 +378,51 @@ type ChainState struct {
 	GraphFingerprints []uint64
 }
 
+// chainTip is the snapshot state LoadChain has reconstructed so far: the
+// last base record, or — once delta records follow it — the last record's
+// header over the snapshot's serialized sections, which the records patch
+// in place. It is parsed back into a Snapshot when the run of records
+// ends, once per base instead of once per record.
+type chainTip struct {
+	snap *Snapshot      // last base record; nil before the first
+	hdr  *SnapshotDelta // last delta record applied on top of snap; nil if none
+	sec  [numSnapSections][]byte
+}
+
+// apply patches the tip with the next delta record. The tip owns snap (it
+// was decoded for this load alone), so the sections taken from it are
+// edited where they lie.
+func (t *chainTip) apply(d *SnapshotDelta) error {
+	fingerprint, superstep := t.snap.Fingerprint, t.snap.Superstep
+	if t.hdr != nil {
+		fingerprint, superstep = t.hdr.Fingerprint, t.hdr.Superstep
+	}
+	if err := d.checkBase(fingerprint, superstep); err != nil {
+		return err
+	}
+	if t.hdr == nil {
+		t.sec = snapshotSections(t.snap)
+	}
+	if err := d.patchSections(&t.sec, true); err != nil {
+		return err
+	}
+	// Checked per record, not only when the tip is parsed, so a record that
+	// contradicts its own vertex count is the one the error names.
+	if err := checkSectionLengths(d.NumVertices, &t.sec); err != nil {
+		return err
+	}
+	t.hdr = d
+	return nil
+}
+
+// snapshot returns the reconstructed snapshot.
+func (t *chainTip) snapshot() (*Snapshot, error) {
+	if t.hdr == nil {
+		return t.snap, nil
+	}
+	return snapshotFromSections(t.hdr, t.sec)
+}
+
 // LoadChain reads dir's manifest and replays every record: base snapshots
 // load whole, delta records patch the snapshot reconstructed so far, graph
 // logs are collected for the caller to re-apply. Every record is CRC- and
@@ -394,6 +440,7 @@ func LoadChain(dir string) (*ChainState, error) {
 		return nil, fmt.Errorf("%w: chain manifest has %d trailing bytes", ErrSnapshotCorrupt, len(rest))
 	}
 	st := &ChainState{Dir: dir, Entries: entries}
+	var tip chainTip
 	for i, e := range entries {
 		b, err := os.ReadFile(filepath.Join(dir, e.Name))
 		if err != nil {
@@ -412,9 +459,9 @@ func LoadChain(dir string) (*ChainState, error) {
 				return nil, fmt.Errorf("%w: chain entry %d (%s) is superstep %d/%016x, manifest says %d/%016x",
 					ErrSnapshotMismatch, i, e.Name, s.Superstep, s.Fingerprint, e.Superstep, e.Fingerprint)
 			}
-			st.Snapshot = s
+			tip = chainTip{snap: s}
 		case ChainDelta:
-			if st.Snapshot == nil {
+			if tip.snap == nil {
 				return nil, fmt.Errorf("%w: chain entry %d (%s) is a delta record with no base before it", ErrSnapshotCorrupt, i, e.Name)
 			}
 			d, rest, err := DecodeSnapshotDelta(b)
@@ -428,18 +475,19 @@ func LoadChain(dir string) (*ChainState, error) {
 				return nil, fmt.Errorf("%w: chain entry %d (%s) is superstep %d/%016x, manifest says %d/%016x",
 					ErrSnapshotMismatch, i, e.Name, d.Superstep, d.Fingerprint, e.Superstep, e.Fingerprint)
 			}
-			next, err := ApplySnapshotDelta(st.Snapshot, d)
-			if err != nil {
+			if err := tip.apply(d); err != nil {
 				return nil, fmt.Errorf("chain entry %d (%s %s): %w", i, e.Kind, e.Name, err)
 			}
-			st.Snapshot = next
 		case ChainGraphDelta:
 			st.GraphDeltas = append(st.GraphDeltas, b)
 			st.GraphFingerprints = append(st.GraphFingerprints, e.Fingerprint)
 		}
 	}
-	if st.Snapshot == nil {
+	if tip.snap == nil {
 		return nil, fmt.Errorf("%w: chain %s has no snapshot records", ErrSnapshotCorrupt, dir)
+	}
+	if st.Snapshot, err = tip.snapshot(); err != nil {
+		return nil, fmt.Errorf("chain %s: tip snapshot: %w", dir, err)
 	}
 	return st, nil
 }
@@ -449,8 +497,12 @@ func LoadChain(dir string) (*ChainState, error) {
 // chain was started from, which the chain itself does not store — and the
 // result is checked against the fingerprint the chain recorded for that
 // step, so the wrong boot graph fails naming the first log it diverges at
-// instead of seeding state onto a graph it does not describe. With no logs
-// the result is boot itself; otherwise it is a new graph the caller owns
+// instead of seeding state onto a graph it does not describe. Every step is
+// also re-hashed from its arrays (graph.VerifyFingerprint): the digest
+// ApplyDelta derives covers the touched blocks alone, and a graph replayed
+// wrong here would be served until the next restart, so replay — unlike a
+// live flush, whose source was just served — does not take it on trust.
+// With no logs the result is boot itself; otherwise it is a new graph the caller owns
 // (intermediate graphs are closed, boot never is). Continue(st.Snapshot)
 // on the returned graph is the chain-tip seed.
 func (st *ChainState) Replay(boot *graph.Graph) (*graph.Graph, error) {
@@ -474,6 +526,9 @@ func (st *ChainState) Replay(boot *graph.Graph) (*graph.Graph, error) {
 			g.Close()
 		}
 		g = next
+		if err := g.VerifyFingerprint(); err != nil {
+			return fail(fmt.Errorf("replaying mutation log %d: %w", i, err))
+		}
 		if fp := g.Fingerprint(); fp != st.GraphFingerprints[i] {
 			return fail(fmt.Errorf("%w: graph fingerprint %016x after mutation log %d, chain recorded %016x — wrong boot-time graph?",
 				ErrSnapshotMismatch, fp, i, st.GraphFingerprints[i]))

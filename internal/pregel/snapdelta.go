@@ -23,8 +23,9 @@ import (
 // still correct, just not small. Aggregates are tiny and always stored in
 // full.
 
-// SnapshotDeltaVersion is the current delta-record format version.
-const SnapshotDeltaVersion = 1
+// SnapshotDeltaVersion is the current delta-record format version (see
+// SnapshotVersion for what 2 means).
+const SnapshotDeltaVersion = 2
 
 // snapshotDeltaMagic prefixes every encoded snapshot delta record.
 var snapshotDeltaMagic = [6]byte{'D', 'V', 'S', 'N', 'P', 'D'}
@@ -185,43 +186,86 @@ func DiffSnapshots(base, next *Snapshot) *SnapshotDelta {
 // out of the base's bounds, section lengths that contradict the vertex
 // count) return an error wrapping ErrSnapshotCorrupt. base is not modified.
 func ApplySnapshotDelta(base *Snapshot, d *SnapshotDelta) (*Snapshot, error) {
-	if base.Fingerprint != d.BaseFingerprint {
-		return nil, fmt.Errorf("%w: delta record patches base fingerprint %016x, snapshot has %016x",
-			ErrSnapshotMismatch, d.BaseFingerprint, base.Fingerprint)
+	if err := d.checkBase(base.Fingerprint, base.Superstep); err != nil {
+		return nil, err
 	}
-	if base.Superstep != d.BaseSuperstep {
-		return nil, fmt.Errorf("%w: delta record patches base superstep %d, snapshot is at %d",
-			ErrSnapshotMismatch, d.BaseSuperstep, base.Superstep)
+	sec := snapshotSections(base)
+	if err := d.patchSections(&sec, false); err != nil {
+		return nil, err
 	}
-	bs := snapshotSections(base)
-	var sec [numSnapSections][]byte
+	return snapshotFromSections(d, sec)
+}
+
+// checkBase reports whether d patches the snapshot state identified by
+// fingerprint and superstep.
+func (d *SnapshotDelta) checkBase(fingerprint uint64, superstep int) error {
+	if fingerprint != d.BaseFingerprint {
+		return fmt.Errorf("%w: delta record patches base fingerprint %016x, snapshot has %016x",
+			ErrSnapshotMismatch, d.BaseFingerprint, fingerprint)
+	}
+	if superstep != d.BaseSuperstep {
+		return fmt.Errorf("%w: delta record patches base superstep %d, snapshot is at %d",
+			ErrSnapshotMismatch, d.BaseSuperstep, superstep)
+	}
+	return nil
+}
+
+// patchSections turns the base's serialized sections into those of the
+// snapshot d encodes. With inPlace the caller owns sec's bytes and sparse
+// edits are written straight into them — how LoadChain carries one state
+// across a run of records; otherwise a section is copied before its first
+// edit and the bytes sec came in with are never written. Replaced sections
+// alias d either way.
+func (d *SnapshotDelta) patchSections(sec *[numSnapSections][]byte, inPlace bool) error {
 	for i, p := range d.patches {
 		switch p.tag {
 		case patchUnchanged:
-			sec[i] = bs[i]
 		case patchFull:
 			sec[i] = p.full
 		case patchRuns:
-			out := append([]byte(nil), bs[i]...)
+			out := sec[i]
+			if !inPlace {
+				out = append([]byte(nil), out...)
+			}
 			for _, r := range p.runs {
 				if r.off < 0 || r.off+len(r.data) > len(out) {
-					return nil, fmt.Errorf("%w: %s patch run [%d,%d) exceeds section length %d",
+					return fmt.Errorf("%w: %s patch run [%d,%d) exceeds section length %d",
 						ErrSnapshotCorrupt, snapSectionNames[i], r.off, r.off+len(r.data), len(out))
 				}
 				copy(out[r.off:], r.data)
 			}
 			sec[i] = out
 		default:
-			return nil, fmt.Errorf("%w: unknown section patch tag %d", ErrSnapshotCorrupt, p.tag)
+			return fmt.Errorf("%w: unknown section patch tag %d", ErrSnapshotCorrupt, p.tag)
 		}
 	}
-	return snapshotFromSections(d, sec)
+	return nil
+}
+
+// checkSectionLengths rejects sections whose fixed-size parts contradict
+// the vertex count n.
+func checkSectionLengths(n int, sec *[numSnapSections][]byte) error {
+	for i, name := range []string{"active", "removed"} {
+		if len(sec[i]) != (n+7)/8 {
+			return fmt.Errorf("%w: %s bitset is %d bytes, %d vertices need %d",
+				ErrSnapshotCorrupt, name, len(sec[i]), n, (n+7)/8)
+		}
+	}
+	if len(sec[3]) != 4*n {
+		return fmt.Errorf("%w: inbox counts are %d bytes, %d vertices need %d",
+			ErrSnapshotCorrupt, len(sec[3]), n, 4*n)
+	}
+	return nil
 }
 
 // snapshotFromSections parses the seven reconstructed section byte strings
-// back into a Snapshot under d's header.
+// back into a Snapshot under d's header. The snapshot shares no bytes with
+// sec.
 func snapshotFromSections(d *SnapshotDelta, sec [numSnapSections][]byte) (*Snapshot, error) {
 	n := d.NumVertices
+	if err := checkSectionLengths(n, &sec); err != nil {
+		return nil, err
+	}
 	s := &Snapshot{
 		Version:     SnapshotVersion,
 		Fingerprint: d.Fingerprint,
@@ -232,13 +276,6 @@ func snapshotFromSections(d *SnapshotDelta, sec [numSnapSections][]byte) (*Snaps
 		Done:        d.Done,
 		WorkQueue:   d.WorkQueue,
 		Aggs:        append([]float64(nil), d.Aggs...),
-	}
-	for i, name := range []string{"active", "removed"} {
-		raw := sec[i]
-		if len(raw) != (n+7)/8 {
-			return nil, fmt.Errorf("%w: %s bitset is %d bytes, %d vertices need %d",
-				ErrSnapshotCorrupt, name, len(raw), n, (n+7)/8)
-		}
 	}
 	s.Active = parseBitset(sec[0], n)
 	s.Removed = parseBitset(sec[1], n)
@@ -257,10 +294,6 @@ func snapshotFromSections(d *SnapshotDelta, sec [numSnapSections][]byte) (*Snaps
 	}
 	if r.err != nil {
 		return nil, r.err
-	}
-	if len(sec[3]) != 4*n {
-		return nil, fmt.Errorf("%w: inbox counts are %d bytes, %d vertices need %d",
-			ErrSnapshotCorrupt, len(sec[3]), n, 4*n)
 	}
 	s.InboxCounts = make([]uint32, n)
 	for i := range s.InboxCounts {

@@ -110,9 +110,13 @@ func TestSnapshotDeltaRoundTrip(t *testing.T) {
 		if !bytes.Equal(rest, tail) {
 			t.Fatalf("trial %d: remainder mismatch", trial)
 		}
+		untouched := base.AppendTo(nil)
 		applied, err := ApplySnapshotDelta(base, got)
 		if err != nil {
 			t.Fatalf("trial %d: apply: %v", trial, err)
+		}
+		if !bytes.Equal(base.AppendTo(nil), untouched) {
+			t.Fatalf("trial %d: ApplySnapshotDelta modified its base", trial)
 		}
 		normalize(next)
 		normalize(applied)

@@ -24,8 +24,14 @@ import (
 // state observes a consistent cut — the classic Pregel checkpoint argument.
 
 // SnapshotVersion is the current snapshot format version. Decoding rejects
-// any other version.
-const SnapshotVersion = 1
+// any other version. Version 2 has version 1's layout; what changed is the
+// graph fingerprint inside it (graph.Fingerprint became a composable arc
+// sum). No graph hashes to a version-1 fingerprint any more, so a
+// version-1 file is refused for what it is — ErrSnapshotVersion — rather
+// than decoded and then reported as belonging to some other graph. The
+// delta-record and chain-manifest versions moved with it for the same
+// reason.
+const SnapshotVersion = 2
 
 // snapshotMagic prefixes every encoded snapshot.
 var snapshotMagic = [6]byte{'D', 'V', 'S', 'N', 'A', 'P'}

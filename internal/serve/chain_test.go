@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,6 +197,22 @@ func TestServeChainWrongBootGraph(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("restart accepted the wrong boot-time graph")
+	}
+}
+
+// TestServeChainRefusesV1: a chain directory written at format version 1
+// carries fingerprints no graph hashes to any more; the restart must refuse
+// it for its version, not blame the boot-time graph.
+func TestServeChainRefusesV1(t *testing.T) {
+	dir := copyChainDir(t, filepath.Join("..", "pregel", "testdata", "v1", "chain"))
+	g := graph.Grid(3, 3, 2, 1)
+	defer g.Close()
+	_, err := New(context.Background(), Config{
+		Prog: compile(t, "sssp", core.Incremental), Graph: g, Params: map[string]float64{"src": 0},
+		ChainDir: dir,
+	})
+	if !errors.Is(err, pregel.ErrSnapshotVersion) || errors.Is(err, pregel.ErrSnapshotMismatch) {
+		t.Fatalf("err = %v, want ErrSnapshotVersion (and not ErrSnapshotMismatch)", err)
 	}
 }
 

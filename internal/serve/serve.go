@@ -284,6 +284,10 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		}
 	}
 	s.current.Store(v)
+	// From here on the graph to use is the published version's. Keeping the
+	// boot-time one reachable would pin a superseded graph — closed, after a
+	// chain boot — for the server's whole life.
+	s.cfg.Graph = nil
 	go s.loop()
 	return s, nil
 }

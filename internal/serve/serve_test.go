@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -484,6 +485,35 @@ func TestReadsCompleteWhileRepairInFlight(t *testing.T) {
 	if after.Epoch != before.Epoch+1 {
 		t.Fatalf("epoch %d after flush, want %d", after.Epoch, before.Epoch+1)
 	}
+}
+
+// TestServeBootGraphCollectable: once a flush has superseded the boot-time
+// graph nothing in the server may keep it reachable — it is several
+// megabytes at serving scale, held for the server's whole life.
+func TestServeBootGraphCollectable(t *testing.T) {
+	collected := make(chan struct{})
+	boot := func() *Server { // its own frame, so the test holds no reference
+		g := graph.Grid(15, 15, 10, 3)
+		runtime.SetFinalizer(g, func(*graph.Graph) { close(collected) })
+		s, _ := ssspServer(t, Config{Graph: g})
+		return s
+	}
+	s := boot()
+	if _, err := s.Enqueue([]graph.Mutation{{Op: graph.MutAddEdge, U: 0, V: 200, W: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the boot-time graph is still reachable after a flush superseded it")
 }
 
 // TestServeClose: operations after Close fail cleanly and the loop exits.

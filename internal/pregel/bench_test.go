@@ -1,8 +1,10 @@
 package pregel
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -84,6 +86,55 @@ func BenchmarkSchedulers(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// walkProgram sends one token down a directed path for hops supersteps:
+// after Init, exactly one vertex runs and one message is delivered per
+// superstep, whatever the path's length.
+type walkProgram struct{ hops int }
+
+func (walkProgram) Init(ctx *Context[struct{}, float64]) {
+	if ctx.ID() == 0 {
+		ctx.BroadcastOut(0)
+	}
+	ctx.VoteToHalt()
+}
+
+func (p walkProgram) Compute(ctx *Context[struct{}, float64], msgs []float64) {
+	if ctx.Superstep() < p.hops {
+		ctx.BroadcastOut(0)
+	}
+	ctx.VoteToHalt()
+}
+
+// BenchmarkThinSuperstep measures the fixed cost of a superstep whose
+// frontier is a single vertex, at two graph sizes: ns/superstep is the mean
+// duration of the supersteps after Init, which should not grow with n
+// beyond the |V|/64-word sweeps.
+func BenchmarkThinSuperstep(b *testing.B) {
+	const hops = 256
+	for _, n := range []int{1 << 12, 1 << 20} {
+		g := graph.Path(n, true)
+		for _, sched := range []Scheduler{ScanAll, WorkQueue} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, schedName(sched)), func(b *testing.B) {
+				var steps time.Duration
+				for i := 0; i < b.N; i++ {
+					e := New[struct{}, float64](g, Options{Workers: 1, Scheduler: sched})
+					st, err := e.Run(walkProgram{hops: hops})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if st.Supersteps != hops+1 {
+						b.Fatalf("%d supersteps, want %d", st.Supersteps, hops+1)
+					}
+					for _, s := range st.Steps[1:] {
+						steps += s.Duration
+					}
+				}
+				b.ReportMetric(float64(steps.Nanoseconds())/float64(b.N*hops), "ns/superstep")
+			})
+		}
 	}
 }
 

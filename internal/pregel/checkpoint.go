@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // This file is the engine side of checkpointing: copying a consistent
@@ -64,17 +65,20 @@ func (e *Engine[V, M]) fill(s *Snapshot) {
 	for _, a := range e.aggList {
 		s.Aggs = append(s.Aggs, a.value)
 	}
-	s.Active = append(s.Active[:0], e.active...)
-	s.Removed = append(s.Removed[:0], e.removed...)
+	n := e.g.NumVertices()
+	s.Active = slices.Grow(s.Active[:0], n)
+	s.Removed = slices.Grow(s.Removed[:0], n)
 	s.Queue = s.Queue[:0]
-	s.InboxCounts = s.InboxCounts[:0]
+	s.InboxCounts = slices.Grow(s.InboxCounts[:0], n)
 	s.Inbox = s.Inbox[:0]
 	// Workers own consecutive vertex ranges, so walking them in order
-	// yields the vertex-major inbox layout.
+	// yields the vertex-major layout of every per-vertex section.
 	for _, wk := range e.workers {
 		s.Queue = append(s.Queue, wk.cur...)
 		for li := 0; li < wk.hi-wk.lo; li++ {
-			lo, hi := wk.msgOff[li], wk.msgOff[li+1]
+			s.Active = append(s.Active, hasBit(wk.act, li))
+			s.Removed = append(s.Removed, hasBit(wk.rem, li))
+			lo, hi := wk.msgOff[li], wk.msgEnd[li]
 			s.InboxCounts = append(s.InboxCounts, uint32(hi-lo))
 			for _, m := range wk.msgBuf[lo:hi] {
 				s.Inbox = e.msgCodec.AppendValue(s.Inbox, m)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -21,9 +22,7 @@ type Engine[V, M any] struct {
 	g    *graph.Graph
 	opts Options
 
-	values  []V
-	active  []bool
-	removed []bool
+	values []V
 
 	workers []*worker[V, M]
 	block   int // vertices per worker block
@@ -86,16 +85,23 @@ type worker[V, M any] struct {
 	outTo  [][]VertexID
 	outMsg [][]M
 
-	msgOff []int32 // per local vertex +1, offsets into msgBuf
-	msgBuf []M
+	// Scheduling state of the local range as bitsets over local vertex
+	// indices (vertex lo+li is bit li&63 of word li>>6): act is the active
+	// set, rem the removed set and got the vertices that received mail in
+	// the last exchange. They are the engine's only copy of that state, and
+	// a superstep's fixed cost over them is |block|/64 words.
+	act, rem, got []uint64
+
+	// Inbox: a vertex with its got bit set reads msgBuf[msgOff[li]:msgEnd[li]],
+	// laid out in vertex order; every other vertex's entries are 0:0, so the
+	// next exchange resets only last superstep's receivers.
+	msgOff, msgEnd []int32
+	msgBuf         []M
 
 	// WorkQueue scheduling state.
 	cur, next []VertexID
 	queued    []uint32
 	stamp     uint32
-
-	// Exchange scatter cursor, sized once in New.
-	cursor []int32
 
 	// Combining scratch: combTab[li*classes+cl] locates, in the combined
 	// prefix of the bucket being combined, the envelope of class cl
@@ -168,8 +174,6 @@ func New[V, M any](g *graph.Graph, opts Options) *Engine[V, M] {
 		g:        g,
 		opts:     opts,
 		values:   make([]V, n),
-		active:   make([]bool, n),
-		removed:  make([]bool, n),
 		aggs:     map[string]*aggregator{},
 		msgBytes: int(unsafe.Sizeof(zero)),
 		block:    (n + opts.Workers - 1) / opts.Workers,
@@ -190,9 +194,13 @@ func New[V, M any](g *graph.Graph, opts Options) *Engine[V, M] {
 			outTo:  make([][]VertexID, opts.Workers),
 			outMsg: make([][]M, opts.Workers),
 		}
-		wk.msgOff = make([]int32, hi-lo+1)
+		words := (hi - lo + 63) / 64
+		wk.act = make([]uint64, words)
+		wk.rem = make([]uint64, words)
+		wk.got = make([]uint64, words)
+		wk.msgOff = make([]int32, hi-lo)
+		wk.msgEnd = make([]int32, hi-lo)
 		wk.queued = make([]uint32, hi-lo)
-		wk.cursor = make([]int32, hi-lo)
 		wk.ctx = Context[V, M]{eng: e, w: wk}
 		e.workers = append(e.workers, wk)
 	}
@@ -729,39 +737,48 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 			return
 		}
 		w.inVertex = false
-		e.active[u] = !ctx.votedHalt
-		if ctx.removeSelf {
-			e.removed[u] = true
-			e.active[u] = false
-		}
-		if queue && e.active[u] {
-			w.enqueue(u)
+		li := u - w.lo
+		switch {
+		case ctx.removeSelf:
+			setBit(w.rem, li)
+			clearBit(w.act, li)
+		case ctx.votedHalt:
+			clearBit(w.act, li)
+		default:
+			setBit(w.act, li)
+			if queue {
+				w.enqueue(u)
+			}
 		}
 	}
-	switch {
-	case e.activateAll:
-		for u := w.lo; u < w.hi && !w.timedOut; u++ {
-			if e.removed[u] {
-				continue
-			}
-			e.active[u] = true
-			runVertex(u)
-		}
-	case queue:
+	// WorkQueue runs its queue. ScanAll, and either scheduler when every
+	// vertex is activated, sweeps the bitsets a word at a time, reading a
+	// word's bits once before running its vertices: a vertex only ever
+	// changes its own bits, so that is the per-vertex test the loop would
+	// otherwise make.
+	act, got, rem := w.act, w.got[:len(w.act)], w.rem[:len(w.act)]
+	if queue && !e.activateAll {
 		for _, v := range w.cur {
 			if w.timedOut {
 				break
 			}
-			u := int(v)
-			if e.removed[u] || (!e.active[u] && !w.hasMsgs(u)) {
+			li := int(v) - w.lo
+			if hasBit(rem, li) || (!hasBit(act, li) && !hasBit(got, li)) {
 				continue
 			}
-			runVertex(u)
+			runVertex(int(v))
 		}
-	default:
-		for u := w.lo; u < w.hi && !w.timedOut; u++ {
-			if !e.removed[u] && (e.active[u] || w.hasMsgs(u)) {
-				runVertex(u)
+	} else {
+	sweep:
+		for i := range act {
+			m := act[i] | got[i]
+			if e.activateAll {
+				m = liveMask(w.hi-w.lo, i)
+			}
+			for m &^= rem[i]; m != 0; m &= m - 1 {
+				if runVertex(w.lo + i<<6 + bits.TrailingZeros64(m)); w.timedOut {
+					break sweep
+				}
 			}
 		}
 	}
@@ -780,7 +797,6 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 // continues with the next vertex, so one poisoned vertex cannot abort a
 // resident run. Returns whether the vertex panicked.
 func (w *worker[V, M]) runGuarded(prog Program[V, M], u int) (panicked bool) {
-	e := w.eng
 	for d := range w.outTo {
 		w.sendMark[d] = len(w.outTo[d])
 	}
@@ -791,15 +807,14 @@ func (w *worker[V, M]) runGuarded(prog Program[V, M], u int) (panicked bool) {
 			return
 		}
 		panicked = true
-		u := w.ctx.id
 		for d := range w.outTo {
 			w.outTo[d] = w.outTo[d][:w.sendMark[d]]
 			w.outMsg[d] = w.outMsg[d][:w.sendMark[d]]
 		}
 		w.sent = sent
-		e.removed[u] = true
-		e.active[u] = false
-		w.quarantined = append(w.quarantined, u)
+		setBit(w.rem, u-w.lo)
+		clearBit(w.act, u-w.lo)
+		w.quarantined = append(w.quarantined, VertexID(u))
 	}()
 	w.call(prog, u)
 	return false
@@ -812,14 +827,21 @@ func (w *worker[V, M]) call(prog Program[V, M], u int) {
 		return
 	}
 	li := u - w.lo
-	prog.Compute(&w.ctx, w.msgBuf[w.msgOff[li]:w.msgOff[li+1]])
+	prog.Compute(&w.ctx, w.msgBuf[w.msgOff[li]:w.msgEnd[li]])
 }
 
-func (w *worker[V, M]) hasMsgs(u int) bool {
-	if w.eng.superstep == 0 {
-		return false
+// hasBit, setBit and clearBit address bit i of a bitset.
+func hasBit(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+func setBit(b []uint64, i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func clearBit(b []uint64, i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+// liveMask is the mask of word i of a bitset over n bits: all ones except
+// in the last, partial word.
+func liveMask(n, i int) uint64 {
+	if r := n - i<<6; r < 64 {
+		return 1<<uint(r) - 1
 	}
-	return w.msgOff[u-w.lo+1] > w.msgOff[u-w.lo]
+	return math.MaxUint64
 }
 
 // minLook is the fewest sends between two looks at the buckets, so that a
@@ -915,81 +937,93 @@ func (w *worker[V, M]) combineBucket(d int) {
 	w.outMsg[d] = msg[:j]
 }
 
-// exchange gathers inbound envelopes into a per-vertex CSR inbox, wakes
-// receivers, and counts the vertices runnable next superstep. The count
-// and scatter passes read only the senders' outTo arrays; payloads are
-// touched once, during the scatter copy.
+// exchange gathers inbound envelopes into the per-vertex inboxes, wakes
+// receivers, and counts the vertices runnable next superstep. Apart from
+// the envelopes themselves it touches only receivers and, a word at a
+// time, the got bitset (plus, in ScanAll, the active set): a superstep
+// that delivers a handful of messages costs a handful of entries and
+// |block|/64 words, not |block|. The count and scatter passes read only
+// the senders' outTo arrays; payloads are touched once, during the
+// scatter copy.
 func (w *worker[V, M]) exchange() {
 	e := w.eng
 	w.delivered = 0
 	w.cross = 0
-	off := w.msgOff
-	for i := range off {
-		off[i] = 0
+	queue := e.opts.Scheduler == WorkQueue
+	off, end := w.msgOff, w.msgEnd
+	// Retire last superstep's inboxes, which compute has consumed.
+	for i, m := range w.got {
+		if m == 0 {
+			continue // most words on a thin frontier: no store
+		}
+		w.got[i] = 0
+		for ; m != 0; m &= m - 1 {
+			li := i<<6 + bits.TrailingZeros64(m)
+			off[li], end[li] = 0, 0
+		}
 	}
-	// Count.
+	// Count into end. A receiver's first envelope marks it in got and
+	// wakes it; in WorkQueue mode it joins the queue built during compute,
+	// in envelope order.
 	for _, src := range e.workers {
 		for _, to := range src.outTo[w.id] {
-			if e.removed[to] {
+			li := int(to) - w.lo
+			if hasBit(w.rem, li) {
 				continue
 			}
-			off[int(to)-w.lo+1]++
+			if end[li] == 0 {
+				setBit(w.got, li)
+				setBit(w.act, li)
+				if queue {
+					w.enqueue(int(to))
+				}
+			}
+			end[li]++
 			w.delivered++
 			if src.id != w.id {
 				w.cross++
 			}
 		}
 	}
-	for i := 1; i < len(off); i++ {
-		off[i] += off[i-1]
+	// Lay the receivers' inboxes out in vertex order; end becomes the
+	// scatter cursor and, after the scatter, the inbox end.
+	n := int32(0)
+	for i, m := range w.got {
+		for ; m != 0; m &= m - 1 {
+			li := i<<6 + bits.TrailingZeros64(m)
+			c := end[li]
+			off[li], end[li] = n, n
+			n += c
+		}
 	}
 	if cap(w.msgBuf) < w.delivered {
 		w.msgBuf = make([]M, w.delivered)
 	} else {
 		w.msgBuf = w.msgBuf[:w.delivered]
 	}
-	cursor := w.cursor
-	copy(cursor, off[:w.hi-w.lo])
 	for _, src := range e.workers {
 		msgs := src.outMsg[w.id]
 		for i, to := range src.outTo[w.id] {
-			if e.removed[to] {
+			li := int(to) - w.lo
+			if hasBit(w.rem, li) {
 				continue
 			}
-			li := int(to) - w.lo
-			w.msgBuf[cursor[li]] = msgs[i]
-			cursor[li]++
+			w.msgBuf[end[li]] = msgs[i]
+			end[li]++
 		}
 	}
-	// Wake receivers and count the vertices runnable next superstep. In
-	// WorkQueue mode receivers are appended to the queue built during
-	// compute, so no O(|V|) scan is needed; in ScanAll mode we scan the
-	// local block, which is exactly the per-superstep cost the paper's §9
-	// points out for a non-halt-by-default runtime.
-	if e.opts.Scheduler == WorkQueue {
-		for _, src := range e.workers {
-			for _, to := range src.outTo[w.id] {
-				if e.removed[to] {
-					continue
-				}
-				e.active[to] = true
-				w.enqueue(int(to))
-			}
-		}
+	// Count the vertices runnable next superstep: the queue's length, or
+	// in ScanAll — which still visits every vertex's state, the per-step
+	// cost the paper's §9 points out for a non-halt-by-default runtime — a
+	// popcount per word of the active set.
+	if queue {
 		w.nextActive = len(w.next)
 	} else {
-		w.nextActive = 0
-		for u := w.lo; u < w.hi; u++ {
-			if e.removed[u] {
-				continue
-			}
-			if li := u - w.lo; off[li+1] > off[li] {
-				e.active[u] = true
-			}
-			if e.active[u] {
-				w.nextActive++
-			}
+		live, rem := 0, w.rem[:len(w.act)]
+		for i, a := range w.act {
+			live += bits.OnesCount64(a &^ rem[i])
 		}
+		w.nextActive = live
 	}
 	w.cur, w.next = w.next, w.cur
 }

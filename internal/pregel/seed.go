@@ -141,7 +141,13 @@ func (e *Engine[V, M]) applySeed(sd *Seed) (startStep int, err error) {
 	if len(b) != 0 {
 		return 0, fmt.Errorf("%w: %d trailing value bytes", ErrSnapshotCorrupt, len(b))
 	}
-	copy(e.removed, s.Removed)
+	for _, wk := range e.workers {
+		for li, r := range s.Removed[min(wk.lo, seeded):min(wk.hi, seeded)] {
+			if r {
+				setBit(wk.rem, li)
+			}
+		}
+	}
 	for i, a := range e.aggList {
 		a.value = s.Aggs[i]
 		if a.persistent {
@@ -158,12 +164,13 @@ func (e *Engine[V, M]) applySeed(sd *Seed) (startStep int, err error) {
 				return 0, fmt.Errorf("%w: warm start activates vertex %d, graph has %d vertices",
 					ErrSnapshotMismatch, v, n)
 			}
-			if e.removed[v] || e.active[v] { // active: duplicate in the frontier
+			wk := e.workers[e.ownerOf(v)]
+			li := int(v) - wk.lo
+			if hasBit(wk.rem, li) || hasBit(wk.act, li) { // active: duplicate in the frontier
 				continue
 			}
-			e.active[v] = true
+			setBit(wk.act, li)
 			if queue {
-				wk := e.workers[e.ownerOf(v)]
 				wk.cur = append(wk.cur, v)
 			}
 		}
@@ -172,17 +179,24 @@ func (e *Engine[V, M]) applySeed(sd *Seed) (startStep int, err error) {
 		return 1, nil
 	}
 
-	copy(e.active, s.Active)
-	// Rebuild each worker's CSR inbox from the per-vertex counts; payloads
-	// sit in s.Inbox vertex-major, which is worker-major, so one sequential
-	// decode fills them.
+	// Rebuild each worker's active set and inboxes from the per-vertex
+	// flags and counts; payloads sit in s.Inbox vertex-major, which is
+	// worker-major, so one sequential decode fills them.
 	b = s.Inbox
 	for _, wk := range e.workers {
-		off := wk.msgOff
-		for i, c := range s.InboxCounts[wk.lo:wk.hi] {
-			off[i+1] = off[i] + int32(c)
+		n := int32(0)
+		for li, c := range s.InboxCounts[wk.lo:wk.hi] {
+			if s.Active[wk.lo+li] {
+				setBit(wk.act, li)
+			}
+			if c > 0 {
+				setBit(wk.got, li)
+				wk.msgOff[li] = n
+				n += int32(c)
+				wk.msgEnd[li] = n
+			}
 		}
-		wk.msgBuf = make([]M, off[len(off)-1])
+		wk.msgBuf = make([]M, n)
 		for j := range wk.msgBuf {
 			m, rest, err := e.msgCodec.DecodeValue(b)
 			if err != nil {

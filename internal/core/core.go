@@ -164,6 +164,9 @@ type SendGroup struct {
 	Strategy         Strategy
 	DirtySlot        int // $dirty field (-1 for scratch groups)
 	Phase            int
+	// UsesWeight reports whether any site reads the edge weight; otherwise
+	// one message serves every arc (the Eq. 7 lift).
+	UsesWeight bool
 }
 
 // FieldKind classifies vertex-state fields.
@@ -298,6 +301,10 @@ type Program struct {
 	UsesNeighbors bool
 	// UsesIn/UsesOut report whether in-/out-adjacency is read.
 	UsesIn, UsesOut bool
+
+	// Lowered is the executable form of every body above (see lower.go):
+	// what the VM runs and codegen prints.
+	Lowered *Lowered
 }
 
 // Compile parses, type-checks and compiles ΔV source text.

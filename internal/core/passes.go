@@ -91,7 +91,11 @@ func (c *compiler) run() (err error) {
 		if n := len(g.Sites); n > c.out.MaxSlotsPerGroup {
 			c.out.MaxSlotsPerGroup = n
 		}
+		for _, sid := range g.Sites {
+			g.UsesWeight = g.UsesWeight || c.out.Sites[sid].UsesWeight
+		}
 	}
+	c.out.Lowered = lower(c.out)
 	return nil
 }
 

@@ -4,14 +4,17 @@
 // struct, the message struct, a Context interface, and the synthesized
 // computeDelta functions of §3.3/§6.5) and compiles on its own.
 //
-// The generator is a presentation backend: execution happens in the vm
-// package. Tests build the generated source with the Go toolchain to keep
-// it honest.
+// The generator prints the lowered program (core.Lowered), the same one the
+// vm package executes, so the two cannot disagree: Init carries the field
+// defaults and phase 0's prime, a change check honours ε, a Δ-message is
+// sent only when some slot is meaningful. Tests build the generated source
+// with the Go toolchain to keep it honest.
 package codegen
 
 import (
 	"fmt"
 	"go/format"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -21,7 +24,7 @@ import (
 // Generate renders prog as a Go source file in the given package. All ΔV
 // values are float64-encoded (bools 0/1), matching the runtime.
 func Generate(prog *core.Program, pkg string) (string, error) {
-	g := &gen{p: prog}
+	g := &gen{p: prog, code: prog.Lowered}
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Code generated by dvc (mode %s). DO NOT EDIT.\n", prog.Mode)
 	b.WriteString("//\n// ΔV values are float64-encoded: booleans are 0/1 and integers are\n")
@@ -31,9 +34,30 @@ func Generate(prog *core.Program, pkg string) (string, error) {
 	g.runtime(&b)
 	g.state(&b)
 	g.deltas(&b)
-	g.initFunc(&b)
-	for i := range prog.Phases {
-		g.phase(&b, i)
+	g.fn(&b, "// Init runs at superstep 0: the synthesized fields' defaults, the\n// init{} block, and phase 0's full-value prime (§6.1).\n",
+		"Init(ctx Context, v *VertexState)", func(w *strings.Builder) { g.stmt(w, g.code.Init) })
+	for i, ph := range g.code.Phases {
+		kind := "step"
+		if g.p.Phases[i].Kind == core.PhaseIter {
+			kind = "iter " + g.p.Phases[i].IterVar
+		}
+		g.fn(&b, fmt.Sprintf("// ComputePhase%d is the compiled body of phase %d (%s). The iteration\n// counter is master-maintained; changed feeds the fixpoint aggregator.\n", i, i, kind),
+			fmt.Sprintf("ComputePhase%d(ctx Context, v *VertexState, msgs []Message, iter int) (changed bool)", i),
+			func(w *strings.Builder) {
+				g.stmt(w, ph.Body)
+				w.WriteString("return\n")
+			})
+		if i > 0 {
+			g.fn(&b, fmt.Sprintf("// PrimePhase%d starts phase %d with its groups' full values (§6.1).\n", i, i),
+				fmt.Sprintf("PrimePhase%d(ctx Context, v *VertexState)", i), func(w *strings.Builder) { g.stmt(w, ph.Prime) })
+		}
+		if ph.Until != core.NoRef {
+			g.master = true
+			g.fn(&b, fmt.Sprintf("// UntilPhase%d is the loop condition, evaluated at the master with the\n// global fixpoint aggregator.\n", i),
+				fmt.Sprintf("UntilPhase%d(iter int, fixpoint bool, numVertices int) bool", i),
+				func(w *strings.Builder) { fmt.Fprintf(w, "return %s\n", g.cond(ph.Until)) })
+			g.master = false
+		}
 	}
 	src := b.String()
 	out, err := format.Source([]byte(src))
@@ -44,31 +68,25 @@ func Generate(prog *core.Program, pkg string) (string, error) {
 }
 
 type gen struct {
-	p        *core.Program
-	tmp      int
-	errs     []error
-	master   bool           // rendering an until{} condition
-	letNames map[int]string // let slot → current Go variable name
+	p    *core.Program
+	code *core.Lowered
+	// master is set while rendering an until{} condition; usesLets while
+	// rendering a function body that reads or writes a let slot.
+	master, usesLets bool
 }
 
-// bindLet assigns a fresh Go name to a let slot (handles sibling lets that
-// reuse a slot in the same Go scope) and returns the name plus a restore
-// function.
-func (g *gen) bindLet(slot int) (string, func()) {
-	if g.letNames == nil {
-		g.letNames = map[int]string{}
+// fn renders one function; body writes its statements.
+func (g *gen) fn(b *strings.Builder, doc, sig string, body func(*strings.Builder)) {
+	var w strings.Builder
+	g.usesLets = false
+	body(&w)
+	b.WriteString(doc)
+	fmt.Fprintf(b, "func %s {\n", sig)
+	if g.usesLets {
+		fmt.Fprintf(b, "var lets [%d]float64\n", g.code.Lets)
 	}
-	prev, had := g.letNames[slot]
-	name := fmt.Sprintf("let%d", g.tmp)
-	g.tmp++
-	g.letNames[slot] = name
-	return name, func() {
-		if had {
-			g.letNames[slot] = prev
-		} else {
-			delete(g.letNames, slot)
-		}
-	}
+	b.WriteString(w.String())
+	b.WriteString("}\n\n")
 }
 
 // goName converts a compiler field name ($acc_s0, $old_g0_pr, pr) into a
@@ -86,7 +104,7 @@ func goName(name string) string {
 	return out
 }
 
-func (g *gen) fieldName(slot int) string { return goName(g.p.Layout.Fields[slot].Name) }
+func (g *gen) field(slot int32) string { return "v." + goName(g.p.Layout.Fields[slot].Name) }
 
 func (g *gen) runtime(b *strings.Builder) {
 	fmt.Fprintf(b, `// Message carries one send group's slot values plus the §6.4.1 tags.
@@ -124,16 +142,16 @@ func b2f(b bool) float64 {
 
 func f2b(f float64) bool { return f != 0 }
 
-var _ = math.Inf // keep the import alive for programs that never use infty
-
-`, maxSlots(g.p))
+// set stores x in a user field and reports whether the value changed.
+func set(field *float64, x float64) bool {
+	changed := *field != x
+	*field = x
+	return changed
 }
 
-func maxSlots(p *core.Program) int {
-	if p.MaxSlotsPerGroup < 1 {
-		return 1
-	}
-	return p.MaxSlotsPerGroup
+var _ = math.Inf // keep the import alive for programs that never use infty
+
+`, max(1, g.p.MaxSlotsPerGroup))
 }
 
 func (g *gen) state(b *strings.Builder) {
@@ -158,7 +176,7 @@ func (g *gen) state(b *strings.Builder) {
 		fmt.Fprintf(b, "\t%s float64%s\n", goName(f.Name), comment)
 	}
 	b.WriteString("}\n\n")
-	if n := len(g.p.Params); n > 0 {
+	if len(g.p.Params) > 0 {
 		b.WriteString("// Params are the program parameters with their defaults.\n")
 		b.WriteString("var Params = struct {\n")
 		for _, p := range g.p.Params {
@@ -173,7 +191,8 @@ func (g *gen) state(b *strings.Builder) {
 }
 
 // deltas emits one computeDelta function per memoized aggregation site
-// (§3.3, Eq. 11).
+// (§3.3, Eq. 11); a send calls it only when the new value differs from the
+// old one.
 func (g *gen) deltas(b *strings.Builder) {
 	for _, s := range g.p.Sites {
 		if g.p.Groups[s.Group].Strategy != core.StrategyMemoized {
@@ -228,297 +247,224 @@ func computeDelta%d(oldMsg, newMsg float64) (delta float64, isNull, prevNull boo
 	}
 }
 
-func (g *gen) initFunc(b *strings.Builder) {
-	b.WriteString("// Init runs at superstep 0 (the init{} block plus the §6.1 initial\n// full-value sends).\n")
-	b.WriteString("func Init(ctx Context, v *VertexState) {\n")
-	g.stmt(b, g.p.Init, 1)
-	if len(g.p.Phases) > 0 {
-		for _, gid := range g.p.Phases[0].Groups {
-			g.primeSend(b, g.p.Groups[gid], 1)
+// The printers below emit unindented lines; format.Source indents them.
+
+// stmt renders node r in statement position.
+func (g *gen) stmt(b *strings.Builder, r core.Ref) {
+	n := &g.code.Nodes[r]
+	switch n.Op {
+	case core.OpSeq:
+		for _, it := range n.Args {
+			g.stmt(b, it)
 		}
+	case core.OpConst:
+		// A no-op (a folded if without else).
+	case core.OpStore:
+		fmt.Fprintf(b, "%s = %s\n", g.field(n.A), g.expr(n.X))
+	case core.OpStoreUser:
+		fmt.Fprintf(b, "changed = set(&%s, %s) || changed\n", g.field(n.A), g.expr(n.X))
+	case core.OpSetLet:
+		g.usesLets = true
+		fmt.Fprintf(b, "lets[%d] = %s\n", n.A, g.expr(n.X))
+	case core.OpIf:
+		fmt.Fprintf(b, "if %s {\n", g.cond(n.X))
+		g.stmt(b, n.Y)
+		if n.Z != core.NoRef {
+			b.WriteString("} else {\n")
+			g.stmt(b, n.Z)
+		}
+		b.WriteString("}\n")
+	case core.OpRecv:
+		fmt.Fprintf(b, "for mi := range msgs {\nm := &msgs[mi]\nif m.Group != %d {\ncontinue\n}\n", n.A)
+		g.stmt(b, n.X)
+		b.WriteString("}\n")
+	case core.OpBroadcast, core.OpSendEach:
+		g.send(b, n)
+	case core.OpHalt:
+		b.WriteString("ctx.VoteToHalt()\n")
+	case core.OpTableUpdate:
+		b.WriteString("// §4.2.1 lookup-table update elided in generated code (see vm package).\n")
+	default:
+		fmt.Fprintf(b, "_ = %s\n", g.expr(r))
 	}
-	b.WriteString("\tctx.VoteToHalt()\n")
-	b.WriteString("}\n\n")
 }
 
-// primeSend emits the full-value initial send of one group.
-func (g *gen) primeSend(b *strings.Builder, grp *core.SendGroup, depth int) {
-	ind := strings.Repeat("\t", depth)
-	fmt.Fprintf(b, "%s// Initial full-value send for group %d (§6.1).\n", ind, grp.ID)
-	fmt.Fprintf(b, "%sfor _, e := range %s {\n", ind, g.edgesExpr(grp.PushDir))
-	fmt.Fprintf(b, "%s\tmsg := Message{Group: %d}\n", ind, grp.ID)
-	for i, sid := range grp.Sites {
-		s := g.p.Sites[sid]
-		fmt.Fprintf(b, "%s\tmsg.Vals[%d] = %s\n", ind, i, g.expr(s.SlotExpr, nil))
+// send renders a send of group n.A: a message built once and broadcast, or
+// one built per edge with that edge's weight. It goes out unless every slot
+// is a no-op.
+func (g *gen) send(b *strings.Builder, n *core.Node) {
+	edges := "ctx.OutEdges()"
+	if ast.GraphDir(n.B) == ast.DirIn {
+		edges = "ctx.InEdges()"
+	}
+	fmt.Fprintf(b, "// Send group %d's message unless every slot is a no-op (§6.5).\n", n.A)
+	loop := fmt.Sprintf("for _, e := range %s {\n", edges)
+	if n.Op == core.OpBroadcast {
+		b.WriteString("{\n")
+	} else {
+		b.WriteString(loop)
+	}
+	fmt.Fprintf(b, "msg := Message{Group: %d}\nsend := false\n", n.A)
+	for i, r := range n.Args {
+		g.slot(b, i, r)
+	}
+	b.WriteString("if send {\n")
+	if n.Op == core.OpBroadcast {
+		fmt.Fprintf(b, "%sctx.Send(e.To, msg)\n}\n", loop)
+	} else {
+		b.WriteString("ctx.Send(e.To, msg)\n")
+	}
+	b.WriteString("}\n}\n")
+}
+
+// slot renders payload slot i: a Δ (Eq. 11), a full value (§6.1), or a
+// plain value.
+func (g *gen) slot(b *strings.Builder, i int, r core.Ref) {
+	n := &g.code.Nodes[r]
+	switch n.Op {
+	case core.OpDelta:
+		s := g.p.Sites[n.A]
+		fmt.Fprintf(b, "new%d, old%d := %s, %s\nif new%d != old%d {\n", i, i, g.expr(n.X), g.expr(n.Y), i, i)
+		switch s.Op {
+		case ast.AggProd, ast.AggAnd, ast.AggOr:
+			lastNN := ""
+			if s.Op == ast.AggProd {
+				lastNN = ", " + g.field(int32(s.LastNNSlot))
+			}
+			fmt.Fprintf(b, "var null%d, prev%d bool\nmsg.Vals[%d], null%d, prev%d = computeDelta%d(old%d, new%d%s)\n",
+				i, i, i, i, i, s.ID, i, i, lastNN)
+			fmt.Fprintf(b, "if null%d {\nmsg.TagNull |= 1 << %d\n}\nif prev%d {\nmsg.TagPrev |= 1 << %d\n}\n", i, i, i, i)
+		default:
+			fmt.Fprintf(b, "msg.Vals[%d] = computeDelta%d(old%d, new%d)\n", i, s.ID, i, i)
+		}
+		b.WriteString("send = true\n")
+		if id := core.Identity(s.Op); id != 0 {
+			fmt.Fprintf(b, "} else {\nmsg.Vals[%d] = %s // ⊞'s identity\n", i, formatFloat(id))
+		}
+		b.WriteString("}\n")
+	case core.OpFull:
+		s := g.p.Sites[n.A]
+		fmt.Fprintf(b, "msg.Vals[%d] = %s\n", i, g.expr(n.X))
 		if s.Multiplicative() {
 			abs, _ := core.Absorbing(s.Op)
-			fmt.Fprintf(b, "%s\tif msg.Vals[%d] == %v {\n%s\t\tmsg.TagNull |= 1 << %d\n%s\t}\n", ind, i, abs, ind, i, ind)
+			fmt.Fprintf(b, "if msg.Vals[%d] == %s {\nmsg.TagNull |= 1 << %d\nsend = true\n} else ", i, formatFloat(abs), i)
 		}
-	}
-	fmt.Fprintf(b, "%s\tctx.Send(e.To, msg)\n", ind)
-	fmt.Fprintf(b, "%s}\n", ind)
-	for _, sid := range grp.Sites {
-		s := g.p.Sites[sid]
-		for i, fslot := range s.Fields {
-			if s.OldSlots != nil {
-				fmt.Fprintf(b, "%sv.%s = v.%s\n", ind, g.fieldName(s.OldSlots[i]), g.fieldName(fslot))
-			}
-		}
-	}
-}
-
-func (g *gen) edgesExpr(dir ast.GraphDir) string {
-	if dir == ast.DirIn {
-		return "ctx.InEdges()"
-	}
-	return "ctx.OutEdges()"
-}
-
-func (g *gen) phase(b *strings.Builder, pi int) {
-	ph := &g.p.Phases[pi]
-	kind := "step"
-	if ph.Kind == core.PhaseIter {
-		kind = "iter " + ph.IterVar
-	}
-	fmt.Fprintf(b, "// ComputePhase%d is the compiled body of phase %d (%s).\n", pi, pi, kind)
-	fmt.Fprintf(b, "// The iteration counter is master-maintained and passed in.\n")
-	fmt.Fprintf(b, "func ComputePhase%d(ctx Context, v *VertexState, msgs []Message, iter int) {\n", pi)
-	b.WriteString("\t_ = iter\n")
-	g.stmt(b, ph.Body, 1)
-	b.WriteString("}\n\n")
-	if ph.Until != nil {
-		fmt.Fprintf(b, "// UntilPhase%d is the loop condition, evaluated at the master with the\n// global fixpoint aggregator.\n", pi)
-		fmt.Fprintf(b, "func UntilPhase%d(iter int, fixpoint bool, numVertices int) bool {\n", pi)
-		b.WriteString("\t_, _, _ = iter, fixpoint, numVertices\n")
-		fmt.Fprintf(b, "\treturn f2b(%s)\n", g.masterExpr(ph.Until))
-		b.WriteString("}\n\n")
-	}
-}
-
-// stmt emits a statement-position expression.
-func (g *gen) stmt(b *strings.Builder, e ast.Expr, depth int) {
-	ind := strings.Repeat("\t", depth)
-	switch n := e.(type) {
-	case *ast.Seq:
-		for _, it := range n.Items {
-			g.stmt(b, it, depth)
-		}
-	case *ast.Local:
-		fmt.Fprintf(b, "%sv.%s = %s\n", ind, g.fieldName(n.Slot), g.expr(n.Init, nil))
-	case *ast.Assign:
-		if n.IsField {
-			fmt.Fprintf(b, "%sv.%s = %s\n", ind, g.fieldName(n.Slot), g.expr(n.Value, nil))
-		} else {
-			fmt.Fprintf(b, "%s%s = %s\n", ind, g.letNames[n.Slot], g.expr(n.Value, nil))
-		}
-	case *ast.Let:
-		init := g.expr(n.Init, nil)
-		name, restore := g.bindLet(n.Slot)
-		fmt.Fprintf(b, "%s%s := %s\n", ind, name, init)
-		fmt.Fprintf(b, "%s_ = %s\n", ind, name)
-		g.stmt(b, n.Body, depth)
-		restore()
-	case *ast.If:
-		fmt.Fprintf(b, "%sif f2b(%s) {\n", ind, g.expr(n.Cond, nil))
-		g.stmt(b, n.Then, depth+1)
-		if n.Else != nil {
-			fmt.Fprintf(b, "%s} else {\n", ind)
-			g.stmt(b, n.Else, depth+1)
-		}
-		fmt.Fprintf(b, "%s}\n", ind)
-	case *ast.MsgLoop:
-		fmt.Fprintf(b, "%sfor mi := range msgs {\n", ind)
-		fmt.Fprintf(b, "%s\tm := &msgs[mi]\n", ind)
-		fmt.Fprintf(b, "%s\tif m.Group != %d {\n%s\t\tcontinue\n%s\t}\n", ind, n.Group, ind, ind)
-		g.stmt(b, n.Body, depth+1)
-		fmt.Fprintf(b, "%s}\n", ind)
-	case *ast.ForNeighbors:
-		fmt.Fprintf(b, "%sfor _, e := range %s {\n", ind, g.edgesExpr(n.G))
-		fmt.Fprintf(b, "%s\t_ = e\n", ind)
-		g.stmt(b, n.Body, depth+1)
-		fmt.Fprintf(b, "%s}\n", ind)
-	case *ast.Send:
-		g.send(b, n, depth)
-	case *ast.Halt:
-		fmt.Fprintf(b, "%sctx.VoteToHalt()\n", ind)
-	case *ast.TableUpdate:
-		fmt.Fprintf(b, "%s// §4.2.1 lookup-table update elided in generated code (see vm package).\n", ind)
+		fmt.Fprintf(b, "if msg.Vals[%d] != %s {\nsend = true\n}\n", i, formatFloat(core.Identity(s.Op)))
 	default:
-		fmt.Fprintf(b, "%s_ = %s\n", ind, g.expr(e, nil))
+		fmt.Fprintf(b, "msg.Vals[%d] = %s\nsend = true\n", i, g.expr(r))
 	}
 }
 
-// send emits a Δ-message (or full-value) send for the current edge `e`.
-func (g *gen) send(b *strings.Builder, n *ast.Send, depth int) {
-	ind := strings.Repeat("\t", depth)
-	grp := g.p.Groups[n.Group]
-	fmt.Fprintf(b, "%smsg := Message{Group: %d}\n", ind, n.Group)
-	for i, p := range n.Payload {
-		if d, ok := p.(*ast.Delta); ok {
-			s := g.p.Sites[d.Site]
-			oldExpr := g.expr(d.X, g.oldRedirect(s))
-			newExpr := g.expr(d.X, nil)
-			if s.Op == ast.AggProd {
-				fmt.Fprintf(b, "%sd%d, null%d, prev%d := computeDelta%d(%s, %s, v.%s)\n",
-					ind, i, i, i, s.ID, oldExpr, newExpr, g.fieldName(s.LastNNSlot))
-				g.tagLines(b, ind, i)
-			} else if s.Op == ast.AggAnd || s.Op == ast.AggOr {
-				fmt.Fprintf(b, "%sd%d, null%d, prev%d := computeDelta%d(%s, %s)\n",
-					ind, i, i, i, s.ID, oldExpr, newExpr)
-				g.tagLines(b, ind, i)
-			} else {
-				fmt.Fprintf(b, "%sd%d := computeDelta%d(%s, %s)\n", ind, i, s.ID, oldExpr, newExpr)
-			}
-			fmt.Fprintf(b, "%smsg.Vals[%d] = d%d\n", ind, i, i)
-		} else {
-			fmt.Fprintf(b, "%smsg.Vals[%d] = %s\n", ind, i, g.expr(p, nil))
-		}
+// cond renders node r as a Go bool expression.
+func (g *gen) cond(r core.Ref) string {
+	n := &g.code.Nodes[r]
+	switch n.Op {
+	case core.OpLt, core.OpGt, core.OpLe, core.OpGe, core.OpEq, core.OpNe:
+		return fmt.Sprintf("%s %s %s", g.expr(n.X), n.Op.Symbol(), g.expr(n.Y))
+	case core.OpAnd, core.OpOr:
+		return fmt.Sprintf("(%s %s %s)", g.cond(n.X), n.Op.Symbol(), g.cond(n.Y))
+	case core.OpNot:
+		return fmt.Sprintf("!(%s)", g.cond(n.X))
+	case core.OpChanged:
+		return fmt.Sprintf("math.Abs(%s-%s) > %s", g.field(n.A), g.field(n.B), formatFloat(n.K))
+	case core.OpMsgNull:
+		return fmt.Sprintf("m.TagNull&(1<<%d) != 0", n.A)
+	case core.OpMsgPrevNull:
+		return fmt.Sprintf("m.TagPrev&(1<<%d) != 0", n.A)
+	case core.OpFixpoint:
+		return "fixpoint"
 	}
-	_ = grp
-	fmt.Fprintf(b, "%sctx.Send(e.To, msg)\n", ind)
+	return fmt.Sprintf("f2b(%s)", g.expr(r))
 }
 
-func (g *gen) tagLines(b *strings.Builder, ind string, i int) {
-	fmt.Fprintf(b, "%sif null%d {\n%s\tmsg.TagNull |= 1 << %d\n%s}\n", ind, i, ind, i, ind)
-	fmt.Fprintf(b, "%sif prev%d {\n%s\tmsg.TagPrev |= 1 << %d\n%s}\n", ind, i, ind, i, ind)
-}
-
-func (g *gen) oldRedirect(s *core.AggSite) map[int]int {
-	if s.OldSlots == nil {
-		return nil
-	}
-	r := make(map[int]int, len(s.Fields))
-	for i, f := range s.Fields {
-		r[f] = s.OldSlots[i]
-	}
-	return r
-}
-
-// expr emits a float64-valued Go expression. redirect remaps field slots
-// (for old-value recomputation inside Δ synthesis).
-func (g *gen) expr(e ast.Expr, redirect map[int]int) string {
-	switch n := e.(type) {
-	case *ast.IntLit:
-		return fmt.Sprintf("float64(%d)", n.Val)
-	case *ast.FloatLit:
-		return formatFloat(n.Val)
-	case *ast.BoolLit:
-		if n.Val {
-			return "float64(1)"
-		}
-		return "float64(0)"
-	case *ast.Infty:
-		return "math.Inf(1)"
-	case *ast.GraphSize:
+// expr renders node r as a float64-valued Go expression.
+func (g *gen) expr(r core.Ref) string {
+	n := &g.code.Nodes[r]
+	switch n.Op {
+	case core.OpConst:
+		return formatFloat(n.K)
+	case core.OpLoad:
+		return g.field(n.A)
+	case core.OpLetRef:
+		g.usesLets = true
+		return fmt.Sprintf("lets[%d]", n.A)
+	case core.OpParam:
+		return "Params." + goName(g.p.Params[n.A].Name)
+	case core.OpIter:
+		return "float64(iter)"
+	case core.OpFixpoint:
+		return "b2f(fixpoint)"
+	case core.OpGraphSize:
 		if g.master {
 			return "float64(numVertices)"
 		}
 		return "float64(ctx.NumVertices())"
-	case *ast.VertexID:
+	case core.OpVertexID:
 		return "float64(ctx.ID())"
-	case *ast.EdgeWeight:
+	case core.OpWeight:
 		return "e.Weight"
-	case *ast.Var:
-		switch {
-		case n.Slot >= 0:
-			return g.letNames[n.Slot]
-		case n.Slot == core.IterVarSlot:
-			return "float64(iter)"
-		default:
-			return "Params." + goName(g.p.Params[core.ParamIndex(n.Slot)].Name)
-		}
-	case *ast.FixpointRef:
-		return "b2f(fixpoint)"
-	case *ast.Field:
-		slot := n.Slot
-		if redirect != nil {
-			if o, ok := redirect[slot]; ok {
-				slot = o
-			}
-		}
-		return "v." + g.fieldName(slot)
-	case *ast.OldField:
-		return "v." + g.fieldName(n.Slot)
-	case *ast.Changed:
-		return fmt.Sprintf("b2f(v.%s != v.%s)", g.fieldName(n.Slot), g.fieldName(n.OldSlot))
-	case *ast.Unary:
-		if n.Op == "not" {
-			return fmt.Sprintf("b2f(!f2b(%s))", g.expr(n.X, redirect))
-		}
-		return fmt.Sprintf("(-%s)", g.expr(n.X, redirect))
-	case *ast.Binary:
-		l, r := g.expr(n.L, redirect), g.expr(n.R, redirect)
-		switch n.Op {
-		case "+", "-", "*", "/":
-			return fmt.Sprintf("(%s %s %s)", l, n.Op, r)
-		case "&&", "||":
-			return fmt.Sprintf("b2f(f2b(%s) %s f2b(%s))", l, n.Op, r)
-		default: // comparisons
-			return fmt.Sprintf("b2f(%s %s %s)", l, n.Op, r)
-		}
-	case *ast.MinMax:
-		fn := "math.Min"
-		if n.IsMax {
-			fn = "math.Max"
-		}
-		return fmt.Sprintf("%s(%s, %s)", fn, g.expr(n.A, redirect), g.expr(n.B, redirect))
-	case *ast.If:
-		els := "float64(0)"
-		if n.Else != nil {
-			els = g.expr(n.Else, redirect)
-		}
-		return fmt.Sprintf("func() float64 {\n\tif f2b(%s) {\n\t\treturn %s\n\t}\n\treturn %s\n}()",
-			g.expr(n.Cond, redirect), g.expr(n.Then, redirect), els)
-	case *ast.Cardinality:
-		switch n.G {
-		case ast.DirIn:
+	case core.OpDegree:
+		if ast.GraphDir(n.A) == ast.DirIn {
 			return "float64(ctx.InDegree())"
-		default:
-			return "float64(ctx.OutDegree())"
 		}
-	case *ast.MsgSlot:
-		return fmt.Sprintf("m.Vals[%d]", g.p.Sites[n.Site].SlotInGroup)
-	case *ast.MsgIsNull:
-		return fmt.Sprintf("b2f(m.TagNull&(1<<%d) != 0)", g.p.Sites[n.Site].SlotInGroup)
-	case *ast.MsgPrevNull:
-		return fmt.Sprintf("b2f(m.TagPrev&(1<<%d) != 0)", g.p.Sites[n.Site].SlotInGroup)
-	case *ast.TableFold:
+		return "float64(ctx.OutDegree())"
+	case core.OpNeg:
+		return fmt.Sprintf("(-%s)", g.expr(n.X))
+	case core.OpAdd, core.OpSub, core.OpMul, core.OpDiv:
+		return fmt.Sprintf("(%s %s %s)", g.expr(n.X), n.Op.Symbol(), g.expr(n.Y))
+	case core.OpMin:
+		return fmt.Sprintf("math.Min(%s, %s)", g.expr(n.X), g.expr(n.Y))
+	case core.OpMax:
+		return fmt.Sprintf("math.Max(%s, %s)", g.expr(n.X), g.expr(n.Y))
+	case core.OpNot, core.OpLt, core.OpGt, core.OpLe, core.OpGe, core.OpEq, core.OpNe,
+		core.OpAnd, core.OpOr, core.OpChanged, core.OpMsgNull, core.OpMsgPrevNull:
+		return fmt.Sprintf("b2f(%s)", g.cond(r))
+	case core.OpIf:
+		els := "0.0"
+		if n.Z != core.NoRef {
+			els = g.expr(n.Z)
+		}
+		return fmt.Sprintf("func() float64 {\nif %s {\nreturn %s\n}\nreturn %s\n}()", g.cond(n.X), g.expr(n.Y), els)
+	case core.OpMsgVal:
+		return fmt.Sprintf("m.Vals[%d]", n.A)
+	case core.OpTableFold:
 		return "float64(0) /* §4.2.1 table fold elided */"
-	case *ast.Seq:
-		// A sequence in value position: emit a closure.
-		var b strings.Builder
-		b.WriteString("func() float64 {\n")
-		for i, it := range n.Items {
-			if i == len(n.Items)-1 {
-				fmt.Fprintf(&b, "\treturn %s\n", g.expr(it, redirect))
-			} else {
-				g.stmt(&b, it, 1)
+	case core.OpSeq:
+		// A sequence in value position: its last item is the value.
+		if k := len(n.Args); k > 0 {
+			var b strings.Builder
+			b.WriteString("func() float64 {\n")
+			for _, it := range n.Args[:k-1] {
+				g.stmt(&b, it)
 			}
+			fmt.Fprintf(&b, "return %s\n}()", g.expr(n.Args[k-1]))
+			return b.String()
 		}
-		b.WriteString("}()")
-		return b.String()
 	}
-	g.errs = append(g.errs, fmt.Errorf("codegen: no expression rule for %T", e))
-	return "float64(0) /* unsupported */"
-}
-
-// masterExpr renders an until{} condition with master-scope names.
-func (g *gen) masterExpr(e ast.Expr) string {
-	g.master = true
-	defer func() { g.master = false }()
-	return g.expr(e, nil)
+	// A statement (or an empty sequence) in value position evaluates to 0.
+	var b strings.Builder
+	b.WriteString("func() float64 {\n")
+	g.stmt(&b, r)
+	b.WriteString("return 0\n}()")
+	return b.String()
 }
 
 func formatFloat(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	if !strings.ContainsAny(s, ".eE") && !strings.Contains(s, "Inf") {
-		s += ".0"
+	if v == 0 && math.Signbit(v) {
+		return "math.Copysign(0, -1)" // a Go constant -0.0 is +0
 	}
+	s := fmt.Sprintf("%g", v)
 	if strings.Contains(s, "Inf") {
 		if strings.HasPrefix(s, "-") {
 			return "math.Inf(-1)"
 		}
 		return "math.Inf(1)"
+	}
+	if s == "NaN" {
+		return "math.NaN()"
+	}
+	if !strings.ContainsAny(s, ".eE") {
+		s += ".0"
 	}
 	return s
 }

@@ -15,11 +15,16 @@ import (
 
 func generateT(t *testing.T, name string, mode core.Mode) string {
 	t.Helper()
-	prog, err := core.Compile(programs.MustSource(name), core.Options{Mode: mode})
+	return generateOpts(t, name, core.Options{Mode: mode}, "dvgen")
+}
+
+func generateOpts(t *testing.T, name string, opts core.Options, pkg string) string {
+	t.Helper()
+	prog, err := core.Compile(programs.MustSource(name), opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	src, err := Generate(prog, "dvgen")
+	src, err := Generate(prog, pkg)
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
@@ -68,6 +73,58 @@ func TestGeneratedProdHasTaggedDelta(t *testing.T) {
 		if !strings.Contains(src, want) {
 			t.Fatalf("prod source missing %q:\n%s", want, src)
 		}
+	}
+}
+
+// The change check is the VM's: |f − $old| > ε for a float field under
+// ε > 0 (§9), exact for every other field and for ε = 0.
+func TestGeneratedChangeCheckHonoursEpsilon(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		eps  float64
+		want string
+	}{
+		{"pagerank", 0.01, "v.dirtyG0 = b2f(math.Abs(v.pr-v.oldG0Pr) > 0.01)"},
+		{"pagerank", 0, "v.dirtyG0 = b2f(v.pr != v.oldG0Pr)"},
+		{"reach", 0.01, "v.dirtyG0 = b2f(v.reach != v.oldG0Reach)"}, // a bool field
+	} {
+		src := generateOpts(t, tc.name, core.Options{Epsilon: tc.eps}, "dvgen")
+		if !strings.Contains(src, tc.want) {
+			t.Errorf("%s at ε = %g: generated source lacks %q:\n%s", tc.name, tc.eps, tc.want, src)
+		}
+	}
+}
+
+// Init is the VM's: the synthesized fields start at their defaults (§6.1,
+// §6.3, §6.4.1), init{} runs, the prime sends only meaningful values, and
+// what receivers now believe is recorded — $old, $lastnn, a clear dirty
+// bit. Without the defaults prod's accumulator would start at 0 and every
+// product would be 0.
+func TestGeneratedProdInit(t *testing.T) {
+	src := generateT(t, "prod", core.Incremental)
+	start := strings.Index(src, "func Init(")
+	end := strings.Index(src[start:], "\n}\n")
+	if start < 0 || end < 0 {
+		t.Fatalf("no Init in:\n%s", src)
+	}
+	init := src[start : start+end]
+	at := 0
+	for _, want := range []string{
+		// defaults
+		"v.lastnnS0 = 1.0", "v.dirtyG0 = 1.0", "v.accS0 = 1.0", "v.nnS0 = 1.0",
+		// init{}
+		"v.p = 1.0",
+		// prime
+		"if msg.Vals[0] == 0.0 {", "msg.TagNull |= 1 << 0", "} else if msg.Vals[0] != 1.0 {", "if send {",
+		// record
+		"v.dirtyG0 = 0.0", "v.oldG0W = v.w", "if v.w != 0.0 {", "v.lastnnS0 = v.w",
+		"ctx.VoteToHalt()",
+	} {
+		i := strings.Index(init[at:], want)
+		if i < 0 {
+			t.Fatalf("Init lacks %q after offset %d:\n%s", want, at, init)
+		}
+		at += i + len(want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -20,6 +21,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
+	// No collections while counting: a collection empties the sync.Pools —
+	// fmt's printer cache among them, which each run's superstep-limit error
+	// draws from — so whether a run refills one would depend on when
+	// collections happen to fall, not on the superstep count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// zigzag is a 64-cycle laid out 0→32→1→33→…, so an SSSP wave crosses
 	// between the two workers' blocks at every superstep and both buckets it
 	// ever uses are warm after two.

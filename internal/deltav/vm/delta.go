@@ -63,7 +63,7 @@ var ErrRepairBudget = errors.New("repair superstep budget exceeded")
 // repairSend is one precomputed repair message.
 type repairSend struct {
 	dest graph.VertexID
-	msg  Msg
+	msg  wideMsg
 }
 
 // tableSurgery deletes a memo-table entry whose last arc disappeared.
@@ -125,11 +125,11 @@ func (m *Machine) RunDeltaContext(ctx context.Context, opts DeltaRunOptions) (*R
 	m.nonMonotone.Store(0)
 	m.repairBudget = opts.SuperstepBudget
 	// Added vertices have no snapshotted state: run their init{} now, and
-	// record the primed send state (what primeGroup would have recorded)
+	// record the primed send state (what phase 0's prime would have recorded)
 	// so the planner's injection sends for their arcs evaluate against a
 	// coherent baseline. The sends themselves come from the plan — every
 	// arc of a new vertex is an ArcAdd in the diff.
-	m.initNewVertices(opts.Snapshot.NumVertices, gl.Phase)
+	m.initNewVertices(opts.Snapshot.NumVertices)
 	plan, err := m.planRepair(opts.Changes)
 	if err != nil {
 		return nil, err
@@ -139,28 +139,17 @@ func (m *Machine) RunDeltaContext(ctx context.Context, opts DeltaRunOptions) (*R
 	}
 	m.repair = plan
 	warm := pregel.Warm(opts.Snapshot, plan.frontier, opts.Changes.OldFingerprint, opts.Changes.NewVertices > 0)
-	return m.execute(ctx, opts.RunOptions, warm, &globals{Phase: gl.Phase, Mode: modeRepair, Iter: 1})
+	return m.x.execute(ctx, opts.RunOptions, warm, &globals{Phase: gl.Phase, Mode: modeRepair, Iter: 1})
 }
 
-// initNewVertices seeds the vertices in [oldN, n): default field values,
-// the init{} body, and the same most-recently-sent bookkeeping primeGroup
-// records after a full prime — minus the sends, which the repair plan
-// synthesizes from the new vertices' (all-added) arcs instead.
-func (m *Machine) initNewVertices(oldN, phase int) {
-	n := m.g.NumVertices()
-	if oldN >= n {
-		return
-	}
-	ev := m.newEvaluator()
-	for u := oldN; u < n; u++ {
-		ev.u, ev.base = graph.VertexID(u), u*m.stride
-		for i, f := range m.prog.Layout.Fields {
-			m.state[ev.base+i] = m.fieldDefault(f)
-		}
-		ev.eval(m.prog.Init)
-		for _, gid := range m.prog.Phases[phase].Groups {
-			m.recordPrimed(ev, m.prog.Groups[gid])
-		}
+// initNewVertices seeds the vertices in [oldN, n) with the lowered
+// InitAdded: default field values, the init{} body, and the
+// most-recently-sent bookkeeping phase 0's prime records — minus the sends,
+// which the repair plan synthesizes from the new vertices' (all-added) arcs
+// instead. Delta runs are single-phase, so phase 0 is the snapshot's.
+func (m *Machine) initNewVertices(oldN int) {
+	for u := oldN; u < m.g.NumVertices(); u++ {
+		m.x.initVertex(graph.VertexID(u))
 	}
 }
 
@@ -249,10 +238,9 @@ func (m *Machine) planRepair(ch *graph.AppliedDelta) (*repairPlan, error) {
 			inDelta[a.V]--
 		}
 	}
-	ev := m.newEvaluator()
 	clamped := core.SelfFoldingFields(m.prog.Phases[0].Body, m.prog.Layout.UserFields)
 	for _, gid := range m.prog.Phases[0].Groups {
-		if err := m.planGroup(plan, ev, m.prog.Groups[gid], ch, inDelta, outDelta, clamped); err != nil {
+		if err := m.planGroup(plan, m.prog.Groups[gid], ch, inDelta, outDelta, clamped); err != nil {
 			return nil, err
 		}
 	}
@@ -298,8 +286,8 @@ func (m *Machine) planRepair(ch *graph.AppliedDelta) (*repairPlan, error) {
 
 // planGroup plans one send group's repair. clamped names the body's
 // self-folding fields (empty for pure-function bodies).
-func (m *Machine) planGroup(plan *repairPlan, ev *evaluator, g *core.SendGroup, ch *graph.AppliedDelta, inDelta, outDelta map[graph.VertexID]int, clamped []string) error {
-	sites := m.groupSites[g.ID]
+func (m *Machine) planGroup(plan *repairPlan, g *core.SendGroup, ch *graph.AppliedDelta, inDelta, outDelta map[graph.VertexID]int, clamped []string) error {
+	sites := m.groupSites(g)
 	readsIn, readsOut := false, false
 	for _, s := range sites {
 		ri, ro, _ := core.SlotTopology(s.SlotExpr)
@@ -350,22 +338,20 @@ func (m *Machine) planGroup(plan *repairPlan, ev *evaluator, g *core.SendGroup, 
 	}
 	sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
 
-	usesW := m.groupWeighted[g.ID]
-	for _, s := range senders {
-		ev.u, ev.base = s, int(s)*m.stride
-		if err := m.checkClampedLoosening(ev, sites, perSender[s], resweep[s], clamped); err != nil {
+	for _, u := range senders {
+		if err := m.checkClampedLoosening(u, sites, perSender[u], resweep[u], clamped); err != nil {
 			return err
 		}
-		cur := m.pushArcs(ev, g.PushDir)
+		cur := m.pushArcs(u, g.PushDir)
 		if g.Strategy == core.StrategyTable {
-			m.planTableSender(plan, ev, g, sites, cur, sortedDests(perSender[s]), resweep[s])
+			m.planTableSender(plan, u, g, sites, cur, sortedDests(perSender[u]), resweep[u])
 			continue
 		}
 		var err error
-		if resweep[s] {
-			err = m.planResweep(plan, ev, g, sites, cur, perSender[s], inDelta, outDelta)
+		if resweep[u] {
+			err = m.planResweep(plan, u, g, sites, cur, perSender[u], inDelta, outDelta)
 		} else {
-			err = m.planChangedArcs(plan, ev, g, sites, sortedDests(perSender[s]), perSender[s], usesW)
+			err = m.planChangedArcs(plan, u, g, sites, sortedDests(perSender[u]), perSender[u])
 		}
 		if err != nil {
 			return err
@@ -375,9 +361,13 @@ func (m *Machine) planGroup(plan *repairPlan, ev *evaluator, g *core.SendGroup, 
 }
 
 // pushArcs lists the sender's current push-side arcs in destination order.
-func (m *Machine) pushArcs(ev *evaluator, dir ast.GraphDir) []pushArc {
+func (m *Machine) pushArcs(u graph.VertexID, dir ast.GraphDir) []pushArc {
 	var out []pushArc
-	for it := ev.pushIter(dir); it.Next(); {
+	it := m.g.OutArcs(u) // DirOut, and DirNeighbors of an undirected graph
+	if dir == ast.DirIn {
+		it = m.g.InArcs(u)
+	}
+	for it.Next() {
 		out = append(out, pushArc{it.To(), it.Weight()})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].dest < out[j].dest })
@@ -404,38 +394,23 @@ func (m *Machine) oldDegrees(u graph.VertexID, inDelta, outDelta map[graph.Verte
 	return d
 }
 
-// repairSlotVal evaluates one site's slot expression for the planner:
-// with the arc's weight, optionally against the pre-mutation degrees, and
-// optionally against the $old fields (what receivers last heard).
-func (m *Machine) repairSlotVal(ev *evaluator, s *core.AggSite, w float64, old *vertexDegrees) float64 {
-	ev.curWeight = w
-	ev.degOverride = old
-	if old != nil {
-		ev.redirect = m.redirects[s.ID]
-	}
-	v := ev.eval(s.SlotExpr)
-	ev.redirect = nil
-	ev.degOverride = nil
-	return v
-}
-
 // emitRepair builds and records one repair message for an arc whose
 // contribution moves from oldArc (nil: the arc did not exist) to newArc
 // (nil: the arc no longer exists). oldDeg carries the pre-mutation degrees
 // for old-side evaluation; nil means the degrees did not change.
-func (m *Machine) emitRepair(plan *repairPlan, ev *evaluator, g *core.SendGroup, sites []*core.AggSite, dest graph.VertexID, oldArc, newArc *pushArc, oldDeg *vertexDegrees) error {
+func (m *Machine) emitRepair(plan *repairPlan, u graph.VertexID, g *core.SendGroup, sites []*core.AggSite, dest graph.VertexID, oldArc, newArc *pushArc, oldDeg *vertexDegrees) error {
 	if oldDeg == nil {
-		oldDeg = &vertexDegrees{in: m.degreeOf(ev.u, true), out: m.degreeOf(ev.u, false)}
+		oldDeg = &vertexDegrees{in: m.degreeOf(u, true), out: m.degreeOf(u, false)}
 	}
-	msg := Msg{Group: uint8(g.ID), NVals: uint8(len(sites)), Sender: ev.u}
+	msg := wideMsg{Group: uint8(g.ID), NVals: uint8(len(sites)), Sender: u}
 	noop := true
 	for i, s := range sites {
 		var oldV, newV float64
 		if oldArc != nil {
-			oldV = m.repairSlotVal(ev, s, oldArc.w, oldDeg)
+			oldV = m.x.slotValue(s.ID, u, oldArc.w, oldDeg)
 		}
 		if newArc != nil {
-			newV = m.repairSlotVal(ev, s, newArc.w, nil)
+			newV = m.x.slotValue(s.ID, u, newArc.w, nil)
 		}
 		val, tagNull, tagPrev, slotNoop, err := repairSlot(s, oldV, oldArc != nil, newV, newArc != nil)
 		if err != nil {
@@ -453,7 +428,7 @@ func (m *Machine) emitRepair(plan *repairPlan, ev *evaluator, g *core.SendGroup,
 		}
 	}
 	if !noop {
-		plan.sends[ev.u] = append(plan.sends[ev.u], repairSend{dest: dest, msg: msg})
+		plan.sends[u] = append(plan.sends[u], repairSend{dest: dest, msg: msg})
 	}
 	return nil
 }
@@ -473,13 +448,13 @@ func (m *Machine) degreeOf(u graph.VertexID, in bool) int {
 // pinning a fixpoint no from-scratch run reaches. For clamped programs
 // only transitions whose new contribution subsumes the old one — provable
 // tightenings — are admitted; everything else reruns from scratch.
-func (m *Machine) checkClampedLoosening(ev *evaluator, sites []*core.AggSite, pd map[graph.VertexID][]graph.ArcChange, resweep bool, clamped []string) error {
+func (m *Machine) checkClampedLoosening(u graph.VertexID, sites []*core.AggSite, pd map[graph.VertexID][]graph.ArcChange, resweep bool, clamped []string) error {
 	if len(clamped) == 0 {
 		return nil
 	}
 	if resweep {
 		return fmt.Errorf("vm: a degree change moves every contribution of vertex %d, and the body folds field %q with its own previous value; the clamp could pin a loosened aggregate — rerun from scratch",
-			ev.u, clamped[0])
+			u, clamped[0])
 	}
 	for _, dest := range sortedDests(pd) {
 		for _, a := range pd[dest] {
@@ -488,14 +463,14 @@ func (m *Machine) checkClampedLoosening(ev *evaluator, sites []*core.AggSite, pd
 				oldPresent := a.Kind != graph.ArcAdd
 				newPresent := a.Kind != graph.ArcRemove
 				if oldPresent {
-					oldV = m.repairSlotVal(ev, s, a.OldW, nil)
+					oldV = m.x.slotValue(s.ID, u, a.OldW, nil)
 				}
 				if newPresent {
-					newV = m.repairSlotVal(ev, s, a.NewW, nil)
+					newV = m.x.slotValue(s.ID, u, a.NewW, nil)
 				}
 				if !core.ClampSafe(s.Op, oldV, oldPresent, newV, newPresent) {
 					return fmt.Errorf("vm: mutated arc %d->%d loosens a %s contribution, and the body folds field %q with its own previous value; the clamp would pin the stale fixpoint — rerun from scratch",
-						ev.u, dest, s.Op, clamped[0])
+						u, dest, s.Op, clamped[0])
 				}
 			}
 		}
@@ -505,20 +480,20 @@ func (m *Machine) checkClampedLoosening(ev *evaluator, sites []*core.AggSite, pd
 
 // planChangedArcs handles a sender whose contributions are
 // topology-independent: only the mutated arcs themselves need repair.
-func (m *Machine) planChangedArcs(plan *repairPlan, ev *evaluator, g *core.SendGroup, sites []*core.AggSite, dests []graph.VertexID, pd map[graph.VertexID][]graph.ArcChange, usesW bool) error {
+func (m *Machine) planChangedArcs(plan *repairPlan, u graph.VertexID, g *core.SendGroup, sites []*core.AggSite, dests []graph.VertexID, pd map[graph.VertexID][]graph.ArcChange) error {
 	for _, dest := range dests {
 		for _, a := range pd[dest] {
 			var err error
 			switch a.Kind {
 			case graph.ArcAdd:
-				err = m.emitRepair(plan, ev, g, sites, dest, nil, &pushArc{dest, a.NewW}, nil)
+				err = m.emitRepair(plan, u, g, sites, dest, nil, &pushArc{dest, a.NewW}, nil)
 			case graph.ArcRemove:
-				err = m.emitRepair(plan, ev, g, sites, dest, &pushArc{dest, a.OldW}, nil, nil)
+				err = m.emitRepair(plan, u, g, sites, dest, &pushArc{dest, a.OldW}, nil, nil)
 			case graph.ArcReweight:
-				if !usesW {
+				if !g.UsesWeight {
 					continue // no site reads the weight: nothing changed
 				}
-				err = m.emitRepair(plan, ev, g, sites, dest, &pushArc{dest, a.OldW}, &pushArc{dest, a.NewW}, nil)
+				err = m.emitRepair(plan, u, g, sites, dest, &pushArc{dest, a.OldW}, &pushArc{dest, a.NewW}, nil)
 			}
 			if err != nil {
 				return err
@@ -531,8 +506,8 @@ func (m *Machine) planChangedArcs(plan *repairPlan, ev *evaluator, g *core.SendG
 // planResweep handles a sender whose read degree changed: every incident
 // arc's contribution moved, so the old adjacency is reconstructed from the
 // diff and diffed arc-by-arc against the current one.
-func (m *Machine) planResweep(plan *repairPlan, ev *evaluator, g *core.SendGroup, sites []*core.AggSite, cur []pushArc, pd map[graph.VertexID][]graph.ArcChange, inDelta, outDelta map[graph.VertexID]int) error {
-	oldDeg := m.oldDegrees(ev.u, inDelta, outDelta)
+func (m *Machine) planResweep(plan *repairPlan, u graph.VertexID, g *core.SendGroup, sites []*core.AggSite, cur []pushArc, pd map[graph.VertexID][]graph.ArcChange, inDelta, outDelta map[graph.VertexID]int) error {
+	oldDeg := m.oldDegrees(u, inDelta, outDelta)
 	old := append([]pushArc(nil), cur...)
 	for _, dest := range sortedDests(pd) {
 		for _, a := range pd[dest] {
@@ -540,13 +515,13 @@ func (m *Machine) planResweep(plan *repairPlan, ev *evaluator, g *core.SendGroup
 			case graph.ArcAdd:
 				i := findArc(old, dest, a.NewW)
 				if i < 0 {
-					return fmt.Errorf("vm: repair plan cannot reconcile added arc %d->%d with the mutated graph", ev.u, dest)
+					return fmt.Errorf("vm: repair plan cannot reconcile added arc %d->%d with the mutated graph", u, dest)
 				}
 				old = append(old[:i], old[i+1:]...)
 			case graph.ArcReweight:
 				i := findArc(old, dest, a.NewW)
 				if i < 0 {
-					return fmt.Errorf("vm: repair plan cannot reconcile reweighted arc %d->%d with the mutated graph", ev.u, dest)
+					return fmt.Errorf("vm: repair plan cannot reconcile reweighted arc %d->%d with the mutated graph", u, dest)
 				}
 				old[i].w = a.OldW
 			case graph.ArcRemove:
@@ -563,13 +538,13 @@ func (m *Machine) planResweep(plan *repairPlan, ev *evaluator, g *core.SendGroup
 		var err error
 		switch {
 		case j >= len(cur) || (i < len(old) && old[i].dest < cur[j].dest):
-			err = m.emitRepair(plan, ev, g, sites, old[i].dest, &old[i], nil, oldDeg)
+			err = m.emitRepair(plan, u, g, sites, old[i].dest, &old[i], nil, oldDeg)
 			i++
 		case i >= len(old) || cur[j].dest < old[i].dest:
-			err = m.emitRepair(plan, ev, g, sites, cur[j].dest, nil, &cur[j], oldDeg)
+			err = m.emitRepair(plan, u, g, sites, cur[j].dest, nil, &cur[j], oldDeg)
 			j++
 		default:
-			err = m.emitRepair(plan, ev, g, sites, old[i].dest, &old[i], &cur[j], oldDeg)
+			err = m.emitRepair(plan, u, g, sites, old[i].dest, &old[i], &cur[j], oldDeg)
 			i++
 			j++
 		}
@@ -594,17 +569,17 @@ func findArc(arcs []pushArc, dest graph.VertexID, w float64) int {
 // the entry, merging parallel arcs with ⊞), and pairs whose last arc
 // disappeared are queued for direct surgery with the receiver kept active
 // so its next refold sees the deletion.
-func (m *Machine) planTableSender(plan *repairPlan, ev *evaluator, g *core.SendGroup, sites []*core.AggSite, cur []pushArc, changedDests []graph.VertexID, resweep bool) {
+func (m *Machine) planTableSender(plan *repairPlan, u graph.VertexID, g *core.SendGroup, sites []*core.AggSite, cur []pushArc, changedDests []graph.VertexID, resweep bool) {
 	emitFull := func(a pushArc) {
-		msg := Msg{Group: uint8(g.ID), NVals: uint8(len(sites)), Sender: ev.u}
+		msg := wideMsg{Group: uint8(g.ID), NVals: uint8(len(sites)), Sender: u}
 		for i, s := range sites {
-			msg.Vals[i] = m.repairSlotVal(ev, s, a.w, nil)
+			msg.Vals[i] = m.x.slotValue(s.ID, u, a.w, nil)
 		}
-		plan.sends[ev.u] = append(plan.sends[ev.u], repairSend{dest: a.dest, msg: msg})
+		plan.sends[u] = append(plan.sends[u], repairSend{dest: a.dest, msg: msg})
 	}
 	surgery := func(dest graph.VertexID) {
 		for _, sid := range g.Sites {
-			plan.surgery = append(plan.surgery, tableSurgery{site: sid, dest: dest, sender: ev.u})
+			plan.surgery = append(plan.surgery, tableSurgery{site: sid, dest: dest, sender: u})
 		}
 		plan.keepActive[dest] = true
 	}

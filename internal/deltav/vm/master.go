@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/deltav/ast"
@@ -47,7 +48,7 @@ func (m *Machine) masterHook(mc *pregel.MasterContext) {
 			return
 		}
 		fix := mc.AggValue(aggUnchanged) != 0
-		if m.untilSatisfied(ph, gl.Iter, fix) {
+		if m.x.untilSatisfied(gl.Phase, gl.Iter, fix) {
 			m.advance(mc, gl)
 			return
 		}
@@ -68,7 +69,7 @@ func (m *Machine) masterHook(mc *pregel.MasterContext) {
 					m.failf(mc, "phase %d: until{} fast-forward aborted: %v", gl.Phase, m.runCtx.Err())
 					return
 				}
-				if m.untilSatisfied(ph, k, true) {
+				if m.x.untilSatisfied(gl.Phase, k, true) {
 					m.advance(mc, gl)
 					return
 				}
@@ -116,30 +117,18 @@ func (m *Machine) advance(mc *pregel.MasterContext, gl *globals) {
 	mc.ActivateAll()
 }
 
-// untilSatisfied evaluates the until condition on the master. The type
-// checker admits there only the iteration counter, params, fixpoint,
-// graphSize, literals and pure operators — a subset of what the vertex
-// evaluator interprets, so the master keeps one aimed at no vertex.
-func (m *Machine) untilSatisfied(ph *core.Phase, iter int, fixpoint bool) bool {
-	if ph.Until == nil {
-		return true
-	}
-	m.master.iter, m.master.fixpoint = iter, fixpoint
-	return m.master.eval(ph.Until) != 0
-}
-
-// combiner builds the sender-side combiner for the program, or nil when no
-// group is combinable. Each combinable send group (single-strategy,
+// newCombiner builds the sender-side combiner for the program, or nil when
+// no group is combinable. Each combinable send group (single-strategy,
 // non-multiplicative slots, no sender identity) is a class, its messages
 // combining slot-wise with their sites' operators; all other messages pass
 // through as sent.
-func (m *Machine) combiner() pregel.Combiner[Msg] {
-	c := &vmCombiner{groups: make([]combineGroup, len(m.prog.Groups))}
+func newCombiner[P payload](m *Machine) pregel.Combiner[Msg[P]] {
+	c := &vmCombiner[P]{groups: make([]combineGroup, len(m.prog.Groups))}
 	for _, g := range m.prog.Groups {
 		cg := &c.groups[g.ID]
 		cg.class, cg.slots = -1, len(g.Sites)
 		ok := g.Strategy != core.StrategyTable
-		for i, s := range m.groupSites[g.ID] {
+		for i, s := range m.groupSites(g) {
 			cg.ops[i] = s.Op
 			ok = ok && !s.Multiplicative() // nullary tags are not mergeable
 		}
@@ -155,7 +144,7 @@ func (m *Machine) combiner() pregel.Combiner[Msg] {
 }
 
 // vmCombiner is indexed by Msg.Group.
-type vmCombiner struct {
+type vmCombiner[P payload] struct {
 	groups  []combineGroup
 	classes int
 }
@@ -167,15 +156,24 @@ type combineGroup struct {
 	ops          [MaxSlots]ast.AggOp
 }
 
-func (c *vmCombiner) Classes() int { return c.classes }
+func (c *vmCombiner[P]) Classes() int { return c.classes }
 
-func (c *vmCombiner) Class(msg *Msg) int { return c.groups[msg.Group].class }
+func (c *vmCombiner[P]) Class(msg *Msg[P]) int { return c.groups[msg.Group].class }
 
 // Combine merges m into acc, a message of the same group, slot-wise with
-// each slot's ⊞.
-func (c *vmCombiner) Combine(acc, m *Msg) {
+// each slot's ⊞ (sum, min and max inline: they are nearly every combine).
+func (c *vmCombiner[P]) Combine(acc, m *Msg[P]) {
 	g := &c.groups[acc.Group]
 	for i := 0; i < g.slots; i++ {
-		acc.Vals[i] = core.Apply(g.ops[i], acc.Vals[i], m.Vals[i])
+		switch a, b := acc.Vals[i], m.Vals[i]; g.ops[i] {
+		case ast.AggSum:
+			acc.Vals[i] = a + b
+		case ast.AggMin:
+			acc.Vals[i] = math.Min(a, b)
+		case ast.AggMax:
+			acc.Vals[i] = math.Max(a, b)
+		default:
+			acc.Vals[i] = core.Apply(g.ops[i], a, b)
+		}
 	}
 }

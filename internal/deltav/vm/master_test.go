@@ -9,7 +9,7 @@ import (
 )
 
 // evalMasterOn compiles a one-iter program with the given until condition
-// and evaluates it directly through the master evaluator.
+// and evaluates its lowered form directly, as the master does.
 func evalMasterOn(t *testing.T, until string, iter int, fixpoint bool, params map[string]float64) bool {
 	t.Helper()
 	src := "param p : float = 2.5;\ninit { local x : float = 1.0 };\niter k { x = + [ u.x | u <- #in ] } until { " + until + " }"
@@ -21,7 +21,7 @@ func evalMasterOn(t *testing.T, until string, iter int, fixpoint bool, params ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.untilSatisfied(&m.prog.Phases[0], iter, fixpoint)
+	return m.x.untilSatisfied(0, iter, fixpoint)
 }
 
 func TestMasterUntilEvaluation(t *testing.T) {

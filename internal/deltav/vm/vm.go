@@ -1,10 +1,11 @@
 // Package vm executes compiled ΔV programs (core.Program) on the Pregel
 // engine. It plays the role of the Pregel+ compute() function the paper's
 // compiler emits: the statement list runs as a master-driven state machine,
-// each vertex evaluates the transformed statement bodies (including the
-// internal receive loops, change checks, Δ-message sends and halts the
-// passes inserted), and the master evaluates until{} conditions with an
-// incrementally maintained fixpoint aggregator.
+// each vertex runs the lowered statement bodies (core.Lowered: the receive
+// loops, change checks, Δ-message sends and halts the passes inserted, as
+// closures built once per machine), and the master evaluates until{}
+// conditions with an incrementally maintained fixpoint aggregator. The code
+// generator prints the same lowered program as Go source.
 package vm
 
 import (
@@ -25,19 +26,22 @@ import (
 type VState struct{}
 
 // MaxSlots is the widest supported message (aggregation sites per send
-// group).
+// group), and the slot count of the fixed 40-byte record that checkpoints
+// and the shard wire carry every message in, whatever its width.
 const MaxSlots = 4
 
 // Msg is one ΔV message: the values of a send group's slots, with the
 // §6.4.1 nullary/previous-nullary tag bits, and the sender id for the
-// §4.2.1 lookup-table mode.
-type Msg struct {
+// §4.2.1 lookup-table mode. P is the payload: a machine picks the narrowest
+// width its widest send group fits (1, 2 or MaxSlots slots), so a one-slot
+// program's message is 16 bytes.
+type Msg[P payload] struct {
 	Group   uint8
 	NVals   uint8
 	TagNull uint8 // bit i: slot i carries a nullary value
 	TagPrev uint8 // bit i: slot i's previous message was nullary
 	Sender  graph.VertexID
-	Vals    [MaxSlots]float64
+	Vals    P
 }
 
 // stepMode is the master state machine's mode.
@@ -162,22 +166,9 @@ type Machine struct {
 	// allocated lazily. Only non-nil in MemoTable mode.
 	tables [][]map[graph.VertexID]float64
 
-	// redirects[site][slot] is the slot Δ synthesis reads in place of slot
-	// when it re-evaluates the site against the $old fields: the $old slot
-	// for the site's user fields, slot itself otherwise. Nil for sites
-	// without $old fields.
-	redirects [][]int
-	// Per send group, resolved once so no vertex call chases
-	// Groups → Sites: the group's sites, and whether any reads the edge
-	// weight (otherwise one message serves every arc, the Eq. 7 lift).
-	groupSites    [][]*core.AggSite
-	groupWeighted []bool
-
-	// evs[w] is engine worker w's evaluator, re-aimed at each vertex the
-	// worker runs, and master the one until{} conditions run on;
+	// x is the compiled program at the machine's message width;
 	// unchangedAgg is the fixpoint aggregator's engine id.
-	evs          []*evaluator
-	master       *evaluator
+	x            runner
 	unchangedAgg int
 
 	iterations  []int
@@ -236,31 +227,17 @@ func NewMachine(prog *core.Program, g *graph.Graph, opts RunOptions) (*Machine, 
 	}
 	m.iterations = make([]int, len(prog.Phases))
 	m.msgBytes = MessageBytes(prog)
-	m.redirects = make([][]int, len(prog.Sites))
-	for _, s := range prog.Sites {
-		if s.OldSlots == nil {
-			continue
-		}
-		r := make([]int, m.stride)
-		for slot := range r {
-			r[slot] = slot
-		}
-		for i, f := range s.Fields {
-			r[f] = s.OldSlots[i]
-		}
-		m.redirects[s.ID] = r
-	}
-	m.master = m.newEvaluator()
-	m.groupSites = make([][]*core.AggSite, len(prog.Groups))
-	m.groupWeighted = make([]bool, len(prog.Groups))
-	for _, g := range prog.Groups {
-		for _, sid := range g.Sites {
-			s := prog.Sites[sid]
-			m.groupSites[g.ID] = append(m.groupSites[g.ID], s)
-			m.groupWeighted[g.ID] = m.groupWeighted[g.ID] || s.UsesWeight
-		}
-	}
+	m.x = newRunner(m)
 	return m, nil
+}
+
+// groupSites lists a send group's sites in slot order.
+func (m *Machine) groupSites(g *core.SendGroup) []*core.AggSite {
+	sites := make([]*core.AggSite, len(g.Sites))
+	for i, sid := range g.Sites {
+		sites[i] = m.prog.Sites[sid]
+	}
+	return sites
 }
 
 func paramIndex(p *core.Program, name string) (int, bool) {
@@ -317,14 +294,14 @@ func (m *Machine) Run(opts RunOptions) (*Result, error) {
 // Like the engine's RunContext, an aborted run returns partial results: the
 // Result is non-nil whenever the engine produced statistics, and the error
 // reports the abort cause (a *pregel.RunError for contained panics —
-// including panics raised by the ΔV evaluator's own error paths, which this
+// including panics raised while running the lowered program, which this
 // converts into errors callers can test for instead of process crashes).
 func (m *Machine) RunContext(ctx context.Context, opts RunOptions) (*Result, error) {
 	if m.ran {
 		return nil, fmt.Errorf("vm: Machine.Run called twice")
 	}
 	m.ran = true
-	return m.execute(ctx, opts, nil, &globals{Phase: 0, Mode: modePrime})
+	return m.x.execute(ctx, opts, nil, &globals{Phase: 0, Mode: modePrime})
 }
 
 // ResumeContext continues a run from snap, a barrier snapshot taken by a
@@ -350,96 +327,23 @@ func ResumeContext(ctx context.Context, prog *core.Program, g *graph.Graph, opts
 	if err != nil {
 		return nil, err
 	}
-	return m.execute(ctx, opts, pregel.Continue(snap), gl)
-}
-
-// execute runs the machine on a fresh engine started from seed (nil: from
-// scratch) with master state gl.
-func (m *Machine) execute(ctx context.Context, opts RunOptions, seed *pregel.Seed, gl *globals) (*Result, error) {
-	if opts.MaxSupersteps <= 0 {
-		opts.MaxSupersteps = 100_000
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m.runCtx = ctx
-	// The Extra closure captures eng by reference: the engine only invokes
-	// it mid-run, after New below has assigned it.
-	var eng *pregel.Engine[VState, Msg]
-	ckpt := opts.Checkpoint
-	if ckpt.Dir != "" || ckpt.Sink != nil {
-		ckpt.Extra = func(dst []byte) []byte {
-			return m.encodeExtra(dst, eng.Globals().(*globals))
-		}
-	}
-	eng = pregel.New[VState, Msg](m.g, pregel.Options{
-		Workers:       opts.Workers,
-		Scheduler:     opts.Scheduler,
-		MaxSupersteps: opts.MaxSupersteps,
-		Checkpoint:    ckpt,
-		Seed:          seed,
-		Quarantine:    opts.Quarantine,
-		Shard:         opts.Shard,
-	})
-	eng.SetMessageSize(m.msgBytes)
-	eng.SetValueCodec(vstateCodec{})
-	eng.SetMessageCodec(msgCodec{})
-	var err error
-	if m.unchangedAgg, err = eng.RegisterAggregator(aggUnchanged, pregel.AggAnd, false); err != nil {
-		return nil, err
-	}
-	m.evs = make([]*evaluator, eng.Workers())
-	for w := range m.evs {
-		m.evs[w] = m.newEvaluator()
-	}
-	if opts.Combine {
-		if c := m.combiner(); c != nil {
-			eng.SetCombiner(c)
-		}
-	}
-	eng.SetGlobals(gl)
-	eng.SetMasterHook(m.masterHook)
-	stats, err := eng.RunContext(ctx, m)
-	// The evaluators point into the engine through their contexts; the
-	// machine outlives the run (Result holds it) and the engine must not.
-	m.evs = nil
-	if stats == nil {
-		return nil, err
-	}
-	if err == nil {
-		// The engine gathered its vertex values, but the VM's field state
-		// lives in m.state: a successful sharded run all-gathers the owned
-		// rows so Result fields read whole on every shard.
-		if gerr := m.gatherShardState(eng); gerr != nil {
-			err = gerr
-		}
-	}
-	res := &Result{
-		Stats:            stats,
-		Iterations:       m.iterations,
-		NonMonotoneSends: m.nonMonotone.Load(),
-		machine:          m,
-	}
-	if err != nil {
-		return res, err
-	}
-	if m.masterErr != nil {
-		return res, m.masterErr
-	}
-	if res.end, err = eng.Snapshot(); err != nil {
-		return res, err
-	}
-	res.endGlobals = eng.Globals().(*globals)
-	return res, nil
+	return m.x.execute(ctx, opts, pregel.Continue(snap), gl)
 }
 
 const aggUnchanged = "$unchanged"
+
+// shardPeer is the part of a sharded engine the state gather uses.
+type shardPeer interface {
+	ShardInfo() (index, count int)
+	ShardOwnedRange() (lo, hi int)
+	ShardAllGather(payload []byte) ([][]byte, error)
+}
 
 // gatherShardState all-gathers the machine's flat state rows after a
 // successful sharded run: each shard broadcasts its owned vertex range
 // [lo, hi) as u32 bounds plus (hi-lo)·stride little-endian float64s and
 // copies every peer's rows into place. A no-op unsharded.
-func (m *Machine) gatherShardState(eng *pregel.Engine[VState, Msg]) error {
+func (m *Machine) gatherShardState(eng shardPeer) error {
 	if _, count := eng.ShardInfo(); count <= 1 {
 		return nil
 	}
@@ -506,164 +410,9 @@ func (m *Machine) StateBytes() float64 {
 	return base + float64(entries*12)/float64(n)
 }
 
-// Init runs at superstep 0 on every vertex: default-initialize the
-// synthesized fields, evaluate the init{} body, and prime phase 0's send
-// groups with full slot values.
-func (m *Machine) Init(ctx *pregel.Context[VState, Msg]) {
-	ev := m.vertexEvaluator(ctx, nil, 0)
-	for i, f := range m.prog.Layout.Fields {
-		m.state[ev.base+i] = m.fieldDefault(f)
-	}
-	ev.eval(m.prog.Init)
-	if len(m.prog.Phases) > 0 {
-		m.primeSends(ev, 0)
-	}
-	// The master activates all vertices for the first body superstep, so
-	// halting after the prime is always sound.
-	ctx.VoteToHalt()
-}
-
-func (m *Machine) fieldDefault(f core.FieldSpec) float64 {
-	switch f.Kind {
-	case core.AccField, core.NNAccField:
-		return core.Identity(m.prog.Sites[f.Ref].Op)
-	case core.NullsField:
-		return 0
-	case core.LastNNField:
-		return 1 // multiplicative identity: first non-null Δ is the raw value
-	case core.DirtyField:
-		return 1 // pre-set, §6.3
-	default:
-		return 0
-	}
-}
-
-// Compute runs a vertex at supersteps >= 1.
-func (m *Machine) Compute(ctx *pregel.Context[VState, Msg], msgs []Msg) {
-	gl := ctx.Globals().(*globals)
-	switch gl.Mode {
-	case modePrime:
-		// Messages in flight at a prime superstep belong to the previous,
-		// finished phase; they are dropped (see package docs).
-		m.primeSends(m.vertexEvaluator(ctx, msgs, gl.Iter), gl.Phase)
-		ctx.VoteToHalt()
-	case modeBody:
-		ev := m.vertexEvaluator(ctx, msgs, gl.Iter)
-		ev.eval(m.prog.Phases[gl.Phase].Body)
-		ctx.Aggregate(m.unchangedAgg, boolTo01(!ev.changed))
-		// Halting is performed by the Halt node for incremental programs;
-		// non-halting programs stay active for the next body superstep.
-	case modeRepair:
-		// Emit the precomputed retraction/injection messages for this
-		// vertex's mutated arcs. Pure senders halt; vertices flagged by the
-		// planner (memo-table surgery receivers) stay active so the next
-		// body superstep refolds their state even if no message wakes them.
-		u := ctx.ID()
-		for _, ps := range m.repair.sends[u] {
-			ctx.Send(ps.dest, ps.msg)
-		}
-		if !m.repair.keepActive[u] {
-			ctx.VoteToHalt()
-		}
-	}
-}
-
 func boolTo01(b bool) float64 {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// primeSends implements the initial full-value send of §6.1 ("at the first
-// superstep send the data from the neighbors' perspective") for every send
-// group of a phase, records the sent values as the most-recently-sent
-// state, and clears the dirty bits.
-func (m *Machine) primeSends(ev *evaluator, phase int) {
-	for _, gid := range m.prog.Phases[phase].Groups {
-		m.primeGroup(ev, m.prog.Groups[gid])
-	}
-}
-
-func (m *Machine) primeGroup(ev *evaluator, g *core.SendGroup) {
-	it := ev.pushIter(g.PushDir)
-	if !m.groupWeighted[g.ID] {
-		// Edge-independent payload: build once, broadcast (Eq. 7 lift).
-		if msg, sendIt := ev.fullMsg(g, 1); sendIt {
-			for it.Next() {
-				ev.ctx.Send(it.To(), msg)
-			}
-		}
-	} else {
-		for it.Next() {
-			if msg, sendIt := ev.fullMsg(g, it.Weight()); sendIt {
-				ev.ctx.Send(it.To(), msg)
-			}
-		}
-	}
-	m.recordPrimed(ev, g)
-}
-
-// recordPrimed records, after a group's full-value send (or in place of one,
-// for a vertex a delta run adds), what receivers now believe (§6.2), and
-// resets the dirty bit.
-func (m *Machine) recordPrimed(ev *evaluator, g *core.SendGroup) {
-	if g.DirtySlot >= 0 {
-		m.state[ev.base+g.DirtySlot] = 0
-	}
-	for _, s := range m.groupSites[g.ID] {
-		for i, fslot := range s.Fields {
-			if s.OldSlots != nil {
-				m.state[ev.base+s.OldSlots[i]] = m.state[ev.base+fslot]
-			}
-		}
-		if s.LastNNSlot >= 0 {
-			ev.curWeight = 1
-			if v := ev.eval(s.SlotExpr); v != 0 {
-				m.state[ev.base+s.LastNNSlot] = v
-			}
-		}
-	}
-}
-
-// fullMsg assembles a group's full-value message for an arc of weight w;
-// the second result is false when the message cannot affect any accumulator.
-func (ev *evaluator) fullMsg(g *core.SendGroup, w float64) (Msg, bool) {
-	sites := ev.m.groupSites[g.ID]
-	msg := Msg{Group: uint8(g.ID), NVals: uint8(len(sites)), Sender: ev.u}
-	noop := true
-	for i, s := range sites {
-		ev.curWeight = w
-		v := ev.eval(s.SlotExpr)
-		msg.Vals[i] = v
-		if s.Multiplicative() {
-			if abs, _ := core.Absorbing(s.Op); v == abs {
-				msg.TagNull |= 1 << i
-				noop = false
-				continue
-			}
-		}
-		if v != core.Identity(s.Op) {
-			noop = false
-		}
-	}
-	// An all-identity message cannot affect any accumulator; receivers'
-	// caches already agree (Def. 1's initial coherence), so it is never
-	// meaningful — except to a lookup table, which records every sender.
-	return msg, !noop || g.Strategy == core.StrategyTable
-}
-
-// newEvaluator returns an evaluator with its scratch sized for the program,
-// aimed at no vertex yet.
-func (m *Machine) newEvaluator() *evaluator {
-	return &evaluator{m: m, lets: make([]float64, m.prog.MaxLetDepth)}
-}
-
-// vertexEvaluator re-aims the calling worker's evaluator at ctx's vertex.
-func (m *Machine) vertexEvaluator(ctx *pregel.Context[VState, Msg], msgs []Msg, iter int) *evaluator {
-	ev := m.evs[ctx.Worker()]
-	u := ctx.ID()
-	*ev = evaluator{m: m, ctx: ctx, u: u, base: int(u) * m.stride, lets: ev.lets, msgs: msgs, iter: iter, foldKeys: ev.foldKeys}
-	clear(ev.lets)
-	return ev
 }

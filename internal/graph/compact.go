@@ -130,22 +130,47 @@ func (g *Graph) OutArcs(u VertexID) ArcIter {
 	return ArcIter{b: g.cOut[g.cOutIdx[u]:g.cOutIdx[u+1]], rem: int(hi - lo), ws: ws}
 }
 
+// OutArcsInto aims it at u's out-edges: OutArcs into a cursor the caller
+// keeps, which spares a hot loop the copies of a returned 112-byte ArcIter.
+// OutArcs keeps a body of its own rather than calling this one: that is
+// what keeps it within the inliner's budget.
+func (g *Graph) OutArcsInto(it *ArcIter, u VertexID) {
+	lo, hi := g.outOff[u], g.outOff[u+1]
+	*it = ArcIter{}
+	if g.outW != nil {
+		it.ws = g.outW[lo:hi]
+	}
+	if g.cOutIdx == nil {
+		it.adj = g.outAdj[lo:hi:hi]
+		return
+	}
+	it.b, it.rem = g.cOut[g.cOutIdx[u]:g.cOutIdx[u+1]], int(hi-lo)
+}
+
 // InArcs returns a cursor over u's in-edges. The reverse adjacency must
 // be available (BuildReverse for directed graphs); on a compact graph
 // with deferred reverse adjacency, the first call materializes it.
 func (g *Graph) InArcs(u VertexID) ArcIter {
+	var it ArcIter
+	g.InArcsInto(&it, u)
+	return it
+}
+
+// InArcsInto is OutArcsInto for u's in-edges, under InArcs' conditions.
+func (g *Graph) InArcsInto(it *ArcIter, u VertexID) {
 	if !g.ensureIn() {
 		panic("graph: InArcs requires reverse adjacency; call BuildReverse")
 	}
 	lo, hi := g.inOff[u], g.inOff[u+1]
-	var ws []float64
+	*it = ArcIter{}
 	if g.inW != nil {
-		ws = g.inW[lo:hi]
+		it.ws = g.inW[lo:hi]
 	}
 	if g.cInIdx == nil {
-		return ArcIter{adj: g.inAdj[lo:hi:hi], ws: ws}
+		it.adj = g.inAdj[lo:hi:hi]
+		return
 	}
-	return ArcIter{b: g.cIn[g.cInIdx[u]:g.cInIdx[u+1]], rem: int(hi - lo), ws: ws}
+	it.b, it.rem = g.cIn[g.cInIdx[u]:g.cInIdx[u+1]], int(hi-lo)
 }
 
 // ForEachOutNeighbor calls fn for every out-neighbour of u, in

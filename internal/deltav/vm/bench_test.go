@@ -36,3 +36,24 @@ func BenchmarkVertexBody(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExtraCodec encodes and restores the machine payload of a
+// converged sssp.dv run on a compact weighted R-MAT 16×8 graph: the state
+// matrix every checkpoint, chain append and chain-tip seed moves.
+func BenchmarkExtraCodec(b *testing.B) {
+	g := graph.MustCompact(graph.WithRandomWeights(graph.RMAT(16, 8, 0.57, 0.19, 0.19, true, 1), 1, 10, 2))
+	res, err := Run(mustCompile("sssp", core.Incremental), g, RunOptions{Workers: 1, Combine: true, Params: map[string]float64{"src": 0}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := res.machine
+	buf := m.encodeExtra(nil, res.endGlobals)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = m.encodeExtra(buf[:0], res.endGlobals)
+		if _, err := m.restoreExtra(buf, g.NumVertices()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

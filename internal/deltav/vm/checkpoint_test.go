@@ -2,6 +2,8 @@ package vm
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"math"
 	"path/filepath"
 	"testing"
@@ -153,5 +155,114 @@ func FuzzDeltaVExtraDecode(f *testing.F) {
 		if err == nil && gl == nil {
 			t.Fatal("restoreExtra returned neither globals nor error")
 		}
+		if err != nil && !errors.Is(err, pregel.ErrSnapshotCorrupt) && !errors.Is(err, pregel.ErrSnapshotMismatch) {
+			t.Fatalf("rejection wraps neither ErrSnapshotCorrupt nor ErrSnapshotMismatch: %v", err)
+		}
 	})
+}
+
+// TestRestoreExtraRejectionsTyped: every way restoreExtra refuses a payload
+// wraps ErrSnapshotCorrupt when the bytes are damaged and
+// ErrSnapshotMismatch when they are whole but belong to another program or
+// graph — never an untyped error, never both.
+func TestRestoreExtraRejectionsTyped(t *testing.T) {
+	g := graph.Path(8, true)
+	n := g.NumVertices()
+	pagerank := mustCompile("pagerank", core.Incremental)
+	memo := mustCompile("sssp", core.MemoTable)
+	m, err := NewMachine(pagerank, g, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := m.encodeExtra(nil, &globals{Phase: 0, Mode: modeBody, Iter: 2})
+	res, err := Run(memo, g, RunOptions{Workers: 1, Params: map[string]float64{"src": 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	validMemo := res.machine.encodeExtra(nil, res.endGlobals)
+
+	// Byte offsets of the payload's fields (see encodeExtra).
+	const phaseAt, modeAt, nIterAt = 8, 16, 40
+	nStateAt := 48 + 8*len(m.iterations)
+	flagAt := nStateAt + 8 + 8*len(m.state)
+	memoFlagAt := 48 + 8*len(res.machine.iterations) + 8 + 8*len(res.machine.state)
+	sitesAt, vertsAt, sizeAt := memoFlagAt+1, memoFlagAt+9, memoFlagAt+17
+	keyAt := -1 // the first memo key: the first table with an entry
+	for at, u := sizeAt, 0; u < n; u++ {
+		entries := int(binary.LittleEndian.Uint64(validMemo[at:]))
+		if entries > 0 {
+			keyAt = at + 8
+			break
+		}
+		at += 8 + 16*entries
+	}
+	if keyAt < 0 {
+		t.Fatal("the memo-table run cached nothing")
+	}
+	set := func(b []byte, at int, v int64) []byte {
+		c := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint64(c[at:], uint64(v))
+		return c
+	}
+	setByte := func(b []byte, at int, v byte) []byte {
+		c := append([]byte(nil), b...)
+		c[at] = v
+		return c
+	}
+	corrupt, mismatch := pregel.ErrSnapshotCorrupt, pregel.ErrSnapshotMismatch
+	for _, tc := range []struct {
+		name string
+		prog *core.Program
+		b    []byte
+		oldN int
+		want error
+	}{
+		{"empty", pagerank, nil, n, corrupt},
+		{"truncated header", pagerank, valid[:20], n, corrupt},
+		{"snapshot covers more vertices than the graph", pagerank, valid, n + 1, mismatch},
+		{"version", pagerank, set(valid, 0, extraVersion+1), n, corrupt},
+		{"phase out of range", pagerank, set(valid, phaseAt, 99), n, mismatch},
+		{"unknown mode", pagerank, set(valid, modeAt, 7), n, corrupt},
+		{"phase counter count", pagerank, set(valid, nIterAt, int64(len(m.iterations)+1)), n, mismatch},
+		{"state size", pagerank, set(valid, nStateAt, int64(len(m.state)+1)), n, mismatch},
+		{"another program's state", mustCompile("sssp", core.Incremental), valid, n, mismatch},
+		{"truncated state", pagerank, valid[:nStateAt+16], n, corrupt},
+		{"missing memo-table flag", pagerank, valid[:flagAt], n, corrupt},
+		{"memo-table flag 2", pagerank, setByte(valid, flagAt, 2), n, corrupt},
+		{"memo tables for a program without", pagerank, setByte(valid, flagAt, 1), n, mismatch},
+		{"no memo tables for a program with", memo, setByte(validMemo, memoFlagAt, 0), n, mismatch},
+		{"memo-table site count", memo, set(validMemo, sitesAt, 99), n, mismatch},
+		{"memo tables for other vertices", memo, set(validMemo, vertsAt, int64(n+1)), n, mismatch},
+		{"memo table size", memo, set(validMemo, sizeAt, int64(n+1)), n, corrupt},
+		{"memo key out of range", memo, set(validMemo, keyAt, int64(n)), n, corrupt},
+		{"truncated memo table", memo, validMemo[:len(validMemo)-4], n, corrupt},
+		{"trailing byte", pagerank, append(append([]byte(nil), valid...), 0), n, corrupt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mm, err := NewMachine(tc.prog, g, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = mm.restoreExtra(tc.b, tc.oldN)
+			other := mismatch
+			if tc.want == mismatch {
+				other = corrupt
+			}
+			if !errors.Is(err, tc.want) || errors.Is(err, other) {
+				t.Fatalf("err = %v, want %v alone", err, tc.want)
+			}
+		})
+	}
+	for name, tc := range map[string]struct {
+		prog *core.Program
+		b    []byte
+	}{"dv": {pagerank, valid}, "memotable": {memo, validMemo}} {
+		mm, err := NewMachine(tc.prog, g, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mm.restoreExtra(tc.b, n); err != nil {
+			t.Fatalf("%s: the untouched payload is refused: %v", name, err)
+		}
+	}
 }

@@ -1,8 +1,10 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -76,6 +78,9 @@ func (msgCodec[P]) DecodeValue(src []byte) (Msg[P], []byte, error) {
 // encodeExtra appends the machine payload to dst. Memo-table maps are
 // serialized in ascending key order so the bytes are deterministic.
 func (m *Machine) encodeExtra(dst []byte, gl *globals) []byte {
+	// Room for all but the memo tables: seven header words, the phase
+	// counters, the state matrix and the memo-table flag.
+	dst = slices.Grow(dst, 8*(7+len(m.iterations)+len(m.state))+1)
 	dst = pregel.AppendInt64(dst, extraVersion)
 	dst = pregel.AppendInt64(dst, int64(gl.Phase))
 	dst = pregel.AppendInt64(dst, int64(gl.Mode))
@@ -86,9 +91,7 @@ func (m *Machine) encodeExtra(dst []byte, gl *globals) []byte {
 		dst = pregel.AppendInt64(dst, int64(it))
 	}
 	dst = pregel.AppendInt64(dst, int64(len(m.state)))
-	for _, v := range m.state {
-		dst = pregel.AppendFloat64(dst, v)
-	}
+	dst = appendFloat64s(dst, m.state)
 	if m.tables == nil {
 		return append(dst, 0)
 	}
@@ -113,16 +116,46 @@ func (m *Machine) encodeExtra(dst []byte, gl *globals) []byte {
 	return dst
 }
 
+// appendFloat64s appends vs to dst as one block of little-endian float64s,
+// the bytes pregel.AppendFloat64 writes one value at a time.
+func appendFloat64s(dst []byte, vs []float64) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, 8*len(vs))[:off+8*len(vs)]
+	b := dst[off:]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return dst
+}
+
+// decodeFloat64s fills vs from the block appendFloat64s wrote at the front
+// of b, which must hold at least 8·len(vs) bytes.
+func decodeFloat64s(vs []float64, b []byte) {
+	b = b[:8*len(vs)]
+	for i := range vs {
+		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// extraError rejects an Extra payload. kind is pregel.ErrSnapshotCorrupt
+// for bytes encodeExtra never writes, pregel.ErrSnapshotMismatch for a
+// well-formed payload of another program or graph.
+func extraError(kind error, format string, args ...any) error {
+	return fmt.Errorf("vm: snapshot extra: %w: %s", kind, fmt.Sprintf(format, args...))
+}
+
 // restoreExtra decodes an Extra payload produced by encodeExtra into the
 // machine and returns the restored master globals. Every dimension is
-// validated against this machine's program and graph. oldN is the vertex
-// count the snapshot covers: it equals the machine's graph size for
-// ordinary resumes, and the pre-mutation size for a delta run whose
+// validated against this machine's program and graph, and every rejection
+// wraps pregel.ErrSnapshotCorrupt or pregel.ErrSnapshotMismatch. oldN is
+// the vertex count the snapshot covers: it equals the machine's graph size
+// for ordinary resumes, and the pre-mutation size for a delta run whose
 // mutation added vertices — the decoded state then seeds the prefix and
 // the planner initializes the rest.
 func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
+	corrupt, mismatch := pregel.ErrSnapshotCorrupt, pregel.ErrSnapshotMismatch
 	if oldN < 0 || oldN > m.g.NumVertices() {
-		return nil, fmt.Errorf("vm: snapshot extra: snapshot covers %d vertices, graph has %d", oldN, m.g.NumVertices())
+		return nil, extraError(mismatch, "snapshot covers %d vertices, graph has %d", oldN, m.g.NumVertices())
 	}
 	rd := func(what string) (int64, error) {
 		v, rest, err := pregel.DecodeInt64(b)
@@ -145,7 +178,7 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 		return nil, err
 	}
 	if ver != extraVersion {
-		return nil, fmt.Errorf("vm: snapshot extra version %d, want %d (was the snapshot taken by a ΔV run?)", ver, extraVersion)
+		return nil, extraError(corrupt, "version %d, want %d (was the snapshot taken by a ΔV run?)", ver, extraVersion)
 	}
 	gl := &globals{}
 	phase, err := rd("phase")
@@ -161,10 +194,10 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 		return nil, err
 	}
 	if phase < 0 || phase >= int64(len(m.prog.Phases)) {
-		return nil, fmt.Errorf("vm: snapshot extra: phase %d out of range", phase)
+		return nil, extraError(mismatch, "phase %d out of range, program has %d", phase, len(m.prog.Phases))
 	}
 	if mode != int64(modePrime) && mode != int64(modeBody) {
-		return nil, fmt.Errorf("vm: snapshot extra: unknown mode %d", mode)
+		return nil, extraError(corrupt, "unknown mode %d", mode)
 	}
 	gl.Phase, gl.Mode, gl.Iter = int(phase), stepMode(mode), int(iter)
 	nonMono, err := rd("non-monotone count")
@@ -177,7 +210,7 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 		return nil, err
 	}
 	if nIter != int64(len(m.iterations)) {
-		return nil, fmt.Errorf("vm: snapshot extra: %d phase counters, program has %d", nIter, len(m.iterations))
+		return nil, extraError(mismatch, "%d phase counters, program has %d", nIter, len(m.iterations))
 	}
 	for i := range m.iterations {
 		v, err := rd("iterations")
@@ -191,15 +224,16 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 		return nil, err
 	}
 	if nState != int64(oldN*m.stride) {
-		return nil, fmt.Errorf("vm: snapshot extra: state size %d, machine needs %d (different program or graph?)", nState, oldN*m.stride)
+		return nil, extraError(mismatch, "state size %d, machine needs %d (different program or graph?)", nState, oldN*m.stride)
 	}
-	for i := 0; i < oldN*m.stride; i++ {
-		if m.state[i], err = rdf("state"); err != nil {
-			return nil, err
-		}
+	state := m.state[:oldN*m.stride]
+	if len(b) < 8*len(state) {
+		return nil, extraError(corrupt, "state needs %d bytes, %d left", 8*len(state), len(b))
 	}
+	decodeFloat64s(state, b)
+	b = b[8*len(state):]
 	if len(b) < 1 {
-		return nil, fmt.Errorf("vm: snapshot extra: missing memo-table flag")
+		return nil, extraError(corrupt, "missing memo-table flag")
 	}
 	hasTables := b[0]
 	b = b[1:]
@@ -212,7 +246,7 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 			return nil, err
 		}
 		if nSites != int64(len(m.tables)) {
-			return nil, fmt.Errorf("vm: snapshot extra: %d memo-table sites, program has %d", nSites, len(m.tables))
+			return nil, extraError(mismatch, "%d memo-table sites, program has %d", nSites, len(m.tables))
 		}
 		for site := range m.tables {
 			nVerts, err := rd("table vertex count")
@@ -220,7 +254,7 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 				return nil, err
 			}
 			if nVerts != int64(oldN) {
-				return nil, fmt.Errorf("vm: snapshot extra: memo tables for %d vertices, want %d", nVerts, oldN)
+				return nil, extraError(mismatch, "memo tables for %d vertices, want %d", nVerts, oldN)
 			}
 			for u := 0; u < oldN; u++ {
 				entries, err := rd("table size")
@@ -228,7 +262,7 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 					return nil, err
 				}
 				if entries < 0 || entries > int64(oldN) {
-					return nil, fmt.Errorf("vm: snapshot extra: memo table with %d entries", entries)
+					return nil, extraError(corrupt, "memo table with %d entries", entries)
 				}
 				var tbl map[graph.VertexID]float64
 				if entries > 0 {
@@ -240,7 +274,7 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 						return nil, err
 					}
 					if k < 0 || k >= int64(oldN) {
-						return nil, fmt.Errorf("vm: snapshot extra: memo key %d out of range", k)
+						return nil, extraError(corrupt, "memo key %d out of range", k)
 					}
 					v, err := rdf("table value")
 					if err != nil {
@@ -251,11 +285,13 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 				m.tables[site][u] = tbl
 			}
 		}
+	case hasTables > 1:
+		return nil, extraError(corrupt, "memo-table flag %d", hasTables)
 	default:
-		return nil, fmt.Errorf("vm: snapshot extra: memo-table flag %d does not match program mode", hasTables)
+		return nil, extraError(mismatch, "memo-table flag %d does not match program mode", hasTables)
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("vm: snapshot extra: %d trailing bytes", len(b))
+		return nil, extraError(corrupt, "%d trailing bytes", len(b))
 	}
 	return gl, nil
 }

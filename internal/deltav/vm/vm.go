@@ -142,13 +142,14 @@ func (r *Result) Field(name string, u graph.VertexID) float64 {
 // FieldVector returns the named field for all vertices, or an error
 // wrapping ErrUnknownField when the layout has no such field.
 func (r *Result) FieldVector(name string) ([]float64, error) {
-	if r.machine.prog.Layout.Slot(name) < 0 {
+	m := r.machine
+	slot := m.prog.Layout.Slot(name)
+	if slot < 0 {
 		return nil, fmt.Errorf("%w %q", ErrUnknownField, name)
 	}
-	n := r.machine.g.NumVertices()
-	out := make([]float64, n)
-	for u := 0; u < n; u++ {
-		out[u] = r.machine.FieldValue(name, graph.VertexID(u))
+	out := make([]float64, m.g.NumVertices())
+	for u := range out {
+		out[u] = m.state[u*m.stride+slot]
 	}
 	return out, nil
 }

@@ -479,6 +479,100 @@ func TestVerifyFingerprint(t *testing.T) {
 	}
 }
 
+// sourcesTouched lists the source vertices whose adjacency blocks ApplyDelta
+// rebuilds for muts on a graph of the given directedness; every other
+// block is copied as it lies.
+func sourcesTouched(muts []Mutation, directed bool) map[VertexID]bool {
+	out := map[VertexID]bool{}
+	for _, m := range muts {
+		if m.Op == MutAddVertices {
+			continue
+		}
+		out[m.U] = true
+		if !directed {
+			out[m.V] = true
+		}
+	}
+	return out
+}
+
+// TestTipRehashCatchesEarlierCorruption is why a chain replay may re-hash
+// only its tip. After step i of a random k-step delta chain one weight is
+// corrupted in a block the next delta copies rather than rebuilds — a
+// miscopied span the derived digest cannot see. Every later splice
+// subtracts and adds the real arrays' block hashes, so the gap between the
+// derived arc-hash sum and a re-hash stays exactly what the corruption made
+// it, and VerifyFingerprint on the final graph fails. The corruption is a
+// weight bit so every later log still applies: a changed target could
+// break a removal the log makes.
+func TestTipRehashCatchesEarlierCorruption(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	cases := 0
+	for trial := 0; trial < 300; trial++ {
+		m0 := randModel(rng)
+		compact := rng.Intn(2) == 0
+		k := 2 + rng.Intn(6)
+		m := m0.clone()
+		logs := make([][]Mutation, k)
+		for j := range logs {
+			logs[j] = randLog(rng, m, 1+rng.Intn(4), false)
+			if err := m.applyLog(logs[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < k; i++ {
+			g := m0.build(compact)
+			var drift uint64
+			corrupted := false
+			for j := 0; j < k; j++ {
+				var err error
+				if g, _, err = ApplyDelta(g, &Delta{Muts: logs[j]}); err != nil {
+					t.Fatalf("trial %d step %d: %v", trial, j, err)
+				}
+				if j == i {
+					var next map[VertexID]bool
+					if j+1 < k {
+						next = sourcesTouched(logs[j+1], g.directed)
+					}
+					var spans []int // arc indices in blocks the next delta copies
+					for u := 0; u < g.n && g.outW != nil; u++ {
+						if !next[VertexID(u)] {
+							for a := g.outOff[u]; a < g.outOff[u+1]; a++ {
+								spans = append(spans, int(a))
+							}
+						}
+					}
+					if len(spans) == 0 {
+						break // unweighted, or nothing left untouched: no case
+					}
+					a := spans[rng.Intn(len(spans))]
+					g.outW[a] = math.Float64frombits(math.Float64bits(g.outW[a]) ^ 1)
+					drift = g.fpSum.Load() - g.arcHashSum()
+					if drift == 0 {
+						t.Fatalf("trial %d step %d: a flipped weight bit leaves the arc-hash sum unchanged", trial, j)
+					}
+					corrupted = true
+				} else if corrupted {
+					if got := g.fpSum.Load() - g.arcHashSum(); got != drift {
+						t.Fatalf("trial %d: corrupted after step %d, derived − re-hashed is %#x after step %d, was %#x",
+							trial, i, got, j, drift)
+					}
+				}
+			}
+			if !corrupted {
+				continue
+			}
+			cases++
+			if err := g.VerifyFingerprint(); err == nil {
+				t.Fatalf("trial %d: corrupted after step %d of %d, the final graph passes VerifyFingerprint", trial, i, k)
+			}
+		}
+	}
+	if cases < 300 {
+		t.Fatalf("only %d corrupted chains; the generator is off", cases)
+	}
+}
+
 // TestApplyDeltaOutlivesMappedSource closes a file-mapped source graph and
 // then reads every array of the graph ApplyDelta made from it: a result
 // that borrowed any span from the mapping would fault here.

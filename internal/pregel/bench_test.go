@@ -1,8 +1,10 @@
 package pregel
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -135,6 +137,83 @@ func BenchmarkThinSuperstep(b *testing.B) {
 				b.ReportMetric(float64(steps.Nanoseconds())/float64(b.N*hops), "ns/superstep")
 			})
 		}
+	}
+}
+
+// BenchmarkReplay times the graph side of a restart over a served chain:
+// LoadChain, then Replay of 32 mutation logs of 16 weighted additions each
+// over a compact weighted R-MAT 14×8 boot graph. The boot graph's own
+// digest is cached after the first iteration, as the chain's snapshot
+// records are tiny: what is left is decoding, splicing and verifying.
+func BenchmarkReplay(b *testing.B) {
+	boot := graph.MustCompact(graph.WithRandomWeights(graph.RMAT(14, 8, 0.57, 0.19, 0.19, true, 1), 1, 10, 2))
+	n := boot.NumVertices()
+	dir := b.TempDir()
+	w, err := NewChainWriter(dir, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	g := boot
+	for i := 0; i < 32; i++ {
+		d := &graph.Delta{}
+		for j := 0; j < 16; j++ {
+			d.AddWeightedEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)), 1+rng.Float64())
+		}
+		if g, _, err = graph.ApplyDelta(g, d); err != nil {
+			b.Fatal(err)
+		}
+		var log bytes.Buffer
+		if err := graph.WriteDeltaLog(&log, d); err != nil {
+			b.Fatal(err)
+		}
+		snap := &Snapshot{
+			Version: SnapshotVersion, Fingerprint: g.Fingerprint(), Superstep: i, NumVertices: n, Done: true,
+			Active: make([]bool, n), Removed: make([]bool, n), InboxCounts: make([]uint32, n),
+		}
+		if _, _, err := w.AppendBatch(log.Bytes(), snap); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := LoadChain(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := st.Replay(boot)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.Close()
+	}
+}
+
+var benchDiffSink *SnapshotDelta
+
+// BenchmarkDiffSnapshots diffs two snapshots of 2¹⁶ vertices whose machine
+// payload (three float64 slots a vertex) differs in 64 vertices, which also
+// changed their active bit: the shape of a repaired batch's checkpoint
+// against the previous one, and what a chain append diffs.
+func BenchmarkDiffSnapshots(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 1 << 16
+	base := &Snapshot{
+		Version: SnapshotVersion, NumVertices: n, Done: true,
+		Active: make([]bool, n), Removed: make([]bool, n), InboxCounts: make([]uint32, n),
+		Extra: randBytes(rng, 24*n),
+	}
+	next := cloneSnapshot(base)
+	next.Superstep++
+	for i := 0; i < 64; i++ {
+		u := rng.Intn(n)
+		copy(next.Extra[24*u:], randBytes(rng, 8))
+		next.Active[u] = true
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDiffSink = DiffSnapshots(base, next)
 	}
 }
 

@@ -158,23 +158,6 @@ func DecodeChainManifest(b []byte) ([]ChainEntry, []byte, error) {
 	return entries, r.b, nil
 }
 
-// cloneSnapshot deep-copies s. ChainWriter keeps the previous snapshot
-// around to diff the next one against, and callers (the engine's reusable
-// capture buffer in particular) alias and overwrite their snapshot's
-// slices between appends.
-func cloneSnapshot(s *Snapshot) *Snapshot {
-	c := *s
-	c.Aggs = append([]float64(nil), s.Aggs...)
-	c.Active = append([]bool(nil), s.Active...)
-	c.Removed = append([]bool(nil), s.Removed...)
-	c.Queue = append([]VertexID(nil), s.Queue...)
-	c.InboxCounts = append([]uint32(nil), s.InboxCounts...)
-	c.Inbox = append([]byte(nil), s.Inbox...)
-	c.Values = append([]byte(nil), s.Values...)
-	c.Extra = append([]byte(nil), s.Extra...)
-	return &c
-}
-
 // DefaultRebaseEvery caps how many consecutive incremental records a chain
 // writer layers on one base before writing a fresh full snapshot, bounding
 // both replay time and the blast radius of a lost record.
@@ -187,8 +170,20 @@ type ChainWriter struct {
 	dir         string
 	rebaseEvery int
 	entries     []ChainEntry
-	last        *Snapshot // last appended snapshot (deep copy), diff base
-	sinceBase   int       // delta records since the last base
+	sinceBase   int // delta records since the last base
+	// The last appended snapshot is the next delta record's diff base: its
+	// identity and its serialized sections, which the writer owns (callers
+	// — the engine's reusable capture buffer in particular — overwrite
+	// their snapshot's slices between appends). hasBase is false until the
+	// chain holds a snapshot. A reopened chain's base is the tip it loaded,
+	// kept as that snapshot until the first append serializes it: a server
+	// booted from the chain then holds no second copy of the state it
+	// serves until it flushes.
+	hasBase         bool
+	baseFingerprint uint64
+	baseSuperstep   int
+	baseSec         [numSnapSections][]byte
+	loadedTip       *Snapshot
 }
 
 // NewChainWriter opens (or creates) the chain in dir; see OpenChain.
@@ -220,7 +215,8 @@ func OpenChain(dir string, rebaseEvery int) (*ChainWriter, *ChainState, error) {
 		return nil, nil, fmt.Errorf("pregel: resuming chain %s: %w", dir, err)
 	}
 	w.entries = st.Entries
-	w.last = st.Snapshot
+	w.hasBase, w.loadedTip = true, st.Snapshot
+	w.baseFingerprint, w.baseSuperstep = st.Snapshot.Fingerprint, st.Snapshot.Superstep
 	for _, e := range st.Entries {
 		switch e.Kind {
 		case ChainBase:
@@ -240,46 +236,58 @@ func (w *ChainWriter) Entries() []ChainEntry {
 	return append([]ChainEntry(nil), w.entries...)
 }
 
-// snapshotEntry encodes the already-cloned snapshot c as the chain's next
-// snapshot record — a full base if the chain is empty or rebaseEvery deltas
-// have accumulated, an incremental DVSNPD record otherwise — named with
-// sequence number seq. It does not touch writer state; the caller commits.
-func (w *ChainWriter) snapshotEntry(c *Snapshot, seq int) (ChainEntry, []byte) {
-	if w.last == nil || w.sinceBase >= w.rebaseEvery {
+// snapshotEntry encodes s as the chain's next snapshot record — a full base
+// if the chain is empty or rebaseEvery deltas have accumulated, an
+// incremental DVSNPD record otherwise — named with sequence number seq. It
+// also returns s's serialized sections, the next diff base once the record
+// commits. Beyond serializing a reopened chain's tip it does not touch
+// writer state; the caller commits.
+func (w *ChainWriter) snapshotEntry(s *Snapshot, seq int) (ChainEntry, []byte, [numSnapSections][]byte) {
+	sec := snapshotSections(s)
+	if !w.hasBase || w.sinceBase >= w.rebaseEvery {
 		return ChainEntry{
 			Kind:        ChainBase,
-			Superstep:   c.Superstep,
-			Fingerprint: c.Fingerprint,
+			Superstep:   s.Superstep,
+			Fingerprint: s.Fingerprint,
 			Name:        fmt.Sprintf("chain-%06d.base", seq),
-		}, c.AppendTo(nil)
+		}, s.AppendTo(nil), sec
 	}
-	d := DiffSnapshots(w.last, c)
+	if w.loadedTip != nil {
+		w.baseSec, w.loadedTip = snapshotSections(w.loadedTip), nil
+	}
+	d := diffSections(w.baseFingerprint, w.baseSuperstep, &w.baseSec, s, &sec)
 	return ChainEntry{
 		Kind:            ChainDelta,
-		Superstep:       c.Superstep,
-		Fingerprint:     c.Fingerprint,
+		Superstep:       s.Superstep,
+		Fingerprint:     s.Fingerprint,
 		BaseSuperstep:   d.BaseSuperstep,
 		BaseFingerprint: d.BaseFingerprint,
 		Name:            fmt.Sprintf("chain-%06d.delta", seq),
-	}, d.AppendTo(nil)
+	}, d.AppendTo(nil), sec
 }
 
-// noteSnapshot records a committed snapshot entry as the writer's new tip.
-func (w *ChainWriter) noteSnapshot(e ChainEntry, c *Snapshot) {
+// noteSnapshot records a committed snapshot entry — s, serialized to sec —
+// as the writer's new tip.
+func (w *ChainWriter) noteSnapshot(e ChainEntry, s *Snapshot, sec [numSnapSections][]byte) {
 	if e.Kind == ChainBase {
 		w.sinceBase = 0
 	} else {
 		w.sinceBase++
 	}
-	w.last = c
+	// The inbox, values and extra sections are s's own slices; the others
+	// were serialized for this append alone.
+	for i := 4; i < numSnapSections; i++ {
+		sec[i] = append([]byte(nil), sec[i]...)
+	}
+	w.hasBase, w.loadedTip = true, nil
+	w.baseFingerprint, w.baseSuperstep, w.baseSec = s.Fingerprint, s.Superstep, sec
 }
 
 // AppendSnapshot commits s to the chain: a full base record if the chain
 // is empty or rebaseEvery deltas have accumulated, an incremental DVSNPD
 // record otherwise. It returns the record's path and encoded size.
 func (w *ChainWriter) AppendSnapshot(s *Snapshot) (path string, size int, err error) {
-	c := cloneSnapshot(s)
-	e, b := w.snapshotEntry(c, len(w.entries))
+	e, b, sec := w.snapshotEntry(s, len(w.entries))
 	path = filepath.Join(w.dir, e.Name)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		return "", 0, err
@@ -288,7 +296,7 @@ func (w *ChainWriter) AppendSnapshot(s *Snapshot) (path string, size int, err er
 	if err := w.commit(e); err != nil {
 		return "", 0, err
 	}
-	w.noteSnapshot(e, c)
+	w.noteSnapshot(e, s, sec)
 	return path, len(b), nil
 }
 
@@ -300,16 +308,15 @@ func (w *ChainWriter) AppendSnapshot(s *Snapshot) (path string, size int, err er
 // match — replay sees either the whole batch or none of it. It returns the
 // snapshot record's path and encoded size.
 func (w *ChainWriter) AppendBatch(payload []byte, s *Snapshot) (snapPath string, snapSize int, err error) {
-	c := cloneSnapshot(s)
 	ge := ChainEntry{
 		Kind:        ChainGraphDelta,
-		Fingerprint: c.Fingerprint,
+		Fingerprint: s.Fingerprint,
 		Name:        fmt.Sprintf("chain-%06d.gdelta", len(w.entries)),
 	}
 	if err := os.WriteFile(filepath.Join(w.dir, ge.Name), payload, 0o644); err != nil {
 		return "", 0, err
 	}
-	se, b := w.snapshotEntry(c, len(w.entries)+1)
+	se, b, sec := w.snapshotEntry(s, len(w.entries)+1)
 	snapPath = filepath.Join(w.dir, se.Name)
 	if err := os.WriteFile(snapPath, b, 0o644); err != nil {
 		return "", 0, err
@@ -318,7 +325,7 @@ func (w *ChainWriter) AppendBatch(payload []byte, s *Snapshot) (snapPath string,
 	if err := w.commit(ge, se); err != nil {
 		return "", 0, err
 	}
-	w.noteSnapshot(se, c)
+	w.noteSnapshot(se, s, sec)
 	return snapPath, len(b), nil
 }
 
@@ -497,14 +504,25 @@ func LoadChain(dir string) (*ChainState, error) {
 // chain was started from, which the chain itself does not store — and the
 // result is checked against the fingerprint the chain recorded for that
 // step, so the wrong boot graph fails naming the first log it diverges at
-// instead of seeding state onto a graph it does not describe. Every step is
-// also re-hashed from its arrays (graph.VerifyFingerprint): the digest
-// ApplyDelta derives covers the touched blocks alone, and a graph replayed
-// wrong here would be served until the next restart, so replay — unlike a
-// live flush, whose source was just served — does not take it on trust.
-// With no logs the result is boot itself; otherwise it is a new graph the caller owns
-// (intermediate graphs are closed, boot never is). Continue(st.Snapshot)
-// on the returned graph is the chain-tip seed.
+// instead of seeding state onto a graph it does not describe.
+//
+// The digest ApplyDelta derives covers the touched blocks alone, and a graph
+// replayed wrong here would be served until the next restart, so replay —
+// unlike a live flush, whose source was just served — re-hashes the result
+// from its arrays (graph.VerifyFingerprint). It does so once, on the tip,
+// not per step: a span miscopied at step i leaves the derived arc-hash sum
+// off the re-hashed one by a fixed amount, and every later splice subtracts
+// and adds the real arrays' block hashes, so that difference survives to the
+// tip and fails the one re-hash there (TestTipRehashCatchesEarlierCorruption
+// in internal/graph). On R-MAT 16×8 a re-hash costs ~8.5 ms against ~2 ms
+// for a replayed step: re-hashing each of 32 steps would be three quarters
+// of a ~350 ms restart that takes ~90 ms with the one re-hash
+// (serve-restart; BenchmarkReplay, 32 logs over R-MAT 14×8: ~105 → ~24 ms).
+//
+// With no logs the result is boot itself and nothing is re-hashed; otherwise
+// it is a new graph the caller owns (intermediate graphs are closed, boot
+// never is). Continue(st.Snapshot) on the returned graph is the chain-tip
+// seed.
 func (st *ChainState) Replay(boot *graph.Graph) (*graph.Graph, error) {
 	g := boot
 	fail := func(err error) (*graph.Graph, error) {
@@ -526,12 +544,14 @@ func (st *ChainState) Replay(boot *graph.Graph) (*graph.Graph, error) {
 			g.Close()
 		}
 		g = next
-		if err := g.VerifyFingerprint(); err != nil {
-			return fail(fmt.Errorf("replaying mutation log %d: %w", i, err))
-		}
 		if fp := g.Fingerprint(); fp != st.GraphFingerprints[i] {
 			return fail(fmt.Errorf("%w: graph fingerprint %016x after mutation log %d, chain recorded %016x — wrong boot-time graph?",
 				ErrSnapshotMismatch, fp, i, st.GraphFingerprints[i]))
+		}
+	}
+	if g != boot {
+		if err := g.VerifyFingerprint(); err != nil {
+			return fail(fmt.Errorf("replaying %d mutation logs: %w", len(st.GraphDeltas), err))
 		}
 	}
 	if fp := g.Fingerprint(); fp != st.Snapshot.Fingerprint {

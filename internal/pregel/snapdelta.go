@@ -109,6 +109,12 @@ func snapshotSections(s *Snapshot) [numSnapSections][]byte {
 // gaps cheaper to carry than to split.
 const runCoalesceGap = 16
 
+// diffSkipBlock is how many equal bytes diffSection skips with one
+// bytes.Equal between runs: a converged section is nearly all equal spans,
+// and comparing them a block at a time is what keeps the diff off the
+// per-byte loop.
+const diffSkipBlock = 64
+
 // diffSection computes the cheapest patch turning base into next.
 func diffSection(base, next []byte) sectionPatch {
 	if len(base) == len(next) && bytes.Equal(base, next) {
@@ -121,9 +127,14 @@ func diffSection(base, next []byte) sectionPatch {
 	cost := 4 // run count
 	i := 0
 	for i < len(next) {
-		if base[i] == next[i] {
+		for i+diffSkipBlock <= len(next) && bytes.Equal(base[i:i+diffSkipBlock], next[i:i+diffSkipBlock]) {
+			i += diffSkipBlock
+		}
+		for i < len(next) && base[i] == next[i] {
 			i++
-			continue
+		}
+		if i == len(next) {
+			break
 		}
 		start := i
 		end := i + 1
@@ -159,6 +170,14 @@ func diffSection(base, next []byte) sectionPatch {
 // small exactly when the runs share most of their serialized state (same
 // graph size, same program, a small touched frontier).
 func DiffSnapshots(base, next *Snapshot) *SnapshotDelta {
+	bs, ns := snapshotSections(base), snapshotSections(next)
+	return diffSections(base.Fingerprint, base.Superstep, &bs, next, &ns)
+}
+
+// diffSections is DiffSnapshots over sections already serialized: bs are
+// the base's, identified by baseFingerprint and baseSuperstep, ns are
+// next's. The record's runs alias ns.
+func diffSections(baseFingerprint uint64, baseSuperstep int, bs *[numSnapSections][]byte, next *Snapshot, ns *[numSnapSections][]byte) *SnapshotDelta {
 	d := &SnapshotDelta{
 		Version:         SnapshotDeltaVersion,
 		Fingerprint:     next.Fingerprint,
@@ -168,11 +187,10 @@ func DiffSnapshots(base, next *Snapshot) *SnapshotDelta {
 		Stopped:         next.Stopped,
 		Done:            next.Done,
 		WorkQueue:       next.WorkQueue,
-		BaseFingerprint: base.Fingerprint,
-		BaseSuperstep:   base.Superstep,
+		BaseFingerprint: baseFingerprint,
+		BaseSuperstep:   baseSuperstep,
 		Aggs:            append([]float64(nil), next.Aggs...),
 	}
-	bs, ns := snapshotSections(base), snapshotSections(next)
 	for i := range d.patches {
 		d.patches[i] = diffSection(bs[i], ns[i])
 	}

@@ -3,10 +3,25 @@ package pregel
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 )
+
+// cloneSnapshot deep-copies s.
+func cloneSnapshot(s *Snapshot) *Snapshot {
+	c := *s
+	c.Aggs = append([]float64(nil), s.Aggs...)
+	c.Active = append([]bool(nil), s.Active...)
+	c.Removed = append([]bool(nil), s.Removed...)
+	c.Queue = append([]VertexID(nil), s.Queue...)
+	c.InboxCounts = append([]uint32(nil), s.InboxCounts...)
+	c.Inbox = append([]byte(nil), s.Inbox...)
+	c.Values = append([]byte(nil), s.Values...)
+	c.Extra = append([]byte(nil), s.Extra...)
+	return &c
+}
 
 // randSnapshot builds a random but structurally valid snapshot of n
 // vertices, the shared generator for the delta-record property tests.
@@ -179,6 +194,115 @@ func TestSnapshotDeltaBytesOTouched(t *testing.T) {
 	normalize(applied)
 	if !reflect.DeepEqual(next, applied) {
 		t.Fatal("O(touched) delta did not reconstruct the next snapshot")
+	}
+}
+
+// diffSectionBytewise is diffSection comparing one byte at a time: the
+// reference the block-skipping diffSection must agree with run for run.
+func diffSectionBytewise(base, next []byte) sectionPatch {
+	if len(base) == len(next) && bytes.Equal(base, next) {
+		return sectionPatch{tag: patchUnchanged}
+	}
+	if len(base) != len(next) {
+		return sectionPatch{tag: patchFull, full: next}
+	}
+	var runs []patchRun
+	cost := 4 // run count
+	i := 0
+	for i < len(next) {
+		if base[i] == next[i] {
+			i++
+			continue
+		}
+		start := i
+		end := i + 1
+		// Extend the run while bytes differ, absorbing short equal gaps.
+		for end < len(next) {
+			if base[end] != next[end] {
+				end++
+				continue
+			}
+			gap := end
+			for gap < len(next) && gap-end < runCoalesceGap && base[gap] == next[gap] {
+				gap++
+			}
+			if gap < len(next) && gap-end < runCoalesceGap && base[gap] != next[gap] {
+				end = gap + 1
+				continue
+			}
+			break
+		}
+		runs = append(runs, patchRun{off: start, data: next[start:end]})
+		cost += 12 + (end - start)
+		i = end
+	}
+	if cost >= 8+len(next) {
+		return sectionPatch{tag: patchFull, full: next}
+	}
+	return sectionPatch{tag: patchRuns, runs: runs}
+}
+
+// TestDiffSectionMatchesBytewise holds diffSection to the byte-at-a-time
+// reference: identical patches (tag, runs, bytes) on edits either side of a
+// skip-block boundary, on equal gaps either side of runCoalesceGap, on
+// all-equal and all-different sections, at the full-replacement cutoff, and
+// on random sections of random edit density.
+func TestDiffSectionMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	check := func(label string, base, next []byte) {
+		t.Helper()
+		got, want := diffSection(base, next), diffSectionBytewise(base, next)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: diffSection\n got %+v\nwant %+v", label, got, want)
+		}
+	}
+	edit := func(base []byte, offs ...int) []byte {
+		next := append([]byte(nil), base...)
+		for _, o := range offs {
+			next[o] ^= byte(1 + rng.Intn(255))
+		}
+		return next
+	}
+	base := randBytes(rng, 8*diffSkipBlock)
+	for _, block := range []int{0, 1, 5} {
+		for _, off := range []int{63, 64, 65} {
+			at := block*diffSkipBlock + off
+			check(fmt.Sprintf("edit at %d", at), base, edit(base, at))
+			check(fmt.Sprintf("edits at %d and %d", at, at+2), base, edit(base, at, at+2))
+		}
+	}
+	for _, gap := range []int{runCoalesceGap - 1, runCoalesceGap, runCoalesceGap + 1} {
+		for _, first := range []int{10, diffSkipBlock - gap/2, 3*diffSkipBlock - 1} {
+			check(fmt.Sprintf("gap %d after %d", gap, first), base, edit(base, first, first+gap+1))
+		}
+	}
+	check("all equal", base, append([]byte(nil), base...))
+	all := make([]int, len(base))
+	for i := range all {
+		all[i] = i
+	}
+	check("all different", base, edit(base, all...))
+	// One run of r bytes costs 4 + 12 + r against 8 + len for a full
+	// replacement: the cutoff is r = len − 8.
+	for _, r := range []int{len(base) - 9, len(base) - 8, len(base) - 7} {
+		check(fmt.Sprintf("run of %d at the full cutoff", r), base, edit(base, all[3:3+r]...))
+	}
+	check("empty", nil, nil)
+	check("length changed", base, base[:len(base)-1])
+	for trial := 0; trial < 2000; trial++ {
+		b := randBytes(rng, rng.Intn(700))
+		var offs []int
+		if len(b) > 0 {
+			density := rng.Intn(4)
+			for i := 0; i < []int{1, 4, 20, len(b)}[density]; i++ {
+				o := rng.Intn(len(b))
+				for w := rng.Intn(24); w >= 0 && o < len(b); w-- {
+					offs = append(offs, o)
+					o++
+				}
+			}
+		}
+		check(fmt.Sprintf("trial %d", trial), b, edit(b, offs...))
 	}
 }
 

@@ -195,8 +195,8 @@ func TestServeChainWrongBootGraph(t *testing.T) {
 		Prog: prog, Graph: wrong, Params: map[string]float64{"src": 0},
 		Workers: 3, Combine: true, ChainDir: dir,
 	})
-	if err == nil {
-		t.Fatal("restart accepted the wrong boot-time graph")
+	if !errors.Is(err, pregel.ErrSnapshotMismatch) || !strings.Contains(err.Error(), "mutation log 0") {
+		t.Fatalf("wrong boot-time graph: err = %v, want ErrSnapshotMismatch naming mutation log 0", err)
 	}
 }
 

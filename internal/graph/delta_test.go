@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -291,6 +292,7 @@ func TestApplyDeltaErrors(t *testing.T) {
 	b := NewBuilder(3, true)
 	b.AddEdge(0, 1)
 	g := b.Finalize()
+	big := maxVertices // a variable: the conversions below must not be constant
 	cases := []struct {
 		name string
 		d    func() *Delta
@@ -301,6 +303,16 @@ func TestApplyDeltaErrors(t *testing.T) {
 		{"del twice", func() *Delta { d := &Delta{}; d.RemoveEdge(0, 1); d.RemoveEdge(0, 1); return d }, "no such edge"},
 		{"out of range", func() *Delta { d := &Delta{}; d.AddEdge(0, 7); return d }, "out of range"},
 		{"bad addv", func() *Delta { d := &Delta{}; d.AddVertices(0); return d }, "positive count"},
+		// Refused before anything is sized by the count: the first would
+		// otherwise allocate 34 GB of offsets.
+		{"addv past VertexID", func() *Delta { d := &Delta{}; d.AddVertices(int(big - 2)); return d }, "VertexID can address"},
+		{"addv past VertexID in two entries", func() *Delta {
+			d := &Delta{}
+			d.AddVertices(int(big / 2))
+			d.AddVertices(int(big / 2))
+			return d
+		}, "VertexID can address"},
+		{"addv of MaxInt", func() *Delta { d := &Delta{}; d.AddVertices(math.MaxInt); return d }, "VertexID can address"},
 	}
 	for _, c := range cases {
 		_, _, err := ApplyDelta(g, c.d())

@@ -379,39 +379,157 @@ func TestApplyDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaChainEqualsConcatenation applies 32 deltas one after the
-// other and the same 32 logs as one delta: same graph, same fingerprint,
-// both equal to the Builder's.
+// checkApplyDeltas holds ApplyDeltas(boot(), logs) to ApplyDelta applied
+// once per log to another boot() copy: the same fingerprint after every log
+// that applies, an error when one does not, and otherwise the same arrays
+// (weightedness included) and reverse adjacency, and the Builder's graph of
+// the model. The source ApplyDeltas read is closed before its result is
+// looked at, so a result that borrowed from a file-mapped source faults. It
+// returns that result, nil when a log does not apply.
+func checkApplyDeltas(t *testing.T, label string, boot func() *Graph, m0 *model, logs [][]Mutation) *Graph {
+	t.Helper()
+	m, g := m0.clone(), boot()
+	ds := make([]*Delta, len(logs))
+	var fps []uint64
+	valid := true
+	for i, muts := range logs {
+		ds[i] = &Delta{Muts: muts}
+		if valid = valid && m.applyLog(muts) == nil; !valid {
+			continue
+		}
+		var err error
+		if g, _, err = ApplyDelta(g, ds[i]); err != nil {
+			t.Fatalf("%s: log %d: ApplyDelta: %v, the model applies it", label, i, err)
+		}
+		fps = append(fps, g.Fingerprint())
+	}
+	src := boot()
+	one, got, err := ApplyDeltas(src, ds)
+	src.Close()
+	if !slices.Equal(got, fps) {
+		t.Fatalf("%s: fingerprint after each log\n got %016x\nwant %016x", label, got, fps)
+	}
+	if (err == nil) != valid {
+		t.Fatalf("%s: ApplyDeltas error = %v, the model applies every log: %v", label, err, valid)
+	}
+	if !valid {
+		return nil
+	}
+	sameArrays(t, label+": one splice vs one per log", one, g)
+	sameArrays(t, label+": one splice vs Builder", one, m.build(g.IsCompact()))
+	if fp := one.Fingerprint(); fp != fps[len(fps)-1] || fp != scratchFingerprint(one) {
+		t.Fatalf("%s: derived fingerprint %016x, last step %016x, recomputed %016x",
+			label, fp, fps[len(fps)-1], scratchFingerprint(one))
+	}
+	if one.HasReverse() != g.HasReverse() {
+		t.Fatalf("%s: HasReverse %v, one per log %v", label, one.HasReverse(), g.HasReverse())
+	}
+	if g.HasReverse() {
+		sameReverse(t, label, one, g)
+	}
+	return one
+}
+
+// TestApplyDeltaChainEqualsConcatenation applies 32 logs three ways — one
+// ApplyDelta per log, the logs concatenated into one delta, and ApplyDeltas,
+// which splices once — and gets the Builder's graph and fingerprint from
+// each. Then the chains a random draw reaches only by luck: a weighted add a
+// later log removes (the chain stays weighted, the concatenation does not),
+// edges on vertices an earlier log appended, a flat directed graph with its
+// reverse built, and a file-mapped source closed under the result.
 func TestApplyDeltaChainEqualsConcatenation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 40; i++ {
 		m0 := randModel(rng)
 		for _, compact := range []bool{false, true} {
-			m, g := m0.clone(), m0.build(compact)
+			m := m0.clone()
+			logs := make([][]Mutation, 32)
 			var all []Mutation
-			for k := 0; k < 32; k++ {
-				muts := randLog(rng, m, 1+rng.Intn(4), false)
-				if err := m.applyLog(muts); err != nil {
+			for k := range logs {
+				logs[k] = randLog(rng, m, 1+rng.Intn(4), false)
+				if err := m.applyLog(logs[k]); err != nil {
 					t.Fatal(err)
 				}
-				all = append(all, muts...)
-				var err error
-				if g, _, err = ApplyDelta(g, &Delta{Muts: muts}); err != nil {
-					t.Fatal(err)
-				}
+				all = append(all, logs[k]...)
 			}
+			reverse := m0.directed && i%2 == 0
+			boot := func() *Graph {
+				g := m0.build(compact)
+				if reverse {
+					g.BuildReverse()
+				}
+				return g
+			}
+			g := checkApplyDeltas(t, fmt.Sprintf("model %d compact=%v", i, compact), boot, m0, logs)
 			once, _, err := ApplyDelta(m0.build(compact), &Delta{Muts: all})
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameArrays(t, "32 chained deltas vs one", g, once)
-			sameArrays(t, "32 chained deltas vs Builder", g, m.build(compact))
-			if g.Fingerprint() != once.Fingerprint() || g.Fingerprint() != scratchFingerprint(g) {
-				t.Fatalf("chained %016x, concatenated %016x, recomputed %016x",
-					g.Fingerprint(), once.Fingerprint(), scratchFingerprint(g))
+			if g.Fingerprint() != once.Fingerprint() {
+				t.Fatalf("chained %016x, concatenated %016x", g.Fingerprint(), once.Fingerprint())
 			}
 		}
 	}
+
+	path := func(directed, weighted bool) *model {
+		m := &model{n: 4, directed: directed}
+		for u := VertexID(0); u < 3; u++ {
+			w := 1.0
+			if weighted {
+				w = float64(u) + 2
+			}
+			m.add(u, u+1, w)
+		}
+		m.settle()
+		return m
+	}
+	built := func(m *model, compact, reverse bool) func() *Graph {
+		return func() *Graph {
+			g := m.build(compact)
+			if reverse {
+				g.BuildReverse()
+			}
+			return g
+		}
+	}
+	add := func(u, v VertexID, w float64) Mutation { return Mutation{Op: MutAddEdge, U: u, V: v, W: w} }
+	del := func(u, v VertexID) Mutation { return Mutation{Op: MutRemoveEdge, U: u, V: v} }
+	promote := [][]Mutation{{add(0, 2, 2.5)}, {del(0, 2)}}
+	grow := [][]Mutation{{{Op: MutAddVertices, Count: 2}}, {add(4, 5, 1.5), add(0, 4, 1)}, {del(4, 5), add(5, 3, 3)}}
+	for _, directed := range []bool{true, false} {
+		m := path(directed, false)
+		label := fmt.Sprintf("directed=%v: weighted add removed later", directed)
+		one := checkApplyDeltas(t, label, built(m, !directed, false), m, promote)
+		once, _, err := ApplyDelta(m.build(!directed), &Delta{Muts: slices.Concat(promote...)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !one.Weighted() || once.Weighted() {
+			t.Fatalf("%s: one splice weighted=%v, concatenation %v; want true, false", label, one.Weighted(), once.Weighted())
+		}
+	}
+	m := path(true, true)
+	checkApplyDeltas(t, "compact: edges on appended vertices", built(m, true, false), m, grow)
+	checkApplyDeltas(t, "flat directed with reverse", built(m, false, true), m, grow)
+
+	file := filepath.Join(t.TempDir(), "g.dvg")
+	if err := WriteGraphFile(file, m.build(true)); err != nil {
+		t.Fatal(err)
+	}
+	mapped := func() *Graph {
+		g, err := ReadGraphFile(file, LoadMmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { g.Close() })
+		return g
+	}
+	if !mapped().Mapped() {
+		t.Log("file mapping unavailable on this host; a mapped source is not checked")
+		return
+	}
+	checkApplyDeltas(t, "mapped source", mapped, m, grow)
 }
 
 // TestFingerprintSeparates pins what the digest must still tell apart now
@@ -570,6 +688,62 @@ func TestTipRehashCatchesEarlierCorruption(t *testing.T) {
 	}
 	if cases < 300 {
 		t.Fatalf("only %d corrupted chains; the generator is off", cases)
+	}
+
+	// One splice: ApplyDeltas copies every block no log touches straight
+	// from the boot graph, so flip a weight bit there, after the boot
+	// graph's digest is cached. Every derived step fingerprint still reads
+	// as the clean run's; only the re-hash of the result can catch it.
+	rng = rand.New(rand.NewSource(9))
+	bootCases := 0
+	for trial := 0; trial < 300; trial++ {
+		m0 := randModel(rng)
+		compact := rng.Intn(2) == 0
+		m := m0.clone()
+		ds := make([]*Delta, 2+rng.Intn(6))
+		touched := map[VertexID]bool{}
+		for j := range ds {
+			ds[j] = &Delta{Muts: randLog(rng, m, 1+rng.Intn(4), false)}
+			if err := m.applyLog(ds[j].Muts); err != nil {
+				t.Fatal(err)
+			}
+			for u := range sourcesTouched(ds[j].Muts, m0.directed) {
+				touched[u] = true
+			}
+		}
+		_, clean, err := ApplyDeltas(m0.build(compact), ds)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		boot := m0.build(compact)
+		boot.Fingerprint()
+		var spans []int // arc indices in blocks no log touches
+		for u := 0; u < boot.n && boot.outW != nil; u++ {
+			if !touched[VertexID(u)] {
+				for a := boot.outOff[u]; a < boot.outOff[u+1]; a++ {
+					spans = append(spans, int(a))
+				}
+			}
+		}
+		if len(spans) == 0 {
+			continue // unweighted, or every block touched: no case
+		}
+		a := spans[rng.Intn(len(spans))]
+		boot.outW[a] = math.Float64frombits(math.Float64bits(boot.outW[a]) ^ 1)
+		g, fps, err := ApplyDeltas(boot, ds)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !slices.Equal(fps, clean) {
+			t.Fatalf("trial %d: boot graph corrupted in an untouched block: step fingerprints %016x, clean run %016x", trial, fps, clean)
+		}
+		if err := g.VerifyFingerprint(); err == nil {
+			t.Fatalf("trial %d: boot graph corrupted in an untouched block, the one-splice result passes VerifyFingerprint", trial)
+		}
+		bootCases++
+	}
+	if bootCases < 40 {
+		t.Fatalf("only %d corrupted boot graphs; the generator is off", bootCases)
 	}
 }
 
@@ -747,6 +921,12 @@ func FuzzApplyDelta(f *testing.F) {
 			m.add(VertexID(r.next()%m.n), VertexID(r.next()%m.n), w)
 		}
 		m.settle()
+		// Where ApplyDeltas cuts the log into 1–4 logs: offsets taken modulo
+		// the log's length + 1 once it is drawn.
+		cuts := make([]int, r.next()%4)
+		for i := range cuts {
+			cuts[i] = r.next()
+		}
 		var d Delta
 		n := m.n
 		for len(r.b) > 0 && d.Len() < 32 {
@@ -764,6 +944,32 @@ func FuzzApplyDelta(f *testing.F) {
 				n += d.Muts[len(d.Muts)-1].Count
 			}
 		}
-		checkApplyDelta(t, m, d.Muts)
+		after, ok := checkApplyDelta(t, m, d.Muts)
+		for i := range cuts {
+			cuts[i] %= d.Len() + 1
+		}
+		slices.Sort(cuts)
+		logs, from := make([][]Mutation, 0, len(cuts)+1), 0
+		for _, c := range cuts {
+			logs, from = append(logs, d.Muts[from:c]), c
+		}
+		logs = append(logs, d.Muts[from:])
+		for _, compact := range []bool{false, true} {
+			boot := func() *Graph {
+				g := m.build(compact)
+				if m.directed {
+					g.BuildReverse()
+				}
+				return g
+			}
+			label := fmt.Sprintf("compact=%v, cut at %v", compact, cuts)
+			one := checkApplyDeltas(t, label, boot, m, logs)
+			if (one != nil) != ok {
+				t.Fatalf("%s: the cut logs apply = %v, the whole log = %v", label, one != nil, ok)
+			}
+			if ok && one.Fingerprint() != after.build(compact).Fingerprint() {
+				t.Fatalf("%s: fingerprint %016x, the whole log's %016x", label, one.Fingerprint(), after.build(compact).Fingerprint())
+			}
+		}
 	})
 }

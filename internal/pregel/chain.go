@@ -499,59 +499,63 @@ func LoadChain(dir string) (*ChainState, error) {
 	return st, nil
 }
 
-// Replay rebuilds the graph the chain's tip snapshot was taken on: each
-// mutation log is applied in commit order on top of boot — the graph the
-// chain was started from, which the chain itself does not store — and the
-// result is checked against the fingerprint the chain recorded for that
-// step, so the wrong boot graph fails naming the first log it diverges at
-// instead of seeding state onto a graph it does not describe.
+// Replay rebuilds the graph the chain's tip snapshot was taken on: the
+// mutation logs applied in commit order on top of boot — the graph the
+// chain was started from, which the chain itself does not store — by one
+// graph.ApplyDeltas call, which interprets each log against boot overlaid
+// with the blocks the logs before it rewrote and splices once. The
+// fingerprint it derives after each log is checked against the one the
+// chain recorded for that step, so the wrong boot graph fails naming the
+// first log it diverges at instead of seeding state onto a graph it does
+// not describe. Those checks come before any failure to decode or apply a
+// later log: the order a replay of one log at a time would meet them in.
 //
-// The digest ApplyDelta derives covers the touched blocks alone, and a graph
-// replayed wrong here would be served until the next restart, so replay —
-// unlike a live flush, whose source was just served — re-hashes the result
-// from its arrays (graph.VerifyFingerprint). It does so once, on the tip,
-// not per step: a span miscopied at step i leaves the derived arc-hash sum
-// off the re-hashed one by a fixed amount, and every later splice subtracts
-// and adds the real arrays' block hashes, so that difference survives to the
-// tip and fails the one re-hash there (TestTipRehashCatchesEarlierCorruption
-// in internal/graph). On R-MAT 16×8 a re-hash costs ~8.5 ms against ~2 ms
-// for a replayed step: re-hashing each of 32 steps would be three quarters
-// of a ~350 ms restart that takes ~90 ms with the one re-hash
-// (serve-restart; BenchmarkReplay, 32 logs over R-MAT 14×8: ~105 → ~24 ms).
+// A derived digest covers the touched blocks alone, and a graph replayed
+// wrong here would be served until the next restart, so replay — unlike a
+// live flush, whose source was just served — re-hashes the result from its
+// arrays once (graph.VerifyFingerprint): a span miscopied from boot, or a
+// boot graph whose arrays no longer match its cached digest, leaves the
+// derived arc-hash sum off the re-hashed one
+// (TestTipRehashCatchesEarlierCorruption in internal/graph).
 //
-// With no logs the result is boot itself and nothing is re-hashed; otherwise
-// it is a new graph the caller owns (intermediate graphs are closed, boot
-// never is). Continue(st.Snapshot) on the returned graph is the chain-tip
-// seed.
+// With no logs the result is boot itself and nothing is re-hashed;
+// otherwise it is a new graph the caller owns (boot is never closed).
+// Continue(st.Snapshot) on the returned graph is the chain-tip seed.
 func (st *ChainState) Replay(boot *graph.Graph) (*graph.Graph, error) {
-	g := boot
+	logs := make([]*graph.Delta, 0, len(st.GraphDeltas))
+	var undecodable error // the logs before it still replay, and are checked first
+	for i, payload := range st.GraphDeltas {
+		d, err := graph.ReadDeltaLog(bytes.NewReader(payload))
+		if err != nil {
+			undecodable = fmt.Errorf("decoding mutation log %d: %w", i, err)
+			break
+		}
+		logs = append(logs, d)
+	}
+	g, fps, err := graph.ApplyDeltas(boot, logs)
 	fail := func(err error) (*graph.Graph, error) {
-		if g != boot {
+		if g != nil && g != boot {
 			g.Close()
 		}
 		return nil, fmt.Errorf("chain %s: %w", st.Dir, err)
 	}
-	for i, payload := range st.GraphDeltas {
-		d, err := graph.ReadDeltaLog(bytes.NewReader(payload))
-		if err != nil {
-			return fail(fmt.Errorf("decoding mutation log %d: %w", i, err))
-		}
-		next, _, err := graph.ApplyDelta(g, d)
-		if err != nil {
-			return fail(fmt.Errorf("replaying mutation log %d: %w", i, err))
-		}
-		if g != boot {
-			g.Close()
-		}
-		g = next
-		if fp := g.Fingerprint(); fp != st.GraphFingerprints[i] {
+	for i, fp := range fps {
+		if fp != st.GraphFingerprints[i] {
 			return fail(fmt.Errorf("%w: graph fingerprint %016x after mutation log %d, chain recorded %016x — wrong boot-time graph?",
 				ErrSnapshotMismatch, fp, i, st.GraphFingerprints[i]))
 		}
 	}
+	switch {
+	case err != nil && len(fps) < len(logs):
+		return fail(fmt.Errorf("replaying mutation log %d: %w", len(fps), err))
+	case err != nil:
+		return fail(fmt.Errorf("replaying %d mutation logs: %w", len(logs), err))
+	case undecodable != nil:
+		return fail(undecodable)
+	}
 	if g != boot {
 		if err := g.VerifyFingerprint(); err != nil {
-			return fail(fmt.Errorf("replaying %d mutation logs: %w", len(st.GraphDeltas), err))
+			return fail(fmt.Errorf("replaying %d mutation logs: %w", len(logs), err))
 		}
 	}
 	if fp := g.Fingerprint(); fp != st.Snapshot.Fingerprint {

@@ -8,7 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func randChainEntries(rng *rand.Rand, n int) []ChainEntry {
@@ -375,6 +379,74 @@ func TestLoadChainRejects(t *testing.T) {
 			t.Fatal("NewChainWriter opened a corrupt chain")
 		}
 	})
+}
+
+// TestReplayErrorsNameTheLog replays hand-built chains over a path and
+// checks which log each failure names. Replay applies every log in one
+// graph.ApplyDeltas call, yet it must report what a replay of one log at a
+// time would meet first: a fingerprint that differs from the chain's after
+// log j comes before a log k > j that cannot be decoded or applied.
+func TestReplayErrorsNameTheLog(t *testing.T) {
+	// path(m) is the directed path through the first m of 4 vertices.
+	path := func(m int) *graph.Graph {
+		b := graph.NewBuilder(4, true)
+		for u := 0; u+1 < m; u++ {
+			b.AddEdge(VertexID(u), VertexID(u+1))
+		}
+		return b.Finalize()
+	}
+	logs := []string{"add 0 2\n", "add 1 3 2.5\n", "del 0 1\n"}
+	var fps []uint64 // after each log, one ApplyDelta per log over path(4)
+	g := path(4)
+	for _, s := range logs {
+		d, err := graph.ReadDeltaLog(strings.NewReader(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, _, err = graph.ApplyDelta(g, d); err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, g.Fingerprint())
+	}
+	wrongAfter := func(j int) []uint64 {
+		out := slices.Clone(fps)
+		out[j] ^= 1
+		return out
+	}
+	const undecodable, unappliable = "frob 1 2\n", "del 3 0\n"
+	for _, c := range []struct {
+		name     string
+		boot     *graph.Graph
+		logs     []string
+		fps      []uint64
+		want     string // "" when the replay must succeed
+		mismatch bool   // the error wraps ErrSnapshotMismatch
+	}{
+		{"chain replays", path(4), logs, fps, "", false},
+		{"wrong boot graph", path(3), logs, fps, "after mutation log 0", true},
+		{"undecodable log", path(4), []string{logs[0], logs[1], undecodable}, fps, "decoding mutation log 2", false},
+		{"log removes a missing edge", path(4), []string{logs[0], logs[1], unappliable}, fps, "replaying mutation log 2", false},
+		{"mismatch before an undecodable log", path(4), []string{logs[0], logs[1], undecodable}, wrongAfter(1), "after mutation log 1", true},
+		{"mismatch before an unappliable log", path(4), []string{logs[0], logs[1], unappliable}, wrongAfter(1), "after mutation log 1", true},
+	} {
+		st := &ChainState{Dir: "hand-built", GraphFingerprints: c.fps, Snapshot: &Snapshot{Fingerprint: fps[len(fps)-1]}}
+		for _, s := range c.logs {
+			st.GraphDeltas = append(st.GraphDeltas, []byte(s))
+		}
+		got, err := st.Replay(c.boot)
+		if c.want == "" {
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if got.Fingerprint() != fps[len(fps)-1] {
+				t.Fatalf("%s: replayed fingerprint %016x, want %016x", c.name, got.Fingerprint(), fps[len(fps)-1])
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) || errors.Is(err, ErrSnapshotMismatch) != c.mismatch {
+			t.Errorf("%s: err = %v, want one naming %q, ErrSnapshotMismatch %v", c.name, err, c.want, c.mismatch)
+		}
+	}
 }
 
 // fuzzSeedChainManifest builds the valid manifest the fuzz seeds mutate.

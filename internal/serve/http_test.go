@@ -167,6 +167,36 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
+// TestHTTPAddvPastVertexIDDiscarded: a request naming more vertices than a
+// VertexID can address parses, so it is accepted, but the flush refuses it
+// before sizing anything by the count — the daemon used to die there
+// allocating 34 GB of offsets. The batch is discarded and counted failed,
+// and reads keep answering the previous epoch.
+func TestHTTPAddvPastVertexIDDiscarded(t *testing.T) {
+	s, _ := ssspServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var before valueReply
+	getJSON(t, ts, "GET", "/value/17", "", http.StatusOK, &before)
+	getJSON(t, ts, "POST", "/mutate", "addv 4294967296\n", http.StatusAccepted, nil)
+	var e map[string]string
+	getJSON(t, ts, "POST", "/flush", "", http.StatusInternalServerError, &e)
+	if !strings.Contains(e["error"], "VertexID can address") {
+		t.Fatalf("flush error = %q", e["error"])
+	}
+	var st Stats
+	getJSON(t, ts, "GET", "/stats", "", http.StatusOK, &st)
+	if st.FailedBatches != 1 || st.Epoch != 1 || st.Pending != 0 {
+		t.Fatalf("stats after the refused batch = %+v", st)
+	}
+	var after valueReply
+	getJSON(t, ts, "GET", "/value/17", "", http.StatusOK, &after)
+	if after.Epoch != 1 || after.Value != before.Value {
+		t.Fatalf("read after the refused batch = %+v, before it %+v", after, before)
+	}
+}
+
 // TestHTTPMalformedPaths pins the error shaping for every request shape
 // that misses the typed routes: each must answer JSON (never an empty or
 // plain-text body) with the right status code.

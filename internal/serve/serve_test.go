@@ -301,28 +301,31 @@ func TestServeRepairOnAddedVertices(t *testing.T) {
 }
 
 // TestServeEnqueueBounds: the log is bounded with backpressure, and a
-// rejected batch is all-or-nothing.
+// rejected batch is all-or-nothing. The log stays below MaxBatch (which
+// defaults to MaxPending), so the background flusher never drains it while
+// the test reads Pending.
 func TestServeEnqueueBounds(t *testing.T) {
 	s, _ := ssspServer(t, Config{MaxPending: 3})
 	one := []graph.Mutation{{Op: graph.MutAddEdge, U: 0, V: 7, W: 1}}
-	for i := 0; i < 3; i++ {
+	two := []graph.Mutation{{Op: graph.MutAddEdge, U: 0, V: 8, W: 1}, {Op: graph.MutAddEdge, U: 0, V: 9, W: 1}}
+	for i := 0; i < 2; i++ {
 		if _, err := s.Enqueue(one); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Enqueue(one); !errors.Is(err, ErrLogFull) {
+	if _, err := s.Enqueue(two); !errors.Is(err, ErrLogFull) {
 		t.Fatalf("err = %v, want ErrLogFull", err)
 	}
-	if got := s.Pending(); got != 3 {
-		t.Fatalf("pending = %d after rejection, want 3", got)
+	if got := s.Pending(); got != 2 {
+		t.Fatalf("pending = %d after rejection, want 2", got)
 	}
-	if st := s.Stats(); st.MutationsRejected != 1 || st.MutationsAccepted != 3 {
+	if st := s.Stats(); st.MutationsRejected != 2 || st.MutationsAccepted != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if _, err := s.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Enqueue(one); err != nil {
+	if _, err := s.Enqueue(two); err != nil {
 		t.Fatalf("enqueue after drain: %v", err)
 	}
 }

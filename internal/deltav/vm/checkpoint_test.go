@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -264,5 +265,33 @@ func TestRestoreExtraRejectionsTyped(t *testing.T) {
 		if _, err := mm.restoreExtra(tc.b, n); err != nil {
 			t.Fatalf("%s: the untouched payload is refused: %v", name, err)
 		}
+	}
+}
+
+// TestForgedMemoCountAllocatesNothing: a memo-table entry count is checked
+// against the bytes left in the payload before anything is sized by it, so
+// a payload cut off after one forged count is refused without first
+// allocating a table for every vertex of the graph.
+func TestForgedMemoCountAllocatesNothing(t *testing.T) {
+	const n = 1 << 16
+	g := graph.Star(n, true)
+	m, err := NewMachine(mustCompile("sssp", core.MemoTable), g, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := m.encodeExtra(nil, &globals{Phase: 0, Mode: modeBody})
+	// The first vertex's table size follows the memo-table flag, the site
+	// count and the vertex count (see encodeExtra).
+	sizeAt := 48 + 8*len(m.iterations) + 8 + 8*len(m.state) + 17
+	forged := binary.LittleEndian.AppendUint64(payload[:sizeAt:sizeAt], n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = m.restoreExtra(forged, n)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, pregel.ErrSnapshotCorrupt) {
+		t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+		t.Fatalf("refusing a forged memo-table count allocated %d bytes", alloc)
 	}
 }

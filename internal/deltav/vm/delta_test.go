@@ -91,7 +91,7 @@ func terminalVMSnapshot(t *testing.T, prog *core.Program, g *graph.Graph, opts R
 	if !bytes.Equal(res.Snapshot().AppendTo(nil), buf.Bytes()) {
 		t.Fatal("Result.Snapshot() does not encode to the bytes the Sink received")
 	}
-	snap, err := pregel.ReadSnapshot(&buf)
+	snap, _, err := pregel.DecodeSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatalf("decode terminal snapshot: %v", err)
 	}

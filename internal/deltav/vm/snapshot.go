@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/framing"
 	"repro/internal/graph"
 	"repro/internal/pregel"
 )
@@ -128,14 +129,9 @@ func appendFloat64s(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-// decodeFloat64s fills vs from the block appendFloat64s wrote at the front
-// of b, which must hold at least 8·len(vs) bytes.
-func decodeFloat64s(vs []float64, b []byte) {
-	b = b[:8*len(vs)]
-	for i := range vs {
-		vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-}
+// extraFormat reads the Extra payload: unframed (it rides inside a DVSNAP
+// frame), its rejections wrapping pregel.ErrSnapshotCorrupt.
+var extraFormat = framing.Format{Name: "vm: snapshot extra", Corrupt: pregel.ErrSnapshotCorrupt}
 
 // extraError rejects an Extra payload. kind is pregel.ErrSnapshotCorrupt
 // for bytes encodeExtra never writes, pregel.ErrSnapshotMismatch for a
@@ -157,40 +153,12 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 	if oldN < 0 || oldN > m.g.NumVertices() {
 		return nil, extraError(mismatch, "snapshot covers %d vertices, graph has %d", oldN, m.g.NumVertices())
 	}
-	rd := func(what string) (int64, error) {
-		v, rest, err := pregel.DecodeInt64(b)
-		if err != nil {
-			return 0, fmt.Errorf("vm: snapshot extra: %s: %w", what, err)
-		}
-		b = rest
-		return v, nil
-	}
-	rdf := func(what string) (float64, error) {
-		v, rest, err := pregel.DecodeFloat64(b)
-		if err != nil {
-			return 0, fmt.Errorf("vm: snapshot extra: %s: %w", what, err)
-		}
-		b = rest
-		return v, nil
-	}
-	ver, err := rd("version")
-	if err != nil {
-		return nil, err
-	}
-	if ver != extraVersion {
+	r := extraFormat.Reader(b)
+	if ver := r.I64(); r.Err() == nil && ver != extraVersion {
 		return nil, extraError(corrupt, "version %d, want %d (was the snapshot taken by a ΔV run?)", ver, extraVersion)
 	}
-	gl := &globals{}
-	phase, err := rd("phase")
-	if err != nil {
-		return nil, err
-	}
-	mode, err := rd("mode")
-	if err != nil {
-		return nil, err
-	}
-	iter, err := rd("iter")
-	if err != nil {
+	phase, mode, iter := r.I64(), r.I64(), r.I64()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if phase < 0 || phase >= int64(len(m.prog.Phases)) {
@@ -199,86 +167,50 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 	if mode != int64(modePrime) && mode != int64(modeBody) {
 		return nil, extraError(corrupt, "unknown mode %d", mode)
 	}
-	gl.Phase, gl.Mode, gl.Iter = int(phase), stepMode(mode), int(iter)
-	nonMono, err := rd("non-monotone count")
-	if err != nil {
-		return nil, err
-	}
-	m.nonMonotone.Store(nonMono)
-	nIter, err := rd("iteration count")
-	if err != nil {
-		return nil, err
-	}
-	if nIter != int64(len(m.iterations)) {
+	gl := &globals{Phase: int(phase), Mode: stepMode(mode), Iter: int(iter)}
+	m.nonMonotone.Store(r.I64())
+	if nIter := r.I64(); r.Err() == nil && nIter != int64(len(m.iterations)) {
 		return nil, extraError(mismatch, "%d phase counters, program has %d", nIter, len(m.iterations))
 	}
 	for i := range m.iterations {
-		v, err := rd("iterations")
-		if err != nil {
-			return nil, err
-		}
-		m.iterations[i] = int(v)
+		m.iterations[i] = int(r.I64())
 	}
-	nState, err := rd("state size")
-	if err != nil {
-		return nil, err
-	}
-	if nState != int64(oldN*m.stride) {
+	if nState := r.I64(); r.Err() == nil && nState != int64(oldN*m.stride) {
 		return nil, extraError(mismatch, "state size %d, machine needs %d (different program or graph?)", nState, oldN*m.stride)
 	}
 	state := m.state[:oldN*m.stride]
-	if len(b) < 8*len(state) {
-		return nil, extraError(corrupt, "state needs %d bytes, %d left", 8*len(state), len(b))
+	if raw := r.Take(8 * len(state)); raw != nil {
+		for i := range state {
+			state[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
 	}
-	decodeFloat64s(state, b)
-	b = b[8*len(state):]
-	if len(b) < 1 {
-		return nil, extraError(corrupt, "missing memo-table flag")
-	}
-	hasTables := b[0]
-	b = b[1:]
-	switch {
+	switch hasTables := r.U8(); {
+	case r.Err() != nil:
 	case hasTables == 0 && m.tables == nil:
 		// Both sides agree: no memo tables.
 	case hasTables == 1 && m.tables != nil:
-		nSites, err := rd("site count")
-		if err != nil {
-			return nil, err
-		}
-		if nSites != int64(len(m.tables)) {
+		if nSites := r.I64(); r.Err() == nil && nSites != int64(len(m.tables)) {
 			return nil, extraError(mismatch, "%d memo-table sites, program has %d", nSites, len(m.tables))
 		}
 		for site := range m.tables {
-			nVerts, err := rd("table vertex count")
-			if err != nil {
-				return nil, err
-			}
-			if nVerts != int64(oldN) {
+			if nVerts := r.I64(); r.Err() == nil && nVerts != int64(oldN) {
 				return nil, extraError(mismatch, "memo tables for %d vertices, want %d", nVerts, oldN)
 			}
-			for u := 0; u < oldN; u++ {
-				entries, err := rd("table size")
-				if err != nil {
-					return nil, err
-				}
-				if entries < 0 || entries > int64(oldN) {
-					return nil, extraError(corrupt, "memo table with %d entries", entries)
+			for u := 0; u < oldN && r.Err() == nil; u++ {
+				// Each entry is a key and a value, 16 bytes: the count is
+				// checked against the payload before it sizes a map.
+				entries := r.Count64(16, "memo table entry")
+				if entries > oldN {
+					r.Fail("memo table with %d entries", entries)
 				}
 				var tbl map[graph.VertexID]float64
-				if entries > 0 {
+				if entries > 0 && r.Err() == nil {
 					tbl = make(map[graph.VertexID]float64, entries)
 				}
-				for j := int64(0); j < entries; j++ {
-					k, err := rd("table key")
-					if err != nil {
-						return nil, err
-					}
+				for j := 0; j < entries && r.Err() == nil; j++ {
+					k, v := r.I64(), r.F64()
 					if k < 0 || k >= int64(oldN) {
-						return nil, extraError(corrupt, "memo key %d out of range", k)
-					}
-					v, err := rdf("table value")
-					if err != nil {
-						return nil, err
+						r.Fail("memo key %d out of range", k)
 					}
 					tbl[graph.VertexID(k)] = v
 				}
@@ -290,8 +222,8 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 	default:
 		return nil, extraError(mismatch, "memo-table flag %d does not match program mode", hasTables)
 	}
-	if len(b) != 0 {
-		return nil, extraError(corrupt, "%d trailing bytes", len(b))
+	if err := r.End(); err != nil {
+		return nil, err
 	}
 	return gl, nil
 }

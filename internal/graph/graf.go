@@ -4,17 +4,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"unsafe"
+
+	"repro/internal/framing"
 )
 
 // DVGRAF is the binary on-disk graph format. It stores exactly the
 // compact representation — arc offsets, gap-varint adjacency stream,
 // per-vertex byte offsets, optional weights — so a graph can be mapped
 // straight from the file without ever holding the edge list on the heap
-// twice. Layout (all integers little-endian):
+// twice. Layout (all integers little-endian), framed as DESIGN.md §10
+// describes:
 //
 //	magic   [6]byte  "DVGRAF"
 //	version u16      GraphFormatVersion
@@ -39,9 +41,6 @@ import (
 // other version.
 const GraphFormatVersion = 1
 
-// grafMagic prefixes every DVGRAF file.
-var grafMagic = [6]byte{'D', 'V', 'G', 'R', 'A', 'F'}
-
 // ErrGraphCorrupt is wrapped by every DVGRAF decoding error caused by
 // malformed input (truncation, bad magic, checksum mismatch, impossible
 // section lengths, invalid adjacency streams).
@@ -50,6 +49,11 @@ var ErrGraphCorrupt = errors.New("graph: corrupt DVGRAF data")
 // ErrGraphVersion is wrapped when the input is a DVGRAF file of an
 // unsupported format version.
 var ErrGraphVersion = errors.New("graph: unsupported DVGRAF version")
+
+var grafFormat = framing.Format{
+	Magic: [6]byte{'D', 'V', 'G', 'R', 'A', 'F'}, Version: GraphFormatVersion, Name: "DVGRAF",
+	Corrupt: ErrGraphCorrupt, Unsupported: ErrGraphVersion,
+}
 
 const (
 	grafHeaderLen = 40 // magic + version + flags + n + arcs + cOutLen
@@ -123,10 +127,7 @@ func EncodeGraph(g *Graph) []byte {
 		size += 8 * arcs
 	}
 	size += 4 // crc
-	buf := make([]byte, 0, size)
-
-	buf = append(buf, grafMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, GraphFormatVersion)
+	buf := grafFormat.Begin(make([]byte, 0, size))
 	var flags uint64
 	if g.directed {
 		flags |= grafFlagDir
@@ -144,20 +145,15 @@ func EncodeGraph(g *Graph) []byte {
 	for _, o := range cOutIdx {
 		buf = binary.LittleEndian.AppendUint32(buf, o)
 	}
-	for i := pad8(uint64(len(buf))); i > 0; i-- {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, make([]byte, pad8(uint64(len(buf))))...)
 	buf = append(buf, cOut...)
-	for i := pad8(uint64(len(buf))); i > 0; i-- {
-		buf = append(buf, 0)
-	}
+	buf = append(buf, make([]byte, pad8(uint64(len(buf))))...)
 	if g.weighted {
 		for _, w := range g.outW {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
 		}
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf
+	return framing.Seal(buf, 0)
 }
 
 // grafSections locates and fully validates every section of a DVGRAF
@@ -177,75 +173,42 @@ type grafSections struct {
 }
 
 func parseGraf(b []byte) (*grafSections, error) {
-	bad := func(format string, a ...any) error {
-		return fmt.Errorf("%w: %s", ErrGraphCorrupt, fmt.Sprintf(format, a...))
-	}
-	if len(b) < 8 {
-		return nil, bad("truncated header (%d bytes)", len(b))
-	}
-	for i := range grafMagic {
-		if b[i] != grafMagic[i] {
-			return nil, bad("bad magic")
-		}
-	}
-	if v := binary.LittleEndian.Uint16(b[6:]); v != GraphFormatVersion {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrGraphVersion, v, GraphFormatVersion)
-	}
-	if len(b) < grafHeaderLen+4 {
-		return nil, bad("truncated header (%d bytes)", len(b))
-	}
-	flags := binary.LittleEndian.Uint64(b[8:])
-	if flags&^uint64(grafFlagDir|grafFlagWtd) != 0 {
-		return nil, bad("unknown flags %#x", flags)
-	}
-	n := binary.LittleEndian.Uint64(b[16:])
-	arcs := binary.LittleEndian.Uint64(b[24:])
-	cOutLen := binary.LittleEndian.Uint64(b[32:])
-	if n > math.MaxUint32 {
-		return nil, bad("vertex count %d exceeds the 32-bit ID space", n)
-	}
-	if arcs > cOutLen {
+	r := grafFormat.Open(b)
+	flags, n, arcs, cOutLen := r.U64(), r.U64(), r.U64(), r.U64()
+	switch {
+	case flags&^uint64(grafFlagDir|grafFlagWtd) != 0:
+		r.Fail("unknown flags %#x", flags)
+	case n > math.MaxUint32:
+		r.Fail("vertex count %d exceeds the 32-bit ID space", n)
+	case arcs > cOutLen:
 		// Every arc takes at least one stream byte.
-		return nil, bad("%d arcs cannot fit in a %d-byte stream", arcs, cOutLen)
+		r.Fail("%d arcs cannot fit in a %d-byte stream", arcs, cOutLen)
+	case cOutLen > uint64(len(b)):
+		r.Fail("stream length %d exceeds input", cOutLen)
 	}
-	if cOutLen > uint64(len(b)) {
-		return nil, bad("stream length %d exceeds input", cOutLen)
-	}
-	weighted := flags&grafFlagWtd != 0
-	size := uint64(grafHeaderLen) + 8*(n+1) + 4*(n+1)
-	if size < uint64(grafHeaderLen) || size > uint64(len(b)) {
-		return nil, bad("offset sections for %d vertices exceed input", n)
-	}
-	offStart := uint64(grafHeaderLen)
-	idxStart := offStart + 8*(n+1)
-	size += pad8(size)
-	streamStart := size
-	size += cOutLen
-	size += pad8(size)
-	weightStart := size
-	if weighted {
-		size += 8 * arcs
-	}
-	size += 4
-	if size != uint64(len(b)) {
-		return nil, bad("size mismatch: have %d bytes, layout needs %d", len(b), size)
-	}
-	sum := crc32.ChecksumIEEE(b[:len(b)-4])
-	if got := binary.LittleEndian.Uint32(b[len(b)-4:]); got != sum {
-		return nil, bad("checksum mismatch: %08x != %08x", got, sum)
-	}
-
 	s := &grafSections{
 		directed: flags&grafFlagDir != 0,
-		weighted: weighted,
+		weighted: flags&grafFlagWtd != 0,
 		n:        int(n),
 		arcs:     arcs,
-		outOff:   b[offStart:idxStart],
-		cOutIdx:  b[idxStart : idxStart+4*(n+1)],
-		cOut:     b[streamStart : streamStart+cOutLen],
 	}
-	if weighted {
-		s.weights = b[weightStart : weightStart+8*arcs]
+	s.outOff = r.Take(8 * (s.n + 1))
+	s.cOutIdx = r.Take(4 * (s.n + 1))
+	r.Pad8()
+	s.cOut = r.Take(int(cOutLen))
+	r.Pad8()
+	if s.weighted {
+		s.weights = r.Take(8 * int(arcs))
+	}
+	rest, err := r.Close()
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the checksum", ErrGraphCorrupt, len(rest))
+	}
+	bad := func(format string, a ...any) error {
+		return fmt.Errorf("%w: %s", ErrGraphCorrupt, fmt.Sprintf(format, a...))
 	}
 
 	// Structural validation: the CRC guards against accidental damage,
@@ -416,5 +379,5 @@ func IsGraphFile(path string) bool {
 	if _, err := f.Read(hdr[:]); err != nil {
 		return false
 	}
-	return hdr == grafMagic
+	return hdr == grafFormat.Magic
 }

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 
+	"repro/internal/framing"
 	"repro/internal/graph"
 )
 
@@ -32,8 +32,10 @@ const ChainManifestVersion = 2
 // ChainManifestName is the manifest's file name inside a chain directory.
 const ChainManifestName = "chain.dvchmf"
 
-// chainManifestMagic prefixes every encoded chain manifest.
-var chainManifestMagic = [6]byte{'D', 'V', 'C', 'H', 'M', 'F'}
+var chainManifestFormat = framing.Format{
+	Magic: [6]byte{'D', 'V', 'C', 'H', 'M', 'F'}, Version: ChainManifestVersion, Name: "DVCHMF",
+	Corrupt: ErrSnapshotCorrupt, Unsupported: ErrSnapshotVersion,
+}
 
 // ChainEntryKind distinguishes the three record types a chain carries.
 type ChainEntryKind uint8
@@ -74,7 +76,8 @@ type ChainEntry struct {
 	Name            string // record file name inside the chain directory
 }
 
-// EncodeChainManifest appends the binary manifest encoding to dst:
+// EncodeChainManifest appends the binary manifest encoding to dst, framed
+// as DESIGN.md §10 describes:
 //
 //	magic "DVCHMF" | version u16 | count u32
 //	| entry ×count: kind u8 | superstep i64 | fingerprint u64
@@ -83,8 +86,7 @@ type ChainEntry struct {
 //	| crc32(IEEE) of everything above, u32
 func EncodeChainManifest(dst []byte, entries []ChainEntry) []byte {
 	start := len(dst)
-	dst = append(dst, chainManifestMagic[:]...)
-	dst = binary.LittleEndian.AppendUint16(dst, ChainManifestVersion)
+	dst = chainManifestFormat.Begin(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(entries)))
 	for _, e := range entries {
 		dst = append(dst, byte(e.Kind))
@@ -95,8 +97,7 @@ func EncodeChainManifest(dst []byte, entries []ChainEntry) []byte {
 		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(e.Name)))
 		dst = append(dst, e.Name...)
 	}
-	crc := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, crc)
+	return framing.Seal(dst, start)
 }
 
 // DecodeChainManifest decodes one manifest from the front of b, returning
@@ -106,56 +107,31 @@ func EncodeChainManifest(dst []byte, entries []ChainEntry) []byte {
 // plain file names (no path separators, no "..") so a hostile manifest
 // cannot direct replay outside its own directory.
 func DecodeChainManifest(b []byte) ([]ChainEntry, []byte, error) {
-	r := &snapReader{b: b}
-	if magic := r.take(len(chainManifestMagic)); r.err == nil {
-		for i := range chainManifestMagic {
-			if magic[i] != chainManifestMagic[i] {
-				r.fail("bad manifest magic")
-				break
-			}
-		}
-	}
-	ver := r.u16()
-	if r.err == nil && ver != ChainManifestVersion {
-		return nil, nil, fmt.Errorf("%w: chain manifest version %d, want %d", ErrSnapshotVersion, ver, ChainManifestVersion)
-	}
+	r := chainManifestFormat.Open(b)
 	// Each entry costs at least 35 bytes (fixed fields + empty name).
-	count := r.count(35, "manifest entry")
-	entries := make([]ChainEntry, 0, count)
-	for i := 0; i < count && r.err == nil; i++ {
-		var e ChainEntry
-		kind := r.u8()
-		if r.err == nil && kind > uint8(ChainGraphDelta) {
-			r.fail("unknown chain entry kind %d", kind)
+	entries := make([]ChainEntry, r.Count(35, "manifest entry"))
+	for i := range entries {
+		e := &entries[i]
+		if kind := r.U8(); kind > uint8(ChainGraphDelta) {
+			r.Fail("unknown chain entry kind %d", kind)
+		} else {
+			e.Kind = ChainEntryKind(kind)
 		}
-		e.Kind = ChainEntryKind(kind)
-		e.Superstep = int(int64(r.u64()))
-		e.Fingerprint = r.u64()
-		e.BaseSuperstep = int(int64(r.u64()))
-		e.BaseFingerprint = r.u64()
-		nameLen := int(r.u16())
-		name := r.take(nameLen)
-		if r.err == nil {
-			e.Name = string(name)
-			if e.Name == "" || e.Name == "." || e.Name == ".." ||
-				strings.ContainsAny(e.Name, "/\\\x00") {
-				r.fail("entry %d has unsafe record name %q", i, e.Name)
-			}
+		e.Superstep = int(r.I64())
+		e.Fingerprint = r.U64()
+		e.BaseSuperstep = int(r.I64())
+		e.BaseFingerprint = r.U64()
+		e.Name = string(r.Take(int(r.U16())))
+		if r.Err() == nil && (e.Name == "" || e.Name == "." || e.Name == ".." ||
+			strings.ContainsAny(e.Name, "/\\\x00")) {
+			r.Fail("entry %d has unsafe record name %q", i, e.Name)
 		}
-		entries = append(entries, e)
 	}
-	if r.err != nil {
-		return nil, nil, r.err
+	rest, err := r.Close()
+	if err != nil {
+		return nil, nil, err
 	}
-	consumed := len(b) - len(r.b)
-	wantCRC := r.u32()
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if got := crc32.ChecksumIEEE(b[:consumed]); got != wantCRC {
-		return nil, nil, fmt.Errorf("%w: chain manifest checksum mismatch (got %08x, want %08x)", ErrSnapshotCorrupt, got, wantCRC)
-	}
-	return entries, r.b, nil
+	return entries, rest, nil
 }
 
 // DefaultRebaseEvery caps how many consecutive incremental records a chain
@@ -174,7 +150,8 @@ type ChainWriter struct {
 	// The last appended snapshot is the next delta record's diff base: its
 	// identity and its serialized sections, which the writer owns (callers
 	// — the engine's reusable capture buffer in particular — overwrite
-	// their snapshot's slices between appends). hasBase is false until the
+	// their snapshot's slices between appends); for a base record they are
+	// slices of the record itself. hasBase is false until the
 	// chain holds a snapshot. A reopened chain's base is the tip it loaded,
 	// kept as that snapshot until the first append serializes it: a server
 	// booted from the chain then holds no second copy of the state it
@@ -243,15 +220,16 @@ func (w *ChainWriter) Entries() []ChainEntry {
 // commits. Beyond serializing a reopened chain's tip it does not touch
 // writer state; the caller commits.
 func (w *ChainWriter) snapshotEntry(s *Snapshot, seq int) (ChainEntry, []byte, [numSnapSections][]byte) {
-	sec := snapshotSections(s)
+	var sec [numSnapSections][]byte
 	if !w.hasBase || w.sinceBase >= w.rebaseEvery {
 		return ChainEntry{
 			Kind:        ChainBase,
 			Superstep:   s.Superstep,
 			Fingerprint: s.Fingerprint,
 			Name:        fmt.Sprintf("chain-%06d.base", seq),
-		}, s.AppendTo(nil), sec
+		}, s.encode(nil, &sec), sec
 	}
+	sec = snapshotSections(s)
 	if w.loadedTip != nil {
 		w.baseSec, w.loadedTip = snapshotSections(w.loadedTip), nil
 	}
@@ -273,11 +251,6 @@ func (w *ChainWriter) noteSnapshot(e ChainEntry, s *Snapshot, sec [numSnapSectio
 		w.sinceBase = 0
 	} else {
 		w.sinceBase++
-	}
-	// The inbox, values and extra sections are s's own slices; the others
-	// were serialized for this append alone.
-	for i := 4; i < numSnapSections; i++ {
-		sec[i] = append([]byte(nil), sec[i]...)
 	}
 	w.hasBase, w.loadedTip = true, nil
 	w.baseFingerprint, w.baseSuperstep, w.baseSec = s.Fingerprint, s.Superstep, sec
@@ -354,11 +327,7 @@ func (w *ChainWriter) AppendGraphDelta(payload []byte, fingerprint uint64) (path
 // the chain's single commit point.
 func (w *ChainWriter) commit(es ...ChainEntry) error {
 	entries := append(w.entries, es...)
-	tmp := filepath.Join(w.dir, ChainManifestName+".tmp")
-	if err := os.WriteFile(tmp, EncodeChainManifest(nil, entries), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, ChainManifestName)); err != nil {
+	if err := writeFileAtomic(filepath.Join(w.dir, ChainManifestName), EncodeChainManifest(nil, entries)); err != nil {
 		return err
 	}
 	w.entries = entries
@@ -386,48 +355,32 @@ type ChainState struct {
 }
 
 // chainTip is the snapshot state LoadChain has reconstructed so far: the
-// last base record, or — once delta records follow it — the last record's
-// header over the snapshot's serialized sections, which the records patch
-// in place. It is parsed back into a Snapshot when the run of records
-// ends, once per base instead of once per record.
+// header and aggregates of the last record over the serialized sections of
+// the last base, which the delta records after it patch in place (the
+// sections alias buffers read for this load alone). It is parsed into a
+// Snapshot once, when the chain ends.
 type chainTip struct {
-	snap *Snapshot      // last base record; nil before the first
-	hdr  *SnapshotDelta // last delta record applied on top of snap; nil if none
+	ok   bool // a base record has been loaded
+	hdr  snapHeader
+	aggs []float64
 	sec  [numSnapSections][]byte
 }
 
-// apply patches the tip with the next delta record. The tip owns snap (it
-// was decoded for this load alone), so the sections taken from it are
-// edited where they lie.
+// apply patches the tip with the next delta record.
 func (t *chainTip) apply(d *SnapshotDelta) error {
-	fingerprint, superstep := t.snap.Fingerprint, t.snap.Superstep
-	if t.hdr != nil {
-		fingerprint, superstep = t.hdr.Fingerprint, t.hdr.Superstep
-	}
-	if err := d.checkBase(fingerprint, superstep); err != nil {
+	if err := d.checkBase(t.hdr.fingerprint, t.hdr.superstep); err != nil {
 		return err
 	}
-	if t.hdr == nil {
-		t.sec = snapshotSections(t.snap)
-	}
-	if err := d.patchSections(&t.sec, true); err != nil {
+	if err := d.patchSections(&t.sec); err != nil {
 		return err
 	}
 	// Checked per record, not only when the tip is parsed, so a record that
 	// contradicts its own vertex count is the one the error names.
-	if err := checkSectionLengths(d.NumVertices, &t.sec); err != nil {
+	if err := checkSections(d.NumVertices, &t.sec); err != nil {
 		return err
 	}
-	t.hdr = d
+	t.hdr, t.aggs = d.header(), d.Aggs
 	return nil
-}
-
-// snapshot returns the reconstructed snapshot.
-func (t *chainTip) snapshot() (*Snapshot, error) {
-	if t.hdr == nil {
-		return t.snap, nil
-	}
-	return snapshotFromSections(t.hdr, t.sec)
 }
 
 // LoadChain reads dir's manifest and replays every record: base snapshots
@@ -455,20 +408,23 @@ func LoadChain(dir string) (*ChainState, error) {
 		}
 		switch e.Kind {
 		case ChainBase:
-			s, rest, err := DecodeSnapshot(b)
+			h, aggs, sec, rest, err := decodeSnapshotFrame(b)
+			if err == nil {
+				err = checkSections(h.n, &sec)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("chain entry %d (%s %s): %w", i, e.Kind, e.Name, err)
 			}
 			if len(rest) != 0 {
 				return nil, fmt.Errorf("%w: chain entry %d (%s) has %d trailing bytes", ErrSnapshotCorrupt, i, e.Name, len(rest))
 			}
-			if s.Fingerprint != e.Fingerprint || s.Superstep != e.Superstep {
+			if h.fingerprint != e.Fingerprint || h.superstep != e.Superstep {
 				return nil, fmt.Errorf("%w: chain entry %d (%s) is superstep %d/%016x, manifest says %d/%016x",
-					ErrSnapshotMismatch, i, e.Name, s.Superstep, s.Fingerprint, e.Superstep, e.Fingerprint)
+					ErrSnapshotMismatch, i, e.Name, h.superstep, h.fingerprint, e.Superstep, e.Fingerprint)
 			}
-			tip = chainTip{snap: s}
+			tip = chainTip{ok: true, hdr: h, aggs: aggs, sec: sec}
 		case ChainDelta:
-			if tip.snap == nil {
+			if !tip.ok {
 				return nil, fmt.Errorf("%w: chain entry %d (%s) is a delta record with no base before it", ErrSnapshotCorrupt, i, e.Name)
 			}
 			d, rest, err := DecodeSnapshotDelta(b)
@@ -490,10 +446,10 @@ func LoadChain(dir string) (*ChainState, error) {
 			st.GraphFingerprints = append(st.GraphFingerprints, e.Fingerprint)
 		}
 	}
-	if tip.snap == nil {
+	if !tip.ok {
 		return nil, fmt.Errorf("%w: chain %s has no snapshot records", ErrSnapshotCorrupt, dir)
 	}
-	if st.Snapshot, err = tip.snapshot(); err != nil {
+	if st.Snapshot, err = snapshotFromSections(tip.hdr, tip.aggs, tip.sec); err != nil {
 		return nil, fmt.Errorf("chain %s: tip snapshot: %w", dir, err)
 	}
 	return st, nil

@@ -117,23 +117,29 @@ func (e *Engine[V, M]) capture() error {
 	s := &e.snap
 	e.fill(s)
 	s.Extra = s.Extra[:0]
-	if fn := e.opts.Checkpoint.Extra; fn != nil {
-		s.Extra = fn(s.Extra)
+	ck := &e.opts.Checkpoint
+	if ck.Extra != nil {
+		s.Extra = ck.Extra(s.Extra)
 	}
-	e.snapBuf = s.AppendTo(e.snapBuf[:0])
-	if w := e.opts.Checkpoint.Sink; w != nil {
+	chain := ck.Dir != "" && ck.Incremental
+	if ck.Sink != nil || !chain {
+		// A chain encodes its own record; the full DVSNAP is for the Sink
+		// and the plain Dir.
+		e.snapBuf = s.AppendTo(e.snapBuf[:0])
+	}
+	if w := ck.Sink; w != nil {
 		if _, err := w.Write(e.snapBuf); err != nil {
 			return fmt.Errorf("pregel: checkpoint sink: %w", err)
 		}
 	}
-	switch dir := e.opts.Checkpoint.Dir; {
-	case dir != "" && e.opts.Checkpoint.Incremental:
+	switch dir := ck.Dir; {
+	case chain:
 		// Chain mode: append a base or DVSNPD delta record instead of a
 		// fresh full snapshot file; the writer diffs against the previous
 		// capture, so a converged-then-repaired run's records carry only
 		// the touched frontier's bytes.
 		if e.chain == nil {
-			w, err := NewChainWriter(dir, e.opts.Checkpoint.RebaseEvery)
+			w, err := NewChainWriter(dir, ck.RebaseEvery)
 			if err != nil {
 				return fmt.Errorf("pregel: checkpoint chain: %w", err)
 			}
@@ -146,15 +152,8 @@ func (e *Engine[V, M]) capture() error {
 		e.stats.CheckpointPath = path
 		e.stats.CheckpointBytes += int64(size)
 	case dir != "":
-		// Temp-file + rename so a crash mid-write (a sharded peer can be
-		// SIGKILLed at any point) never leaves a torn snapshot behind.
 		path := filepath.Join(dir, SnapshotFileName(s.Superstep))
-		tmp := path + ".tmp"
-		if err := os.WriteFile(tmp, e.snapBuf, 0o644); err != nil {
-			return fmt.Errorf("pregel: checkpoint: %w", err)
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
+		if err := writeFileAtomic(path, e.snapBuf); err != nil {
 			return fmt.Errorf("pregel: checkpoint: %w", err)
 		}
 		e.stats.CheckpointPath = path
@@ -167,5 +166,21 @@ func (e *Engine[V, M]) capture() error {
 	// Stats.Supersteps (e.g. the last periodic one before a panic), and
 	// resume tooling must not assume the two agree.
 	e.stats.CheckpointSuperstep = s.Superstep
+	return nil
+}
+
+// writeFileAtomic writes b to path through a temp file and a rename, so a
+// crash mid-write (a sharded peer can be SIGKILLed at any point) leaves the
+// old file or the new one, never a torn one. The temp file is removed when
+// the rename fails.
+func writeFileAtomic(path string, b []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
 	return nil
 }

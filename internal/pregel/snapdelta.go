@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"repro/internal/framing"
 )
 
 // This file implements incremental snapshots: a CRC'd DVSNAP-companion
@@ -27,8 +28,10 @@ import (
 // SnapshotVersion for what 2 means).
 const SnapshotDeltaVersion = 2
 
-// snapshotDeltaMagic prefixes every encoded snapshot delta record.
-var snapshotDeltaMagic = [6]byte{'D', 'V', 'S', 'N', 'P', 'D'}
+var snapshotDeltaFormat = framing.Format{
+	Magic: [6]byte{'D', 'V', 'S', 'N', 'P', 'D'}, Version: SnapshotDeltaVersion, Name: "DVSNPD",
+	Corrupt: ErrSnapshotCorrupt, Unsupported: ErrSnapshotVersion,
+}
 
 // Section patch tags.
 const (
@@ -41,8 +44,8 @@ const (
 // removed, queue, inboxCounts, inbox, values, extra).
 const numSnapSections = 7
 
-// snapSectionNames label sections in error messages, index-aligned with
-// snapshotSections.
+// snapSectionNames label sections in error messages, in the order DVSNAP
+// lays them out.
 var snapSectionNames = [numSnapSections]string{
 	"active", "removed", "queue", "inboxCounts", "inbox", "values", "extra",
 }
@@ -80,28 +83,6 @@ type SnapshotDelta struct {
 	Aggs []float64
 
 	patches [numSnapSections]sectionPatch
-}
-
-// snapshotSections serializes s's seven patchable sections into their
-// canonical byte strings, exactly as AppendTo lays them out.
-func snapshotSections(s *Snapshot) [numSnapSections][]byte {
-	var out [numSnapSections][]byte
-	out[0] = appendBitset(nil, s.Active)
-	out[1] = appendBitset(nil, s.Removed)
-	q := binary.LittleEndian.AppendUint32(nil, uint32(len(s.Queue)))
-	for _, v := range s.Queue {
-		q = binary.LittleEndian.AppendUint32(q, uint32(v))
-	}
-	out[2] = q
-	ic := make([]byte, 0, 4*len(s.InboxCounts))
-	for _, c := range s.InboxCounts {
-		ic = binary.LittleEndian.AppendUint32(ic, c)
-	}
-	out[3] = ic
-	out[4] = s.Inbox
-	out[5] = s.Values
-	out[6] = s.Extra
-	return out
 }
 
 // runCoalesceGap: differing byte runs separated by at most this many equal
@@ -170,7 +151,7 @@ func diffSection(base, next []byte) sectionPatch {
 // small exactly when the runs share most of their serialized state (same
 // graph size, same program, a small touched frontier).
 func DiffSnapshots(base, next *Snapshot) *SnapshotDelta {
-	bs, ns := snapshotSections(base), snapshotSections(next)
+	bs, ns := sectionView(base), sectionView(next)
 	return diffSections(base.Fingerprint, base.Superstep, &bs, next, &ns)
 }
 
@@ -208,10 +189,14 @@ func ApplySnapshotDelta(base *Snapshot, d *SnapshotDelta) (*Snapshot, error) {
 		return nil, err
 	}
 	sec := snapshotSections(base)
-	if err := d.patchSections(&sec, false); err != nil {
+	if err := d.patchSections(&sec); err != nil {
 		return nil, err
 	}
-	return snapshotFromSections(d, sec)
+	return snapshotFromSections(d.header(), d.Aggs, sec)
+}
+
+func (d *SnapshotDelta) header() snapHeader {
+	return snapHeader{d.Fingerprint, d.Superstep, d.NumVertices, d.ActivateAll, d.Stopped, d.Done, d.WorkQueue}
 }
 
 // checkBase reports whether d patches the snapshot state identified by
@@ -228,31 +213,23 @@ func (d *SnapshotDelta) checkBase(fingerprint uint64, superstep int) error {
 	return nil
 }
 
-// patchSections turns the base's serialized sections into those of the
-// snapshot d encodes. With inPlace the caller owns sec's bytes and sparse
-// edits are written straight into them — how LoadChain carries one state
-// across a run of records; otherwise a section is copied before its first
-// edit and the bytes sec came in with are never written. Replaced sections
-// alias d either way.
-func (d *SnapshotDelta) patchSections(sec *[numSnapSections][]byte, inPlace bool) error {
+// patchSections turns the base's serialized sections, which the caller
+// owns, into those of the snapshot d encodes: sparse edits are written
+// straight into them, and replaced sections alias d.
+func (d *SnapshotDelta) patchSections(sec *[numSnapSections][]byte) error {
 	for i, p := range d.patches {
 		switch p.tag {
 		case patchUnchanged:
 		case patchFull:
 			sec[i] = p.full
 		case patchRuns:
-			out := sec[i]
-			if !inPlace {
-				out = append([]byte(nil), out...)
-			}
 			for _, r := range p.runs {
-				if r.off < 0 || r.off+len(r.data) > len(out) {
+				if r.off < 0 || r.off+len(r.data) > len(sec[i]) {
 					return fmt.Errorf("%w: %s patch run [%d,%d) exceeds section length %d",
-						ErrSnapshotCorrupt, snapSectionNames[i], r.off, r.off+len(r.data), len(out))
+						ErrSnapshotCorrupt, snapSectionNames[i], r.off, r.off+len(r.data), len(sec[i]))
 				}
-				copy(out[r.off:], r.data)
+				copy(sec[i][r.off:], r.data)
 			}
-			sec[i] = out
 		default:
 			return fmt.Errorf("%w: unknown section patch tag %d", ErrSnapshotCorrupt, p.tag)
 		}
@@ -260,9 +237,10 @@ func (d *SnapshotDelta) patchSections(sec *[numSnapSections][]byte, inPlace bool
 	return nil
 }
 
-// checkSectionLengths rejects sections whose fixed-size parts contradict
-// the vertex count n.
-func checkSectionLengths(n int, sec *[numSnapSections][]byte) error {
+// checkSections rejects sections that contradict the vertex count n:
+// bitsets or inbox counts of the wrong length, or a queue that is not a
+// count followed by that many vertices below n.
+func checkSections(n int, sec *[numSnapSections][]byte) error {
 	for i, name := range []string{"active", "removed"} {
 		if len(sec[i]) != (n+7)/8 {
 			return fmt.Errorf("%w: %s bitset is %d bytes, %d vertices need %d",
@@ -273,53 +251,47 @@ func checkSectionLengths(n int, sec *[numSnapSections][]byte) error {
 		return fmt.Errorf("%w: inbox counts are %d bytes, %d vertices need %d",
 			ErrSnapshotCorrupt, len(sec[3]), n, 4*n)
 	}
-	return nil
+	r := snapshotFormat.Reader(sec[2])
+	for i := r.Count(4, "queue"); i > 0; i-- {
+		if v := r.U32(); int64(v) >= int64(n) {
+			r.Fail("queue vertex %d out of range", v)
+		}
+	}
+	return r.End()
 }
 
-// snapshotFromSections parses the seven reconstructed section byte strings
-// back into a Snapshot under d's header. The snapshot shares no bytes with
-// sec.
-func snapshotFromSections(d *SnapshotDelta, sec [numSnapSections][]byte) (*Snapshot, error) {
-	n := d.NumVertices
-	if err := checkSectionLengths(n, &sec); err != nil {
+// snapshotFromSections parses the seven section byte strings back into a
+// Snapshot under header h and aggregates aggs. The snapshot shares no
+// bytes with sec or aggs.
+func snapshotFromSections(h snapHeader, aggs []float64, sec [numSnapSections][]byte) (*Snapshot, error) {
+	n := h.n
+	if err := checkSections(n, &sec); err != nil {
 		return nil, err
 	}
 	s := &Snapshot{
 		Version:     SnapshotVersion,
-		Fingerprint: d.Fingerprint,
-		Superstep:   d.Superstep,
+		Fingerprint: h.fingerprint,
+		Superstep:   h.superstep,
 		NumVertices: n,
-		ActivateAll: d.ActivateAll,
-		Stopped:     d.Stopped,
-		Done:        d.Done,
-		WorkQueue:   d.WorkQueue,
-		Aggs:        append([]float64(nil), d.Aggs...),
+		ActivateAll: h.activateAll,
+		Stopped:     h.stopped,
+		Done:        h.done,
+		WorkQueue:   h.workQueue,
+		Aggs:        append([]float64(nil), aggs...),
+		Active:      parseBitset(sec[0], n),
+		Removed:     parseBitset(sec[1], n),
+		Queue:       make([]VertexID, (len(sec[2])-4)/4),
+		InboxCounts: make([]uint32, n),
+		Inbox:       append([]byte(nil), sec[4]...),
+		Values:      append([]byte(nil), sec[5]...),
+		Extra:       append([]byte(nil), sec[6]...),
 	}
-	s.Active = parseBitset(sec[0], n)
-	s.Removed = parseBitset(sec[1], n)
-	r := &snapReader{b: sec[2]}
-	nQueue := r.count(4, "queue")
-	s.Queue = make([]VertexID, 0, nQueue)
-	for i := 0; i < nQueue && r.err == nil; i++ {
-		v := r.u32()
-		if r.err == nil && int(v) >= n {
-			r.fail("queue vertex %d out of range", v)
-		}
-		s.Queue = append(s.Queue, VertexID(v))
+	for i := range s.Queue {
+		s.Queue[i] = VertexID(binary.LittleEndian.Uint32(sec[2][4+4*i:]))
 	}
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("queue section has %d trailing bytes", len(r.b))
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	s.InboxCounts = make([]uint32, n)
 	for i := range s.InboxCounts {
 		s.InboxCounts[i] = binary.LittleEndian.Uint32(sec[3][4*i:])
 	}
-	s.Inbox = append([]byte(nil), sec[4]...)
-	s.Values = append([]byte(nil), sec[5]...)
-	s.Extra = append([]byte(nil), sec[6]...)
 	return s, nil
 }
 
@@ -332,10 +304,9 @@ func parseBitset(raw []byte, n int) []bool {
 }
 
 // AppendTo appends the binary encoding of d to dst. The layout (all
-// integers little-endian):
+// integers little-endian), framed as DESIGN.md §10 describes:
 //
-//	magic "DVSNPD" | version u16 | fingerprint u64 | superstep i64
-//	| numVertices u64 | flags u8 (1=activateAll 2=stopped 4=done 8=workQueue)
+//	magic "DVSNPD" | version u16 | header (see snapHeader)
 //	| baseFingerprint u64 | baseSuperstep i64
 //	| aggs: count u32, value f64 ×count
 //	| section ×7: tag u8
@@ -344,31 +315,11 @@ func parseBitset(raw []byte, n int) []bool {
 //	| crc32(IEEE) of everything above, u32
 func (d *SnapshotDelta) AppendTo(dst []byte) []byte {
 	start := len(dst)
-	dst = append(dst, snapshotDeltaMagic[:]...)
-	dst = binary.LittleEndian.AppendUint16(dst, SnapshotDeltaVersion)
-	dst = binary.LittleEndian.AppendUint64(dst, d.Fingerprint)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(d.Superstep)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(d.NumVertices))
-	var flags byte
-	if d.ActivateAll {
-		flags |= 1
-	}
-	if d.Stopped {
-		flags |= 2
-	}
-	if d.Done {
-		flags |= 4
-	}
-	if d.WorkQueue {
-		flags |= 8
-	}
-	dst = append(dst, flags)
+	dst = snapshotDeltaFormat.Begin(dst)
+	dst = d.header().appendTo(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, d.BaseFingerprint)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(d.BaseSuperstep)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.Aggs)))
-	for _, v := range d.Aggs {
-		dst = AppendFloat64(dst, v)
-	}
+	dst = appendAggs(dst, d.Aggs)
 	for _, p := range d.patches {
 		dst = append(dst, p.tag)
 		switch p.tag {
@@ -384,94 +335,54 @@ func (d *SnapshotDelta) AppendTo(dst []byte) []byte {
 			}
 		}
 	}
-	crc := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, crc)
+	return framing.Seal(dst, start)
 }
 
 // DecodeSnapshotDelta decodes one delta record from the front of b,
 // returning the record and any remaining bytes. Corrupt, truncated, or
 // wrong-version input returns an error wrapping ErrSnapshotCorrupt or
 // ErrSnapshotVersion; it never panics. Run offsets are validated against
-// the base at ApplySnapshotDelta time, not here.
+// the base at ApplySnapshotDelta time, not here. The record shares no bytes
+// with b.
 func DecodeSnapshotDelta(b []byte) (*SnapshotDelta, []byte, error) {
-	r := &snapReader{b: b}
-	if magic := r.take(len(snapshotDeltaMagic)); r.err == nil {
-		for i := range snapshotDeltaMagic {
-			if magic[i] != snapshotDeltaMagic[i] {
-				r.fail("bad delta-record magic")
-				break
-			}
-		}
-	}
-	d := &SnapshotDelta{}
-	d.Version = r.u16()
-	if r.err == nil && d.Version != SnapshotDeltaVersion {
-		return nil, nil, fmt.Errorf("%w: delta record version %d, want %d", ErrSnapshotVersion, d.Version, SnapshotDeltaVersion)
-	}
-	d.Fingerprint = r.u64()
-	d.Superstep = int(int64(r.u64()))
-	n64 := r.u64()
-	if r.err == nil && n64 > math.MaxInt32 {
-		r.fail("vertex count %d exceeds input", n64)
-	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	d.NumVertices = int(n64)
-	flags := r.u8()
-	d.ActivateAll = flags&1 != 0
-	d.Stopped = flags&2 != 0
-	d.Done = flags&4 != 0
-	d.WorkQueue = flags&8 != 0
-	if r.err == nil && flags&^byte(15) != 0 {
-		r.fail("unknown flag bits %#x", flags)
-	}
-	d.BaseFingerprint = r.u64()
-	d.BaseSuperstep = int(int64(r.u64()))
-	nAggs := r.count(8, "aggregator")
-	d.Aggs = make([]float64, 0, nAggs)
-	for i := 0; i < nAggs && r.err == nil; i++ {
-		d.Aggs = append(d.Aggs, math.Float64frombits(r.u64()))
+	r := snapshotDeltaFormat.Open(b)
+	h := readSnapHeader(r)
+	d := &SnapshotDelta{
+		Version:         SnapshotDeltaVersion,
+		Fingerprint:     h.fingerprint,
+		Superstep:       h.superstep,
+		NumVertices:     h.n,
+		ActivateAll:     h.activateAll,
+		Stopped:         h.stopped,
+		Done:            h.done,
+		WorkQueue:       h.workQueue,
+		BaseFingerprint: r.U64(),
+		BaseSuperstep:   int(r.I64()),
+		Aggs:            readAggs(r),
 	}
 	for i := range d.patches {
-		if r.err != nil {
-			break
-		}
-		tag := r.u8()
-		switch tag {
+		p := sectionPatch{tag: r.U8()}
+		switch p.tag {
 		case patchUnchanged:
-			d.patches[i] = sectionPatch{tag: patchUnchanged}
 		case patchFull:
-			d.patches[i] = sectionPatch{tag: patchFull, full: r.blob(snapSectionNames[i])}
+			p.full = bytes.Clone(r.Blob(snapSectionNames[i]))
 		case patchRuns:
-			nRuns := r.count(12, "patch run")
-			p := sectionPatch{tag: patchRuns}
-			for j := 0; j < nRuns && r.err == nil; j++ {
-				off := r.u64()
-				if r.err == nil && off > math.MaxInt32 {
-					r.fail("%s patch run offset %d out of range", snapSectionNames[i], off)
+			p.runs = make([]patchRun, r.Count(12, "patch run"))
+			for j := range p.runs {
+				off := r.U64()
+				if off > math.MaxInt32 {
+					r.Fail("%s patch run offset %d out of range", snapSectionNames[i], off)
 				}
-				dlen := int(r.u32())
-				data := r.take(dlen)
-				if r.err == nil {
-					p.runs = append(p.runs, patchRun{off: int(off), data: append([]byte(nil), data...)})
-				}
+				p.runs[j] = patchRun{off: int(off), data: bytes.Clone(r.Take(int(r.U32())))}
 			}
-			d.patches[i] = p
 		default:
-			r.fail("unknown section patch tag %d", tag)
+			r.Fail("unknown section patch tag %d", p.tag)
 		}
+		d.patches[i] = p
 	}
-	if r.err != nil {
-		return nil, nil, r.err
+	rest, err := r.Close()
+	if err != nil {
+		return nil, nil, err
 	}
-	consumed := len(b) - len(r.b)
-	wantCRC := r.u32()
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if got := crc32.ChecksumIEEE(b[:consumed]); got != wantCRC {
-		return nil, nil, fmt.Errorf("%w: delta record checksum mismatch (got %08x, want %08x)", ErrSnapshotCorrupt, got, wantCRC)
-	}
-	return d, r.b, nil
+	return d, rest, nil
 }

@@ -1,15 +1,18 @@
 package pregel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"unsafe"
+
+	"repro/internal/framing"
 )
 
 // This file implements barrier snapshots: a versioned binary serialization
@@ -33,9 +36,6 @@ import (
 // reason.
 const SnapshotVersion = 2
 
-// snapshotMagic prefixes every encoded snapshot.
-var snapshotMagic = [6]byte{'D', 'V', 'S', 'N', 'A', 'P'}
-
 // ErrSnapshotCorrupt is wrapped by every snapshot decoding error caused by
 // malformed input (truncation, bad magic, checksum mismatch, impossible
 // section lengths).
@@ -49,6 +49,11 @@ var ErrSnapshotVersion = errors.New("pregel: unsupported snapshot version")
 // resume the engine it was handed to: wrong graph fingerprint, wrong vertex
 // count, or a different aggregator registration.
 var ErrSnapshotMismatch = errors.New("pregel: snapshot does not match run")
+
+var snapshotFormat = framing.Format{
+	Magic: [6]byte{'D', 'V', 'S', 'N', 'A', 'P'}, Version: SnapshotVersion, Name: "DVSNAP",
+	Corrupt: ErrSnapshotCorrupt, Unsupported: ErrSnapshotVersion,
+}
 
 // Snapshot is a decoded barrier snapshot. Values and Inbox hold
 // codec-encoded bytes (the engine's ValueCodec/MessageCodec decode them at
@@ -88,11 +93,71 @@ type Snapshot struct {
 	Extra []byte
 }
 
-// AppendTo appends the binary encoding of s to dst and returns the extended
-// slice. The layout (all integers little-endian):
+// snapHeader is the fixed header DVSNAP and DVSNPD records share:
 //
-//	magic "DVSNAP" | version u16 | fingerprint u64 | superstep i64
-//	| numVertices u64 | flags u8 (1=activateAll 2=stopped 4=done 8=workQueue)
+//	fingerprint u64 | superstep i64 | numVertices u64
+//	| flags u8 (1=activateAll 2=stopped 4=done 8=workQueue)
+type snapHeader struct {
+	fingerprint                           uint64
+	superstep, n                          int
+	activateAll, stopped, done, workQueue bool
+}
+
+func (s *Snapshot) header() snapHeader {
+	return snapHeader{s.Fingerprint, s.Superstep, s.NumVertices, s.ActivateAll, s.Stopped, s.Done, s.WorkQueue}
+}
+
+func (h snapHeader) appendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, h.fingerprint)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(h.superstep)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(h.n))
+	var flags byte
+	for i, set := range [...]bool{h.activateAll, h.stopped, h.done, h.workQueue} {
+		if set {
+			flags |= 1 << i
+		}
+	}
+	return append(dst, flags)
+}
+
+func readSnapHeader(r *framing.Reader) snapHeader {
+	h := snapHeader{fingerprint: r.U64(), superstep: int(r.I64())}
+	if n := r.U64(); n > math.MaxInt32 {
+		r.Fail("vertex count %d exceeds input", n)
+	} else {
+		h.n = int(n)
+	}
+	flags := r.U8()
+	if flags&^byte(15) != 0 {
+		r.Fail("unknown flag bits %#x", flags)
+	}
+	h.activateAll, h.stopped, h.done, h.workQueue = flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
+	return h
+}
+
+// appendAggs and readAggs are the aggregates block both records carry:
+// count u32, value f64 ×count.
+func appendAggs(dst []byte, aggs []float64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(aggs)))
+	for _, v := range aggs {
+		dst = AppendFloat64(dst, v)
+	}
+	return dst
+}
+
+func readAggs(r *framing.Reader) []float64 {
+	aggs := make([]float64, r.Count(8, "aggregator"))
+	for i := range aggs {
+		aggs[i] = r.F64()
+	}
+	return aggs
+}
+
+// AppendTo appends the binary encoding of s to dst and returns the extended
+// slice. The layout (all integers little-endian), framed as DESIGN.md §10
+// describes:
+//
+//	magic "DVSNAP" | version u16 | header (see snapHeader)
 //	| aggs:   count u32, value f64 ×count
 //	| active: bitset ceil(n/8)
 //	| removed: bitset ceil(n/8)
@@ -102,47 +167,80 @@ type Snapshot struct {
 //	| extra:  len u64 + bytes
 //	| crc32(IEEE) of everything above, u32
 func (s *Snapshot) AppendTo(dst []byte) []byte {
+	var sec [numSnapSections][]byte
+	return s.encode(dst, &sec)
+}
+
+// encode is AppendTo that also points sec at the seven sections inside the
+// encoding. It grows dst once, to exactly the encoded size.
+func (s *Snapshot) encode(dst []byte, sec *[numSnapSections][]byte) []byte {
 	start := len(dst)
-	dst = append(dst, snapshotMagic[:]...)
-	dst = binary.LittleEndian.AppendUint16(dst, SnapshotVersion)
-	dst = binary.LittleEndian.AppendUint64(dst, s.Fingerprint)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(s.Superstep)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(s.NumVertices))
-	var flags byte
-	if s.ActivateAll {
-		flags |= 1
+	// Magic and version, header, aggregates, sections, CRC.
+	dst = slices.Grow(dst, 8+25+4+8*len(s.Aggs)+s.sectionsLen()+4)
+	dst = snapshotFormat.Begin(dst)
+	dst = s.header().appendTo(dst)
+	dst = appendAggs(dst, s.Aggs)
+	dst = s.appendSections(dst, sec)
+	return framing.Seal(dst, start)
+}
+
+// sectionsLen is the encoded length of s's seven sections.
+func (s *Snapshot) sectionsLen() int {
+	return (len(s.Active)+7)/8 + (len(s.Removed)+7)/8 + 4 + 4*len(s.Queue) + 4*len(s.InboxCounts) +
+		8 + len(s.Inbox) + 8 + len(s.Values) + 8 + len(s.Extra)
+}
+
+// appendSections appends s's seven sections (see snapSectionNames) in the
+// DVSNAP layout and points sec at each section's bytes — a length prefix
+// is framing, not section — inside the result.
+func (s *Snapshot) appendSections(dst []byte, sec *[numSnapSections][]byte) []byte {
+	dst = slices.Grow(dst, s.sectionsLen()) // no append below moves dst, so sec can alias it
+	for i := range sec {
+		start := len(dst)
+		switch i {
+		case 0:
+			dst = appendBitset(dst, s.Active)
+		case 1:
+			dst = appendBitset(dst, s.Removed)
+		case 2:
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Queue)))
+			for _, v := range s.Queue {
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
+			}
+		case 3:
+			for _, c := range s.InboxCounts {
+				dst = binary.LittleEndian.AppendUint32(dst, c)
+			}
+		default:
+			b := [...][]byte{s.Inbox, s.Values, s.Extra}[i-4]
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(len(b)))
+			start = len(dst)
+			dst = append(dst, b...)
+		}
+		sec[i] = dst[start:len(dst):len(dst)]
 	}
-	if s.Stopped {
-		flags |= 2
+	return dst
+}
+
+// sectionView returns s's sections for reading only: the first four
+// serialized, the inbox, values and extra s's own slices.
+func sectionView(s *Snapshot) (sec [numSnapSections][]byte) {
+	head := *s
+	head.Inbox, head.Values, head.Extra = nil, nil, nil
+	head.appendSections(nil, &sec)
+	sec[4], sec[5], sec[6] = s.Inbox, s.Values, s.Extra
+	return sec
+}
+
+// snapshotSections returns s's sections in buffers the caller owns. The
+// inbox, values and extra are copied by append, not into a presized
+// buffer: a presized one is zeroed first, and these are megabytes a batch.
+func snapshotSections(s *Snapshot) [numSnapSections][]byte {
+	sec := sectionView(s)
+	for i := 4; i < numSnapSections; i++ {
+		sec[i] = bytes.Clone(sec[i])
 	}
-	if s.Done {
-		flags |= 4
-	}
-	if s.WorkQueue {
-		flags |= 8
-	}
-	dst = append(dst, flags)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Aggs)))
-	for _, v := range s.Aggs {
-		dst = AppendFloat64(dst, v)
-	}
-	dst = appendBitset(dst, s.Active)
-	dst = appendBitset(dst, s.Removed)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Queue)))
-	for _, v := range s.Queue {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-	}
-	for _, c := range s.InboxCounts {
-		dst = binary.LittleEndian.AppendUint32(dst, c)
-	}
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s.Inbox)))
-	dst = append(dst, s.Inbox...)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s.Values)))
-	dst = append(dst, s.Values...)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(s.Extra)))
-	dst = append(dst, s.Extra...)
-	crc := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, crc)
+	return sec
 }
 
 func appendBitset(dst []byte, bits []bool) []byte {
@@ -160,198 +258,47 @@ func appendBitset(dst []byte, bits []bool) []byte {
 	return dst
 }
 
-// snapReader is a bounds-checked cursor over snapshot bytes; every decode
-// error is reported as a wrapped ErrSnapshotCorrupt, never a panic.
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-func (r *snapReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
+// decodeSnapshotFrame reads one DVSNAP record from the front of b into its
+// header, aggregates and seven sections, which alias b, and returns the
+// bytes after it. The sections are sliced, not checked against n; see
+// checkSections.
+func decodeSnapshotFrame(b []byte) (h snapHeader, aggs []float64, sec [numSnapSections][]byte, rest []byte, err error) {
+	r := snapshotFormat.Open(b)
+	h = readSnapHeader(r)
+	aggs = readAggs(r)
+	bits := (h.n + 7) / 8
+	sec[0], sec[1] = r.Take(bits), r.Take(bits)
+	queue := r.Rest()
+	r.Take(4 * r.Count(4, "queue"))
+	sec[2] = queue[:len(queue)-len(r.Rest())]
+	sec[3] = r.Take(4 * h.n)
+	for i := 4; i < numSnapSections; i++ {
+		sec[i] = r.Blob(snapSectionNames[i])
 	}
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b) {
-		r.fail("truncated (need %d bytes, have %d)", n, len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *snapReader) u8() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *snapReader) u16() uint16 {
-	if b := r.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (r *snapReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *snapReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-// count reads a u32 length and validates it against the remaining input at
-// unit bytes per element, so corrupted lengths cannot cause huge
-// allocations.
-func (r *snapReader) count(unit int, what string) int {
-	n := int(r.u32())
-	if r.err == nil && n*unit > len(r.b) {
-		r.fail("%s count %d exceeds remaining input", what, n)
-	}
-	if r.err != nil {
-		return 0
-	}
-	return n
+	rest, err = r.Close()
+	return h, aggs, sec, rest, err
 }
 
 // DecodeSnapshot decodes one snapshot from the front of b, returning the
 // snapshot and any remaining bytes (snapshots are self-delimiting, so
 // concatenated streams — e.g. a CheckpointOptions.Sink — can be decoded in
 // a loop). Corrupt, truncated, or wrong-version input returns an error
-// wrapping ErrSnapshotCorrupt or ErrSnapshotVersion; it never panics.
+// wrapping ErrSnapshotCorrupt or ErrSnapshotVersion; it never panics. The
+// snapshot shares no bytes with b.
 func DecodeSnapshot(b []byte) (*Snapshot, []byte, error) {
-	r := &snapReader{b: b}
-	if magic := r.take(len(snapshotMagic)); r.err == nil {
-		for i := range snapshotMagic {
-			if magic[i] != snapshotMagic[i] {
-				r.fail("bad magic")
-				break
-			}
-		}
-	}
-	s := &Snapshot{}
-	s.Version = r.u16()
-	if r.err == nil && s.Version != SnapshotVersion {
-		return nil, nil, fmt.Errorf("%w: got %d, want %d", ErrSnapshotVersion, s.Version, SnapshotVersion)
-	}
-	s.Fingerprint = r.u64()
-	s.Superstep = int(int64(r.u64()))
-	n64 := r.u64()
-	if r.err == nil && (n64 > uint64(len(r.b))*8+64 || n64 > math.MaxInt32) {
-		// Each vertex costs at least 1/8 byte (two bitsets + counts), so a
-		// vertex count wildly larger than the input is corrupt.
-		r.fail("vertex count %d exceeds input", n64)
-	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	s.NumVertices = int(n64)
-	flags := r.u8()
-	s.ActivateAll = flags&1 != 0
-	s.Stopped = flags&2 != 0
-	s.Done = flags&4 != 0
-	s.WorkQueue = flags&8 != 0
-	if r.err == nil && flags&^byte(15) != 0 {
-		r.fail("unknown flag bits %#x", flags)
-	}
-	nAggs := r.count(8, "aggregator")
-	s.Aggs = make([]float64, 0, nAggs)
-	for i := 0; i < nAggs && r.err == nil; i++ {
-		s.Aggs = append(s.Aggs, math.Float64frombits(r.u64()))
-	}
-	s.Active = r.bitset(s.NumVertices)
-	s.Removed = r.bitset(s.NumVertices)
-	nQueue := r.count(4, "queue")
-	s.Queue = make([]VertexID, 0, nQueue)
-	for i := 0; i < nQueue && r.err == nil; i++ {
-		v := r.u32()
-		if r.err == nil && int(v) >= s.NumVertices {
-			r.fail("queue vertex %d out of range", v)
-		}
-		s.Queue = append(s.Queue, VertexID(v))
-	}
-	if r.err == nil && s.NumVertices*4 > len(r.b) {
-		r.fail("inbox counts exceed input")
-	}
-	s.InboxCounts = make([]uint32, 0, maxZero(s.NumVertices, r.err))
-	for i := 0; i < s.NumVertices && r.err == nil; i++ {
-		s.InboxCounts = append(s.InboxCounts, r.u32())
-	}
-	s.Inbox = r.blob("inbox")
-	s.Values = r.blob("values")
-	s.Extra = r.blob("extra")
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	consumed := len(b) - len(r.b)
-	wantCRC := r.u32()
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if got := crc32.ChecksumIEEE(b[:consumed]); got != wantCRC {
-		return nil, nil, fmt.Errorf("%w: checksum mismatch (got %08x, want %08x)", ErrSnapshotCorrupt, got, wantCRC)
-	}
-	return s, r.b, nil
-}
-
-func maxZero(n int, err error) int {
-	if err != nil || n < 0 {
-		return 0
-	}
-	return n
-}
-
-func (r *snapReader) bitset(n int) []bool {
-	raw := r.take((n + 7) / 8)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = raw[i/8]&(1<<(i%8)) != 0
-	}
-	return out
-}
-
-func (r *snapReader) blob(what string) []byte {
-	n := r.u64()
-	if r.err == nil && n > uint64(len(r.b)) {
-		r.fail("%s length %d exceeds remaining input", what, n)
-	}
-	if r.err != nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.take(int(n)))
-	return out
-}
-
-// ReadSnapshot decodes the first snapshot from r.
-func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	b, err := io.ReadAll(r)
+	h, aggs, sec, rest, err := decodeSnapshotFrame(b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	s, _, err := DecodeSnapshot(b)
-	return s, err
+	s, err := snapshotFromSections(h, aggs, sec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, rest, nil
 }
 
 // ReadSnapshotFile decodes the snapshot stored in path (as written by
-// CheckpointOptions.Dir or WriteSnapshotFile).
+// CheckpointOptions.Dir).
 func ReadSnapshotFile(path string) (*Snapshot, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -362,22 +309,6 @@ func ReadSnapshotFile(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
-}
-
-// WriteSnapshotFile encodes s into path. The write is atomic (temp
-// file + rename), so a crash — e.g. a sharded peer SIGKILLed mid-
-// checkpoint — can leave a missing snapshot but never a torn one, and
-// resume can always trust whatever files exist.
-func WriteSnapshotFile(path string, s *Snapshot) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, s.AppendTo(nil), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // SnapshotFileName is the name pattern used for snapshots written into
@@ -548,12 +479,4 @@ func (c podCodec[T]) DecodeValue(src []byte) (T, []byte, error) {
 	}
 	copy(unsafe.Slice((*byte)(unsafe.Pointer(&v)), c.size), src[:c.size])
 	return v, src[c.size:], nil
-}
-
-// WriteTo writes the encoded snapshot to w (a convenience for Sink-style
-// plumbing).
-func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	b := s.AppendTo(nil)
-	n, err := w.Write(b)
-	return int64(n), err
 }

@@ -21,13 +21,15 @@ import (
 
 // Format identifies one framed format.
 type Format struct {
-	Magic   [6]byte
-	Version uint16
+	Magic [6]byte
+	// Version is the version Begin writes. Open accepts it and every
+	// version down to Oldest; an Oldest of 0 means Version alone.
+	Version, Oldest uint16
 	// Name labels the format in error messages.
 	Name string
 	// Corrupt is wrapped by every error caused by malformed input
 	// (truncation, bad magic, checksum mismatch, impossible lengths), and
-	// Unsupported by a version other than Version.
+	// Unsupported by a version outside [Oldest, Version].
 	Corrupt, Unsupported error
 }
 
@@ -47,26 +49,42 @@ func Seal(dst []byte, start int) []byte {
 // Reader is a bounds-checked cursor over f-formatted bytes; see the package
 // comment for its error discipline.
 type Reader struct {
-	f   *Format
-	in  []byte // from the start of the frame (or payload), for Close and Pad8
-	b   []byte // unread
-	err error
+	f       *Format
+	in      []byte // from the start of the frame (or payload), for Close and Pad8
+	b       []byte // unread
+	version uint16
+	err     error
 }
 
 // Open starts reading the frame at the front of b: it checks f's magic
-// and version and leaves the reader on the first body byte. A wrong
-// version is reported wrapping f.Unsupported, anything else wrapping
-// f.Corrupt.
+// and version and leaves the reader on the first body byte. A version
+// outside [f.Oldest, f.Version] is reported wrapping f.Unsupported,
+// anything else wrapping f.Corrupt.
 func (f *Format) Open(b []byte) *Reader {
 	r := f.Reader(b)
 	if magic := r.Take(len(f.Magic)); r.err == nil && string(magic) != string(f.Magic[:]) {
 		r.Fail("bad magic")
 	}
-	if v := r.U16(); r.err == nil && v != f.Version {
-		r.err = fmt.Errorf("%w: %s version %d, want %d", f.Unsupported, f.Name, v, f.Version)
+	oldest := f.Oldest
+	if oldest == 0 {
+		oldest = f.Version
+	}
+	if v := r.U16(); r.err == nil && (v < oldest || v > f.Version) {
+		want := fmt.Sprint(f.Version)
+		if oldest < f.Version {
+			want = fmt.Sprintf("%d..%d", oldest, f.Version)
+		}
+		r.err = fmt.Errorf("%w: %s version %d, want %s", f.Unsupported, f.Name, v, want)
+	} else {
+		r.version = v
 	}
 	return r
 }
+
+// Version returns the format version Open read: one in [f.Oldest,
+// f.Version] for a frame that opened, 0 for an unframed payload or a frame
+// whose header failed.
+func (r *Reader) Version() uint16 { return r.version }
 
 // Reader reads b as an unframed payload of f — no magic, version or CRC,
 // as for a section or a payload nested inside a frame. Errors wrap

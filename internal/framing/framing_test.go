@@ -99,3 +99,34 @@ func TestReaderIsSticky(t *testing.T) {
 		t.Fatalf("unread trailing byte: err = %v", err)
 	}
 }
+
+// TestVersionRange: Open accepts every version from Oldest to Version and
+// reports the one it read; a version below or above the range wraps
+// Unsupported alone. An Oldest of 0 accepts Version only.
+func TestVersionRange(t *testing.T) {
+	enc := frame([]uint64{7}, nil)
+	ranged := testFormat
+	ranged.Oldest = 2
+	for _, tc := range []struct {
+		f      *Format
+		lo, hi uint16 // the accepted range
+	}{{&ranged, 2, 3}, {&testFormat, 3, 3}} {
+		for v := uint16(0); v <= tc.hi+1; v++ {
+			b := bytes.Clone(enc)
+			binary.LittleEndian.PutUint16(b[6:], v)
+			r := tc.f.Open(b)
+			if v >= tc.lo && v <= tc.hi {
+				if r.Err() != nil || r.Version() != v {
+					t.Errorf("oldest %d: version %d: err %v, Version() = %d", tc.f.Oldest, v, r.Err(), r.Version())
+				}
+				continue
+			}
+			if err := r.Err(); !errors.Is(err, errVersion) || errors.Is(err, errCorrupt) || r.Version() != 0 {
+				t.Errorf("oldest %d: version %d: err = %v, Version() = %d; want Unsupported alone", tc.f.Oldest, v, err, r.Version())
+			}
+		}
+	}
+	if v := testFormat.Reader(enc).Version(); v != 0 {
+		t.Errorf("unframed reader reports version %d", v)
+	}
+}

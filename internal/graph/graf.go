@@ -24,6 +24,7 @@ import (
 //	n       u64      vertex count
 //	arcs    u64      stored adjacency entries (== outOff[n])
 //	cOutLen u64      gap-varint stream length in bytes
+//	sum     u64      arc-hash sum of the stored arcs (version 2 only)
 //	outOff  (n+1)×i64   arc offsets
 //	cOutIdx (n+1)×u32   per-vertex byte offsets into the stream
 //	pad     0..7 zero bytes to an 8-byte boundary
@@ -33,13 +34,22 @@ import (
 //	crc     u32      IEEE CRC-32 of every preceding byte
 //
 // Sections start on 8-byte boundaries so an mmap'd file can be aliased
-// directly as []int64/[]float64 slices on little-endian hosts. Only the
-// out-direction is stored; the reverse adjacency is derivable and
-// (re)built lazily after loading.
+// directly as []int64/[]float64 slices on little-endian hosts (the header
+// is 40 bytes in version 1, 48 in version 2). Only the out-direction is
+// stored; the reverse adjacency is derivable and (re)built lazily after
+// loading.
+//
+// sum is the Σ arcHash that Fingerprint finishes. The writer hashes the
+// arrays it encodes, never a digest the graph carries, and a version-2
+// graph loads with its digest set from sum instead of hashing its arcs:
+// the stored digest identifies the graph, and whoever is about to serve
+// the arrays re-hashes them (VerifyFingerprint). Every checksum and
+// structural check runs either way, so memory safety never rests on sum.
+// A version-1 file has no sum and computes its digest on first use.
 
-// GraphFormatVersion is the current DVGRAF version. Decoding rejects any
-// other version.
-const GraphFormatVersion = 1
+// GraphFormatVersion is the DVGRAF version EncodeGraph writes. Decoding
+// accepts it and version 1 and rejects any other.
+const GraphFormatVersion = 2
 
 // ErrGraphCorrupt is wrapped by every DVGRAF decoding error caused by
 // malformed input (truncation, bad magic, checksum mismatch, impossible
@@ -51,12 +61,12 @@ var ErrGraphCorrupt = errors.New("graph: corrupt DVGRAF data")
 var ErrGraphVersion = errors.New("graph: unsupported DVGRAF version")
 
 var grafFormat = framing.Format{
-	Magic: [6]byte{'D', 'V', 'G', 'R', 'A', 'F'}, Version: GraphFormatVersion, Name: "DVGRAF",
+	Magic: [6]byte{'D', 'V', 'G', 'R', 'A', 'F'}, Version: GraphFormatVersion, Oldest: 1, Name: "DVGRAF",
 	Corrupt: ErrGraphCorrupt, Unsupported: ErrGraphVersion,
 }
 
 const (
-	grafHeaderLen = 40 // magic + version + flags + n + arcs + cOutLen
+	grafHeaderLen = 48 // magic + version + flags + n + arcs + cOutLen + sum
 	grafFlagDir   = 1 << 0
 	grafFlagWtd   = 1 << 1
 )
@@ -139,6 +149,7 @@ func EncodeGraph(g *Graph) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, n)
 	buf = binary.LittleEndian.AppendUint64(buf, arcs)
 	buf = binary.LittleEndian.AppendUint64(buf, cOutLen)
+	buf = binary.LittleEndian.AppendUint64(buf, g.arcHashSum())
 	for _, o := range g.outOff {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(o))
 	}
@@ -166,6 +177,8 @@ type grafSections struct {
 	directed, weighted bool
 	n                  int
 	arcs               uint64
+	sum                uint64 // the stored arc-hash sum, with hasSum
+	hasSum             bool   // version 2 and later
 	outOff             []byte // raw LE section bytes
 	cOutIdx            []byte
 	cOut               []byte
@@ -175,6 +188,11 @@ type grafSections struct {
 func parseGraf(b []byte) (*grafSections, error) {
 	r := grafFormat.Open(b)
 	flags, n, arcs, cOutLen := r.U64(), r.U64(), r.U64(), r.U64()
+	hasSum := r.Version() >= 2
+	var sum uint64
+	if hasSum {
+		sum = r.U64()
+	}
 	switch {
 	case flags&^uint64(grafFlagDir|grafFlagWtd) != 0:
 		r.Fail("unknown flags %#x", flags)
@@ -191,6 +209,8 @@ func parseGraf(b []byte) (*grafSections, error) {
 		weighted: flags&grafFlagWtd != 0,
 		n:        int(n),
 		arcs:     arcs,
+		sum:      sum,
+		hasSum:   hasSum,
 	}
 	s.outOff = r.Take(8 * (s.n + 1))
 	s.cOutIdx = r.Take(4 * (s.n + 1))
@@ -329,6 +349,9 @@ func (s *grafSections) build(mode LoadMode, alias bool) (*Graph, error) {
 	}
 	if !g.directed {
 		g.BuildReverse() // alias in-direction, both representations
+	}
+	if s.hasSum {
+		g.setFingerprint(s.sum)
 	}
 	return g, nil
 }

@@ -2,17 +2,25 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/framing"
 )
 
 // grafEqual asserts that two graphs expose identical structure through
-// the public accessors, bit-identical weights included.
+// the public accessors, bit-identical weights included, and that got's
+// arcs hash to the digest it carries: a decoded graph's Fingerprint is the
+// sum its file stored, so comparing digests alone would not look at the
+// arrays.
 func grafEqual(t *testing.T, want, got *Graph) {
 	t.Helper()
 	if got.NumVertices() != want.NumVertices() || got.NumArcs() != want.NumArcs() ||
@@ -26,6 +34,9 @@ func grafEqual(t *testing.T, want, got *Graph) {
 	}
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("fingerprint mismatch: %x vs %x", got.Fingerprint(), want.Fingerprint())
+	}
+	if err := got.VerifyFingerprint(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -95,6 +106,9 @@ func TestMappedGraphRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	if err := m.VerifyFingerprint(); err != nil {
+		t.Fatal(err)
+	}
 	m.BuildReverse()
 	g.BuildReverse()
 	for u := 0; u < g.NumVertices(); u++ {
@@ -112,6 +126,9 @@ func TestMappedGraphRuns(t *testing.T) {
 	}
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatal("delta on a mapped graph diverged")
+	}
+	if err := got.VerifyFingerprint(); err != nil {
+		t.Fatal(err)
 	}
 	if got.Mapped() {
 		t.Fatal("ApplyDelta result must be heap-backed")
@@ -143,11 +160,12 @@ func TestGraphDecodeRejectsEveryBitflip(t *testing.T) {
 }
 
 func TestGraphDecodeRejectsWrongVersion(t *testing.T) {
-	enc := EncodeGraph(Path(3, true))
-	enc[6] = 2 // version field
-	_, err := DecodeGraph(enc, LoadFlat)
-	if !errors.Is(err, ErrGraphVersion) {
-		t.Fatalf("want ErrGraphVersion, got %v", err)
+	for _, v := range []byte{0, GraphFormatVersion + 1} {
+		enc := EncodeGraph(Path(3, true))
+		enc[6] = v // version field
+		if _, err := DecodeGraph(enc, LoadFlat); !errors.Is(err, ErrGraphVersion) {
+			t.Fatalf("version %d: want ErrGraphVersion, got %v", v, err)
+		}
 	}
 }
 
@@ -232,6 +250,7 @@ func FuzzGraphDecode(f *testing.F) {
 	} {
 		f.Add(EncodeGraph(g))
 	}
+	f.Add(forgeDigest(EncodeGraph(Path(4, true))))
 	f.Add([]byte("DVGRAF"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -255,13 +274,124 @@ func FuzzGraphDecode(f *testing.F) {
 			if total != g.NumArcs() {
 				t.Fatalf("iterated %d arcs, graph claims %d", total, g.NumArcs())
 			}
+			// Compare the arrays' hashes, not the digests the two images
+			// stored: the input's may be anything its checksum covers.
 			re, err := DecodeGraph(EncodeGraph(g), mode)
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
-			if re.Fingerprint() != g.Fingerprint() {
+			if re.NumVertices() != g.NumVertices() || re.Directed() != g.Directed() || re.arcHashSum() != g.arcHashSum() {
 				t.Fatal("round trip changed the graph")
+			}
+			if err := re.VerifyFingerprint(); err != nil {
+				t.Fatalf("re-encode stored a digest its arcs do not hash to: %v", err)
 			}
 		}
 	})
+}
+
+// forgeDigest returns a copy of the version-2 image enc with its stored
+// arc-hash sum changed and its checksum recomputed: an image every
+// structural check admits, whose digest does not describe its arcs.
+func forgeDigest(enc []byte) []byte {
+	out := bytes.Clone(enc)
+	out[grafHeaderLen-8] ^= 1
+	reseal(out)
+	return out
+}
+
+// TestGraphForgedDigestDecodes: a stored sum is adopted as the digest, not
+// checked against the arcs at load — the structure is validated, the
+// identity is trusted — and VerifyFingerprint is what refuses it, in every
+// load mode.
+func TestGraphForgedDigestDecodes(t *testing.T) {
+	g := WithRandomWeights(RMAT(7, 5, 0.57, 0.19, 0.19, true, 11), 1, 5, 7)
+	forged := forgeDigest(EncodeGraph(g))
+	path := filepath.Join(t.TempDir(), "forged.dvg")
+	if err := os.WriteFile(path, forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []LoadMode{LoadFlat, LoadCompact, LoadMmap} {
+		dec, err := ReadGraphFile(path, mode)
+		if err != nil {
+			t.Fatalf("%v: forged digest refused at load: %v", mode, err)
+		}
+		if dec.Fingerprint() == g.Fingerprint() {
+			t.Fatalf("%v: the forged sum was not adopted", mode)
+		}
+		if err := dec.VerifyFingerprint(); !errors.Is(err, ErrFingerprintMismatch) {
+			t.Fatalf("%v: VerifyFingerprint = %v, want ErrFingerprintMismatch", mode, err)
+		}
+		dec.Close()
+	}
+}
+
+// readCorpusBytes reads a one-value []byte entry of a Go fuzz corpus.
+func readCorpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(value, "[]byte(")
+	if header != "go test fuzz v1" || !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s: not a []byte corpus entry", path)
+	}
+	b, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(b)
+}
+
+// TestGraphV1FilesLoad: the checked-in seed-* images are version-1 files.
+// Each valid one loads in every mode with no digest until asked, then
+// computes the digest whose sum its version-2 re-encode stores; and that
+// re-encode is the version-1 bytes with the sum inserted after the header.
+func TestGraphV1FilesLoad(t *testing.T) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzGraphDecode", "seed-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := 0
+	for _, seed := range seeds {
+		v1 := readCorpusBytes(t, seed)
+		if len(v1) > 6 && v1[6] != 1 {
+			t.Fatalf("%s: version %d, want a version-1 fixture", seed, v1[6])
+		}
+		if _, err := DecodeGraph(v1, LoadFlat); err != nil {
+			continue // a malformed seed
+		}
+		loaded++
+		path := filepath.Join(t.TempDir(), "v1.dvg")
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []LoadMode{LoadFlat, LoadCompact, LoadMmap} {
+			g, err := ReadGraphFile(path, mode)
+			if err != nil {
+				t.Fatalf("%s %v: %v", seed, mode, err)
+			}
+			if g.fp.Load() != 0 {
+				t.Fatalf("%s %v: a version-1 file loaded with a digest", seed, mode)
+			}
+			fp := g.Fingerprint()
+			v2 := EncodeGraph(g)
+			sum := binary.LittleEndian.Uint64(v2[grafHeaderLen-8:])
+			if sum != g.fpSum.Load() || finishFingerprint(g.n, g.directed, sum) != fp {
+				t.Fatalf("%s %v: re-encode stores sum %016x, the lazy digest summed %016x", seed, mode, sum, g.fpSum.Load())
+			}
+			stripped := append([]byte{}, v2[:grafHeaderLen-8]...)
+			stripped[6] = 1
+			stripped = framing.Seal(append(stripped, v2[grafHeaderLen:len(v2)-4]...), 0)
+			if !bytes.Equal(stripped, v1) {
+				t.Fatalf("%s %v: the version-2 re-encode is not the version-1 image plus its sum", seed, mode)
+			}
+			g.Close()
+		}
+	}
+	if loaded < 5 {
+		t.Fatalf("%d loadable version-1 seeds, want at least 5", loaded)
+	}
 }

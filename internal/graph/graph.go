@@ -11,6 +11,7 @@ package graph
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -280,12 +281,18 @@ func (g *Graph) Fingerprint() uint64 {
 	return g.setFingerprint(g.arcHashSum())
 }
 
-// VerifyFingerprint re-hashes every stored arc and reports an error when
-// the result is not the cached digest. A digest ApplyDelta derived vouches
-// for the touched vertices' blocks only — the untouched spans it copied
-// never went through the hash — so this is the check that the arrays and
-// the digest still describe the same graph. It costs what a first
-// Fingerprint call costs; on a graph with no cached digest it is that call.
+// ErrFingerprintMismatch is wrapped by VerifyFingerprint when a graph's
+// arcs do not hash to the digest it carries.
+var ErrFingerprintMismatch = errors.New("graph: fingerprint does not match the stored arcs")
+
+// VerifyFingerprint re-hashes every stored arc and reports an error
+// wrapping ErrFingerprintMismatch when the result is not the cached digest.
+// A digest ApplyDelta derived vouches for the touched vertices' blocks only
+// — the untouched spans it copied never went through the hash — and one
+// loaded from a DVGRAF file was never compared with the arcs it came with,
+// so this is the check that the arrays and the digest still describe the
+// same graph. It costs what a first Fingerprint call costs; on a graph with
+// no cached digest it is that call.
 func (g *Graph) VerifyFingerprint() error {
 	fp := g.fp.Load()
 	if fp == 0 {
@@ -293,7 +300,7 @@ func (g *Graph) VerifyFingerprint() error {
 		return nil
 	}
 	if got := finishFingerprint(g.n, g.directed, g.arcHashSum()); got != fp {
-		return fmt.Errorf("graph: stored arcs hash to fingerprint %016x, the graph carries %016x", got, fp)
+		return fmt.Errorf("%w: stored arcs hash to %016x, the graph carries %016x", ErrFingerprintMismatch, got, fp)
 	}
 	return nil
 }

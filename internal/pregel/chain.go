@@ -466,17 +466,20 @@ func LoadChain(dir string) (*ChainState, error) {
 // not describe. Those checks come before any failure to decode or apply a
 // later log: the order a replay of one log at a time would meet them in.
 //
-// A derived digest covers the touched blocks alone, and a graph replayed
-// wrong here would be served until the next restart, so replay — unlike a
-// live flush, whose source was just served — re-hashes the result from its
-// arrays once (graph.VerifyFingerprint): a span miscopied from boot, or a
-// boot graph whose arrays no longer match its cached digest, leaves the
-// derived arc-hash sum off the re-hashed one
-// (TestTipRehashCatchesEarlierCorruption in internal/graph).
+// A derived digest covers the touched blocks alone, and boot's digest may
+// be the one its DVGRAF file stored rather than one hashed from its arrays;
+// a graph replayed wrong here would be served until the next restart. So
+// replay — unlike a live flush, whose source was just served — re-hashes
+// the result from its arrays once (graph.VerifyFingerprint), with or
+// without logs: a span miscopied from boot, or a boot graph whose arrays no
+// longer match its digest, leaves the derived arc-hash sum off the
+// re-hashed one (TestTipRehashCatchesEarlierCorruption in internal/graph),
+// and a boot file with a forged sum fails step 0's comparison or this
+// re-hash (TestReplayRefusesAForgedBootDigest).
 //
-// With no logs the result is boot itself and nothing is re-hashed;
-// otherwise it is a new graph the caller owns (boot is never closed).
-// Continue(st.Snapshot) on the returned graph is the chain-tip seed.
+// With no logs the result is boot itself; otherwise it is a new graph the
+// caller owns (boot is never closed). Continue(st.Snapshot) on the
+// returned graph is the chain-tip seed.
 func (st *ChainState) Replay(boot *graph.Graph) (*graph.Graph, error) {
 	logs := make([]*graph.Delta, 0, len(st.GraphDeltas))
 	var undecodable error // the logs before it still replay, and are checked first
@@ -509,10 +512,8 @@ func (st *ChainState) Replay(boot *graph.Graph) (*graph.Graph, error) {
 	case undecodable != nil:
 		return fail(undecodable)
 	}
-	if g != boot {
-		if err := g.VerifyFingerprint(); err != nil {
-			return fail(fmt.Errorf("replaying %d mutation logs: %w", len(logs), err))
-		}
+	if err := g.VerifyFingerprint(); err != nil {
+		return fail(fmt.Errorf("replaying %d mutation logs: %w", len(logs), err))
 	}
 	if fp := g.Fingerprint(); fp != st.Snapshot.Fingerprint {
 		return fail(fmt.Errorf("%w: replayed graph has fingerprint %016x but the tip snapshot was taken on %016x — wrong boot-time graph?",

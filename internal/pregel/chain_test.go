@@ -2,8 +2,10 @@ package pregel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -446,6 +448,54 @@ func TestReplayErrorsNameTheLog(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) || errors.Is(err, ErrSnapshotMismatch) != c.mismatch {
 			t.Errorf("%s: err = %v, want one naming %q, ErrSnapshotMismatch %v", c.name, err, c.want, c.mismatch)
 		}
+	}
+}
+
+// TestReplayRefusesAForgedBootDigest: a boot graph loaded from a DVGRAF
+// file whose stored arc-hash sum was forged (checksum recomputed, so the
+// file decodes) is never served. With logs, the digest derived from the
+// forged sum fails step 0's comparison; with none — a chain whose tip was
+// taken on that same forged digest, so every recorded fingerprint agrees
+// with it — the re-hash of the result refuses it.
+func TestReplayRefusesAForgedBootDigest(t *testing.T) {
+	b := graph.NewBuilder(5, true)
+	for u := 0; u+1 < 5; u++ {
+		b.AddEdge(VertexID(u), VertexID(u+1))
+	}
+	enc := graph.EncodeGraph(b.Finalize())
+	const sumAt = 40 // DVGRAF v2 header: magic, version, flags, n, arcs, cOutLen, then the sum
+	forged := bytes.Clone(enc)
+	forged[sumAt] ^= 1
+	binary.LittleEndian.PutUint32(forged[len(forged)-4:], crc32.ChecksumIEEE(forged[:len(forged)-4]))
+	load := func(img []byte) *graph.Graph {
+		g, err := graph.DecodeGraph(img, graph.LoadCompact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+
+	d, err := graph.ReadDeltaLog(strings.NewReader("add 0 3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, _, err := graph.ApplyDelta(load(enc), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withLog := &ChainState{Dir: "hand-built", GraphDeltas: [][]byte{[]byte("add 0 3\n")},
+		GraphFingerprints: []uint64{next.Fingerprint()}, Snapshot: &Snapshot{Fingerprint: next.Fingerprint()}}
+	if _, err := withLog.Replay(load(enc)); err != nil {
+		t.Fatalf("honest boot: %v", err)
+	}
+	if _, err := withLog.Replay(load(forged)); !errors.Is(err, ErrSnapshotMismatch) || !strings.Contains(err.Error(), "after mutation log 0") {
+		t.Errorf("one log over a forged boot digest: err = %v, want ErrSnapshotMismatch at mutation log 0", err)
+	}
+
+	boot := load(forged)
+	noLogs := &ChainState{Dir: "hand-built", Snapshot: &Snapshot{Fingerprint: boot.Fingerprint()}}
+	if _, err := noLogs.Replay(boot); !errors.Is(err, graph.ErrFingerprintMismatch) {
+		t.Errorf("no logs over a forged boot digest: err = %v, want graph.ErrFingerprintMismatch", err)
 	}
 }
 

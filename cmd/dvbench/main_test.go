@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -8,44 +9,44 @@ import (
 	"testing"
 )
 
-func captureStdout(t *testing.T, fn func() error) string {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	errRun := fn()
-	w.Close()
-	os.Stdout = old
-	buf := make([]byte, 1<<20)
-	n, _ := r.Read(buf)
-	if errRun != nil {
-		t.Fatalf("run: %v", errRun)
-	}
-	return string(buf[:n])
-}
-
 func TestRunTable1(t *testing.T) {
-	out := captureStdout(t, func() error { return run(context.Background(), "table1", 1, nil, "", "") })
+	var out bytes.Buffer
+	if err := run(context.Background(), &out, "table1", 1); err != nil {
+		t.Fatalf("run: %v", err)
+	}
 	for _, want := range []string{"Table 1", "wikipedia-s", "facebook-s", "136.54M"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table1 output missing %q:\n%s", want, out)
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("table1 output missing %q:\n%s", want, out.String())
 		}
 	}
 }
 
 func TestRunTable2(t *testing.T) {
-	out := captureStdout(t, func() error { return run(context.Background(), "table2", 1, nil, "", "") })
-	if !strings.Contains(out, "48B") || !strings.Contains(out, "pagerank") {
-		t.Fatalf("table2 output:\n%s", out)
+	var out bytes.Buffer
+	if err := run(context.Background(), &out, "table2", 1); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(out.String(), "48B") || !strings.Contains(out.String(), "pagerank") {
+		t.Fatalf("table2 output:\n%s", out.String())
 	}
 }
 
+// TestRunUnknownExperiment: a name that is not an experiment — including
+// the engine, memory, shard and delta drivers dvbench no longer has — is
+// refused before anything runs or prints.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run(context.Background(), "bogus", 1, nil, "", ""); err == nil {
-		t.Fatal("unknown experiment should error")
+	for _, exp := range []string{"bogus", "pregel", "memory", "shard", "delta"} {
+		var out bytes.Buffer
+		err := run(context.Background(), &out, exp, 1)
+		if err == nil {
+			t.Fatalf("-exp %s: want an error", exp)
+		}
+		if !strings.Contains(err.Error(), "table1") {
+			t.Fatalf("-exp %s: error %q does not list the experiments", exp, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-exp %s: printed before refusing:\n%s", exp, out.String())
+		}
 	}
 }
 
@@ -71,24 +72,6 @@ func TestProfiledWritesProfiles(t *testing.T) {
 	}
 }
 
-// captureStdoutErr is captureStdout for invocations expected to fail: it
-// returns both the rendered output and the error.
-func captureStdoutErr(t *testing.T, fn func() error) (string, error) {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	errRun := fn()
-	w.Close()
-	os.Stdout = old
-	buf := make([]byte, 1<<20)
-	n, _ := r.Read(buf)
-	return string(buf[:n]), errRun
-}
-
 // TestRunAbortKeepsCompletedExperiments is the mid-suite abort regression
 // test: cancelling between experiments must not discard the experiments
 // that already rendered. With a cancelled ctx, the ctx-free tables still
@@ -98,15 +81,16 @@ func captureStdoutErr(t *testing.T, fn func() error) (string, error) {
 func TestRunAbortKeepsCompletedExperiments(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // "between experiments": before any timed measurement starts
-	out, err := captureStdoutErr(t, func() error { return run(ctx, "all", 1, nil, "", "") })
+	var buf bytes.Buffer
+	err := run(ctx, &buf, "all", 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	out := buf.String()
 	for _, want := range []string{
 		"Table 1", "136.54M", // ctx-free experiments completed in full
 		"Table 2", "pagerank",
 		"Figure 4", "Figure 5", // timed experiments still rendered headers…
-		"Streaming delta",          // …including the delta-recompute block…
 		"ABORTED:",                 // …with abort markers
 		"lookup-table memoization", // and the suite continued into ablations
 	} {
@@ -114,7 +98,7 @@ func TestRunAbortKeepsCompletedExperiments(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
-	if n := strings.Count(out, "ABORTED:"); n != 4 { // fig4, fig5, delta, first ablation
-		t.Fatalf("ABORTED markers = %d, want 4:\n%s", n, out)
+	if n := strings.Count(out, "ABORTED:"); n != 3 { // fig4, fig5, first ablation
+		t.Fatalf("ABORTED markers = %d, want 3:\n%s", n, out)
 	}
 }

@@ -5,7 +5,6 @@
 // that regenerates every table and figure of the paper's evaluation.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-vs-measured comparison. The root-level
-// bench_test.go regenerates Table 1, Table 2, Figure 4 and Figure 5 as
-// testing.B benchmarks.
+// EXPERIMENTS.md for the paper-vs-measured comparison. cmd/dvbench
+// regenerates Table 1, Table 2, Figure 4, Figure 5 and the ablations.
 package repro

@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 )
 
 // The bench package's own tests use the smallest dataset to stay fast; the
-// full-size runs live in the repository root's bench_test.go.
+// full-size runs are cmd/dvbench's.
 const testDS = "livejournal-ug-s"
 
 func TestTable1(t *testing.T) {
@@ -204,44 +203,6 @@ func TestAblations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-func TestMicroSnapshotRoundTrip(t *testing.T) {
-	path := t.TempDir() + "/BENCH_pregel.json"
-	before := []MicroRow{{Name: "message-plane/rmat/scan-all/block", NsPerOp: 1000, BytesPerOp: 4096, AllocsPerOp: 12, MsgsPerOp: 99}}
-	after := []MicroRow{{Name: "message-plane/rmat/scan-all/block", NsPerOp: 500, BytesPerOp: 1024, AllocsPerOp: 3, MsgsPerOp: 99}}
-	if err := WriteMicroSnapshot(path, "before", before); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteMicroSnapshot(path, "after", after); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := RenderMicro(&buf, after); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "message-plane/rmat/scan-all/block") {
-		t.Fatalf("RenderMicro output:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := RenderMicroDelta(&buf, path); err != nil {
-		t.Fatal(err)
-	}
-	// 1000 -> 500 ns/op is a -50% delta; both snapshots must survive the merge.
-	if !strings.Contains(buf.String(), "-50.0%") {
-		t.Fatalf("RenderMicroDelta output:\n%s", buf.String())
-	}
-	// Re-writing a label replaces, not duplicates.
-	if err := WriteMicroSnapshot(path, "after", after); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(string(data), "\"after\"") != 2 { // map key + label field
-		t.Fatalf("unexpected snapshot file:\n%s", data)
-	}
 }
 
 // countdownCtx cancels itself after a fixed number of Err() calls. The

@@ -219,8 +219,7 @@ func BenchmarkDiffSnapshots(b *testing.B) {
 
 // prVal / prProgram is a PageRank-shaped message-plane workload: every
 // vertex is active every superstep, sends rank/outdeg along every out-edge,
-// and sums its inbox — the densest steady-state traffic the engine sees,
-// and the workload the BENCH_pregel.json baseline pins.
+// and sums its inbox — the densest steady-state traffic the engine sees.
 type prVal struct{ Rank float64 }
 
 type prProgram struct{ rounds int }
@@ -272,7 +271,6 @@ func messagePlaneGraphs() []struct {
 // BenchmarkMessagePlane is the headline engine micro-benchmark: combined
 // PageRank-style traffic (Send → combine → exchange → deliver) per
 // iteration, across both graph shapes and both schedulers.
-// BENCH_pregel.json records its before/after numbers.
 func BenchmarkMessagePlane(b *testing.B) {
 	const rounds = 5
 	for _, gs := range messagePlaneGraphs() {

@@ -82,7 +82,8 @@ func methodOnly(allow string) http.HandlerFunc {
 	}
 }
 
-// versionMeta is the epoch correlation block every read reply embeds.
+// versionMeta is the epoch correlation block of a /flush reply. Read
+// replies carry the same block, rendered once per version by renderHead.
 type versionMeta struct {
 	Epoch       int64  `json:"epoch"`
 	Fingerprint string `json:"fingerprint"`
@@ -97,20 +98,13 @@ func metaOf(v *Version) versionMeta {
 	}
 }
 
-type valueReply struct {
-	versionMeta
-	Vertex graph.VertexID `json:"vertex"`
-	Field  string         `json:"field"`
-	Value  float64        `json:"value"`
-}
-
 func (s *Server) handleValue(w http.ResponseWriter, r *http.Request) {
 	v := s.Current()
 	u, ok := s.vertexArg(w, r, v)
 	if !ok {
 		return
 	}
-	field := r.URL.Query().Get("field")
+	field := queryField(r.URL.RawQuery)
 	if field == "" {
 		field = s.fields[0]
 	}
@@ -119,20 +113,9 @@ func (s *Server) handleValue(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown field %q (have %v)", field, s.fields))
 		return
 	}
-	writeJSON(w, http.StatusOK, valueReply{
-		versionMeta: metaOf(v),
-		Vertex:      u,
-		Field:       field,
-		Value:       vec[u],
-	})
-}
-
-type neighborsReply struct {
-	versionMeta
-	Vertex    graph.VertexID   `json:"vertex"`
-	Degree    int              `json:"degree"`
-	Neighbors []graph.VertexID `json:"neighbors"`
-	Weights   []float64        `json:"weights,omitempty"`
+	bp := replyPool.Get().(*[]byte)
+	b, finite := appendValueReply(*bp, v.head, u, s.quoted[field], vec[u])
+	s.writeRead(w, bp, b, finite)
 }
 
 func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
@@ -155,24 +138,9 @@ func (s *Server) handleNeighbors(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	reply := neighborsReply{
-		versionMeta: metaOf(v),
-		Vertex:      u,
-		Degree:      v.g.OutDegree(u),
-	}
-	reply.Neighbors = make([]graph.VertexID, 0, reply.Degree)
-	weighted := v.g.Weighted()
-	if weighted {
-		reply.Weights = make([]float64, 0, reply.Degree)
-	}
-	it := v.g.OutArcs(u)
-	for it.Next() {
-		reply.Neighbors = append(reply.Neighbors, it.To())
-		if weighted {
-			reply.Weights = append(reply.Weights, it.Weight())
-		}
-	}
-	writeJSON(w, http.StatusOK, reply)
+	bp := replyPool.Get().(*[]byte)
+	b, finite := appendNeighborsReply(*bp, v, u)
+	s.writeRead(w, bp, b, finite)
 }
 
 type mutateReply struct {

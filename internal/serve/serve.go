@@ -66,6 +66,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -160,6 +161,7 @@ type Version struct {
 	g      *graph.Graph
 	fields map[string][]float64
 	snap   *pregel.Snapshot
+	head   []byte // the read replies' constant head (renderHead)
 }
 
 // Graph returns the version's graph. Callers iterating adjacency while
@@ -175,7 +177,8 @@ func (v *Version) Field(name string) ([]float64, bool) {
 // Server is a resident serving process for one compiled program.
 type Server struct {
 	cfg     Config
-	fields  []string // published user-field names, layout order
+	fields  []string          // published user-field names, layout order
+	quoted  map[string][]byte // each field name as a JSON string, for read replies
 	profile *core.RepairProfile
 	chain   *pregel.ChainWriter // nil unless Config.ChainDir is set
 
@@ -245,8 +248,12 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
+	s.quoted = make(map[string][]byte, cfg.Prog.Layout.UserFields)
 	for _, f := range cfg.Prog.Layout.Fields[:cfg.Prog.Layout.UserFields] {
 		s.fields = append(s.fields, f.Name)
+		// Identifiers may hold Unicode letters: encoding/json's escaping,
+		// once per field instead of once per read. A string always marshals.
+		s.quoted[f.Name], _ = json.Marshal(f.Name)
 	}
 	var tip *pregel.ChainState
 	if cfg.ChainDir != "" {
@@ -335,10 +342,7 @@ func (s *Server) bootFromChain(st *pregel.ChainState) (*Version, error) {
 // Current returns the published version. The pointer pins the caller to
 // that epoch: its vectors never change and its graph survives (for
 // adjacency iteration, take Graph().Retain()).
-func (s *Server) Current() *Version {
-	s.reads.Add(1)
-	return s.current.Load()
-}
+func (s *Server) Current() *Version { return s.current.Load() }
 
 // FieldNames returns the published user-field names in layout order.
 func (s *Server) FieldNames() []string { return s.fields }
@@ -599,15 +603,17 @@ func (s *Server) buildVersion(epoch int64, g *graph.Graph, res *vm.Result, snap 
 		}
 		fields[name] = vec
 	}
+	fp := g.Fingerprint()
 	return &Version{
 		Epoch:       epoch,
-		Fingerprint: g.Fingerprint(),
+		Fingerprint: fp,
 		Superstep:   snap.Superstep,
 		Repaired:    repaired,
 		Stats:       res.Stats,
 		g:           g,
 		fields:      fields,
 		snap:        snap,
+		head:        renderHead(epoch, fp, snap.Superstep),
 	}, nil
 }
 
@@ -663,7 +669,7 @@ type Stats struct {
 	Fields      []string `json:"fields"`
 
 	Pending           int   `json:"pending_mutations"`
-	Reads             int64 `json:"reads"`
+	Reads             int64 `json:"reads"` // /value and /neighbors requests answered 200
 	MutationsAccepted int64 `json:"mutations_accepted"`
 	MutationsRejected int64 `json:"mutations_rejected"`
 	Batches           int64 `json:"batches"`

@@ -18,7 +18,7 @@ import (
 )
 
 // compile builds an embedded program in the given mode.
-func compile(t *testing.T, name string, mode core.Mode) *core.Program {
+func compile(t testing.TB, name string, mode core.Mode) *core.Program {
 	t.Helper()
 	prog, err := core.Compile(programs.MustSource(name), core.Options{Mode: mode})
 	if err != nil {
@@ -31,7 +31,7 @@ func compile(t *testing.T, name string, mode core.Mode) *core.Program {
 // incremental SSSP fixpoint is min-based (idempotent), so delta repair is
 // bit-identical to a from-scratch run — the strictest equivalence the
 // suite can assert.
-func ssspServer(t *testing.T, cfg Config) (*Server, *core.Program) {
+func ssspServer(t testing.TB, cfg Config) (*Server, *core.Program) {
 	t.Helper()
 	prog := compile(t, "sssp", core.Incremental)
 	cfg.Prog = prog

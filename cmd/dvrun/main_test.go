@@ -351,32 +351,49 @@ func TestRunInterruptResume(t *testing.T) {
 		mode: "dv", progName: "pagerank", gen: "rmat:13:8", seed: 6,
 		workers: 2, combine: true, show: "vl", top: 5, params: cli.ParamFlags{},
 	}
+	began := time.Now()
 	fullOut := capture(t, func() error { return run(context.Background(), base) })
+	full := time.Since(began)
 	S := superstepsOf(t, fullOut)
 	wantTop := topBlock(t, fullOut)
 
 	// Interrupt timing is inherently racy: too early and no barrier has
-	// completed (nothing to snapshot), too late and the run finishes. Retry
-	// with growing timeouts until an aborted run leaves a checkpoint.
+	// completed (nothing to snapshot), too late and the run finishes. The
+	// -timeout clock also covers building the graph, so the useful window
+	// is the tail of the run. Search for it: grow the timeout while runs
+	// abort without a checkpoint, and bisect once a run has finished.
 	var snapPath string
-	for timeout := 2 * time.Millisecond; timeout < 4*time.Second; timeout *= 2 {
+	var early, late time.Duration // largest too-early, smallest too-late
+	timeout := full / 2
+	for attempt := 0; attempt < 40 && snapPath == ""; attempt++ {
 		cfg := base
 		cfg.ckptDir = t.TempDir()
 		cfg.timeout = timeout
 		out, err := captureErr(t, func() error { return run(context.Background(), cfg) })
-		if err == nil {
-			t.Skipf("run finished within %v; machine too fast to interrupt", timeout)
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case err == nil:
+			late = timeout
+		case !errors.Is(err, context.DeadlineExceeded):
 			t.Fatalf("err = %v, want context.DeadlineExceeded in chain", err)
-		}
-		if p := checkpointPathFrom(out); p != "" {
+		case checkpointPathFrom(out) != "":
 			if !strings.Contains(out, "aborted:") {
 				t.Fatalf("interrupted output has a checkpoint but no aborted line:\n%s", out)
 			}
-			snapPath = p
-			break
+			snapPath = checkpointPathFrom(out)
+		default:
+			early = timeout
 		}
+		switch {
+		case late == 0:
+			timeout += timeout / 4
+		case late-early > 2*time.Millisecond:
+			timeout = early + (late-early)/2
+		default:
+			// The window collapsed; timings drifted, so reopen it.
+			early, late = early/2, 0
+			timeout = early + early/4
+		}
+		timeout = max(timeout, time.Millisecond) // 0 would mean no limit
 	}
 	if snapPath == "" {
 		t.Fatal("no interrupted run produced a checkpoint")

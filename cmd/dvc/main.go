@@ -37,6 +37,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/deltav/analysis"
 	"repro/internal/deltav/ast"
@@ -106,18 +107,6 @@ func main() {
 	}
 }
 
-func parseMode(s string) (core.Mode, error) {
-	switch s {
-	case "dv":
-		return core.Incremental, nil
-	case "dvstar":
-		return core.Baseline, nil
-	case "memotable":
-		return core.MemoTable, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want dv, dvstar, memotable)", s)
-}
-
 // loadSource resolves the single program input: -program name or a file.
 func loadSource(progName string, args []string) (string, error) {
 	switch {
@@ -149,7 +138,7 @@ func vetMain(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	mode, err := parseMode(*f.mode)
+	mode, err := cli.ParseMode(*f.mode)
 	if err != nil {
 		return fail(err)
 	}
@@ -194,7 +183,7 @@ func run(f *mainFlags, args []string) error {
 	if err != nil {
 		return err
 	}
-	mode, err := parseMode(*f.mode)
+	mode, err := cli.ParseMode(*f.mode)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@
 //	      [-checkpoint-dir dir [-checkpoint-every N] [-checkpoint-incremental]]
 //	      [-resume snapshot-or-chain-dir]
 //	      [-mutations log.dvdelta [-warm-start snapshot]]
+//	      [-shard i/n -peers addr0,…,addrN-1]
 //
 // Exactly one graph source (-dataset, -edges or -gen) must be given;
 // conflicting sources are an error. Generator specs: rmat:scale:edgefactor,
@@ -57,6 +58,22 @@
 // and propagated. -warm-start requires -mutations and conflicts with
 // -resume.
 //
+// -shard i/n with -peers runs this process as shard i of an n-process run:
+// the processes mesh over the listed addresses (one per shard, in shard
+// order: unix:PATH or tcp:HOST:PORT), each runs the workers of its own
+// block of the graph, and every shard prints the superstep and message
+// counts and the -show values of the in-process run with the same
+// -workers, bit for bit.
+// Every shard is started with the same program, graph and run flags and
+// an explicit -workers (the total, not the shard's share); shards whose
+// program, mode, ε, parameters, graph, workers, scheduler or combining
+// differ refuse each other when the mesh forms. -checkpoint-dir then
+// names this shard's own directory (each shard snapshots its vertex
+// range), and -resume restarts every shard from a snapshot of the same
+// superstep in its own directory. -mutations and -warm-start work as
+// in-process; the warm-start snapshot is the whole terminal checkpoint of
+// an in-process run, handed to every shard.
+//
 // Examples:
 //
 //	dvrun -program pagerank -dataset wikipedia-s
@@ -67,15 +84,22 @@
 //	dvrun -program sssp -gen grid:50:50 -param src=0 -checkpoint-dir ck
 //	dvrun -program sssp -gen grid:50:50 -param src=0 \
 //	      -mutations edits.dvdelta -warm-start ck/snap-000102.dvsnap
+//	dvrun -program pagerank -gen rmat:12:8 -workers 4 -show vl \
+//	      -shard 0/2 -peers unix:/tmp/s0.sock,unix:/tmp/s1.sock &
+//	dvrun -program pagerank -gen rmat:12:8 -workers 4 -show vl \
+//	      -shard 1/2 -peers unix:/tmp/s0.sock,unix:/tmp/s1.sock
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/cli"
@@ -83,224 +107,170 @@ import (
 	"repro/internal/deltav/vm"
 	"repro/internal/graph"
 	"repro/internal/pregel"
-	"repro/internal/programs"
+	"repro/internal/pregel/transport"
 )
 
-// flagVals holds the parsed flag values; registerFlags binds them onto a
-// FlagSet so tests can enumerate the registered flags and check them
-// against the doc comment above.
-type flagVals struct {
-	mode, progName, file string
-	dataset, edges, gen  string
-	graphFormat, repr    string
-	saveGraph            string
-	directed             bool
-	seed                 int64
-	workers              int
-	queue, combine       bool
-	trace                bool
-	epsilon              float64
-	show                 string
-	top                  int
-	timeout              time.Duration
-	ckptDir              string
-	ckptEvery            int
-	ckptIncremental      bool
-	resume               string
-	mutations            string
-	warmStart            string
-	params               cli.ParamFlags
+// flags holds the parsed flag values: the front end dvrun shares with
+// dvserve, and dvrun's own. registerFlags binds them onto a FlagSet so
+// tests can enumerate the registered flags and check them against the doc
+// comment above.
+type flags struct {
+	*cli.Flags
+	saveGraph       string
+	trace           bool
+	show            string
+	top             int
+	timeout         time.Duration
+	ckptDir         string
+	ckptEvery       int
+	ckptIncremental bool
+	resume          string
+	mutations       string
+	warmStart       string
+	shard, peers    string
 }
 
-func registerFlags(fs *flag.FlagSet) *flagVals {
-	v := &flagVals{params: cli.ParamFlags{}}
-	fs.StringVar(&v.mode, "mode", "dv", "compile mode: dv, dvstar, memotable")
-	fs.StringVar(&v.progName, "program", "", "embedded program name")
-	fs.StringVar(&v.file, "file", "", "ΔV source file")
-	fs.StringVar(&v.dataset, "dataset", "", "stand-in dataset name")
-	fs.StringVar(&v.edges, "edges", "", "edge-list file")
-	fs.BoolVar(&v.directed, "directed", true, "treat -edges input as directed")
-	fs.StringVar(&v.gen, "gen", "", "generator spec (rmat:scale:ef, ba:n:k, er:n:m, grid:r:c, ws:n:k:beta)")
-	fs.StringVar(&v.graphFormat, "graph-format", "auto", "-edges file format: auto (sniff), el (text edge list), dvg (DVGRAF binary)")
-	fs.StringVar(&v.repr, "repr", "flat", "in-memory graph representation: flat, compact, mmap (mmap needs a DVGRAF -edges file)")
-	fs.StringVar(&v.saveGraph, "save-graph", "", "write the loaded graph to this DVGRAF (.dvg) file")
-	fs.Int64Var(&v.seed, "seed", 1, "generator seed")
-	fs.IntVar(&v.workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	fs.BoolVar(&v.queue, "queue", false, "use the work-queue (halt-by-default) scheduler")
-	fs.BoolVar(&v.combine, "combine", true, "enable message combiners")
-	fs.BoolVar(&v.trace, "trace", false, "print per-superstep statistics")
-	fs.Float64Var(&v.epsilon, "epsilon", 0, "allowable-slop ε (§9)")
-	fs.StringVar(&v.show, "show", "", "print this field's values")
-	fs.IntVar(&v.top, "top", 10, "how many values to print with -show")
-	fs.DurationVar(&v.timeout, "timeout", 0, "abort the run after this duration (0 = no limit)")
-	fs.StringVar(&v.ckptDir, "checkpoint-dir", "", "write barrier snapshots into this directory")
-	fs.IntVar(&v.ckptEvery, "checkpoint-every", 0, "periodic snapshot interval in supersteps (0 = final/abort snapshots only)")
-	fs.BoolVar(&v.ckptIncremental, "checkpoint-incremental", false, "write the checkpoints as an incremental chain (base + DVSNPD delta records) instead of full snapshots")
-	fs.StringVar(&v.resume, "resume", "", "resume from a snapshot file or a -checkpoint-incremental chain directory")
-	fs.StringVar(&v.mutations, "mutations", "", "apply this edge-mutation log (add/del/set/addv) to the graph before running")
-	fs.StringVar(&v.warmStart, "warm-start", "", "delta-recompute from this converged pre-mutation snapshot (needs -mutations)")
-	fs.Var(v.params, "param", "program parameter override, name=value (repeatable)")
-	return v
-}
-
-func (v *flagVals) config() runConfig {
-	return runConfig{
-		mode: v.mode, progName: v.progName, file: v.file,
-		dataset: v.dataset, edges: v.edges, directed: v.directed, gen: v.gen, seed: v.seed,
-		graphFormat: v.graphFormat, repr: v.repr, saveGraph: v.saveGraph,
-		workers: v.workers, queue: v.queue, combine: v.combine,
-		epsilon: v.epsilon, show: v.show, top: v.top, trace: v.trace,
-		timeout: v.timeout, ckptDir: v.ckptDir, ckptEvery: v.ckptEvery,
-		ckptIncremental: v.ckptIncremental,
-		resume:          v.resume, mutations: v.mutations, warmStart: v.warmStart, params: v.params,
-	}
+func registerFlags(fs *flag.FlagSet) *flags {
+	f := &flags{Flags: cli.Register(fs)}
+	fs.StringVar(&f.saveGraph, "save-graph", "", "write the loaded graph to this DVGRAF (.dvg) file")
+	fs.BoolVar(&f.trace, "trace", false, "print per-superstep statistics")
+	fs.StringVar(&f.show, "show", "", "print this field's values")
+	fs.IntVar(&f.top, "top", 10, "how many values to print with -show")
+	fs.DurationVar(&f.timeout, "timeout", 0, "abort the run after this duration (0 = no limit)")
+	fs.StringVar(&f.ckptDir, "checkpoint-dir", "", "write barrier snapshots into this directory")
+	fs.IntVar(&f.ckptEvery, "checkpoint-every", 0, "periodic snapshot interval in supersteps (0 = final/abort snapshots only)")
+	fs.BoolVar(&f.ckptIncremental, "checkpoint-incremental", false, "write the checkpoints as an incremental chain (base + DVSNPD delta records) instead of full snapshots")
+	fs.StringVar(&f.resume, "resume", "", "resume from a snapshot file or a -checkpoint-incremental chain directory")
+	fs.StringVar(&f.mutations, "mutations", "", "apply this edge-mutation log (add/del/set/addv) to the graph before running")
+	fs.StringVar(&f.warmStart, "warm-start", "", "delta-recompute from this converged pre-mutation snapshot (needs -mutations)")
+	fs.StringVar(&f.shard, "shard", "", "run as shard i of n processes, i/n (needs -peers and an explicit -workers)")
+	fs.StringVar(&f.peers, "peers", "", "comma-separated mesh addresses, one per shard in shard order (unix:PATH or tcp:HOST:PORT)")
+	return f
 }
 
 func main() {
-	vals := registerFlags(flag.CommandLine)
+	f := registerFlags(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if err := run(ctx, vals.config()); err != nil {
+	if err := run(ctx, f, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "dvrun:", err)
 		os.Exit(1)
 	}
 }
 
-type runConfig struct {
-	mode, progName, file string
-	dataset, edges, gen  string
-	graphFormat, repr    string
-	saveGraph            string
-	directed             bool
-	seed                 int64
-	workers              int
-	queue, combine       bool
-	epsilon              float64
-	show                 string
-	top                  int
-	trace                bool
-	timeout              time.Duration
-	ckptDir              string
-	ckptEvery            int
-	ckptIncremental      bool
-	resume               string
-	mutations            string
-	warmStart            string
-	params               cli.ParamFlags
+// check refuses flag combinations that cannot run, before any work.
+func (f *flags) check() error {
+	switch {
+	case f.warmStart != "" && f.mutations == "":
+		return fmt.Errorf("-warm-start needs -mutations: a warm restart repairs the effect of a mutation log")
+	case f.warmStart != "" && f.resume != "":
+		return fmt.Errorf("-warm-start and -resume are mutually exclusive")
+	case f.ckptEvery > 0 && f.ckptDir == "":
+		return fmt.Errorf("-checkpoint-every needs -checkpoint-dir")
+	case f.ckptIncremental && f.ckptDir == "":
+		return fmt.Errorf("-checkpoint-incremental needs -checkpoint-dir")
+	case f.top < 0:
+		return fmt.Errorf("-top %d: want a count of values, 0 or more", f.top)
+	}
+	return nil
 }
 
-func run(ctx context.Context, cfg runConfig) error {
-	if ctx == nil {
-		ctx = context.Background()
+// mesh resolves -shard and -peers into this process's endpoint of the
+// shard mesh; nil when the run is not sharded.
+func (f *flags) mesh() (*transport.SocketConfig, error) {
+	if f.shard == "" && f.peers == "" {
+		return nil, nil
 	}
-	if cfg.timeout > 0 {
+	if f.shard == "" || f.peers == "" {
+		return nil, fmt.Errorf("-shard needs -peers, and -peers needs -shard")
+	}
+	is, ns, _ := strings.Cut(f.shard, "/")
+	i, err1 := strconv.Atoi(is)
+	n, err2 := strconv.Atoi(ns)
+	if err1 != nil || err2 != nil || n < 1 || i < 0 || i >= n {
+		return nil, fmt.Errorf("-shard %q: want i/n with 0 <= i < n", f.shard)
+	}
+	peers := strings.Split(f.peers, ",")
+	if len(peers) != n {
+		return nil, fmt.Errorf("-peers lists %d addresses for -shard %s", len(peers), f.shard)
+	}
+	if f.Workers <= 0 {
+		return nil, fmt.Errorf("-shard needs an explicit -workers: the total, the same on every shard")
+	}
+	return &transport.SocketConfig{Shard: i, Count: n, Addrs: peers}, nil
+}
+
+// run executes one dvrun invocation, writing its report to out.
+func run(ctx context.Context, f *flags, out io.Writer) error {
+	if f.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
+		ctx, cancel = context.WithTimeout(ctx, f.timeout)
 		defer cancel()
 	}
-
+	if err := f.check(); err != nil {
+		return err
+	}
+	mesh, err := f.mesh()
+	if err != nil {
+		return err
+	}
+	// -save-graph without a program only converts the graph.
+	var prog *core.Program
 	var src string
-	switch {
-	case cfg.progName != "":
-		s, err := programs.Source(cfg.progName)
-		if err != nil {
+	if f.ProgName != "" || f.File != "" || f.saveGraph == "" {
+		if prog, src, err = f.Compile(); err != nil {
 			return err
 		}
-		src = s
-	case cfg.file != "":
-		b, err := os.ReadFile(cfg.file)
-		if err != nil {
-			return err
-		}
-		src = string(b)
-	case cfg.saveGraph != "":
-		// Conversion-only invocation: load the graph, save it as DVGRAF,
-		// run nothing.
-	default:
-		return fmt.Errorf("need -program or -file")
 	}
 
-	var mode core.Mode
-	switch cfg.mode {
-	case "dv":
-		mode = core.Incremental
-	case "dvstar":
-		mode = core.Baseline
-	case "memotable":
-		mode = core.MemoTable
-	default:
-		return fmt.Errorf("unknown mode %q", cfg.mode)
-	}
-
-	if cfg.warmStart != "" && cfg.mutations == "" {
-		return fmt.Errorf("-warm-start needs -mutations: a warm restart repairs the effect of a mutation log")
-	}
-	if cfg.warmStart != "" && cfg.resume != "" {
-		return fmt.Errorf("-warm-start and -resume are mutually exclusive")
-	}
-
-	g, err := cli.GraphSource{
-		Dataset: cfg.dataset, Edges: cfg.edges, Gen: cfg.gen, Directed: cfg.directed, Seed: cfg.seed,
-		Format: cfg.graphFormat, Repr: cfg.repr,
-	}.Load()
+	g, err := f.Graph.Load()
 	if err != nil {
 		return err
 	}
 	defer g.Close()
 	// The memory line of record: resident adjacency bytes in the chosen
 	// representation, printed before anything else can inflate them.
-	fmt.Printf("graph: n=%d arcs=%d repr=%s bytes=%d\n",
+	fmt.Fprintf(out, "graph: n=%d arcs=%d repr=%s bytes=%d\n",
 		g.NumVertices(), g.NumArcs(), g.Repr(), g.ArcBytes())
-	if cfg.saveGraph != "" {
-		if err := graph.WriteGraphFile(cfg.saveGraph, g); err != nil {
+	if f.saveGraph != "" {
+		if err := graph.WriteGraphFile(f.saveGraph, g); err != nil {
 			return err
 		}
-		fmt.Printf("saved: %s\n", cfg.saveGraph)
-		if src == "" {
+		fmt.Fprintf(out, "saved: %s\n", f.saveGraph)
+		if prog == nil {
 			return nil
 		}
 	}
 	var applied *graph.AppliedDelta
-	if cfg.mutations != "" {
-		d, err := graph.ReadDeltaLogFile(cfg.mutations)
+	if f.mutations != "" {
+		d, err := graph.ReadDeltaLogFile(f.mutations)
 		if err != nil {
 			return err
 		}
-		g, applied, err = graph.ApplyDelta(g, d)
-		if err != nil {
+		if g, applied, err = graph.ApplyDelta(g, d); err != nil {
 			return err
 		}
 	}
-	prog, err := core.Compile(src, core.Options{Mode: mode, Epsilon: cfg.epsilon})
-	if err != nil {
-		return err
-	}
 
-	sched := pregel.ScanAll
-	if cfg.queue {
-		sched = pregel.WorkQueue
+	runOpts := vm.RunOptions{
+		Params:    f.Params,
+		Workers:   f.Workers,
+		Scheduler: f.Scheduler(),
+		Combine:   f.Combine,
 	}
-
-	if cfg.ckptEvery > 0 && cfg.ckptDir == "" {
-		return fmt.Errorf("-checkpoint-every needs -checkpoint-dir")
-	}
-	if cfg.ckptIncremental && cfg.ckptDir == "" {
-		return fmt.Errorf("-checkpoint-incremental needs -checkpoint-dir")
-	}
-	var ckpt pregel.CheckpointOptions
-	if cfg.ckptDir != "" {
-		if err := os.MkdirAll(cfg.ckptDir, 0o755); err != nil {
+	if f.ckptDir != "" {
+		if err := os.MkdirAll(f.ckptDir, 0o755); err != nil {
 			return err
 		}
-		ckpt = pregel.CheckpointOptions{Every: cfg.ckptEvery, Dir: cfg.ckptDir, Incremental: cfg.ckptIncremental}
+		runOpts.Checkpoint = pregel.CheckpointOptions{Every: f.ckptEvery, Dir: f.ckptDir, Incremental: f.ckptIncremental}
 	}
 	var resumeSnap *pregel.Snapshot
-	if cfg.resume != "" {
-		if pregel.IsChainDir(cfg.resume) {
-			st, err := pregel.LoadChain(cfg.resume)
+	if f.resume != "" {
+		if pregel.IsChainDir(f.resume) {
+			st, err := pregel.LoadChain(f.resume)
 			if err != nil {
 				return err
 			}
@@ -310,115 +280,126 @@ func run(ctx context.Context, cfg runConfig) error {
 				return err
 			}
 			resumeSnap = st.Snapshot
-			fmt.Printf("resume: chain %s (superstep %d, %d records, %d mutation logs)\n",
-				cfg.resume, st.Snapshot.Superstep, len(st.Entries), len(st.GraphDeltas))
-		} else {
-			resumeSnap, err = pregel.ReadSnapshotFile(cfg.resume)
-			if err != nil {
-				return err
-			}
+			fmt.Fprintf(out, "resume: chain %s (superstep %d, %d records, %d mutation logs)\n",
+				f.resume, st.Snapshot.Superstep, len(st.Entries), len(st.GraphDeltas))
+		} else if resumeSnap, err = pregel.ReadSnapshotFile(f.resume); err != nil {
+			return err
 		}
 	}
-
-	runOpts := vm.RunOptions{
-		Params:     cfg.params,
-		Workers:    cfg.workers,
-		Scheduler:  sched,
-		Combine:    cfg.combine,
-		Checkpoint: ckpt,
-	}
-	var res *vm.Result
-	var runErr error
-	if cfg.warmStart != "" {
+	var warmSnap *pregel.Snapshot
+	if f.warmStart != "" {
 		// Fail fast at the CLI boundary when the mutation log grew the
 		// vertex set and the program cannot repair growth in place (its
 		// init{} bakes in the graph size, say) — the size mismatch would
 		// otherwise surface as a confusing decode error deep inside the
 		// warm restore. Repairable programs proceed: the new vertices are
 		// initialized and primed by the delta run itself.
-		if applied != nil && applied.NewVertices > 0 {
+		if applied.NewVertices > 0 {
 			if cv := prog.Repairability().Verdict(core.DeltaVertexAdd); cv.Cap != core.Repairable {
 				return fmt.Errorf("%w: -mutations added %d vertices but %s; drop -warm-start to rerun from scratch",
 					pregel.ErrSnapshotMismatch, applied.NewVertices, cv.Reason)
 			}
 		}
-		snap, err := pregel.ReadSnapshotFile(cfg.warmStart)
-		if err != nil {
+		if warmSnap, err = pregel.ReadSnapshotFile(f.warmStart); err != nil {
 			return err
 		}
+	}
+	var tr *transport.Socket
+	if mesh != nil {
+		// The hello compares the graph and run configuration, so shards
+		// started differently fail here rather than compute apart.
+		mesh.Fingerprint = f.Fingerprint(src, g)
+		if tr, err = transport.DialMesh(*mesh); err != nil {
+			return fmt.Errorf("forming the -peers mesh: %w", err)
+		}
+		defer tr.Close()
+		runOpts.Shard = &pregel.ShardOptions{Index: mesh.Shard, Count: mesh.Count, Transport: tr}
+	}
+
+	var res *vm.Result
+	var runErr error
+	switch {
+	case warmSnap != nil:
 		res, runErr = vm.RunDeltaContext(ctx, prog, g, vm.DeltaRunOptions{
 			RunOptions: runOpts,
-			Snapshot:   snap,
+			Snapshot:   warmSnap,
 			Changes:    applied,
 		})
-	} else if resumeSnap != nil {
+	case resumeSnap != nil:
 		res, runErr = vm.ResumeContext(ctx, prog, g, runOpts, resumeSnap)
-	} else {
+	default:
 		res, runErr = vm.RunContext(ctx, prog, g, runOpts)
 	}
 	if res == nil {
 		return runErr
 	}
 
-	fmt.Printf("graph:        %s\n", g)
+	fmt.Fprintf(out, "graph:        %s\n", g)
 	if applied != nil {
 		start := "from scratch"
-		if cfg.warmStart != "" {
-			start = "delta-recompute from " + cfg.warmStart
+		if f.warmStart != "" {
+			start = "delta-recompute from " + f.warmStart
 		}
-		fmt.Printf("mutations:    %d arc changes, %d new vertices (%s)\n",
+		fmt.Fprintf(out, "mutations:    %d arc changes, %d new vertices (%s)\n",
 			len(applied.Arcs), applied.NewVertices, start)
 	}
-	fmt.Printf("mode:         %s (state %d bytes/vertex)\n", mode, prog.Layout.ByteSize())
-	fmt.Printf("supersteps:   %d\n", res.Stats.Supersteps)
-	fmt.Printf("iterations:   %v\n", res.Iterations)
-	fmt.Printf("messages:     %d sent, %d delivered after combining (%d cross-worker)\n",
+	fmt.Fprintf(out, "mode:         %s (state %d bytes/vertex)\n", prog.Mode, prog.Layout.ByteSize())
+	fmt.Fprintf(out, "supersteps:   %d\n", res.Stats.Supersteps)
+	fmt.Fprintf(out, "iterations:   %v\n", res.Iterations)
+	fmt.Fprintf(out, "messages:     %d sent, %d delivered after combining (%d cross-worker)\n",
 		res.Stats.MessagesSent, res.Stats.CombinedMessages, res.Stats.CrossWorker)
-	fmt.Printf("bytes:        %d\n", res.Stats.MessageBytes)
-	fmt.Printf("active total: %d vertex executions\n", res.Stats.TotalActive)
-	fmt.Printf("wall time:    %v\n", res.Stats.Duration)
+	fmt.Fprintf(out, "bytes:        %d\n", res.Stats.MessageBytes)
+	fmt.Fprintf(out, "active total: %d vertex executions\n", res.Stats.TotalActive)
+	fmt.Fprintf(out, "wall time:    %v\n", res.Stats.Duration)
+	if tr != nil {
+		fo, bo, fi, bi := tr.Counters()
+		fmt.Fprintf(out, "shard:        %s, wire %d frames %d B out, %d frames %d B in\n", f.shard, fo, bo, fi, bi)
+	}
 	if res.Stats.Aborted {
-		fmt.Printf("aborted:      %s\n", res.Stats.AbortReason)
+		fmt.Fprintf(out, "aborted:      %s\n", res.Stats.AbortReason)
 	}
 	if res.Stats.CheckpointPath != "" {
-		fmt.Printf("checkpoint:   %s (superstep %d)\n", res.Stats.CheckpointPath, res.Stats.CheckpointSuperstep)
+		fmt.Fprintf(out, "checkpoint:   %s (superstep %d)\n", res.Stats.CheckpointPath, res.Stats.CheckpointSuperstep)
 	}
 	if res.NonMonotoneSends > 0 {
-		fmt.Printf("WARNING: %d non-monotone Δ-messages (min/max accumulators may be stale)\n", res.NonMonotoneSends)
+		fmt.Fprintf(out, "WARNING: %d non-monotone Δ-messages (min/max accumulators may be stale)\n", res.NonMonotoneSends)
 	}
-	if cfg.trace {
-		fmt.Println("superstep  active     sent       delivered  cross      time")
+	if f.trace {
+		fmt.Fprintln(out, "superstep  active     sent       delivered  cross      time")
 		for _, st := range res.Stats.Steps {
-			fmt.Printf("%-10d %-10d %-10d %-10d %-10d %v\n",
+			fmt.Fprintf(out, "%-10d %-10d %-10d %-10d %-10d %v\n",
 				st.Superstep, st.ActiveVertices, st.MessagesSent, st.CombinedMessages, st.CrossWorker, st.Duration)
 		}
 	}
 	if runErr != nil {
 		return runErr
 	}
+	if f.show != "" {
+		return showTop(out, res, f.show, f.top)
+	}
+	return nil
+}
 
-	if cfg.show != "" {
-		show, top := cfg.show, cfg.top
-		vals, err := res.FieldVector(show)
-		if err != nil {
-			return err
-		}
-		type pair struct {
-			u uint32
-			v float64
-		}
-		pairs := make([]pair, len(vals))
-		for u, v := range vals {
-			pairs[u] = pair{uint32(u), v}
-		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].v > pairs[j].v })
-		if top > len(pairs) {
-			top = len(pairs)
-		}
-		fmt.Printf("top %d by %s:\n", top, show)
-		for _, p := range pairs[:top] {
-			fmt.Printf("  vertex %-8d %g\n", p.u, p.v)
-		}
+// showTop prints the top values of field, largest first, in Go's shortest
+// round-trip %g: two runs agree bit for bit when the blocks are equal.
+func showTop(out io.Writer, res *vm.Result, field string, top int) error {
+	vals, err := res.FieldVector(field)
+	if err != nil {
+		return err
+	}
+	type pair struct {
+		u uint32
+		v float64
+	}
+	pairs := make([]pair, len(vals))
+	for u, v := range vals {
+		pairs[u] = pair{uint32(u), v}
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v > pairs[j].v })
+	top = min(top, len(pairs))
+	fmt.Fprintf(out, "top %d by %s:\n", top, field)
+	for _, p := range pairs[:top] {
+		fmt.Fprintf(out, "  vertex %-8d %g\n", p.u, p.v)
 	}
 	return nil
 }

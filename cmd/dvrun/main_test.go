@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,33 +23,61 @@ import (
 	"repro/internal/serve"
 )
 
-func capture(t *testing.T, fn func() error) string {
+// parse builds dvrun's flags from CLI-style arguments through the same
+// wiring main uses.
+func parse(t *testing.T, args ...string) *flags {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
+	fs := flag.NewFlagSet("dvrun", flag.ContinueOnError)
+	f := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	return f
+}
+
+// runArgs runs dvrun with args and returns what it printed and its error.
+func runArgs(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	var out bytes.Buffer
+	err := run(context.Background(), parse(t, args...), &out)
+	return out.String(), err
+}
+
+// mustRun is runArgs for a run that must succeed.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := runArgs(t, args...)
+	if err != nil {
+		t.Fatalf("dvrun %v: %v\n%s", args, err, out)
+	}
+	return out
+}
+
+// with returns base followed by extra, never sharing base's array.
+func with(base []string, extra ...string) []string {
+	return append(slices.Clip(base), extra...)
+}
+
+// writeEdgeList writes g as a text edge list in a temporary directory.
+func writeEdgeList(t *testing.T, g *graph.Graph) string {
+	t.Helper()
+	f := filepath.Join(t.TempDir(), "g.el")
+	fh, err := os.Create(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	errRun := fn()
-	w.Close()
-	os.Stdout = old
-	buf := make([]byte, 1<<20)
-	n, _ := r.Read(buf)
-	if errRun != nil {
-		t.Fatalf("run: %v", errRun)
+	if err := graph.WriteEdgeList(fh, g); err != nil {
+		t.Fatal(err)
 	}
-	return string(buf[:n])
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 func TestRunSSSPOnGrid(t *testing.T) {
-	out := capture(t, func() error {
-		return run(context.Background(), runConfig{
-			mode: "dv", progName: "sssp", gen: "grid:10:10", seed: 1,
-			workers: 2, combine: true, show: "dist", top: 3, trace: true,
-			params: cli.ParamFlags{"src": 0},
-		})
-	})
+	out := mustRun(t, "-program", "sssp", "-gen", "grid:10:10", "-workers", "2",
+		"-show", "dist", "-top", "3", "-trace", "-param", "src=0")
 	for _, want := range []string{"graph:", "supersteps:", "top 3 by dist", "superstep  active"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
@@ -56,13 +87,8 @@ func TestRunSSSPOnGrid(t *testing.T) {
 
 func TestRunModesAndScheduler(t *testing.T) {
 	for _, mode := range []string{"dv", "dvstar", "memotable"} {
-		out := capture(t, func() error {
-			return run(context.Background(), runConfig{
-				mode: mode, progName: "pagerank", gen: "rmat:7:4", seed: 2,
-				workers: 3, queue: true, combine: true,
-				params: cli.ParamFlags{},
-			})
-		})
+		out := mustRun(t, "-mode", mode, "-program", "pagerank", "-gen", "rmat:7:4",
+			"-directed=false", "-seed", "2", "-workers", "3", "-queue")
 		if !strings.Contains(out, "messages:") {
 			t.Fatalf("mode %s output missing stats:\n%s", mode, out)
 		}
@@ -70,22 +96,8 @@ func TestRunModesAndScheduler(t *testing.T) {
 }
 
 func TestRunFromEdgeListFile(t *testing.T) {
-	g := graph.Path(6, true)
-	f := filepath.Join(t.TempDir(), "g.el")
-	fh, err := os.Create(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.WriteEdgeList(fh, g); err != nil {
-		t.Fatal(err)
-	}
-	fh.Close()
-	out := capture(t, func() error {
-		return run(context.Background(), runConfig{
-			mode: "dv", progName: "bfs", edges: f, directed: true,
-			combine: true, params: cli.ParamFlags{"src": 0}, show: "hop", top: 6,
-		})
-	})
+	f := writeEdgeList(t, graph.Path(6, true))
+	out := mustRun(t, "-program", "bfs", "-edges", f, "-param", "src=0", "-show", "hop", "-top", "6")
 	if !strings.Contains(out, "top 6 by hop") {
 		t.Fatalf("edge-list run output:\n%s", out)
 	}
@@ -97,49 +109,34 @@ func TestRunProgramFile(t *testing.T) {
 	if err := os.WriteFile(f, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out := capture(t, func() error {
-		return run(context.Background(), runConfig{mode: "dv", file: f, gen: "er:50:150", seed: 3, combine: true, params: cli.ParamFlags{}})
-	})
+	out := mustRun(t, "-file", f, "-gen", "er:50:150", "-directed=false", "-seed", "3")
 	if !strings.Contains(out, "wall time:") {
 		t.Fatalf("program file run output:\n%s", out)
 	}
 }
 
 func TestRunErrorPaths(t *testing.T) {
-	bad := []runConfig{
-		{mode: "dv", params: cli.ParamFlags{}},                                                  // no program
-		{mode: "bogus", progName: "sssp", gen: "grid:3:3", params: cli.ParamFlags{}},            // bad mode
-		{mode: "dv", progName: "sssp", params: cli.ParamFlags{}},                                // no graph
-		{mode: "dv", progName: "sssp", gen: "bogus:1", params: cli.ParamFlags{}},                // bad generator
-		{mode: "dv", progName: "nope", gen: "grid:3:3", params: cli.ParamFlags{}},               // unknown program
-		{mode: "dv", progName: "cc", gen: "rmat:4:2", directed: true, params: cli.ParamFlags{}}, // #neighbors on directed
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", params: cli.ParamFlags{"q": 1}},         // unknown param
-		{mode: "dv", progName: "sssp", edges: "/nonexistent", params: cli.ParamFlags{}},         // missing file
-		{mode: "dv", file: "/nonexistent.dv", gen: "grid:3:3", params: cli.ParamFlags{}},
+	bad := [][]string{
+		{}, // no program
+		{"-mode", "bogus", "-program", "sssp", "-gen", "grid:3:3"}, // bad mode
+		{"-program", "sssp"},                                      // no graph
+		{"-program", "sssp", "-gen", "bogus:1"},                   // bad generator
+		{"-program", "sssp", "-gen", "grid:3"},                    // short generator spec
+		{"-program", "nope", "-gen", "grid:3:3"},                  // unknown program
+		{"-program", "cc", "-gen", "rmat:4:2"},                    // #neighbors on directed
+		{"-program", "sssp", "-gen", "grid:3:3", "-param", "q=1"}, // unknown param
+		{"-program", "sssp", "-edges", "/nonexistent"},            // missing file
+		{"-file", "/nonexistent.dv", "-gen", "grid:3:3"},
+		{"-program", "sssp", "-gen", "grid:3:3", "-show", "dist", "-top", "-1"}, // negative -top
 	}
-	for i, cfg := range bad {
-		if err := run(context.Background(), cfg); err == nil {
-			t.Fatalf("case %d: run succeeded, want error", i)
+	for i, args := range bad {
+		if _, err := runArgs(t, args...); err == nil {
+			t.Fatalf("case %d %v: run succeeded, want error", i, args)
 		}
 	}
-}
-
-// captureErr is capture for runs expected to fail: it returns both the
-// stdout produced before the failure and the error.
-func captureErr(t *testing.T, fn func() error) (string, error) {
-	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := runArgs(t, "-program", "sssp", "-gen", "grid:3:3", "-top", "-1"); err == nil || !strings.Contains(err.Error(), "-top") {
+		t.Fatalf("-top -1: err = %v, want it named", err)
 	}
-	os.Stdout = w
-	errRun := fn()
-	w.Close()
-	os.Stdout = old
-	buf := make([]byte, 1<<20)
-	n, _ := r.Read(buf)
-	return string(buf[:n]), errRun
 }
 
 // TestDocCommentListsAllFlags guards against doc drift: every flag
@@ -181,28 +178,27 @@ func TestGenHelpMentionsWattsStrogatz(t *testing.T) {
 	}
 }
 
-func TestRegisterFlagsConfigRoundTrip(t *testing.T) {
-	fs := flag.NewFlagSet("dvrun", flag.ContinueOnError)
-	vals := registerFlags(fs)
-	if err := fs.Parse([]string{
+func TestRegisterFlagsRoundTrip(t *testing.T) {
+	f := parse(t,
 		"-mode", "dvstar", "-program", "pagerank", "-gen", "rmat:5:4",
 		"-timeout", "250ms", "-param", "src=3", "-queue", "-trace",
 		"-checkpoint-dir", "/tmp/ck", "-checkpoint-every", "4", "-resume", "snap.dvsnap",
-	}); err != nil {
-		t.Fatal(err)
+		"-shard", "1/2", "-peers", "unix:a,unix:b",
+	)
+	if f.Mode != "dvstar" || f.ProgName != "pagerank" || f.Graph.Gen != "rmat:5:4" {
+		t.Fatalf("f = %+v", f)
 	}
-	cfg := vals.config()
-	if cfg.mode != "dvstar" || cfg.progName != "pagerank" || cfg.gen != "rmat:5:4" {
-		t.Fatalf("cfg = %+v", cfg)
+	if f.timeout != 250*time.Millisecond || !f.Queue || !f.trace {
+		t.Fatalf("f = %+v", f)
 	}
-	if cfg.timeout != 250*time.Millisecond || !cfg.queue || !cfg.trace {
-		t.Fatalf("cfg = %+v", cfg)
+	if f.ckptDir != "/tmp/ck" || f.ckptEvery != 4 || f.resume != "snap.dvsnap" {
+		t.Fatalf("f = %+v", f)
 	}
-	if cfg.ckptDir != "/tmp/ck" || cfg.ckptEvery != 4 || cfg.resume != "snap.dvsnap" {
-		t.Fatalf("cfg = %+v", cfg)
+	if f.shard != "1/2" || f.peers != "unix:a,unix:b" {
+		t.Fatalf("f = %+v", f)
 	}
-	if cfg.params["src"] != 3 {
-		t.Fatalf("params = %v", cfg.params)
+	if f.Params["src"] != 3 {
+		t.Fatalf("params = %v", f.Params)
 	}
 }
 
@@ -210,13 +206,8 @@ func TestRegisterFlagsConfigRoundTrip(t *testing.T) {
 // on a large generated graph must fail with a deadline error yet still
 // print the per-run statistics accumulated so far, marked aborted.
 func TestRunTimeoutPartialStats(t *testing.T) {
-	out, err := captureErr(t, func() error {
-		return run(context.Background(), runConfig{
-			mode: "dv", progName: "pagerank", gen: "rmat:15:16", seed: 4,
-			workers: 2, combine: true, trace: true, timeout: time.Millisecond,
-			params: cli.ParamFlags{},
-		})
-	})
+	out, err := runArgs(t, "-program", "pagerank", "-gen", "rmat:15:16", "-directed=false",
+		"-seed", "4", "-workers", "2", "-trace", "-timeout", "1ms")
 	if err == nil {
 		t.Fatal("run with 1ms timeout succeeded, want abort")
 	}
@@ -235,12 +226,7 @@ func TestRunTimeoutPartialStats(t *testing.T) {
 func TestRunCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := captureErr(t, func() error {
-		return run(ctx, runConfig{
-			mode: "dv", progName: "pagerank", gen: "grid:10:10", seed: 1,
-			combine: true, params: cli.ParamFlags{},
-		})
-	})
+	err := run(ctx, parse(t, "-program", "pagerank", "-gen", "grid:10:10"), io.Discard)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in chain", err)
 	}
@@ -251,10 +237,7 @@ func TestRunCancelledContext(t *testing.T) {
 func TestRunPanicSurfacesRunError(t *testing.T) {
 	// FieldVector with an unknown field errors cleanly (API-boundary check
 	// that panics were converted to errors).
-	err := run(context.Background(), runConfig{
-		mode: "dv", progName: "pagerank", gen: "grid:5:5", seed: 1,
-		combine: true, show: "nosuchfield", params: cli.ParamFlags{},
-	})
+	_, err := runArgs(t, "-program", "pagerank", "-gen", "grid:5:5", "-show", "nosuchfield")
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Fatalf("err = %v, want unknown-field error", err)
 	}
@@ -310,14 +293,9 @@ func topBlock(t *testing.T, out string) string {
 // the same final values in exactly the remaining supersteps.
 func TestRunCheckpointResumeDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	base := runConfig{
-		mode: "dv", progName: "pagerank", gen: "rmat:8:6", seed: 5,
-		workers: 2, combine: true, show: "vl", top: 5, params: cli.ParamFlags{},
-	}
-	full := base
-	full.ckptDir = dir
-	full.ckptEvery = 1
-	fullOut := capture(t, func() error { return run(context.Background(), full) })
+	base := []string{"-program", "pagerank", "-gen", "rmat:8:6", "-directed=false", "-seed", "5",
+		"-workers", "2", "-show", "vl", "-top", "5"}
+	fullOut := mustRun(t, with(base, "-checkpoint-dir", dir, "-checkpoint-every", "1")...)
 	S := superstepsOf(t, fullOut)
 	if S < 3 {
 		t.Fatalf("full run too short to resume from the middle: %d supersteps", S)
@@ -331,9 +309,7 @@ func TestRunCheckpointResumeDeterministic(t *testing.T) {
 	wantTop := topBlock(t, fullOut)
 
 	k := S / 2 // resume from the snapshot taken after superstep k
-	res := base
-	res.resume = filepath.Join(dir, pregel.SnapshotFileName(k))
-	out := capture(t, func() error { return run(context.Background(), res) })
+	out := mustRun(t, with(base, "-resume", filepath.Join(dir, pregel.SnapshotFileName(k)))...)
 	if got, want := superstepsOf(t, out), S-(k+1); got != want {
 		t.Errorf("resumed run took %d supersteps, want %d", got, want)
 	}
@@ -347,12 +323,10 @@ func TestRunCheckpointResumeDeterministic(t *testing.T) {
 // fails but prints the abort snapshot's path, and resuming from that path
 // completes the computation with values identical to an uninterrupted run.
 func TestRunInterruptResume(t *testing.T) {
-	base := runConfig{
-		mode: "dv", progName: "pagerank", gen: "rmat:13:8", seed: 6,
-		workers: 2, combine: true, show: "vl", top: 5, params: cli.ParamFlags{},
-	}
+	base := []string{"-program", "pagerank", "-gen", "rmat:13:8", "-directed=false", "-seed", "6",
+		"-workers", "2", "-show", "vl", "-top", "5"}
 	began := time.Now()
-	fullOut := capture(t, func() error { return run(context.Background(), base) })
+	fullOut := mustRun(t, base...)
 	full := time.Since(began)
 	S := superstepsOf(t, fullOut)
 	wantTop := topBlock(t, fullOut)
@@ -366,10 +340,7 @@ func TestRunInterruptResume(t *testing.T) {
 	var early, late time.Duration // largest too-early, smallest too-late
 	timeout := full / 2
 	for attempt := 0; attempt < 40 && snapPath == ""; attempt++ {
-		cfg := base
-		cfg.ckptDir = t.TempDir()
-		cfg.timeout = timeout
-		out, err := captureErr(t, func() error { return run(context.Background(), cfg) })
+		out, err := runArgs(t, with(base, "-checkpoint-dir", t.TempDir(), "-timeout", timeout.String())...)
 		switch {
 		case err == nil:
 			late = timeout
@@ -403,9 +374,7 @@ func TestRunInterruptResume(t *testing.T) {
 	if _, err := fmt.Sscanf(filepath.Base(snapPath), "snap-%d.dvsnap", &k); err != nil {
 		t.Fatalf("cannot parse superstep from %q: %v", snapPath, err)
 	}
-	res := base
-	res.resume = snapPath
-	out := capture(t, func() error { return run(context.Background(), res) })
+	out := mustRun(t, with(base, "-resume", snapPath)...)
 	if got, want := superstepsOf(t, out), S-(k+1); got != want {
 		t.Errorf("resumed run took %d supersteps, want %d (snapshot at superstep %d of %d)", got, want, k, S)
 	}
@@ -423,27 +392,13 @@ func TestRunInterruptResume(t *testing.T) {
 func TestRunWarmStartDeltaRecompute(t *testing.T) {
 	// A directed path is the worst case for a from-scratch SSSP wave and
 	// keeps the repair wave local to the shortcut's downstream suffix.
-	el := filepath.Join(t.TempDir(), "chain.el")
-	fh, err := os.Create(el)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.WriteEdgeList(fh, graph.Path(120, true)); err != nil {
-		t.Fatal(err)
-	}
-	fh.Close()
-
+	el := writeEdgeList(t, graph.Path(120, true))
 	dir := t.TempDir()
-	base := runConfig{
-		mode: "dv", progName: "sssp", edges: el, directed: true,
-		workers: 2, combine: true, show: "dist", top: 5,
-		params: cli.ParamFlags{"src": 0},
-	}
+	base := []string{"-program", "sssp", "-edges", el, "-workers", "2",
+		"-show", "dist", "-top", "5", "-param", "src=0"}
 
 	// Seed run on the pre-mutation graph, keeping the terminal snapshot.
-	seed := base
-	seed.ckptDir = dir
-	seedOut := capture(t, func() error { return run(context.Background(), seed) })
+	seedOut := mustRun(t, with(base, "-checkpoint-dir", dir)...)
 	snapPath := checkpointPathFrom(seedOut)
 	if snapPath == "" {
 		t.Fatalf("seed run printed no checkpoint line:\n%s", seedOut)
@@ -455,17 +410,12 @@ func TestRunWarmStartDeltaRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scratch := base
-	scratch.mutations = mut
-	scratchOut := capture(t, func() error { return run(context.Background(), scratch) })
+	scratchOut := mustRun(t, with(base, "-mutations", mut)...)
 	if !strings.Contains(scratchOut, "arc changes") || !strings.Contains(scratchOut, "from scratch") {
 		t.Fatalf("scratch mutated run missing mutations line:\n%s", scratchOut)
 	}
 
-	warm := base
-	warm.mutations = mut
-	warm.warmStart = snapPath
-	warmOut := capture(t, func() error { return run(context.Background(), warm) })
+	warmOut := mustRun(t, with(base, "-mutations", mut, "-warm-start", snapPath)...)
 	if !strings.Contains(warmOut, "delta-recompute from "+snapPath) {
 		t.Fatalf("warm run missing delta-recompute marker:\n%s", warmOut)
 	}
@@ -484,15 +434,9 @@ func TestRunWarmStartDeltaRecompute(t *testing.T) {
 // tip and reproduces the same values with zero supersteps left to execute.
 func TestRunCheckpointIncrementalResume(t *testing.T) {
 	dir := t.TempDir()
-	base := runConfig{
-		mode: "dv", progName: "pagerank", gen: "rmat:8:6", seed: 5,
-		workers: 2, combine: true, show: "vl", top: 5, params: cli.ParamFlags{},
-	}
-	full := base
-	full.ckptDir = dir
-	full.ckptEvery = 1
-	full.ckptIncremental = true
-	fullOut := capture(t, func() error { return run(context.Background(), full) })
+	base := []string{"-program", "pagerank", "-gen", "rmat:8:6", "-directed=false", "-seed", "5",
+		"-workers", "2", "-show", "vl", "-top", "5"}
+	fullOut := mustRun(t, with(base, "-checkpoint-dir", dir, "-checkpoint-every", "1", "-checkpoint-incremental")...)
 	if p := checkpointPathFrom(fullOut); !strings.HasPrefix(p, dir) {
 		t.Fatalf("checkpoint line %q does not point into the chain directory %q", p, dir)
 	}
@@ -501,9 +445,7 @@ func TestRunCheckpointIncrementalResume(t *testing.T) {
 	}
 	wantTop := topBlock(t, fullOut)
 
-	res := base
-	res.resume = dir
-	out := capture(t, func() error { return run(context.Background(), res) })
+	out := mustRun(t, with(base, "-resume", dir)...)
 	if !strings.Contains(out, "resume: chain "+dir) {
 		t.Fatalf("chain resume line missing:\n%s", out)
 	}
@@ -516,14 +458,9 @@ func TestRunCheckpointIncrementalResume(t *testing.T) {
 		t.Errorf("chain-resumed values differ from the uninterrupted run:\ngot:\n%swant:\n%s", got, wantTop)
 	}
 
-	// Resuming mid-chain still works through the ordinary snapshot path once
-	// the chain is replayed externally, but pointing -resume at a random
-	// file inside the chain directory must fail decode, not silently load.
-	if _, err := captureErr(t, func() error {
-		bad := base
-		bad.resume = filepath.Join(dir, pregel.ChainManifestName)
-		return run(context.Background(), bad)
-	}); err == nil {
+	// Pointing -resume at a random file inside the chain directory must
+	// fail decode, not silently load.
+	if _, err := runArgs(t, with(base, "-resume", filepath.Join(dir, pregel.ChainManifestName))...); err == nil {
 		t.Fatal("resuming from the raw manifest file succeeded, want decode error")
 	}
 }
@@ -533,11 +470,7 @@ func TestRunCheckpointIncrementalResume(t *testing.T) {
 func TestRunResumeRefusesV1Files(t *testing.T) {
 	v1 := filepath.Join("..", "..", "internal", "pregel", "testdata", "v1")
 	for _, resume := range []string{filepath.Join(v1, "snap.dvsnap"), filepath.Join(v1, "chain")} {
-		cfg := runConfig{
-			mode: "dv", progName: "sssp", gen: "grid:3:3", workers: 1, combine: true,
-			params: cli.ParamFlags{}, resume: resume,
-		}
-		_, err := captureErr(t, func() error { return run(context.Background(), cfg) })
+		_, err := runArgs(t, "-program", "sssp", "-gen", "grid:3:3", "-workers", "1", "-resume", resume)
 		if !errors.Is(err, pregel.ErrSnapshotVersion) || errors.Is(err, pregel.ErrSnapshotMismatch) {
 			t.Errorf("-resume %s: err = %v, want ErrSnapshotVersion (and not ErrSnapshotMismatch)", resume, err)
 		}
@@ -578,12 +511,9 @@ func TestRunResumeServedChain(t *testing.T) {
 	want := dist[63]
 	srv.Close()
 
-	base := runConfig{
-		mode: "dv", progName: "sssp", gen: boot.Gen, seed: boot.Seed, directed: true,
-		workers: 2, combine: true, show: "dist", top: 64, resume: dir,
-		params: cli.ParamFlags{"src": 0},
-	}
-	out := capture(t, func() error { return run(context.Background(), base) })
+	base := []string{"-program", "sssp", "-gen", boot.Gen, "-workers", "2",
+		"-show", "dist", "-top", "64", "-resume", dir, "-param", "src=0"}
+	out := mustRun(t, with(base, "-seed", strconv.FormatInt(boot.Seed, 10))...)
 	if !strings.Contains(out, "1 mutation logs") || superstepsOf(t, out) != 0 {
 		t.Fatalf("chain resume did not replay one log with zero supersteps:\n%s", out)
 	}
@@ -591,9 +521,8 @@ func TestRunResumeServedChain(t *testing.T) {
 		t.Fatalf("resumed values miss the served dist[63] = %g:\n%s", want, out)
 	}
 
-	wrong := base
-	wrong.seed = boot.Seed + 1 // same shape, different weights
-	_, err = captureErr(t, func() error { return run(context.Background(), wrong) })
+	// Same shape, different weights.
+	_, err = runArgs(t, with(base, "-seed", strconv.FormatInt(boot.Seed+1, 10))...)
 	if err == nil || !errors.Is(err, pregel.ErrSnapshotMismatch) || !strings.Contains(err.Error(), "mutation log 0") {
 		t.Fatalf("wrong boot graph: err = %v, want ErrSnapshotMismatch naming mutation log 0", err)
 	}
@@ -605,25 +534,11 @@ func TestRunResumeServedChain(t *testing.T) {
 // by the repair superstep). The warm values must match a from-scratch run
 // on the grown graph.
 func TestRunWarmStartVertexGrowth(t *testing.T) {
-	el := filepath.Join(t.TempDir(), "chain.el")
-	fh, err := os.Create(el)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := graph.WriteEdgeList(fh, graph.Path(120, true)); err != nil {
-		t.Fatal(err)
-	}
-	fh.Close()
-
+	el := writeEdgeList(t, graph.Path(120, true))
 	dir := t.TempDir()
-	base := runConfig{
-		mode: "dv", progName: "sssp", edges: el, directed: true,
-		workers: 2, combine: true, show: "dist", top: 5,
-		params: cli.ParamFlags{"src": 0},
-	}
-	seed := base
-	seed.ckptDir = dir
-	seedOut := capture(t, func() error { return run(context.Background(), seed) })
+	base := []string{"-program", "sssp", "-edges", el, "-workers", "2",
+		"-show", "dist", "-top", "5", "-param", "src=0"}
+	seedOut := mustRun(t, with(base, "-checkpoint-dir", dir)...)
 	snapPath := checkpointPathFrom(seedOut)
 	if snapPath == "" {
 		t.Fatalf("seed run printed no checkpoint line:\n%s", seedOut)
@@ -636,17 +551,12 @@ func TestRunWarmStartVertexGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	scratch := base
-	scratch.mutations = mut
-	scratchOut := capture(t, func() error { return run(context.Background(), scratch) })
+	scratchOut := mustRun(t, with(base, "-mutations", mut)...)
 	if !strings.Contains(scratchOut, "2 new vertices") {
 		t.Fatalf("scratch run missing the new-vertex count:\n%s", scratchOut)
 	}
 
-	warm := base
-	warm.mutations = mut
-	warm.warmStart = snapPath
-	warmOut := capture(t, func() error { return run(context.Background(), warm) })
+	warmOut := mustRun(t, with(base, "-mutations", mut, "-warm-start", snapPath)...)
 	if !strings.Contains(warmOut, "delta-recompute from "+snapPath) {
 		t.Fatalf("warm run missing delta-recompute marker:\n%s", warmOut)
 	}
@@ -669,14 +579,8 @@ func TestRunWarmStartGrowthRejectedByVerdict(t *testing.T) {
 	if err := os.WriteFile(f, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	base := runConfig{
-		mode: "dv", file: f, gen: "grid:8:8", seed: 1,
-		combine: true, params: cli.ParamFlags{},
-	}
-	dir := t.TempDir()
-	seed := base
-	seed.ckptDir = dir
-	seedOut := capture(t, func() error { return run(context.Background(), seed) })
+	base := []string{"-file", f, "-gen", "grid:8:8"}
+	seedOut := mustRun(t, with(base, "-checkpoint-dir", t.TempDir())...)
 	snapPath := checkpointPathFrom(seedOut)
 	if snapPath == "" {
 		t.Fatalf("seed run printed no checkpoint line:\n%s", seedOut)
@@ -686,10 +590,7 @@ func TestRunWarmStartGrowthRejectedByVerdict(t *testing.T) {
 	if err := os.WriteFile(mut, []byte("addv 1\nadd 0 64\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg := base
-	cfg.mutations = mut
-	cfg.warmStart = snapPath
-	_, err := captureErr(t, func() error { return run(context.Background(), cfg) })
+	_, err := runArgs(t, with(base, "-mutations", mut, "-warm-start", snapPath)...)
 	if !errors.Is(err, pregel.ErrSnapshotMismatch) || !strings.Contains(err.Error(), "added 1 vertices") {
 		t.Fatalf("err = %v, want the vertex-add verdict rejection", err)
 	}
@@ -698,29 +599,18 @@ func TestRunWarmStartGrowthRejectedByVerdict(t *testing.T) {
 // TestRunMutationErrorPaths covers the new flag validation and the
 // planner's rejection surfacing through the CLI.
 func TestRunMutationErrorPaths(t *testing.T) {
-	ctx := context.Background()
-	base := runConfig{
-		mode: "dv", progName: "sssp", gen: "grid:5:5", seed: 1,
-		combine: true, params: cli.ParamFlags{"src": 0},
-	}
+	base := []string{"-program", "sssp", "-gen", "grid:5:5", "-param", "src=0"}
 	// -warm-start without -mutations.
-	cfg := base
-	cfg.warmStart = "snap.dvsnap"
-	if err := run(ctx, cfg); err == nil || !strings.Contains(err.Error(), "-mutations") {
+	if _, err := runArgs(t, with(base, "-warm-start", "snap.dvsnap")...); err == nil || !strings.Contains(err.Error(), "-mutations") {
 		t.Fatalf("err = %v, want -mutations requirement", err)
 	}
 	// -warm-start with -resume.
-	cfg = base
-	cfg.mutations = "edits.dvdelta"
-	cfg.warmStart = "snap.dvsnap"
-	cfg.resume = "snap.dvsnap"
-	if err := run(ctx, cfg); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+	_, err := runArgs(t, with(base, "-mutations", "edits.dvdelta", "-warm-start", "snap.dvsnap", "-resume", "snap.dvsnap")...)
+	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("err = %v, want mutual-exclusion error", err)
 	}
 	// Missing mutation log.
-	cfg = base
-	cfg.mutations = "/nonexistent.dvdelta"
-	if err := run(ctx, cfg); err == nil {
+	if _, err := runArgs(t, with(base, "-mutations", "/nonexistent.dvdelta")...); err == nil {
 		t.Fatal("missing mutation log succeeded")
 	}
 	// Missing warm-start snapshot.
@@ -728,77 +618,47 @@ func TestRunMutationErrorPaths(t *testing.T) {
 	if err := os.WriteFile(mut, []byte("add 0 3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg = base
-	cfg.mutations = mut
-	cfg.warmStart = "/nonexistent.dvsnap"
-	if err := run(ctx, cfg); err == nil {
+	if _, err := runArgs(t, with(base, "-mutations", mut, "-warm-start", "/nonexistent.dvsnap")...); err == nil {
 		t.Fatal("missing warm-start snapshot succeeded")
 	}
 	// Removing an edge loosens a min input that sssp's self-clamping
 	// body (`dist = min dist d`) could never unwind: the planner must
 	// reject it with the rerun-from-scratch diagnostic.
-	dir := t.TempDir()
-	seed := base
-	seed.ckptDir = dir
-	seedOut := capture(t, func() error { return run(ctx, seed) })
+	seedOut := mustRun(t, with(base, "-checkpoint-dir", t.TempDir())...)
 	snapPath := checkpointPathFrom(seedOut)
 	del := filepath.Join(t.TempDir(), "del.dvdelta")
 	if err := os.WriteFile(del, []byte("del 0 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg = base
-	cfg.mutations = del
-	cfg.warmStart = snapPath
-	if err := run(ctx, cfg); err == nil || !strings.Contains(err.Error(), "pin the stale fixpoint") {
+	_, err = runArgs(t, with(base, "-mutations", del, "-warm-start", snapPath)...)
+	if err == nil || !strings.Contains(err.Error(), "pin the stale fixpoint") {
 		t.Fatalf("err = %v, want min-loosening rejection", err)
 	}
 }
 
 // TestRunCheckpointErrorPaths covers flag validation and resume rejection.
 func TestRunCheckpointErrorPaths(t *testing.T) {
-	ctx := context.Background()
+	base := []string{"-program", "pagerank", "-gen", "grid:3:3"}
 	// -checkpoint-every without -checkpoint-dir is a flag error.
-	err := run(ctx, runConfig{
-		mode: "dv", progName: "pagerank", gen: "grid:3:3",
-		combine: true, ckptEvery: 2, params: cli.ParamFlags{},
-	})
-	if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
+	if _, err := runArgs(t, with(base, "-checkpoint-every", "2")...); err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 		t.Fatalf("err = %v, want -checkpoint-dir requirement", err)
 	}
 	// -checkpoint-incremental without -checkpoint-dir likewise.
-	err = run(ctx, runConfig{
-		mode: "dv", progName: "pagerank", gen: "grid:3:3",
-		combine: true, ckptIncremental: true, params: cli.ParamFlags{},
-	})
-	if err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
+	if _, err := runArgs(t, with(base, "-checkpoint-incremental")...); err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 		t.Fatalf("err = %v, want -checkpoint-dir requirement for -checkpoint-incremental", err)
 	}
 	// -resume with a missing file.
-	err = run(ctx, runConfig{
-		mode: "dv", progName: "pagerank", gen: "grid:3:3",
-		combine: true, resume: "/nonexistent.dvsnap", params: cli.ParamFlags{},
-	})
-	if err == nil {
+	if _, err := runArgs(t, with(base, "-resume", "/nonexistent.dvsnap")...); err == nil {
 		t.Fatal("resume from missing file succeeded")
 	}
 	// -resume against a different graph: fingerprint mismatch.
 	dir := t.TempDir()
-	_ = capture(t, func() error {
-		return run(ctx, runConfig{
-			mode: "dv", progName: "pagerank", gen: "grid:5:5", seed: 1,
-			combine: true, ckptDir: dir, ckptEvery: 1, params: cli.ParamFlags{},
-		})
-	})
+	mustRun(t, "-program", "pagerank", "-gen", "grid:5:5", "-checkpoint-dir", dir, "-checkpoint-every", "1")
 	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.dvsnap"))
 	if err != nil || len(snaps) == 0 {
 		t.Fatalf("no snapshots written: %v %v", snaps, err)
 	}
-	_, err = captureErr(t, func() error {
-		return run(ctx, runConfig{
-			mode: "dv", progName: "pagerank", gen: "grid:6:6", seed: 1,
-			combine: true, resume: snaps[0], params: cli.ParamFlags{},
-		})
-	})
+	_, err = runArgs(t, "-program", "pagerank", "-gen", "grid:6:6", "-resume", snaps[0])
 	if !errors.Is(err, pregel.ErrSnapshotMismatch) {
 		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
 	}

@@ -67,6 +67,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -74,49 +75,25 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/core"
-	"repro/internal/pregel"
-	"repro/internal/programs"
 	"repro/internal/serve"
 )
 
-// flagVals holds the parsed flag values; registerFlags binds them onto a
-// FlagSet so tests can enumerate the registered flags and check them
-// against the doc comment above.
-type flagVals struct {
-	mode, progName, file string
-	dataset, edges, gen  string
-	graphFormat, repr    string
-	directed             bool
-	seed                 int64
-	workers              int
-	queue, combine       bool
-	epsilon              float64
+// flags holds the parsed flag values: the front end dvserve shares with
+// dvrun, and dvserve's own. registerFlags binds them onto a FlagSet so
+// tests can enumerate the registered flags and check them against the doc
+// comment above.
+type flags struct {
+	*cli.Flags
 	addr                 string
 	batchInterval        time.Duration
 	maxBatch, maxPending int
 	noQuarantine         bool
 	chainDir             string
 	repairBudget         float64
-	params               cli.ParamFlags
 }
 
-func registerFlags(fs *flag.FlagSet) *flagVals {
-	v := &flagVals{params: cli.ParamFlags{}}
-	fs.StringVar(&v.mode, "mode", "dv", "compile mode: dv, dvstar, memotable")
-	fs.StringVar(&v.progName, "program", "", "embedded program name")
-	fs.StringVar(&v.file, "file", "", "ΔV source file")
-	fs.StringVar(&v.dataset, "dataset", "", "stand-in dataset name")
-	fs.StringVar(&v.edges, "edges", "", "edge-list file")
-	fs.BoolVar(&v.directed, "directed", true, "treat -edges input as directed")
-	fs.StringVar(&v.gen, "gen", "", "generator spec (rmat:scale:ef, ba:n:k, er:n:m, grid:r:c, ws:n:k:beta)")
-	fs.StringVar(&v.graphFormat, "graph-format", "auto", "-edges file format: auto (sniff), el (text edge list), dvg (DVGRAF binary)")
-	fs.StringVar(&v.repr, "repr", "flat", "in-memory graph representation: flat, compact, mmap (mmap needs a DVGRAF -edges file)")
-	fs.Int64Var(&v.seed, "seed", 1, "generator seed")
-	fs.IntVar(&v.workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	fs.BoolVar(&v.queue, "queue", false, "use the work-queue (halt-by-default) scheduler")
-	fs.BoolVar(&v.combine, "combine", true, "enable message combiners")
-	fs.Float64Var(&v.epsilon, "epsilon", 0, "allowable-slop ε (§9)")
+func registerFlags(fs *flag.FlagSet) *flags {
+	v := &flags{Flags: cli.Register(fs)}
 	fs.StringVar(&v.addr, "addr", "127.0.0.1:7473", "HTTP listen address")
 	fs.DurationVar(&v.batchInterval, "batch-interval", 3*time.Second, "periodic mutation-batch repair cadence (0 = only -max-batch / POST /flush)")
 	fs.IntVar(&v.maxBatch, "max-batch", 0, "repair as soon as this many mutations are pending (0 = max-pending)")
@@ -124,7 +101,6 @@ func registerFlags(fs *flag.FlagSet) *flagVals {
 	fs.BoolVar(&v.noQuarantine, "no-quarantine", false, "abort on vertex-program panics instead of quarantining the vertex")
 	fs.StringVar(&v.chainDir, "chain-dir", "", "checkpoint-chain directory: persist every published version and resume from it on restart")
 	fs.Float64Var(&v.repairBudget, "repair-budget", 0, "abandon a repair past ceil(f × supersteps) body supersteps and recompute from scratch (0 = unbounded)")
-	fs.Var(v.params, "param", "program parameter override, name=value (repeatable)")
 	return v
 }
 
@@ -143,61 +119,26 @@ func main() {
 
 // run builds the server and serves until ctx is cancelled. The listening
 // line is written to out once the socket is bound.
-func run(ctx context.Context, v *flagVals, out *os.File) error {
-	var mode core.Mode
-	switch v.mode {
-	case "dv":
-		mode = core.Incremental
-	case "dvstar":
-		mode = core.Baseline
-	case "memotable":
-		mode = core.MemoTable
-	default:
-		return fmt.Errorf("unknown mode %q", v.mode)
-	}
-	var src string
-	switch {
-	case v.progName != "":
-		s, err := programs.Source(v.progName)
-		if err != nil {
-			return err
-		}
-		src = s
-	case v.file != "":
-		b, err := os.ReadFile(v.file)
-		if err != nil {
-			return err
-		}
-		src = string(b)
-	default:
-		return fmt.Errorf("need -program or -file")
-	}
-	prog, err := core.Compile(src, core.Options{Mode: mode, Epsilon: v.epsilon})
+func run(ctx context.Context, v *flags, out io.Writer) error {
+	prog, _, err := v.Compile()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(out, prog.Repairability())
-	g, err := cli.GraphSource{
-		Dataset: v.dataset, Edges: v.edges, Gen: v.gen, Directed: v.directed, Seed: v.seed,
-		Format: v.graphFormat, Repr: v.repr,
-	}.Load()
+	g, err := v.Graph.Load()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "graph: n=%d arcs=%d repr=%s bytes=%d\n",
 		g.NumVertices(), g.NumArcs(), g.Repr(), g.ArcBytes())
 
-	sched := pregel.ScanAll
-	if v.queue {
-		sched = pregel.WorkQueue
-	}
 	srv, err := serve.New(ctx, serve.Config{
 		Prog:          prog,
 		Graph:         g,
-		Params:        v.params,
-		Workers:       v.workers,
-		Scheduler:     sched,
-		Combine:       v.combine,
+		Params:        v.Params,
+		Workers:       v.Workers,
+		Scheduler:     v.Scheduler(),
+		Combine:       v.Combine,
 		Quarantine:    !v.noQuarantine,
 		MaxPending:    v.maxPending,
 		MaxBatch:      v.maxBatch,

@@ -2,12 +2,11 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/cli"
 )
 
 // TestDocCommentListsAllFlags guards against doc drift: every flag
@@ -32,56 +31,60 @@ func TestDocCommentListsAllFlags(t *testing.T) {
 	})
 }
 
-func TestRegisterFlagsRoundTrip(t *testing.T) {
+// parse builds flag values from CLI-style arguments through the same
+// wiring main uses.
+func parse(t *testing.T, args ...string) *flags {
+	t.Helper()
 	fs := flag.NewFlagSet("dvserve", flag.ContinueOnError)
 	vals := registerFlags(fs)
-	if err := fs.Parse([]string{
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	return vals
+}
+
+func TestRegisterFlagsRoundTrip(t *testing.T) {
+	vals := parse(t,
 		"-mode", "memotable", "-program", "pagerank", "-gen", "rmat:5:4",
 		"-addr", "127.0.0.1:0", "-batch-interval", "150ms",
 		"-max-batch", "8", "-max-pending", "64", "-no-quarantine",
 		"-param", "src=3", "-queue",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if vals.mode != "memotable" || vals.progName != "pagerank" || vals.gen != "rmat:5:4" {
+	)
+	if vals.Mode != "memotable" || vals.ProgName != "pagerank" || vals.Graph.Gen != "rmat:5:4" {
 		t.Fatalf("vals = %+v", vals)
 	}
 	if vals.addr != "127.0.0.1:0" || vals.batchInterval != 150*time.Millisecond {
 		t.Fatalf("vals = %+v", vals)
 	}
-	if vals.maxBatch != 8 || vals.maxPending != 64 || !vals.noQuarantine || !vals.queue {
+	if vals.maxBatch != 8 || vals.maxPending != 64 || !vals.noQuarantine || !vals.Queue {
 		t.Fatalf("vals = %+v", vals)
 	}
-	if vals.params["src"] != 3 {
-		t.Fatalf("params = %v", vals.params)
+	if vals.Params["src"] != 3 {
+		t.Fatalf("params = %v", vals.Params)
 	}
 }
 
 // TestRunErrorPaths covers the CLI-boundary failures that must be caught
 // before a listener is opened.
 func TestRunErrorPaths(t *testing.T) {
-	cases := []*flagVals{
-		{mode: "dv", params: cli.ParamFlags{}},                                                      // no program
-		{mode: "bogus", progName: "sssp", gen: "grid:3:3", params: cli.ParamFlags{}},                // bad mode
-		{mode: "dv", progName: "sssp", params: cli.ParamFlags{}},                                    // no graph
-		{mode: "dv", progName: "sssp", gen: "bogus:1", params: cli.ParamFlags{}},                    // bad generator
-		{mode: "dv", progName: "nope", gen: "grid:3:3", params: cli.ParamFlags{}},                   // unknown program
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", params: cli.ParamFlags{"q": 1}},             // unknown param
-		{mode: "dv", progName: "sssp", edges: "/nonexistent", params: cli.ParamFlags{}},             // missing file
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", dataset: "x", params: cli.ParamFlags{}},     // two sources
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", repr: "mmap", params: cli.ParamFlags{}},     // mmap needs dvg
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", repr: "bogus", params: cli.ParamFlags{}},    // bad repr
-		{mode: "dv", file: "/nonexistent.dv", gen: "grid:3:3", params: cli.ParamFlags{}},            // missing source file
-		{mode: "dv", progName: "sssp", gen: "grid:3:3", addr: "bogus:::", params: cli.ParamFlags{}}, // bad listen addr
+	cases := [][]string{
+		{}, // no program
+		{"-mode", "bogus", "-program", "sssp", "-gen", "grid:3:3"}, // bad mode
+		{"-program", "sssp"},                                          // no graph
+		{"-program", "sssp", "-gen", "bogus:1"},                       // bad generator
+		{"-program", "sssp", "-gen", "grid:3"},                        // short generator spec
+		{"-program", "nope", "-gen", "grid:3:3"},                      // unknown program
+		{"-program", "sssp", "-gen", "grid:3:3", "-param", "q=1"},     // unknown param
+		{"-program", "sssp", "-edges", "/nonexistent"},                // missing file
+		{"-program", "sssp", "-gen", "grid:3:3", "-dataset", "x"},     // two sources
+		{"-program", "sssp", "-gen", "grid:3:3", "-repr", "mmap"},     // mmap needs dvg
+		{"-program", "sssp", "-gen", "grid:3:3", "-repr", "bogus"},    // bad repr
+		{"-file", "/nonexistent.dv", "-gen", "grid:3:3"},              // missing source file
+		{"-program", "sssp", "-gen", "grid:3:3", "-addr", "bogus:::"}, // bad listen addr
 	}
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	for i, v := range cases {
-		if err := run(t.Context(), v, null); err == nil {
-			t.Fatalf("case %d: run succeeded, want error", i)
+	for i, args := range cases {
+		if err := run(t.Context(), parse(t, args...), io.Discard); err == nil {
+			t.Fatalf("case %d %v: run succeeded, want error", i, args)
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 
 // The reference algorithms sharded across a 2-engine socket mesh must
 // produce bit-identical values and merged stats versus the in-process
-// run with the same total worker count. cmd/dvshard hosts the same
-// configuration as two real processes; these tests pin the semantics.
+// run with the same total worker count. The repo benchmark's
+// shard2-dense workload runs the same configuration over the wire.
 
 const shardTestWorkers = 4
 

@@ -1,16 +1,126 @@
-// Package cli holds what the dvrun, dvserve and dvshard commands share:
-// resolving the graph-source flags into a loaded graph, and the repeatable
-// name=value parameter flag.
+// Package cli is the front end dvrun and dvserve share: the flags that
+// name a program, its compile mode and parameters, the graph it runs on
+// and the engine's scheduling, and their resolution into a compiled
+// program, a loaded graph and a scheduler.
 package cli
 
 import (
+	"flag"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/pregel"
+	"repro/internal/programs"
 )
+
+// Flags holds the values of the shared flags.
+type Flags struct {
+	Mode     string // -mode: dv, dvstar, memotable
+	ProgName string // -program: embedded program name
+	File     string // -file: ΔV source file
+	Epsilon  float64
+	Params   ParamFlags
+	Graph    GraphSource
+	Workers  int
+	Queue    bool // -queue: the work-queue scheduler
+	Combine  bool
+}
+
+// Register binds the shared flags onto fs.
+func Register(fs *flag.FlagSet) *Flags {
+	f := &Flags{Params: ParamFlags{}}
+	fs.StringVar(&f.Mode, "mode", "dv", "compile mode: dv, dvstar, memotable")
+	fs.StringVar(&f.ProgName, "program", "", "embedded program name")
+	fs.StringVar(&f.File, "file", "", "ΔV source file")
+	fs.Float64Var(&f.Epsilon, "epsilon", 0, "allowable-slop ε (§9)")
+	fs.Var(f.Params, "param", "program parameter override, name=value (repeatable)")
+	fs.StringVar(&f.Graph.Dataset, "dataset", "", "stand-in dataset name")
+	fs.StringVar(&f.Graph.Edges, "edges", "", "edge-list file")
+	fs.BoolVar(&f.Graph.Directed, "directed", true, "treat -edges input as directed")
+	fs.StringVar(&f.Graph.Gen, "gen", "", "generator spec (rmat:scale:ef, ba:n:k, er:n:m, grid:r:c, ws:n:k:beta)")
+	fs.Int64Var(&f.Graph.Seed, "seed", 1, "generator seed")
+	fs.StringVar(&f.Graph.Format, "graph-format", "auto", "-edges file format: auto (sniff), el (text edge list), dvg (DVGRAF binary)")
+	fs.StringVar(&f.Graph.Repr, "repr", "flat", "in-memory graph representation: flat, compact, mmap (mmap needs a DVGRAF -edges file)")
+	fs.IntVar(&f.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	fs.BoolVar(&f.Queue, "queue", false, "use the work-queue (halt-by-default) scheduler")
+	fs.BoolVar(&f.Combine, "combine", true, "enable message combiners")
+	return f
+}
+
+// Compile reads the program -program or -file names and compiles it in
+// the -mode and with the -epsilon given. It returns the source text too,
+// for Fingerprint.
+func (f *Flags) Compile() (*core.Program, string, error) {
+	mode, err := ParseMode(f.Mode)
+	if err != nil {
+		return nil, "", err
+	}
+	var src string
+	switch {
+	case f.ProgName != "":
+		if src, err = programs.Source(f.ProgName); err != nil {
+			return nil, "", err
+		}
+	case f.File != "":
+		b, err := os.ReadFile(f.File)
+		if err != nil {
+			return nil, "", err
+		}
+		src = string(b)
+	default:
+		return nil, "", fmt.Errorf("need -program or -file")
+	}
+	prog, err := core.Compile(src, core.Options{Mode: mode, Epsilon: f.Epsilon})
+	return prog, src, err
+}
+
+// Scheduler is the engine scheduler -queue selects.
+func (f *Flags) Scheduler() pregel.Scheduler {
+	if f.Queue {
+		return pregel.WorkQueue
+	}
+	return pregel.ScanAll
+}
+
+// Fingerprint identifies a run: g's fingerprint mixed with a hash of the
+// program source and every flag that changes what the run computes or
+// how its workers split the graph (mode, ε, the parameters in name
+// order, workers, scheduler, combine). Shards of one run exchange it at
+// the mesh hello, so shards configured differently refuse to start.
+func (f *Flags) Fingerprint(src string, g *graph.Graph) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%016x %d:%s %s %x", g.Fingerprint(), len(src), src, f.Mode, math.Float64bits(f.Epsilon))
+	names := make([]string, 0, len(f.Params))
+	for k := range f.Params {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		fmt.Fprintf(h, " %s=%x", k, math.Float64bits(f.Params[k]))
+	}
+	fmt.Fprintf(h, " workers=%d sched=%d combine=%t", f.Workers, f.Scheduler(), f.Combine)
+	return h.Sum64()
+}
+
+// ParseMode maps a -mode value to its compile mode.
+func ParseMode(s string) (core.Mode, error) {
+	switch s {
+	case "dv":
+		return core.Incremental, nil
+	case "dvstar":
+		return core.Baseline, nil
+	case "memotable":
+		return core.MemoTable, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want dv, dvstar, memotable)", s)
+}
 
 // ParamFlags is a repeatable -param name=value flag.
 type ParamFlags map[string]float64
@@ -140,33 +250,51 @@ func (s GraphSource) loadMode() (graph.LoadMode, error) {
 }
 
 // generate builds a synthetic graph from a spec: rmat:scale:edgefactor,
-// ba:n:k, er:n:m, grid:rows:cols, ws:n:k:beta.
+// ba:n:k, er:n:m, grid:rows:cols, ws:n:k:beta. Every field must be
+// given and parse: sizes are positive integers, beta a float in [0, 1].
 func generate(spec string, directed bool, seed int64) (*graph.Graph, error) {
 	parts := strings.Split(spec, ":")
-	atoi := func(i int) int {
-		if i >= len(parts) {
-			return 0
-		}
-		v, _ := strconv.Atoi(parts[i])
-		return v
+	fields, ok := map[string]int{"rmat": 2, "ba": 2, "er": 2, "grid": 2, "ws": 3}[parts[0]]
+	if !ok {
+		return nil, fmt.Errorf("unknown generator %q in -gen %q", parts[0], spec)
 	}
+	if len(parts) != fields+1 {
+		return nil, fmt.Errorf("-gen %q: %s takes %d fields, got %d", spec, parts[0], fields, len(parts)-1)
+	}
+	var ints [2]int
+	for i := range ints {
+		v, err := strconv.Atoi(parts[i+1])
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("-gen %q: field %d (%q) is not a positive integer", spec, i+1, parts[i+1])
+		}
+		ints[i] = v
+	}
+	a, b := ints[0], ints[1]
 	switch parts[0] {
 	case "rmat":
-		return graph.RMAT(atoi(1), atoi(2), 0.57, 0.19, 0.19, directed, seed), nil
-	case "ba":
-		return graph.PreferentialAttachment(atoi(1), atoi(2), seed), nil
-	case "er":
-		return graph.ErdosRenyi(atoi(1), atoi(2), directed, seed), nil
-	case "grid":
-		return graph.Grid(atoi(1), atoi(2), 10, seed), nil
-	case "ws":
-		beta := 0.1
-		if len(parts) > 3 {
-			if b, err := strconv.ParseFloat(parts[3], 64); err == nil {
-				beta = b
-			}
+		if a > 30 {
+			return nil, fmt.Errorf("-gen %q: scale %d is past 30", spec, a)
 		}
-		return graph.WattsStrogatz(atoi(1), atoi(2), beta, seed), nil
+		return graph.RMAT(a, b, 0.57, 0.19, 0.19, directed, seed), nil
+	case "ba":
+		return graph.PreferentialAttachment(a, b, seed), nil
+	case "er":
+		// G(n, m) draws m distinct edges; asking for more than exist
+		// would never finish.
+		most := a * (a - 1) // ordered pairs
+		if !directed {
+			most /= 2
+		}
+		if b > most {
+			return nil, fmt.Errorf("-gen %q: %d vertices have only %d distinct edges", spec, a, most)
+		}
+		return graph.ErdosRenyi(a, b, directed, seed), nil
+	case "grid":
+		return graph.Grid(a, b, 10, seed), nil
 	}
-	return nil, fmt.Errorf("unknown generator %q", parts[0])
+	beta, err := strconv.ParseFloat(parts[3], 64)
+	if err != nil || !(beta >= 0 && beta <= 1) {
+		return nil, fmt.Errorf("-gen %q: beta %q is not a float in [0, 1]", spec, parts[3])
+	}
+	return graph.WattsStrogatz(a, b, beta, seed), nil
 }

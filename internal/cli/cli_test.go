@@ -1,8 +1,11 @@
 package cli
 
 import (
+	"flag"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 func TestParamFlagParsing(t *testing.T) {
@@ -70,5 +73,97 @@ func TestLoadRepr(t *testing.T) {
 	}
 	if _, err := (GraphSource{Edges: "g.el", Format: "bogus"}).Load(); err == nil || !strings.Contains(err.Error(), "unknown -graph-format") {
 		t.Fatalf("-graph-format bogus: err = %v", err)
+	}
+}
+
+// TestGenerateSpecs: a -gen spec runs only when every field parses, the
+// field count matches its generator and the sizes are in range; the
+// error names the spec.
+func TestGenerateSpecs(t *testing.T) {
+	cases := []struct {
+		spec string
+		n    int    // vertices when the spec is good
+		want string // error substring when it is not
+	}{
+		{spec: "rmat:4:2", n: 16},
+		{spec: "ba:20:2", n: 20},
+		{spec: "er:10:20", n: 10},
+		{spec: "grid:3:4", n: 12},
+		{spec: "ws:12:4:0.25", n: 12},
+		{spec: "ws:12:4:1", n: 12},
+		{spec: "rmat:x:8", want: "not a positive integer"},
+		{spec: "rmat", want: "takes 2 fields, got 0"},
+		{spec: "rmat:4", want: "takes 2 fields, got 1"},
+		{spec: "rmat:4:2:1", want: "takes 2 fields, got 3"},
+		{spec: "rmat:31:1", want: "past 30"},
+		{spec: "grid:3", want: "takes 2 fields"},
+		{spec: "grid:-3:4", want: "not a positive integer"},
+		{spec: "grid:3:0", want: "not a positive integer"},
+		{spec: "er:-5:3", want: "not a positive integer"},
+		{spec: "er:4:13", want: "only 12 distinct edges"},
+		{spec: "ba:10:2.5", want: "not a positive integer"},
+		{spec: "ws:12:4", want: "takes 3 fields"},
+		{spec: "ws:12:4:x", want: "not a float in [0, 1]"},
+		{spec: "ws:12:4:1.5", want: "not a float in [0, 1]"},
+		{spec: "ws:12:4:NaN", want: "not a float in [0, 1]"},
+		{spec: "bogus:1", want: "unknown generator"},
+	}
+	for _, c := range cases {
+		g, err := GraphSource{Gen: c.spec, Directed: true, Seed: 1}.Load()
+		if c.want == "" {
+			if err != nil || g.NumVertices() != c.n {
+				t.Errorf("-gen %s: n=%v err=%v, want %d vertices", c.spec, g != nil && g.NumVertices() == c.n, err, c.n)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), c.spec) {
+			t.Errorf("-gen %s: err = %v, want %q naming the spec", c.spec, err, c.want)
+		}
+	}
+}
+
+// TestFingerprintSeparatesRuns: every shared flag that changes what a run
+// computes, or how its workers split the graph, changes the fingerprint
+// shards compare at the mesh hello; the order -param flags came in does
+// not.
+func TestFingerprintSeparatesRuns(t *testing.T) {
+	parse := func(args ...string) *Flags {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		f := Register(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	g, err := GraphSource{Gen: "grid:3:3", Seed: 1}.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []string{"-program", "sssp", "-workers", "2", "-param", "src=0", "-param", "x=1"}
+	fp := func(src string, g *graph.Graph, args ...string) uint64 {
+		return parse(append(append([]string{}, base...), args...)...).Fingerprint(src, g)
+	}
+	ref := fp("prog", g)
+	if got := parse("-param", "x=1", "-param", "src=0", "-program", "sssp", "-workers", "2").Fingerprint("prog", g); got != ref {
+		t.Fatal("-param order changed the fingerprint")
+	}
+	g2, err := GraphSource{Gen: "grid:3:3", Seed: 2}.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]uint64{
+		"graph":    fp("prog", g2),
+		"source":   fp("prog2", g),
+		"mode":     fp("prog", g, "-mode", "memotable"),
+		"epsilon":  fp("prog", g, "-epsilon", "1e-9"),
+		"param":    fp("prog", g, "-param", "src=1"),
+		"workers":  fp("prog", g, "-workers", "3"),
+		"queue":    fp("prog", g, "-queue"),
+		"combine":  fp("prog", g, "-combine=false"),
+		"newparam": fp("prog", g, "-param", "y=0"),
+	} {
+		if got == ref {
+			t.Errorf("changing the %s left the fingerprint unchanged", name)
+		}
 	}
 }

@@ -34,8 +34,8 @@ type ShardOptions struct {
 	// Index is this process's shard number, in [0, Count).
 	Index int
 	// Count is the total number of shards. Count == 1 with a Transport
-	// routes the single-process run through it (the dvshard baseline
-	// mode); Count == 1 without one is equivalent to no sharding.
+	// routes the single-process run through it (dvrun -shard 0/1);
+	// Count == 1 without one is equivalent to no sharding.
 	Count int
 	// Transport connects this shard to its peers. The engine does not
 	// close it; the caller owns its lifecycle (and closing it is what

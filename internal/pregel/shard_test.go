@@ -20,7 +20,8 @@ import (
 // total worker count, because the partition math and every float fold
 // order are preserved (stub workers keep the global worker iteration
 // order). These tests host the shards as goroutines of one process
-// over a real unix-socket mesh; cmd/dvshard is the two-process CLI.
+// over a real unix-socket mesh; dvrun -shard i/n -peers is the
+// multi-process CLI.
 
 // shardVal exercises float accumulation so any fold-order divergence
 // shows up as a bit difference.
@@ -494,7 +495,7 @@ func TestUnshardedShardAccessors(t *testing.T) {
 	}
 }
 
-// TestShardedCount1OverSocket: the dvshard baseline mode — one shard on
+// TestShardedCount1OverSocket: dvrun -shard 0/1 — one shard on
 // a socket transport — behaves exactly like an unsharded run.
 func TestShardedCount1OverSocket(t *testing.T) {
 	g := graph.RMAT(6, 4, 0.5, 0.2, 0.2, true, 21)

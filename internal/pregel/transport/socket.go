@@ -220,8 +220,9 @@ func DialMesh(cfg SocketConfig) (*Socket, error) {
 }
 
 // handshake exchanges hello frames on a fresh conn. The dialer speaks
-// first; both directions validate magic, count, and fingerprint.
-// Returns the peer's shard index.
+// first; both directions validate magic, count, and fingerprint. The
+// listener answers even a hello it refuses, so the dialer names the
+// mismatch too instead of reading EOF. Returns the peer's shard index.
 func (s *Socket) handshake(c net.Conn, deadline time.Time, dialer bool) (int, error) {
 	_ = c.SetDeadline(deadline)
 	defer c.SetDeadline(time.Time{})
@@ -257,10 +258,10 @@ func (s *Socket) handshake(c net.Conn, deadline time.Time, dialer bool) (int, er
 		return recv()
 	}
 	peer, err := recv()
-	if err != nil {
-		return 0, err
+	if serr := send(); err == nil {
+		err = serr
 	}
-	return peer, send()
+	return peer, err
 }
 
 func (s *Socket) register(shard int, c net.Conn) {

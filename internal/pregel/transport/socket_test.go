@@ -229,19 +229,12 @@ func TestSocketFingerprintMismatch(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	// Whichever side validates first names the fingerprint and closes the
-	// conn; the other may only observe the resulting EOF. Both must fail.
-	named := false
+	// The listener answers the dialer's hello before refusing it, so both
+	// sides name the fingerprint.
 	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("shard %d formed a mesh despite mismatched fingerprints", i)
+		if err == nil || !strings.Contains(err.Error(), "fingerprint") {
+			t.Fatalf("shard %d: err = %v, want a fingerprint refusal", i, err)
 		}
-		if strings.Contains(err.Error(), "fingerprint") {
-			named = true
-		}
-	}
-	if !named {
-		t.Fatalf("neither error names the fingerprint: %v / %v", errs[0], errs[1])
 	}
 }
 
@@ -266,7 +259,7 @@ func TestSocketCloseUnblocksBarrier(t *testing.T) {
 	}
 }
 
-// TestSocketSingleShard: a 1-shard mesh is legal (dvshard -shards 1)
+// TestSocketSingleShard: a 1-shard mesh is legal (dvrun -shard 0/1)
 // and behaves like Local.
 func TestSocketSingleShard(t *testing.T) {
 	s, err := DialMesh(SocketConfig{Shard: 0, Count: 1, Addrs: []string{"unix:unused"}})

@@ -177,7 +177,7 @@ func run(ctx context.Context, out io.Writer, exp string, runs int) error {
 		}
 	}
 	if want("ablations") {
-		const ds = "livejournal-dg-s"
+		ds := bench.AblationDataset
 		// Each step returns (abort error, render error); the first abort
 		// marks the block and skips the remaining ablations, which share the
 		// cancelled ctx and could only add empty tables.
@@ -187,7 +187,7 @@ func run(ctx context.Context, out io.Writer, exp string, runs int) error {
 				return err, bench.RenderMemoTable(out, mt)
 			},
 			func() (error, error) {
-				eps, err := bench.AblationEpsilon(ctx, ds, []float64{0, 1e-9, 1e-6, 1e-4, 1e-3})
+				eps, err := bench.AblationEpsilon(ctx, ds, bench.AblationEpsilons)
 				return err, bench.RenderEpsilon(out, ds, eps)
 			},
 			func() (error, error) {

@@ -15,6 +15,12 @@ import (
 	"repro/internal/programs"
 )
 
+// AblationDataset is the dataset every ablation runs on, and
+// AblationEpsilons the ε values the slop ablation sweeps.
+const AblationDataset = "livejournal-dg-s"
+
+var AblationEpsilons = []float64{0, 1e-9, 1e-6, 1e-4, 1e-3}
+
 // MemoTableRow compares the §4.2.1 lookup-table strawman against full
 // incrementalization: same meaningful-only message counts, but heavier
 // messages, more per-vertex memory, and a slower refold.

@@ -16,7 +16,9 @@ import (
 // allocates nothing. The method is the engine test's: two runs of one
 // program on one graph that differ only in how many supersteps the limit
 // lets them execute must allocate exactly the same number of objects, so
-// everything per run cancels and anything per superstep shows.
+// everything per run cancels and anything per superstep shows. PageRank and
+// SSSP exchange bare float64 messages; HITS, with two send groups, exchanges
+// Msg[[1]float64], so both message kinds are pinned.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -37,18 +39,29 @@ func TestSteadyStateAllocs(t *testing.T) {
 	// PageRank with until{fixpoint} is done in nine supersteps on this graph
 	// (its ranks are 0.15 plus very little); its buckets, inboxes and queues
 	// are at their largest by superstep 1, so 4 against 7 is steady state.
+	rmat := graph.RMAT(10, 8, 0.57, 0.19, 0.19, true, 7)
+	rmat.BuildReverse()
 	for _, tc := range []struct {
 		name, src   string
 		g           *graph.Graph
 		workers     int
 		short, long int // superstep limits
+		bare        bool
 	}{
-		{"pagerank-fixpoint", prFieldSrc, graph.RMAT(10, 8, 0.57, 0.19, 0.19, true, 7), 4, 4, 7},
-		{"sssp", programs.MustSource("sssp"), b.Finalize(), 2, 12, 24},
+		{"pagerank-fixpoint", prFieldSrc, rmat, 4, 4, 7, true},
+		{"sssp", programs.MustSource("sssp"), b.Finalize(), 2, 12, 24, true},
+		{"hits", programs.MustSource("hits"), rmat, 4, 4, 7, false},
 	} {
 		prog, err := core.Compile(tc.src, core.Options{})
 		if err != nil {
 			t.Fatal(err)
+		}
+		m, err := NewMachine(prog, tc.g, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, bare := m.x.(*exec[float64]); bare != tc.bare {
+			t.Fatalf("%s: bare messages = %v, want %v", tc.name, bare, tc.bare)
 		}
 		for name, sched := range deltaScheds {
 			t.Run(tc.name+"/"+name, func(t *testing.T) {

@@ -268,6 +268,136 @@ func TestRestoreExtraRejectionsTyped(t *testing.T) {
 	}
 }
 
+// midRunSnapshots runs prog with a snapshot at every barrier and returns
+// the run and its snapshots, in superstep order.
+func midRunSnapshots(t *testing.T, m *Machine, g *graph.Graph, opts RunOptions) (*Result, []*pregel.Snapshot) {
+	t.Helper()
+	dir := t.TempDir()
+	opts.Checkpoint = pregel.CheckpointOptions{Every: 1, Dir: dir}
+	res, err := m.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := make([]*pregel.Snapshot, res.Stats.Supersteps)
+	for k := range snaps {
+		if snaps[k], err = pregel.ReadSnapshotFile(filepath.Join(dir, pregel.SnapshotFileName(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return res, snaps
+}
+
+// resumeMatches resumes snap and requires every field bit-identical to want.
+func resumeMatches(t *testing.T, prog *core.Program, g *graph.Graph, opts RunOptions, snap *pregel.Snapshot, want *Result) {
+	t.Helper()
+	out, err := ResumeContext(context.Background(), prog, g, opts, snap)
+	if err != nil {
+		t.Fatalf("superstep %d: resume: %v", snap.Superstep, err)
+	}
+	for _, f := range prog.Layout.Fields {
+		got, _ := out.FieldVector(f.Name)
+		exp, _ := want.FieldVector(f.Name)
+		for u := range exp {
+			if math.Float64bits(got[u]) != math.Float64bits(exp[u]) {
+				t.Fatalf("superstep %d: %s[%d] = %g, want %g", snap.Superstep, f.Name, u, got[u], exp[u])
+			}
+		}
+	}
+}
+
+// TestMessageRecordRejectionsTyped: an inbox record a program cannot have
+// sent — a group it does not have, another slot count, a tag on a slot
+// that carries none, a value past its width — is refused with
+// ErrSnapshotCorrupt instead of being dropped by the receive loop. HITS
+// runs at Msg[P] with two groups, PageRank at bare float64. Shard frames
+// decode with the same codec, so a peer's record is refused the same way.
+func TestMessageRecordRejectionsTyped(t *testing.T) {
+	g := directedTestGraph()
+	opts := RunOptions{Workers: 2}
+	for _, name := range []string{"hits", "pagerank"} {
+		t.Run(name, func(t *testing.T) {
+			prog := compileT(t, name, core.Incremental)
+			m, err := NewMachine(prog, g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, snaps := midRunSnapshots(t, m, g, opts)
+			snap := snaps[1]
+			if len(snap.Inbox) < 40 {
+				t.Fatal("the superstep-1 snapshot holds no message")
+			}
+			resumeMatches(t, prog, g, opts, snap, full)
+			for _, tc := range []struct {
+				name   string
+				at     int
+				forged byte
+			}{
+				{"group 9", 0, 9},
+				{"slot count 2", 1, 2},
+				{"nullary tag", 2, 1},
+				{"previous-nullary tag", 3, 1},
+				{"value past the width", 8 + 8*3 + 7, 0x3f},
+			} {
+				forged := *snap
+				forged.Inbox = append([]byte(nil), snap.Inbox...)
+				forged.Inbox[tc.at] = tc.forged
+				_, err := ResumeContext(context.Background(), prog, g, opts, &forged)
+				if !errors.Is(err, pregel.ErrSnapshotCorrupt) {
+					t.Errorf("%s: resume err = %v, want ErrSnapshotCorrupt", tc.name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestParentRecordsResumeOnBarePath: before bare messages, every record of
+// a one-group program carried its envelope's first sender. A snapshot
+// written that way — here by the same program forced onto Msg[[1]float64] —
+// resumes on the bare path bit-identical to the uninterrupted run, and the
+// forced run computes exactly what the bare one does.
+func TestParentRecordsResumeOnBarePath(t *testing.T) {
+	g := directedTestGraph()
+	for _, tc := range []struct {
+		name   string
+		params map[string]float64
+	}{{"pagerank", nil}, {"sssp", map[string]float64{"src": 5}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := compileT(t, tc.name, core.Incremental)
+			opts := RunOptions{Workers: 3, Params: tc.params, Combine: true}
+			bare, err := Run(prog, g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewMachine(prog, g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := m.x.(*exec[float64]); !ok {
+				t.Fatal("program does not run at bare messages")
+			}
+			rows := groupRows(m)
+			m.x = newExec[Msg[[1]float64]](m, wideKind[[1]float64]{rows}, rows)
+			wide, snaps := midRunSnapshots(t, m, g, opts)
+			if wide.Stats.MessagesSent != bare.Stats.MessagesSent || wide.Stats.CombinedMessages != bare.Stats.CombinedMessages {
+				t.Fatalf("wide run sent %d/%d messages, bare %d/%d", wide.Stats.MessagesSent,
+					wide.Stats.CombinedMessages, bare.Stats.MessagesSent, bare.Stats.CombinedMessages)
+			}
+			senders := 0
+			for _, snap := range snaps {
+				for at := 4; at < len(snap.Inbox); at += 40 {
+					if binary.LittleEndian.Uint32(snap.Inbox[at:]) != 0 {
+						senders++
+					}
+				}
+				resumeMatches(t, prog, g, opts, snap, bare)
+			}
+			if senders == 0 {
+				t.Fatal("no snapshot record carries a sender")
+			}
+		})
+	}
+}
+
 // TestForgedMemoCountAllocatesNothing: a memo-table entry count is checked
 // against the bytes left in the payload before anything is sized by it, so
 // a payload cut off after one forged count is refused without first

@@ -14,29 +14,22 @@ import (
 // Execution of the lowered program (core.Lowered). NewMachine turns every
 // lowered body into Go closures once — one closure per node, operands
 // captured, opcodes and slots resolved — and a vertex call runs them over a
-// per-worker frame. Everything that touches a message is generic in the
-// payload width P, so a program whose send groups carry one slot exchanges
-// 16-byte messages; the machine is instantiated at one width per program.
+// per-worker frame. Everything is generic in the engine's message type M,
+// and the closures that touch a message come from M's kind (kind.go): a
+// one-group program exchanges bare 8-byte payloads, every other program
+// Msg[P] at the narrowest width P.
 
-// payload is the set of message widths a machine is instantiated at: the
+// payload is the set of Msg widths a machine is instantiated at: the
 // widest send group's slot count, rounded up to 1, 2 or MaxSlots.
 type payload interface {
 	[1]float64 | [2]float64 | [MaxSlots]float64
 }
 
 // wideMsg is the width-independent message the repair planner builds; a run
-// narrows it to its own width when it sends it.
+// narrows it to its own message type when it sends it.
 type wideMsg = Msg[[MaxSlots]float64]
 
-func narrow[P payload](w *wideMsg) Msg[P] {
-	m := Msg[P]{Group: w.Group, NVals: w.NVals, TagNull: w.TagNull, TagPrev: w.TagPrev, Sender: w.Sender}
-	for i := 0; i < len(m.Vals); i++ {
-		m.Vals[i] = w.Vals[i]
-	}
-	return m
-}
-
-// runner is the width-specific half of a Machine.
+// runner is the message-type-specific half of a Machine.
 type runner interface {
 	// execute runs the machine on a fresh engine started from seed (nil:
 	// from scratch) with master state gl.
@@ -52,13 +45,17 @@ type runner interface {
 }
 
 func newRunner(m *Machine) runner {
+	rows := groupRows(m)
+	if op, ok := bareOp(m.prog, rows); ok {
+		return newExec[float64](m, bareKind(op), rows)
+	}
 	switch n := m.prog.MaxSlotsPerGroup; {
 	case n <= 1:
-		return newExec[[1]float64](m)
+		return newExec[Msg[[1]float64]](m, wideKind[[1]float64]{rows}, rows)
 	case n == 2:
-		return newExec[[2]float64](m)
+		return newExec[Msg[[2]float64]](m, wideKind[[2]float64]{rows}, rows)
 	}
-	return newExec[[MaxSlots]float64](m)
+	return newExec[Msg[[MaxSlots]float64]](m, wideKind[[MaxSlots]float64]{rows}, rows)
 }
 
 // vertexDegrees is an explicit degree pair overriding the graph's.
@@ -68,17 +65,17 @@ type vertexDegrees struct {
 
 // frame is one vertex call's evaluation state. A run keeps one per engine
 // worker and re-aims it at each vertex, so a vertex call allocates nothing.
-type frame[P payload] struct {
+type frame[M any] struct {
 	m    *Machine
-	ctx  *pregel.Context[VState, Msg[P]]
+	ctx  *pregel.Context[VState, M]
 	u    graph.VertexID
 	row  []float64 // the vertex's state slots
 	lets []float64
-	msgs []Msg[P]
-	cur  *Msg[P] // the message an OpRecv body is reading
+	msgs []M
+	cur  *M // the message an OpRecv body is reading
 	// msg is the message a send is building and arcs the arcs it goes out
 	// on: frame fields, not locals, so neither escapes nor is copied.
-	msg  Msg[P]
+	msg  M
 	arcs graph.ArcIter
 	iter int
 	// weight is the weight of the arc a send is building for.
@@ -93,32 +90,34 @@ type frame[P payload] struct {
 }
 
 // at aims f at vertex u's state row.
-func (f *frame[P]) at(u graph.VertexID) {
+func (f *frame[M]) at(u graph.VertexID) {
 	base := int(u) * f.m.stride
 	f.u, f.row = u, f.m.state[base:base+f.m.stride:base+f.m.stride]
 }
 
 // fn is one lowered node compiled to a closure; it returns the node's
 // float64-encoded value (0 for statements).
-type fn[P payload] func(*frame[P]) float64
+type fn[M any] func(*frame[M]) float64
 
-// exec is a Machine's compiled bodies and engine program at payload width P.
-type exec[P payload] struct {
+// exec is a Machine's compiled bodies and engine program at message type M.
+type exec[M any] struct {
 	m                  *Machine
-	init, added        fn[P]
-	body, prime, until []fn[P] // per phase; until entries are nil when absent
-	site, siteOld      []fn[P] // per aggregation site
+	k                  kind[M]
+	rows               []groupRow
+	init, added        fn[M]
+	body, prime, until []fn[M] // per phase; until entries are nil when absent
+	site, siteOld      []fn[M] // per aggregation site
 	// frames[w] is engine worker w's frame during a run; aux serves the
 	// single-threaded work outside supersteps (until{}, repair planning,
 	// added vertices).
-	frames []frame[P]
-	aux    frame[P]
+	frames []frame[M]
+	aux    frame[M]
 }
 
-func newExec[P payload](m *Machine) *exec[P] {
+func newExec[M any](m *Machine, k kind[M], rows []groupRow) *exec[M] {
 	code := m.prog.Lowered
-	c := &compiler[P]{m: m, code: code}
-	x := &exec[P]{m: m, init: c.fn(code.Init), added: c.fn(code.InitAdded)}
+	c := &compiler[M]{m: m, k: k, code: code}
+	x := &exec[M]{m: m, k: k, rows: rows, init: c.fn(code.Init), added: c.fn(code.InitAdded)}
 	for _, ph := range code.Phases {
 		x.body = append(x.body, c.fn(ph.Body))
 		x.prime = append(x.prime, c.fn(ph.Prime))
@@ -132,12 +131,12 @@ func newExec[P payload](m *Machine) *exec[P] {
 	return x
 }
 
-func (x *exec[P]) newFrame() frame[P] {
-	return frame[P]{m: x.m, lets: make([]float64, x.m.prog.Lowered.Lets)}
+func (x *exec[M]) newFrame() frame[M] {
+	return frame[M]{m: x.m, lets: make([]float64, x.m.prog.Lowered.Lets)}
 }
 
 // aim re-aims the calling worker's frame at ctx's vertex.
-func (x *exec[P]) aim(ctx *pregel.Context[VState, Msg[P]], msgs []Msg[P], iter int) *frame[P] {
+func (x *exec[M]) aim(ctx *pregel.Context[VState, M], msgs []M, iter int) *frame[M] {
 	f := &x.frames[ctx.Worker()]
 	f.at(ctx.ID())
 	f.ctx, f.msgs, f.cur, f.iter, f.changed = ctx, msgs, nil, iter, false
@@ -145,12 +144,12 @@ func (x *exec[P]) aim(ctx *pregel.Context[VState, Msg[P]], msgs []Msg[P], iter i
 }
 
 // Init runs Lowered.Init at superstep 0 on every vertex.
-func (x *exec[P]) Init(ctx *pregel.Context[VState, Msg[P]]) {
+func (x *exec[M]) Init(ctx *pregel.Context[VState, M]) {
 	x.init(x.aim(ctx, nil, 0))
 }
 
 // Compute runs a vertex at supersteps >= 1.
-func (x *exec[P]) Compute(ctx *pregel.Context[VState, Msg[P]], msgs []Msg[P]) {
+func (x *exec[M]) Compute(ctx *pregel.Context[VState, M], msgs []M) {
 	m := x.m
 	gl := ctx.Globals().(*globals)
 	switch gl.Mode {
@@ -173,7 +172,7 @@ func (x *exec[P]) Compute(ctx *pregel.Context[VState, Msg[P]], msgs []Msg[P]) {
 		u := ctx.ID()
 		sends := m.repair.sends[u]
 		for i := range sends {
-			ctx.Send(sends[i].dest, narrow[P](&sends[i].msg))
+			ctx.Send(sends[i].dest, x.k.narrow(&sends[i].msg))
 		}
 		if !m.repair.keepActive[u] {
 			ctx.VoteToHalt()
@@ -181,7 +180,7 @@ func (x *exec[P]) Compute(ctx *pregel.Context[VState, Msg[P]], msgs []Msg[P]) {
 	}
 }
 
-func (x *exec[P]) untilSatisfied(phase, iter int, fixpoint bool) bool {
+func (x *exec[M]) untilSatisfied(phase, iter int, fixpoint bool) bool {
 	until := x.until[phase]
 	if until == nil {
 		return true
@@ -190,13 +189,13 @@ func (x *exec[P]) untilSatisfied(phase, iter int, fixpoint bool) bool {
 	return until(&x.aux) != 0
 }
 
-func (x *exec[P]) initVertex(u graph.VertexID) {
+func (x *exec[M]) initVertex(u graph.VertexID) {
 	x.aux.at(u)
 	x.aux.iter = 0
 	x.added(&x.aux)
 }
 
-func (x *exec[P]) slotValue(site int, u graph.VertexID, w float64, old *vertexDegrees) float64 {
+func (x *exec[M]) slotValue(site int, u graph.VertexID, w float64, old *vertexDegrees) float64 {
 	f := &x.aux
 	f.at(u)
 	f.iter, f.weight = 0, w
@@ -209,7 +208,7 @@ func (x *exec[P]) slotValue(site int, u graph.VertexID, w float64, old *vertexDe
 	return v
 }
 
-func (x *exec[P]) execute(ctx context.Context, opts RunOptions, seed *pregel.Seed, gl *globals) (*Result, error) {
+func (x *exec[M]) execute(ctx context.Context, opts RunOptions, seed *pregel.Seed, gl *globals) (*Result, error) {
 	m := x.m
 	if opts.MaxSupersteps <= 0 {
 		opts.MaxSupersteps = 100_000
@@ -220,14 +219,14 @@ func (x *exec[P]) execute(ctx context.Context, opts RunOptions, seed *pregel.See
 	m.runCtx = ctx
 	// The Extra closure captures eng by reference: the engine only invokes
 	// it mid-run, after New below has assigned it.
-	var eng *pregel.Engine[VState, Msg[P]]
+	var eng *pregel.Engine[VState, M]
 	ckpt := opts.Checkpoint
 	if ckpt.Dir != "" || ckpt.Sink != nil {
 		ckpt.Extra = func(dst []byte) []byte {
 			return m.encodeExtra(dst, eng.Globals().(*globals))
 		}
 	}
-	eng = pregel.New[VState, Msg[P]](m.g, pregel.Options{
+	eng = pregel.New[VState, M](m.g, pregel.Options{
 		Workers:       opts.Workers,
 		Scheduler:     opts.Scheduler,
 		MaxSupersteps: opts.MaxSupersteps,
@@ -238,17 +237,17 @@ func (x *exec[P]) execute(ctx context.Context, opts RunOptions, seed *pregel.See
 	})
 	eng.SetMessageSize(m.msgBytes)
 	eng.SetValueCodec(vstateCodec{})
-	eng.SetMessageCodec(msgCodec[P]{})
+	eng.SetMessageCodec(recordCodec[M]{x.k, x.rows})
 	var err error
 	if m.unchangedAgg, err = eng.RegisterAggregator(aggUnchanged, pregel.AggAnd, false); err != nil {
 		return nil, err
 	}
-	x.frames = make([]frame[P], eng.Workers())
+	x.frames = make([]frame[M], eng.Workers())
 	for w := range x.frames {
 		x.frames[w] = x.newFrame()
 	}
 	if opts.Combine {
-		if c := newCombiner[P](m); c != nil {
+		if c := x.k.combiner(); c != nil {
 			eng.SetCombiner(c)
 		}
 	}
@@ -289,13 +288,14 @@ func (x *exec[P]) execute(ctx context.Context, opts RunOptions, seed *pregel.See
 }
 
 // compiler turns lowered nodes into closures.
-type compiler[P payload] struct {
+type compiler[M any] struct {
 	m    *Machine
+	k    kind[M]
 	code *core.Lowered
 }
 
 // fn compiles node r (nil for NoRef).
-func (c *compiler[P]) fn(r core.Ref) fn[P] {
+func (c *compiler[M]) fn(r core.Ref) fn[M] {
 	if r == core.NoRef {
 		return nil
 	}
@@ -303,16 +303,16 @@ func (c *compiler[P]) fn(r core.Ref) fn[P] {
 	switch n.Op {
 	case core.OpConst:
 		k := n.K
-		return func(*frame[P]) float64 { return k }
+		return func(*frame[M]) float64 { return k }
 	case core.OpLoad:
 		s := n.A
-		return func(f *frame[P]) float64 { return f.row[s] }
+		return func(f *frame[M]) float64 { return f.row[s] }
 	case core.OpStore:
 		s, x := n.A, c.fn(n.X)
-		return func(f *frame[P]) float64 { f.row[s] = x(f); return 0 }
+		return func(f *frame[M]) float64 { f.row[s] = x(f); return 0 }
 	case core.OpStoreUser:
 		s, x := n.A, c.fn(n.X)
-		return func(f *frame[P]) float64 {
+		return func(f *frame[M]) float64 {
 			v := x(f)
 			if f.row[s] != v {
 				f.changed = true
@@ -322,35 +322,35 @@ func (c *compiler[P]) fn(r core.Ref) fn[P] {
 		}
 	case core.OpLetRef:
 		s := n.A
-		return func(f *frame[P]) float64 { return f.lets[s] }
+		return func(f *frame[M]) float64 { return f.lets[s] }
 	case core.OpSetLet:
 		s, x := n.A, c.fn(n.X)
-		return func(f *frame[P]) float64 { f.lets[s] = x(f); return 0 }
+		return func(f *frame[M]) float64 { f.lets[s] = x(f); return 0 }
 	case core.OpParam:
 		k := c.m.params[n.A]
-		return func(*frame[P]) float64 { return k }
+		return func(*frame[M]) float64 { return k }
 	case core.OpIter:
-		return func(f *frame[P]) float64 { return float64(f.iter) }
+		return func(f *frame[M]) float64 { return float64(f.iter) }
 	case core.OpFixpoint:
-		return func(f *frame[P]) float64 { return boolTo01(f.fixpoint) }
+		return func(f *frame[M]) float64 { return boolTo01(f.fixpoint) }
 	case core.OpGraphSize:
 		k := float64(c.m.g.NumVertices())
-		return func(*frame[P]) float64 { return k }
+		return func(*frame[M]) float64 { return k }
 	case core.OpVertexID:
-		return func(f *frame[P]) float64 { return float64(f.u) }
+		return func(f *frame[M]) float64 { return float64(f.u) }
 	case core.OpWeight:
-		return func(f *frame[P]) float64 { return f.weight }
+		return func(f *frame[M]) float64 { return f.weight }
 	case core.OpDegree:
 		g := c.m.g
 		if ast.GraphDir(n.A) == ast.DirIn {
-			return func(f *frame[P]) float64 {
+			return func(f *frame[M]) float64 {
 				if f.deg != nil {
 					return float64(f.deg.in)
 				}
 				return float64(g.InDegree(f.u))
 			}
 		}
-		return func(f *frame[P]) float64 { // #out, and #neighbors of an undirected graph
+		return func(f *frame[M]) float64 { // #out, and #neighbors of an undirected graph
 			if f.deg != nil {
 				return float64(f.deg.out)
 			}
@@ -358,13 +358,13 @@ func (c *compiler[P]) fn(r core.Ref) fn[P] {
 		}
 	case core.OpNeg:
 		x := c.fn(n.X)
-		return func(f *frame[P]) float64 { return -x(f) }
+		return func(f *frame[M]) float64 { return -x(f) }
 	case core.OpNot:
 		x := c.fn(n.X)
-		return func(f *frame[P]) float64 { return boolTo01(x(f) == 0) }
+		return func(f *frame[M]) float64 { return boolTo01(x(f) == 0) }
 	case core.OpAnd:
 		x, y := c.fn(n.X), c.fn(n.Y)
-		return func(f *frame[P]) float64 {
+		return func(f *frame[M]) float64 {
 			if x(f) == 0 {
 				return 0
 			}
@@ -372,7 +372,7 @@ func (c *compiler[P]) fn(r core.Ref) fn[P] {
 		}
 	case core.OpOr:
 		x, y := c.fn(n.X), c.fn(n.Y)
-		return func(f *frame[P]) float64 {
+		return func(f *frame[M]) float64 {
 			if x(f) != 0 {
 				return 1
 			}
@@ -383,11 +383,11 @@ func (c *compiler[P]) fn(r core.Ref) fn[P] {
 		return c.binary(n)
 	case core.OpChanged:
 		a, b, eps := n.A, n.B, n.K
-		return func(f *frame[P]) float64 { return boolTo01(math.Abs(f.row[a]-f.row[b]) > eps) }
+		return func(f *frame[M]) float64 { return boolTo01(math.Abs(f.row[a]-f.row[b]) > eps) }
 	case core.OpIf:
 		cond, then := c.fn(n.X), c.fn(n.Y)
 		if n.Z == core.NoRef {
-			return func(f *frame[P]) float64 {
+			return func(f *frame[M]) float64 {
 				if cond(f) != 0 {
 					return then(f)
 				}
@@ -395,7 +395,7 @@ func (c *compiler[P]) fn(r core.Ref) fn[P] {
 			}
 		}
 		els := c.fn(n.Z)
-		return func(f *frame[P]) float64 {
+		return func(f *frame[M]) float64 {
 			if cond(f) != 0 {
 				return then(f)
 			}
@@ -404,34 +404,18 @@ func (c *compiler[P]) fn(r core.Ref) fn[P] {
 	case core.OpSeq:
 		return c.seq(n.Args)
 	case core.OpHalt:
-		return func(f *frame[P]) float64 { f.ctx.VoteToHalt(); return 0 }
+		return func(f *frame[M]) float64 { f.ctx.VoteToHalt(); return 0 }
 	case core.OpRecv:
-		grp, body := uint8(n.A), c.fn(n.X)
-		return func(f *frame[P]) float64 {
-			for i := range f.msgs {
-				if f.msgs[i].Group == grp {
-					f.cur = &f.msgs[i]
-					body(f)
-				}
-			}
-			f.cur = nil
-			return 0
-		}
+		return c.k.recv(uint8(n.A), c.fn(n.X))
 	case core.OpMsgVal:
-		i := int(n.A)
-		return func(f *frame[P]) float64 { return f.cur.Vals[i] }
-	case core.OpMsgNull:
-		bit := uint8(1) << n.A
-		return func(f *frame[P]) float64 { return boolTo01(f.cur.TagNull&bit != 0) }
-	case core.OpMsgPrevNull:
-		bit := uint8(1) << n.A
-		return func(f *frame[P]) float64 { return boolTo01(f.cur.TagPrev&bit != 0) }
+		return c.k.val(int(n.A))
+	case core.OpMsgNull, core.OpMsgPrevNull:
+		return c.k.tag(int(n.A), n.Op == core.OpMsgPrevNull)
 	case core.OpTableUpdate:
-		grp := int(n.A)
-		return func(f *frame[P]) float64 { f.tableUpdate(grp); return 0 }
+		return c.k.tableUpdate(int(n.A))
 	case core.OpTableFold:
 		site := int(n.A)
-		return func(f *frame[P]) float64 { return f.tableFold(site) }
+		return func(f *frame[M]) float64 { return f.tableFold(site) }
 	case core.OpBroadcast, core.OpSendEach:
 		return c.send(n)
 	}
@@ -439,53 +423,53 @@ func (c *compiler[P]) fn(r core.Ref) fn[P] {
 }
 
 // binary compiles the pure two-operand operators.
-func (c *compiler[P]) binary(n *core.Node) fn[P] {
+func (c *compiler[M]) binary(n *core.Node) fn[M] {
 	x, y := c.fn(n.X), c.fn(n.Y)
 	switch n.Op {
 	case core.OpAdd:
-		return func(f *frame[P]) float64 { return x(f) + y(f) }
+		return func(f *frame[M]) float64 { return x(f) + y(f) }
 	case core.OpSub:
-		return func(f *frame[P]) float64 { return x(f) - y(f) }
+		return func(f *frame[M]) float64 { return x(f) - y(f) }
 	case core.OpMul:
-		return func(f *frame[P]) float64 { return x(f) * y(f) }
+		return func(f *frame[M]) float64 { return x(f) * y(f) }
 	case core.OpDiv:
-		return func(f *frame[P]) float64 { return x(f) / y(f) }
+		return func(f *frame[M]) float64 { return x(f) / y(f) }
 	case core.OpLt:
-		return func(f *frame[P]) float64 { return boolTo01(x(f) < y(f)) }
+		return func(f *frame[M]) float64 { return boolTo01(x(f) < y(f)) }
 	case core.OpGt:
-		return func(f *frame[P]) float64 { return boolTo01(x(f) > y(f)) }
+		return func(f *frame[M]) float64 { return boolTo01(x(f) > y(f)) }
 	case core.OpLe:
-		return func(f *frame[P]) float64 { return boolTo01(x(f) <= y(f)) }
+		return func(f *frame[M]) float64 { return boolTo01(x(f) <= y(f)) }
 	case core.OpGe:
-		return func(f *frame[P]) float64 { return boolTo01(x(f) >= y(f)) }
+		return func(f *frame[M]) float64 { return boolTo01(x(f) >= y(f)) }
 	case core.OpEq:
-		return func(f *frame[P]) float64 { return boolTo01(x(f) == y(f)) }
+		return func(f *frame[M]) float64 { return boolTo01(x(f) == y(f)) }
 	case core.OpNe:
-		return func(f *frame[P]) float64 { return boolTo01(x(f) != y(f)) }
+		return func(f *frame[M]) float64 { return boolTo01(x(f) != y(f)) }
 	case core.OpMin:
-		return func(f *frame[P]) float64 { return math.Min(x(f), y(f)) }
+		return func(f *frame[M]) float64 { return math.Min(x(f), y(f)) }
 	}
-	return func(f *frame[P]) float64 { return math.Max(x(f), y(f)) }
+	return func(f *frame[M]) float64 { return math.Max(x(f), y(f)) }
 }
 
-func (c *compiler[P]) seq(args []core.Ref) fn[P] {
-	items := make([]fn[P], len(args))
+func (c *compiler[M]) seq(args []core.Ref) fn[M] {
+	items := make([]fn[M], len(args))
 	for i, r := range args {
 		items[i] = c.fn(r)
 	}
 	switch len(items) {
 	case 0:
-		return func(*frame[P]) float64 { return 0 }
+		return func(*frame[M]) float64 { return 0 }
 	case 1:
 		return items[0]
 	case 2:
 		a, b := items[0], items[1]
-		return func(f *frame[P]) float64 {
+		return func(f *frame[M]) float64 {
 			a(f)
 			return b(f)
 		}
 	}
-	return func(f *frame[P]) float64 {
+	return func(f *frame[M]) float64 {
 		var v float64
 		for _, it := range items {
 			v = it(f)
@@ -494,35 +478,20 @@ func (c *compiler[P]) seq(args []core.Ref) fn[P] {
 	}
 }
 
-// slotFn fills one payload slot of f.msg and reports whether the slot is a
-// no-op (could not change any accumulator).
-type slotFn[P payload] func(f *frame[P]) (noop bool)
-
 // send compiles an OpBroadcast or OpSendEach: the message goes out unless
 // every slot is a no-op.
-func (c *compiler[P]) send(n *core.Node) fn[P] {
-	head := Msg[P]{Group: uint8(n.A), NVals: uint8(len(n.Args))}
-	slots := make([]slotFn[P], len(n.Args))
+func (c *compiler[M]) send(n *core.Node) fn[M] {
+	slots := make([]slotFn[M], len(n.Args))
 	for i, r := range n.Args {
-		slots[i] = c.slot(i, r)
+		slots[i] = c.slot(r)
 	}
-	build := func(f *frame[P]) bool {
-		f.msg = head
-		f.msg.Sender = f.u
-		noop := true
-		for _, s := range slots {
-			if !s(f) {
-				noop = false
-			}
-		}
-		return !noop
-	}
+	build := c.k.build(uint8(n.A), slots)
 	arcs := c.m.g.OutArcsInto // DirOut, and DirNeighbors of an undirected graph
 	if ast.GraphDir(n.B) == ast.DirIn {
 		arcs = c.m.g.InArcsInto
 	}
 	if n.Op == core.OpBroadcast {
-		return func(f *frame[P]) float64 {
+		return func(f *frame[M]) float64 {
 			f.weight = 1
 			if build(f) {
 				for arcs(&f.arcs, f.u); f.arcs.Next(); {
@@ -532,7 +501,7 @@ func (c *compiler[P]) send(n *core.Node) fn[P] {
 			return 0
 		}
 	}
-	return func(f *frame[P]) float64 {
+	return func(f *frame[M]) float64 {
 		for arcs(&f.arcs, f.u); f.arcs.Next(); {
 			f.weight = f.arcs.Weight()
 			if build(f) {
@@ -543,52 +512,47 @@ func (c *compiler[P]) send(n *core.Node) fn[P] {
 	}
 }
 
-// slot compiles payload slot i: a Δ, a full value, or a plain value.
-func (c *compiler[P]) slot(i int, r core.Ref) slotFn[P] {
+// slot compiles a payload slot: a Δ, a full value, or a plain value.
+func (c *compiler[M]) slot(r core.Ref) slotFn[M] {
 	n := &c.code.Nodes[r]
 	switch n.Op {
 	case core.OpDelta:
-		return c.delta(i, n)
+		return c.delta(n)
 	case core.OpFull:
-		return c.full(i, n)
+		return c.full(n)
 	}
 	x := c.fn(r)
-	return func(f *frame[P]) bool {
-		f.msg.Vals[i] = x(f)
-		return false
-	}
+	return func(f *frame[M]) (float64, uint8, bool) { return x(f), tagNone, false }
 }
 
 // full is a site's full value (§6.1): a no-op when it is ⊞'s identity,
 // tagged nullary when it is a multiplicative site's absorbing element.
-func (c *compiler[P]) full(i int, n *core.Node) slotFn[P] {
+func (c *compiler[M]) full(n *core.Node) slotFn[M] {
 	s := c.m.prog.Sites[n.A]
-	x, mult, id, bit := c.fn(n.X), s.Multiplicative(), core.Identity(s.Op), uint8(1)<<i
+	x, mult, id := c.fn(n.X), s.Multiplicative(), core.Identity(s.Op)
 	abs, _ := core.Absorbing(s.Op)
-	return func(f *frame[P]) bool {
+	return func(f *frame[M]) (float64, uint8, bool) {
 		v := x(f)
-		f.msg.Vals[i] = v
 		if mult && v == abs {
-			f.msg.TagNull |= bit
-			return false
+			return v, tagNull, false
 		}
-		return v == id
+		return v, tagNone, v == id
 	}
 }
 
 // delta synthesizes a site's Δ-message slot (P5, Eq. 11): the value d such
 // that acc ⊞ new ≃ (acc ⊞ old) ⊞ d, with the §6.4.1 nullary tags for
 // multiplicative operators. Equal values are a no-op carrying ⊞'s identity.
-func (c *compiler[P]) delta(i int, n *core.Node) slotFn[P] {
+func (c *compiler[M]) delta(n *core.Node) slotFn[M] {
 	m, s := c.m, c.m.prog.Sites[n.A]
-	newV, oldV, id, bit := c.fn(n.X), c.fn(n.Y), core.Identity(s.Op), uint8(1)<<i
+	newV, oldV, id := c.fn(n.X), c.fn(n.Y), core.Identity(s.Op)
 	abs, _ := core.Absorbing(s.Op)
-	return func(f *frame[P]) bool {
+	return func(f *frame[M]) (float64, uint8, bool) {
 		a, b := newV(f), oldV(f)
 		if a == b {
-			f.msg.Vals[i] = id
-			return true
+			return id, tagNone, true
 		}
+		tag := uint8(tagNone)
 		switch s.Op {
 		case ast.AggSum:
 			a -= b
@@ -600,23 +564,19 @@ func (c *compiler[P]) delta(i int, n *core.Node) slotFn[P] {
 		case ast.AggProd:
 			switch {
 			case a == 0:
-				a = 0
-				f.msg.TagNull |= bit
+				a, tag = 0, tagNull
 			case b == 0:
-				a /= f.row[s.LastNNSlot]
-				f.msg.TagPrev |= bit
+				a, tag = a/f.row[s.LastNNSlot], tagPrev
 			default:
 				a /= b
 			}
 		default: // and, or: a is the absorbing element gained, or the identity after losing it
+			tag = tagPrev
 			if a == abs {
-				f.msg.TagNull |= bit
-			} else {
-				f.msg.TagPrev |= bit
+				tag = tagNull
 			}
 		}
-		f.msg.Vals[i] = a
-		return false
+		return a, tag, false
 	}
 }
 
@@ -627,7 +587,7 @@ func (c *compiler[P]) delta(i int, n *core.Node) slotFn[P] {
 // exactly the sender's total contribution for any commutative-associative
 // operator. A fresh superstep's value replaces the cached one (the cache
 // update of Fig. 2b).
-func (f *frame[P]) tableUpdate(group int) {
+func tableUpdate[P payload](f *frame[Msg[P]], group int) {
 	m := f.m
 	g := m.prog.Groups[group]
 	var replaced map[graph.VertexID]bool
@@ -665,7 +625,7 @@ func (f *frame[P]) tableUpdate(group int) {
 // iteration order — so non-associative float accumulation yields the same
 // bits on every run and memo-table results stay comparable bitwise against
 // the other modes' deterministic schedules.
-func (f *frame[P]) tableFold(site int) float64 {
+func (f *frame[M]) tableFold(site int) float64 {
 	s := f.m.prog.Sites[site]
 	tbl := f.m.tables[site][f.u]
 	keys := f.foldKeys[:0]

@@ -2,10 +2,8 @@ package vm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
-	"repro/internal/deltav/ast"
 	"repro/internal/pregel"
 )
 
@@ -115,65 +113,4 @@ func (m *Machine) advance(mc *pregel.MasterContext, gl *globals) {
 		*gl = globals{Phase: next, Mode: modeBody, Iter: 1}
 	}
 	mc.ActivateAll()
-}
-
-// newCombiner builds the sender-side combiner for the program, or nil when
-// no group is combinable. Each combinable send group (single-strategy,
-// non-multiplicative slots, no sender identity) is a class, its messages
-// combining slot-wise with their sites' operators; all other messages pass
-// through as sent.
-func newCombiner[P payload](m *Machine) pregel.Combiner[Msg[P]] {
-	c := &vmCombiner[P]{groups: make([]combineGroup, len(m.prog.Groups))}
-	for _, g := range m.prog.Groups {
-		cg := &c.groups[g.ID]
-		cg.class, cg.slots = -1, len(g.Sites)
-		ok := g.Strategy != core.StrategyTable
-		for i, s := range m.groupSites(g) {
-			cg.ops[i] = s.Op
-			ok = ok && !s.Multiplicative() // nullary tags are not mergeable
-		}
-		if ok {
-			cg.class = c.classes
-			c.classes++
-		}
-	}
-	if c.classes == 0 {
-		return nil
-	}
-	return c
-}
-
-// vmCombiner is indexed by Msg.Group.
-type vmCombiner[P payload] struct {
-	groups  []combineGroup
-	classes int
-}
-
-// combineGroup is one send group's row: its class (negative: not
-// combinable) and the operator of each of its slots.
-type combineGroup struct {
-	class, slots int
-	ops          [MaxSlots]ast.AggOp
-}
-
-func (c *vmCombiner[P]) Classes() int { return c.classes }
-
-func (c *vmCombiner[P]) Class(msg *Msg[P]) int { return c.groups[msg.Group].class }
-
-// Combine merges m into acc, a message of the same group, slot-wise with
-// each slot's ⊞ (sum, min and max inline: they are nearly every combine).
-func (c *vmCombiner[P]) Combine(acc, m *Msg[P]) {
-	g := &c.groups[acc.Group]
-	for i := 0; i < g.slots; i++ {
-		switch a, b := acc.Vals[i], m.Vals[i]; g.ops[i] {
-		case ast.AggSum:
-			acc.Vals[i] = a + b
-		case ast.AggMin:
-			acc.Vals[i] = math.Min(a, b)
-		case ast.AggMax:
-			acc.Vals[i] = math.Max(a, b)
-		default:
-			acc.Vals[i] = core.Apply(g.ops[i], a, b)
-		}
-	}
 }

@@ -32,50 +32,6 @@ func (vstateCodec) AppendValue(dst []byte, _ VState) []byte { return dst }
 
 func (vstateCodec) DecodeValue(src []byte) (VState, []byte, error) { return VState{}, src, nil }
 
-// msgCodec is the portable codec for in-flight ΔV messages: a fixed 40-byte
-// little-endian record, no struct padding, whatever the machine's payload
-// width — slots past the width are zero — so checkpoints and shard frames
-// are the same bytes at every width.
-type msgCodec[P payload] struct{}
-
-func (msgCodec[P]) AppendValue(dst []byte, m Msg[P]) []byte {
-	dst = append(dst, m.Group, m.NVals, m.TagNull, m.TagPrev)
-	dst = append(dst, byte(m.Sender), byte(m.Sender>>8), byte(m.Sender>>16), byte(m.Sender>>24))
-	for i := 0; i < MaxSlots; i++ {
-		var v float64
-		if i < len(m.Vals) {
-			v = m.Vals[i]
-		}
-		dst = pregel.AppendFloat64(dst, v)
-	}
-	return dst
-}
-
-func (msgCodec[P]) DecodeValue(src []byte) (Msg[P], []byte, error) {
-	var m Msg[P]
-	if len(src) < 8+8*MaxSlots {
-		return m, nil, fmt.Errorf("%w: truncated ΔV message", pregel.ErrSnapshotCorrupt)
-	}
-	m.Group, m.NVals, m.TagNull, m.TagPrev = src[0], src[1], src[2], src[3]
-	m.Sender = graph.VertexID(src[4]) | graph.VertexID(src[5])<<8 |
-		graph.VertexID(src[6])<<16 | graph.VertexID(src[7])<<24
-	src = src[8:]
-	for i := 0; i < MaxSlots; i++ {
-		v, rest, err := pregel.DecodeFloat64(src)
-		if err != nil {
-			return m, nil, err
-		}
-		src = rest
-		switch {
-		case i < len(m.Vals):
-			m.Vals[i] = v
-		case math.Float64bits(v) != 0:
-			return m, nil, fmt.Errorf("%w: ΔV message slot %d is past the program's %d-slot width", pregel.ErrSnapshotCorrupt, i, len(m.Vals))
-		}
-	}
-	return m, src, nil
-}
-
 // encodeExtra appends the machine payload to dst. Memo-table maps are
 // serialized in ascending key order so the bytes are deterministic.
 func (m *Machine) encodeExtra(dst []byte, gl *globals) []byte {

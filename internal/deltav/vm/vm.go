@@ -27,14 +27,15 @@ type VState struct{}
 
 // MaxSlots is the widest supported message (aggregation sites per send
 // group), and the slot count of the fixed 40-byte record that checkpoints
-// and the shard wire carry every message in, whatever its width.
+// and the shard wire carry every message in, whatever its kind or width.
 const MaxSlots = 4
 
 // Msg is one ΔV message: the values of a send group's slots, with the
 // §6.4.1 nullary/previous-nullary tag bits, and the sender id for the
 // §4.2.1 lookup-table mode. P is the payload: a machine picks the narrowest
-// width its widest send group fits (1, 2 or MaxSlots slots), so a one-slot
-// program's message is 16 bytes.
+// width its widest send group fits (1, 2 or MaxSlots slots). A program
+// whose one send group needs no group, tag or sender sends no Msg at all,
+// only its bare float64 payload (kind.go).
 type Msg[P payload] struct {
 	Group   uint8
 	NVals   uint8

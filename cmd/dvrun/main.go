@@ -5,8 +5,7 @@
 //
 //	dvrun [-mode dv|dvstar|memotable] (-program name | -file prog.dv)
 //	      (-dataset name | -edges file [-directed] | -gen spec [-seed n])
-//	      [-graph-format auto|el|dvg] [-repr flat|compact|mmap]
-//	      [-save-graph out.dvg]
+//	      [-repr flat|compact|mmap] [-save-graph out.dvg]
 //	      [-param k=v]... [-workers N] [-queue] [-combine] [-epsilon e]
 //	      [-show field] [-top N] [-trace] [-timeout d]
 //	      [-checkpoint-dir dir [-checkpoint-every N] [-checkpoint-incremental]]
@@ -18,12 +17,11 @@
 // conflicting sources are an error. Generator specs: rmat:scale:edgefactor,
 // ba:n:k, er:n:m, grid:rows:cols, ws:n:k:beta (Watts–Strogatz small world).
 //
-// -edges accepts a text edge list or a binary DVGRAF graph file;
-// -graph-format pins the interpretation (auto sniffs the DVGRAF magic, so
-// .dvg files just work). -repr picks the in-memory representation: flat
-// CSR, compact (gap-varint adjacency, ~4x smaller on power-law graphs), or
-// mmap (page the compact sections straight from a DVGRAF file; requires
-// one). After loading, dvrun prints a "graph: n=… arcs=… repr=… bytes=…"
+// -edges accepts a text edge list or a binary DVGRAF graph file, told
+// apart by the DVGRAF magic, so .dvg files just work. -repr picks the
+// in-memory representation: flat CSR, compact (gap-varint adjacency, ~4x
+// smaller on power-law graphs), or mmap (page the compact sections
+// straight from a DVGRAF file; requires one). After loading, dvrun prints a "graph: n=… arcs=… repr=… bytes=…"
 // line so the resident adjacency footprint is visible in every run.
 // -save-graph writes the loaded graph as DVGRAF and may be used without a
 // program to convert an edge list or generator output into a .dvg file.

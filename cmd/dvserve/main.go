@@ -10,13 +10,13 @@
 //
 //	dvserve [-mode dv|dvstar|memotable] (-program name | -file prog.dv)
 //	        (-dataset name | -edges file [-directed] | -gen spec [-seed n])
-//	        [-graph-format auto|el|dvg] [-repr flat|compact|mmap]
+//	        [-repr flat|compact|mmap]
 //	        [-param k=v]... [-workers N] [-queue] [-combine]
 //	        [-epsilon e] [-addr host:port]
 //	        [-batch-interval d] [-max-batch N] [-max-pending N]
 //	        [-no-quarantine] [-chain-dir dir] [-repair-budget f]
 //
-// Graph sources, generator specs, -graph-format and -repr behave exactly
+// Graph sources, generator specs and -repr behave exactly
 // as in dvrun. The HTTP API (see internal/serve):
 //
 //	GET  /healthz          liveness

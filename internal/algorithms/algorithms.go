@@ -30,9 +30,6 @@ type RunOptions struct {
 	// Seed is the state the run starts from instead of superstep 0 (see
 	// pregel.Options.Seed); nil is a cold start.
 	Seed *pregel.Seed
-	// MaxSupersteps aborts the run after this many supersteps; 0 means
-	// no limit (see pregel.Options.MaxSupersteps).
-	MaxSupersteps int
 	// Shard places the run in a multi-process sharded mesh (see
 	// pregel.ShardOptions); Workers must then be explicit and identical
 	// on every shard.
@@ -50,12 +47,11 @@ func (o RunOptions) ctx() context.Context {
 // engineOpts translates RunOptions to engine options.
 func (o RunOptions) engineOpts() pregel.Options {
 	return pregel.Options{
-		Workers:       o.Workers,
-		Scheduler:     o.Scheduler,
-		Checkpoint:    o.Checkpoint,
-		Seed:          o.Seed,
-		MaxSupersteps: o.MaxSupersteps,
-		Shard:         o.Shard,
+		Workers:    o.Workers,
+		Scheduler:  o.Scheduler,
+		Checkpoint: o.Checkpoint,
+		Seed:       o.Seed,
+		Shard:      o.Shard,
 	}
 }
 

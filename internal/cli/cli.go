@@ -46,7 +46,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Graph.Directed, "directed", true, "treat -edges input as directed")
 	fs.StringVar(&f.Graph.Gen, "gen", "", "generator spec (rmat:scale:ef, ba:n:k, er:n:m, grid:r:c, ws:n:k:beta)")
 	fs.Int64Var(&f.Graph.Seed, "seed", 1, "generator seed")
-	fs.StringVar(&f.Graph.Format, "graph-format", "auto", "-edges file format: auto (sniff), el (text edge list), dvg (DVGRAF binary)")
 	fs.StringVar(&f.Graph.Repr, "repr", "flat", "in-memory graph representation: flat, compact, mmap (mmap needs a DVGRAF -edges file)")
 	fs.IntVar(&f.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	fs.BoolVar(&f.Queue, "queue", false, "use the work-queue (halt-by-default) scheduler")
@@ -149,7 +148,6 @@ type GraphSource struct {
 	Gen      string // -gen: generator spec
 	Directed bool   // -directed: applies to -edges text input and -gen
 	Seed     int64  // -seed: generator seed
-	Format   string // -graph-format: auto (default), el, dvg
 	Repr     string // -repr: flat (default), compact, mmap
 }
 
@@ -182,11 +180,7 @@ func (s GraphSource) Load() (*graph.Graph, error) {
 		}
 		g = d.Build()
 	case s.Edges != "":
-		dvg, err := s.isDVGRAF()
-		if err != nil {
-			return nil, err
-		}
-		if dvg {
+		if graph.IsGraphFile(s.Edges) {
 			// The DVGRAF loader builds the requested representation
 			// directly — flat never exists as an intermediate for compact
 			// loads, and mmap never touches the heap.
@@ -221,20 +215,6 @@ func (s GraphSource) Load() (*graph.Graph, error) {
 		return nil, fmt.Errorf("-repr mmap needs a DVGRAF -edges file (make one with dvrun -save-graph)")
 	}
 	return nil, fmt.Errorf("unknown representation %q (want flat, compact or mmap)", s.Repr)
-}
-
-// isDVGRAF decides whether the -edges file holds a binary DVGRAF graph,
-// honouring an explicit -graph-format and sniffing the magic for auto.
-func (s GraphSource) isDVGRAF() (bool, error) {
-	switch s.Format {
-	case "", "auto":
-		return graph.IsGraphFile(s.Edges), nil
-	case "el":
-		return false, nil
-	case "dvg":
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown -graph-format %q (want auto, el or dvg)", s.Format)
 }
 
 func (s GraphSource) loadMode() (graph.LoadMode, error) {

@@ -71,9 +71,6 @@ func TestLoadRepr(t *testing.T) {
 	if _, err := gen.Load(); err == nil || !strings.Contains(err.Error(), "unknown representation") {
 		t.Fatalf("-repr bogus: err = %v", err)
 	}
-	if _, err := (GraphSource{Edges: "g.el", Format: "bogus"}).Load(); err == nil || !strings.Contains(err.Error(), "unknown -graph-format") {
-		t.Fatalf("-graph-format bogus: err = %v", err)
-	}
 }
 
 // TestGenerateSpecs: a -gen spec runs only when every field parses, the

@@ -17,12 +17,12 @@ import (
 // per-worker frame. Everything is generic in the engine's message type M,
 // and the closures that touch a message come from M's kind (kind.go): a
 // one-group program exchanges bare 8-byte payloads, every other program
-// Msg[P] at the narrowest width P.
+// Msg[P] at the narrowest width P that fits: one slot or MaxSlots.
 
 // payload is the set of Msg widths a machine is instantiated at: the
-// widest send group's slot count, rounded up to 1, 2 or MaxSlots.
+// widest send group's slot count, rounded up to 1 or MaxSlots.
 type payload interface {
-	[1]float64 | [2]float64 | [MaxSlots]float64
+	[1]float64 | [MaxSlots]float64
 }
 
 // wideMsg is the width-independent message the repair planner builds; a run
@@ -49,11 +49,8 @@ func newRunner(m *Machine) runner {
 	if op, ok := bareOp(m.prog, rows); ok {
 		return newExec[float64](m, bareKind(op), rows)
 	}
-	switch n := m.prog.MaxSlotsPerGroup; {
-	case n <= 1:
+	if m.prog.MaxSlotsPerGroup <= 1 {
 		return newExec[Msg[[1]float64]](m, wideKind[[1]float64]{rows}, rows)
-	case n == 2:
-		return newExec[Msg[[2]float64]](m, wideKind[[2]float64]{rows}, rows)
 	}
 	return newExec[Msg[[MaxSlots]float64]](m, wideKind[[MaxSlots]float64]{rows}, rows)
 }

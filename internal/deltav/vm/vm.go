@@ -33,7 +33,7 @@ const MaxSlots = 4
 // Msg is one ΔV message: the values of a send group's slots, with the
 // §6.4.1 nullary/previous-nullary tag bits, and the sender id for the
 // §4.2.1 lookup-table mode. P is the payload: a machine picks the narrowest
-// width its widest send group fits (1, 2 or MaxSlots slots). A program
+// width its widest send group fits (1 or MaxSlots slots). A program
 // whose one send group needs no group, tag or sender sends no Msg at all,
 // only its bare float64 payload (kind.go).
 type Msg[P payload] struct {

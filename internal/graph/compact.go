@@ -182,30 +182,12 @@ func (g *Graph) ForEachOutNeighbor(u VertexID, fn func(v VertexID)) {
 	}
 }
 
-// ForEachOutEdge calls fn for every out-edge of u with its weight, in
-// adjacency order, without allocating.
-func (g *Graph) ForEachOutEdge(u VertexID, fn func(v VertexID, w float64)) {
-	it := g.OutArcs(u)
-	for it.Next() {
-		fn(it.To(), it.Weight())
-	}
-}
-
 // ForEachInNeighbor calls fn for every in-neighbour of u, in adjacency
 // order, without allocating.
 func (g *Graph) ForEachInNeighbor(u VertexID, fn func(v VertexID)) {
 	it := g.InArcs(u)
 	for it.Next() {
 		fn(it.To())
-	}
-}
-
-// ForEachInEdge calls fn for every in-edge of u with its weight, in
-// adjacency order, without allocating.
-func (g *Graph) ForEachInEdge(u VertexID, fn func(v VertexID, w float64)) {
-	it := g.InArcs(u)
-	for it.Next() {
-		fn(it.To(), it.Weight())
 	}
 }
 

@@ -537,9 +537,6 @@ func (b *Builder) AddWeightedEdge(u, v VertexID, w float64) {
 	b.ws = append(b.ws, w)
 }
 
-// NumBuffered returns the number of edges recorded so far.
-func (b *Builder) NumBuffered() int { return len(b.srcs) }
-
 // Finalize builds the immutable CSR graph. The Builder must not be used
 // afterwards. When SetCompact is on, Finalize panics if the encoded
 // adjacency overflows the 4 GiB stream limit; builders of graphs that

@@ -99,21 +99,6 @@ func TestAbortPreCancelledContext(t *testing.T) {
 
 func TestAbortDeadline(t *testing.T) {
 	g := graph.Cycle(64, true)
-	t.Run("options-deadline", func(t *testing.T) {
-		withGoroutineCheck(t, func() {
-			e := New[sumVal, float64](g, Options{
-				Workers:  4,
-				Deadline: time.Now().Add(10 * time.Millisecond),
-			})
-			stats, err := e.Run(cancelSpinProgram{})
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			if stats == nil || !stats.Aborted {
-				t.Fatalf("want non-nil aborted stats, got %+v", stats)
-			}
-		})
-	})
 	t.Run("context-deadline", func(t *testing.T) {
 		withGoroutineCheck(t, func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -125,21 +110,6 @@ func TestAbortDeadline(t *testing.T) {
 			}
 			if stats == nil || !stats.Aborted {
 				t.Fatalf("want non-nil aborted stats, got %+v", stats)
-			}
-		})
-	})
-	t.Run("step-timeout", func(t *testing.T) {
-		withGoroutineCheck(t, func() {
-			e := New[sumVal, float64](g, Options{Workers: 4, StepTimeout: time.Nanosecond})
-			stats, err := e.Run(cancelSpinProgram{})
-			if !errors.Is(err, ErrStepTimeout) {
-				t.Fatalf("err = %v, want ErrStepTimeout", err)
-			}
-			if stats == nil || !stats.Aborted {
-				t.Fatalf("want non-nil aborted stats, got %+v", stats)
-			}
-			if !strings.Contains(stats.AbortReason, "StepTimeout") {
-				t.Fatalf("AbortReason = %q, want it to name the step timeout", stats.AbortReason)
 			}
 		})
 	})

@@ -205,14 +205,6 @@ func OpenChain(dir string, rebaseEvery int) (*ChainWriter, *ChainState, error) {
 	return w, st, nil
 }
 
-// Dir returns the chain directory.
-func (w *ChainWriter) Dir() string { return w.dir }
-
-// Entries returns a copy of the committed manifest entries.
-func (w *ChainWriter) Entries() []ChainEntry {
-	return append([]ChainEntry(nil), w.entries...)
-}
-
 // snapshotEntry encodes s as the chain's next snapshot record — a full base
 // if the chain is empty or rebaseEvery deltas have accumulated, an
 // incremental DVSNPD record otherwise — named with sequence number seq. It

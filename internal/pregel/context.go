@@ -30,36 +30,17 @@ func (c *Context[V, M]) NumVertices() int { return c.eng.g.NumVertices() }
 // Value returns a pointer to this vertex's mutable state.
 func (c *Context[V, M]) Value() *V { return &c.eng.values[c.id] }
 
-// ValueOf returns a pointer to vertex u's state. Reading another vertex's
-// state concurrently with its owner mutating it is a race; this accessor
-// exists for single-threaded inspection (tests, master hooks).
-func (c *Context[V, M]) ValueOf(u VertexID) *V { return &c.eng.values[u] }
-
 // Graph returns the underlying immutable graph.
 func (c *Context[V, M]) Graph() *graph.Graph { return c.eng.g }
 
-// OutNeighbors returns this vertex's out-adjacency (neighbour set for
-// undirected graphs). On flat graphs the slice is shared — do not
-// modify it; on compact graphs it is a fresh copy, so hot paths should
-// iterate with OutArcs instead.
-func (c *Context[V, M]) OutNeighbors() []VertexID { return c.eng.g.OutNeighbors(c.id) }
-
-// OutWeights returns the weights parallel to OutNeighbors, or nil.
-func (c *Context[V, M]) OutWeights() []float64 { return c.eng.g.OutWeights(c.id) }
-
-// InNeighbors returns this vertex's in-adjacency. The same sharing and
-// allocation caveats as OutNeighbors apply; prefer InArcs on hot paths.
-func (c *Context[V, M]) InNeighbors() []VertexID { return c.eng.g.InNeighbors(c.id) }
-
 // OutArcs returns an allocation-free cursor over this vertex's
-// out-edges, valid for both graph representations.
+// out-edges (its neighbour set on undirected graphs), valid for both
+// graph representations. It is the one way a vertex program reads its
+// adjacency and weights.
 func (c *Context[V, M]) OutArcs() graph.ArcIter { return c.eng.g.OutArcs(c.id) }
 
 // InArcs returns an allocation-free cursor over this vertex's in-edges.
 func (c *Context[V, M]) InArcs() graph.ArcIter { return c.eng.g.InArcs(c.id) }
-
-// InWeights returns the weights parallel to InNeighbors, or nil.
-func (c *Context[V, M]) InWeights() []float64 { return c.eng.g.InWeights(c.id) }
 
 // OutDegree returns this vertex's out-degree.
 func (c *Context[V, M]) OutDegree() int { return c.eng.g.OutDegree(c.id) }
@@ -85,21 +66,6 @@ func (c *Context[V, M]) BroadcastOut(m M) {
 		return
 	}
 	it := g.OutArcs(c.id)
-	for it.Next() {
-		c.Send(it.To(), m)
-	}
-}
-
-// BroadcastIn sends m along every in-edge (to all in-neighbours).
-func (c *Context[V, M]) BroadcastIn(m M) {
-	g := c.eng.g
-	if !g.IsCompact() {
-		for _, v := range g.InNeighbors(c.id) {
-			c.Send(v, m)
-		}
-		return
-	}
-	it := g.InArcs(c.id)
 	for it.Next() {
 		c.Send(it.To(), m)
 	}

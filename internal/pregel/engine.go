@@ -44,12 +44,6 @@ type Engine[V, M any] struct {
 	barrier int
 	done    bool
 
-	// stepDeadline is the wall-clock bound of the current superstep's
-	// compute phase, written by the master before each compute broadcast
-	// when StepTimeout is armed (the broadcast orders it before worker
-	// reads); zero when StepTimeout is off.
-	stepDeadline time.Time
-
 	stats Stats
 	ran   bool
 
@@ -123,10 +117,6 @@ type worker[V, M any] struct {
 	// compute-phase panic can be attributed to ctx.id.
 	panicErr *RunError
 	inVertex bool
-
-	// timedOut is set by the cooperative StepTimeout check inside the
-	// vertex loop; the master reads it after the compute barrier.
-	timedOut bool
 
 	// Quarantine scratch (Options.Quarantine only): sendMark records the
 	// per-destination outbox lengths before each vertex call so a
@@ -278,12 +268,12 @@ func (e *Engine[V, M]) Run(prog Program[V, M]) (*Stats, error) {
 	return e.RunContext(context.Background(), prog)
 }
 
-// RunContext executes prog to completion, or until ctx is cancelled, a
-// deadline (Options.Deadline, a ctx deadline, or Options.StepTimeout)
-// fires, or user code panics. Lifecycle conditions are checked at the
-// superstep barriers: before each superstep's compute phase and again
-// between compute and exchange — a Compute call that never returns cannot
-// be preempted. Panics raised by Program.Init/Compute, a Combiner, or the
+// RunContext executes prog to completion, or until ctx is cancelled or
+// its deadline passes, or user code panics. The context is checked at the
+// superstep barriers only — before each superstep's compute phase and
+// again between compute and exchange — so an in-process run's abort on
+// the context stops at a consistent cut, and a Compute call that never
+// returns cannot be preempted. Panics raised by Program.Init/Compute, a Combiner, or the
 // master hook are recovered into a *RunError (which the returned error
 // wraps or is) instead of crashing the process; the worker pool shuts down
 // cleanly in every case.
@@ -314,12 +304,6 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 		}
 	}
 
-	// The effective run deadline is the earlier of Options.Deadline and
-	// the context's own deadline; either alone also applies.
-	deadline := e.opts.Deadline
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
 	// abort finalizes partial statistics and wraps the cause. A *RunError
 	// cause is returned as-is (it already carries superstep and worker
 	// attribution); everything else is wrapped with the abort superstep.
@@ -414,8 +398,8 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 	// cut is consistent — takes the final snapshot, and only then aborts.
 	var pendingAbort error
 	for e.superstep = startStep; !e.done && e.superstep < e.opts.MaxSupersteps; e.superstep++ {
-		stepStart := time.Now() //lint:allow timenow — step-timeout/stats timing, not fold input
-		if err := e.checkAbort(ctx, deadline, stepStart); err != nil {
+		stepStart := time.Now() //lint:allow timenow — stats-only wall-clock timing
+		if err := ctx.Err(); err != nil {
 			if sharded {
 				// Peer shards may already have run this superstep's compute,
 				// so no cluster-consistent snapshot exists; flag the abort at
@@ -428,9 +412,6 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 			}
 			return abort(err)
 		}
-		if st := e.opts.StepTimeout; st > 0 {
-			e.stepDeadline = stepStart.Add(st)
-		}
 		broadcast(cmdCompute)
 		if re := e.workerPanic(); re != nil {
 			e.shardSignalAbort(ctrlKindBarrier1, re)
@@ -439,15 +420,6 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 		if e.opts.Quarantine {
 			e.drainQuarantined()
 		}
-		if e.workerTimedOut() {
-			// The compute phase was cut short mid-loop: outboxes and the
-			// active set are torn, so no snapshot can be taken for this
-			// superstep — CheckpointPath keeps pointing at the last
-			// periodic one.
-			err := fmt.Errorf("%w (superstep %d ran > %v)", ErrStepTimeout, e.superstep, e.opts.StepTimeout)
-			e.shardSignalAbort(ctrlKindBarrier1, err)
-			return abort(err)
-		}
 		// Post-compute barrier: ship remote-destined outboxes and this
 		// shard's aggregator partials, and fill the stub workers with
 		// inbound frames so exchange delivers in global worker order.
@@ -455,7 +427,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 			return abort(err)
 		}
 		e.mergeAggregators()
-		if err := e.checkAbort(ctx, deadline, stepStart); err != nil {
+		if err := ctx.Err(); err != nil {
 			if !ckptOn && !sharded {
 				return abort(err)
 			}
@@ -548,22 +520,6 @@ func (e *Engine[V, M]) finish(start time.Time) *Stats {
 	return &st
 }
 
-// checkAbort evaluates the run-lifecycle conditions at a barrier. The
-// no-abort path performs no allocation: ctx.Err is an atomic load and the
-// clock is only read when a deadline or step timeout is armed.
-func (e *Engine[V, M]) checkAbort(ctx context.Context, deadline time.Time, stepStart time.Time) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if !deadline.IsZero() && !time.Now().Before(deadline) { //lint:allow timenow — deadline enforcement by design
-		return context.DeadlineExceeded
-	}
-	if st := e.opts.StepTimeout; st > 0 && time.Since(stepStart) > st {
-		return fmt.Errorf("%w (superstep %d ran > %v)", ErrStepTimeout, e.superstep, st)
-	}
-	return nil
-}
-
 // drainQuarantined folds the vertices each worker quarantined during the
 // compute phase that just completed into the run statistics. Safe to call
 // only after the barrier's WaitGroup wait.
@@ -576,18 +532,6 @@ func (e *Engine[V, M]) drainQuarantined() {
 		e.stats.QuarantinedVertices = append(e.stats.QuarantinedVertices, wk.quarantined...)
 		wk.quarantined = wk.quarantined[:0]
 	}
-}
-
-// workerTimedOut reports whether any worker's cooperative StepTimeout
-// check fired during the compute phase that just completed. Safe to call
-// only after the barrier's WaitGroup wait.
-func (e *Engine[V, M]) workerTimedOut() bool {
-	for _, wk := range e.workers {
-		if wk.timedOut {
-			return true
-		}
-	}
-	return false
 }
 
 // workerPanic returns the first (lowest worker id) panic recovered during
@@ -706,21 +650,10 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 		w.stamp++
 		w.next = w.next[:0]
 	}
-	// Cooperative StepTimeout: re-read the clock every 32 vertices run, so
-	// a worker whose vertices are individually slow stops shortly past the
-	// deadline instead of draining its whole range. The check is two
-	// compares plus a (rare) time.Now — nothing on this path allocates, so
-	// the zero-alloc steady state is untouched.
-	w.timedOut = false
-	deadline := e.stepDeadline
 	quarantine := e.opts.Quarantine
 	runVertex := func(u int) {
 		if w.sent >= w.compactAt {
 			w.compactFilled()
-		}
-		if !deadline.IsZero() && w.ran&31 == 0 && time.Now().After(deadline) { //lint:allow timenow — deadline enforcement by design
-			w.timedOut = true
-			return
 		}
 		w.ran++
 		ctx := &w.ctx
@@ -759,9 +692,6 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 	act, got, rem := w.act, w.got[:len(w.act)], w.rem[:len(w.act)]
 	if queue && !e.activateAll {
 		for _, v := range w.cur {
-			if w.timedOut {
-				break
-			}
 			li := int(v) - w.lo
 			if hasBit(rem, li) || (!hasBit(act, li) && !hasBit(got, li)) {
 				continue
@@ -769,20 +699,17 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 			runVertex(int(v))
 		}
 	} else {
-	sweep:
 		for i := range act {
 			m := act[i] | got[i]
 			if e.activateAll {
 				m = liveMask(w.hi-w.lo, i)
 			}
 			for m &^= rem[i]; m != 0; m &= m - 1 {
-				if runVertex(w.lo + i<<6 + bits.TrailingZeros64(m)); w.timedOut {
-					break sweep
-				}
+				runVertex(w.lo + i<<6 + bits.TrailingZeros64(m))
 			}
 		}
 	}
-	if e.combiner != nil && !w.timedOut {
+	if e.combiner != nil {
 		for d := range w.outTo {
 			w.combineBucket(d)
 		}

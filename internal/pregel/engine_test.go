@@ -545,38 +545,61 @@ func TestStatsStringAndSteps(t *testing.T) {
 	}
 }
 
+// TestContextAccessors reads a vertex's adjacency the one way a program
+// can, through OutArcs/InArcs, on the flat and the compact representation.
 func TestContextAccessors(t *testing.T) {
-	g := graph.Grid(3, 3, 5, 1)
-	e := New[probeVal, float64](g, Options{Workers: 2})
-	if _, err := e.Run(&probeProgram{}); err != nil {
+	flat := graph.Grid(3, 3, 5, 1)
+	compact, err := graph.Compact(flat)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Vertex 4 is the grid centre: degree 4.
-	v := e.Value(4)
-	if v.OutDeg != 4 || v.InDeg != 4 {
-		t.Fatalf("centre degrees = (%d,%d), want (4,4)", v.OutDeg, v.InDeg)
+	// Vertex 4 is the grid centre: degree 4, weights drawn from [1, 5).
+	var outW, inW float64
+	for _, w := range flat.OutWeights(4) {
+		outW += w
 	}
-	if v.N != 9 {
-		t.Fatalf("NumVertices = %d, want 9", v.N)
+	for _, w := range flat.InWeights(4) {
+		inW += w
 	}
-	if !v.Weighted {
-		t.Fatal("expected weights visible")
+	for _, g := range []*graph.Graph{flat, compact} {
+		e := New[probeVal, float64](g, Options{Workers: 2})
+		if _, err := e.Run(&probeProgram{}); err != nil {
+			t.Fatal(err)
+		}
+		v := e.Value(4)
+		if v.OutDeg != 4 || v.InDeg != 4 {
+			t.Fatalf("compact=%v: centre degrees = (%d,%d), want (4,4)", g.IsCompact(), v.OutDeg, v.InDeg)
+		}
+		if v.OutW != outW || v.InW != inW || outW <= 4 {
+			t.Fatalf("compact=%v: arc weights sum to (%v,%v), want (%v,%v) > 4", g.IsCompact(), v.OutW, v.InW, outW, inW)
+		}
+		if v.N != 9 {
+			t.Fatalf("NumVertices = %d, want 9", v.N)
+		}
 	}
 }
 
 type probeVal struct {
 	OutDeg, InDeg, N int
-	Weighted         bool
+	OutW, InW        float64
 }
 
 type probeProgram struct{}
 
 func (*probeProgram) Init(ctx *Context[probeVal, float64]) {
 	v := ctx.Value()
-	v.OutDeg = len(ctx.OutNeighbors())
-	v.InDeg = len(ctx.InNeighbors())
+	for it := ctx.OutArcs(); it.Next(); {
+		v.OutDeg++
+		v.OutW += it.Weight()
+	}
+	for it := ctx.InArcs(); it.Next(); {
+		v.InDeg++
+		v.InW += it.Weight()
+	}
+	if ctx.OutDegree() != v.OutDeg {
+		panic("OutDegree disagrees with OutArcs")
+	}
 	v.N = ctx.NumVertices()
-	v.Weighted = ctx.OutWeights() != nil && ctx.InWeights() != nil && ctx.OutDegree() == v.OutDeg
 	if ctx.Graph() == nil {
 		panic("nil graph")
 	}

@@ -19,7 +19,6 @@
 package pregel
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -94,21 +93,6 @@ type Options struct {
 	MaxSupersteps int
 	// Scheduler selects the active-vertex discovery strategy.
 	Scheduler Scheduler
-	// StepTimeout, when positive, bounds each superstep's wall-clock
-	// time. It is checked at the superstep barriers and cooperatively
-	// inside each worker's vertex loop (every few dozen vertices), so a
-	// worker with many slow vertices stops shortly after the deadline
-	// instead of draining its whole range — though a single Compute call
-	// that never returns still cannot be preempted. Exceeding it aborts
-	// the run with an error wrapping ErrStepTimeout and partial Stats; a
-	// mid-compute abort leaves a torn superstep, so no fresh snapshot is
-	// taken for it.
-	StepTimeout time.Duration
-	// Deadline, when non-zero, aborts the run once the wall clock passes
-	// it, returning an error wrapping context.DeadlineExceeded and
-	// partial Stats. A context deadline passed to RunContext combines
-	// with this; the earlier of the two wins.
-	Deadline time.Time
 	// Checkpoint enables barrier snapshots when it requests any output
 	// (Dir and/or Sink set): periodic snapshots every Every supersteps,
 	// plus a final snapshot at the terminal barrier and on every
@@ -144,10 +128,6 @@ type Options struct {
 	Quarantine bool
 }
 
-// ErrStepTimeout is wrapped by the run error when a superstep exceeds
-// Options.StepTimeout.
-var ErrStepTimeout = errors.New("pregel: superstep exceeded StepTimeout")
-
 // StepStats records one superstep.
 type StepStats struct {
 	Superstep        int
@@ -158,8 +138,8 @@ type StepStats struct {
 	Duration         time.Duration
 }
 
-// Stats aggregates a whole run. On an aborted run (cancellation, deadline,
-// step timeout, or a recovered panic) Stats holds everything accumulated up
+// Stats aggregates a whole run. On an aborted run (cancellation, a context
+// deadline, or a recovered panic) Stats holds everything accumulated up
 // to the abort point — Steps has one entry per completed superstep — and
 // Aborted/AbortReason record why the run stopped early.
 type Stats struct {
@@ -172,8 +152,8 @@ type Stats struct {
 	Duration         time.Duration
 	Steps            []StepStats
 	// Aborted is true when the run stopped before reaching quiescence,
-	// a master Stop, or the superstep limit: the context was cancelled, a
-	// deadline or step timeout fired, or user code panicked.
+	// a master Stop, or the superstep limit: the context was cancelled or
+	// its deadline passed, or user code panicked.
 	Aborted bool
 	// AbortReason is a human-readable cause, set iff Aborted.
 	AbortReason string

@@ -436,16 +436,6 @@ func PODCodec[T any]() (ValueCodec[T], error) {
 	return podCodec[T]{size: int(t.Size())}, nil
 }
 
-// MustPODCodec is PODCodec that panics on non-POD types; for package-level
-// codec variables of types known to be POD.
-func MustPODCodec[T any]() ValueCodec[T] {
-	c, err := PODCodec[T]()
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func podSafe(t reflect.Type) bool {
 	switch t.Kind() {
 	case reflect.Bool,

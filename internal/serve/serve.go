@@ -121,12 +121,9 @@ type Config struct {
 	// holds a chain manifest, seeds the server from the chain tip instead
 	// of recomputing. The graph passed in Graph must then be the same
 	// boot-time graph the chain was started from; its mutation logs are
-	// replayed on top of it.
+	// replayed on top of it. The chain writes a fresh full base after
+	// pregel.DefaultRebaseEvery incremental records.
 	ChainDir string
-	// RebaseEvery caps how many incremental records the chain layers on
-	// one base snapshot before writing a fresh full one. Zero selects
-	// pregel.DefaultRebaseEvery.
-	RebaseEvery int
 
 	// RepairBudget, when positive, bounds each delta repair to
 	// ceil(RepairBudget × S) body supersteps, where S is the superstep
@@ -261,7 +258,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		// writer's diff base and the boot below) before any compute, so a
 		// corrupt chain fails fast with cfg.Graph still owned by the caller.
 		var err error
-		s.chain, tip, err = pregel.OpenChain(cfg.ChainDir, cfg.RebaseEvery)
+		s.chain, tip, err = pregel.OpenChain(cfg.ChainDir, 0)
 		if err != nil {
 			return nil, fmt.Errorf("serve: opening chain %s: %w", cfg.ChainDir, err)
 		}
@@ -343,9 +340,6 @@ func (s *Server) bootFromChain(st *pregel.ChainState) (*Version, error) {
 // that epoch: its vectors never change and its graph survives (for
 // adjacency iteration, take Graph().Retain()).
 func (s *Server) Current() *Version { return s.current.Load() }
-
-// FieldNames returns the published user-field names in layout order.
-func (s *Server) FieldNames() []string { return s.fields }
 
 // Enqueue appends mutations to the pending log, reporting the new log
 // length. It fails with ErrLogFull when the log cannot take them and

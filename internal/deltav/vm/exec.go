@@ -261,9 +261,7 @@ func (x *exec[M]) execute(ctx context.Context, opts RunOptions, seed *pregel.See
 		// The engine gathered its vertex values, but the VM's field state
 		// lives in m.state: a successful sharded run all-gathers the owned
 		// rows so Result fields read whole on every shard.
-		if gerr := m.gatherShardState(eng); gerr != nil {
-			err = gerr
-		}
+		err = pregel.GatherRows(eng, m.state, m.stride, pregel.Float64Codec{})
 	}
 	res := &Result{
 		Stats:            stats,

@@ -18,7 +18,7 @@ import (
 
 // The ΔV corpus sharded across a 2-machine socket mesh must reproduce
 // the in-process field vectors bitwise: the VM's compiled programs run
-// on the same engine, and gatherShardState re-assembles the full state
+// on the same engine, and pregel.GatherRows re-assembles the full state
 // matrix on every shard after the run.
 
 // runCorpusSharded2 compiles name in mode and runs it on both shards of
@@ -82,10 +82,15 @@ func TestShardedCorpusBitIdentical(t *testing.T) {
 		{"pagerank", "vl", prG, RunOptions{Workers: 4}},
 		{"sssp", "dist", ssspG, RunOptions{Workers: 4, Params: map[string]float64{"src": 5}}},
 		{"cc", "cid", ccG, RunOptions{Workers: 4}},
+		{"sssp", "dist", ssspG, RunOptions{Workers: 4, Quarantine: true, Params: map[string]float64{"src": 5}}},
 	}
 	for _, mode := range []core.Mode{core.Incremental, core.Baseline} {
 		for _, tc := range cases {
-			t.Run(tc.name+"-"+mode.String(), func(t *testing.T) {
+			name := tc.name + "-" + mode.String()
+			if tc.opts.Quarantine {
+				name += "-quarantine"
+			}
+			t.Run(name, func(t *testing.T) {
 				ref := runT(t, tc.name, mode, tc.g, tc.opts)
 				want, err := ref.FieldVector(tc.field)
 				if err != nil {
@@ -94,7 +99,8 @@ func TestShardedCorpusBitIdentical(t *testing.T) {
 				outs := runCorpusSharded2(t, tc.name, mode, tc.g, tc.opts)
 				for i, res := range outs {
 					if res.Stats.MessagesSent != ref.Stats.MessagesSent ||
-						res.Stats.Supersteps != ref.Stats.Supersteps {
+						res.Stats.Supersteps != ref.Stats.Supersteps ||
+						res.Stats.Quarantined != ref.Stats.Quarantined {
 						t.Fatalf("shard %d stats diverge: %+v vs %+v", i, res.Stats, ref.Stats)
 					}
 					got, err := res.FieldVector(tc.field)

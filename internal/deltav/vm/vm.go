@@ -10,10 +10,8 @@ package vm
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -86,11 +84,12 @@ type RunOptions struct {
 	// pregel.Options.Quarantine.
 	Quarantine bool
 	// Shard places the run in a multi-process sharded mesh (see
-	// pregel.ShardOptions). Every shard runs the same compiled program
-	// over the same graph with identical options; after a successful run
-	// the machine's state rows are all-gathered so Result fields are
-	// whole on every shard. Requires an explicit Workers value identical
-	// on every shard.
+	// pregel.ShardOptions); every other option composes with it. Every
+	// shard runs the same compiled program over the same graph with
+	// identical options; after a successful run the machine's state rows
+	// are all-gathered (pregel.GatherRows) so Result fields are whole on
+	// every shard. Requires an explicit Workers value identical on every
+	// shard.
 	Shard *pregel.ShardOptions
 }
 
@@ -333,54 +332,6 @@ func ResumeContext(ctx context.Context, prog *core.Program, g *graph.Graph, opts
 }
 
 const aggUnchanged = "$unchanged"
-
-// shardPeer is the part of a sharded engine the state gather uses.
-type shardPeer interface {
-	ShardInfo() (index, count int)
-	ShardOwnedRange() (lo, hi int)
-	ShardAllGather(payload []byte) ([][]byte, error)
-}
-
-// gatherShardState all-gathers the machine's flat state rows after a
-// successful sharded run: each shard broadcasts its owned vertex range
-// [lo, hi) as u32 bounds plus (hi-lo)·stride little-endian float64s and
-// copies every peer's rows into place. A no-op unsharded.
-func (m *Machine) gatherShardState(eng shardPeer) error {
-	if _, count := eng.ShardInfo(); count <= 1 {
-		return nil
-	}
-	lo, hi := eng.ShardOwnedRange()
-	buf := make([]byte, 0, 8+(hi-lo)*m.stride*8)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(lo))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(hi))
-	for _, v := range m.state[lo*m.stride : hi*m.stride] {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	idx, _ := eng.ShardInfo()
-	payloads, err := eng.ShardAllGather(buf)
-	if err != nil {
-		return fmt.Errorf("vm: state gather: %w", err)
-	}
-	n := m.g.NumVertices()
-	for i, p := range payloads {
-		if i == idx {
-			continue
-		}
-		if len(p) < 8 {
-			return fmt.Errorf("vm: state gather: short payload from shard %d", i)
-		}
-		plo := int(binary.LittleEndian.Uint32(p))
-		phi := int(binary.LittleEndian.Uint32(p[4:]))
-		rows := p[8:]
-		if plo > phi || phi > n || len(rows) != (phi-plo)*m.stride*8 {
-			return fmt.Errorf("vm: state gather: shard %d sent %d bytes for range [%d, %d)", i, len(rows), plo, phi)
-		}
-		for j := 0; j < (phi-plo)*m.stride; j++ {
-			m.state[plo*m.stride+j] = math.Float64frombits(binary.LittleEndian.Uint64(rows[8*j:]))
-		}
-	}
-	return nil
-}
 
 // FieldValue returns vertex u's current value of a layout field by name.
 func (m *Machine) FieldValue(name string, u graph.VertexID) float64 {

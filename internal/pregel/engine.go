@@ -57,8 +57,7 @@ type Engine[V, M any] struct {
 	chain    *ChainWriter // lazily opened when Checkpoint.Incremental
 
 	// Sharding state (see shard.go). Always non-nil once RunContext
-	// starts; the unsharded run is the count==1 case over the local
-	// transport, so the superstep loop has exactly one shape.
+	// starts; an unsharded run is count 1, whose barriers do nothing.
 	shard *shardState
 }
 
@@ -271,12 +270,14 @@ func (e *Engine[V, M]) Run(prog Program[V, M]) (*Stats, error) {
 // RunContext executes prog to completion, or until ctx is cancelled or
 // its deadline passes, or user code panics. The context is checked at the
 // superstep barriers only — before each superstep's compute phase and
-// again between compute and exchange — so an in-process run's abort on
-// the context stops at a consistent cut, and a Compute call that never
-// returns cannot be preempted. Panics raised by Program.Init/Compute, a Combiner, or the
-// master hook are recovered into a *RunError (which the returned error
-// wraps or is) instead of crashing the process; the worker pool shuts down
-// cleanly in every case.
+// again between compute and exchange — so an abort on the context stops
+// at a consistent cut, and a Compute call that never returns cannot be
+// preempted. A sharded run defers every context abort to the
+// post-exchange barrier, where all shards stop at the same superstep.
+// Panics raised by Program.Init/Compute, a Combiner, or the master hook
+// are recovered into a *RunError (which the returned error wraps or is)
+// instead of crashing the process; the worker pool shuts down cleanly in
+// every case.
 //
 // On any abort the returned *Stats is non-nil and holds the statistics
 // accumulated so far, with Aborted set and AbortReason describing the
@@ -392,42 +393,40 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 	// and this shutdown broadcast can never deadlock, abort or not.
 	defer broadcast(cmdStop)
 
-	// pendingAbort defers an abort detected between the compute and
-	// exchange phases: with checkpointing on, the run first drains through
-	// the exchange to the next barrier — where outboxes are empty and the
-	// cut is consistent — takes the final snapshot, and only then aborts.
-	var pendingAbort error
 	for e.superstep = startStep; !e.done && e.superstep < e.opts.MaxSupersteps; e.superstep++ {
 		stepStart := time.Now() //lint:allow timenow — stats-only wall-clock timing
+		// pendingAbort defers an abort to this superstep's post-exchange
+		// barrier — where outboxes are empty and the cut is consistent —
+		// which takes the final snapshot when checkpointing is on.
+		var pendingAbort error
 		if err := ctx.Err(); err != nil {
-			if sharded {
-				// Peer shards may already have run this superstep's compute,
-				// so no cluster-consistent snapshot exists; flag the abort at
-				// their next barrier instead of capturing.
-				e.shardSignalAbort(ctrlKindBarrier1, err)
-			} else if ckptOn && e.superstep > startStep {
-				// State sits at the previous superstep's barrier; persist it
-				// so the abort leaves a resumable snapshot behind.
-				_ = e.capture()
+			if !sharded {
+				if ckptOn && e.superstep > startStep {
+					// State sits at the previous superstep's barrier; persist it
+					// so the abort leaves a resumable snapshot behind.
+					_ = e.capture()
+				}
+				return abort(err)
 			}
-			return abort(err)
+			// Peer shards may already be computing this superstep, so
+			// compute it too and abort at its post-exchange barrier.
+			pendingAbort = err
 		}
 		broadcast(cmdCompute)
 		if re := e.workerPanic(); re != nil {
 			e.shardSignalAbort(ctrlKindBarrier1, re)
 			return abort(re)
 		}
-		if e.opts.Quarantine {
-			e.drainQuarantined()
-		}
-		// Post-compute barrier: ship remote-destined outboxes and this
-		// shard's aggregator partials, and fill the stub workers with
-		// inbound frames so exchange delivers in global worker order.
+		// Post-compute barrier: ship remote-destined outboxes, this shard's
+		// aggregator partials and quarantined vertices, and fill the stub
+		// workers with inbound frames so exchange delivers in global worker
+		// order.
 		if err := e.shardBarrier1(); err != nil {
 			return abort(err)
 		}
+		e.drainQuarantined()
 		e.mergeAggregators()
-		if err := ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil && pendingAbort == nil {
 			if !ckptOn && !sharded {
 				return abort(err)
 			}
@@ -453,12 +452,9 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 		// Post-exchange barrier: merge every shard's statistic partials so
 		// the termination decision and the master hook run on identical
 		// global numbers everywhere, and agree on deferred aborts.
-		remotePending, err := e.shardBarrier2(&st, &nextActive, pendingAbort)
+		pendingAbort, err := e.shardBarrier2(&st, &nextActive, pendingAbort)
 		if err != nil {
 			return abort(err)
-		}
-		if pendingAbort == nil {
-			pendingAbort = remotePending
 		}
 		st.Duration = time.Since(stepStart)
 		e.stats.Steps = append(e.stats.Steps, st)
@@ -501,9 +497,9 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 		}
 		return e.finish(start), fmt.Errorf("pregel: superstep limit %d reached", e.opts.MaxSupersteps)
 	}
-	// A finished sharded run gathers every shard's owned value range so
+	// A finished sharded run gathers every shard's owned values so
 	// Values() is whole on all shards.
-	if err := e.shardGatherValues(); err != nil {
+	if err := GatherRows(e, e.values, 1, e.valCodec); err != nil {
 		return abort(err)
 	}
 	return e.finish(start), nil
@@ -521,8 +517,9 @@ func (e *Engine[V, M]) finish(start time.Time) *Stats {
 }
 
 // drainQuarantined folds the vertices each worker quarantined during the
-// compute phase that just completed into the run statistics. Safe to call
-// only after the barrier's WaitGroup wait.
+// compute phase that just completed into the run statistics, in worker
+// order; a sharded run's stubs hold their owners' lists from barrier 1.
+// Safe to call only after the barrier's WaitGroup wait.
 func (e *Engine[V, M]) drainQuarantined() {
 	for _, wk := range e.workers {
 		if len(wk.quarantined) == 0 {

@@ -104,11 +104,11 @@ type Options struct {
 	// Shard, when non-nil with Count > 1, places this engine in a
 	// multi-process sharded run: this process executes only its shard's
 	// contiguous worker range and exchanges messages, aggregator
-	// partials, and statistics with its peers over Shard.Transport at
-	// the superstep barriers. The merged run is bit-identical to an
-	// in-process run with the same total Workers count. Requires an
-	// explicit Workers value identical on every shard; Quarantine is not
-	// supported sharded. See ShardOptions.
+	// partials, quarantined vertices and statistics with its peers over
+	// Shard.Transport at the superstep barriers. The merged run is
+	// bit-identical to an in-process run with the same total Workers
+	// count, whatever the other options. Requires an explicit Workers
+	// value identical on every shard. See ShardOptions.
 	Shard *ShardOptions
 	// Quarantine contains a panic raised inside a single vertex's
 	// Init/Compute to that vertex instead of aborting the run: the panic
@@ -120,11 +120,14 @@ type Options struct {
 	// Quarantined vertices are recorded in Stats.Quarantined /
 	// Stats.QuarantinedVertices; their values freeze (any writes the
 	// panicking call made before the panic persist, like RemoveSelf)
-	// and pending or future messages addressed to them are dropped. Panics outside a vertex program — combiners, the
-	// exchange phase, master hooks — are not attributable to one vertex
-	// and still abort the run with a *RunError. This is the resident-
-	// server posture: a poisoned vertex program must not take down a
-	// long-lived serving process (see DESIGN.md "Serving").
+	// and pending or future messages addressed to them are dropped.
+	// Sharded, the owning shard does all of this, and barrier 1 carries
+	// the quarantined ids so every shard's Stats list the same vertices.
+	// Panics outside a vertex program — combiners, the exchange phase,
+	// master hooks — are not attributable to one vertex and still abort
+	// the run with a *RunError. This is the resident-server posture: a
+	// poisoned vertex program must not take down a long-lived serving
+	// process (see DESIGN.md "Serving").
 	Quarantine bool
 }
 

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/graph"
+	"repro/internal/framing"
 	"repro/internal/pregel/transport"
 )
 
@@ -17,25 +17,27 @@ import (
 // aggregator folds still iterate every worker in global order and the
 // sharded run is bit-identical to an in-process run with the same total
 // worker count. The wire protocol is two transport barriers per
-// superstep — one after compute (data frames + aggregator partials +
-// hard-abort flags), one after exchange (merged statistics + deferred
-// aborts) — and a final value all-gather on success. See DESIGN.md
+// superstep — one after compute (data frames, then each local worker's
+// aggregator partials and quarantined vertices, or a hard-abort flag),
+// one after exchange (merged statistics + deferred aborts) — and one
+// per-vertex all-gather (GatherRows) on success. Every peer payload is
+// read through wireFormat's bounds-checked reader. See DESIGN.md
 // "Sharded message plane".
 
 // ShardOptions place this engine in a multi-process sharded run. Every
 // process must run the same program over the same graph with identical
 // Options (in particular an explicit, identical Workers count — the
 // GOMAXPROCS default would diverge across machines), differing only in
-// Index. Checkpoints are per shard (each owns its own snapshot files); a
-// Seed works as it does in-process — Continue from this shard's own
-// snapshot, Warm from one whole terminal snapshot handed to every shard.
-// Quarantine is not supported sharded.
+// Index. Every other option composes: checkpoints are per shard (each
+// owns its own snapshot files); a Seed works as it does in-process —
+// Continue from this shard's own snapshot, Warm from one whole terminal
+// snapshot handed to every shard; under Quarantine every shard's Stats
+// list every shard's quarantined vertices, in worker order.
 type ShardOptions struct {
 	// Index is this process's shard number, in [0, Count).
 	Index int
-	// Count is the total number of shards. Count == 1 with a Transport
-	// routes the single-process run through it (dvrun -shard 0/1);
-	// Count == 1 without one is equivalent to no sharding.
+	// Count is the total number of shards. Count == 1 is an unsharded
+	// run, whatever Transport holds.
 	Count int
 	// Transport connects this shard to its peers. The engine does not
 	// close it; the caller owns its lifecycle (and closing it is what
@@ -43,20 +45,23 @@ type ShardOptions struct {
 	Transport transport.Transport
 }
 
-// shardState is the per-run sharding bookkeeping hung off the Engine.
-// The unsharded path gets a count==1 state routed through the local
-// transport, so the superstep loop has exactly one shape.
+// shardState is the per-run sharding bookkeeping hung off the Engine. An
+// unsharded run is count 1 with no transport, and every barrier below
+// returns at once.
 type shardState struct {
-	idx, count  int
-	tr          transport.Transport
-	wLo, wHi    int   // local worker index range [wLo, wHi)
-	workerShard []int // worker id -> owning shard (sharded runs only)
+	idx, count int
+	tr         transport.Transport
+	wLo, wHi   int // local worker index range [wLo, wHi)
 
 	frameBuf []byte // reusable data-frame / gather scratch
 	ctrlBuf  []byte // reusable control-payload scratch
 }
 
 func (s *shardState) owns(w int) bool { return w >= s.wLo && w < s.wHi }
+
+// wireFormat reads every peer payload — data frames, both control kinds
+// and the gather — unframed: the transport already delimits them.
+var wireFormat = framing.Format{Name: "shard payload", Corrupt: errors.New("pregel: malformed peer payload")}
 
 // Control payload layout (both barriers):
 //
@@ -66,10 +71,12 @@ func (s *shardState) owns(w int) bool { return w >= s.wLo && w < s.wHi }
 //	u16 reason length + reason bytes (abort flags only)
 //	kind-specific body
 //
-// Kind 1 body: u32 aggregator count, u32 worker count, then per local
-// worker u32 id + per aggregator (u8 seen, u64 pending bits).
-// Kind 2 body: five u64 statistic partials (sent, ran, delivered,
-// cross-worker, next-active) summed over the shard's workers.
+// Kind 1 body: u32 aggregator count, then for each of the shard's
+// workers in order, per aggregator (u8 seen, u64 pending bits), then a
+// u32 count and the u32 ids of the vertices it quarantined. Kind 2 body:
+// five u64 statistic partials (sent, ran, delivered, cross-worker,
+// next-active) summed over the shard's workers. A hard abort carries no
+// body.
 const (
 	ctrlKindBarrier1 byte = 1
 	ctrlKindBarrier2 byte = 2
@@ -78,51 +85,30 @@ const (
 	flagPendingAbort byte = 1 << 1 // abort after this barrier, cut consistent
 )
 
-// initShard validates Options.Shard and builds the shard state; the
-// unsharded run is count==1 over the zero-cost local transport.
+// initShard validates Options.Shard and builds the shard state.
 func (e *Engine[V, M]) initShard() error {
-	so := e.opts.Shard
 	w := len(e.workers)
-	if so == nil {
-		e.shard = &shardState{idx: 0, count: 1, tr: transport.NewLocal(), wLo: 0, wHi: w}
+	e.shard = &shardState{count: 1, wHi: w}
+	so := e.opts.Shard
+	switch {
+	case so == nil:
 		return nil
-	}
-	if so.Count < 1 || so.Index < 0 || so.Index >= so.Count {
+	case so.Count < 1 || so.Index < 0 || so.Index >= so.Count:
 		return fmt.Errorf("pregel: bad shard %d of %d", so.Index, so.Count)
-	}
-	if so.Count == 1 {
-		tr := so.Transport
-		if tr == nil {
-			tr = transport.NewLocal()
-		}
-		e.shard = &shardState{idx: 0, count: 1, tr: tr, wLo: 0, wHi: w}
+	case so.Count == 1:
 		return nil
-	}
-	if so.Transport == nil {
+	case so.Transport == nil:
 		return errors.New("pregel: sharded run needs a transport")
-	}
-	if so.Count > w {
+	case so.Count > w:
 		return fmt.Errorf("pregel: %d shards over %d workers; every shard needs at least one", so.Count, w)
 	}
-	if e.opts.Quarantine {
-		return errors.New("pregel: Quarantine is not supported sharded")
-	}
-	// Frames and the value gather serialize through the codecs even when
+	// Frames and the gather serialize through the codecs even when
 	// checkpointing is off.
 	if err := e.ensureCodecs(); err != nil {
 		return err
 	}
-	ws := make([]int, w)
-	for s := 0; s < so.Count; s++ {
-		for i := s * w / so.Count; i < (s+1)*w/so.Count; i++ {
-			ws[i] = s
-		}
-	}
-	e.shard = &shardState{
-		idx: so.Index, count: so.Count, tr: so.Transport,
-		wLo: so.Index * w / so.Count, wHi: (so.Index + 1) * w / so.Count,
-		workerShard: ws,
-	}
+	e.shard = &shardState{idx: so.Index, count: so.Count, tr: so.Transport,
+		wLo: so.Index * w / so.Count, wHi: (so.Index + 1) * w / so.Count}
 	return nil
 }
 
@@ -131,59 +117,96 @@ func (e *Engine[V, M]) localWorkers() []*worker[V, M] {
 	return e.workers[e.shard.wLo:e.shard.wHi]
 }
 
-// ShardInfo returns this engine's shard index and the total shard
-// count; (0, 1) for an unsharded engine.
-func (e *Engine[V, M]) ShardInfo() (index, count int) {
-	if so := e.opts.Shard; so != nil && so.Count > 1 {
-		return so.Index, so.Count
-	}
-	return 0, 1
+// shardWorkers returns the workers shard i owns, which the partition
+// alone fixes: a peer's payload never says what it owns.
+func (e *Engine[V, M]) shardWorkers(i int) []*worker[V, M] {
+	w, c := len(e.workers), e.shard.count
+	return e.workers[i*w/c : (i+1)*w/c]
 }
 
-// ShardOwnedRange returns the contiguous global vertex range
-// [lo, hi) owned by this shard's workers — the full graph unsharded.
-func (e *Engine[V, M]) ShardOwnedRange() (lo, hi int) {
+// shardOf returns the shard that owns worker d: the inverse of
+// shardWorkers.
+func (e *Engine[V, M]) shardOf(d int) int {
+	return ((d+1)*e.shard.count - 1) / len(e.workers)
+}
+
+// GatherRows completes per-vertex state after a successful sharded run:
+// rows holds width elements per vertex, every shard encodes the rows of
+// the vertices its workers own with codec, and one transport barrier
+// all-gathers them, so rows is whole on every shard. Each peer's rows
+// land in the range the worker partition gives that peer, and a peer's
+// payload is decoded whole before any of it is stored. Every shard must
+// call it the same number of times, after the run; it does nothing on an
+// unsharded engine. The engine gathers its own values with it, and the
+// ΔV VM its state rows.
+func GatherRows[T, V, M any](e *Engine[V, M], rows []T, width int, codec ValueCodec[T]) error {
 	s := e.shard
 	if s == nil || s.count == 1 {
-		return 0, e.g.NumVertices()
+		return nil
 	}
-	if s.wLo >= s.wHi {
-		return 0, 0
+	owned := func(ws []*worker[V, M]) []T {
+		return rows[ws[0].lo*width : ws[len(ws)-1].hi*width]
 	}
-	return e.workers[s.wLo].lo, e.workers[s.wHi-1].hi
+	buf := s.frameBuf[:0]
+	for _, v := range owned(e.localWorkers()) {
+		buf = codec.AppendValue(buf, v)
+	}
+	s.frameBuf = buf
+	payloads, err := s.tr.Barrier(buf)
+	if err != nil {
+		return fmt.Errorf("pregel: gather: %w", err)
+	}
+	for i, p := range payloads {
+		if i != s.idx {
+			if err := installRows(owned(e.shardWorkers(i)), p, codec); err != nil {
+				return fmt.Errorf("pregel: gather from shard %d: %w", i, err)
+			}
+		}
+	}
+	return nil
 }
 
-// ShardAllGather runs one transport barrier carrying payload and
-// returns every shard's payload indexed by shard (the local payload at
-// the local index). Valid only outside the superstep loop — callers use
-// it after Run to gather per-shard results (e.g. the ΔV VM's state
-// rows); every shard must call it the same number of times. The
-// returned slices are valid until the next barrier on the transport.
-func (e *Engine[V, M]) ShardAllGather(payload []byte) ([][]byte, error) {
-	s := e.shard
-	if s == nil {
-		return [][]byte{payload}, nil
+// installRows decodes p into dst, one codec value per element, after a
+// first pass has checked that p holds exactly that.
+func installRows[T any](dst []T, p []byte, codec ValueCodec[T]) error {
+	for _, install := range [2]bool{false, true} {
+		r, b := wireFormat.Reader(p), p
+		for j := range dst {
+			v, rest, err := codec.DecodeValue(b)
+			if err != nil {
+				r.Fail("row %d: %v", j, err)
+				break
+			}
+			if install {
+				dst[j] = v
+			}
+			b = rest
+		}
+		r.Take(len(p) - len(b))
+		if err := r.End(); err != nil {
+			return err
+		}
 	}
-	return s.tr.Barrier(payload)
+	return nil
 }
 
 // shardBarrier1 is the post-compute barrier: ship every non-empty
 // remote-destined outbox bucket as one data frame, publish aggregator
-// partials, then decode the peers' frames into the stub workers so the
-// local exchange delivers them in global worker order.
+// partials and quarantined vertices, then decode the peers' frames into
+// the stub workers so the local exchange delivers them in global worker
+// order.
 func (e *Engine[V, M]) shardBarrier1() error {
 	s := e.shard
 	if s.count == 1 {
-		_, err := s.tr.Barrier(nil)
-		return err
+		return nil
 	}
 	for _, src := range e.localWorkers() {
 		for d := range src.outTo {
-			if s.workerShard[d] == s.idx || len(src.outTo[d]) == 0 {
+			if s.owns(d) || len(src.outTo[d]) == 0 {
 				continue
 			}
 			s.frameBuf = e.appendDataFrame(s.frameBuf[:0], src, d)
-			if err := s.tr.Send(s.workerShard[d], s.frameBuf); err != nil {
+			if err := s.tr.Send(e.shardOf(d), s.frameBuf); err != nil {
 				return err
 			}
 		}
@@ -230,36 +253,31 @@ func (e *Engine[V, M]) shardBarrier1() error {
 // shardBarrier2 is the post-exchange barrier: merge every shard's
 // statistic partials into st/nextActive (so the master hook and the
 // termination decision see identical global numbers on every shard) and
-// exchange abort flags. It returns a non-nil pending error when any
-// shard requested a consistent-cut abort at this barrier.
+// exchange abort flags. It returns pending, or the first peer's request
+// when pending is nil, for a consistent-cut abort at this barrier.
 func (e *Engine[V, M]) shardBarrier2(st *StepStats, nextActive *int, pending error) (error, error) {
 	s := e.shard
 	if s.count == 1 {
-		_, err := s.tr.Barrier(nil)
-		return nil, err
+		return pending, nil
 	}
 	s.ctrlBuf = e.appendCtrl2(s.ctrlBuf[:0], st, *nextActive, pending)
 	ctrls, err := s.tr.Barrier(s.ctrlBuf)
 	if err != nil {
 		return nil, err
 	}
-	remotePending := pending
 	for i, c := range ctrls {
 		if i == s.idx {
 			continue
 		}
-		reason, flags, err := e.applyCtrl2(i, c, st, nextActive)
+		requested, err := e.applyCtrl2(i, c, st, nextActive)
 		if err != nil {
 			return nil, err
 		}
-		if flags&flagHardAbort != 0 {
-			return nil, fmt.Errorf("pregel: aborted by shard %d: %s", i, reason)
-		}
-		if flags&flagPendingAbort != 0 && remotePending == nil {
-			remotePending = fmt.Errorf("pregel: abort requested by shard %d: %s", i, reason)
+		if pending == nil {
+			pending = requested
 		}
 	}
-	return remotePending, nil
+	return pending, nil
 }
 
 // shardSignalAbort performs a best-effort barrier carrying a hard-abort
@@ -268,60 +286,11 @@ func (e *Engine[V, M]) shardBarrier2(st *StepStats, nextActive *int, pending err
 // inconsistent — some shards' compute for this superstep already ran).
 func (e *Engine[V, M]) shardSignalAbort(kind byte, cause error) {
 	s := e.shard
-	if s == nil || s.count == 1 {
+	if s.count == 1 {
 		return
 	}
-	s.ctrlBuf = e.appendAbortCtrl(s.ctrlBuf[:0], kind, cause.Error())
+	s.ctrlBuf = appendCtrlHeader(s.ctrlBuf[:0], kind, e.superstep, flagHardAbort, cause.Error())
 	_, _ = s.tr.Barrier(s.ctrlBuf)
-}
-
-// shardGatherValues completes a successful sharded run: every shard
-// broadcasts its owned [lo, hi) value range so Values() is whole
-// everywhere.
-func (e *Engine[V, M]) shardGatherValues() error {
-	s := e.shard
-	if s == nil || s.count == 1 {
-		return nil
-	}
-	n := e.g.NumVertices()
-	lo, hi := e.ShardOwnedRange()
-	buf := s.frameBuf[:0]
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(lo))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(hi))
-	for u := lo; u < hi; u++ {
-		buf = e.valCodec.AppendValue(buf, e.values[u])
-	}
-	s.frameBuf = buf
-	ctrls, err := s.tr.Barrier(buf)
-	if err != nil {
-		return fmt.Errorf("pregel: value gather: %w", err)
-	}
-	for i, c := range ctrls {
-		if i == s.idx {
-			continue
-		}
-		if len(c) < 8 {
-			return fmt.Errorf("pregel: value gather: short payload from shard %d", i)
-		}
-		plo := int(binary.LittleEndian.Uint32(c))
-		phi := int(binary.LittleEndian.Uint32(c[4:]))
-		if plo > phi || phi > n {
-			return fmt.Errorf("pregel: value gather: shard %d claims range [%d, %d)", i, plo, phi)
-		}
-		rest := c[8:]
-		for u := plo; u < phi; u++ {
-			v, r, err := e.valCodec.DecodeValue(rest)
-			if err != nil {
-				return fmt.Errorf("pregel: value gather: shard %d vertex %d: %w", i, u, err)
-			}
-			e.values[u] = v
-			rest = r
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("pregel: value gather: %d trailing bytes from shard %d", len(rest), i)
-		}
-	}
-	return nil
 }
 
 // appendDataFrame encodes one worker-pair outbox bucket: the SoA outTo
@@ -343,46 +312,50 @@ func (e *Engine[V, M]) appendDataFrame(dst []byte, src *worker[V, M], d int) []b
 }
 
 // applyDataFrame decodes an inbound worker-pair bucket into the sending
-// stub worker, reusing the bucket's capacity.
+// stub worker's emptied bucket, reusing its capacity; the bucket stays
+// empty unless the whole frame decodes.
 func (e *Engine[V, M]) applyDataFrame(f []byte) error {
 	s := e.shard
-	if len(f) < 16 {
-		return fmt.Errorf("pregel: short data frame (%d bytes)", len(f))
+	r := wireFormat.Reader(f)
+	step, src, dst := int(r.U32()), int(r.U32()), int(r.U32())
+	count := r.Count(4, "envelope")
+	ids := r.Take(4 * count)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("pregel: data frame: %w", err)
 	}
-	step := int(binary.LittleEndian.Uint32(f))
-	src := int(binary.LittleEndian.Uint32(f[4:]))
-	dst := int(binary.LittleEndian.Uint32(f[8:]))
-	count := int(binary.LittleEndian.Uint32(f[12:]))
 	if step != e.superstep {
 		return fmt.Errorf("pregel: data frame for superstep %d at superstep %d (mismatched shards?)", step, e.superstep)
 	}
-	if src < 0 || src >= len(e.workers) || s.owns(src) || !s.owns(dst) {
+	if src >= len(e.workers) || s.owns(src) || !s.owns(dst) {
 		return fmt.Errorf("pregel: data frame routes worker %d -> %d, not a remote-to-local pair", src, dst)
 	}
-	rest := f[16:]
-	if count < 0 || len(rest) < 4*count {
-		return fmt.Errorf("pregel: data frame count %d exceeds payload", count)
+	stub, recv := e.workers[src], e.workers[dst]
+	to, msg := stub.outTo[dst], stub.outMsg[dst]
+	if len(to) != 0 {
+		return fmt.Errorf("pregel: second data frame for worker pair %d -> %d", src, dst)
 	}
-	stub := e.workers[src]
-	to := stub.outTo[dst][:0]
-	msg := stub.outMsg[dst][:0]
 	for i := 0; i < count; i++ {
-		to = append(to, graph.VertexID(binary.LittleEndian.Uint32(rest[4*i:])))
-	}
-	rest = rest[4*count:]
-	for i := 0; i < count; i++ {
-		m, r, err := e.msgCodec.DecodeValue(rest)
-		if err != nil {
-			return fmt.Errorf("pregel: data frame message %d: %w", i, err)
+		t := int(binary.LittleEndian.Uint32(ids[4*i:]))
+		if t < recv.lo || t >= recv.hi {
+			return fmt.Errorf("pregel: data frame for worker %d addresses vertex %d", dst, t)
 		}
-		msg = append(msg, m)
-		rest = r
+		to = append(to, VertexID(t))
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("pregel: %d trailing data frame bytes", len(rest))
+	// The per-message hot path decodes straight off the unread bytes.
+	b := r.Rest()
+	for i := 0; i < count; i++ {
+		m, rest, err := e.msgCodec.DecodeValue(b)
+		if err != nil {
+			r.Fail("message %d: %v", i, err)
+			break
+		}
+		msg, b = append(msg, m), rest
 	}
-	stub.outTo[dst] = to
-	stub.outMsg[dst] = msg
+	r.Take(len(r.Rest()) - len(b))
+	if err := r.End(); err != nil {
+		return fmt.Errorf("pregel: data frame %d -> %d: %w", src, dst, err)
+	}
+	stub.outTo[dst], stub.outMsg[dst] = to, msg
 	return nil
 }
 
@@ -397,38 +370,35 @@ func appendCtrlHeader(dst []byte, kind byte, superstep int, flags byte, reason s
 	return append(dst, reason...)
 }
 
-// decodeCtrlHeader validates the common prefix against the local
-// superstep and returns flags, reason, and the kind-specific body.
-func (e *Engine[V, M]) decodeCtrlHeader(shard int, kind byte, c []byte) (byte, string, []byte, error) {
-	if len(c) < 8 {
-		return 0, "", nil, fmt.Errorf("pregel: short control payload from shard %d", shard)
+// readCtrlHeader reads the common prefix of a peer's control payload and
+// checks it against the barrier kind and the local superstep, leaving r
+// on the body. A hard abort is returned as err, a deferred one as
+// pending.
+func (e *Engine[V, M]) readCtrlHeader(r *framing.Reader, shard int, kind byte) (pending, err error) {
+	k, step, flags := r.U8(), int(r.U32()), r.U8()
+	reason := string(r.Take(int(r.U16())))
+	switch {
+	case r.Err() != nil:
+		return nil, fmt.Errorf("pregel: control payload from shard %d: %w", shard, r.Err())
+	case k != kind:
+		return nil, fmt.Errorf("pregel: shard %d sent control kind %d at barrier kind %d", shard, k, kind)
+	case step != e.superstep:
+		return nil, fmt.Errorf("pregel: shard %d is at superstep %d, this shard at %d (mismatched resume?)", shard, step, e.superstep)
+	case flags&flagHardAbort != 0:
+		return nil, fmt.Errorf("pregel: aborted by shard %d: %s", shard, reason)
+	case flags&flagPendingAbort != 0:
+		return fmt.Errorf("pregel: abort requested by shard %d: %s", shard, reason), nil
 	}
-	if c[0] != kind {
-		return 0, "", nil, fmt.Errorf("pregel: shard %d sent control kind %d at barrier kind %d", shard, c[0], kind)
-	}
-	step := int(binary.LittleEndian.Uint32(c[1:]))
-	flags := c[5]
-	rl := int(binary.LittleEndian.Uint16(c[6:]))
-	if len(c) < 8+rl {
-		return 0, "", nil, fmt.Errorf("pregel: truncated control payload from shard %d", shard)
-	}
-	reason := string(c[8 : 8+rl])
-	if step != e.superstep {
-		return 0, "", nil, fmt.Errorf("pregel: shard %d is at superstep %d, this shard at %d (mismatched resume?)", shard, step, e.superstep)
-	}
-	return flags, reason, c[8+rl:], nil
+	return nil, nil
 }
 
 // appendCtrl1 encodes the post-compute control payload: per-local-
-// worker aggregator partials, in worker order, so every shard can fold
-// all W workers' contributions identically.
+// worker aggregator partials and quarantined vertices, in worker order,
+// so every shard can fold all W workers' contributions identically.
 func (e *Engine[V, M]) appendCtrl1(dst []byte) []byte {
 	dst = appendCtrlHeader(dst, ctrlKindBarrier1, e.superstep, 0, "")
-	locals := e.localWorkers()
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.aggList)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(locals)))
-	for _, wk := range locals {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(wk.id))
+	for _, wk := range e.localWorkers() {
 		for i := range e.aggList {
 			seen := byte(0)
 			if wk.aggSeen[i] {
@@ -437,46 +407,60 @@ func (e *Engine[V, M]) appendCtrl1(dst []byte) []byte {
 			dst = append(dst, seen)
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(wk.aggPend[i]))
 		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(wk.quarantined)))
+		for _, u := range wk.quarantined {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(u))
+		}
 	}
 	return dst
 }
 
-// applyCtrl1 copies a peer shard's aggregator partials into its stub
-// workers (mergeAggregators then folds them in global worker order) and
-// surfaces its abort flag.
+// applyCtrl1 copies a peer shard's aggregator partials and quarantined
+// vertices into its stub workers (mergeAggregators and drainQuarantined
+// then fold them in global worker order) and surfaces its hard abort.
+// The body is read once to check it and once to install it, so a refused
+// payload leaves the stubs as they were.
 func (e *Engine[V, M]) applyCtrl1(shard int, c []byte) error {
-	flags, reason, body, err := e.decodeCtrlHeader(shard, ctrlKindBarrier1, c)
-	if err != nil {
+	r := wireFormat.Reader(c)
+	if _, err := e.readCtrlHeader(r, shard, ctrlKindBarrier1); err != nil {
 		return err
 	}
-	if flags&flagHardAbort != 0 {
-		return fmt.Errorf("pregel: aborted by shard %d: %s", shard, reason)
+	body := r.Rest()
+	if err := e.readCtrl1(wireFormat.Reader(body), shard, false); err != nil {
+		return err
 	}
-	if len(body) < 8 {
-		return fmt.Errorf("pregel: truncated aggregator block from shard %d", shard)
+	return e.readCtrl1(wireFormat.Reader(body), shard, true)
+}
+
+// readCtrl1 reads a barrier-1 body from shard, storing it in the stubs
+// only when install is set.
+func (e *Engine[V, M]) readCtrl1(r *framing.Reader, shard int, install bool) error {
+	if n := r.U32(); r.Err() == nil && int(n) != len(e.aggList) {
+		return fmt.Errorf("pregel: shard %d registers %d aggregators, this shard %d", shard, n, len(e.aggList))
 	}
-	nAggs := int(binary.LittleEndian.Uint32(body))
-	nWorkers := int(binary.LittleEndian.Uint32(body[4:]))
-	if nAggs != len(e.aggList) {
-		return fmt.Errorf("pregel: shard %d registers %d aggregators, this shard %d", shard, nAggs, len(e.aggList))
-	}
-	body = body[8:]
-	per := 4 + 9*nAggs
-	if len(body) != nWorkers*per {
-		return fmt.Errorf("pregel: aggregator block from shard %d is %d bytes, want %d", shard, len(body), nWorkers*per)
-	}
-	for w := 0; w < nWorkers; w++ {
-		rec := body[w*per:]
-		id := int(binary.LittleEndian.Uint32(rec))
-		if id < 0 || id >= len(e.workers) || e.shard.workerShard[id] != shard {
-			return fmt.Errorf("pregel: shard %d published aggregators for worker %d it does not own", shard, id)
+	for _, stub := range e.shardWorkers(shard) {
+		for i := range e.aggList {
+			seen, v := r.U8() != 0, r.F64()
+			if install {
+				stub.aggSeen[i], stub.aggPend[i] = seen, v
+			}
 		}
-		stub := e.workers[id]
-		rec = rec[4:]
-		for i := 0; i < nAggs; i++ {
-			stub.aggSeen[i] = rec[9*i] != 0
-			stub.aggPend[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec[9*i+1:]))
+		n := r.Count(4, "quarantined vertex")
+		if install {
+			stub.quarantined = stub.quarantined[:0]
 		}
+		for j := 0; j < n; j++ {
+			u := int(r.U32())
+			if u < stub.lo || u >= stub.hi {
+				r.Fail("worker %d quarantined vertex %d", stub.id, u)
+			}
+			if install {
+				stub.quarantined = append(stub.quarantined, VertexID(u))
+			}
+		}
+	}
+	if err := r.End(); err != nil {
+		return fmt.Errorf("pregel: control payload from shard %d: %w", shard, err)
 	}
 	return nil
 }
@@ -498,26 +482,23 @@ func (e *Engine[V, M]) appendCtrl2(dst []byte, st *StepStats, nextActive int, pe
 }
 
 // applyCtrl2 folds a peer shard's statistic partials into the merged
-// step statistics and returns its abort flags.
-func (e *Engine[V, M]) applyCtrl2(shard int, c []byte, st *StepStats, nextActive *int) (string, byte, error) {
-	flags, reason, body, err := e.decodeCtrlHeader(shard, ctrlKindBarrier2, c)
-	if err != nil {
-		return "", 0, err
+// step statistics and returns its deferred abort, if it requested one.
+func (e *Engine[V, M]) applyCtrl2(shard int, c []byte, st *StepStats, nextActive *int) (pending, err error) {
+	r := wireFormat.Reader(c)
+	if pending, err = e.readCtrlHeader(r, shard, ctrlKindBarrier2); err != nil {
+		return nil, err
 	}
-	if flags&flagHardAbort != 0 {
-		return reason, flags, nil
+	var p [5]int
+	for i := range p {
+		p[i] = int(r.U64())
 	}
-	if len(body) != 40 {
-		return "", 0, fmt.Errorf("pregel: statistics block from shard %d is %d bytes, want 40", shard, len(body))
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("pregel: control payload from shard %d: %w", shard, err)
 	}
-	st.MessagesSent += int(binary.LittleEndian.Uint64(body))
-	st.ActiveVertices += int(binary.LittleEndian.Uint64(body[8:]))
-	st.CombinedMessages += int(binary.LittleEndian.Uint64(body[16:]))
-	st.CrossWorker += int(binary.LittleEndian.Uint64(body[24:]))
-	*nextActive += int(binary.LittleEndian.Uint64(body[32:]))
-	return reason, flags, nil
-}
-
-func (e *Engine[V, M]) appendAbortCtrl(dst []byte, kind byte, reason string) []byte {
-	return appendCtrlHeader(dst, kind, e.superstep, flagHardAbort, reason)
+	st.MessagesSent += p[0]
+	st.ActiveVertices += p[1]
+	st.CombinedMessages += p[2]
+	st.CrossWorker += p[3]
+	*nextActive += p[4]
+	return pending, nil
 }

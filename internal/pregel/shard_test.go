@@ -1,10 +1,14 @@
 package pregel
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,7 +75,7 @@ func massEngine(g *graph.Graph, opts Options, combine bool) *Engine[shardVal, fl
 	return e
 }
 
-func shardAddrs(t *testing.T, count int) []string {
+func shardAddrs(t testing.TB, count int) []string {
 	t.Helper()
 	dir := t.TempDir()
 	addrs := make([]string, count)
@@ -101,7 +105,7 @@ func runMassSharded(t *testing.T, g *graph.Graph, base Options, combine bool, ro
 // one goroutine per shard. perShard tweaks each shard's options
 // (checkpoint dir, seed); ctxOf supplies each shard's run context. Either
 // may be nil.
-func runSharded[V any](t *testing.T, g *graph.Graph, base Options, count int,
+func runSharded[V any](t testing.TB, g *graph.Graph, base Options, count int,
 	perShard func(shard int, o *Options), ctxOf func(shard int) context.Context,
 	engine func(Options) *Engine[V, float64], prog func() Program[V, float64]) []shardOutcome[V] {
 	t.Helper()
@@ -191,10 +195,6 @@ func TestShardedRunBitIdenticalToLocal(t *testing.T) {
 					o.stats.CrossWorker != refStats.CrossWorker ||
 					o.stats.TotalActive != refStats.TotalActive {
 					t.Fatalf("shard %d merged stats diverge:\n got %v\nwant %v", i, o.stats, refStats)
-				}
-				lo, hi := o.eng.ShardOwnedRange()
-				if lo < 0 || hi < lo || hi > g.NumVertices() {
-					t.Fatalf("shard %d owns bad range [%d, %d)", i, lo, hi)
 				}
 			}
 		})
@@ -447,6 +447,9 @@ func (p *shardPanicProgram) Compute(ctx *Context[shardVal, float64], msgs []floa
 	ctx.BroadcastOut(1)
 }
 
+// noTransport stands in for a mesh that validation refuses before use.
+type noTransport struct{ transport.Transport }
+
 // TestShardOptionValidation pins the unsupported-configuration errors.
 func TestShardOptionValidation(t *testing.T) {
 	g := graph.Path(16, true)
@@ -455,7 +458,7 @@ func TestShardOptionValidation(t *testing.T) {
 		_, err := e.Run(&massProgram{rounds: 1})
 		return err
 	}
-	tr := transport.NewLocal()
+	var tr noTransport
 	cases := []struct {
 		name string
 		opts Options
@@ -463,7 +466,6 @@ func TestShardOptionValidation(t *testing.T) {
 	}{
 		{"no transport", Options{Workers: 4, Shard: &ShardOptions{Index: 0, Count: 2}}, "transport"},
 		{"bad index", Options{Workers: 4, Shard: &ShardOptions{Index: 2, Count: 2, Transport: tr}}, "bad shard"},
-		{"quarantine", Options{Workers: 4, Quarantine: true, Shard: &ShardOptions{Index: 0, Count: 2, Transport: tr}}, "Quarantine"},
 		{"more shards than workers", Options{Workers: 2, Shard: &ShardOptions{Index: 0, Count: 3, Transport: tr}}, "shards"},
 	}
 	for _, tc := range cases {
@@ -476,27 +478,9 @@ func TestShardOptionValidation(t *testing.T) {
 	}
 }
 
-// TestUnshardedShardAccessors: the degenerate single-shard accessors.
-func TestUnshardedShardAccessors(t *testing.T) {
-	g := graph.Path(16, true)
-	e := massEngine(g, Options{Workers: 2}, false)
-	if _, err := e.Run(&massProgram{rounds: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if idx, count := e.ShardInfo(); idx != 0 || count != 1 {
-		t.Fatalf("ShardInfo = %d, %d", idx, count)
-	}
-	if lo, hi := e.ShardOwnedRange(); lo != 0 || hi != 16 {
-		t.Fatalf("ShardOwnedRange = [%d, %d)", lo, hi)
-	}
-	got, err := e.ShardAllGather([]byte("x"))
-	if err != nil || len(got) != 1 || string(got[0]) != "x" {
-		t.Fatalf("ShardAllGather = %q, %v", got, err)
-	}
-}
-
 // TestShardedCount1OverSocket: dvrun -shard 0/1 — one shard on
-// a socket transport — behaves exactly like an unsharded run.
+// a socket transport — is an unsharded run, which never touches the
+// transport.
 func TestShardedCount1OverSocket(t *testing.T) {
 	g := graph.RMAT(6, 4, 0.5, 0.2, 0.2, true, 21)
 	addrs := shardAddrs(t, 1)
@@ -516,4 +500,323 @@ func TestShardedCount1OverSocket(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireBitIdentical(t, "count-1 socket", e.Values(), ref.Values())
+}
+
+// poisonedMass is massProgram whose victims spread their mass and then
+// panic, each at its own superstep, so a quarantined run must roll back
+// sends on whichever shard owns the victim.
+type poisonedMass struct {
+	massProgram
+	victims map[VertexID]int // vertex -> superstep it panics at
+}
+
+func (p *poisonedMass) Init(ctx *Context[shardVal, float64]) {
+	p.massProgram.Init(ctx)
+	p.poison(ctx)
+}
+
+func (p *poisonedMass) Compute(ctx *Context[shardVal, float64], msgs []float64) {
+	p.massProgram.Compute(ctx, msgs)
+	p.poison(ctx)
+}
+
+func (p *poisonedMass) poison(ctx *Context[shardVal, float64]) {
+	if step, ok := p.victims[ctx.ID()]; ok && step == ctx.Superstep() {
+		panic("poisoned")
+	}
+}
+
+// TestShardedQuarantineBitIdentical: Quarantine composes with sharding.
+// Every worker holds a victim that sends and then panics; over 2 and 3
+// shards of 5 workers, every shard must report the in-process run's
+// values, aggregator, merged statistics and quarantined vertices, in the
+// same order.
+func TestShardedQuarantineBitIdentical(t *testing.T) {
+	g := graph.RMAT(8, 4, 0.57, 0.19, 0.19, true, 42)
+	const workers, rounds = 5, 5
+	victims := map[VertexID]int{}
+	block := (g.NumVertices() + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		found := 0
+		for u := w * block; u < min((w+1)*block, g.NumVertices()) && found < 2; u++ {
+			if g.OutDegree(VertexID(u)) > 0 {
+				victims[VertexID(u)] = (w + found) % 3
+				found++
+			}
+		}
+	}
+	prog := func() Program[shardVal, float64] {
+		return &poisonedMass{massProgram{rounds: rounds}, victims}
+	}
+	for _, tc := range []struct {
+		name    string
+		shards  int
+		sched   Scheduler
+		combine bool
+	}{
+		{"2x5-scan-combine", 2, ScanAll, true},
+		{"3x5-queue", 3, WorkQueue, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Workers: workers, Scheduler: tc.sched, Quarantine: true}
+			engine := func(o Options) *Engine[shardVal, float64] { return massEngine(g, o, tc.combine) }
+			ref := engine(opts)
+			refStats, err := ref.Run(prog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if refStats.Quarantined != len(victims) {
+				t.Fatalf("reference quarantined %d vertices, want %d", refStats.Quarantined, len(victims))
+			}
+			outs := runSharded(t, g, opts, tc.shards, nil, nil, engine, prog)
+			for i, o := range outs {
+				if o.err != nil {
+					t.Fatalf("shard %d: %v", i, o.err)
+				}
+				requireBitIdentical(t, fmt.Sprintf("shard %d", i), o.eng.Values(), ref.Values())
+				if got, want := o.eng.AggregatorValue("mass"), ref.AggregatorValue("mass"); got != want {
+					t.Fatalf("shard %d: mass aggregator = %v, want %v (bitwise)", i, got, want)
+				}
+				if o.stats.Supersteps != refStats.Supersteps ||
+					o.stats.MessagesSent != refStats.MessagesSent ||
+					o.stats.CombinedMessages != refStats.CombinedMessages ||
+					o.stats.CrossWorker != refStats.CrossWorker ||
+					o.stats.TotalActive != refStats.TotalActive ||
+					o.stats.Quarantined != refStats.Quarantined {
+					t.Fatalf("shard %d merged stats diverge:\n got %v\nwant %v", i, o.stats, refStats)
+				}
+				if !slices.Equal(o.stats.QuarantinedVertices, refStats.QuarantinedVertices) {
+					t.Fatalf("shard %d quarantined %v, want %v", i, o.stats.QuarantinedVertices, refStats.QuarantinedVertices)
+				}
+			}
+		})
+	}
+}
+
+// TestShardContextAbortLeavesCut: cancelling one shard's context lets
+// that superstep finish on every shard, which all snapshot the same
+// barrier; resuming both shards from their snapshots lands bit-identical
+// to the uninterrupted in-process run.
+func TestShardContextAbortLeavesCut(t *testing.T) {
+	g := graph.RMAT(7, 4, 0.45, 0.25, 0.2, true, 9)
+	const workers, shards, rounds, cancelAt = 4, 2, 5, 2
+	opts := Options{Workers: workers}
+	ref := massEngine(g, opts, true)
+	if _, err := ref.Run(&massProgram{rounds: rounds}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dirs := []string{t.TempDir(), t.TempDir()}
+	engine := func(o Options) *Engine[shardVal, float64] {
+		e := massEngine(g, o, true)
+		if o.Shard.Index == 0 {
+			e.SetMasterHook(func(mc *MasterContext) {
+				if mc.Superstep() == cancelAt {
+					cancel()
+				}
+			})
+		}
+		return e
+	}
+	outs := runSharded(t, g, opts, shards, func(i int, o *Options) {
+		o.Checkpoint = CheckpointOptions{Dir: dirs[i]}
+	}, func(i int) context.Context {
+		if i == 0 {
+			return ctx
+		}
+		return context.Background()
+	}, engine, func() Program[shardVal, float64] { return &massProgram{rounds: rounds} })
+	if outs[0].err == nil || !strings.Contains(outs[0].err.Error(), "context canceled") {
+		t.Fatalf("shard 0 err = %v, want context canceled", outs[0].err)
+	}
+	if outs[1].err == nil || !strings.Contains(outs[1].err.Error(), "shard 0") {
+		t.Fatalf("shard 1 err = %v, want attribution to shard 0", outs[1].err)
+	}
+	for i, o := range outs {
+		if o.stats.CheckpointSuperstep != cancelAt+1 {
+			t.Fatalf("shard %d captured superstep %d, want %d", i, o.stats.CheckpointSuperstep, cancelAt+1)
+		}
+	}
+	outs = runMassSharded(t, g, opts, true, rounds, shards, func(i int, o *Options) {
+		s, err := ReadSnapshotFile(filepath.Join(dirs[i], SnapshotFileName(cancelAt+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Seed = Continue(s)
+	}, nil)
+	for i, o := range outs {
+		if o.err != nil {
+			t.Fatalf("resumed shard %d: %v", i, o.err)
+		}
+		requireBitIdentical(t, fmt.Sprintf("resumed shard %d", i), o.eng.Values(), ref.Values())
+		if got, want := o.eng.AggregatorValue("mass"), ref.AggregatorValue("mass"); got != want {
+			t.Fatalf("resumed shard %d: mass = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// recordingTransport keeps a copy of every data frame and barrier
+// payload the shard it wraps publishes.
+type recordingTransport struct {
+	transport.Transport
+	frames, ctrls [][]byte
+}
+
+func (r *recordingTransport) Send(dst int, frame []byte) error {
+	r.frames = append(r.frames, bytes.Clone(frame))
+	return r.Transport.Send(dst, frame)
+}
+
+func (r *recordingTransport) Barrier(ctrl []byte) ([][]byte, error) {
+	r.ctrls = append(r.ctrls, bytes.Clone(ctrl))
+	return r.Transport.Barrier(ctrl)
+}
+
+// Decoders FuzzShardPayloadDecode drives, by its first argument mod 4.
+const (
+	decodeDataFrame = iota
+	decodeBarrier1
+	decodeBarrier2
+	decodeGather
+)
+
+// peerState renders everything a payload from shard 1 may write on e,
+// shard 0 of a finished two-shard run: the stubs' aggregator partials,
+// quarantine lists and local-destined buckets, and shard 1's values.
+func peerState(e *Engine[shardVal, float64]) string {
+	var b strings.Builder
+	for _, w := range e.shardWorkers(1) {
+		fmt.Fprintln(&b, w.aggSeen, w.quarantined)
+		for _, v := range w.aggPend {
+			fmt.Fprintln(&b, math.Float64bits(v))
+		}
+		for d := range e.localWorkers() {
+			fmt.Fprintln(&b, len(w.outTo[d]), len(w.outMsg[d]))
+		}
+		for _, v := range e.values[w.lo:w.hi] {
+			fmt.Fprintln(&b, math.Float64bits(v.Score))
+		}
+	}
+	return b.String()
+}
+
+// decodePeerPayload feeds p, as a payload shard 1 sent at superstep step,
+// to one decoder of e and fails t if an accepted data frame addresses a
+// vertex outside its destination worker, or a refused payload changed
+// e's state. It reports whether p was accepted.
+func decodePeerPayload(t testing.TB, e *Engine[shardVal, float64], decoder, step int, p []byte) bool {
+	t.Helper()
+	e.superstep = step
+	stubs := e.shardWorkers(1)
+	for _, w := range stubs {
+		for d := range e.localWorkers() {
+			w.outTo[d], w.outMsg[d] = w.outTo[d][:0], w.outMsg[d][:0]
+		}
+	}
+	before := peerState(e)
+	var st StepStats
+	nextActive := 0
+	var err error
+	switch decoder {
+	case decodeDataFrame:
+		err = e.applyDataFrame(p)
+	case decodeBarrier1:
+		err = e.applyCtrl1(1, p)
+	case decodeBarrier2:
+		_, err = e.applyCtrl2(1, p, &st, &nextActive)
+	case decodeGather:
+		err = installRows(e.values[stubs[0].lo:stubs[len(stubs)-1].hi], p, e.valCodec)
+	}
+	if err == nil {
+		for _, w := range stubs {
+			for d, wk := range e.localWorkers() {
+				for _, v := range w.outTo[d] {
+					if int(v) < wk.lo || int(v) >= wk.hi {
+						t.Fatalf("accepted frame addresses vertex %d to worker %d", v, wk.id)
+					}
+				}
+			}
+		}
+		return true
+	}
+	if peerState(e) != before || st != (StepStats{}) || nextActive != 0 {
+		t.Fatalf("refused payload (%v) changed the engine's state", err)
+	}
+	return false
+}
+
+// FuzzShardPayloadDecode holds the peer-payload decoders — data frames,
+// both barrier kinds and the gather — to their contract on arbitrary
+// bytes: they never panic, and a payload they refuse leaves nothing of
+// itself behind. The seeds are what shard 1 of a real quarantined,
+// combining two-shard run published; each is accepted, and every
+// truncation of it is refused.
+func FuzzShardPayloadDecode(f *testing.F) {
+	g := graph.RMAT(6, 4, 0.5, 0.2, 0.2, true, 5)
+	rec := &recordingTransport{}
+	opts := Options{Workers: 4, Quarantine: true}
+	prog := func() Program[shardVal, float64] {
+		return &poisonedMass{massProgram{rounds: 4}, map[VertexID]int{40: 1, 60: 2}}
+	}
+	outs := runSharded(f, g, opts, 2, func(i int, o *Options) {
+		if i == 1 {
+			rec.Transport = o.Shard.Transport
+			o.Shard.Transport = rec
+		}
+	}, nil, func(o Options) *Engine[shardVal, float64] { return massEngine(g, o, true) }, prog)
+	for i, o := range outs {
+		if o.err != nil {
+			f.Fatalf("seed run, shard %d: %v", i, o.err)
+		}
+	}
+	e := outs[0].eng
+	type seed struct {
+		decoder, step int
+		p             []byte
+	}
+	var seeds []seed
+	for _, fr := range rec.frames {
+		seeds = append(seeds, seed{decodeDataFrame, int(binary.LittleEndian.Uint32(fr)), fr})
+	}
+	gather := rec.ctrls[len(rec.ctrls)-1]
+	for i, c := range rec.ctrls[:len(rec.ctrls)-1] {
+		seeds = append(seeds, seed{decodeBarrier1 + i%2, int(binary.LittleEndian.Uint32(c[1:])), c})
+	}
+	seeds = append(seeds,
+		seed{decodeGather, 0, gather},
+		seed{decodeBarrier2, e.superstep, e.appendCtrl2(nil, &StepStats{MessagesSent: 7}, 2, errors.New("stop"))})
+	for _, s := range seeds {
+		if !decodePeerPayload(f, e, s.decoder, s.step, s.p) {
+			f.Fatalf("decoder %d refused its seed at superstep %d", s.decoder, s.step)
+		}
+		for n := 0; n < len(s.p); n++ {
+			if decodePeerPayload(f, e, s.decoder, s.step, s.p[:n]) {
+				f.Fatalf("decoder %d accepted a %d-byte truncation of a %d-byte seed", s.decoder, n, len(s.p))
+			}
+		}
+		f.Add(uint8(s.decoder), uint8(s.step), s.p)
+	}
+	f.Fuzz(func(t *testing.T, decoder, step uint8, p []byte) {
+		decodePeerPayload(t, e, int(decoder%4), int(step%8), p)
+	})
+}
+
+// TestShardOfInvertsShardWorkers: every worker is routed to the shard
+// whose range holds it, for every split of up to 16 workers.
+func TestShardOfInvertsShardWorkers(t *testing.T) {
+	g := graph.Path(64, true)
+	for w := 1; w <= 16; w++ {
+		e := New[shardVal, float64](g, Options{Workers: w})
+		for c := 1; c <= w; c++ {
+			e.shard = &shardState{count: c}
+			for i := 0; i < c; i++ {
+				for _, wk := range e.shardWorkers(i) {
+					if got := e.shardOf(wk.id); got != i {
+						t.Fatalf("%d workers over %d shards: worker %d routed to shard %d, owned by %d", w, c, wk.id, got, i)
+					}
+				}
+			}
+		}
+	}
 }

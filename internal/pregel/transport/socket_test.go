@@ -279,24 +279,6 @@ func TestSocketSingleShard(t *testing.T) {
 	}
 }
 
-// TestLocalTransport pins the degenerate single-shard implementation.
-func TestLocalTransport(t *testing.T) {
-	l := NewLocal()
-	ctrls, err := l.Barrier([]byte("c"))
-	if err != nil || len(ctrls) != 1 || string(ctrls[0]) != "c" {
-		t.Fatalf("Barrier = %q, %v", ctrls, err)
-	}
-	if f, err := l.Recv(); f != nil || err != nil {
-		t.Fatalf("Recv = %v, %v", f, err)
-	}
-	if err := l.Send(0, []byte("x")); err == nil {
-		t.Fatal("Send on Local succeeded")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSplitAddr(t *testing.T) {
 	cases := []struct {
 		in, net, addr string

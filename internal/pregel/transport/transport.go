@@ -6,10 +6,9 @@
 // sender-side combining already applied — so the transport never looks
 // inside a frame.
 //
-// Two implementations exist: Local, the degenerate single-shard
-// transport that keeps the in-process engine's zero-allocation
-// steady state, and Socket, a full mesh over unix or TCP sockets for
-// multi-process runs. See DESIGN.md "Sharded message plane".
+// Socket, a full mesh over unix or TCP sockets, is the implementation.
+// An unsharded engine holds no transport at all. See DESIGN.md "Sharded
+// message plane".
 package transport
 
 // Transport connects one shard to its peers. All methods are called

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,7 @@ func TestEquivalenceGateNamesRealTests(t *testing.T) {
 	}
 	var names []string
 	for _, p := range pkgs {
-		names = append(names, testFuncs(t, p)...)
+		names = append(names, testFuncs(t, p, "Test", "Fuzz")...)
 	}
 	for _, alt := range topLevelAlternatives(pattern) {
 		re := regexp.MustCompile(alt)
@@ -93,9 +94,63 @@ func stepRun(t *testing.T, path, name string) string {
 	return ""
 }
 
-// testFuncs lists the Test and Fuzz functions declared in dir's test
-// files.
-func testFuncs(t *testing.T, dir string) []string {
+// TestCITargetsExist keeps the workflow's fuzz and benchmark commands
+// honest: every -fuzz pattern, and every alternative of every -bench
+// pattern, must match a Fuzz or Benchmark function in the package on the
+// same command line. go test passes a -fuzz or -bench pattern that matches
+// nothing, so a renamed target would otherwise be fuzzed or timed by no one.
+func TestCITargetsExist(t *testing.T) {
+	b, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := map[string]int{}
+	for _, line := range strings.Split(string(b), "\n") {
+		fields := strings.Fields(line)
+		if !slices.Contains(fields, "go") || !slices.Contains(fields, "test") {
+			continue
+		}
+		var pkgs []string
+		targets := map[string]string{} // kind -> pattern
+		for i, f := range fields {
+			switch {
+			case (f == "-fuzz" || f == "-bench") && i+1 < len(fields):
+				kind := map[string]string{"-fuzz": "Fuzz", "-bench": "Benchmark"}[f]
+				targets[kind] = strings.Trim(fields[i+1], `'"`)
+			case strings.HasPrefix(f, "./"):
+				pkgs = append(pkgs, f)
+			}
+		}
+		for kind, pattern := range targets {
+			if len(pkgs) != 1 {
+				t.Errorf("%q: want exactly one package beside -%s", strings.TrimSpace(line), strings.ToLower(kind))
+				continue
+			}
+			names := testFuncs(t, pkgs[0], kind)
+			for _, alt := range topLevelAlternatives(pattern) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("%s pattern %q: %v", kind, pattern, err)
+					continue
+				}
+				if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("%s pattern alternative %q matches no %s function in %s", kind, alt, kind, pkgs[0])
+				}
+				checked[kind]++
+			}
+		}
+	}
+	// A workflow this test no longer parses must not pass as "nothing to check".
+	for _, kind := range []string{"Fuzz", "Benchmark"} {
+		if checked[kind] == 0 {
+			t.Errorf("found no -%s target in the workflow", strings.ToLower(kind))
+		}
+	}
+}
+
+// testFuncs lists the top-level functions declared in dir's test files
+// whose names start with one of prefixes.
+func testFuncs(t *testing.T, dir string, prefixes ...string) []string {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
 	if err != nil || len(files) == 0 {
@@ -110,7 +165,7 @@ func testFuncs(t *testing.T, dir string) []string {
 		}
 		for _, d := range af.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if ok && fd.Recv == nil && (strings.HasPrefix(fd.Name.Name, "Test") || strings.HasPrefix(fd.Name.Name, "Fuzz")) {
+			if ok && fd.Recv == nil && slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(fd.Name.Name, p) }) {
 				names = append(names, fd.Name.Name)
 			}
 		}

@@ -279,6 +279,7 @@ func (x *exec[M]) execute(ctx context.Context, opts RunOptions, seed *pregel.See
 		return res, err
 	}
 	res.endGlobals = eng.Globals().(*globals)
+	m.sealExtra(res.endGlobals)
 	return res, nil
 }
 

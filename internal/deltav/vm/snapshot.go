@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/framing"
@@ -35,19 +36,10 @@ func (vstateCodec) DecodeValue(src []byte) (VState, []byte, error) { return VSta
 // encodeExtra appends the machine payload to dst. Memo-table maps are
 // serialized in ascending key order so the bytes are deterministic.
 func (m *Machine) encodeExtra(dst []byte, gl *globals) []byte {
-	// Room for all but the memo tables: seven header words, the phase
-	// counters, the state matrix and the memo-table flag.
-	dst = slices.Grow(dst, 8*(7+len(m.iterations)+len(m.state))+1)
-	dst = pregel.AppendInt64(dst, extraVersion)
-	dst = pregel.AppendInt64(dst, int64(gl.Phase))
-	dst = pregel.AppendInt64(dst, int64(gl.Mode))
-	dst = pregel.AppendInt64(dst, int64(gl.Iter))
-	dst = pregel.AppendInt64(dst, m.nonMonotone.Load())
-	dst = pregel.AppendInt64(dst, int64(len(m.iterations)))
-	for _, it := range m.iterations {
-		dst = pregel.AppendInt64(dst, int64(it))
-	}
-	dst = pregel.AppendInt64(dst, int64(len(m.state)))
+	// Room for all but the memo tables: the header, the state matrix and
+	// the memo-table flag.
+	dst = slices.Grow(dst, extraHead(m)+8*len(m.state)+1)
+	dst = m.appendExtraHead(dst, gl)
 	dst = appendFloat64s(dst, m.state)
 	if m.tables == nil {
 		return append(dst, 0)
@@ -73,9 +65,62 @@ func (m *Machine) encodeExtra(dst []byte, gl *globals) []byte {
 	return dst
 }
 
+// extraHead is the length of the payload's header: seven words and the
+// phase counters.
+func extraHead(m *Machine) int { return 8 * (7 + len(m.iterations)) }
+
+// appendExtraHead appends the payload's header, which ends with the length
+// of the state matrix that follows it.
+func (m *Machine) appendExtraHead(dst []byte, gl *globals) []byte {
+	dst = pregel.AppendInt64(dst, extraVersion)
+	dst = pregel.AppendInt64(dst, int64(gl.Phase))
+	dst = pregel.AppendInt64(dst, int64(gl.Mode))
+	dst = pregel.AppendInt64(dst, int64(gl.Iter))
+	dst = pregel.AppendInt64(dst, m.nonMonotone.Load())
+	dst = pregel.AppendInt64(dst, int64(len(m.iterations)))
+	for _, it := range m.iterations {
+		dst = pregel.AppendInt64(dst, int64(it))
+	}
+	return pregel.AppendInt64(dst, int64(len(m.state)))
+}
+
+// newState allocates the machine's n-float state matrix. On a
+// little-endian host, outside MemoTable mode, it is the middle of
+// m.extra, laid out as the payload (its memo-table flag, the last byte,
+// is 0): a finished run writes the header in front of the state
+// (sealExtra) instead of copying the state into a payload.
+func (m *Machine) newState(n int) []float64 {
+	if !hostLittleEndian || m.tables != nil {
+		return make([]float64, n)
+	}
+	head := extraHead(m)
+	m.extra = make([]byte, head+8*n+1)
+	return unsafe.Slice((*float64)(unsafe.Pointer(&m.extra[head])), n)
+}
+
+// sealExtra completes m.extra, if the state lives there, as the payload of
+// the run that just finished at globals gl.
+func (m *Machine) sealExtra(gl *globals) {
+	if m.extra != nil {
+		m.appendExtraHead(m.extra[:0], gl)
+	}
+}
+
+// hostLittleEndian reports whether the host stores a float64 as the
+// little-endian bytes the payload holds, so a block of them is one copy.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// float64Bytes is vs's memory as bytes.
+func float64Bytes(vs []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), 8*len(vs))
+}
+
 // appendFloat64s appends vs to dst as one block of little-endian float64s,
 // the bytes pregel.AppendFloat64 writes one value at a time.
 func appendFloat64s(dst []byte, vs []float64) []byte {
+	if hostLittleEndian {
+		return append(dst, float64Bytes(vs)...)
+	}
 	off := len(dst)
 	dst = slices.Grow(dst, 8*len(vs))[:off+8*len(vs)]
 	b := dst[off:]
@@ -135,7 +180,9 @@ func (m *Machine) restoreExtra(b []byte, oldN int) (*globals, error) {
 		return nil, extraError(mismatch, "state size %d, machine needs %d (different program or graph?)", nState, oldN*m.stride)
 	}
 	state := m.state[:oldN*m.stride]
-	if raw := r.Take(8 * len(state)); raw != nil {
+	if raw := r.Take(8 * len(state)); raw != nil && hostLittleEndian {
+		copy(float64Bytes(state), raw)
+	} else if raw != nil {
 		for i := range state {
 			state[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
@@ -214,6 +261,7 @@ func SeedFromSnapshot(prog *core.Program, g *graph.Graph, opts RunOptions, snap 
 	if gl.Mode != modeBody {
 		return nil, fmt.Errorf("vm: seed needs the snapshot of a completed body phase")
 	}
+	m.sealExtra(gl)
 	return &Result{
 		Stats:            &pregel.Stats{Supersteps: 0},
 		Iterations:       m.iterations,

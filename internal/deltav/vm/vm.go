@@ -121,14 +121,19 @@ type Result struct {
 // Snapshot returns the terminal snapshot of a finished run as a value —
 // byte for byte what a Checkpoint.Sink would have received last — ready to
 // seed the next RunDelta or SeedFromSnapshot. It is nil when the run did
-// not finish. The machine payload is encoded on each call, so a caller
-// that never asks pays nothing for it.
+// not finish. Its bytes are the result's own, the machine payload
+// included, which on a little-endian host is the machine state with the
+// header in front (see newState): treat the snapshot as read-only.
 func (r *Result) Snapshot() *pregel.Snapshot {
 	if r.end == nil {
 		return nil
 	}
 	s := *r.end
-	s.Extra = r.machine.encodeExtra(nil, r.endGlobals)
+	if m := r.machine; m.extra != nil {
+		s.Extra = m.extra[:len(m.extra):len(m.extra)]
+	} else {
+		s.Extra = m.encodeExtra(nil, r.endGlobals)
+	}
 	return &s
 }
 
@@ -162,6 +167,9 @@ type Machine struct {
 
 	stride int
 	state  []float64 // n × stride
+	// extra, when not nil, holds state in the layout of the snapshot
+	// payload (see newState).
+	extra []byte
 
 	// tables[site] is the §4.2.1 per-neighbour cache: one map per vertex,
 	// allocated lazily. Only non-nil in MemoTable mode.
@@ -219,7 +227,6 @@ func NewMachine(prog *core.Program, g *graph.Graph, opts RunOptions) (*Machine, 
 			return nil, fmt.Errorf("vm: unknown param %q", name)
 		}
 	}
-	m.state = make([]float64, g.NumVertices()*m.stride)
 	if prog.Mode == core.MemoTable {
 		m.tables = make([][]map[graph.VertexID]float64, len(prog.Sites))
 		for i := range m.tables {
@@ -227,6 +234,7 @@ func NewMachine(prog *core.Program, g *graph.Graph, opts RunOptions) (*Machine, 
 		}
 	}
 	m.iterations = make([]int, len(prog.Phases))
+	m.state = m.newState(g.NumVertices() * m.stride)
 	m.msgBytes = MessageBytes(prog)
 	m.x = newRunner(m)
 	return m, nil

@@ -191,20 +191,6 @@ func (g *Graph) ForEachInNeighbor(u VertexID, fn func(v VertexID)) {
 	}
 }
 
-// AppendOutNeighbors appends u's out-neighbours to buf and returns the
-// extended slice — the allocation-controlled form of OutNeighbors for
-// callers that need an indexable scratch list on compact graphs.
-func (g *Graph) AppendOutNeighbors(u VertexID, buf []VertexID) []VertexID {
-	if g.cOutIdx == nil {
-		return append(buf, g.OutNeighbors(u)...)
-	}
-	it := g.OutArcs(u)
-	for it.Next() {
-		buf = append(buf, it.To())
-	}
-	return buf
-}
-
 // IsCompact reports whether the graph stores adjacency in the compact
 // gap-varint form.
 func (g *Graph) IsCompact() bool { return g.cOutIdx != nil }

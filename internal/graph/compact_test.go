@@ -251,18 +251,6 @@ func TestBuilderSetCompact(t *testing.T) {
 	checkSame(t, "in", []VertexID{0}, g.InNeighbors(1), []float64{2}, g.InWeights(1))
 }
 
-func TestAppendOutNeighbors(t *testing.T) {
-	g := MustCompact(Star(10, true))
-	buf := make([]VertexID, 0, 16)
-	got := g.AppendOutNeighbors(0, buf[:0])
-	if len(got) != 9 || got[0] != 1 || got[8] != 9 {
-		t.Fatalf("AppendOutNeighbors = %v", got)
-	}
-	if got2 := g.AppendOutNeighbors(1, buf[:0]); len(got2) != 0 {
-		t.Fatalf("leaf vertex should have no out-neighbors, got %v", got2)
-	}
-}
-
 func TestCompactReprStrings(t *testing.T) {
 	g := Path(4, true)
 	if g.Repr() != "flat" {

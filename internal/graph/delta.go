@@ -587,20 +587,48 @@ func spliceOffsets[O int64 | uint32](old []O, n2 int, us []VertexID, blockOff []
 	oldN := len(old) - 1
 	off = make([]O, n2+1)
 	over = -1
-	next := 0 // next touched vertex, as an index into us
-	var end int64
-	for u := 0; u < n2; u++ {
+	// length is vertex u's new length; next indexes us.
+	length := func(u, next int) int64 {
 		switch {
 		case next < len(us) && int(us[next]) == u:
-			end += int64(blockOff[next+1] - blockOff[next])
-			next++
+			return int64(blockOff[next+1] - blockOff[next])
 		case u < oldN:
-			end += int64(old[u+1] - old[u])
+			return int64(old[u+1] - old[u])
+		}
+		return 0
+	}
+	var end int64 // off[u]
+	for u, next := 0, 0; u < n2; next++ {
+		from, fromEnd := u, end
+		stop := n2 // the next touched vertex, or past the last one
+		if next < len(us) {
+			stop = int(us[next])
+		}
+		// The untouched vertices up to stop keep their lengths: their
+		// offsets are old's, shifted by one amount; appended ones are empty.
+		if hi := min(stop, oldN); u < hi {
+			shift := end - int64(old[u])
+			for ; u < hi; u++ {
+				off[u+1] = O(int64(old[u+1]) + shift)
+			}
+			end = int64(old[hi]) + shift
+		}
+		for ; u < stop; u++ {
+			off[u+1] = O(end)
+		}
+		if u < n2 {
+			end += length(u, next)
+			off[u+1] = O(end)
+			u++
 		}
 		if end > limit && over < 0 {
-			over, overEnd = u, end
+			// Offsets only grow: the first to pass limit is in this stretch.
+			for over, overEnd = from, fromEnd; ; over++ {
+				if overEnd += length(over, next); overEnd > limit {
+					break
+				}
+			}
 		}
-		off[u+1] = O(end)
 	}
 	return off, over, overEnd
 }

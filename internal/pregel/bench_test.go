@@ -167,10 +167,7 @@ func BenchmarkReplay(b *testing.B) {
 		if err := graph.WriteDeltaLog(&log, d); err != nil {
 			b.Fatal(err)
 		}
-		snap := &Snapshot{
-			Version: SnapshotVersion, Fingerprint: g.Fingerprint(), Superstep: i, NumVertices: n, Done: true,
-			Active: make([]bool, n), Removed: make([]bool, n), InboxCounts: make([]uint32, n),
-		}
+		snap := blankSnapshot(snapHeader{Fingerprint: g.Fingerprint(), Superstep: i, NumVertices: n, Done: true})
 		if _, _, err := w.AppendBatch(log.Bytes(), snap); err != nil {
 			b.Fatal(err)
 		}
@@ -198,17 +195,14 @@ var benchDiffSink *SnapshotDelta
 func BenchmarkDiffSnapshots(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 1 << 16
-	base := &Snapshot{
-		Version: SnapshotVersion, NumVertices: n, Done: true,
-		Active: make([]bool, n), Removed: make([]bool, n), InboxCounts: make([]uint32, n),
-		Extra: randBytes(rng, 24*n),
-	}
+	base := blankSnapshot(snapHeader{NumVertices: n, Done: true})
+	base.Extra = randBytes(rng, 24*n)
 	next := cloneSnapshot(base)
 	next.Superstep++
 	for i := 0; i < 64; i++ {
 		u := rng.Intn(n)
 		copy(next.Extra[24*u:], randBytes(rng, 8))
-		next.Active[u] = true
+		putBit(next.active, u, true)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

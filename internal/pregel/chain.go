@@ -147,20 +147,15 @@ type ChainWriter struct {
 	rebaseEvery int
 	entries     []ChainEntry
 	sinceBase   int // delta records since the last base
-	// The last appended snapshot is the next delta record's diff base: its
-	// identity and its serialized sections, which the writer owns (callers
-	// — the engine's reusable capture buffer in particular — overwrite
-	// their snapshot's slices between appends); for a base record they are
-	// slices of the record itself. hasBase is false until the
-	// chain holds a snapshot. A reopened chain's base is the tip it loaded,
-	// kept as that snapshot until the first append serializes it: a server
-	// booted from the chain then holds no second copy of the state it
-	// serves until it flushes.
-	hasBase         bool
-	baseFingerprint uint64
-	baseSuperstep   int
-	baseSec         [numSnapSections][]byte
-	loadedTip       *Snapshot
+	// tip is the chain's last snapshot, the next delta record's diff base
+	// (nil until the chain holds one): the snapshot a reopened chain
+	// loaded, which the writer only reads — a server booted from the chain
+	// then holds no second copy of the state it serves until it flushes —
+	// or own, the writer's copy of the last one appended (callers, the
+	// engine's reusable capture buffer in particular, overwrite their
+	// snapshot's slices between appends).
+	tip *Snapshot
+	own Snapshot
 }
 
 // NewChainWriter opens (or creates) the chain in dir; see OpenChain.
@@ -191,9 +186,7 @@ func OpenChain(dir string, rebaseEvery int) (*ChainWriter, *ChainState, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("pregel: resuming chain %s: %w", dir, err)
 	}
-	w.entries = st.Entries
-	w.hasBase, w.loadedTip = true, st.Snapshot
-	w.baseFingerprint, w.baseSuperstep = st.Snapshot.Fingerprint, st.Snapshot.Superstep
+	w.entries, w.tip = st.Entries, st.Snapshot
 	for _, e := range st.Entries {
 		switch e.Kind {
 		case ChainBase:
@@ -207,52 +200,54 @@ func OpenChain(dir string, rebaseEvery int) (*ChainWriter, *ChainState, error) {
 
 // snapshotEntry encodes s as the chain's next snapshot record — a full base
 // if the chain is empty or rebaseEvery deltas have accumulated, an
-// incremental DVSNPD record otherwise — named with sequence number seq. It
-// also returns s's serialized sections, the next diff base once the record
-// commits. Beyond serializing a reopened chain's tip it does not touch
-// writer state; the caller commits.
-func (w *ChainWriter) snapshotEntry(s *Snapshot, seq int) (ChainEntry, []byte, [numSnapSections][]byte) {
-	var sec [numSnapSections][]byte
-	if !w.hasBase || w.sinceBase >= w.rebaseEvery {
-		return ChainEntry{
-			Kind:        ChainBase,
-			Superstep:   s.Superstep,
-			Fingerprint: s.Fingerprint,
-			Name:        fmt.Sprintf("chain-%06d.base", seq),
-		}, s.encode(nil, &sec), sec
+// incremental DVSNPD record against the tip otherwise — named with
+// sequence number seq, and returns the delta record (nil for a base). It
+// does not touch writer state; the caller commits.
+func (w *ChainWriter) snapshotEntry(s *Snapshot, seq int) (ChainEntry, []byte, *SnapshotDelta) {
+	e := ChainEntry{Kind: ChainBase, Superstep: s.Superstep, Fingerprint: s.Fingerprint}
+	if w.tip == nil || w.sinceBase >= w.rebaseEvery {
+		e.Name = fmt.Sprintf("chain-%06d.base", seq)
+		return e, s.AppendTo(nil), nil
 	}
-	sec = snapshotSections(s)
-	if w.loadedTip != nil {
-		w.baseSec, w.loadedTip = snapshotSections(w.loadedTip), nil
-	}
-	d := diffSections(w.baseFingerprint, w.baseSuperstep, &w.baseSec, s, &sec)
-	return ChainEntry{
-		Kind:            ChainDelta,
-		Superstep:       s.Superstep,
-		Fingerprint:     s.Fingerprint,
-		BaseSuperstep:   d.BaseSuperstep,
-		BaseFingerprint: d.BaseFingerprint,
-		Name:            fmt.Sprintf("chain-%06d.delta", seq),
-	}, d.AppendTo(nil), sec
+	d := DiffSnapshots(w.tip, s)
+	e.Kind, e.BaseSuperstep, e.BaseFingerprint = ChainDelta, d.BaseSuperstep, d.BaseFingerprint
+	e.Name = fmt.Sprintf("chain-%06d.delta", seq)
+	return e, d.AppendTo(nil), d
 }
 
-// noteSnapshot records a committed snapshot entry — s, serialized to sec —
-// as the writer's new tip.
-func (w *ChainWriter) noteSnapshot(e ChainEntry, s *Snapshot, sec [numSnapSections][]byte) {
+// noteSnapshot records a committed snapshot entry, for s, as the writer's
+// new tip. When the entry is d, a delta record against own, own is patched
+// with d's runs rather than copied whole, so the append costs what changed.
+func (w *ChainWriter) noteSnapshot(e ChainEntry, s *Snapshot, d *SnapshotDelta) {
 	if e.Kind == ChainBase {
 		w.sinceBase = 0
 	} else {
 		w.sinceBase++
 	}
-	w.hasBase, w.loadedTip = true, nil
-	w.baseFingerprint, w.baseSuperstep, w.baseSec = s.Fingerprint, s.Superstep, sec
+	if d == nil || w.tip != &w.own {
+		w.own.copyFrom(s)
+		w.tip = &w.own
+		return
+	}
+	w.own.snapHeader, w.own.Aggs = s.snapHeader, append(w.own.Aggs[:0], s.Aggs...)
+	sec := w.own.sections()
+	for i, p := range d.patches {
+		switch p.tag {
+		case patchFull:
+			*sec[i] = append((*sec[i])[:0], p.full...)
+		case patchRuns:
+			for _, r := range p.runs {
+				copy((*sec[i])[r.off:], r.data)
+			}
+		}
+	}
 }
 
 // AppendSnapshot commits s to the chain: a full base record if the chain
 // is empty or rebaseEvery deltas have accumulated, an incremental DVSNPD
 // record otherwise. It returns the record's path and encoded size.
 func (w *ChainWriter) AppendSnapshot(s *Snapshot) (path string, size int, err error) {
-	e, b, sec := w.snapshotEntry(s, len(w.entries))
+	e, b, d := w.snapshotEntry(s, len(w.entries))
 	path = filepath.Join(w.dir, e.Name)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		return "", 0, err
@@ -261,7 +256,7 @@ func (w *ChainWriter) AppendSnapshot(s *Snapshot) (path string, size int, err er
 	if err := w.commit(e); err != nil {
 		return "", 0, err
 	}
-	w.noteSnapshot(e, s, sec)
+	w.noteSnapshot(e, s, d)
 	return path, len(b), nil
 }
 
@@ -281,7 +276,7 @@ func (w *ChainWriter) AppendBatch(payload []byte, s *Snapshot) (snapPath string,
 	if err := os.WriteFile(filepath.Join(w.dir, ge.Name), payload, 0o644); err != nil {
 		return "", 0, err
 	}
-	se, b, sec := w.snapshotEntry(s, len(w.entries)+1)
+	se, b, d := w.snapshotEntry(s, len(w.entries)+1)
 	snapPath = filepath.Join(w.dir, se.Name)
 	if err := os.WriteFile(snapPath, b, 0o644); err != nil {
 		return "", 0, err
@@ -290,29 +285,8 @@ func (w *ChainWriter) AppendBatch(payload []byte, s *Snapshot) (snapPath string,
 	if err := w.commit(ge, se); err != nil {
 		return "", 0, err
 	}
-	w.noteSnapshot(se, s, sec)
+	w.noteSnapshot(se, s, d)
 	return snapPath, len(b), nil
-}
-
-// AppendGraphDelta commits a graph mutation log (delta-log text bytes, as
-// written by graph.WriteDeltaLog) with the fingerprint the graph has after
-// applying it. Replay hands these logs back in order so the caller can
-// rebuild the mutated graph the chain's snapshots describe.
-func (w *ChainWriter) AppendGraphDelta(payload []byte, fingerprint uint64) (path string, err error) {
-	e := ChainEntry{
-		Kind:        ChainGraphDelta,
-		Fingerprint: fingerprint,
-		Name:        fmt.Sprintf("chain-%06d.gdelta", len(w.entries)),
-	}
-	path = filepath.Join(w.dir, e.Name)
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
-		return "", err
-	}
-	chainCommitHook("record")
-	if err := w.commit(e); err != nil {
-		return "", err
-	}
-	return path, nil
 }
 
 // commit appends es to the manifest and atomically renames it into place —
@@ -346,39 +320,12 @@ type ChainState struct {
 	GraphFingerprints []uint64
 }
 
-// chainTip is the snapshot state LoadChain has reconstructed so far: the
-// header and aggregates of the last record over the serialized sections of
-// the last base, which the delta records after it patch in place (the
-// sections alias buffers read for this load alone). It is parsed into a
-// Snapshot once, when the chain ends.
-type chainTip struct {
-	ok   bool // a base record has been loaded
-	hdr  snapHeader
-	aggs []float64
-	sec  [numSnapSections][]byte
-}
-
-// apply patches the tip with the next delta record.
-func (t *chainTip) apply(d *SnapshotDelta) error {
-	if err := d.checkBase(t.hdr.fingerprint, t.hdr.superstep); err != nil {
-		return err
-	}
-	if err := d.patchSections(&t.sec); err != nil {
-		return err
-	}
-	// Checked per record, not only when the tip is parsed, so a record that
-	// contradicts its own vertex count is the one the error names.
-	if err := checkSections(d.NumVertices, &t.sec); err != nil {
-		return err
-	}
-	t.hdr, t.aggs = d.header(), d.Aggs
-	return nil
-}
-
-// LoadChain reads dir's manifest and replays every record: base snapshots
-// load whole, delta records patch the snapshot reconstructed so far, graph
-// logs are collected for the caller to re-apply. Every record is CRC- and
-// identity-checked against its manifest row; any mismatch fails the load.
+// LoadChain reads dir's manifest and replays every record: a base snapshot
+// loads whole, each delta record patches the snapshot loaded so far in
+// place, and graph logs are collected for the caller to re-apply. Every
+// record is CRC- and identity-checked against its manifest row, and its
+// sections against its vertex count; any mismatch fails the load, naming
+// the record.
 func LoadChain(dir string) (*ChainState, error) {
 	mb, err := os.ReadFile(filepath.Join(dir, ChainManifestName))
 	if err != nil {
@@ -392,7 +339,6 @@ func LoadChain(dir string) (*ChainState, error) {
 		return nil, fmt.Errorf("%w: chain manifest has %d trailing bytes", ErrSnapshotCorrupt, len(rest))
 	}
 	st := &ChainState{Dir: dir, Entries: entries}
-	var tip chainTip
 	for i, e := range entries {
 		b, err := os.ReadFile(filepath.Join(dir, e.Name))
 		if err != nil {
@@ -400,51 +346,46 @@ func LoadChain(dir string) (*ChainState, error) {
 		}
 		switch e.Kind {
 		case ChainBase:
-			h, aggs, sec, rest, err := decodeSnapshotFrame(b)
-			if err == nil {
-				err = checkSections(h.n, &sec)
+			// The base's sections alias b, read for this load alone.
+			var s *Snapshot
+			if s, rest, err = decodeSnapshot(b); err == nil {
+				err = checkRecord(e, &s.snapHeader, rest)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("chain entry %d (%s %s): %w", i, e.Kind, e.Name, err)
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("%w: chain entry %d (%s) has %d trailing bytes", ErrSnapshotCorrupt, i, e.Name, len(rest))
-			}
-			if h.fingerprint != e.Fingerprint || h.superstep != e.Superstep {
-				return nil, fmt.Errorf("%w: chain entry %d (%s) is superstep %d/%016x, manifest says %d/%016x",
-					ErrSnapshotMismatch, i, e.Name, h.superstep, h.fingerprint, e.Superstep, e.Fingerprint)
-			}
-			tip = chainTip{ok: true, hdr: h, aggs: aggs, sec: sec}
+			st.Snapshot = s
 		case ChainDelta:
-			if !tip.ok {
-				return nil, fmt.Errorf("%w: chain entry %d (%s) is a delta record with no base before it", ErrSnapshotCorrupt, i, e.Name)
-			}
-			d, rest, err := DecodeSnapshotDelta(b)
-			if err != nil {
-				return nil, fmt.Errorf("chain entry %d (%s %s): %w", i, e.Kind, e.Name, err)
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("%w: chain entry %d (%s) has %d trailing bytes", ErrSnapshotCorrupt, i, e.Name, len(rest))
-			}
-			if d.Fingerprint != e.Fingerprint || d.Superstep != e.Superstep {
-				return nil, fmt.Errorf("%w: chain entry %d (%s) is superstep %d/%016x, manifest says %d/%016x",
-					ErrSnapshotMismatch, i, e.Name, d.Superstep, d.Fingerprint, e.Superstep, e.Fingerprint)
-			}
-			if err := tip.apply(d); err != nil {
-				return nil, fmt.Errorf("chain entry %d (%s %s): %w", i, e.Kind, e.Name, err)
+			var d *SnapshotDelta
+			if st.Snapshot == nil {
+				err = fmt.Errorf("%w: a delta record with no base before it", ErrSnapshotCorrupt)
+			} else if d, rest, err = DecodeSnapshotDelta(b); err == nil {
+				if err = checkRecord(e, &d.snapHeader, rest); err == nil {
+					err = st.Snapshot.apply(d)
+				}
 			}
 		case ChainGraphDelta:
 			st.GraphDeltas = append(st.GraphDeltas, b)
 			st.GraphFingerprints = append(st.GraphFingerprints, e.Fingerprint)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("chain entry %d (%s %s): %w", i, e.Kind, e.Name, err)
+		}
 	}
-	if !tip.ok {
+	if st.Snapshot == nil {
 		return nil, fmt.Errorf("%w: chain %s has no snapshot records", ErrSnapshotCorrupt, dir)
 	}
-	if st.Snapshot, err = snapshotFromSections(tip.hdr, tip.aggs, tip.sec); err != nil {
-		return nil, fmt.Errorf("chain %s: tip snapshot: %w", dir, err)
-	}
 	return st, nil
+}
+
+// checkRecord checks a decoded snapshot record, its header h and the bytes
+// rest after it, against the manifest row e that names it.
+func checkRecord(e ChainEntry, h *snapHeader, rest []byte) error {
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(rest))
+	}
+	if h.Fingerprint != e.Fingerprint || h.Superstep != e.Superstep {
+		return fmt.Errorf("%w: record is superstep %d/%016x, manifest says %d/%016x",
+			ErrSnapshotMismatch, h.Superstep, h.Fingerprint, e.Superstep, e.Fingerprint)
+	}
+	return nil
 }
 
 // Replay rebuilds the graph the chain's tip snapshot was taken on: the

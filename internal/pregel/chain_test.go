@@ -120,14 +120,15 @@ func TestChainWriterReplay(t *testing.T) {
 	var wantLogs [][]byte
 	appendOne := func(w *ChainWriter, i int) {
 		t.Helper()
-		if i > 0 {
+		var err error
+		if i == 0 {
+			_, _, err = w.AppendSnapshot(snaps[i])
+		} else {
 			log := []byte(fmt.Sprintf("# delta: flush %d\nadd %d %d 1.5\n", i, i, i+1))
-			if _, err := w.AppendGraphDelta(log, snaps[i].Fingerprint); err != nil {
-				t.Fatal(err)
-			}
+			_, _, err = w.AppendBatch(log, snaps[i])
 			wantLogs = append(wantLogs, log)
 		}
-		if _, _, err := w.AppendSnapshot(snaps[i]); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,10 +149,7 @@ func TestChainWriterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cloneSnapshot(snaps[len(snaps)-1])
-	normalize(want)
-	normalize(st.Snapshot)
-	if !reflect.DeepEqual(want, st.Snapshot) {
+	if want := snaps[len(snaps)-1]; !sameSnapshot(want, st.Snapshot) {
 		t.Fatalf("replayed tip mismatch:\n got %+v\nwant %+v", st.Snapshot, want)
 	}
 	if len(st.GraphDeltas) != len(wantLogs) {
@@ -173,6 +171,41 @@ func TestChainWriterReplay(t *testing.T) {
 	wantKinds := []ChainEntryKind{ChainBase, ChainDelta, ChainDelta, ChainDelta, ChainBase, ChainDelta, ChainDelta, ChainDelta, ChainBase}
 	if !reflect.DeepEqual(kinds, wantKinds) {
 		t.Fatalf("snapshot record kinds %v, want %v", kinds, wantKinds)
+	}
+}
+
+// TestChainWriterTipFollowsEveryAppend appends snapshots, in a random
+// order that keeps undoing earlier changes, through one reused buffer that
+// is scribbled over after each append, as the engine's capture buffer is:
+// the writer's own copy of the tip, patched in place by each delta record,
+// must load back as the snapshot just appended.
+func TestChainWriterTipFollowsEveryAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	snaps := chainTestSnapshots(rng, 40, 8)
+	dir := t.TempDir()
+	w, err := NewChainWriter(dir, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf Snapshot
+	for i := 0; i < 40; i++ {
+		s := snaps[rng.Intn(len(snaps))]
+		buf.copyFrom(s)
+		if _, _, err := w.AppendBatch([]byte("# delta\n"), &buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, sec := range buf.sections() {
+			for j := range *sec {
+				(*sec)[j] ^= 0xa5
+			}
+		}
+		st, err := LoadChain(dir)
+		if err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		if !sameSnapshot(s, st.Snapshot) {
+			t.Fatalf("append %d: the chain loads another tip than the snapshot appended", i)
+		}
 	}
 }
 
@@ -213,6 +246,7 @@ func TestChainCrashAtEveryCommitStage(t *testing.T) {
 		}
 		return dst
 	}
+	var w *ChainWriter
 	prev := chainCommitHook
 	chainCommitHook = func(stage string) {
 		switch stage {
@@ -221,23 +255,23 @@ func TestChainCrashAtEveryCommitStage(t *testing.T) {
 			// prefix: a kill here must load to `committed` entries.
 			kills = append(kills, killPoint{copyDir("record"), committed})
 		case "manifest":
-			committed++
+			committed = len(w.entries)
 			kills = append(kills, killPoint{copyDir("manifest"), committed})
 		}
 	}
 	defer func() { chainCommitHook = prev }()
 
-	w, err := NewChainWriter(dir, 2)
-	if err != nil {
+	var err error
+	if w, err = NewChainWriter(dir, 2); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range snaps {
-		if i > 0 {
-			if _, err := w.AppendGraphDelta([]byte(fmt.Sprintf("# delta: %d\n", i)), s.Fingerprint); err != nil {
-				t.Fatal(err)
-			}
+		if i == 0 {
+			_, _, err = w.AppendSnapshot(s)
+		} else {
+			_, _, err = w.AppendBatch([]byte(fmt.Sprintf("# delta: %d\n", i)), s)
 		}
-		if _, _, err := w.AppendSnapshot(s); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,10 +311,7 @@ func TestChainCrashAtEveryCommitStage(t *testing.T) {
 				want++
 			}
 		}
-		wantSnap := cloneSnapshot(snaps[want])
-		normalize(wantSnap)
-		normalize(st.Snapshot)
-		if !reflect.DeepEqual(wantSnap, st.Snapshot) {
+		if !sameSnapshot(snaps[want], st.Snapshot) {
 			t.Fatalf("%s: tip is not snapshot %d", k.dir, want)
 		}
 	}
@@ -351,12 +382,14 @@ func TestLoadChainRejects(t *testing.T) {
 		}
 	})
 	t.Run("no-snapshots", func(t *testing.T) {
+		// A manifest naming one graph log and no snapshot record.
 		dir := t.TempDir()
-		w, err := NewChainWriter(dir, 0)
-		if err != nil {
+		const log = "chain-000000.gdelta"
+		if err := os.WriteFile(filepath.Join(dir, log), []byte("# delta: 0\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.AppendGraphDelta([]byte("# delta: 0\n"), 1); err != nil {
+		m := EncodeChainManifest(nil, []ChainEntry{{Kind: ChainGraphDelta, Fingerprint: 1, Name: log}})
+		if err := os.WriteFile(filepath.Join(dir, ChainManifestName), m, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadChain(dir); !errors.Is(err, ErrSnapshotCorrupt) {
@@ -431,7 +464,7 @@ func TestReplayErrorsNameTheLog(t *testing.T) {
 		{"mismatch before an undecodable log", path(4), []string{logs[0], logs[1], undecodable}, wrongAfter(1), "after mutation log 1", true},
 		{"mismatch before an unappliable log", path(4), []string{logs[0], logs[1], unappliable}, wrongAfter(1), "after mutation log 1", true},
 	} {
-		st := &ChainState{Dir: "hand-built", GraphFingerprints: c.fps, Snapshot: &Snapshot{Fingerprint: fps[len(fps)-1]}}
+		st := &ChainState{Dir: "hand-built", GraphFingerprints: c.fps, Snapshot: &Snapshot{snapHeader: snapHeader{Fingerprint: fps[len(fps)-1]}}}
 		for _, s := range c.logs {
 			st.GraphDeltas = append(st.GraphDeltas, []byte(s))
 		}
@@ -484,7 +517,7 @@ func TestReplayRefusesAForgedBootDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	withLog := &ChainState{Dir: "hand-built", GraphDeltas: [][]byte{[]byte("add 0 3\n")},
-		GraphFingerprints: []uint64{next.Fingerprint()}, Snapshot: &Snapshot{Fingerprint: next.Fingerprint()}}
+		GraphFingerprints: []uint64{next.Fingerprint()}, Snapshot: &Snapshot{snapHeader: snapHeader{Fingerprint: next.Fingerprint()}}}
 	if _, err := withLog.Replay(load(enc)); err != nil {
 		t.Fatalf("honest boot: %v", err)
 	}
@@ -493,7 +526,7 @@ func TestReplayRefusesAForgedBootDigest(t *testing.T) {
 	}
 
 	boot := load(forged)
-	noLogs := &ChainState{Dir: "hand-built", Snapshot: &Snapshot{Fingerprint: boot.Fingerprint()}}
+	noLogs := &ChainState{Dir: "hand-built", Snapshot: &Snapshot{snapHeader: snapHeader{Fingerprint: boot.Fingerprint()}}}
 	if _, err := noLogs.Replay(boot); !errors.Is(err, graph.ErrFingerprintMismatch) {
 		t.Errorf("no logs over a forged boot digest: err = %v, want graph.ErrFingerprintMismatch", err)
 	}

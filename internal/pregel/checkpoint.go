@@ -1,11 +1,14 @@
 package pregel
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
+	"unsafe"
 )
 
 // This file is the engine side of checkpointing: copying a consistent
@@ -48,46 +51,87 @@ func (e *Engine[V, M]) ensureCodecs() error {
 }
 
 // fill writes the barrier state the engine holds — that of superstep
-// e.barrier — into s, reusing s's buffers. It must only be called with
-// every worker parked: it walks worker inboxes and queues without
-// synchronization. Everything is copied, so s stays valid after the engine
-// moves on. Extra is left alone: it is the caller's payload.
+// e.barrier — into s's header, aggregates and sections, reusing s's
+// buffers. It must only be called with every worker parked: it walks worker
+// inboxes and queues without synchronization. Everything is copied, so s
+// stays valid after the engine moves on. Extra is left alone: it is the
+// caller's payload.
 func (e *Engine[V, M]) fill(s *Snapshot) {
-	s.Version = SnapshotVersion
-	s.Fingerprint = e.g.Fingerprint()
-	s.Superstep = e.barrier
-	s.NumVertices = e.g.NumVertices()
-	s.ActivateAll = e.activateAll
-	s.Stopped = e.stopped
-	s.Done = e.done
-	s.WorkQueue = e.opts.Scheduler == WorkQueue
+	n := e.g.NumVertices()
+	s.snapHeader = snapHeader{
+		Fingerprint: e.g.Fingerprint(),
+		Superstep:   e.barrier,
+		NumVertices: n,
+		ActivateAll: e.activateAll,
+		Stopped:     e.stopped,
+		Done:        e.done,
+		WorkQueue:   e.opts.Scheduler == WorkQueue,
+	}
 	s.Aggs = s.Aggs[:0]
 	for _, a := range e.aggList {
 		s.Aggs = append(s.Aggs, a.value)
 	}
-	n := e.g.NumVertices()
-	s.Active = slices.Grow(s.Active[:0], n)
-	s.Removed = slices.Grow(s.Removed[:0], n)
-	s.Queue = s.Queue[:0]
-	s.InboxCounts = slices.Grow(s.InboxCounts[:0], n)
+	s.active, s.removed = zeroed(s.active, (n+7)/8), zeroed(s.removed, (n+7)/8)
+	s.queue = append(s.queue[:0], 0, 0, 0, 0) // the count, set below
+	s.inboxCounts = zeroed(s.inboxCounts, 4*n)
 	s.Inbox = s.Inbox[:0]
-	// Workers own consecutive vertex ranges, so walking them in order
-	// yields the vertex-major layout of every per-vertex section.
+	// Workers own consecutive vertex ranges, so walking them in order, and
+	// each one's receivers in vertex order, yields the vertex-major layout
+	// of every per-vertex section. Only set bits are visited: a vertex
+	// outside got has an empty inbox.
 	for _, wk := range e.workers {
-		s.Queue = append(s.Queue, wk.cur...)
-		for li := 0; li < wk.hi-wk.lo; li++ {
-			s.Active = append(s.Active, hasBit(wk.act, li))
-			s.Removed = append(s.Removed, hasBit(wk.rem, li))
-			lo, hi := wk.msgOff[li], wk.msgEnd[li]
-			s.InboxCounts = append(s.InboxCounts, uint32(hi-lo))
-			for _, m := range wk.msgBuf[lo:hi] {
-				s.Inbox = e.msgCodec.AppendValue(s.Inbox, m)
+		for _, v := range wk.cur {
+			s.queue = binary.LittleEndian.AppendUint32(s.queue, uint32(v))
+		}
+		orBits(s.active, wk.lo, wk.act)
+		orBits(s.removed, wk.lo, wk.rem)
+		for i, word := range wk.got {
+			for ; word != 0; word &= word - 1 {
+				li := i<<6 + bits.TrailingZeros64(word)
+				lo, hi := wk.msgOff[li], wk.msgEnd[li]
+				binary.LittleEndian.PutUint32(s.inboxCounts[4*(wk.lo+li):], uint32(hi-lo))
+				for _, m := range wk.msgBuf[lo:hi] {
+					s.Inbox = e.msgCodec.AppendValue(s.Inbox, m)
+				}
 			}
 		}
 	}
-	s.Values = s.Values[:0]
-	for i := range e.values {
-		s.Values = e.valCodec.AppendValue(s.Values, e.values[i])
+	binary.LittleEndian.PutUint32(s.queue, uint32(len(s.queue)/4-1))
+	s.Values = appendValues(s.Values[:0], e.valCodec, e.values)
+}
+
+// appendValues appends the encoding of each of vs. A zero-size V has one
+// value, so its encoding is made once and repeated.
+func appendValues[V any](dst []byte, c ValueCodec[V], vs []V) []byte {
+	var zero V
+	if unsafe.Sizeof(zero) != 0 || len(vs) == 0 {
+		for i := range vs {
+			dst = c.AppendValue(dst, vs[i])
+		}
+		return dst
+	}
+	start := len(dst)
+	dst = c.AppendValue(dst, zero)
+	for k, i := len(dst)-start, 1; k > 0 && i < len(vs); i++ {
+		dst = append(dst, dst[start:start+k]...)
+	}
+	return dst
+}
+
+// zeroed returns b resized to n zero bytes, reusing its storage.
+func zeroed(b []byte, n int) []byte {
+	b = slices.Grow(b[:0], n)[:n]
+	clear(b)
+	return b
+}
+
+// orBits sets bit lo+li of the section bitset dst for every bit li set in
+// the worker bitset src.
+func orBits(dst []byte, lo int, src []uint64) {
+	for i, word := range src {
+		for ; word != 0; word &= word - 1 {
+			setBitAt(dst, lo+i<<6+bits.TrailingZeros64(word))
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -288,40 +287,12 @@ func (haltImmediately[V]) Init(ctx *Context[V, float64])                    { ct
 func (haltImmediately[V]) Compute(ctx *Context[V, float64], msgs []float64) { ctx.VoteToHalt() }
 
 // TestSnapshotRoundTrip is the codec property test: random snapshots
-// survive AppendTo → DecodeSnapshot bit-exactly, including when embedded in
-// a longer stream.
+// survive AppendTo → DecodeSnapshot → AppendTo byte for byte, including
+// when embedded in a longer stream.
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(40)
-		s := &Snapshot{
-			Version:     SnapshotVersion,
-			Fingerprint: rng.Uint64(),
-			Superstep:   rng.Intn(1 << 20),
-			NumVertices: n,
-			ActivateAll: rng.Intn(2) == 0,
-			Stopped:     rng.Intn(2) == 0,
-			Done:        rng.Intn(2) == 0,
-			WorkQueue:   rng.Intn(2) == 0,
-		}
-		for i := 0; i < rng.Intn(5); i++ {
-			s.Aggs = append(s.Aggs, rng.NormFloat64())
-		}
-		s.Active = make([]bool, n)
-		s.Removed = make([]bool, n)
-		s.InboxCounts = make([]uint32, n)
-		for i := 0; i < n; i++ {
-			s.Active[i] = rng.Intn(2) == 0
-			s.Removed[i] = rng.Intn(3) == 0
-			s.InboxCounts[i] = uint32(rng.Intn(4))
-		}
-		for i := 0; n > 0 && i < rng.Intn(n+1); i++ {
-			s.Queue = append(s.Queue, VertexID(rng.Intn(n)))
-		}
-		s.Inbox = randBytes(rng, rng.Intn(64))
-		s.Values = randBytes(rng, rng.Intn(64))
-		s.Extra = randBytes(rng, rng.Intn(64))
-
+		s := randSnapshot(rng, rng.Intn(40))
 		prefix := randBytes(rng, rng.Intn(8))
 		enc := s.AppendTo(append([]byte(nil), prefix...))
 		tail := randBytes(rng, rng.Intn(8))
@@ -334,9 +305,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if !bytes.Equal(rest, tail) {
 			t.Fatalf("trial %d: remainder mismatch", trial)
 		}
-		normalize(s)
-		normalize(got)
-		if !reflect.DeepEqual(s, got) {
+		if !sameSnapshot(s, got) {
 			t.Fatalf("trial %d: round trip mismatch:\n got %+v\nwant %+v", trial, got, s)
 		}
 	}
@@ -348,41 +317,14 @@ func randBytes(rng *rand.Rand, n int) []byte {
 	return b
 }
 
-// normalize maps nil and empty slices to a canonical form so DeepEqual
-// compares content, not allocation accidents.
-func normalize(s *Snapshot) {
-	if len(s.Aggs) == 0 {
-		s.Aggs = nil
-	}
-	if len(s.Active) == 0 {
-		s.Active = nil
-	}
-	if len(s.Removed) == 0 {
-		s.Removed = nil
-	}
-	if len(s.Queue) == 0 {
-		s.Queue = nil
-	}
-	if len(s.InboxCounts) == 0 {
-		s.InboxCounts = nil
-	}
-	if len(s.Inbox) == 0 {
-		s.Inbox = nil
-	}
-	if len(s.Values) == 0 {
-		s.Values = nil
-	}
-	if len(s.Extra) == 0 {
-		s.Extra = nil
-	}
-}
+// sameSnapshot reports whether a and b encode to the same bytes: the
+// encoding is the whole of a snapshot's state.
+func sameSnapshot(a, b *Snapshot) bool { return bytes.Equal(a.AppendTo(nil), b.AppendTo(nil)) }
 
 // TestSnapshotDecodeRejects spot-checks the decoder's corruption handling
 // (the fuzz target explores this space much harder).
 func TestSnapshotDecodeRejects(t *testing.T) {
-	s := &Snapshot{Version: SnapshotVersion, Fingerprint: 1, NumVertices: 3,
-		Active: make([]bool, 3), Removed: make([]bool, 3), InboxCounts: make([]uint32, 3)}
-	enc := s.AppendTo(nil)
+	enc := blankSnapshot(snapHeader{Fingerprint: 1, NumVertices: 3}).AppendTo(nil)
 
 	t.Run("truncated", func(t *testing.T) {
 		for i := 0; i < len(enc); i++ {
@@ -420,6 +362,41 @@ func TestPODCodecRejectsPointers(t *testing.T) {
 		B int32
 	}](); err != nil {
 		t.Errorf("PODCodec on POD struct failed: %v", err)
+	}
+}
+
+// markCodec encodes a zero-size value as one marker byte.
+type markCodec struct{}
+
+func (markCodec) AppendValue(dst []byte, _ struct{}) []byte { return append(dst, 0x7f) }
+
+func (markCodec) DecodeValue(src []byte) (struct{}, []byte, error) {
+	if len(src) == 0 || src[0] != 0x7f {
+		return struct{}{}, nil, ErrSnapshotCorrupt
+	}
+	return struct{}{}, src[1:], nil
+}
+
+// TestAppendValuesZeroSize holds appendValues' repeated encoding of a
+// zero-size value to the value-at-a-time one, for a codec that writes
+// bytes and for one that writes none.
+func TestAppendValuesZeroSize(t *testing.T) {
+	for _, n := range []int{0, 1, 5} {
+		vs := make([]struct{}, n)
+		var want []byte
+		for range vs {
+			want = markCodec{}.AppendValue(want, struct{}{})
+		}
+		if got := appendValues([]byte{1}, ValueCodec[struct{}](markCodec{}), vs); !bytes.Equal(got, append([]byte{1}, want...)) {
+			t.Errorf("n=%d: marker codec appended %x, want %x", n, got[1:], want)
+		}
+		pod, err := PODCodec[struct{}]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendValues(nil, pod, vs); len(got) != 0 {
+			t.Errorf("n=%d: POD codec appended %x for zero-size values", n, got)
+		}
 	}
 }
 

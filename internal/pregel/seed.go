@@ -1,8 +1,11 @@
 package pregel
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"unsafe"
 )
 
 // Seed is the state a run starts from, handed to it as a value in
@@ -68,9 +71,6 @@ func (e *Engine[V, M]) applySeed(sd *Seed) (startStep int, err error) {
 		return 0, fmt.Errorf("pregel: seed needs a snapshot")
 	}
 	n := e.g.NumVertices()
-	if s.Version != SnapshotVersion {
-		return 0, fmt.Errorf("%w: got %d, want %d", ErrSnapshotVersion, s.Version, SnapshotVersion)
-	}
 	wantPrint := sd.expectPrint
 	if !sd.warm {
 		wantPrint = e.g.Fingerprint()
@@ -114,12 +114,12 @@ func (e *Engine[V, M]) applySeed(sd *Seed) (startStep int, err error) {
 		return 0, fmt.Errorf("%w: run uses the %s scheduler, snapshot was taken under %s",
 			ErrSnapshotMismatch, schedName[queue], schedName[s.WorkQueue])
 	}
-	if len(s.Active) != seeded || len(s.Removed) != seeded || len(s.InboxCounts) != seeded {
-		return 0, fmt.Errorf("%w: bitset/inbox sizes do not match vertex count", ErrSnapshotCorrupt)
+	if err := s.checkSections(); err != nil {
+		return 0, err
 	}
 	var inflight int64
-	for _, c := range s.InboxCounts {
-		inflight += int64(c)
+	for i := 0; i < len(s.inboxCounts); i += 4 {
+		inflight += int64(binary.LittleEndian.Uint32(s.inboxCounts[i:]))
 	}
 	if sd.warm && inflight != 0 {
 		return 0, fmt.Errorf("%w: snapshot is not quiescent (%d in-flight messages); warm starts need a converged fixpoint",
@@ -135,6 +135,11 @@ func (e *Engine[V, M]) applySeed(sd *Seed) (startStep int, err error) {
 		if err != nil {
 			return 0, fmt.Errorf("pregel: snapshot value %d: %w", i, err)
 		}
+		if unsafe.Sizeof(v) == 0 && len(rest) == len(b) {
+			// A zero-size value read from no bytes: every other one reads
+			// the same, from the same bytes, and there is nothing to store.
+			break
+		}
 		e.values[i] = v
 		b = rest
 	}
@@ -142,11 +147,7 @@ func (e *Engine[V, M]) applySeed(sd *Seed) (startStep int, err error) {
 		return 0, fmt.Errorf("%w: %d trailing value bytes", ErrSnapshotCorrupt, len(b))
 	}
 	for _, wk := range e.workers {
-		for li, r := range s.Removed[min(wk.lo, seeded):min(wk.hi, seeded)] {
-			if r {
-				setBit(wk.rem, li)
-			}
-		}
+		takeBits(wk.rem, s.removed, wk.lo, min(wk.hi, seeded))
 	}
 	for i, a := range e.aggList {
 		a.value = s.Aggs[i]
@@ -179,17 +180,16 @@ func (e *Engine[V, M]) applySeed(sd *Seed) (startStep int, err error) {
 		return 1, nil
 	}
 
-	// Rebuild each worker's active set and inboxes from the per-vertex
-	// flags and counts; payloads sit in s.Inbox vertex-major, which is
+	// Rebuild each worker's active set and inboxes from the active bitset
+	// and the inbox counts; payloads sit in s.Inbox vertex-major, which is
 	// worker-major, so one sequential decode fills them.
 	b = s.Inbox
 	for _, wk := range e.workers {
+		takeBits(wk.act, s.active, wk.lo, wk.hi)
 		n := int32(0)
-		for li, c := range s.InboxCounts[wk.lo:wk.hi] {
-			if s.Active[wk.lo+li] {
-				setBit(wk.act, li)
-			}
-			if c > 0 {
+		counts := s.inboxCounts[4*wk.lo : 4*wk.hi]
+		for li := 0; li < wk.hi-wk.lo; li++ {
+			if c := binary.LittleEndian.Uint32(counts[4*li:]); c > 0 {
 				setBit(wk.got, li)
 				wk.msgOff[li] = n
 				n += int32(c)
@@ -209,12 +209,10 @@ func (e *Engine[V, M]) applySeed(sd *Seed) (startStep int, err error) {
 	if len(b) != 0 {
 		return 0, fmt.Errorf("%w: %d trailing inbox bytes", ErrSnapshotCorrupt, len(b))
 	}
-	// Distribute the work queue back to its owners, preserving relative
-	// order within each worker.
-	for _, v := range s.Queue {
-		if int(v) >= n {
-			return 0, fmt.Errorf("%w: queued vertex %d out of range", ErrSnapshotCorrupt, v)
-		}
+	// Distribute the work queue, after its count, back to its owners,
+	// preserving relative order within each worker.
+	for i := 4; i < len(s.queue); i += 4 {
+		v := VertexID(binary.LittleEndian.Uint32(s.queue[i:]))
 		wk := e.workers[e.ownerOf(v)]
 		wk.cur = append(wk.cur, v)
 	}
@@ -222,4 +220,19 @@ func (e *Engine[V, M]) applySeed(sd *Seed) (startStep int, err error) {
 	e.stopped = s.Stopped
 	e.barrier, e.done = s.Superstep, s.Done
 	return s.Superstep + 1, nil
+}
+
+// takeBits sets bit u-lo of the worker bitset dst for every vertex u in
+// [lo, hi) whose bit is set in the section bitset src, a byte at a time.
+func takeBits(dst []uint64, src []byte, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	for i := lo >> 3; i <= (hi-1)>>3; i++ {
+		for x := src[i]; x != 0; x &= x - 1 {
+			if u := i<<3 + bits.TrailingZeros8(x); u >= lo && u < hi {
+				setBit(dst, u-lo)
+			}
+		}
+	}
 }

@@ -1,8 +1,10 @@
 package pregel
 
 import (
+	"encoding/binary"
 	"errors"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,11 +42,11 @@ func TestSeedValidation(t *testing.T) {
 	}
 	mid, midQueue := midOf(ScanAll), midOf(WorkQueue)
 	var inflight int
-	for _, c := range mid.InboxCounts {
-		inflight += int(c)
+	for i := 0; i < len(mid.inboxCounts); i += 4 {
+		inflight += int(binary.LittleEndian.Uint32(mid.inboxCounts[i:]))
 	}
-	if inflight == 0 || len(midQueue.Queue) == 0 {
-		t.Fatalf("mid-run snapshots carry %d in-flight messages and %d queued vertices; the rows below need both", inflight, len(midQueue.Queue))
+	if queued := len(midQueue.queue)/4 - 1; inflight == 0 || queued == 0 {
+		t.Fatalf("mid-run snapshots carry %d in-flight messages and %d queued vertices; the rows below need both", inflight, queued)
 	}
 	// edit returns a shallow copy of s with one doctored field.
 	edit := func(s *Snapshot, f func(*Snapshot)) *Snapshot {
@@ -64,10 +66,6 @@ func TestSeedValidation(t *testing.T) {
 	}{
 		{name: "continue: nil snapshot", seed: Continue(nil), says: []string{"needs a snapshot"}},
 		{name: "warm: nil snapshot", seed: Warm(nil, nil, 0, false), says: []string{"needs a snapshot"}},
-		{name: "continue: wrong version", is: ErrSnapshotVersion,
-			seed: Continue(edit(mid, func(s *Snapshot) { s.Version++ }))},
-		{name: "warm: wrong version", is: ErrSnapshotVersion,
-			seed: Warm(edit(done, func(s *Snapshot) { s.Version++ }), nil, 0, false)},
 		{name: "continue: wrong graph", g: graph.Cycle(10, true), is: ErrSnapshotMismatch, seed: Continue(mid)},
 		{name: "warm: wrong expected fingerprint", is: ErrSnapshotMismatch, seed: Warm(done, nil, 12345, false)},
 		{name: "continue: wrong vertex count", g: graph.Path(11, true), is: ErrSnapshotMismatch,
@@ -88,7 +86,10 @@ func TestSeedValidation(t *testing.T) {
 		{name: "warm: not quiescent", is: ErrSnapshotMismatch, says: []string{"not quiescent"},
 			seed: Warm(edit(mid, func(s *Snapshot) { s.Done = true }), nil, 0, false)},
 		{name: "continue: bitset size", is: ErrSnapshotCorrupt,
-			seed: Continue(edit(mid, func(s *Snapshot) { s.Active = s.Active[:5] }))},
+			seed: Continue(edit(mid, func(s *Snapshot) { s.active = s.active[:1] }))},
+		// Vertex 15 of 10: a bit no encoder writes.
+		{name: "warm: bitset padding", is: ErrSnapshotCorrupt, says: []string{"past vertex 9"},
+			seed: Warm(edit(done, func(s *Snapshot) { s.removed = []byte{s.removed[0], s.removed[1] | 0x80} }), nil, 0, false)},
 		{name: "continue: truncated values", says: []string{"snapshot value 9"},
 			seed: Continue(edit(mid, func(s *Snapshot) { s.Values = s.Values[:len(s.Values)-1] }))},
 		{name: "warm: truncated values", says: []string{"snapshot value 9"},
@@ -100,7 +101,10 @@ func TestSeedValidation(t *testing.T) {
 		{name: "warm: frontier vertex out of range", is: ErrSnapshotMismatch, says: []string{"activates vertex 99"},
 			seed: Warm(done, []VertexID{99}, 0, false)},
 		{name: "continue: queued vertex out of range", sched: WorkQueue, is: ErrSnapshotCorrupt, says: []string{"queued vertex 99"},
-			seed: Continue(edit(midQueue, func(s *Snapshot) { s.Queue = append(s.Queue[:len(s.Queue):len(s.Queue)], 99) }))},
+			seed: Continue(edit(midQueue, func(s *Snapshot) {
+				s.queue = binary.LittleEndian.AppendUint32(slices.Clone(s.queue), 99)
+				binary.LittleEndian.PutUint32(s.queue, uint32(len(s.queue)/4-1))
+			}))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			on := tc.g

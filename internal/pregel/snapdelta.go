@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/framing"
 )
@@ -16,9 +17,9 @@ import (
 // so the patch is O(touched) bytes where a full snapshot is O(|V|). See
 // DESIGN.md §16 "Checkpoint chain".
 //
-// The record patches the *serialized sections* of the snapshot (the same
-// seven sections AppendTo writes: active bitset, removed bitset, queue,
-// inbox counts, inbox payload, values, extra). Equal-length sections are
+// The record patches a Snapshot's seven sections, which are the bytes
+// DVSNAP stores (active bitset, removed bitset, queue, inbox counts, inbox
+// payload, values, extra). Equal-length sections are
 // diffed into sparse byte runs; sections whose length changed (a grown
 // graph, a resized extra payload) degrade to full replacement, which is
 // still correct, just not small. Aggregates are tiny and always stored in
@@ -40,7 +41,7 @@ const (
 	patchRuns      = 2 // equal-length sparse edit: count u32 + (off u64, len u32, bytes)×count
 )
 
-// numSnapSections is the number of patchable serialized sections (active,
+// numSnapSections is the number of a snapshot's sections (active,
 // removed, queue, inboxCounts, inbox, values, extra).
 const numSnapSections = 7
 
@@ -56,26 +57,18 @@ type patchRun struct {
 	data []byte
 }
 
-// sectionPatch is the patch for one serialized section.
+// sectionPatch is the patch for one section.
 type sectionPatch struct {
 	tag  byte
 	full []byte     // patchFull payload
 	runs []patchRun // patchRuns payload
 }
 
-// SnapshotDelta is a decoded incremental snapshot record: everything a
-// Snapshot's header carries, plus the identity of the base it patches.
-// Reconstruct the full snapshot with ApplySnapshotDelta.
+// SnapshotDelta is a decoded incremental snapshot record: the header and
+// aggregates of the snapshot it encodes, the identity of the base it
+// patches, and one patch per section.
 type SnapshotDelta struct {
-	Version     uint16
-	Fingerprint uint64 // graph fingerprint at this barrier (may differ from the base's)
-	Superstep   int
-	NumVertices int
-
-	ActivateAll bool
-	Stopped     bool
-	Done        bool
-	WorkQueue   bool
+	snapHeader // at this barrier: the fingerprint may differ from the base's
 
 	BaseFingerprint uint64 // identity of the snapshot this record patches
 	BaseSuperstep   int
@@ -90,17 +83,18 @@ type SnapshotDelta struct {
 // gaps cheaper to carry than to split.
 const runCoalesceGap = 16
 
-// diffSkipBlock is how many equal bytes diffSection skips with one
-// bytes.Equal between runs: a converged section is nearly all equal spans,
-// and comparing them a block at a time is what keeps the diff off the
-// per-byte loop.
-const diffSkipBlock = 64
+// diffSkipBlock and diffSkipSpan are how many equal bytes diffSection
+// skips with one bytes.Equal between runs, first a span at a time, then a
+// block: a converged section is nearly all equal spans, and comparing them
+// in long strides is what keeps the diff off the per-byte loop and out of
+// per-call overhead.
+const (
+	diffSkipBlock = 64
+	diffSkipSpan  = 4096
+)
 
 // diffSection computes the cheapest patch turning base into next.
 func diffSection(base, next []byte) sectionPatch {
-	if len(base) == len(next) && bytes.Equal(base, next) {
-		return sectionPatch{tag: patchUnchanged}
-	}
 	if len(base) != len(next) {
 		return sectionPatch{tag: patchFull, full: next}
 	}
@@ -108,6 +102,9 @@ func diffSection(base, next []byte) sectionPatch {
 	cost := 4 // run count
 	i := 0
 	for i < len(next) {
+		for i+diffSkipSpan <= len(next) && bytes.Equal(base[i:i+diffSkipSpan], next[i:i+diffSkipSpan]) {
+			i += diffSkipSpan
+		}
 		for i+diffSkipBlock <= len(next) && bytes.Equal(base[i:i+diffSkipBlock], next[i:i+diffSkipBlock]) {
 			i += diffSkipBlock
 		}
@@ -139,6 +136,9 @@ func diffSection(base, next []byte) sectionPatch {
 		cost += 12 + (end - start)
 		i = end
 	}
+	if len(runs) == 0 {
+		return sectionPatch{tag: patchUnchanged}
+	}
 	if cost >= 8+len(next) {
 		// The sparse form is no smaller than a full replacement.
 		return sectionPatch{tag: patchFull, full: next}
@@ -146,161 +146,56 @@ func diffSection(base, next []byte) sectionPatch {
 	return sectionPatch{tag: patchRuns, runs: runs}
 }
 
-// DiffSnapshots computes the incremental record that turns base into next.
-// Any two snapshots of the same format diff successfully; the record is
-// small exactly when the runs share most of their serialized state (same
-// graph size, same program, a small touched frontier).
+// DiffSnapshots computes the incremental record that turns base into next
+// by diffing their sections as they stand. Any two snapshots diff
+// successfully; the record is small exactly when the runs share most of
+// their state (same graph size, same program, a small touched frontier).
+// The record's patches alias next's sections.
 func DiffSnapshots(base, next *Snapshot) *SnapshotDelta {
-	bs, ns := sectionView(base), sectionView(next)
-	return diffSections(base.Fingerprint, base.Superstep, &bs, next, &ns)
-}
-
-// diffSections is DiffSnapshots over sections already serialized: bs are
-// the base's, identified by baseFingerprint and baseSuperstep, ns are
-// next's. The record's runs alias ns.
-func diffSections(baseFingerprint uint64, baseSuperstep int, bs *[numSnapSections][]byte, next *Snapshot, ns *[numSnapSections][]byte) *SnapshotDelta {
 	d := &SnapshotDelta{
-		Version:         SnapshotDeltaVersion,
-		Fingerprint:     next.Fingerprint,
-		Superstep:       next.Superstep,
-		NumVertices:     next.NumVertices,
-		ActivateAll:     next.ActivateAll,
-		Stopped:         next.Stopped,
-		Done:            next.Done,
-		WorkQueue:       next.WorkQueue,
-		BaseFingerprint: baseFingerprint,
-		BaseSuperstep:   baseSuperstep,
-		Aggs:            append([]float64(nil), next.Aggs...),
+		snapHeader:      next.snapHeader,
+		BaseFingerprint: base.Fingerprint,
+		BaseSuperstep:   base.Superstep,
+		Aggs:            slices.Clone(next.Aggs),
 	}
-	for i := range d.patches {
-		d.patches[i] = diffSection(bs[i], ns[i])
+	bs := base.sections()
+	for i, ns := range next.sections() {
+		d.patches[i] = diffSection(*bs[i], *ns)
 	}
 	return d
 }
 
-// ApplySnapshotDelta reconstructs the full snapshot d encodes by patching
-// base. The base must be the snapshot the record was diffed against
-// (matching fingerprint and superstep) or an error wrapping
-// ErrSnapshotMismatch is returned; structurally impossible patches (runs
-// out of the base's bounds, section lengths that contradict the vertex
-// count) return an error wrapping ErrSnapshotCorrupt. base is not modified.
-func ApplySnapshotDelta(base *Snapshot, d *SnapshotDelta) (*Snapshot, error) {
-	if err := d.checkBase(base.Fingerprint, base.Superstep); err != nil {
-		return nil, err
-	}
-	sec := snapshotSections(base)
-	if err := d.patchSections(&sec); err != nil {
-		return nil, err
-	}
-	return snapshotFromSections(d.header(), d.Aggs, sec)
-}
-
-func (d *SnapshotDelta) header() snapHeader {
-	return snapHeader{d.Fingerprint, d.Superstep, d.NumVertices, d.ActivateAll, d.Stopped, d.Done, d.WorkQueue}
-}
-
-// checkBase reports whether d patches the snapshot state identified by
-// fingerprint and superstep.
-func (d *SnapshotDelta) checkBase(fingerprint uint64, superstep int) error {
-	if fingerprint != d.BaseFingerprint {
+// apply patches s, in place, into the snapshot d encodes: sparse edits are
+// written into s's sections, and replaced sections alias d. d must patch
+// s's state (matching fingerprint and superstep) or an error wrapping
+// ErrSnapshotMismatch is returned; runs out of a section's bounds, and
+// sections that contradict d's vertex count, return an error wrapping
+// ErrSnapshotCorrupt, and leave s partly patched.
+func (s *Snapshot) apply(d *SnapshotDelta) error {
+	if s.Fingerprint != d.BaseFingerprint {
 		return fmt.Errorf("%w: delta record patches base fingerprint %016x, snapshot has %016x",
-			ErrSnapshotMismatch, d.BaseFingerprint, fingerprint)
+			ErrSnapshotMismatch, d.BaseFingerprint, s.Fingerprint)
 	}
-	if superstep != d.BaseSuperstep {
+	if s.Superstep != d.BaseSuperstep {
 		return fmt.Errorf("%w: delta record patches base superstep %d, snapshot is at %d",
-			ErrSnapshotMismatch, d.BaseSuperstep, superstep)
+			ErrSnapshotMismatch, d.BaseSuperstep, s.Superstep)
 	}
-	return nil
-}
-
-// patchSections turns the base's serialized sections, which the caller
-// owns, into those of the snapshot d encodes: sparse edits are written
-// straight into them, and replaced sections alias d.
-func (d *SnapshotDelta) patchSections(sec *[numSnapSections][]byte) error {
-	for i, p := range d.patches {
-		switch p.tag {
-		case patchUnchanged:
+	for i, sec := range s.sections() {
+		switch p := &d.patches[i]; p.tag {
 		case patchFull:
-			sec[i] = p.full
+			*sec = p.full
 		case patchRuns:
 			for _, r := range p.runs {
-				if r.off < 0 || r.off+len(r.data) > len(sec[i]) {
+				if r.off < 0 || r.off+len(r.data) > len(*sec) {
 					return fmt.Errorf("%w: %s patch run [%d,%d) exceeds section length %d",
-						ErrSnapshotCorrupt, snapSectionNames[i], r.off, r.off+len(r.data), len(sec[i]))
+						ErrSnapshotCorrupt, snapSectionNames[i], r.off, r.off+len(r.data), len(*sec))
 				}
-				copy(sec[i][r.off:], r.data)
+				copy((*sec)[r.off:], r.data)
 			}
-		default:
-			return fmt.Errorf("%w: unknown section patch tag %d", ErrSnapshotCorrupt, p.tag)
 		}
 	}
-	return nil
-}
-
-// checkSections rejects sections that contradict the vertex count n:
-// bitsets or inbox counts of the wrong length, or a queue that is not a
-// count followed by that many vertices below n.
-func checkSections(n int, sec *[numSnapSections][]byte) error {
-	for i, name := range []string{"active", "removed"} {
-		if len(sec[i]) != (n+7)/8 {
-			return fmt.Errorf("%w: %s bitset is %d bytes, %d vertices need %d",
-				ErrSnapshotCorrupt, name, len(sec[i]), n, (n+7)/8)
-		}
-	}
-	if len(sec[3]) != 4*n {
-		return fmt.Errorf("%w: inbox counts are %d bytes, %d vertices need %d",
-			ErrSnapshotCorrupt, len(sec[3]), n, 4*n)
-	}
-	r := snapshotFormat.Reader(sec[2])
-	for i := r.Count(4, "queue"); i > 0; i-- {
-		if v := r.U32(); int64(v) >= int64(n) {
-			r.Fail("queue vertex %d out of range", v)
-		}
-	}
-	return r.End()
-}
-
-// snapshotFromSections parses the seven section byte strings back into a
-// Snapshot under header h and aggregates aggs. The snapshot shares no
-// bytes with sec or aggs.
-func snapshotFromSections(h snapHeader, aggs []float64, sec [numSnapSections][]byte) (*Snapshot, error) {
-	n := h.n
-	if err := checkSections(n, &sec); err != nil {
-		return nil, err
-	}
-	s := &Snapshot{
-		Version:     SnapshotVersion,
-		Fingerprint: h.fingerprint,
-		Superstep:   h.superstep,
-		NumVertices: n,
-		ActivateAll: h.activateAll,
-		Stopped:     h.stopped,
-		Done:        h.done,
-		WorkQueue:   h.workQueue,
-		Aggs:        append([]float64(nil), aggs...),
-		Active:      parseBitset(sec[0], n),
-		Removed:     parseBitset(sec[1], n),
-		Queue:       make([]VertexID, (len(sec[2])-4)/4),
-		InboxCounts: make([]uint32, n),
-		Inbox:       append([]byte(nil), sec[4]...),
-		Values:      append([]byte(nil), sec[5]...),
-		Extra:       append([]byte(nil), sec[6]...),
-	}
-	for i := range s.Queue {
-		s.Queue[i] = VertexID(binary.LittleEndian.Uint32(sec[2][4+4*i:]))
-	}
-	for i := range s.InboxCounts {
-		s.InboxCounts[i] = binary.LittleEndian.Uint32(sec[3][4*i:])
-	}
-	return s, nil
-}
-
-func parseBitset(raw []byte, n int) []bool {
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = raw[i/8]&(1<<(i%8)) != 0
-	}
-	return out
+	s.snapHeader, s.Aggs = d.snapHeader, d.Aggs
+	return s.checkSections()
 }
 
 // AppendTo appends the binary encoding of d to dst. The layout (all
@@ -316,7 +211,7 @@ func parseBitset(raw []byte, n int) []bool {
 func (d *SnapshotDelta) AppendTo(dst []byte) []byte {
 	start := len(dst)
 	dst = snapshotDeltaFormat.Begin(dst)
-	dst = d.header().appendTo(dst)
+	dst = d.snapHeader.appendTo(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, d.BaseFingerprint)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(d.BaseSuperstep)))
 	dst = appendAggs(dst, d.Aggs)
@@ -342,20 +237,12 @@ func (d *SnapshotDelta) AppendTo(dst []byte) []byte {
 // returning the record and any remaining bytes. Corrupt, truncated, or
 // wrong-version input returns an error wrapping ErrSnapshotCorrupt or
 // ErrSnapshotVersion; it never panics. Run offsets are validated against
-// the base at ApplySnapshotDelta time, not here. The record shares no bytes
-// with b.
+// the base when the record is applied, not here. The record shares no
+// bytes with b.
 func DecodeSnapshotDelta(b []byte) (*SnapshotDelta, []byte, error) {
 	r := snapshotDeltaFormat.Open(b)
-	h := readSnapHeader(r)
 	d := &SnapshotDelta{
-		Version:         SnapshotDeltaVersion,
-		Fingerprint:     h.fingerprint,
-		Superstep:       h.superstep,
-		NumVertices:     h.n,
-		ActivateAll:     h.activateAll,
-		Stopped:         h.stopped,
-		Done:            h.done,
-		WorkQueue:       h.workQueue,
+		snapHeader:      readSnapHeader(r),
 		BaseFingerprint: r.U64(),
 		BaseSuperstep:   int(r.I64()),
 		Aggs:            readAggs(r),

@@ -2,6 +2,7 @@ package pregel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,23 +12,55 @@ import (
 
 // cloneSnapshot deep-copies s.
 func cloneSnapshot(s *Snapshot) *Snapshot {
-	c := *s
-	c.Aggs = append([]float64(nil), s.Aggs...)
-	c.Active = append([]bool(nil), s.Active...)
-	c.Removed = append([]bool(nil), s.Removed...)
-	c.Queue = append([]VertexID(nil), s.Queue...)
-	c.InboxCounts = append([]uint32(nil), s.InboxCounts...)
-	c.Inbox = append([]byte(nil), s.Inbox...)
-	c.Values = append([]byte(nil), s.Values...)
-	c.Extra = append([]byte(nil), s.Extra...)
-	return &c
+	c := new(Snapshot)
+	c.copyFrom(s)
+	return c
+}
+
+// bitAt reads bit u of the section bitset b.
+func bitAt(b []byte, u int) bool { return b[u>>3]&(1<<(u&7)) != 0 }
+
+// putBit sets or clears bit u of the section bitset b.
+func putBit(b []byte, u int, on bool) {
+	if on {
+		b[u>>3] |= 1 << (u & 7)
+	} else {
+		b[u>>3] &^= 1 << (u & 7)
+	}
+}
+
+// u32s is the little-endian encoding of vs: a queue or inbox-counts
+// section.
+func u32s(vs ...uint32) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
+// blankSnapshot is a snapshot under header h in which no vertex is active,
+// removed, queued or sent to.
+func blankSnapshot(h snapHeader) *Snapshot {
+	n := h.NumVertices
+	return &Snapshot{snapHeader: h, active: make([]byte, (n+7)/8), removed: make([]byte, (n+7)/8),
+		queue: u32s(0), inboxCounts: make([]byte, 4*n)}
+}
+
+// randQueue draws a queue section of up to n+1 vertices below n.
+func randQueue(rng *rand.Rand, n int) []byte {
+	q := u32s(0)
+	for i := 0; n > 0 && i < rng.Intn(n+1); i++ {
+		q = binary.LittleEndian.AppendUint32(q, uint32(rng.Intn(n)))
+	}
+	binary.LittleEndian.PutUint32(q, uint32(len(q)/4-1))
+	return q
 }
 
 // randSnapshot builds a random but structurally valid snapshot of n
 // vertices, the shared generator for the delta-record property tests.
 func randSnapshot(rng *rand.Rand, n int) *Snapshot {
-	s := &Snapshot{
-		Version:     SnapshotVersion,
+	s := blankSnapshot(snapHeader{
 		Fingerprint: rng.Uint64(),
 		Superstep:   rng.Intn(1 << 20),
 		NumVertices: n,
@@ -35,21 +68,16 @@ func randSnapshot(rng *rand.Rand, n int) *Snapshot {
 		Stopped:     rng.Intn(2) == 0,
 		Done:        rng.Intn(2) == 0,
 		WorkQueue:   rng.Intn(2) == 0,
-	}
+	})
 	for i := 0; i < rng.Intn(5); i++ {
 		s.Aggs = append(s.Aggs, rng.NormFloat64())
 	}
-	s.Active = make([]bool, n)
-	s.Removed = make([]bool, n)
-	s.InboxCounts = make([]uint32, n)
 	for i := 0; i < n; i++ {
-		s.Active[i] = rng.Intn(2) == 0
-		s.Removed[i] = rng.Intn(3) == 0
-		s.InboxCounts[i] = uint32(rng.Intn(4))
+		putBit(s.active, i, rng.Intn(2) == 0)
+		putBit(s.removed, i, rng.Intn(3) == 0)
+		binary.LittleEndian.PutUint32(s.inboxCounts[4*i:], uint32(rng.Intn(4)))
 	}
-	for i := 0; n > 0 && i < rng.Intn(n+1); i++ {
-		s.Queue = append(s.Queue, VertexID(rng.Intn(n)))
-	}
+	s.queue = randQueue(rng, n)
 	s.Inbox = randBytes(rng, rng.Intn(64))
 	s.Values = randBytes(rng, 8*n)
 	s.Extra = randBytes(rng, rng.Intn(256))
@@ -74,17 +102,18 @@ func perturbSnapshot(rng *rand.Rand, base *Snapshot) *Snapshot {
 	}
 	n := s.NumVertices
 	if rng.Intn(5) == 0 {
-		// Grow the graph: every per-vertex section changes length.
+		// Grow the graph: every per-vertex section changes length, and the
+		// new vertices are inactive, present and sent nothing.
 		grow := 1 + rng.Intn(4)
 		n += grow
 		s.NumVertices = n
-		s.Active = append(s.Active, make([]bool, grow)...)
-		s.Removed = append(s.Removed, make([]bool, grow)...)
-		s.InboxCounts = append(s.InboxCounts, make([]uint32, grow)...)
+		s.active = append(s.active, make([]byte, (n+7)/8-len(s.active))...)
+		s.removed = append(s.removed, make([]byte, (n+7)/8-len(s.removed))...)
+		s.inboxCounts = append(s.inboxCounts, make([]byte, 4*grow)...)
 		s.Values = append(s.Values, randBytes(rng, 8*grow)...)
 	}
 	for i := 0; n > 0 && i < rng.Intn(4); i++ {
-		s.Active[rng.Intn(n)] = rng.Intn(2) == 0
+		putBit(s.active, rng.Intn(n), rng.Intn(2) == 0)
 	}
 	for i := 0; len(s.Values) >= 8 && i < rng.Intn(4); i++ {
 		off := 8 * rng.Intn(len(s.Values)/8)
@@ -94,16 +123,22 @@ func perturbSnapshot(rng *rand.Rand, base *Snapshot) *Snapshot {
 		s.Extra[rng.Intn(len(s.Extra))] ^= byte(1 + rng.Intn(255))
 	}
 	if rng.Intn(3) == 0 {
-		s.Queue = nil
-		for i := 0; n > 0 && i < rng.Intn(n+1); i++ {
-			s.Queue = append(s.Queue, VertexID(rng.Intn(n)))
-		}
+		s.queue = randQueue(rng, n)
 	}
 	return s
 }
 
+// applyDelta applies d to a copy of base, leaving base as it was.
+func applyDelta(base *Snapshot, d *SnapshotDelta) (*Snapshot, error) {
+	s := cloneSnapshot(base)
+	if err := s.apply(d); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 // TestSnapshotDeltaRoundTrip is the property test for the DVSNPD record:
-// for random (base, next) pairs, Diff → encode → decode → Apply must
+// for random (base, next) pairs, Diff → encode → decode → apply must
 // reconstruct next bit-exactly, including when embedded in a longer
 // stream.
 func TestSnapshotDeltaRoundTrip(t *testing.T) {
@@ -125,17 +160,11 @@ func TestSnapshotDeltaRoundTrip(t *testing.T) {
 		if !bytes.Equal(rest, tail) {
 			t.Fatalf("trial %d: remainder mismatch", trial)
 		}
-		untouched := base.AppendTo(nil)
-		applied, err := ApplySnapshotDelta(base, got)
+		applied, err := applyDelta(base, got)
 		if err != nil {
 			t.Fatalf("trial %d: apply: %v", trial, err)
 		}
-		if !bytes.Equal(base.AppendTo(nil), untouched) {
-			t.Fatalf("trial %d: ApplySnapshotDelta modified its base", trial)
-		}
-		normalize(next)
-		normalize(applied)
-		if !reflect.DeepEqual(next, applied) {
+		if !sameSnapshot(next, applied) {
 			t.Fatalf("trial %d: apply mismatch:\n got %+v\nwant %+v", trial, applied, next)
 		}
 	}
@@ -153,15 +182,12 @@ func TestSnapshotDeltaIdentical(t *testing.T) {
 	if len(enc) >= len(full) {
 		t.Fatalf("identical-snapshot delta is %d bytes, full snapshot only %d", len(enc), len(full))
 	}
-	applied, err := ApplySnapshotDelta(base, d)
+	applied, err := applyDelta(base, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := cloneSnapshot(base)
-	normalize(want)
-	normalize(applied)
-	if !reflect.DeepEqual(want, applied) {
-		t.Fatalf("identity apply mismatch:\n got %+v\nwant %+v", applied, want)
+	if !sameSnapshot(base, applied) {
+		t.Fatalf("identity apply mismatch:\n got %+v\nwant %+v", applied, base)
 	}
 }
 
@@ -172,13 +198,13 @@ func TestSnapshotDeltaBytesOTouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const n = 20000
 	base := randSnapshot(rng, n)
-	base.Queue = nil
+	base.queue = u32s(0)
 	next := cloneSnapshot(base)
 	next.Superstep++
 	// Touch 3 vertices: one value cell and one active bit each.
 	for _, u := range []int{17, 9000, n - 2} {
 		copy(next.Values[8*u:], randBytes(rng, 8))
-		next.Active[u] = !next.Active[u]
+		putBit(next.active, u, !bitAt(next.active, u))
 	}
 	d := DiffSnapshots(base, next)
 	enc := d.AppendTo(nil)
@@ -186,13 +212,11 @@ func TestSnapshotDeltaBytesOTouched(t *testing.T) {
 	if len(enc) > len(full)/100 {
 		t.Fatalf("3-vertex delta record is %d bytes — not O(touched) against a %d-byte full snapshot", len(enc), len(full))
 	}
-	applied, err := ApplySnapshotDelta(base, d)
+	applied, err := applyDelta(base, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalize(next)
-	normalize(applied)
-	if !reflect.DeepEqual(next, applied) {
+	if !sameSnapshot(next, applied) {
 		t.Fatal("O(touched) delta did not reconstruct the next snapshot")
 	}
 }
@@ -335,7 +359,7 @@ func TestSnapshotDeltaDecodeRejects(t *testing.T) {
 		if len(rest) != 0 {
 			t.Fatalf("bitflip at %d decoded with remainder", i)
 		}
-		if _, err := ApplySnapshotDelta(base, d); err == nil {
+		if _, err := applyDelta(base, d); err == nil {
 			t.Fatalf("bitflip at %d decoded and applied cleanly", i)
 		}
 	}
@@ -352,41 +376,36 @@ func TestSnapshotDeltaApplyRejects(t *testing.T) {
 	t.Run("wrong-fingerprint", func(t *testing.T) {
 		other := cloneSnapshot(base)
 		other.Fingerprint ^= 0xff
-		if _, err := ApplySnapshotDelta(other, d); !errors.Is(err, ErrSnapshotMismatch) {
+		if _, err := applyDelta(other, d); !errors.Is(err, ErrSnapshotMismatch) {
 			t.Fatalf("got %v, want ErrSnapshotMismatch", err)
 		}
 	})
 	t.Run("wrong-superstep", func(t *testing.T) {
 		other := cloneSnapshot(base)
 		other.Superstep++
-		if _, err := ApplySnapshotDelta(other, d); !errors.Is(err, ErrSnapshotMismatch) {
+		if _, err := applyDelta(other, d); !errors.Is(err, ErrSnapshotMismatch) {
 			t.Fatalf("got %v, want ErrSnapshotMismatch", err)
 		}
 	})
 	t.Run("run-out-of-bounds", func(t *testing.T) {
 		bad := &SnapshotDelta{
-			Version:         SnapshotDeltaVersion,
-			Fingerprint:     base.Fingerprint,
-			Superstep:       base.Superstep + 1,
-			NumVertices:     base.NumVertices,
+			snapHeader:      snapHeader{Fingerprint: base.Fingerprint, Superstep: base.Superstep + 1, NumVertices: base.NumVertices},
 			BaseFingerprint: base.Fingerprint,
 			BaseSuperstep:   base.Superstep,
 		}
 		bad.patches[5] = sectionPatch{tag: patchRuns, runs: []patchRun{{off: 1 << 30, data: []byte{1}}}}
-		if _, err := ApplySnapshotDelta(base, bad); !errors.Is(err, ErrSnapshotCorrupt) {
+		if _, err := applyDelta(base, bad); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
 		}
 	})
 	t.Run("bad-section-lengths", func(t *testing.T) {
 		bad := &SnapshotDelta{
-			Version:         SnapshotDeltaVersion,
-			Fingerprint:     base.Fingerprint,
-			Superstep:       base.Superstep + 1,
-			NumVertices:     base.NumVertices + 5, // header grows, sections don't
+			// The header grows, the sections don't.
+			snapHeader:      snapHeader{Fingerprint: base.Fingerprint, Superstep: base.Superstep + 1, NumVertices: base.NumVertices + 5},
 			BaseFingerprint: base.Fingerprint,
 			BaseSuperstep:   base.Superstep,
 		}
-		if _, err := ApplySnapshotDelta(base, bad); !errors.Is(err, ErrSnapshotCorrupt) {
+		if _, err := applyDelta(base, bad); !errors.Is(err, ErrSnapshotCorrupt) {
 			t.Fatalf("got %v, want ErrSnapshotCorrupt", err)
 		}
 	})

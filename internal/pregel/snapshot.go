@@ -1,7 +1,6 @@
 package pregel
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,11 +54,12 @@ var snapshotFormat = framing.Format{
 	Corrupt: ErrSnapshotCorrupt, Unsupported: ErrSnapshotVersion,
 }
 
-// Snapshot is a decoded barrier snapshot. Values and Inbox hold
-// codec-encoded bytes (the engine's ValueCodec/MessageCodec decode them at
-// restore time); everything else is fully decoded.
-type Snapshot struct {
-	Version     uint16
+// snapHeader is the fixed header DVSNAP and DVSNPD records share; Snapshot
+// and SnapshotDelta embed it, so its fields read as theirs:
+//
+//	fingerprint u64 | superstep i64 | numVertices u64
+//	| flags u8 (1=activateAll 2=stopped 4=done 8=workQueue)
+type snapHeader struct {
 	Fingerprint uint64 // graph.Fingerprint of the run's graph
 	Superstep   int    // the completed superstep whose barrier this is
 	NumVertices int
@@ -67,52 +67,15 @@ type Snapshot struct {
 	ActivateAll bool // master hook requested ActivateAll for superstep+1
 	Stopped     bool // master hook stopped the run
 	Done        bool // the run terminated at this barrier (stop/quiescence)
-	WorkQueue   bool // taken under the WorkQueue scheduler (Queue is meaningful)
-
-	Aggs []float64 // committed aggregator values, registration order
-
-	Active  []bool // per vertex: runs next superstep without a message
-	Removed []bool // per vertex: removed from the computation
-
-	// Queue is the WorkQueue scheduler's runnable list for superstep+1,
-	// concatenated across workers in worker order (empty under ScanAll).
-	Queue []VertexID
-
-	// InboxCounts[u] is the number of messages delivered to vertex u at
-	// this barrier; the payloads sit in Inbox, vertex-major, each encoded
-	// with the run's message codec.
-	InboxCounts []uint32
-	Inbox       []byte
-
-	// Values holds the n vertex values, each encoded with the run's value
-	// codec.
-	Values []byte
-
-	// Extra is an opaque caller payload (CheckpointOptions.Extra); the ΔV
-	// VM serializes its machine state here.
-	Extra []byte
+	WorkQueue   bool // taken under the WorkQueue scheduler (the queue is meaningful)
 }
 
-// snapHeader is the fixed header DVSNAP and DVSNPD records share:
-//
-//	fingerprint u64 | superstep i64 | numVertices u64
-//	| flags u8 (1=activateAll 2=stopped 4=done 8=workQueue)
-type snapHeader struct {
-	fingerprint                           uint64
-	superstep, n                          int
-	activateAll, stopped, done, workQueue bool
-}
-
-func (s *Snapshot) header() snapHeader {
-	return snapHeader{s.Fingerprint, s.Superstep, s.NumVertices, s.ActivateAll, s.Stopped, s.Done, s.WorkQueue}
-}
-
-func (h snapHeader) appendTo(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, h.fingerprint)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(h.superstep)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(h.n))
+func (h *snapHeader) appendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, h.Fingerprint)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(h.Superstep)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(h.NumVertices))
 	var flags byte
-	for i, set := range [...]bool{h.activateAll, h.stopped, h.done, h.workQueue} {
+	for i, set := range [...]bool{h.ActivateAll, h.Stopped, h.Done, h.WorkQueue} {
 		if set {
 			flags |= 1 << i
 		}
@@ -121,17 +84,17 @@ func (h snapHeader) appendTo(dst []byte) []byte {
 }
 
 func readSnapHeader(r *framing.Reader) snapHeader {
-	h := snapHeader{fingerprint: r.U64(), superstep: int(r.I64())}
+	h := snapHeader{Fingerprint: r.U64(), Superstep: int(r.I64())}
 	if n := r.U64(); n > math.MaxInt32 {
 		r.Fail("vertex count %d exceeds input", n)
 	} else {
-		h.n = int(n)
+		h.NumVertices = int(n)
 	}
 	flags := r.U8()
 	if flags&^byte(15) != 0 {
 		r.Fail("unknown flag bits %#x", flags)
 	}
-	h.activateAll, h.stopped, h.done, h.workQueue = flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
+	h.ActivateAll, h.Stopped, h.Done, h.WorkQueue = flags&1 != 0, flags&2 != 0, flags&4 != 0, flags&8 != 0
 	return h
 }
 
@@ -153,9 +116,98 @@ func readAggs(r *framing.Reader) []float64 {
 	return aggs
 }
 
+// Snapshot is a barrier snapshot: its header, whose fields (Fingerprint,
+// Superstep, NumVertices, ActivateAll, Stopped, Done, WorkQueue) read as
+// Snapshot's, its aggregates, and its seven sections as the bytes DVSNAP
+// stores them, which are what a DVSNPD record patches. Of the sections,
+// Inbox, Values and Extra are exported: the engine's codecs decode the
+// first two at restore time, and Extra is the caller's. A Snapshot comes
+// from the engine (Engine.Snapshot, a checkpoint), which writes its
+// sections, or from a decoder (DecodeSnapshot, LoadChain), which checks
+// them against NumVertices; Continue and Warm check them again.
+type Snapshot struct {
+	snapHeader
+
+	Aggs []float64 // committed aggregator values, registration order
+
+	// active and removed are bitsets over the vertices — vertex u is bit
+	// u%8 of byte u/8, and the bits past NumVertices are zero: who runs
+	// next superstep without a message, and who was removed from the
+	// computation.
+	active, removed []byte
+	// queue is the WorkQueue scheduler's runnable list for superstep+1,
+	// concatenated across workers in worker order: count u32, vertex u32
+	// ×count (count 0 under ScanAll).
+	queue []byte
+	// inboxCounts is u32 ×NumVertices: how many messages each vertex was
+	// delivered at this barrier.
+	inboxCounts []byte
+	// Inbox holds those messages vertex-major, each encoded with the run's
+	// message codec.
+	Inbox []byte
+	// Values holds the vertex values, each encoded with the run's value
+	// codec.
+	Values []byte
+	// Extra is an opaque caller payload (CheckpointOptions.Extra); the ΔV
+	// VM serializes its machine state here.
+	Extra []byte
+}
+
+// firstBlob is the first of the sections DVSNAP stores with a u64 length
+// prefix (inbox, values, extra); the others' lengths follow from the
+// header, or, for the queue, from its own count.
+const firstBlob = 4
+
+// sections points at s's seven sections, in DVSNAP order (see
+// snapSectionNames).
+func (s *Snapshot) sections() [numSnapSections]*[]byte {
+	return [...]*[]byte{&s.active, &s.removed, &s.queue, &s.inboxCounts, &s.Inbox, &s.Values, &s.Extra}
+}
+
+// copyFrom makes s a deep copy of src, reusing s's buffers.
+func (s *Snapshot) copyFrom(src *Snapshot) {
+	s.snapHeader, s.Aggs = src.snapHeader, append(s.Aggs[:0], src.Aggs...)
+	sec := s.sections()
+	for i, p := range src.sections() {
+		*sec[i] = append((*sec[i])[:0], *p...)
+	}
+}
+
+// setBitAt sets bit u of a section bitset.
+func setBitAt(b []byte, u int) { b[u>>3] |= 1 << (u & 7) }
+
+// checkSections rejects sections that contradict s.NumVertices: bitsets
+// or inbox counts of the wrong length, a bitset bit set past the last
+// vertex (so a decoded snapshot re-encodes to its input byte for byte),
+// or a queue that is not a count followed by that many vertices in range.
+func (s *Snapshot) checkSections() error {
+	n := s.NumVertices
+	for i, b := range [...][]byte{s.active, s.removed} {
+		if len(b) != (n+7)/8 {
+			return fmt.Errorf("%w: %s bitset is %d bytes, %d vertices need %d",
+				ErrSnapshotCorrupt, snapSectionNames[i], len(b), n, (n+7)/8)
+		}
+		if n%8 != 0 && b[len(b)-1]>>(n%8) != 0 {
+			return fmt.Errorf("%w: %s bitset sets a bit past vertex %d",
+				ErrSnapshotCorrupt, snapSectionNames[i], n-1)
+		}
+	}
+	if len(s.inboxCounts) != 4*n {
+		return fmt.Errorf("%w: inbox counts are %d bytes, %d vertices need %d",
+			ErrSnapshotCorrupt, len(s.inboxCounts), n, 4*n)
+	}
+	r := snapshotFormat.Reader(s.queue)
+	for i := r.Count(4, "queue"); i > 0; i-- {
+		if v := r.U32(); int64(v) >= int64(n) {
+			r.Fail("queued vertex %d out of range", v)
+		}
+	}
+	return r.End()
+}
+
 // AppendTo appends the binary encoding of s to dst and returns the extended
-// slice. The layout (all integers little-endian), framed as DESIGN.md §10
-// describes:
+// slice, growing dst once. The layout (all integers little-endian), framed
+// as DESIGN.md §10 describes:
 //
 //	magic "DVSNAP" | version u16 | header (see snapHeader)
 //	| aggs:   count u32, value f64 ×count
@@ -167,116 +219,44 @@ func readAggs(r *framing.Reader) []float64 {
 //	| extra:  len u64 + bytes
 //	| crc32(IEEE) of everything above, u32
 func (s *Snapshot) AppendTo(dst []byte) []byte {
-	var sec [numSnapSections][]byte
-	return s.encode(dst, &sec)
-}
-
-// encode is AppendTo that also points sec at the seven sections inside the
-// encoding. It grows dst once, to exactly the encoded size.
-func (s *Snapshot) encode(dst []byte, sec *[numSnapSections][]byte) []byte {
-	start := len(dst)
-	// Magic and version, header, aggregates, sections, CRC.
-	dst = slices.Grow(dst, 8+25+4+8*len(s.Aggs)+s.sectionsLen()+4)
+	start, size := len(dst), 8+25+4+8*len(s.Aggs)+8*(numSnapSections-firstBlob)+4
+	for _, p := range s.sections() {
+		size += len(*p)
+	}
+	dst = slices.Grow(dst, size)
 	dst = snapshotFormat.Begin(dst)
-	dst = s.header().appendTo(dst)
+	dst = s.snapHeader.appendTo(dst)
 	dst = appendAggs(dst, s.Aggs)
-	dst = s.appendSections(dst, sec)
+	for i, p := range s.sections() {
+		if i >= firstBlob {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(len(*p)))
+		}
+		dst = append(dst, *p...)
+	}
 	return framing.Seal(dst, start)
 }
 
-// sectionsLen is the encoded length of s's seven sections.
-func (s *Snapshot) sectionsLen() int {
-	return (len(s.Active)+7)/8 + (len(s.Removed)+7)/8 + 4 + 4*len(s.Queue) + 4*len(s.InboxCounts) +
-		8 + len(s.Inbox) + 8 + len(s.Values) + 8 + len(s.Extra)
-}
-
-// appendSections appends s's seven sections (see snapSectionNames) in the
-// DVSNAP layout and points sec at each section's bytes — a length prefix
-// is framing, not section — inside the result.
-func (s *Snapshot) appendSections(dst []byte, sec *[numSnapSections][]byte) []byte {
-	dst = slices.Grow(dst, s.sectionsLen()) // no append below moves dst, so sec can alias it
-	for i := range sec {
-		start := len(dst)
-		switch i {
-		case 0:
-			dst = appendBitset(dst, s.Active)
-		case 1:
-			dst = appendBitset(dst, s.Removed)
-		case 2:
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Queue)))
-			for _, v := range s.Queue {
-				dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-			}
-		case 3:
-			for _, c := range s.InboxCounts {
-				dst = binary.LittleEndian.AppendUint32(dst, c)
-			}
-		default:
-			b := [...][]byte{s.Inbox, s.Values, s.Extra}[i-4]
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(len(b)))
-			start = len(dst)
-			dst = append(dst, b...)
-		}
-		sec[i] = dst[start:len(dst):len(dst)]
-	}
-	return dst
-}
-
-// sectionView returns s's sections for reading only: the first four
-// serialized, the inbox, values and extra s's own slices.
-func sectionView(s *Snapshot) (sec [numSnapSections][]byte) {
-	head := *s
-	head.Inbox, head.Values, head.Extra = nil, nil, nil
-	head.appendSections(nil, &sec)
-	sec[4], sec[5], sec[6] = s.Inbox, s.Values, s.Extra
-	return sec
-}
-
-// snapshotSections returns s's sections in buffers the caller owns. The
-// inbox, values and extra are copied by append, not into a presized
-// buffer: a presized one is zeroed first, and these are megabytes a batch.
-func snapshotSections(s *Snapshot) [numSnapSections][]byte {
-	sec := sectionView(s)
-	for i := 4; i < numSnapSections; i++ {
-		sec[i] = bytes.Clone(sec[i])
-	}
-	return sec
-}
-
-func appendBitset(dst []byte, bits []bool) []byte {
-	n := (len(bits) + 7) / 8
-	for i := 0; i < n; i++ {
-		var b byte
-		for j := 0; j < 8; j++ {
-			k := i*8 + j
-			if k < len(bits) && bits[k] {
-				b |= 1 << j
-			}
-		}
-		dst = append(dst, b)
-	}
-	return dst
-}
-
-// decodeSnapshotFrame reads one DVSNAP record from the front of b into its
-// header, aggregates and seven sections, which alias b, and returns the
-// bytes after it. The sections are sliced, not checked against n; see
-// checkSections.
-func decodeSnapshotFrame(b []byte) (h snapHeader, aggs []float64, sec [numSnapSections][]byte, rest []byte, err error) {
+// decodeSnapshot reads one DVSNAP record from the front of b and checks
+// its sections; the snapshot's sections alias b. It returns the bytes
+// after the record.
+func decodeSnapshot(b []byte) (*Snapshot, []byte, error) {
 	r := snapshotFormat.Open(b)
-	h = readSnapHeader(r)
-	aggs = readAggs(r)
-	bits := (h.n + 7) / 8
-	sec[0], sec[1] = r.Take(bits), r.Take(bits)
+	s := &Snapshot{snapHeader: readSnapHeader(r), Aggs: readAggs(r)}
+	bits := (s.NumVertices + 7) / 8
+	s.active, s.removed = r.Take(bits), r.Take(bits)
 	queue := r.Rest()
 	r.Take(4 * r.Count(4, "queue"))
-	sec[2] = queue[:len(queue)-len(r.Rest())]
-	sec[3] = r.Take(4 * h.n)
-	for i := 4; i < numSnapSections; i++ {
-		sec[i] = r.Blob(snapSectionNames[i])
+	s.queue = queue[: len(queue)-len(r.Rest()) : len(queue)-len(r.Rest())]
+	s.inboxCounts = r.Take(4 * s.NumVertices)
+	s.Inbox, s.Values, s.Extra = r.Blob("inbox"), r.Blob("values"), r.Blob("extra")
+	rest, err := r.Close()
+	if err == nil {
+		err = s.checkSections()
 	}
-	rest, err = r.Close()
-	return h, aggs, sec, rest, err
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, rest, nil
 }
 
 // DecodeSnapshot decodes one snapshot from the front of b, returning the
@@ -284,17 +264,16 @@ func decodeSnapshotFrame(b []byte) (h snapHeader, aggs []float64, sec [numSnapSe
 // concatenated streams — e.g. a CheckpointOptions.Sink — can be decoded in
 // a loop). Corrupt, truncated, or wrong-version input returns an error
 // wrapping ErrSnapshotCorrupt or ErrSnapshotVersion; it never panics. The
-// snapshot shares no bytes with b.
+// snapshot shares no bytes with b, and AppendTo re-encodes it to the bytes
+// it was decoded from.
 func DecodeSnapshot(b []byte) (*Snapshot, []byte, error) {
-	h, aggs, sec, rest, err := decodeSnapshotFrame(b)
+	s, rest, err := decodeSnapshot(b)
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := snapshotFromSections(h, aggs, sec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, rest, nil
+	c := new(Snapshot)
+	c.copyFrom(s)
+	return c, rest, nil
 }
 
 // ReadSnapshotFile decodes the snapshot stored in path (as written by

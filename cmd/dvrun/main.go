@@ -8,9 +8,9 @@
 //	      [-repr flat|compact|mmap] [-save-graph out.dvg]
 //	      [-param k=v]... [-workers N] [-queue] [-combine] [-epsilon e]
 //	      [-show field] [-top N] [-trace] [-timeout d]
-//	      [-checkpoint-dir dir [-checkpoint-every N] [-checkpoint-incremental]]
-//	      [-resume snapshot-or-chain-dir]
-//	      [-mutations log.dvdelta [-warm-start snapshot]]
+//	      [-checkpoint-dir dir [-checkpoint-every N]]
+//	      [-resume checkpoint]
+//	      [-mutations log.dvdelta [-warm-start checkpoint]]
 //	      [-shard i/n -peers addr0,…,addrN-1]
 //
 // Exactly one graph source (-dataset, -edges or -gen) must be given;
@@ -31,27 +31,30 @@
 // statistics accumulated so far with an "aborted:" line (and, with -trace,
 // the completed per-superstep rows), and exits 1.
 //
-// -checkpoint-dir enables barrier snapshots: one snap-NNNNNN.dvsnap file
-// per checkpointed superstep (every -checkpoint-every supersteps, plus a
-// final snapshot at the terminal barrier and on any abort). The freshest
-// snapshot path and its superstep are printed as a "checkpoint:" line.
-// With -checkpoint-incremental the directory instead holds a checkpoint
-// chain: a full base snapshot, then one compact DVSNPD delta record per
-// barrier (rebased periodically), so steady-state checkpoint bytes scale
-// with what a superstep touched rather than with graph size.
-// -resume continues a run from a snapshot file or from such a chain
-// directory (the chain is replayed to its tip; a chain that also carries
-// mutation logs replays them over the loaded graph, checking the
-// fingerprint the chain recorded after each) — the same program, mode,
-// params, graph and scheduler flags must be given (the graph fingerprint
-// and scheduler are validated) — executing only the remaining supersteps.
+// -checkpoint-dir enables barrier snapshots (every -checkpoint-every
+// supersteps, plus a final snapshot at the terminal barrier and on any
+// abort), kept as a checkpoint chain: a full base snapshot, then one
+// compact DVSNPD delta record per barrier (rebased periodically), so
+// steady-state checkpoint bytes scale with what a superstep touched rather
+// than with graph size. A directory that already holds a chain is
+// appended to. The freshest record's path and its superstep are printed as
+// a "checkpoint:" line.
+//
+// A checkpoint to -resume or -warm-start from is a chain directory (its
+// tip), one of a chain's records (the snapshot the chain had reached
+// there: the printed path resumes), or a single DVSNAP snapshot file. A
+// chain that also carries mutation logs, as dvserve's do, replays them over
+// the loaded graph, checking the fingerprint the chain recorded after
+// each. -resume continues the run — the same program, mode, params, graph
+// and scheduler flags must be given (the graph fingerprint and scheduler
+// are validated) — executing only the remaining supersteps.
 //
 // -mutations applies a streaming edge-mutation log (see graph.ReadDeltaLog
 // for the text format: add/del/set/addv lines) to the loaded graph
 // before running. On its own this re-runs the program from scratch on the
-// mutated graph. Adding -warm-start snapshot instead performs a
-// delta-recomputation warm restart: the snapshot must be the terminal
-// checkpoint of a converged run on the pre-mutation graph, and only the
+// mutated graph. Adding -warm-start checkpoint instead performs a
+// delta-recomputation warm restart: the checkpoint must be the terminal
+// snapshot of a converged run on the pre-mutation graph, and only the
 // contributions invalidated by the mutations are retracted, re-injected
 // and propagated. -warm-start requires -mutations and conflicts with
 // -resume.
@@ -67,10 +70,14 @@
 // program, mode, ε, parameters, graph, workers, scheduler or combining
 // differ refuse each other when the mesh forms. -checkpoint-dir then
 // names this shard's own directory (each shard snapshots its vertex
-// range), and -resume restarts every shard from a snapshot of the same
-// superstep in its own directory. -mutations and -warm-start work as
-// in-process; the warm-start snapshot is the whole terminal checkpoint of
-// an in-process run, handed to every shard.
+// range), and -resume restarts every shard from a record of the same
+// superstep in its own chain. A shard killed mid-run trails its peers by
+// at most one committed record, so after a crash every shard resumes from
+// the newest record name all their manifests list. That rule holds for
+// chains started together: a resumed run appends after its chain's tip,
+// so give a resumed mesh fresh -checkpoint-dir directories. -mutations
+// and -warm-start work as in-process; the warm-start snapshot is the whole
+// terminal checkpoint of an in-process run, handed to every shard.
 //
 // Examples:
 //
@@ -81,7 +88,7 @@
 //	dvrun -program pagerank -edges rmat22.dvg -repr mmap
 //	dvrun -program sssp -gen grid:50:50 -param src=0 -checkpoint-dir ck
 //	dvrun -program sssp -gen grid:50:50 -param src=0 \
-//	      -mutations edits.dvdelta -warm-start ck/snap-000102.dvsnap
+//	      -mutations edits.dvdelta -warm-start ck
 //	dvrun -program pagerank -gen rmat:12:8 -workers 4 -show vl \
 //	      -shard 0/2 -peers unix:/tmp/s0.sock,unix:/tmp/s1.sock &
 //	dvrun -program pagerank -gen rmat:12:8 -workers 4 -show vl \
@@ -95,6 +102,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -114,18 +122,17 @@ import (
 // comment above.
 type flags struct {
 	*cli.Flags
-	saveGraph       string
-	trace           bool
-	show            string
-	top             int
-	timeout         time.Duration
-	ckptDir         string
-	ckptEvery       int
-	ckptIncremental bool
-	resume          string
-	mutations       string
-	warmStart       string
-	shard, peers    string
+	saveGraph    string
+	trace        bool
+	show         string
+	top          int
+	timeout      time.Duration
+	ckptDir      string
+	ckptEvery    int
+	resume       string
+	mutations    string
+	warmStart    string
+	shard, peers string
 }
 
 func registerFlags(fs *flag.FlagSet) *flags {
@@ -135,12 +142,11 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&f.show, "show", "", "print this field's values")
 	fs.IntVar(&f.top, "top", 10, "how many values to print with -show")
 	fs.DurationVar(&f.timeout, "timeout", 0, "abort the run after this duration (0 = no limit)")
-	fs.StringVar(&f.ckptDir, "checkpoint-dir", "", "write barrier snapshots into this directory")
+	fs.StringVar(&f.ckptDir, "checkpoint-dir", "", "keep barrier snapshots as a checkpoint chain in this directory")
 	fs.IntVar(&f.ckptEvery, "checkpoint-every", 0, "periodic snapshot interval in supersteps (0 = final/abort snapshots only)")
-	fs.BoolVar(&f.ckptIncremental, "checkpoint-incremental", false, "write the checkpoints as an incremental chain (base + DVSNPD delta records) instead of full snapshots")
-	fs.StringVar(&f.resume, "resume", "", "resume from a snapshot file or a -checkpoint-incremental chain directory")
+	fs.StringVar(&f.resume, "resume", "", "resume from a checkpoint: a chain directory, one of its records, or a snapshot file")
 	fs.StringVar(&f.mutations, "mutations", "", "apply this edge-mutation log (add/del/set/addv) to the graph before running")
-	fs.StringVar(&f.warmStart, "warm-start", "", "delta-recompute from this converged pre-mutation snapshot (needs -mutations)")
+	fs.StringVar(&f.warmStart, "warm-start", "", "delta-recompute from this converged pre-mutation checkpoint (needs -mutations)")
 	fs.StringVar(&f.shard, "shard", "", "run as shard i of n processes, i/n (needs -peers and an explicit -workers)")
 	fs.StringVar(&f.peers, "peers", "", "comma-separated mesh addresses, one per shard in shard order (unix:PATH or tcp:HOST:PORT)")
 	return f
@@ -166,10 +172,10 @@ func (f *flags) check() error {
 		return fmt.Errorf("-warm-start needs -mutations: a warm restart repairs the effect of a mutation log")
 	case f.warmStart != "" && f.resume != "":
 		return fmt.Errorf("-warm-start and -resume are mutually exclusive")
+	case f.ckptEvery < 0:
+		return fmt.Errorf("-checkpoint-every %d: want an interval in supersteps, 0 or more", f.ckptEvery)
 	case f.ckptEvery > 0 && f.ckptDir == "":
 		return fmt.Errorf("-checkpoint-every needs -checkpoint-dir")
-	case f.ckptIncremental && f.ckptDir == "":
-		return fmt.Errorf("-checkpoint-incremental needs -checkpoint-dir")
 	case f.top < 0:
 		return fmt.Errorf("-top %d: want a count of values, 0 or more", f.top)
 	}
@@ -242,6 +248,17 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 			return nil
 		}
 	}
+	// One snapshot at most: check refuses -resume with -warm-start.
+	var snap *pregel.Snapshot
+	from, path := "resume", f.resume
+	if f.warmStart != "" {
+		from, path = "warm-start", f.warmStart
+	}
+	if path != "" {
+		if snap, g, err = loadCheckpoint(from, path, g, out); err != nil {
+			return err
+		}
+	}
 	var applied *graph.AppliedDelta
 	if f.mutations != "" {
 		d, err := graph.ReadDeltaLogFile(f.mutations)
@@ -252,6 +269,18 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 			return err
 		}
 	}
+	// Fail fast at the CLI boundary when the mutation log grew the vertex
+	// set and the program cannot repair growth in place (its init{} bakes
+	// in the graph size, say) — the size mismatch would otherwise surface
+	// as a confusing decode error deep inside the warm restore. Repairable
+	// programs proceed: the new vertices are initialized and primed by the
+	// delta run itself.
+	if f.warmStart != "" && applied.NewVertices > 0 {
+		if cv := prog.Repairability().Verdict(core.DeltaVertexAdd); cv.Cap != core.Repairable {
+			return fmt.Errorf("%w: -mutations added %d vertices but %s; drop -warm-start to rerun from scratch",
+				pregel.ErrSnapshotMismatch, applied.NewVertices, cv.Reason)
+		}
+	}
 
 	runOpts := vm.RunOptions{
 		Params:    f.Params,
@@ -260,47 +289,7 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 		Combine:   f.Combine,
 	}
 	if f.ckptDir != "" {
-		if err := os.MkdirAll(f.ckptDir, 0o755); err != nil {
-			return err
-		}
-		runOpts.Checkpoint = pregel.CheckpointOptions{Every: f.ckptEvery, Dir: f.ckptDir, Incremental: f.ckptIncremental}
-	}
-	var resumeSnap *pregel.Snapshot
-	if f.resume != "" {
-		if pregel.IsChainDir(f.resume) {
-			st, err := pregel.LoadChain(f.resume)
-			if err != nil {
-				return err
-			}
-			// A chain written by dvserve also carries mutation logs; replay
-			// them so the tip snapshot meets the graph it was taken on.
-			if g, err = st.Replay(g); err != nil {
-				return err
-			}
-			resumeSnap = st.Snapshot
-			fmt.Fprintf(out, "resume: chain %s (superstep %d, %d records, %d mutation logs)\n",
-				f.resume, st.Snapshot.Superstep, len(st.Entries), len(st.GraphDeltas))
-		} else if resumeSnap, err = pregel.ReadSnapshotFile(f.resume); err != nil {
-			return err
-		}
-	}
-	var warmSnap *pregel.Snapshot
-	if f.warmStart != "" {
-		// Fail fast at the CLI boundary when the mutation log grew the
-		// vertex set and the program cannot repair growth in place (its
-		// init{} bakes in the graph size, say) — the size mismatch would
-		// otherwise surface as a confusing decode error deep inside the
-		// warm restore. Repairable programs proceed: the new vertices are
-		// initialized and primed by the delta run itself.
-		if applied.NewVertices > 0 {
-			if cv := prog.Repairability().Verdict(core.DeltaVertexAdd); cv.Cap != core.Repairable {
-				return fmt.Errorf("%w: -mutations added %d vertices but %s; drop -warm-start to rerun from scratch",
-					pregel.ErrSnapshotMismatch, applied.NewVertices, cv.Reason)
-			}
-		}
-		if warmSnap, err = pregel.ReadSnapshotFile(f.warmStart); err != nil {
-			return err
-		}
+		runOpts.Checkpoint = pregel.CheckpointOptions{Every: f.ckptEvery, Dir: f.ckptDir}
 	}
 	var tr *transport.Socket
 	if mesh != nil {
@@ -317,14 +306,14 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 	var res *vm.Result
 	var runErr error
 	switch {
-	case warmSnap != nil:
+	case f.warmStart != "":
 		res, runErr = vm.RunDeltaContext(ctx, prog, g, vm.DeltaRunOptions{
 			RunOptions: runOpts,
-			Snapshot:   warmSnap,
+			Snapshot:   snap,
 			Changes:    applied,
 		})
-	case resumeSnap != nil:
-		res, runErr = vm.ResumeContext(ctx, prog, g, runOpts, resumeSnap)
+	case snap != nil:
+		res, runErr = vm.ResumeContext(ctx, prog, g, runOpts, snap)
 	default:
 		res, runErr = vm.RunContext(ctx, prog, g, runOpts)
 	}
@@ -376,6 +365,28 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 		return showTop(out, res, f.show, f.top)
 	}
 	return nil
+}
+
+// loadCheckpoint reads the snapshot a -resume or -warm-start path names —
+// a chain directory (its tip), one of a chain's records (that point), or a
+// DVSNAP file outside any chain — and returns it with g advanced by the
+// chain's mutation logs to the graph the snapshot was taken on. A chain's
+// load is reported on out under the flag's name, from.
+func loadCheckpoint(from, path string, g *graph.Graph, out io.Writer) (*pregel.Snapshot, *graph.Graph, error) {
+	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() && !pregel.IsChainDir(filepath.Dir(path)) {
+		s, err := pregel.ReadSnapshotFile(path)
+		return s, g, err
+	}
+	st, err := pregel.LoadChain(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if g, err = st.Replay(g); err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(out, "%s: chain %s (superstep %d, %d records, %d mutation logs)\n",
+		from, path, st.Snapshot.Superstep, len(st.Entries), len(st.GraphDeltas))
+	return st.Snapshot, g, nil
 }
 
 // showTop prints the top values of field, largest first, in Go's shortest

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -139,10 +140,11 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 }
 
-// TestDocCommentListsAllFlags guards against doc drift: every flag
-// registered by registerFlags must be mentioned as "-name" in this file's
-// package doc comment (the Usage block), and vice versa nothing forces the
-// doc to shrink — new flags must be documented as they are added.
+// TestDocCommentListsAllFlags guards against doc drift both ways: every
+// flag registered by registerFlags is mentioned as "-name" in this file's
+// package doc comment, every -name in its Usage block is a registered
+// flag, and every dvrun command README.md shows, its `\` continuations
+// joined, parses with those flags.
 func TestDocCommentListsAllFlags(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
@@ -160,6 +162,38 @@ func TestDocCommentListsAllFlags(t *testing.T) {
 			t.Errorf("flag -%s is registered but missing from the doc comment Usage block", f.Name)
 		}
 	})
+	_, usage, _ := strings.Cut(doc, "// Usage:\n//\n")
+	usage, _, _ = strings.Cut(usage, "\n//\n")
+	names := regexp.MustCompile(`[\s\[(|]-([a-z][a-z-]*)`).FindAllStringSubmatch(usage, -1)
+	if len(names) == 0 {
+		t.Fatal("main.go has no Usage block naming flags")
+	}
+	for _, m := range names {
+		if fs.Lookup(m[1]) == nil {
+			t.Errorf("the Usage block names -%s, which is not a flag", m[1])
+		}
+	}
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds := regexp.MustCompile(`(?m)^\$ go run \./cmd/dvrun ((?:.*\\\n)*.*)`).FindAllStringSubmatch(string(readme), -1)
+	if len(cmds) == 0 {
+		t.Fatal("README.md shows no dvrun command")
+	}
+	for _, m := range cmds {
+		// Continuations joined, the shell's part (a comment, a
+		// redirection, a pipe or a `&`) cut.
+		args := strings.ReplaceAll(m[1], "\\\n", " ")
+		args = args[:strings.IndexAny(args+"#", "#&|<>;")]
+		fs := flag.NewFlagSet("dvrun", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs)
+		if err := fs.Parse(strings.Fields(args)); err != nil || fs.NArg() > 0 {
+			t.Errorf("README.md: dvrun %s: %v, arguments left %q", args, err, fs.Args())
+		}
+	}
 }
 
 // TestGenHelpMentionsWattsStrogatz pins the -gen usage string to the full
@@ -288,9 +322,11 @@ func topBlock(t *testing.T, out string) string {
 }
 
 // TestRunCheckpointResumeDeterministic drives the CLI resume path without
-// relying on interrupt timing: a full run snapshots every barrier, then a
-// second invocation resumes from a mid-run snapshot file and must reproduce
-// the same final values in exactly the remaining supersteps.
+// relying on interrupt timing: a full run keeps a checkpoint chain in
+// -checkpoint-dir, then a second invocation resumes from a mid-run record
+// and must reproduce the same final values in exactly the remaining
+// supersteps. A single DVSNAP file of the chain tip (what full-snapshot
+// directories held) resumes too, with nothing left to run.
 func TestRunCheckpointResumeDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-program", "pagerank", "-gen", "rmat:8:6", "-directed=false", "-seed", "5",
@@ -300,22 +336,92 @@ func TestRunCheckpointResumeDeterministic(t *testing.T) {
 	if S < 3 {
 		t.Fatalf("full run too short to resume from the middle: %d supersteps", S)
 	}
-	if p := checkpointPathFrom(fullOut); !strings.HasPrefix(p, dir) {
-		t.Fatalf("checkpoint line %q does not point into -checkpoint-dir %q", p, dir)
+	st, err := pregel.LoadChain(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(fullOut, "(superstep ") {
-		t.Fatalf("checkpoint line lacks the superstep annotation:\n%s", fullOut)
+	bare := filepath.Join(t.TempDir(), "snap.dvsnap")
+	if err := os.WriteFile(bare, st.Snapshot.AppendTo(nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	k := S / 2 // resume from the snapshot taken after superstep k
+	for resume, left := range map[string]int{recordOf(t, dir, k): S - (k + 1), bare: 0} {
+		out := mustRun(t, with(base, "-resume", resume)...)
+		if got := superstepsOf(t, out); got != left {
+			t.Errorf("-resume %s took %d supersteps, want %d", resume, got, left)
+		}
+		if got, want := topBlock(t, out), topBlock(t, fullOut); got != want {
+			t.Errorf("-resume %s: values differ from the uninterrupted run:\ngot:\n%swant:\n%s", resume, got, want)
+		}
+	}
+}
+
+// TestRunCheckpointIncrementalResume drives the chain path of the CLI: a
+// full run leaves a chain directory (base snapshot plus delta records) and
+// prints the path of its last record; resuming from the directory itself or
+// from that printed record replays the chain to its terminal tip and
+// reproduces the same values with zero supersteps left to execute. The
+// manifest and a record file the manifest does not commit are refused.
+func TestRunCheckpointIncrementalResume(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-program", "pagerank", "-gen", "rmat:8:6", "-directed=false", "-seed", "5",
+		"-workers", "2", "-show", "vl", "-top", "5"}
+	fullOut := mustRun(t, with(base, "-checkpoint-dir", dir, "-checkpoint-every", "1")...)
+	printed := checkpointPathFrom(fullOut)
+	if filepath.Dir(printed) != dir || !strings.Contains(fullOut, "(superstep ") {
+		t.Fatalf("checkpoint line %q does not name a record of the chain in %q with its superstep", printed, dir)
+	}
+	if !pregel.IsChainDir(dir) {
+		t.Fatalf("%s holds no chain manifest after a checkpointed run", dir)
 	}
 	wantTop := topBlock(t, fullOut)
 
-	k := S / 2 // resume from the snapshot taken after superstep k
-	out := mustRun(t, with(base, "-resume", filepath.Join(dir, pregel.SnapshotFileName(k)))...)
-	if got, want := superstepsOf(t, out), S-(k+1); got != want {
-		t.Errorf("resumed run took %d supersteps, want %d", got, want)
+	// The chain tip is the terminal barrier snapshot, so nothing is left to
+	// recompute: the replayed state alone must carry the final values.
+	for _, resume := range []string{dir, printed} {
+		out := mustRun(t, with(base, "-resume", resume)...)
+		if !strings.Contains(out, "resume: chain "+resume) {
+			t.Fatalf("-resume %s: chain resume line missing:\n%s", resume, out)
+		}
+		if got := superstepsOf(t, out); got != 0 {
+			t.Errorf("-resume %s from the chain tip took %d supersteps, want 0", resume, got)
+		}
+		if got := topBlock(t, out); got != wantTop {
+			t.Errorf("-resume %s: values differ from the uninterrupted run:\ngot:\n%swant:\n%s", resume, got, wantTop)
+		}
 	}
-	if got := topBlock(t, out); got != wantTop {
-		t.Errorf("resumed values differ from uninterrupted run:\ngot:\n%swant:\n%s", got, wantTop)
+
+	// The raw manifest, or a record file past the committed ones, must be
+	// refused, not silently loaded.
+	st, err := pregel.LoadChain(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	uncommitted := filepath.Join(dir, fmt.Sprintf("chain-%06d.delta", len(st.Entries)))
+	if err := os.WriteFile(uncommitted, st.Snapshot.AppendTo(nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, resume := range []string{filepath.Join(dir, pregel.ChainManifestName), uncommitted} {
+		if _, err := runArgs(t, with(base, "-resume", resume)...); err == nil || !strings.Contains(err.Error(), resume) {
+			t.Fatalf("-resume %s: err = %v, want a refusal naming the path", resume, err)
+		}
+	}
+}
+
+// recordOf returns the path of the chain record in dir that holds
+// superstep k: a run checkpointing every barrier into a fresh directory
+// commits record k at superstep k.
+func recordOf(t *testing.T, dir string, k int) string {
+	t.Helper()
+	st, err := pregel.LoadChain(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := st.Entries[k]; e.Superstep != k {
+		t.Fatalf("record %d of %s is superstep %d", k, dir, e.Superstep)
+	}
+	return filepath.Join(dir, st.Entries[k].Name)
 }
 
 // TestRunInterruptResume is the end-to-end crash story: a long run is
@@ -370,10 +476,11 @@ func TestRunInterruptResume(t *testing.T) {
 		t.Fatal("no interrupted run produced a checkpoint")
 	}
 
-	var k int
-	if _, err := fmt.Sscanf(filepath.Base(snapPath), "snap-%d.dvsnap", &k); err != nil {
-		t.Fatalf("cannot parse superstep from %q: %v", snapPath, err)
+	st, err := pregel.LoadChain(snapPath)
+	if err != nil {
+		t.Fatal(err)
 	}
+	k := st.Snapshot.Superstep
 	out := mustRun(t, with(base, "-resume", snapPath)...)
 	if got, want := superstepsOf(t, out), S-(k+1); got != want {
 		t.Errorf("resumed run took %d supersteps, want %d (snapshot at superstep %d of %d)", got, want, k, S)
@@ -415,53 +522,26 @@ func TestRunWarmStartDeltaRecompute(t *testing.T) {
 		t.Fatalf("scratch mutated run missing mutations line:\n%s", scratchOut)
 	}
 
-	warmOut := mustRun(t, with(base, "-mutations", mut, "-warm-start", snapPath)...)
-	if !strings.Contains(warmOut, "delta-recompute from "+snapPath) {
-		t.Fatalf("warm run missing delta-recompute marker:\n%s", warmOut)
+	// The printed record, and a DVSNAP file of the same snapshot, warm-start alike.
+	st, err := pregel.LoadChain(snapPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := topBlock(t, warmOut), topBlock(t, scratchOut); got != want {
-		t.Errorf("warm-start values differ from scratch run on the mutated graph:\ngot:\n%swant:\n%s", got, want)
+	bare := filepath.Join(t.TempDir(), "snap.dvsnap")
+	if err := os.WriteFile(bare, st.Snapshot.AppendTo(nil), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if ws, ss := superstepsOf(t, warmOut), superstepsOf(t, scratchOut); ws >= ss {
-		t.Errorf("warm start took %d supersteps, scratch %d — expected strictly fewer", ws, ss)
-	}
-}
-
-// TestRunCheckpointIncrementalResume drives the chain-mode CLI path: a full
-// run with -checkpoint-incremental leaves a chain directory (base snapshot
-// plus delta records), and a second invocation resuming from the directory
-// itself — not any single snapshot file — replays the chain to its terminal
-// tip and reproduces the same values with zero supersteps left to execute.
-func TestRunCheckpointIncrementalResume(t *testing.T) {
-	dir := t.TempDir()
-	base := []string{"-program", "pagerank", "-gen", "rmat:8:6", "-directed=false", "-seed", "5",
-		"-workers", "2", "-show", "vl", "-top", "5"}
-	fullOut := mustRun(t, with(base, "-checkpoint-dir", dir, "-checkpoint-every", "1", "-checkpoint-incremental")...)
-	if p := checkpointPathFrom(fullOut); !strings.HasPrefix(p, dir) {
-		t.Fatalf("checkpoint line %q does not point into the chain directory %q", p, dir)
-	}
-	if !pregel.IsChainDir(dir) {
-		t.Fatalf("%s holds no chain manifest after an incremental run", dir)
-	}
-	wantTop := topBlock(t, fullOut)
-
-	out := mustRun(t, with(base, "-resume", dir)...)
-	if !strings.Contains(out, "resume: chain "+dir) {
-		t.Fatalf("chain resume line missing:\n%s", out)
-	}
-	// The chain tip is the terminal barrier snapshot, so nothing is left to
-	// recompute: the replayed state alone must carry the final values.
-	if got := superstepsOf(t, out); got != 0 {
-		t.Errorf("resume from the chain tip took %d supersteps, want 0", got)
-	}
-	if got := topBlock(t, out); got != wantTop {
-		t.Errorf("chain-resumed values differ from the uninterrupted run:\ngot:\n%swant:\n%s", got, wantTop)
-	}
-
-	// Pointing -resume at a random file inside the chain directory must
-	// fail decode, not silently load.
-	if _, err := runArgs(t, with(base, "-resume", filepath.Join(dir, pregel.ChainManifestName))...); err == nil {
-		t.Fatal("resuming from the raw manifest file succeeded, want decode error")
+	for _, from := range []string{snapPath, bare} {
+		warmOut := mustRun(t, with(base, "-mutations", mut, "-warm-start", from)...)
+		if !strings.Contains(warmOut, "delta-recompute from "+from) {
+			t.Fatalf("warm run missing delta-recompute marker:\n%s", warmOut)
+		}
+		if got, want := topBlock(t, warmOut), topBlock(t, scratchOut); got != want {
+			t.Errorf("-warm-start %s: values differ from scratch run on the mutated graph:\ngot:\n%swant:\n%s", from, got, want)
+		}
+		if ws, ss := superstepsOf(t, warmOut), superstepsOf(t, scratchOut); ws >= ss {
+			t.Errorf("-warm-start %s took %d supersteps, scratch %d — expected strictly fewer", from, ws, ss)
+		}
 	}
 }
 
@@ -643,9 +723,9 @@ func TestRunCheckpointErrorPaths(t *testing.T) {
 	if _, err := runArgs(t, with(base, "-checkpoint-every", "2")...); err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
 		t.Fatalf("err = %v, want -checkpoint-dir requirement", err)
 	}
-	// -checkpoint-incremental without -checkpoint-dir likewise.
-	if _, err := runArgs(t, with(base, "-checkpoint-incremental")...); err == nil || !strings.Contains(err.Error(), "-checkpoint-dir") {
-		t.Fatalf("err = %v, want -checkpoint-dir requirement for -checkpoint-incremental", err)
+	// A negative interval is refused, not read as "final snapshot only".
+	if _, err := runArgs(t, with(base, "-checkpoint-dir", t.TempDir(), "-checkpoint-every", "-1")...); err == nil || !strings.Contains(err.Error(), "-checkpoint-every -1") {
+		t.Fatalf("err = %v, want a -checkpoint-every range error", err)
 	}
 	// -resume with a missing file.
 	if _, err := runArgs(t, with(base, "-resume", "/nonexistent.dvsnap")...); err == nil {
@@ -654,11 +734,7 @@ func TestRunCheckpointErrorPaths(t *testing.T) {
 	// -resume against a different graph: fingerprint mismatch.
 	dir := t.TempDir()
 	mustRun(t, "-program", "pagerank", "-gen", "grid:5:5", "-checkpoint-dir", dir, "-checkpoint-every", "1")
-	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.dvsnap"))
-	if err != nil || len(snaps) == 0 {
-		t.Fatalf("no snapshots written: %v %v", snaps, err)
-	}
-	_, err = runArgs(t, "-program", "pagerank", "-gen", "grid:6:6", "-resume", snaps[0])
+	_, err := runArgs(t, "-program", "pagerank", "-gen", "grid:6:6", "-resume", recordOf(t, dir, 0))
 	if !errors.Is(err, pregel.ErrSnapshotMismatch) {
 		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
 	}

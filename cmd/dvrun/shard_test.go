@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/pregel"
 )
 
 // runShards runs n dvrun shards as goroutines over a fresh unix-socket
@@ -113,10 +112,10 @@ func TestShardedRunMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestShardedCheckpointResume: each shard checkpoints its own directory,
-// and both shards restarted from the same mid-run snapshot print the
-// uninterrupted in-process run; an incremental chain per shard resumes to
-// its tip with nothing left to run.
+// TestShardedCheckpointResume: each shard keeps its own checkpoint chain.
+// Both shards restarted from their records of the same mid-run superstep
+// print the uninterrupted in-process run; restarted from the record each
+// printed, its chain's terminal tip, they have nothing left to run.
 func TestShardedCheckpointResume(t *testing.T) {
 	for _, prog := range [][]string{
 		{"-program", "pagerank", "-gen", "rmat:9:8", "-seed", "5", "-show", "vl"},
@@ -127,32 +126,28 @@ func TestShardedCheckpointResume(t *testing.T) {
 			ref := mustRun(t, args...)
 			S := superstepsOf(t, ref)
 			dirs := [2]string{t.TempDir(), t.TempDir()}
-			own := func(flag string) func(int) []string {
-				return func(i int) []string { return []string{flag, dirs[i]} }
-			}
-			sameRun(t, ref, mustRunShards(t, 2, with(args, "-checkpoint-every", "1"), own("-checkpoint-dir")))
+			full := mustRunShards(t, 2, with(args, "-checkpoint-every", "1"), func(i int) []string {
+				return []string{"-checkpoint-dir", dirs[i]}
+			})
+			sameRun(t, ref, full)
 
 			k := S / 2
-			outs := mustRunShards(t, 2, args, func(i int) []string {
-				return []string{"-resume", filepath.Join(dirs[i], pregel.SnapshotFileName(k))}
-			})
-			for i, out := range outs {
-				if got, want := superstepsOf(t, out), S-(k+1); got != want {
-					t.Errorf("shard %d resumed at superstep %d ran %d supersteps, want %d", i, k, got, want)
-				}
-				if got, want := topBlock(t, out), topBlock(t, ref); got != want {
-					t.Errorf("shard %d resumed values differ from the uninterrupted run:\ngot:\n%swant:\n%s", i, got, want)
-				}
-			}
-
-			dirs = [2]string{t.TempDir(), t.TempDir()}
-			sameRun(t, ref, mustRunShards(t, 2, with(args, "-checkpoint-every", "1", "-checkpoint-incremental"), own("-checkpoint-dir")))
-			for i, out := range mustRunShards(t, 2, args, own("-resume")) {
-				if got := superstepsOf(t, out); got != 0 {
-					t.Errorf("shard %d resumed from its chain tip ran %d supersteps, want 0", i, got)
-				}
-				if got, want := topBlock(t, out), topBlock(t, ref); got != want {
-					t.Errorf("shard %d chain-resumed values differ:\ngot:\n%swant:\n%s", i, got, want)
+			for _, resume := range []struct {
+				left int
+				from func(i int) string
+			}{
+				{S - (k + 1), func(i int) string { return recordOf(t, dirs[i], k) }},
+				{0, func(i int) string { return checkpointPathFrom(full[i]) }},
+			} {
+				left := resume.left
+				outs := mustRunShards(t, 2, args, func(i int) []string { return []string{"-resume", resume.from(i)} })
+				for i, out := range outs {
+					if got := superstepsOf(t, out); got != left {
+						t.Errorf("shard %d resumed with %d supersteps left ran %d", i, left, got)
+					}
+					if got, want := topBlock(t, out), topBlock(t, ref); got != want {
+						t.Errorf("shard %d resumed values differ from the uninterrupted run:\ngot:\n%swant:\n%s", i, got, want)
+					}
 				}
 			}
 		})

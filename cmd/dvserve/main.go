@@ -45,8 +45,9 @@
 // from. -repair-budget bounds each repair to ceil(f × S) body supersteps
 // (S = supersteps of the fixpoint being repaired); past that the repair
 // has lost to the from-scratch rerun it was supposed to undercut, so the
-// batch falls back (counted as budget_fallback_batches in /stats). 0
-// disables the bound.
+// batch falls back (counted as budget_fallback_batches in /stats). 0, or
+// a bound at or past the superstep limit (Inf), disables it; a negative or
+// NaN f is refused.
 //
 // On startup dvserve prints the program's static repairability matrix
 // (one "repairability MODE: class=verdict ..." line — which mutation

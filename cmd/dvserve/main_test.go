@@ -4,15 +4,18 @@ import (
 	"flag"
 	"io"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestDocCommentListsAllFlags guards against doc drift: every flag
-// registered by registerFlags must be mentioned as "-name" in this file's
-// package doc comment (the Usage block), and vice versa nothing forces the
-// doc to shrink — new flags must be documented as they are added.
+// TestDocCommentListsAllFlags guards against doc drift both ways: every
+// flag registered by registerFlags is mentioned as "-name" in this file's
+// package doc comment, every -name in its Usage block is a registered
+// flag, and every dvserve command README.md shows, its `\` continuations
+// joined, parses with those flags.
 func TestDocCommentListsAllFlags(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
@@ -29,6 +32,38 @@ func TestDocCommentListsAllFlags(t *testing.T) {
 			t.Errorf("flag -%s is registered but missing from the doc comment Usage block", f.Name)
 		}
 	})
+	_, usage, _ := strings.Cut(doc, "// Usage:\n//\n")
+	usage, _, _ = strings.Cut(usage, "\n//\n")
+	names := regexp.MustCompile(`[\s\[(|]-([a-z][a-z-]*)`).FindAllStringSubmatch(usage, -1)
+	if len(names) == 0 {
+		t.Fatal("main.go has no Usage block naming flags")
+	}
+	for _, m := range names {
+		if fs.Lookup(m[1]) == nil {
+			t.Errorf("the Usage block names -%s, which is not a flag", m[1])
+		}
+	}
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds := regexp.MustCompile(`(?m)^\$ go run \./cmd/dvserve ((?:.*\\\n)*.*)`).FindAllStringSubmatch(string(readme), -1)
+	if len(cmds) == 0 {
+		t.Fatal("README.md shows no dvserve command")
+	}
+	for _, m := range cmds {
+		// Continuations joined, the shell's part (a comment, a
+		// redirection, a pipe or a `&`) cut.
+		args := strings.ReplaceAll(m[1], "\\\n", " ")
+		args = args[:strings.IndexAny(args+"#", "#&|<>;")]
+		fs := flag.NewFlagSet("dvserve", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs)
+		if err := fs.Parse(strings.Fields(args)); err != nil || fs.NArg() > 0 {
+			t.Errorf("README.md: dvserve %s: %v, arguments left %q", args, err, fs.Args())
+		}
+	}
 }
 
 // parse builds flag values from CLI-style arguments through the same
@@ -70,17 +105,19 @@ func TestRunErrorPaths(t *testing.T) {
 	cases := [][]string{
 		{}, // no program
 		{"-mode", "bogus", "-program", "sssp", "-gen", "grid:3:3"}, // bad mode
-		{"-program", "sssp"},                                          // no graph
-		{"-program", "sssp", "-gen", "bogus:1"},                       // bad generator
-		{"-program", "sssp", "-gen", "grid:3"},                        // short generator spec
-		{"-program", "nope", "-gen", "grid:3:3"},                      // unknown program
-		{"-program", "sssp", "-gen", "grid:3:3", "-param", "q=1"},     // unknown param
-		{"-program", "sssp", "-edges", "/nonexistent"},                // missing file
-		{"-program", "sssp", "-gen", "grid:3:3", "-dataset", "x"},     // two sources
-		{"-program", "sssp", "-gen", "grid:3:3", "-repr", "mmap"},     // mmap needs dvg
-		{"-program", "sssp", "-gen", "grid:3:3", "-repr", "bogus"},    // bad repr
-		{"-file", "/nonexistent.dv", "-gen", "grid:3:3"},              // missing source file
-		{"-program", "sssp", "-gen", "grid:3:3", "-addr", "bogus:::"}, // bad listen addr
+		{"-program", "sssp"},                                              // no graph
+		{"-program", "sssp", "-gen", "bogus:1"},                           // bad generator
+		{"-program", "sssp", "-gen", "grid:3"},                            // short generator spec
+		{"-program", "nope", "-gen", "grid:3:3"},                          // unknown program
+		{"-program", "sssp", "-gen", "grid:3:3", "-param", "q=1"},         // unknown param
+		{"-program", "sssp", "-edges", "/nonexistent"},                    // missing file
+		{"-program", "sssp", "-gen", "grid:3:3", "-dataset", "x"},         // two sources
+		{"-program", "sssp", "-gen", "grid:3:3", "-repr", "mmap"},         // mmap needs dvg
+		{"-program", "sssp", "-gen", "grid:3:3", "-repr", "bogus"},        // bad repr
+		{"-file", "/nonexistent.dv", "-gen", "grid:3:3"},                  // missing source file
+		{"-program", "sssp", "-gen", "grid:3:3", "-addr", "bogus:::"},     // bad listen addr
+		{"-program", "sssp", "-gen", "grid:3:3", "-repair-budget", "NaN"}, // NaN budget
+		{"-program", "sssp", "-gen", "grid:3:3", "-repair-budget", "-1"},  // negative budget
 	}
 	for i, args := range cases {
 		if err := run(t.Context(), parse(t, args...), io.Discard); err == nil {

@@ -12,8 +12,9 @@ import (
 // The crash-resume equivalence suite for the hand-written algorithms:
 // each program runs to completion with a snapshot at every barrier, then is
 // "killed" at every superstep k by resuming a fresh engine from the
-// k-snapshot. The resumed run must reproduce the uninterrupted run's final
-// values bit for bit and take exactly the remaining number of supersteps.
+// superstep-k record of its checkpoint chain. The resumed run must
+// reproduce the uninterrupted run's final values bit for bit and take
+// exactly the remaining number of supersteps.
 
 // ckptRunner abstracts one algorithm for the table: run it with the given
 // options and return final values as raw float bits plus the stats.
@@ -95,13 +96,21 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 					if S < 3 {
 						t.Fatalf("full run too short: %d supersteps", S)
 					}
-					for k := 0; k < S; k++ {
-						snap, err := pregel.ReadSnapshotFile(filepath.Join(dir, pregel.SnapshotFileName(k)))
+					chain, err := pregel.LoadChain(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(chain.Entries) != S {
+						t.Fatalf("chain has %d records for %d supersteps", len(chain.Entries), S)
+					}
+					// Record k of the chain is the barrier of superstep k.
+					for k, e := range chain.Entries {
+						st, err := pregel.LoadChain(filepath.Join(dir, e.Name))
 						if err != nil {
 							t.Fatalf("k=%d: %v", k, err)
 						}
 						res := base
-						res.Seed = pregel.Continue(snap)
+						res.Seed = pregel.Continue(st.Snapshot)
 						got, stats := run(t, res)
 						if want2 := S - (k + 1); stats.Supersteps != want2 {
 							t.Errorf("k=%d: resumed run took %d supersteps, want %d", k, stats.Supersteps, want2)

@@ -67,11 +67,7 @@ func TestDeltaVCheckpointResumeEquivalence(t *testing.T) {
 					t.Fatalf("full run too short: %d supersteps", S)
 				}
 				for k := 0; k < S; k++ {
-					snap, err := pregel.ReadSnapshotFile(filepath.Join(dir, pregel.SnapshotFileName(k)))
-					if err != nil {
-						t.Fatalf("k=%d: %v", k, err)
-					}
-					out, err := ResumeContext(context.Background(), compileT(t, tc.program, tc.mode), gr, base, snap)
+					out, err := ResumeContext(context.Background(), compileT(t, tc.program, tc.mode), gr, base, snapshotAt(t, dir, k))
 					if err != nil {
 						t.Fatalf("k=%d: resume: %v", k, err)
 					}
@@ -110,10 +106,7 @@ func TestDeltaVResumeRejectsWrongProgram(t *testing.T) {
 	if _, err := Run(compileT(t, "pagerank", core.Incremental), g, opts); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := pregel.ReadSnapshotFile(filepath.Join(dir, pregel.SnapshotFileName(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := snapshotAt(t, dir, 1)
 	// Different layout (state width) → the machine payload must refuse.
 	resume := func(prog *core.Program, snap *pregel.Snapshot) error {
 		_, err := ResumeContext(context.Background(), prog, g, RunOptions{Workers: 2}, snap)
@@ -280,11 +273,35 @@ func midRunSnapshots(t *testing.T, m *Machine, g *graph.Graph, opts RunOptions) 
 	}
 	snaps := make([]*pregel.Snapshot, res.Stats.Supersteps)
 	for k := range snaps {
-		if snaps[k], err = pregel.ReadSnapshotFile(filepath.Join(dir, pregel.SnapshotFileName(k))); err != nil {
-			t.Fatal(err)
-		}
+		snaps[k] = snapshotAt(t, dir, k)
 	}
 	return res, snaps
+}
+
+// snapshotAt loads the chain in dir through record k, which a run that
+// checkpoints every barrier into a fresh directory commits at superstep k.
+func snapshotAt(t testing.TB, dir string, k int) *pregel.Snapshot {
+	t.Helper()
+	st, err := pregel.LoadChain(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := loadChainT(t, filepath.Join(dir, st.Entries[k].Name))
+	if s.Superstep != k {
+		t.Fatalf("record %d of %s is superstep %d", k, dir, s.Superstep)
+	}
+	return s
+}
+
+// loadChainT loads the chain through path, a chain directory or one of its
+// records, and returns the snapshot it reconstructs.
+func loadChainT(t testing.TB, path string) *pregel.Snapshot {
+	t.Helper()
+	st, err := pregel.LoadChain(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Snapshot
 }
 
 // resumeMatches resumes snap and requires every field bit-identical to want.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -300,7 +299,7 @@ func TestDeltaRunSuperstepBudget(t *testing.T) {
 func TestDeltaCheckpointIncrementalBytes(t *testing.T) {
 	g0 := weightedChain(3000)
 	dir := t.TempDir()
-	ck := pregel.CheckpointOptions{Dir: dir, Incremental: true}
+	ck := pregel.CheckpointOptions{Dir: dir}
 	seed, err := Run(mustCompile("sssp", core.Incremental), g0, RunOptions{
 		Workers: 4, Params: map[string]float64{"src": 0}, Checkpoint: ck,
 	})
@@ -638,12 +637,8 @@ func TestDeltaRunValidation(t *testing.T) {
 		if _, err := Run(mustCompile("sssp", core.Incremental), g0, opts); err != nil {
 			t.Fatal(err)
 		}
-		mid, err := pregel.ReadSnapshotFile(filepath.Join(dir, pregel.SnapshotFileName(2)))
-		if err != nil {
-			t.Fatal(err)
-		}
 		g1, ad := apply(t, addOne)
-		_, err = RunDelta(mustCompile("sssp", core.Incremental), g1, DeltaRunOptions{Snapshot: mid, Changes: ad})
+		_, err := RunDelta(mustCompile("sssp", core.Incremental), g1, DeltaRunOptions{Snapshot: snapshotAt(t, dir, 2), Changes: ad})
 		wantErr(t, err, "terminal")
 	})
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -195,11 +196,13 @@ func TestShardedRunDeltaBitIdentical(t *testing.T) {
 }
 
 // TestShardedCheckpointResumeBitIdentical: a sharded run stopped by
-// MaxSupersteps mid-run, with every barrier checkpointed into one
-// directory per shard, resumes on both shards from their own state — full
-// snapshots of the stop superstep, or each shard's incremental chain
-// replayed to its tip — and lands on the uninterrupted in-process fields
-// bit for bit in exactly the remaining supersteps.
+// MaxSupersteps mid-run, with every barrier checkpointed into one chain
+// per shard, resumes on both shards from their own chains and lands on the
+// uninterrupted in-process fields bit for bit in exactly the remaining
+// supersteps: "chain" from the record each shard's run reported in
+// Stats.CheckpointPath, which loads to what its directory loads to;
+// "record" from the record before it, where a shard one commit behind its
+// peer makes both restart.
 func TestShardedCheckpointResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -213,77 +216,69 @@ func TestShardedCheckpointResumeBitIdentical(t *testing.T) {
 		{"cc", core.MemoTable, "cid", graph.PreferentialAttachment(500, 3, 7), nil},
 	}
 	for _, tc := range cases {
-		for _, chain := range []bool{false, true} {
-			from := "snapshots"
-			if chain {
-				from = "chain"
+		t.Run(tc.name+"-"+tc.mode.String(), func(t *testing.T) {
+			base := RunOptions{Workers: 4, Combine: true, Params: tc.params}
+			ref := runT(t, tc.name, tc.mode, tc.g, base)
+			want, err := ref.FieldVector(tc.field)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(tc.name+"-"+tc.mode.String()+"/"+from, func(t *testing.T) {
-				base := RunOptions{Workers: 4, Combine: true, Params: tc.params}
-				ref := runT(t, tc.name, tc.mode, tc.g, base)
-				want, err := ref.FieldVector(tc.field)
-				if err != nil {
-					t.Fatal(err)
+			S := ref.Stats.Supersteps
+			k := S / 2
+			if k < 1 {
+				t.Fatalf("reference run too short to stop mid-run: %d supersteps", S)
+			}
+			// One compiled program per shard and run, compiled here so
+			// only the test goroutine can fail the test.
+			progs := func() [2]*core.Program {
+				return [2]*core.Program{compileT(t, tc.name, tc.mode), compileT(t, tc.name, tc.mode)}
+			}
+			dirs := [2]string{t.TempDir(), t.TempDir()}
+			stopped := progs()
+			stops := runSharded2(t, tc.g, base, func(opts RunOptions) (*Result, error) {
+				opts.MaxSupersteps = k + 1
+				opts.Checkpoint = pregel.CheckpointOptions{Every: 1, Dir: dirs[opts.Shard.Index]}
+				res, err := Run(stopped[opts.Shard.Index], tc.g, opts)
+				if err == nil || !strings.Contains(err.Error(), "superstep limit") {
+					return nil, fmt.Errorf("stopped run: err = %v, want the superstep limit", err)
 				}
-				S := ref.Stats.Supersteps
-				k := S / 2
-				if k < 1 {
-					t.Fatalf("reference run too short to stop mid-run: %d supersteps", S)
+				return res, nil
+			})
+			var snaps [2][2]*pregel.Snapshot // [from][shard]
+			for i, res := range stops {
+				reported := loadChainT(t, res.Stats.CheckpointPath)
+				if !bytes.Equal(reported.AppendTo(nil), loadChainT(t, dirs[i]).AppendTo(nil)) {
+					t.Fatalf("shard %d: %s loads to a snapshot other than its chain's tip", i, res.Stats.CheckpointPath)
 				}
-				// One compiled program per shard and run, compiled here so
-				// only the test goroutine can fail the test.
-				progs := func() [2]*core.Program {
-					return [2]*core.Program{compileT(t, tc.name, tc.mode), compileT(t, tc.name, tc.mode)}
-				}
-				dirs := [2]string{t.TempDir(), t.TempDir()}
-				stopped := progs()
-				runSharded2(t, tc.g, base, func(opts RunOptions) (*Result, error) {
-					opts.MaxSupersteps = k + 1
-					opts.Checkpoint = pregel.CheckpointOptions{Every: 1, Dir: dirs[opts.Shard.Index], Incremental: chain}
-					res, err := Run(stopped[opts.Shard.Index], tc.g, opts)
-					if err == nil || !strings.Contains(err.Error(), "superstep limit") {
-						return nil, fmt.Errorf("stopped run: err = %v, want the superstep limit", err)
-					}
-					return res, nil
-				})
-				// Each shard resumes from its own directory: the stop
-				// superstep's snapshot, or its chain replayed to the tip.
-				load := func(dir string) (*pregel.Snapshot, error) {
-					if !chain {
-						return pregel.ReadSnapshotFile(filepath.Join(dir, pregel.SnapshotFileName(k)))
-					}
-					st, err := pregel.LoadChain(dir)
-					if err != nil {
-						return nil, err
-					}
-					return st.Snapshot, nil
-				}
-				resumed := progs()
-				outs := runSharded2(t, tc.g, base, func(opts RunOptions) (*Result, error) {
-					snap, err := load(dirs[opts.Shard.Index])
-					if err != nil {
-						return nil, err
-					}
-					if snap.Superstep != k {
-						return nil, fmt.Errorf("resume point is superstep %d, want %d", snap.Superstep, k)
-					}
-					return ResumeContext(context.Background(), resumed[opts.Shard.Index], tc.g, opts, snap)
-				})
-				for i, res := range outs {
-					if got := res.Stats.Supersteps; got != S-(k+1) {
-						t.Errorf("shard %d resumed at superstep %d ran %d supersteps, want %d", i, k, got, S-(k+1))
-					}
-					got, err := res.FieldVector(tc.field)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for u := range want {
-						if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
-							t.Fatalf("shard %d: %s[%d] = %v, want %v (bitwise)", i, tc.field, u, got[u], want[u])
+				snaps[0][i], snaps[1][i] = reported, snapshotAt(t, dirs[i], k-1)
+			}
+			for from, name := range []string{"chain", "record"} {
+				t.Run(name, func(t *testing.T) {
+					at := k - from
+					resumed := progs()
+					outs := runSharded2(t, tc.g, base, func(opts RunOptions) (*Result, error) {
+						snap := snaps[from][opts.Shard.Index]
+						if snap.Superstep != at {
+							return nil, fmt.Errorf("resume point is superstep %d, want %d", snap.Superstep, at)
+						}
+						return ResumeContext(context.Background(), resumed[opts.Shard.Index], tc.g, opts, snap)
+					})
+					for i, res := range outs {
+						if got := res.Stats.Supersteps; got != S-(at+1) {
+							t.Errorf("shard %d resumed at superstep %d ran %d supersteps, want %d", i, at, got, S-(at+1))
+						}
+						got, err := res.FieldVector(tc.field)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for u := range want {
+							if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
+								t.Fatalf("shard %d: %s[%d] = %v, want %v (bitwise)", i, tc.field, u, got[u], want[u])
+							}
 						}
 					}
-				}
-			})
-		}
+				})
+			}
+		})
 	}
 }

@@ -289,31 +289,6 @@ func MustCompact(g *Graph) *Graph {
 	return ng
 }
 
-// Flatten returns a flat-CSR graph equivalent to g, decoding compact
-// streams back into plain slices. If g is already flat it is returned
-// unchanged. A deferred (not yet materialized) reverse adjacency is not
-// carried over; callers that need it call BuildReverse on the result.
-func Flatten(g *Graph) *Graph {
-	if g.cOutIdx == nil {
-		return g
-	}
-	ng := &Graph{n: g.n, directed: g.directed, weighted: g.weighted}
-	ng.outOff = g.outOff
-	ng.outW = g.outW
-	ng.outAdj = decodeAdj(g.outOff, g.cOut)
-	if g.inOff != nil {
-		if !g.directed {
-			ng.inOff, ng.inAdj, ng.inW = ng.outOff, ng.outAdj, ng.outW
-		} else {
-			ng.inOff = g.inOff
-			ng.inW = g.inW
-			ng.inAdj = decodeAdj(g.inOff, g.cIn)
-		}
-	}
-	ng.inheritFingerprint(g)
-	return ng
-}
-
 // ensureIn makes the in-adjacency available if it can be, materializing
 // the deferred reverse CSR of a compact directed graph on first use. It
 // reports whether the in-adjacency is available.

@@ -66,26 +66,11 @@ func TestCompactAccessorEquivalence(t *testing.T) {
 					checkSame(t, "in", g.InNeighbors(id), cc.InNeighbors(id), g.InWeights(id), cc.InWeights(id))
 					checkIter(t, cc.OutArcs(id), g.OutNeighbors(id), g.OutWeights(id))
 					checkIter(t, cc.InArcs(id), g.InNeighbors(id), g.InWeights(id))
-					for i := 0; i < g.OutDegree(id); i++ {
-						if cc.OutEdge(id, i) != g.OutEdge(id, i) {
-							t.Fatalf("vertex %d: OutEdge(%d) mismatch", u, i)
-						}
-					}
 				}
 				if cc.Fingerprint() != g.Fingerprint() {
 					t.Fatalf("fingerprint not representation-independent: %x vs %x",
 						cc.Fingerprint(), g.Fingerprint())
 				}
-			}
-			f := Flatten(c2)
-			if f.IsCompact() {
-				t.Fatalf("Flatten returned compact graph")
-			}
-			if f.Fingerprint() != g.Fingerprint() {
-				t.Fatalf("Flatten changed fingerprint")
-			}
-			if Flatten(f) != f {
-				t.Fatalf("Flatten of a flat graph must return it unchanged")
 			}
 		})
 	}

@@ -23,13 +23,6 @@ import (
 // IDs 0..n-1.
 type VertexID = uint32
 
-// Edge is a single adjacency entry: the far endpoint and the edge weight.
-// Unweighted graphs report weight 1 for every edge.
-type Edge struct {
-	To     VertexID
-	Weight float64
-}
-
 // Graph is an immutable CSR graph.
 type Graph struct {
 	n        int
@@ -182,27 +175,6 @@ func (g *Graph) InWeights(u VertexID) []float64 {
 // HasReverse reports whether the in-adjacency is available (including a
 // compact graph's deferred reverse, which materializes on first use).
 func (g *Graph) HasReverse() bool { return g.inOff != nil || g.lazyIn }
-
-// OutEdge returns the i-th out-edge of u. On compact graphs this decodes
-// u's stream from the start; iterate with OutArcs instead of calling
-// OutEdge in a loop.
-func (g *Graph) OutEdge(u VertexID, i int) Edge {
-	off := g.outOff[u] + int64(i)
-	w := 1.0
-	if g.outW != nil {
-		w = g.outW[off]
-	}
-	if g.cOutIdx != nil {
-		it := g.OutArcs(u)
-		for k := 0; k <= i; k++ {
-			if !it.Next() {
-				panic("graph: OutEdge index out of range")
-			}
-		}
-		return Edge{To: it.To(), Weight: w}
-	}
-	return Edge{To: g.outAdj[off], Weight: w}
-}
 
 // BuildReverse constructs the in-adjacency (reverse CSR) for a directed
 // graph. It is idempotent and a no-op for undirected graphs. On a

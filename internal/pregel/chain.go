@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/framing"
@@ -301,6 +302,22 @@ func (w *ChainWriter) commit(es ...ChainEntry) error {
 	return nil
 }
 
+// writeFileAtomic writes b to path through a temp file and a rename, so a
+// crash mid-write (a sharded peer can be SIGKILLed at any point) leaves the
+// old file or the new one, never a torn one. The temp file is removed when
+// the rename fails.
+func writeFileAtomic(path string, b []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
+}
+
 // chainCommitHook is a test seam: the crash suites swap it to copy the
 // chain directory between the record write and the manifest rename,
 // simulating a kill at every commit stage. The default does nothing.
@@ -320,16 +337,28 @@ type ChainState struct {
 	GraphFingerprints []uint64
 }
 
-// LoadChain reads dir's manifest and replays every record: a base snapshot
-// loads whole, each delta record patches the snapshot loaded so far in
-// place, and graph logs are collected for the caller to re-apply. Every
-// record is CRC- and identity-checked against its manifest row, and its
-// sections against its vertex count; any mismatch fails the load, naming
-// the record.
-func LoadChain(dir string) (*ChainState, error) {
+// LoadChain loads the checkpoint chain path names and replays its records:
+// a base snapshot loads whole, each delta record patches the snapshot
+// loaded so far in place, and graph logs are collected for the caller to
+// re-apply. Given the chain's directory it replays every record, to the
+// tip. Given the path of one of the chain's snapshot records — what
+// Stats.CheckpointPath and ChainWriter's appends return — it replays the
+// manifest through that record; a file the manifest does not commit, or a
+// mutation log, is refused. Every record is CRC- and identity-checked
+// against its manifest row, and its sections against its vertex count; any
+// mismatch fails the load, naming the record.
+func LoadChain(path string) (*ChainState, error) {
+	dir, name := path, ""
 	mb, err := os.ReadFile(filepath.Join(dir, ChainManifestName))
 	if err != nil {
-		return nil, err
+		// Not a chain directory: path may be a record of the chain beside it.
+		if fi, serr := os.Stat(path); serr != nil || fi.IsDir() {
+			return nil, err
+		}
+		dir, name = filepath.Dir(path), filepath.Base(path)
+		if mb, err = os.ReadFile(filepath.Join(dir, ChainManifestName)); err != nil {
+			return nil, fmt.Errorf("%s is not in a checkpoint chain: %w", path, err)
+		}
 	}
 	entries, rest, err := DecodeChainManifest(mb)
 	if err != nil {
@@ -337,6 +366,16 @@ func LoadChain(dir string) (*ChainState, error) {
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: chain manifest has %d trailing bytes", ErrSnapshotCorrupt, len(rest))
+	}
+	if name != "" {
+		i := slices.IndexFunc(entries, func(e ChainEntry) bool { return e.Name == name })
+		switch {
+		case i < 0:
+			return nil, fmt.Errorf("%s is not a committed record of its chain's manifest", path)
+		case entries[i].Kind == ChainGraphDelta:
+			return nil, fmt.Errorf("%s is a mutation log, not a snapshot record", path)
+		}
+		entries = entries[:i+1]
 	}
 	st := &ChainState{Dir: dir, Entries: entries}
 	for i, e := range entries {
@@ -455,8 +494,7 @@ func (st *ChainState) Replay(boot *graph.Graph) (*graph.Graph, error) {
 	return g, nil
 }
 
-// IsChainDir reports whether dir holds a chain manifest — used by CLIs to
-// let one -resume flag accept either a snapshot file or a chain directory.
+// IsChainDir reports whether dir holds a chain manifest.
 func IsChainDir(dir string) bool {
 	fi, err := os.Stat(filepath.Join(dir, ChainManifestName))
 	return err == nil && fi.Mode().IsRegular()

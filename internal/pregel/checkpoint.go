@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"os"
-	"path/filepath"
 	"slices"
 	"unsafe"
 )
@@ -154,9 +152,9 @@ func (e *Engine[V, M]) Snapshot() (*Snapshot, error) {
 }
 
 // capture fills the engine's reusable Snapshot with the current barrier
-// state and writes it to the configured Dir and/or Sink. The Snapshot and
-// encode buffer are reused across captures, so a warmed-up capture
-// allocates only for buffer growth and the file write itself.
+// state and writes it to the configured Dir chain and/or Sink. The
+// Snapshot and encode buffer are reused across captures, so a warmed-up
+// Sink capture allocates only for buffer growth.
 func (e *Engine[V, M]) capture() error {
 	s := &e.snap
 	e.fill(s)
@@ -165,25 +163,18 @@ func (e *Engine[V, M]) capture() error {
 	if ck.Extra != nil {
 		s.Extra = ck.Extra(s.Extra)
 	}
-	chain := ck.Dir != "" && ck.Incremental
-	if ck.Sink != nil || !chain {
-		// A chain encodes its own record; the full DVSNAP is for the Sink
-		// and the plain Dir.
-		e.snapBuf = s.AppendTo(e.snapBuf[:0])
-	}
 	if w := ck.Sink; w != nil {
+		e.snapBuf = s.AppendTo(e.snapBuf[:0])
 		if _, err := w.Write(e.snapBuf); err != nil {
 			return fmt.Errorf("pregel: checkpoint sink: %w", err)
 		}
 	}
-	switch dir := ck.Dir; {
-	case chain:
-		// Chain mode: append a base or DVSNPD delta record instead of a
-		// fresh full snapshot file; the writer diffs against the previous
-		// capture, so a converged-then-repaired run's records carry only
-		// the touched frontier's bytes.
+	if dir := ck.Dir; dir != "" {
+		// The chain writer diffs against the previous capture, so a
+		// converged-then-repaired run's records carry only the touched
+		// frontier's bytes.
 		if e.chain == nil {
-			w, err := NewChainWriter(dir, ck.RebaseEvery)
+			w, err := NewChainWriter(dir, 0)
 			if err != nil {
 				return fmt.Errorf("pregel: checkpoint chain: %w", err)
 			}
@@ -195,14 +186,7 @@ func (e *Engine[V, M]) capture() error {
 		}
 		e.stats.CheckpointPath = path
 		e.stats.CheckpointBytes += int64(size)
-	case dir != "":
-		path := filepath.Join(dir, SnapshotFileName(s.Superstep))
-		if err := writeFileAtomic(path, e.snapBuf); err != nil {
-			return fmt.Errorf("pregel: checkpoint: %w", err)
-		}
-		e.stats.CheckpointPath = path
-		e.stats.CheckpointBytes += int64(len(e.snapBuf))
-	default:
+	} else {
 		e.stats.CheckpointBytes += int64(len(e.snapBuf))
 	}
 	// Record which superstep the snapshot just written captured: after an
@@ -210,21 +194,5 @@ func (e *Engine[V, M]) capture() error {
 	// Stats.Supersteps (e.g. the last periodic one before a panic), and
 	// resume tooling must not assume the two agree.
 	e.stats.CheckpointSuperstep = s.Superstep
-	return nil
-}
-
-// writeFileAtomic writes b to path through a temp file and a rename, so a
-// crash mid-write (a sharded peer can be SIGKILLed at any point) leaves the
-// old file or the new one, never a torn one. The temp file is removed when
-// the rename fails.
-func writeFileAtomic(path string, b []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
 	return nil
 }

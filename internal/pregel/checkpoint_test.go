@@ -109,11 +109,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 				t.Fatal("full run recorded no CheckpointPath")
 			}
 			for k := 0; k < S; k++ {
-				snap, err := ReadSnapshotFile(filepath.Join(dir, SnapshotFileName(k)))
-				if err != nil {
-					t.Fatalf("k=%d: %v", k, err)
-				}
-				res := newCkptEngine(g, sched, Continue(snap), "", 0)
+				res := newCkptEngine(g, sched, Continue(chainSnapshot(t, recordAt(t, dir, k))), "", 0)
 				stats, err := res.Run(ckptProgram{rounds: 8})
 				if err != nil {
 					t.Fatalf("k=%d: resume: %v", k, err)
@@ -214,10 +210,7 @@ func TestCheckpointOnAbort(t *testing.T) {
 	if stats.CheckpointPath == "" {
 		t.Fatal("abort left no CheckpointPath")
 	}
-	snap, err := ReadSnapshotFile(stats.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := chainSnapshot(t, stats.CheckpointPath)
 	if snap.Done {
 		t.Fatal("abort snapshot claims the run finished")
 	}
@@ -251,11 +244,7 @@ func TestCheckpointOnSuperstepLimit(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected superstep-limit error")
 	}
-	snap, err := ReadSnapshotFile(filepath.Join(dir, SnapshotFileName(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := newCkptEngine(g, ScanAll, Continue(snap), "", 0)
+	res := newCkptEngine(g, ScanAll, Continue(chainSnapshot(t, recordAt(t, dir, 3))), "", 0)
 	if _, err := res.Run(ckptProgram{rounds: 8}); err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ type Engine[V, M any] struct {
 	msgCodec ValueCodec[M]
 	snap     Snapshot
 	snapBuf  []byte
-	chain    *ChainWriter // lazily opened when Checkpoint.Incremental
+	chain    *ChainWriter // opened at the first capture into Checkpoint.Dir
 
 	// Sharding state (see shard.go). Always non-nil once RunContext
 	// starts; an unsharded run is count 1, whose barriers do nothing.

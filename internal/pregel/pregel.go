@@ -160,9 +160,10 @@ type Stats struct {
 	Aborted bool
 	// AbortReason is a human-readable cause, set iff Aborted.
 	AbortReason string
-	// CheckpointPath names the most recent snapshot file written into
+	// CheckpointPath names the most recent chain record written into
 	// Options.Checkpoint.Dir (empty when checkpointing to a Dir is off or
-	// no snapshot was taken yet). After an abort it points at resumable
+	// no snapshot was taken yet); LoadChain(CheckpointPath) loads the
+	// snapshot it completes. After an abort it points at resumable
 	// state — except after a contained panic (*RunError), where it still
 	// names the last periodic snapshot but no fresh one is taken, because
 	// the panicking superstep left the barrier inconsistent.
@@ -173,10 +174,10 @@ type Stats struct {
 	// last periodic snapshot, which may be many supersteps behind the
 	// abort point — resume from this superstep, not from Supersteps.
 	CheckpointSuperstep int
-	// CheckpointBytes totals the encoded snapshot bytes this run wrote
-	// (full snapshots, or chain records under Checkpoint.Incremental —
-	// where a converged-then-repaired run's records shrink to O(touched)).
-	// Sink and Dir writes of the same capture are counted once.
+	// CheckpointBytes totals the encoded snapshot bytes this run wrote:
+	// the chain records in Checkpoint.Dir — a converged-then-repaired
+	// run's records shrink to O(touched) — or, without a Dir, the full
+	// snapshots written to the Sink.
 	CheckpointBytes int64
 	// Quarantined counts vertices whose Init/Compute panicked under
 	// Options.Quarantine and were skipped + removed instead of aborting

@@ -3,7 +3,6 @@ package pregel
 import (
 	"encoding/binary"
 	"errors"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -31,10 +30,7 @@ func TestSeedValidation(t *testing.T) {
 		if _, err := e.Run(wsProgram{}); err != nil {
 			t.Fatal(err)
 		}
-		mid, err := ReadSnapshotFile(filepath.Join(dir, SnapshotFileName(2)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		mid := chainSnapshot(t, recordAt(t, dir, 2))
 		if mid.Done {
 			t.Fatal("superstep-2 snapshot unexpectedly Done")
 		}

@@ -237,12 +237,8 @@ func TestShardCheckpointResumeEquivalence(t *testing.T) {
 			}
 			// Phase 2: restart both shards from their own snapshots.
 			snaps := make([]*Snapshot, shards)
-			for i := range snaps {
-				s, err := ReadSnapshotFile(filepath.Join(dirs[i], SnapshotFileName(k-1)))
-				if err != nil {
-					t.Fatalf("shard %d snapshot: %v", i, err)
-				}
-				snaps[i] = s
+			for i, o := range outs {
+				snaps[i] = chainSnapshot(t, o.stats.CheckpointPath)
 			}
 			outs = runMassSharded(t, g, opts, true, rounds, shards, func(i int, o *Options) {
 				o.Seed = Continue(snaps[i])
@@ -348,11 +344,7 @@ func TestShardMismatchedResumeRejected(t *testing.T) {
 	}
 	// Shard 0 resumes from superstep 1, shard 1 from superstep 2.
 	outs = runMassSharded(t, g, opts, false, 5, 2, func(i int, o *Options) {
-		s, err := ReadSnapshotFile(filepath.Join(dirs[i], SnapshotFileName(1+i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.Seed = Continue(s)
+		o.Seed = Continue(chainSnapshot(t, recordAt(t, dirs[i], 1+i)))
 	}, nil)
 	sawMismatch := false
 	for i, o := range outs {
@@ -638,12 +630,9 @@ func TestShardContextAbortLeavesCut(t *testing.T) {
 			t.Fatalf("shard %d captured superstep %d, want %d", i, o.stats.CheckpointSuperstep, cancelAt+1)
 		}
 	}
+	snaps := []*Snapshot{chainSnapshot(t, outs[0].stats.CheckpointPath), chainSnapshot(t, outs[1].stats.CheckpointPath)}
 	outs = runMassSharded(t, g, opts, true, rounds, shards, func(i int, o *Options) {
-		s, err := ReadSnapshotFile(filepath.Join(dirs[i], SnapshotFileName(cancelAt+1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.Seed = Continue(s)
+		o.Seed = Continue(snaps[i])
 	}, nil)
 	for i, o := range outs {
 		if o.err != nil {

@@ -276,8 +276,8 @@ func DecodeSnapshot(b []byte) (*Snapshot, []byte, error) {
 	return c, rest, nil
 }
 
-// ReadSnapshotFile decodes the snapshot stored in path (as written by
-// CheckpointOptions.Dir).
+// ReadSnapshotFile decodes the one DVSNAP snapshot stored in path (the
+// bytes a CheckpointOptions.Sink receives for one capture).
 func ReadSnapshotFile(path string) (*Snapshot, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -290,21 +290,16 @@ func ReadSnapshotFile(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// SnapshotFileName is the name pattern used for snapshots written into
-// CheckpointOptions.Dir: one file per checkpointed superstep.
-func SnapshotFileName(superstep int) string {
-	return fmt.Sprintf("snap-%06d.dvsnap", superstep)
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint configuration.
 
 // CheckpointOptions enable barrier snapshots for a run. At the end of every
 // Every-th completed superstep — and, regardless of Every, when a
-// cancellation, deadline, or step timeout aborts the run — the engine
-// serializes its state and writes it to Dir (one snap-NNNNNN.dvsnap file
-// per checkpoint) and/or Sink (snapshots appended back to back; they are
-// self-delimiting). Stats.CheckpointPath names the last file written.
+// cancellation or deadline aborts the run — the engine serializes its
+// state and appends it to the checkpoint chain in Dir (see chain.go) and/or
+// writes it to Sink (full snapshots back to back; they are
+// self-delimiting). Stats.CheckpointPath names the chain record last
+// written; LoadChain resumes from it.
 //
 // Capture happens only at barriers, after the master hook: every worker is
 // parked, no messages are in flight (the delivered-but-unconsumed inbox is
@@ -319,7 +314,10 @@ type CheckpointOptions struct {
 	// with (s+1) % Every == 0 (Every=1: every superstep). Zero means no
 	// periodic snapshots; abort-time snapshots are still written.
 	Every int
-	// Dir receives one snapshot file per checkpoint. Empty disables file
+	// Dir holds the run's checkpoint chain: a full base record, then CRC'd
+	// DVSNPD delta records holding only the bytes that changed since the
+	// previous capture, rebased every DefaultRebaseEvery records. A Dir
+	// that already holds a chain is appended to. Empty disables file
 	// output.
 	Dir string
 	// Sink, when non-nil, receives every snapshot's bytes appended in
@@ -331,16 +329,6 @@ type CheckpointOptions struct {
 	// Snapshot.Extra on decode). The ΔV VM uses this for its machine
 	// state.
 	Extra func(dst []byte) []byte
-	// Incremental switches Dir from one full snapshot file per checkpoint
-	// to a checkpoint chain (see chain.go): a full base record, then CRC'd
-	// DVSNPD delta records holding only the bytes that changed since the
-	// previous checkpoint — O(touched) instead of O(|V|) between nearby
-	// barriers. Resume with LoadChain(dir). Ignored when Dir is empty;
-	// Sink still receives full snapshots.
-	Incremental bool
-	// RebaseEvery caps consecutive delta records per base in incremental
-	// mode (<=0: DefaultRebaseEvery).
-	RebaseEvery int
 }
 
 // enabled reports whether the options request any output at all.

@@ -3,9 +3,7 @@ package pregel
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -215,7 +213,7 @@ func TestCheckpointSuperstepRecorded(t *testing.T) {
 		t.Errorf("no-checkpoint run: CheckpointSuperstep = %d, want -1", stats.CheckpointSuperstep)
 	}
 
-	// Terminal snapshot: matches the file the path names.
+	// Terminal snapshot: matches the record the path names.
 	dir := t.TempDir()
 	e = New[int, int](g, Options{
 		Workers:    2,
@@ -225,7 +223,7 @@ func TestCheckpointSuperstepRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CheckpointPath != filepath.Join(dir, SnapshotFileName(stats.CheckpointSuperstep)) {
+	if stats.CheckpointPath != recordAt(t, dir, stats.CheckpointSuperstep) {
 		t.Errorf("CheckpointSuperstep %d does not match CheckpointPath %q",
 			stats.CheckpointSuperstep, stats.CheckpointPath)
 	}
@@ -245,11 +243,7 @@ func TestCheckpointSuperstepRecorded(t *testing.T) {
 	if stats.CheckpointPath == "" {
 		t.Fatal("panic abort left no CheckpointPath")
 	}
-	var k int
-	if _, err := fmt.Sscanf(filepath.Base(stats.CheckpointPath), "snap-%d.dvsnap", &k); err != nil {
-		t.Fatalf("cannot parse %q: %v", stats.CheckpointPath, err)
-	}
-	if stats.CheckpointSuperstep != k {
+	if k := chainSnapshot(t, stats.CheckpointPath).Superstep; stats.CheckpointSuperstep != k {
 		t.Errorf("CheckpointSuperstep = %d, path says %d", stats.CheckpointSuperstep, k)
 	}
 	if stats.CheckpointSuperstep >= stats.Supersteps {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -213,6 +214,30 @@ func TestServeChainRefusesV1(t *testing.T) {
 	})
 	if !errors.Is(err, pregel.ErrSnapshotVersion) || errors.Is(err, pregel.ErrSnapshotMismatch) {
 		t.Fatalf("err = %v, want ErrSnapshotVersion (and not ErrSnapshotMismatch)", err)
+	}
+}
+
+// TestRepairBudgetBounds: New refuses a NaN or negative RepairBudget, and
+// a budget whose bound reaches the superstep limit — +Inf or 1e300, which
+// convert to the most negative int — is unbounded, not one superstep.
+func TestRepairBudgetBounds(t *testing.T) {
+	for _, f := range []float64{math.NaN(), -1} {
+		if _, err := New(context.Background(), Config{Prog: compile(t, "sssp", core.Incremental), Graph: graph.Grid(3, 3, 1, 1), RepairBudget: f}); err == nil || !strings.Contains(err.Error(), "RepairBudget") {
+			t.Errorf("RepairBudget %v: err = %v, want a refusal", f, err)
+		}
+	}
+	for _, tc := range []struct {
+		f    float64
+		s    int
+		want int
+	}{
+		{0, 600, 0}, {0.001, 600, 1}, {0.5, 600, 300}, {0.001, 0, 1},
+		{math.Inf(1), 600, 0}, {math.Inf(1), 0, 0}, {1e300, 600, 0}, {maxSupersteps, 1, 0},
+	} {
+		s := &Server{cfg: Config{RepairBudget: tc.f}}
+		if got := s.repairBudget(&Version{Superstep: tc.s}); got != tc.want {
+			t.Errorf("RepairBudget %v at S = %d: budget %d, want %d", tc.f, tc.s, got, tc.want)
+		}
 	}
 }
 

@@ -130,7 +130,9 @@ type Config struct {
 	// count of the fixpoint being repaired — past that the repair has lost
 	// to the from-scratch path it was supposed to undercut, so the run is
 	// abandoned (vm.ErrRepairBudget) and the batch falls back to a
-	// from-scratch rerun, counted in Stats. Zero disables the budget.
+	// from-scratch rerun, counted in Stats. Zero disables the budget, and
+	// so does a bound at or past the runs' superstep limit (+Inf, say).
+	// New refuses a negative or NaN budget.
 	RepairBudget float64
 
 	// Logf receives operational log lines (batch failures, fallbacks).
@@ -231,6 +233,9 @@ var hookDeltaRepair func()
 func New(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.Prog == nil || cfg.Graph == nil {
 		return nil, fmt.Errorf("serve: Config needs Prog and Graph")
+	}
+	if !(cfg.RepairBudget >= 0) {
+		return nil, fmt.Errorf("serve: RepairBudget %v: want 0 (unbounded) or a positive factor", cfg.RepairBudget)
 	}
 	if cfg.MaxPending <= 0 {
 		cfg.MaxPending = 65536
@@ -528,17 +533,21 @@ func (s *Server) runScratch(ctx context.Context, g *graph.Graph) (*vm.Result, er
 // repairBudget translates Config.RepairBudget into a superstep bound for
 // repairing cur's fixpoint: the from-scratch alternative costs about
 // cur.Superstep supersteps, so past RepairBudget × that the repair has
-// lost the race it exists to win. Zero means unbounded.
+// lost the race it exists to win. Zero means unbounded: so is a bound the
+// superstep limit would cut first, and +Inf × 0 (NaN). The bound is
+// compared as a float, before converting, because a float past the int
+// range converts to the most negative int.
 func (s *Server) repairBudget(cur *Version) int {
-	if s.cfg.RepairBudget <= 0 {
+	b := math.Ceil(s.cfg.RepairBudget * float64(cur.Superstep))
+	if s.cfg.RepairBudget == 0 || !(b < maxSupersteps) {
 		return 0
 	}
-	b := int(math.Ceil(s.cfg.RepairBudget * float64(cur.Superstep)))
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return max(int(b), 1)
 }
+
+// maxSupersteps is the superstep limit of every run the server starts (the
+// VM's default).
+const maxSupersteps = 100_000
 
 // runDelta repairs the fixpoint in snap for the mutated graph g, giving
 // up past budget body supersteps (0 = unbounded).
@@ -561,11 +570,12 @@ func (s *Server) runDelta(ctx context.Context, g *graph.Graph, snap *pregel.Snap
 
 func (s *Server) runOpts() vm.RunOptions {
 	return vm.RunOptions{
-		Params:     s.cfg.Params,
-		Workers:    s.cfg.Workers,
-		Scheduler:  s.cfg.Scheduler,
-		Combine:    s.cfg.Combine,
-		Quarantine: s.cfg.Quarantine,
+		MaxSupersteps: maxSupersteps,
+		Params:        s.cfg.Params,
+		Workers:       s.cfg.Workers,
+		Scheduler:     s.cfg.Scheduler,
+		Combine:       s.cfg.Combine,
+		Quarantine:    s.cfg.Quarantine,
 	}
 }
 

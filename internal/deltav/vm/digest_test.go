@@ -158,7 +158,55 @@ func digestLines(t *testing.T) []string {
 			}
 		}
 	}
+	// Shortest paths and hop counts where arc weights reach past the reals
+	// (a sum with an infinite operand, NaN), and from a source that reaches
+	// nothing.
+	for _, name := range []string{"sssp", "bfs"} {
+		for _, mode := range allModes {
+			prog, err := core.Compile(programs.MustSource(name), core.Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []float64{math.Inf(-1), math.Inf(1), math.NaN()} {
+				g := nonFiniteGraph(w)
+				for _, src := range []graph.VertexID{0, nonFiniteSink} {
+					var ckpt bytes.Buffer
+					res, err := Run(prog, g, RunOptions{
+						Workers: 3, Combine: true, Params: map[string]float64{"src": float64(src)},
+						Checkpoint: pregel.CheckpointOptions{Every: 1, Sink: &ckpt},
+					})
+					name := fmt.Sprintf("nonfinite/%s/%s/w=%v/src=%d", name, mode, w, src)
+					lines = append(lines, digestLine(name, prog, res, err, ckpt.Bytes()))
+				}
+			}
+		}
+	}
 	return lines
+}
+
+// nonFiniteSink is a vertex of nonFiniteGraph without out-arcs.
+const nonFiniteSink = 35
+
+// nonFiniteGraph is a seeded random weighted multigraph of 40 vertices
+// whose last ten are sinks; every other arc into a sink weighs w. A sum
+// that reaches a sink through w can be NaN, and a NaN vertex is changed at
+// every call (NaN != NaN), so only sinks may hold one if the run is to
+// converge.
+func nonFiniteGraph(w float64) *graph.Graph {
+	rng := rand.New(rand.NewSource(23))
+	const n, sinks = 40, 10
+	b := graph.NewBuilder(n, true)
+	for i := 0; i < 3*n; i++ {
+		u, v := graph.VertexID(rng.Intn(n-sinks)), graph.VertexID(rng.Intn(n))
+		wt := 0.5 + 2*rng.Float64()
+		if v >= n-sinks && i%2 == 0 {
+			wt = w
+		}
+		b.AddWeightedEdge(u, v, wt)
+	}
+	g := b.Finalize()
+	g.BuildReverse()
+	return g
 }
 
 func digestLine(name string, prog *core.Program, res *Result, err error, ckpt []byte) string {

@@ -11,7 +11,9 @@
 //
 // With -emit compiled (the default) it prints the fully transformed
 // program in the paper's pseudo-syntax: receive loops, change checks,
-// Δ-message sends and halts. -emit go prints generated Go source for the
+// Δ-message sends and halts, then whether each phase's first body superstep
+// wakes every vertex and, when it does, what blocks the proof that it need
+// not. -emit go prints generated Go source for the
 // vertex program. -program selects one of the embedded benchmark programs
 // (see `dvc -list`).
 //
@@ -216,6 +218,9 @@ func run(f *mainFlags, args []string) error {
 	switch *f.emit {
 	case "compiled":
 		fmt.Print(compiled.String())
+		for i := range compiled.Phases {
+			fmt.Printf("phase %d start: %s\n", i, compiled.WakeString(i))
+		}
 	case "layout":
 		fmt.Printf("vertex state: %d bytes\n", compiled.Layout.ByteSize())
 		for i, fld := range compiled.Layout.Fields {

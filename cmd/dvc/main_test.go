@@ -69,6 +69,29 @@ func TestDVC(t *testing.T) {
 			}
 		}
 	})
+	t.Run("emit-compiled-wake", func(t *testing.T) {
+		for _, tc := range []struct {
+			program string
+			want    []string
+		}{
+			{"sssp", []string{"phase 0 start: wakes only the vertices the prime's messages reach; the prime halts a vertex only if dist == dist\n"}},
+			{"pagerank", []string{"phase 0 start: wakes every vertex: vl depends on |V|\n"}},
+			{"twophase", []string{
+				"phase 0 start: wakes every vertex: s becomes 0\n",
+				"phase 1 start: wakes only the vertices the prime's messages reach; the prime halts a vertex only if t == t && s == s\n",
+			}},
+		} {
+			out, err := runTool(t, bin, "-program", tc.program, "-vet=false", "-emit", "compiled")
+			if err != nil {
+				t.Fatal(err, out)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(out, want) {
+					t.Fatalf("%s: compiled output missing %q:\n%s", tc.program, want, out)
+				}
+			}
+		}
+	})
 	t.Run("emit-source-roundtrip", func(t *testing.T) {
 		out, err := runTool(t, bin, "-program", "sssp", "-emit", "source")
 		if err != nil {

@@ -270,6 +270,14 @@ type Phase struct {
 	Sites  []int
 	// Halts reports whether P6 appended a halt to this phase's body.
 	Halts bool
+	// Quiet reports that the phase's first body superstep need not wake
+	// every vertex: a body run without messages provably leaves the state
+	// its prime left (wake.go). Otherwise Wake names what blocks the proof.
+	Quiet bool
+	Wake  string
+	// guards are the per-vertex conditions the proof of Quiet needs; the
+	// prime keeps a vertex that fails one awake.
+	guards []guard
 }
 
 // ParamSpec is a program parameter.

@@ -71,6 +71,7 @@ const (
 	OpOr  // X || Y, short-circuit
 	OpMin // min X Y
 	OpMax
+	OpSame // X and Y have the same bits (a wake guard, see wake.go)
 
 	OpChanged // |field A − field B| > K: changed(f) of a float field under ε = K > 0
 	OpIf      // if X then Y else Z (Z may be NoRef: 0)
@@ -153,7 +154,10 @@ func lower(p *Program) *Lowered {
 	}
 	for pi := range p.Phases {
 		ph := &p.Phases[pi]
-		lp := LoweredPhase{Body: l.expr(ph.Body), Prime: l.prime(pi), Until: NoRef}
+		body := l.expr(ph.Body)
+		ph.guards, ph.Wake = quiet(p, out, pi, body)
+		ph.Quiet = ph.Wake == ""
+		lp := LoweredPhase{Body: body, Prime: l.prime(pi), Until: NoRef}
 		if ph.Until != nil {
 			lp.Until = l.expr(ph.Until)
 		}
@@ -175,6 +179,32 @@ func lower(p *Program) *Lowered {
 	}
 	out.InitAdded = l.seq(added)
 	return out
+}
+
+// Uses reports whether the subtree at r contains an op node.
+func (l *Lowered) Uses(r Ref, op Opcode) bool {
+	if r == NoRef {
+		return false
+	}
+	n := &l.Nodes[r]
+	if n.Op == op {
+		return true
+	}
+	kids := n.Args
+	switch {
+	case n.Op == OpIf:
+		kids = []Ref{n.X, n.Y, n.Z}
+	case n.Op == OpDelta || n.Op >= OpNeg && n.Op <= OpSame:
+		kids = []Ref{n.X, n.Y} // OpNeg and OpNot: Y is NoRef
+	case n.Op == OpStore || n.Op == OpStoreUser || n.Op == OpSetLet || n.Op == OpRecv || n.Op == OpFull:
+		kids = []Ref{n.X}
+	}
+	for _, k := range kids {
+		if l.Uses(k, op) {
+			return true
+		}
+	}
+	return false
 }
 
 type lowerer struct {
@@ -249,6 +279,8 @@ func fold(op Opcode, a, b float64) float64 {
 		return math.Min(a, b)
 	case OpMax:
 		return math.Max(a, b)
+	case OpSame:
+		return b2f(math.Float64bits(a) == math.Float64bits(b))
 	}
 	panic("core: fold of a non-operator opcode")
 }
@@ -456,8 +488,9 @@ func (l *lowerer) defaults() []Ref {
 
 // prime is a phase's full-value send (§6.1: "at the first superstep send the
 // data from the neighbors' perspective") for every send group, each followed
-// by its record, then a halt: the master activates every vertex for the
-// first body superstep, so halting here is always sound.
+// by its record, then a halt. Unless the phase is quiet the master wakes
+// every vertex for the first body superstep, so halting is always sound; a
+// quiet phase halts only the vertices whose wake guards hold (wake.go).
 func (l *lowerer) prime(phase int) Ref {
 	var items []Ref
 	for _, gid := range l.p.Phases[phase].Groups {
@@ -476,7 +509,23 @@ func (l *lowerer) prime(phase int) Ref {
 		items = append(items, l.send(g, g.PushDir, slots))
 		items = append(items, l.record(g)...)
 	}
-	return l.seq(append(items, l.add(Node{Op: OpHalt})))
+	halt := l.add(Node{Op: OpHalt})
+	if ph := &l.p.Phases[phase]; ph.Quiet {
+		for i := len(ph.guards) - 1; i >= 0; i-- {
+			halt = l.add(Node{Op: OpIf, X: l.guard(ph.guards[i]), Y: halt, Z: NoRef})
+		}
+	}
+	return l.seq(append(items, halt))
+}
+
+// guard lowers a wake guard: the field's value is not a NaN, or op(field, k)
+// is the field bit for bit.
+func (l *lowerer) guard(g guard) Ref {
+	f := l.load(int(g.slot))
+	if g.op == OpEq {
+		return l.op(OpEq, f, l.load(int(g.slot)))
+	}
+	return l.op(OpSame, l.op(g.op, f, l.konst(g.k)), l.load(int(g.slot)))
 }
 
 // record notes, after a group's full-value send (or in place of one, for a

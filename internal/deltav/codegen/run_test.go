@@ -22,8 +22,9 @@ import (
 // mode's table ops are elided in generated code) is generated into its own
 // package next to a small driver that plays the engine and the VM's master
 // — one worker, messages delivered in send order, prime and body
-// supersteps, the fixpoint aggregator, until{} with quiescence
-// fast-forwarding — and every field of every vertex, the superstep count
+// supersteps, the phase-start wake of phases that are not quiet, the
+// fixpoint aggregator, until{} with quiescence fast-forwarding — and every
+// field of every vertex, the superstep count
 // and the message count must equal a vm.Run with Workers 1.
 func TestGeneratedCodeMatchesVM(t *testing.T) {
 	if testing.Short() {
@@ -208,7 +209,7 @@ func driverSource(pkg string, prog *core.Program) string {
 		if prog.Lowered.Phases[i].Until != core.NoRef {
 			until = fmt.Sprintf("UntilPhase%d", i)
 		}
-		fmt.Fprintf(&phases, "\t{ComputePhase%d, %s, %s, %v, %v},\n", i, prime, until, ph.Kind == core.PhaseStep, ph.Halts)
+		fmt.Fprintf(&phases, "\t{ComputePhase%d, %s, %s, %v, %v, %v},\n", i, prime, until, ph.Kind == core.PhaseStep, ph.Halts, ph.Quiet)
 	}
 	for _, f := range prog.Layout.Fields {
 		fmt.Fprintf(&fields, "v.%s, ", goName(f.Name))
@@ -246,6 +247,7 @@ type phase struct {
 	prime       func(Context, *VertexState)
 	until       func(int, bool, int) bool
 	step, halts bool
+	quiet       bool // the first body superstep runs only woken vertices
 }
 
 const maxIterations = %d
@@ -304,23 +306,36 @@ func Run(g graph.G) (fields [][]float64, steps, sent int64) {
 			}
 		}
 	}()
+	isQuiescent := func(sentNow int64) bool {
+		q := sentNow == 0
+		for _, a := range active {
+			q = q && !a
+		}
+		return q
+	}
 	activateAll()
-	superstep(func(c *vertex, v *VertexState, _ []Message) bool { Init(c, v); return false })
+	_, primeSent := superstep(func(c *vertex, v *VertexState, _ []Message) bool { Init(c, v); return false })
 	if len(phases) == 0 {
 		return
 	}
-	ph, iter := 0, 1
-	activateAll()
+	ph, iter, primed := 0, 1, true
 	for {
 		p := phases[ph]
-		unchanged, sentNow := superstep(func(c *vertex, v *VertexState, msgs []Message) bool {
-			return p.compute(c, v, msgs, iter)
-		})
-		advance := p.step || p.until == nil || p.until(iter, unchanged, n)
-		quiescent := sentNow == 0
-		for _, a := range active {
-			quiescent = quiescent && !a
+		unchanged, quiescent := true, true
+		if !primed || !p.quiet || !isQuiescent(primeSent) {
+			// A quiet phase whose prime woke nobody skips its first body
+			// superstep: it would be a no-op on every vertex.
+			if primed && !p.quiet {
+				activateAll()
+			}
+			var sentNow int64
+			unchanged, sentNow = superstep(func(c *vertex, v *VertexState, msgs []Message) bool {
+				return p.compute(c, v, msgs, iter)
+			})
+			quiescent = isQuiescent(sentNow)
 		}
+		primed = false
+		advance := p.step || p.until == nil || p.until(iter, unchanged, n)
 		switch {
 		case advance:
 		case iter >= maxIterations:
@@ -344,8 +359,8 @@ func Run(g graph.G) (fields [][]float64, steps, sent int64) {
 		}
 		activateAll()
 		if prime := phases[ph].prime; prime != nil {
-			superstep(func(c *vertex, v *VertexState, _ []Message) bool { prime(c, v); return false })
-			activateAll()
+			_, primeSent = superstep(func(c *vertex, v *VertexState, _ []Message) bool { prime(c, v); return false })
+			primed = true
 		}
 		iter = 1
 	}

@@ -375,7 +375,7 @@ func (c *compiler[M]) fn(r core.Ref) fn[M] {
 			return boolTo01(y(f) != 0)
 		}
 	case core.OpAdd, core.OpSub, core.OpMul, core.OpDiv, core.OpLt, core.OpGt, core.OpLe,
-		core.OpGe, core.OpEq, core.OpNe, core.OpMin, core.OpMax:
+		core.OpGe, core.OpEq, core.OpNe, core.OpMin, core.OpMax, core.OpSame:
 		return c.binary(n)
 	case core.OpChanged:
 		a, b, eps := n.A, n.B, n.K
@@ -444,6 +444,8 @@ func (c *compiler[M]) binary(n *core.Node) fn[M] {
 		return func(f *frame[M]) float64 { return boolTo01(x(f) != y(f)) }
 	case core.OpMin:
 		return func(f *frame[M]) float64 { return math.Min(x(f), y(f)) }
+	case core.OpSame:
+		return func(f *frame[M]) float64 { return boolTo01(math.Float64bits(x(f)) == math.Float64bits(y(f))) }
 	}
 	return func(f *frame[M]) float64 { return math.Max(x(f), y(f)) }
 }
@@ -497,7 +499,7 @@ func (c *compiler[M]) send(n *core.Node) fn[M] {
 			return 0
 		}
 	}
-	return func(f *frame[M]) float64 {
+	each := func(f *frame[M]) float64 {
 		for arcs(&f.arcs, f.u); f.arcs.Next(); {
 			f.weight = f.arcs.Weight()
 			if build(f) {
@@ -505,6 +507,71 @@ func (c *compiler[M]) send(n *core.Node) fn[M] {
 			}
 		}
 		return 0
+	}
+	dead := c.deadScan(n)
+	if dead == nil {
+		return each
+	}
+	return func(f *frame[M]) float64 {
+		if dead(f) {
+			return 0
+		}
+		return each(f)
+	}
+}
+
+// deadScan returns, for a per-arc send whose every slot is a full value
+// x + w, w + x, x − w or w − x (w the arc's weight, x weight-free), a test
+// that holds when the send is a no-op on every arc, so its loop can be
+// skipped: x is infinite, so the slot is ±x for every finite weight, and
+// that is the site's identity. It never holds on a graph with a non-finite
+// weight, since ∞ + (−∞) and ∞ + NaN are NaN and go out. It returns nil for
+// any other send. SSSP's prime is the case: dist + w from every vertex at
+// dist = ∞.
+func (c *compiler[M]) deadScan(n *core.Node) func(*frame[M]) bool {
+	type head struct {
+		x   fn[M]
+		neg bool
+		id  float64
+	}
+	heads := make([]head, len(n.Args))
+	for i, r := range n.Args {
+		full := &c.code.Nodes[r]
+		if full.Op != core.OpFull {
+			return nil
+		}
+		sum := &c.code.Nodes[full.X]
+		if sum.Op != core.OpAdd && sum.Op != core.OpSub {
+			return nil
+		}
+		x, neg := sum.X, false
+		switch {
+		case c.code.Nodes[sum.Y].Op == core.OpWeight:
+		case c.code.Nodes[sum.X].Op == core.OpWeight:
+			x, neg = sum.Y, sum.Op == core.OpSub
+		default:
+			return nil
+		}
+		if c.code.Uses(x, core.OpWeight) {
+			return nil
+		}
+		heads[i] = head{c.fn(x), neg, core.Identity(c.m.prog.Sites[full.A].Op)}
+	}
+	g := c.m.g
+	return func(f *frame[M]) bool {
+		for _, h := range heads {
+			v := h.x(f)
+			if !math.IsInf(v, 0) {
+				return false
+			}
+			if h.neg {
+				v = -v
+			}
+			if v != h.id {
+				return false
+			}
+		}
+		return g.FiniteWeights()
 	}
 }
 

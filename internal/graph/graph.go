@@ -76,6 +76,10 @@ type Graph struct {
 	// finished from, which ApplyDelta adjusts instead of recomputing.
 	fp    atomic.Uint64
 	fpSum atomic.Uint64
+
+	// finite caches FiniteWeights: 0 = not yet scanned, 1 = every weight
+	// finite, 2 = some weight is ±Inf or NaN.
+	finite atomic.Uint32
 }
 
 // NumVertices returns |V|.
@@ -109,6 +113,27 @@ func (g *Graph) Directed() bool { return g.directed }
 
 // Weighted reports whether the graph carries per-edge weights.
 func (g *Graph) Weighted() bool { return g.weighted }
+
+// FiniteWeights reports whether every arc weight is finite (an unweighted
+// graph's arcs weigh 1). The first call scans the weights; later calls read
+// the cached answer.
+func (g *Graph) FiniteWeights() bool {
+	switch g.finite.Load() {
+	case 1:
+		return true
+	case 2:
+		return false
+	}
+	finite := uint32(1)
+	for _, w := range g.outW {
+		if w-w != 0 { // ±Inf − ±Inf and NaN − NaN are NaN
+			finite = 2
+			break
+		}
+	}
+	g.finite.Store(finite)
+	return finite == 1
+}
 
 // OutDegree returns the out-degree of u.
 func (g *Graph) OutDegree(u VertexID) int {

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -255,5 +258,74 @@ func TestAbortStatsStringMentionsReason(t *testing.T) {
 	s := Stats{Supersteps: 3, Aborted: true, AbortReason: "context canceled"}
 	if out := s.String(); !strings.Contains(out, "aborted=") || !strings.Contains(out, "context canceled") {
 		t.Fatalf("Stats.String() = %q, want abort reason", out)
+	}
+}
+
+// chainSupersteps lists the supersteps of dir's chain records, in manifest
+// order.
+func chainSupersteps(t *testing.T, dir string) []int {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, ChainManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, _, err := DecodeChainManifest(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []int
+	for _, e := range entries {
+		steps = append(steps, e.Superstep)
+	}
+	return steps
+}
+
+// TestAbortOnCaptureBarrierWritesOneRecord cancels a run exactly on a
+// barrier the periodic capture writes: the abort stops at that barrier and
+// must not append a second record for it.
+func TestAbortOnCaptureBarrierWritesOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := New[sumVal, float64](graph.Cycle(64, true), Options{
+		Workers:    2,
+		Checkpoint: CheckpointOptions{Dir: dir, Every: 3},
+	})
+	e.SetMasterHook(func(mc *MasterContext) {
+		if mc.Superstep() == 5 { // (5+1) % Every == 0: a capture barrier
+			cancel()
+		}
+	})
+	stats, err := e.RunContext(ctx, cancelSpinProgram{})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if stats.CheckpointSuperstep != 5 {
+		t.Fatalf("last capture at superstep %d, want 5", stats.CheckpointSuperstep)
+	}
+	if got := chainSupersteps(t, dir); !slices.Equal(got, []int{2, 5}) {
+		t.Fatalf("chain records at supersteps %v, want [2 5]", got)
+	}
+}
+
+// TestSuperstepLimitOnCaptureBarrierWritesOneRecord stops a run at a
+// MaxSupersteps that is a multiple of Every: the limit's barrier is one the
+// periodic capture wrote, and the chain holds one record for it.
+func TestSuperstepLimitOnCaptureBarrierWritesOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	e := New[sumVal, float64](graph.Cycle(64, true), Options{
+		Workers:       2,
+		MaxSupersteps: 6,
+		Checkpoint:    CheckpointOptions{Dir: dir, Every: 3},
+	})
+	stats, err := e.Run(cancelSpinProgram{})
+	if err == nil || !strings.Contains(err.Error(), "superstep limit") {
+		t.Fatalf("err = %v, want the superstep limit", err)
+	}
+	if stats.CheckpointSuperstep != 5 {
+		t.Fatalf("last capture at superstep %d, want 5", stats.CheckpointSuperstep)
+	}
+	if got := chainSupersteps(t, dir); !slices.Equal(got, []int{2, 5}) {
+		t.Fatalf("chain records at supersteps %v, want [2 5]", got)
 	}
 }

@@ -155,7 +155,14 @@ func (e *Engine[V, M]) Snapshot() (*Snapshot, error) {
 // state and writes it to the configured Dir chain and/or Sink. The
 // Snapshot and encode buffer are reused across captures, so a warmed-up
 // Sink capture allocates only for buffer growth.
+//
+// A barrier is written at most once: the abort and superstep-limit paths
+// capture the barrier they stop at, which the periodic capture may have
+// written already.
 func (e *Engine[V, M]) capture() error {
+	if e.captured == e.barrier {
+		return nil
+	}
 	s := &e.snap
 	e.fill(s)
 	s.Extra = s.Extra[:0]
@@ -194,5 +201,6 @@ func (e *Engine[V, M]) capture() error {
 	// Stats.Supersteps (e.g. the last periodic one before a panic), and
 	// resume tooling must not assume the two agree.
 	e.stats.CheckpointSuperstep = s.Superstep
+	e.captured = e.barrier
 	return nil
 }

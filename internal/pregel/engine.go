@@ -55,6 +55,7 @@ type Engine[V, M any] struct {
 	snap     Snapshot
 	snapBuf  []byte
 	chain    *ChainWriter // opened at the first capture into Checkpoint.Dir
+	captured int          // the barrier the last capture wrote, or -1
 
 	// Sharding state (see shard.go). Always non-nil once RunContext
 	// starts; an unsharded run is count 1, whose barriers do nothing.
@@ -167,6 +168,7 @@ func New[V, M any](g *graph.Graph, opts Options) *Engine[V, M] {
 		msgBytes: int(unsafe.Sizeof(zero)),
 		block:    (n + opts.Workers - 1) / opts.Workers,
 		barrier:  -1,
+		captured: -1,
 	}
 	if e.block == 0 {
 		e.block = 1

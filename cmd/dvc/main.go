@@ -4,10 +4,13 @@
 // Usage:
 //
 //	dvc [-mode dv|dvstar|memotable] [-emit source|compiled|layout|go]
-//	    [-epsilon ε] [-vet=false] (-program name | file.dv)
+//	    [-epsilon ε] [-vet=false] (-program name | -file prog.dv)
 //	dvc vet [-mode m] [-epsilon ε] [-json] [-severity info|warn|error]
-//	    [-analyzers a,b,...] (-program name | file.dv)
+//	    [-analyzers a,b,...] (-program name | -file prog.dv)
 //	dvc -list
+//
+// -mode, -program, -file and -epsilon are the flags dvrun and dvserve name
+// a program with; vet's findings apply to the program compiled in -mode.
 //
 // With -emit compiled (the default) it prints the fully transformed
 // program in the paper's pseudo-syntax: receive loops, change checks,
@@ -50,32 +53,27 @@ import (
 	"repro/internal/programs"
 )
 
-// mainFlags are the compile driver's options.
+// mainFlags are the compile driver's options: the program flags every
+// command shares, and dvc's own.
 type mainFlags struct {
-	mode     *string
-	emit     *string
-	progName *string
-	epsilon  *float64
-	list     *bool
-	vet      *bool
+	*cli.Program
+	emit *string
+	list *bool
+	vet  *bool
 }
 
 func registerMainFlags(fs *flag.FlagSet) *mainFlags {
 	return &mainFlags{
-		mode:     fs.String("mode", "dv", "compile mode: dv (incremental), dvstar (baseline), memotable"),
-		emit:     fs.String("emit", "compiled", "stage to print: source, compiled, layout, go"),
-		progName: fs.String("program", "", "embedded benchmark program name (instead of a file)"),
-		epsilon:  fs.Float64("epsilon", 0, "allowable-slop ε for change checks (§9)"),
-		list:     fs.Bool("list", false, "list embedded programs and exit"),
-		vet:      fs.Bool("vet", true, "run the static-analysis suite before compiling"),
+		Program: cli.RegisterProgram(fs),
+		emit:    fs.String("emit", "compiled", "stage to print: source, compiled, layout, go"),
+		list:    fs.Bool("list", false, "list embedded programs and exit"),
+		vet:     fs.Bool("vet", true, "run the static-analysis suite before compiling"),
 	}
 }
 
 // vetFlags are the vet subcommand's options.
 type vetFlags struct {
-	mode      *string
-	epsilon   *float64
-	progName  *string
+	*cli.Program
 	jsonOut   *bool
 	severity  *string
 	analyzers *string
@@ -83,9 +81,7 @@ type vetFlags struct {
 
 func registerVetFlags(fs *flag.FlagSet) *vetFlags {
 	return &vetFlags{
-		mode:      fs.String("mode", "dv", "target compile mode the findings apply to: dv, dvstar, memotable"),
-		epsilon:   fs.Float64("epsilon", 0, "allowable-slop ε the program will run with (§9)"),
-		progName:  fs.String("program", "", "embedded benchmark program name (instead of a file)"),
+		Program:   cli.RegisterProgram(fs),
 		jsonOut:   fs.Bool("json", false, "emit the findings as a JSON report"),
 		severity:  fs.String("severity", "warn", "minimum severity to show: info, warn, error"),
 		analyzers: fs.String("analyzers", "", "comma-separated analyzer subset (default: all)"),
@@ -109,19 +105,19 @@ func main() {
 	}
 }
 
-// loadSource resolves the single program input: -program name or a file.
-func loadSource(progName string, args []string) (string, error) {
-	switch {
-	case progName != "":
-		return programs.Source(progName)
-	case len(args) == 1:
-		b, err := os.ReadFile(args[0])
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
+// source resolves the program input -program or -file names. A source
+// file is named with -file, as in every other command: a leftover
+// argument is refused.
+func source(p *cli.Program, args []string) (string, core.Options, error) {
+	if len(args) > 0 {
+		return "", core.Options{}, fmt.Errorf("unexpected argument %q (name a source file with -file)", args[0])
 	}
-	return "", fmt.Errorf("need exactly one input file or -program name")
+	opts, err := p.Options()
+	if err != nil {
+		return "", opts, err
+	}
+	src, err := p.Source()
+	return src, opts, err
 }
 
 // vetMain implements `dvc vet` and returns the process exit code: 0 for
@@ -136,11 +132,7 @@ func vetMain(args []string) int {
 		fmt.Fprintln(os.Stderr, "dvc vet:", err)
 		return 2
 	}
-	src, err := loadSource(*f.progName, fs.Args())
-	if err != nil {
-		return fail(err)
-	}
-	mode, err := cli.ParseMode(*f.mode)
+	src, opts, err := source(f.Program, fs.Args())
 	if err != nil {
 		return fail(err)
 	}
@@ -156,7 +148,7 @@ func vetMain(args []string) int {
 		}
 	}
 
-	diags, err := analysis.VetSource(src, analysis.Config{Mode: mode, Epsilon: *f.epsilon}, passes)
+	diags, err := analysis.VetSource(src, analysis.Config{Mode: opts.Mode, Epsilon: opts.Epsilon}, passes)
 	if err != nil {
 		// Syntax and type errors are diagnostics too: render them through
 		// the same pipeline instead of aborting with a bare message.
@@ -181,11 +173,7 @@ func vetMain(args []string) int {
 }
 
 func run(f *mainFlags, args []string) error {
-	src, err := loadSource(*f.progName, args)
-	if err != nil {
-		return err
-	}
-	mode, err := cli.ParseMode(*f.mode)
+	src, opts, err := source(f.Program, args)
 	if err != nil {
 		return err
 	}
@@ -198,7 +186,7 @@ func run(f *mainFlags, args []string) error {
 		return nil
 	}
 	if *f.vet && (*f.emit == "compiled" || *f.emit == "go") {
-		diags, err := analysis.VetSource(src, analysis.Config{Mode: mode, Epsilon: *f.epsilon}, nil)
+		diags, err := analysis.VetSource(src, analysis.Config{Mode: opts.Mode, Epsilon: opts.Epsilon}, nil)
 		if err != nil {
 			return err
 		}
@@ -211,7 +199,7 @@ func run(f *mainFlags, args []string) error {
 			fmt.Fprintln(os.Stderr, "dvc vet:", d.String())
 		}
 	}
-	compiled, err := core.Compile(src, core.Options{Mode: mode, Epsilon: *f.epsilon})
+	compiled, err := core.Compile(src, opts)
 	if err != nil {
 		return err
 	}

@@ -125,7 +125,7 @@ func TestDVC(t *testing.T) {
 		if err := os.WriteFile(f, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out, err := runTool(t, bin, "-emit", "compiled", f)
+		out, err := runTool(t, bin, "-emit", "compiled", "-file", f)
 		if err != nil {
 			t.Fatal(err, out)
 		}
@@ -138,7 +138,8 @@ func TestDVC(t *testing.T) {
 			{"-program", "nope"},
 			{"-mode", "bogus", "-program", "pagerank"},
 			{"-emit", "bogus", "-program", "pagerank"},
-			{}, // no input
+			{},                               // no input
+			{"-program", "pagerank", "p.dv"}, // a source file is named with -file
 		} {
 			if out, err := runTool(t, bin, args...); err == nil {
 				t.Fatalf("dvc %v succeeded, want error:\n%s", args, out)

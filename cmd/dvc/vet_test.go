@@ -139,7 +139,7 @@ func TestVetMultipleTypeErrors(t *testing.T) {
 	if err := os.WriteFile(f, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := runTool(t, bin, "vet", f)
+	out, err := runTool(t, bin, "vet", "-file", f)
 	if ec := exitCode(err); ec != 1 {
 		t.Fatalf("exit = %d, want 1\n%s", ec, out)
 	}
@@ -152,7 +152,7 @@ func TestVetMultipleTypeErrors(t *testing.T) {
 		}
 	}
 	// The same two findings, structured.
-	out, _ = runTool(t, bin, "vet", "-json", f)
+	out, _ = runTool(t, bin, "vet", "-json", "-file", f)
 	var rep jsonReport
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out)

@@ -9,8 +9,7 @@
 //	      [-param k=v]... [-workers N] [-queue] [-combine] [-epsilon e]
 //	      [-show field] [-top N] [-trace] [-timeout d]
 //	      [-checkpoint-dir dir [-checkpoint-every N]]
-//	      [-resume checkpoint]
-//	      [-mutations log.dvdelta [-warm-start checkpoint]]
+//	      [-resume checkpoint] [-mutations log.dvdelta]
 //	      [-shard i/n -peers addr0,…,addrN-1]
 //
 // Exactly one graph source (-dataset, -edges or -gen) must be given;
@@ -40,24 +39,23 @@
 // appended to. The freshest record's path and its superstep are printed as
 // a "checkpoint:" line.
 //
-// A checkpoint to -resume or -warm-start from is a chain directory (its
-// tip), one of a chain's records (the snapshot the chain had reached
-// there: the printed path resumes), or a single DVSNAP snapshot file. A
-// chain that also carries mutation logs, as dvserve's do, replays them over
-// the loaded graph, checking the fingerprint the chain recorded after
-// each. -resume continues the run — the same program, mode, params, graph
-// and scheduler flags must be given (the graph fingerprint and scheduler
-// are validated) — executing only the remaining supersteps.
+// The checkpoint -resume names is a chain directory (its tip) or one of a
+// chain's records (the snapshot the chain had reached there: the printed
+// path resumes); a file outside a chain is refused. A chain that also
+// carries mutation logs, as dvserve's do, replays them over the loaded
+// graph, checking the fingerprint the chain recorded after each. Without
+// -mutations, -resume continues the run — the same program, mode, params,
+// graph and scheduler flags must be given (the graph fingerprint and
+// scheduler are validated) — executing only the remaining supersteps.
 //
 // -mutations applies a streaming edge-mutation log (see graph.ReadDeltaLog
 // for the text format: add/del/set/addv lines) to the loaded graph
 // before running. On its own this re-runs the program from scratch on the
-// mutated graph. Adding -warm-start checkpoint instead performs a
-// delta-recomputation warm restart: the checkpoint must be the terminal
-// snapshot of a converged run on the pre-mutation graph, and only the
-// contributions invalidated by the mutations are retracted, re-injected
-// and propagated. -warm-start requires -mutations and conflicts with
-// -resume.
+// mutated graph. With -resume it performs a delta-recomputation warm
+// restart instead: the checkpoint must be the terminal record of a
+// converged run on the pre-mutation graph (a mid-run record is refused
+// before any superstep), and only the contributions invalidated by the
+// mutations are retracted, re-injected and propagated.
 //
 // -shard i/n with -peers runs this process as shard i of an n-process run:
 // the processes mesh over the listed addresses (one per shard, in shard
@@ -76,8 +74,8 @@
 // the newest record name all their manifests list. That rule holds for
 // chains started together: a resumed run appends after its chain's tip,
 // so give a resumed mesh fresh -checkpoint-dir directories. -mutations
-// and -warm-start work as in-process; the warm-start snapshot is the whole
-// terminal checkpoint of an in-process run, handed to every shard.
+// works as in-process; with -resume, the warm start's checkpoint is the
+// whole terminal checkpoint of an in-process run, handed to every shard.
 //
 // Examples:
 //
@@ -88,7 +86,7 @@
 //	dvrun -program pagerank -edges rmat22.dvg -repr mmap
 //	dvrun -program sssp -gen grid:50:50 -param src=0 -checkpoint-dir ck
 //	dvrun -program sssp -gen grid:50:50 -param src=0 \
-//	      -mutations edits.dvdelta -warm-start ck
+//	      -mutations edits.dvdelta -resume ck
 //	dvrun -program pagerank -gen rmat:12:8 -workers 4 -show vl \
 //	      -shard 0/2 -peers unix:/tmp/s0.sock,unix:/tmp/s1.sock &
 //	dvrun -program pagerank -gen rmat:12:8 -workers 4 -show vl \
@@ -96,14 +94,16 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -116,12 +116,14 @@ import (
 	"repro/internal/pregel/transport"
 )
 
-// flags holds the parsed flag values: the front end dvrun shares with
-// dvserve, and dvrun's own. registerFlags binds them onto a FlagSet so
+// flags holds the parsed flag values: the front end every command
+// shares, and dvrun's own. registerFlags binds them onto a FlagSet so
 // tests can enumerate the registered flags and check them against the doc
 // comment above.
 type flags struct {
 	*cli.Flags
+	queue        bool // the work-queue scheduler
+	combine      bool
 	saveGraph    string
 	trace        bool
 	show         string
@@ -131,12 +133,13 @@ type flags struct {
 	ckptEvery    int
 	resume       string
 	mutations    string
-	warmStart    string
 	shard, peers string
 }
 
 func registerFlags(fs *flag.FlagSet) *flags {
 	f := &flags{Flags: cli.Register(fs)}
+	fs.BoolVar(&f.queue, "queue", false, "use the work-queue (halt-by-default) scheduler")
+	fs.BoolVar(&f.combine, "combine", true, "enable message combiners")
 	fs.StringVar(&f.saveGraph, "save-graph", "", "write the loaded graph to this DVGRAF (.dvg) file")
 	fs.BoolVar(&f.trace, "trace", false, "print per-superstep statistics")
 	fs.StringVar(&f.show, "show", "", "print this field's values")
@@ -144,9 +147,8 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&f.timeout, "timeout", 0, "abort the run after this duration (0 = no limit)")
 	fs.StringVar(&f.ckptDir, "checkpoint-dir", "", "keep barrier snapshots as a checkpoint chain in this directory")
 	fs.IntVar(&f.ckptEvery, "checkpoint-every", 0, "periodic snapshot interval in supersteps (0 = final/abort snapshots only)")
-	fs.StringVar(&f.resume, "resume", "", "resume from a checkpoint: a chain directory, one of its records, or a snapshot file")
+	fs.StringVar(&f.resume, "resume", "", "start from a checkpoint, a chain directory or one of its records: continue the run, or with -mutations repair its converged state")
 	fs.StringVar(&f.mutations, "mutations", "", "apply this edge-mutation log (add/del/set/addv) to the graph before running")
-	fs.StringVar(&f.warmStart, "warm-start", "", "delta-recompute from this converged pre-mutation checkpoint (needs -mutations)")
 	fs.StringVar(&f.shard, "shard", "", "run as shard i of n processes, i/n (needs -peers and an explicit -workers)")
 	fs.StringVar(&f.peers, "peers", "", "comma-separated mesh addresses, one per shard in shard order (unix:PATH or tcp:HOST:PORT)")
 	return f
@@ -168,10 +170,6 @@ func main() {
 // check refuses flag combinations that cannot run, before any work.
 func (f *flags) check() error {
 	switch {
-	case f.warmStart != "" && f.mutations == "":
-		return fmt.Errorf("-warm-start needs -mutations: a warm restart repairs the effect of a mutation log")
-	case f.warmStart != "" && f.resume != "":
-		return fmt.Errorf("-warm-start and -resume are mutually exclusive")
 	case f.ckptEvery < 0:
 		return fmt.Errorf("-checkpoint-every %d: want an interval in supersteps, 0 or more", f.ckptEvery)
 	case f.ckptEvery > 0 && f.ckptDir == "":
@@ -205,6 +203,34 @@ func (f *flags) mesh() (*transport.SocketConfig, error) {
 		return nil, fmt.Errorf("-shard needs an explicit -workers: the total, the same on every shard")
 	}
 	return &transport.SocketConfig{Shard: i, Count: n, Addrs: peers}, nil
+}
+
+// scheduler is the engine scheduler -queue selects.
+func (f *flags) scheduler() pregel.Scheduler {
+	if f.queue {
+		return pregel.WorkQueue
+	}
+	return pregel.ScanAll
+}
+
+// fingerprint identifies a run: g's fingerprint mixed with a hash of the
+// program source and every flag that changes what the run computes or
+// how its workers split the graph (mode, ε, the parameters in name
+// order, workers, scheduler, combine). Shards of one run exchange it at
+// the mesh hello, so shards configured differently refuse to start.
+func (f *flags) fingerprint(src string, g *graph.Graph) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%016x %d:%s %s %x", g.Fingerprint(), len(src), src, f.Mode, math.Float64bits(f.Epsilon))
+	names := make([]string, 0, len(f.Params))
+	for k := range f.Params {
+		names = append(names, k)
+	}
+	slices.Sort(names)
+	for _, k := range names {
+		fmt.Fprintf(h, " %s=%x", k, math.Float64bits(f.Params[k]))
+	}
+	fmt.Fprintf(h, " workers=%d sched=%d combine=%t", f.Workers, f.scheduler(), f.combine)
+	return h.Sum64()
 }
 
 // run executes one dvrun invocation, writing its report to out.
@@ -248,14 +274,9 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 			return nil
 		}
 	}
-	// One snapshot at most: check refuses -resume with -warm-start.
 	var snap *pregel.Snapshot
-	from, path := "resume", f.resume
-	if f.warmStart != "" {
-		from, path = "warm-start", f.warmStart
-	}
-	if path != "" {
-		if snap, g, err = loadCheckpoint(from, path, g, out); err != nil {
+	if f.resume != "" {
+		if snap, g, err = loadCheckpoint(f.resume, g, out); err != nil {
 			return err
 		}
 	}
@@ -269,24 +290,17 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 			return err
 		}
 	}
-	// Fail fast at the CLI boundary when the mutation log grew the vertex
-	// set and the program cannot repair growth in place (its init{} bakes
-	// in the graph size, say) — the size mismatch would otherwise surface
-	// as a confusing decode error deep inside the warm restore. Repairable
-	// programs proceed: the new vertices are initialized and primed by the
-	// delta run itself.
-	if f.warmStart != "" && applied.NewVertices > 0 {
-		if cv := prog.Repairability().Verdict(core.DeltaVertexAdd); cv.Cap != core.Repairable {
-			return fmt.Errorf("%w: -mutations added %d vertices but %s; drop -warm-start to rerun from scratch",
-				pregel.ErrSnapshotMismatch, applied.NewVertices, cv.Reason)
-		}
-	}
+	// -resume with -mutations is a warm start: the checkpoint is the
+	// converged state the mutations are repaired into. vm.RunDelta refuses
+	// a mid-run record, and growth the program cannot repair in place,
+	// before any superstep.
+	warm := snap != nil && applied != nil
 
 	runOpts := vm.RunOptions{
 		Params:    f.Params,
 		Workers:   f.Workers,
-		Scheduler: f.Scheduler(),
-		Combine:   f.Combine,
+		Scheduler: f.scheduler(),
+		Combine:   f.combine,
 	}
 	if f.ckptDir != "" {
 		runOpts.Checkpoint = pregel.CheckpointOptions{Every: f.ckptEvery, Dir: f.ckptDir}
@@ -295,7 +309,7 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 	if mesh != nil {
 		// The hello compares the graph and run configuration, so shards
 		// started differently fail here rather than compute apart.
-		mesh.Fingerprint = f.Fingerprint(src, g)
+		mesh.Fingerprint = f.fingerprint(src, g)
 		if tr, err = transport.DialMesh(*mesh); err != nil {
 			return fmt.Errorf("forming the -peers mesh: %w", err)
 		}
@@ -306,7 +320,7 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 	var res *vm.Result
 	var runErr error
 	switch {
-	case f.warmStart != "":
+	case warm:
 		res, runErr = vm.RunDeltaContext(ctx, prog, g, vm.DeltaRunOptions{
 			RunOptions: runOpts,
 			Snapshot:   snap,
@@ -324,8 +338,8 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 	fmt.Fprintf(out, "graph:        %s\n", g)
 	if applied != nil {
 		start := "from scratch"
-		if f.warmStart != "" {
-			start = "delta-recompute from " + f.warmStart
+		if warm {
+			start = "delta-recompute from " + f.resume
 		}
 		fmt.Fprintf(out, "mutations:    %d arc changes, %d new vertices (%s)\n",
 			len(applied.Arcs), applied.NewVertices, start)
@@ -362,21 +376,20 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 		return runErr
 	}
 	if f.show != "" {
-		return showTop(out, res, f.show, f.top)
+		vals, err := res.FieldVector(f.show)
+		if err != nil {
+			return err
+		}
+		showTop(out, vals, f.show, f.top)
 	}
 	return nil
 }
 
-// loadCheckpoint reads the snapshot a -resume or -warm-start path names —
-// a chain directory (its tip), one of a chain's records (that point), or a
-// DVSNAP file outside any chain — and returns it with g advanced by the
-// chain's mutation logs to the graph the snapshot was taken on. A chain's
-// load is reported on out under the flag's name, from.
-func loadCheckpoint(from, path string, g *graph.Graph, out io.Writer) (*pregel.Snapshot, *graph.Graph, error) {
-	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() && !pregel.IsChainDir(filepath.Dir(path)) {
-		s, err := pregel.ReadSnapshotFile(path)
-		return s, g, err
-	}
+// loadCheckpoint reads the snapshot -resume names — a chain directory (its
+// tip) or one of a chain's records (that point) — and returns it with g
+// advanced by the chain's mutation logs to the graph the snapshot was
+// taken on. The chain's load is reported on out.
+func loadCheckpoint(path string, g *graph.Graph, out io.Writer) (*pregel.Snapshot, *graph.Graph, error) {
 	st, err := pregel.LoadChain(path)
 	if err != nil {
 		return nil, nil, err
@@ -384,18 +397,15 @@ func loadCheckpoint(from, path string, g *graph.Graph, out io.Writer) (*pregel.S
 	if g, err = st.Replay(g); err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(out, "%s: chain %s (superstep %d, %d records, %d mutation logs)\n",
-		from, path, st.Snapshot.Superstep, len(st.Entries), len(st.GraphDeltas))
+	fmt.Fprintf(out, "resume: chain %s (superstep %d, %d records, %d mutation logs)\n",
+		path, st.Snapshot.Superstep, len(st.Entries), len(st.GraphDeltas))
 	return st.Snapshot, g, nil
 }
 
 // showTop prints the top values of field, largest first, in Go's shortest
-// round-trip %g: two runs agree bit for bit when the blocks are equal.
-func showTop(out io.Writer, res *vm.Result, field string, top int) error {
-	vals, err := res.FieldVector(field)
-	if err != nil {
-		return err
-	}
+// round-trip %g: two runs agree bit for bit when the blocks are equal. NaNs
+// come last, and equal values (−0 and +0 among them) in vertex order.
+func showTop(out io.Writer, vals []float64, field string, top int) {
 	type pair struct {
 		u uint32
 		v float64
@@ -404,11 +414,14 @@ func showTop(out io.Writer, res *vm.Result, field string, top int) error {
 	for u, v := range vals {
 		pairs[u] = pair{uint32(u), v}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v > pairs[j].v })
+	// cmp.Compare orders NaN below every number, so comparing b to a puts
+	// NaNs last.
+	slices.SortFunc(pairs, func(a, b pair) int {
+		return cmp.Or(cmp.Compare(b.v, a.v), cmp.Compare(a.u, b.u))
+	})
 	top = min(top, len(pairs))
 	fmt.Fprintf(out, "top %d by %s:\n", top, field)
 	for _, p := range pairs[:top] {
 		fmt.Fprintf(out, "  vertex %-8d %g\n", p.u, p.v)
 	}
-	return nil
 }

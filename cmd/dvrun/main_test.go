@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -216,16 +217,16 @@ func TestRegisterFlagsRoundTrip(t *testing.T) {
 	f := parse(t,
 		"-mode", "dvstar", "-program", "pagerank", "-gen", "rmat:5:4",
 		"-timeout", "250ms", "-param", "src=3", "-queue", "-trace",
-		"-checkpoint-dir", "/tmp/ck", "-checkpoint-every", "4", "-resume", "snap.dvsnap",
+		"-checkpoint-dir", "/tmp/ck", "-checkpoint-every", "4", "-resume", "ck",
 		"-shard", "1/2", "-peers", "unix:a,unix:b",
 	)
 	if f.Mode != "dvstar" || f.ProgName != "pagerank" || f.Graph.Gen != "rmat:5:4" {
 		t.Fatalf("f = %+v", f)
 	}
-	if f.timeout != 250*time.Millisecond || !f.Queue || !f.trace {
+	if f.timeout != 250*time.Millisecond || !f.queue || !f.trace {
 		t.Fatalf("f = %+v", f)
 	}
-	if f.ckptDir != "/tmp/ck" || f.ckptEvery != 4 || f.resume != "snap.dvsnap" {
+	if f.ckptDir != "/tmp/ck" || f.ckptEvery != 4 || f.resume != "ck" {
 		t.Fatalf("f = %+v", f)
 	}
 	if f.shard != "1/2" || f.peers != "unix:a,unix:b" {
@@ -281,6 +282,35 @@ func TestRunPanicSurfacesRunError(t *testing.T) {
 	}
 }
 
+// TestShowTopOrder: -show lists values largest first, equal values (tied
+// infinities, −0 beside +0) in vertex order, and NaNs last — sort.Slice
+// with v[i] > v[j] left [1 NaN 3 2] as it was.
+func TestShowTopOrder(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		vals []float64
+		want string
+	}{
+		{[]float64{1, nan, 3, 2}, "2:3 3:2 0:1 1:NaN"},
+		{[]float64{inf, 2, nan, inf, math.Copysign(0, -1), 0, nan, inf}, "0:+Inf 3:+Inf 7:+Inf 1:2 4:-0 5:0 2:NaN 6:NaN"},
+	} {
+		var out bytes.Buffer
+		showTop(&out, tc.vals, "f", len(tc.vals))
+		var got []string
+		for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n")[1:] {
+			var u int
+			var v string
+			if _, err := fmt.Sscanf(line, "  vertex %d %s", &u, &v); err != nil {
+				t.Fatalf("line %q: %v", line, err)
+			}
+			got = append(got, fmt.Sprintf("%d:%s", u, v))
+		}
+		if g := strings.Join(got, " "); g != tc.want {
+			t.Errorf("showTop(%v) = %s, want %s", tc.vals, g, tc.want)
+		}
+	}
+}
+
 // --- checkpoint / resume ---------------------------------------------------
 
 // superstepsOf extracts the "supersteps: N" stat from dvrun output.
@@ -325,8 +355,8 @@ func topBlock(t *testing.T, out string) string {
 // relying on interrupt timing: a full run keeps a checkpoint chain in
 // -checkpoint-dir, then a second invocation resumes from a mid-run record
 // and must reproduce the same final values in exactly the remaining
-// supersteps. A single DVSNAP file of the chain tip (what full-snapshot
-// directories held) resumes too, with nothing left to run.
+// supersteps. A DVSNAP file of the chain tip outside any chain is refused,
+// naming its path.
 func TestRunCheckpointResumeDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	base := []string{"-program", "pagerank", "-gen", "rmat:8:6", "-directed=false", "-seed", "5",
@@ -346,14 +376,16 @@ func TestRunCheckpointResumeDeterministic(t *testing.T) {
 	}
 
 	k := S / 2 // resume from the snapshot taken after superstep k
-	for resume, left := range map[string]int{recordOf(t, dir, k): S - (k + 1), bare: 0} {
-		out := mustRun(t, with(base, "-resume", resume)...)
-		if got := superstepsOf(t, out); got != left {
-			t.Errorf("-resume %s took %d supersteps, want %d", resume, got, left)
-		}
-		if got, want := topBlock(t, out), topBlock(t, fullOut); got != want {
-			t.Errorf("-resume %s: values differ from the uninterrupted run:\ngot:\n%swant:\n%s", resume, got, want)
-		}
+	resume := recordOf(t, dir, k)
+	out := mustRun(t, with(base, "-resume", resume)...)
+	if got, want := superstepsOf(t, out), S-(k+1); got != want {
+		t.Errorf("-resume %s took %d supersteps, want %d", resume, got, want)
+	}
+	if got, want := topBlock(t, out), topBlock(t, fullOut); got != want {
+		t.Errorf("-resume %s: values differ from the uninterrupted run:\ngot:\n%swant:\n%s", resume, got, want)
+	}
+	if out, err := runArgs(t, with(base, "-resume", bare)...); err == nil || !strings.Contains(err.Error(), bare) || strings.Contains(out, "supersteps:") {
+		t.Errorf("-resume %s: err = %v, want a refusal naming the file before any superstep:\n%s", bare, err, out)
 	}
 }
 
@@ -494,8 +526,10 @@ func TestRunInterruptResume(t *testing.T) {
 
 // TestRunWarmStartDeltaRecompute is the CLI end of the streaming-mutation
 // story: converge once with a terminal checkpoint, apply a mutation log,
-// and check that -warm-start reproduces the from-scratch values on the
-// mutated graph in strictly fewer supersteps.
+// and check that -resume with -mutations reproduces the from-scratch values
+// on the mutated graph in strictly fewer supersteps, from the chain
+// directory and from the record the seed run printed. A mid-run record and
+// a DVSNAP file outside a chain are refused before any superstep.
 func TestRunWarmStartDeltaRecompute(t *testing.T) {
 	// A directed path is the worst case for a from-scratch SSSP wave and
 	// keeps the repair wave local to the shortcut's downstream suffix.
@@ -504,8 +538,8 @@ func TestRunWarmStartDeltaRecompute(t *testing.T) {
 	base := []string{"-program", "sssp", "-edges", el, "-workers", "2",
 		"-show", "dist", "-top", "5", "-param", "src=0"}
 
-	// Seed run on the pre-mutation graph, keeping the terminal snapshot.
-	seedOut := mustRun(t, with(base, "-checkpoint-dir", dir)...)
+	// Seed run on the pre-mutation graph, keeping every barrier.
+	seedOut := mustRun(t, with(base, "-checkpoint-dir", dir, "-checkpoint-every", "1")...)
 	snapPath := checkpointPathFrom(seedOut)
 	if snapPath == "" {
 		t.Fatalf("seed run printed no checkpoint line:\n%s", seedOut)
@@ -522,7 +556,22 @@ func TestRunWarmStartDeltaRecompute(t *testing.T) {
 		t.Fatalf("scratch mutated run missing mutations line:\n%s", scratchOut)
 	}
 
-	// The printed record, and a DVSNAP file of the same snapshot, warm-start alike.
+	// The chain directory and the printed record warm-start alike.
+	for _, from := range []string{dir, snapPath} {
+		warmOut := mustRun(t, with(base, "-mutations", mut, "-resume", from)...)
+		if !strings.Contains(warmOut, "delta-recompute from "+from) {
+			t.Fatalf("warm run missing delta-recompute marker:\n%s", warmOut)
+		}
+		if got, want := topBlock(t, warmOut), topBlock(t, scratchOut); got != want {
+			t.Errorf("-resume %s: values differ from scratch run on the mutated graph:\ngot:\n%swant:\n%s", from, got, want)
+		}
+		if ws, ss := superstepsOf(t, warmOut), superstepsOf(t, scratchOut); ws >= ss {
+			t.Errorf("-resume %s took %d supersteps, scratch %d — expected strictly fewer", from, ws, ss)
+		}
+	}
+
+	// A mid-run record is no converged state to repair, and a DVSNAP file
+	// outside a chain is no checkpoint.
 	st, err := pregel.LoadChain(snapPath)
 	if err != nil {
 		t.Fatal(err)
@@ -531,29 +580,28 @@ func TestRunWarmStartDeltaRecompute(t *testing.T) {
 	if err := os.WriteFile(bare, st.Snapshot.AppendTo(nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, from := range []string{snapPath, bare} {
-		warmOut := mustRun(t, with(base, "-mutations", mut, "-warm-start", from)...)
-		if !strings.Contains(warmOut, "delta-recompute from "+from) {
-			t.Fatalf("warm run missing delta-recompute marker:\n%s", warmOut)
-		}
-		if got, want := topBlock(t, warmOut), topBlock(t, scratchOut); got != want {
-			t.Errorf("-warm-start %s: values differ from scratch run on the mutated graph:\ngot:\n%swant:\n%s", from, got, want)
-		}
-		if ws, ss := superstepsOf(t, warmOut), superstepsOf(t, scratchOut); ws >= ss {
-			t.Errorf("-warm-start %s took %d supersteps, scratch %d — expected strictly fewer", from, ws, ss)
+	for from, want := range map[string]string{recordOf(t, dir, 1): "terminal", bare: bare} {
+		out, err := runArgs(t, with(base, "-mutations", mut, "-resume", from)...)
+		if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(out, "supersteps:") {
+			t.Errorf("-resume %s -mutations: err = %v, want a refusal naming %q before any superstep:\n%s", from, err, want, out)
 		}
 	}
 }
 
-// TestRunResumeRefusesV1Files: -resume of a snapshot or a chain written at
-// format version 1 fails for its version, never as a mismatched graph.
+// TestRunResumeRefusesV1Files: -resume of a chain written at format
+// version 1 fails for its version, never as a mismatched graph; a version-1
+// snapshot file outside a chain is refused as no checkpoint, naming it.
 func TestRunResumeRefusesV1Files(t *testing.T) {
 	v1 := filepath.Join("..", "..", "internal", "pregel", "testdata", "v1")
-	for _, resume := range []string{filepath.Join(v1, "snap.dvsnap"), filepath.Join(v1, "chain")} {
-		_, err := runArgs(t, "-program", "sssp", "-gen", "grid:3:3", "-workers", "1", "-resume", resume)
-		if !errors.Is(err, pregel.ErrSnapshotVersion) || errors.Is(err, pregel.ErrSnapshotMismatch) {
-			t.Errorf("-resume %s: err = %v, want ErrSnapshotVersion (and not ErrSnapshotMismatch)", resume, err)
-		}
+	args := []string{"-program", "sssp", "-gen", "grid:3:3", "-workers", "1"}
+	resume := filepath.Join(v1, "chain")
+	_, err := runArgs(t, with(args, "-resume", resume)...)
+	if !errors.Is(err, pregel.ErrSnapshotVersion) || errors.Is(err, pregel.ErrSnapshotMismatch) {
+		t.Errorf("-resume %s: err = %v, want ErrSnapshotVersion (and not ErrSnapshotMismatch)", resume, err)
+	}
+	resume = filepath.Join(v1, "snap.dvsnap")
+	if _, err = runArgs(t, with(args, "-resume", resume)...); err == nil || !strings.Contains(err.Error(), resume) || errors.Is(err, pregel.ErrSnapshotMismatch) {
+		t.Errorf("-resume %s: err = %v, want a refusal naming the file", resume, err)
 	}
 }
 
@@ -601,6 +649,30 @@ func TestRunResumeServedChain(t *testing.T) {
 		t.Fatalf("resumed values miss the served dist[63] = %g:\n%s", want, out)
 	}
 
+	// With -mutations the served chain is the converged state a warm start
+	// repairs: it lands on the values of a scratch run over the boot graph
+	// with the served log and the new one applied, in fewer supersteps.
+	mut, both := filepath.Join(t.TempDir(), "more.dvdelta"), filepath.Join(t.TempDir(), "both.dvdelta")
+	if err := os.WriteFile(mut, []byte("add 0 7 35\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(both, []byte("add 0 63 1\nadd 0 7 35\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seed := strconv.FormatInt(boot.Seed, 10)
+	warmOut := mustRun(t, with(base, "-seed", seed, "-mutations", mut)...)
+	scratchOut := mustRun(t, "-program", "sssp", "-gen", boot.Gen, "-seed", seed, "-workers", "2",
+		"-show", "dist", "-top", "64", "-param", "src=0", "-mutations", both)
+	if !strings.Contains(warmOut, "delta-recompute from "+dir) {
+		t.Fatalf("warm start from the served chain missing its marker:\n%s", warmOut)
+	}
+	if got, want := topBlock(t, warmOut), topBlock(t, scratchOut); got != want {
+		t.Errorf("warm start from the served chain differs from scratch:\ngot:\n%swant:\n%s", got, want)
+	}
+	if ws, ss := superstepsOf(t, warmOut), superstepsOf(t, scratchOut); ws >= ss {
+		t.Errorf("warm start from the served chain took %d supersteps, scratch %d — expected strictly fewer", ws, ss)
+	}
+
 	// Same shape, different weights.
 	_, err = runArgs(t, with(base, "-seed", strconv.FormatInt(boot.Seed+1, 10))...)
 	if err == nil || !errors.Is(err, pregel.ErrSnapshotMismatch) || !strings.Contains(err.Error(), "mutation log 0") {
@@ -636,7 +708,7 @@ func TestRunWarmStartVertexGrowth(t *testing.T) {
 		t.Fatalf("scratch run missing the new-vertex count:\n%s", scratchOut)
 	}
 
-	warmOut := mustRun(t, with(base, "-mutations", mut, "-warm-start", snapPath)...)
+	warmOut := mustRun(t, with(base, "-mutations", mut, "-resume", snapPath)...)
 	if !strings.Contains(warmOut, "delta-recompute from "+snapPath) {
 		t.Fatalf("warm run missing delta-recompute marker:\n%s", warmOut)
 	}
@@ -649,7 +721,7 @@ func TestRunWarmStartVertexGrowth(t *testing.T) {
 }
 
 // TestRunWarmStartGrowthRejectedByVerdict: the same growth log must be
-// refused at the CLI boundary when the program bakes graphSize into every
+// refused before any superstep when the program bakes graphSize into every
 // vertex's init{} — the static vertex-add verdict, not a size heuristic,
 // is what gates the warm restart.
 func TestRunWarmStartGrowthRejectedByVerdict(t *testing.T) {
@@ -670,36 +742,27 @@ func TestRunWarmStartGrowthRejectedByVerdict(t *testing.T) {
 	if err := os.WriteFile(mut, []byte("addv 1\nadd 0 64\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := runArgs(t, with(base, "-mutations", mut, "-warm-start", snapPath)...)
-	if !errors.Is(err, pregel.ErrSnapshotMismatch) || !strings.Contains(err.Error(), "added 1 vertices") {
-		t.Fatalf("err = %v, want the vertex-add verdict rejection", err)
+	out, err := runArgs(t, with(base, "-mutations", mut, "-resume", snapPath)...)
+	if !errors.Is(err, pregel.ErrSnapshotMismatch) || !strings.Contains(err.Error(), "adds 1 vertices") || strings.Contains(out, "supersteps:") {
+		t.Fatalf("err = %v, want the vertex-add verdict rejection before any superstep:\n%s", err, out)
 	}
 }
 
-// TestRunMutationErrorPaths covers the new flag validation and the
-// planner's rejection surfacing through the CLI.
+// TestRunMutationErrorPaths covers a missing input and the planner's
+// rejection surfacing through the CLI.
 func TestRunMutationErrorPaths(t *testing.T) {
 	base := []string{"-program", "sssp", "-gen", "grid:5:5", "-param", "src=0"}
-	// -warm-start without -mutations.
-	if _, err := runArgs(t, with(base, "-warm-start", "snap.dvsnap")...); err == nil || !strings.Contains(err.Error(), "-mutations") {
-		t.Fatalf("err = %v, want -mutations requirement", err)
-	}
-	// -warm-start with -resume.
-	_, err := runArgs(t, with(base, "-mutations", "edits.dvdelta", "-warm-start", "snap.dvsnap", "-resume", "snap.dvsnap")...)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err = %v, want mutual-exclusion error", err)
-	}
 	// Missing mutation log.
 	if _, err := runArgs(t, with(base, "-mutations", "/nonexistent.dvdelta")...); err == nil {
 		t.Fatal("missing mutation log succeeded")
 	}
-	// Missing warm-start snapshot.
+	// Missing warm-start checkpoint.
 	mut := filepath.Join(t.TempDir(), "edits.dvdelta")
 	if err := os.WriteFile(mut, []byte("add 0 3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runArgs(t, with(base, "-mutations", mut, "-warm-start", "/nonexistent.dvsnap")...); err == nil {
-		t.Fatal("missing warm-start snapshot succeeded")
+	if _, err := runArgs(t, with(base, "-mutations", mut, "-resume", "/nonexistent")...); err == nil {
+		t.Fatal("missing warm-start checkpoint succeeded")
 	}
 	// Removing an edge loosens a min input that sssp's self-clamping
 	// body (`dist = min dist d`) could never unwind: the planner must
@@ -710,7 +773,7 @@ func TestRunMutationErrorPaths(t *testing.T) {
 	if err := os.WriteFile(del, []byte("del 0 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = runArgs(t, with(base, "-mutations", del, "-warm-start", snapPath)...)
+	_, err := runArgs(t, with(base, "-mutations", del, "-resume", snapPath)...)
 	if err == nil || !strings.Contains(err.Error(), "pin the stale fixpoint") {
 		t.Fatalf("err = %v, want min-loosening rejection", err)
 	}
@@ -727,9 +790,9 @@ func TestRunCheckpointErrorPaths(t *testing.T) {
 	if _, err := runArgs(t, with(base, "-checkpoint-dir", t.TempDir(), "-checkpoint-every", "-1")...); err == nil || !strings.Contains(err.Error(), "-checkpoint-every -1") {
 		t.Fatalf("err = %v, want a -checkpoint-every range error", err)
 	}
-	// -resume with a missing file.
-	if _, err := runArgs(t, with(base, "-resume", "/nonexistent.dvsnap")...); err == nil {
-		t.Fatal("resume from missing file succeeded")
+	// -resume with a missing checkpoint.
+	if _, err := runArgs(t, with(base, "-resume", "/nonexistent")...); err == nil {
+		t.Fatal("resume from a missing checkpoint succeeded")
 	}
 	// -resume against a different graph: fingerprint mismatch.
 	dir := t.TempDir()

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/graph"
 )
 
@@ -166,7 +167,7 @@ func TestShardedWarmStart(t *testing.T) {
 	if err := os.WriteFile(mut, []byte("add 0 90\nadd 50 0\naddv 1\nadd 119 120\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	warm := with(args, "-mutations", mut, "-warm-start", snap)
+	warm := with(args, "-mutations", mut, "-resume", snap)
 	sameRun(t, mustRun(t, warm...), mustRunShards(t, 2, warm, nil))
 }
 
@@ -209,4 +210,42 @@ func TestShardedRunValidation(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFingerprintSeparatesRuns: every flag that changes what a run
+// computes, or how its workers split the graph, changes the fingerprint
+// shards compare at the mesh hello; the order -param flags came in does
+// not.
+func TestFingerprintSeparatesRuns(t *testing.T) {
+	g, err := cli.GraphSource{Gen: "grid:3:3", Seed: 1}.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []string{"-program", "sssp", "-workers", "2", "-param", "src=0", "-param", "x=1"}
+	fp := func(src string, g *graph.Graph, args ...string) uint64 {
+		return parse(t, with(base, args...)...).fingerprint(src, g)
+	}
+	ref := fp("prog", g)
+	if got := parse(t, "-param", "x=1", "-param", "src=0", "-program", "sssp", "-workers", "2").fingerprint("prog", g); got != ref {
+		t.Fatal("-param order changed the fingerprint")
+	}
+	g2, err := cli.GraphSource{Gen: "grid:3:3", Seed: 2}.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]uint64{
+		"graph":    fp("prog", g2),
+		"source":   fp("prog2", g),
+		"mode":     fp("prog", g, "-mode", "memotable"),
+		"epsilon":  fp("prog", g, "-epsilon", "1e-9"),
+		"param":    fp("prog", g, "-param", "src=1"),
+		"workers":  fp("prog", g, "-workers", "3"),
+		"queue":    fp("prog", g, "-queue"),
+		"combine":  fp("prog", g, "-combine=false"),
+		"newparam": fp("prog", g, "-param", "y=0"),
+	} {
+		if got == ref {
+			t.Errorf("changing the %s left the fingerprint unchanged", name)
+		}
+	}
 }

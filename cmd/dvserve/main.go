@@ -11,13 +11,14 @@
 //	dvserve [-mode dv|dvstar|memotable] (-program name | -file prog.dv)
 //	        (-dataset name | -edges file [-directed] | -gen spec [-seed n])
 //	        [-repr flat|compact|mmap]
-//	        [-param k=v]... [-workers N] [-queue] [-combine]
-//	        [-epsilon e] [-addr host:port]
+//	        [-param k=v]... [-workers N] [-epsilon e] [-addr host:port]
 //	        [-batch-interval d] [-max-batch N] [-max-pending N]
-//	        [-no-quarantine] [-chain-dir dir] [-repair-budget f]
+//	        [-chain-dir dir] [-repair-budget f]
 //
-// Graph sources, generator specs and -repr behave exactly
-// as in dvrun. The HTTP API (see internal/serve):
+// Graph sources, generator specs and -repr behave exactly as in dvrun.
+// Every run the server performs uses the ScanAll scheduler with message
+// combining on; dvrun keeps the -queue and -combine ablations. The HTTP
+// API (see internal/serve):
 //
 //	GET  /healthz          liveness
 //	GET  /stats            counters + published version info
@@ -30,9 +31,8 @@
 // as -max-batch entries are pending, the log is collapsed into one
 // graph delta and repaired. -max-pending bounds the log; beyond it
 // POST /mutate returns 503 until a batch drains. Vertex-program panics
-// are quarantined to the panicking vertex by default so a poisoned
-// vertex cannot take the daemon down; -no-quarantine restores
-// fail-stop behavior for debugging.
+// are quarantined to the panicking vertex, so a poisoned vertex cannot
+// take the daemon down.
 //
 // -chain-dir persists every published version to a checkpoint chain: a
 // full base snapshot at boot, then per batch an atomic (mutation log +
@@ -88,7 +88,6 @@ type flags struct {
 	addr                 string
 	batchInterval        time.Duration
 	maxBatch, maxPending int
-	noQuarantine         bool
 	chainDir             string
 	repairBudget         float64
 }
@@ -99,7 +98,6 @@ func registerFlags(fs *flag.FlagSet) *flags {
 	fs.DurationVar(&v.batchInterval, "batch-interval", 3*time.Second, "periodic mutation-batch repair cadence (0 = only -max-batch / POST /flush)")
 	fs.IntVar(&v.maxBatch, "max-batch", 0, "repair as soon as this many mutations are pending (0 = max-pending)")
 	fs.IntVar(&v.maxPending, "max-pending", 65536, "bound on the pending mutation log; POST /mutate returns 503 beyond it")
-	fs.BoolVar(&v.noQuarantine, "no-quarantine", false, "abort on vertex-program panics instead of quarantining the vertex")
 	fs.StringVar(&v.chainDir, "chain-dir", "", "checkpoint-chain directory: persist every published version and resume from it on restart")
 	fs.Float64Var(&v.repairBudget, "repair-budget", 0, "abandon a repair past ceil(f × supersteps) body supersteps and recompute from scratch (0 = unbounded)")
 	return v
@@ -138,9 +136,8 @@ func run(ctx context.Context, v *flags, out io.Writer) error {
 		Graph:         g,
 		Params:        v.Params,
 		Workers:       v.Workers,
-		Scheduler:     v.Scheduler(),
-		Combine:       v.Combine,
-		Quarantine:    !v.noQuarantine,
+		Combine:       true,
+		Quarantine:    true,
 		MaxPending:    v.maxPending,
 		MaxBatch:      v.maxBatch,
 		BatchInterval: v.batchInterval,

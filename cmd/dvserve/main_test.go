@@ -82,8 +82,8 @@ func TestRegisterFlagsRoundTrip(t *testing.T) {
 	vals := parse(t,
 		"-mode", "memotable", "-program", "pagerank", "-gen", "rmat:5:4",
 		"-addr", "127.0.0.1:0", "-batch-interval", "150ms",
-		"-max-batch", "8", "-max-pending", "64", "-no-quarantine",
-		"-param", "src=3", "-queue",
+		"-max-batch", "8", "-max-pending", "64",
+		"-param", "src=3", "-chain-dir", "/tmp/ch", "-repair-budget", "0.5",
 	)
 	if vals.Mode != "memotable" || vals.ProgName != "pagerank" || vals.Graph.Gen != "rmat:5:4" {
 		t.Fatalf("vals = %+v", vals)
@@ -91,11 +91,19 @@ func TestRegisterFlagsRoundTrip(t *testing.T) {
 	if vals.addr != "127.0.0.1:0" || vals.batchInterval != 150*time.Millisecond {
 		t.Fatalf("vals = %+v", vals)
 	}
-	if vals.maxBatch != 8 || vals.maxPending != 64 || !vals.noQuarantine || !vals.Queue {
+	if vals.maxBatch != 8 || vals.maxPending != 64 || vals.chainDir != "/tmp/ch" || vals.repairBudget != 0.5 {
 		t.Fatalf("vals = %+v", vals)
 	}
 	if vals.Params["src"] != 3 {
 		t.Fatalf("params = %v", vals.Params)
+	}
+	// The run-cost ablations change no served answer: they are dvrun's.
+	fs := flag.NewFlagSet("dvserve", flag.ContinueOnError)
+	registerFlags(fs)
+	for _, name := range []string{"queue", "combine", "no-quarantine"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("dvserve registers -%s", name)
+		}
 	}
 }
 

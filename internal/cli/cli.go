@@ -1,45 +1,91 @@
-// Package cli is the front end dvrun and dvserve share: the flags that
-// name a program, its compile mode and parameters, the graph it runs on
-// and the engine's scheduling, and their resolution into a compiled
-// program, a loaded graph and a scheduler.
+// Package cli is the front end every command shares: the flags that name
+// a compiled program (its source, mode and ε) and, for the commands that
+// run one, its parameters, the graph it runs on and the worker count; and
+// their resolution into program source, a compiled program and a loaded
+// graph.
 package cli
 
 import (
 	"flag"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/pregel"
 	"repro/internal/programs"
 )
 
-// Flags holds the values of the shared flags.
-type Flags struct {
-	Mode     string // -mode: dv, dvstar, memotable
-	ProgName string // -program: embedded program name
-	File     string // -file: ΔV source file
-	Epsilon  float64
-	Params   ParamFlags
-	Graph    GraphSource
-	Workers  int
-	Queue    bool // -queue: the work-queue scheduler
-	Combine  bool
+// Program holds the values of the flags that name a compiled program.
+type Program struct {
+	Mode     string  // -mode: dv, dvstar, memotable
+	ProgName string  // -program: embedded program name
+	File     string  // -file: ΔV source file
+	Epsilon  float64 // -epsilon: allowable slop ε (§9)
 }
 
-// Register binds the shared flags onto fs.
+// RegisterProgram binds the program flags onto fs.
+func RegisterProgram(fs *flag.FlagSet) *Program {
+	p := new(Program)
+	p.register(fs)
+	return p
+}
+
+func (p *Program) register(fs *flag.FlagSet) {
+	fs.StringVar(&p.Mode, "mode", "dv", "compile mode: dv, dvstar, memotable")
+	fs.StringVar(&p.ProgName, "program", "", "embedded program name")
+	fs.StringVar(&p.File, "file", "", "ΔV source file")
+	fs.Float64Var(&p.Epsilon, "epsilon", 0, "allowable-slop ε (§9)")
+}
+
+// Source reads the program source -program or -file names.
+func (p *Program) Source() (string, error) {
+	switch {
+	case p.ProgName != "":
+		return programs.Source(p.ProgName)
+	case p.File != "":
+		b, err := os.ReadFile(p.File)
+		return string(b), err
+	}
+	return "", fmt.Errorf("need -program or -file")
+}
+
+// Options returns the compile options -mode and -epsilon select.
+func (p *Program) Options() (core.Options, error) {
+	mode, err := parseMode(p.Mode)
+	return core.Options{Mode: mode, Epsilon: p.Epsilon}, err
+}
+
+// Compile reads the program -program or -file names and compiles it with
+// Options. It returns the source text too.
+func (p *Program) Compile() (*core.Program, string, error) {
+	opts, err := p.Options()
+	if err != nil {
+		return nil, "", err
+	}
+	src, err := p.Source()
+	if err != nil {
+		return nil, "", err
+	}
+	prog, err := core.Compile(src, opts)
+	return prog, src, err
+}
+
+// Flags holds the values of the flags of a command that runs a program
+// on a graph.
+type Flags struct {
+	Program
+	Params  ParamFlags
+	Graph   GraphSource
+	Workers int
+}
+
+// Register binds the program flags, -param, the graph flags and -workers
+// onto fs.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{Params: ParamFlags{}}
-	fs.StringVar(&f.Mode, "mode", "dv", "compile mode: dv, dvstar, memotable")
-	fs.StringVar(&f.ProgName, "program", "", "embedded program name")
-	fs.StringVar(&f.File, "file", "", "ΔV source file")
-	fs.Float64Var(&f.Epsilon, "epsilon", 0, "allowable-slop ε (§9)")
+	f.Program.register(fs)
 	fs.Var(f.Params, "param", "program parameter override, name=value (repeatable)")
 	fs.StringVar(&f.Graph.Dataset, "dataset", "", "stand-in dataset name")
 	fs.StringVar(&f.Graph.Edges, "edges", "", "edge-list file")
@@ -48,68 +94,11 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.Int64Var(&f.Graph.Seed, "seed", 1, "generator seed")
 	fs.StringVar(&f.Graph.Repr, "repr", "flat", "in-memory graph representation: flat, compact, mmap (mmap needs a DVGRAF -edges file)")
 	fs.IntVar(&f.Workers, "workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	fs.BoolVar(&f.Queue, "queue", false, "use the work-queue (halt-by-default) scheduler")
-	fs.BoolVar(&f.Combine, "combine", true, "enable message combiners")
 	return f
 }
 
-// Compile reads the program -program or -file names and compiles it in
-// the -mode and with the -epsilon given. It returns the source text too,
-// for Fingerprint.
-func (f *Flags) Compile() (*core.Program, string, error) {
-	mode, err := ParseMode(f.Mode)
-	if err != nil {
-		return nil, "", err
-	}
-	var src string
-	switch {
-	case f.ProgName != "":
-		if src, err = programs.Source(f.ProgName); err != nil {
-			return nil, "", err
-		}
-	case f.File != "":
-		b, err := os.ReadFile(f.File)
-		if err != nil {
-			return nil, "", err
-		}
-		src = string(b)
-	default:
-		return nil, "", fmt.Errorf("need -program or -file")
-	}
-	prog, err := core.Compile(src, core.Options{Mode: mode, Epsilon: f.Epsilon})
-	return prog, src, err
-}
-
-// Scheduler is the engine scheduler -queue selects.
-func (f *Flags) Scheduler() pregel.Scheduler {
-	if f.Queue {
-		return pregel.WorkQueue
-	}
-	return pregel.ScanAll
-}
-
-// Fingerprint identifies a run: g's fingerprint mixed with a hash of the
-// program source and every flag that changes what the run computes or
-// how its workers split the graph (mode, ε, the parameters in name
-// order, workers, scheduler, combine). Shards of one run exchange it at
-// the mesh hello, so shards configured differently refuse to start.
-func (f *Flags) Fingerprint(src string, g *graph.Graph) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%016x %d:%s %s %x", g.Fingerprint(), len(src), src, f.Mode, math.Float64bits(f.Epsilon))
-	names := make([]string, 0, len(f.Params))
-	for k := range f.Params {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(h, " %s=%x", k, math.Float64bits(f.Params[k]))
-	}
-	fmt.Fprintf(h, " workers=%d sched=%d combine=%t", f.Workers, f.Scheduler(), f.Combine)
-	return h.Sum64()
-}
-
-// ParseMode maps a -mode value to its compile mode.
-func ParseMode(s string) (core.Mode, error) {
+// parseMode maps a -mode value to its compile mode.
+func parseMode(s string) (core.Mode, error) {
 	switch s {
 	case "dv":
 		return core.Incremental, nil

@@ -1,11 +1,8 @@
 package cli
 
 import (
-	"flag"
 	"strings"
 	"testing"
-
-	"repro/internal/graph"
 )
 
 func TestParamFlagParsing(t *testing.T) {
@@ -115,52 +112,6 @@ func TestGenerateSpecs(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), c.spec) {
 			t.Errorf("-gen %s: err = %v, want %q naming the spec", c.spec, err, c.want)
-		}
-	}
-}
-
-// TestFingerprintSeparatesRuns: every shared flag that changes what a run
-// computes, or how its workers split the graph, changes the fingerprint
-// shards compare at the mesh hello; the order -param flags came in does
-// not.
-func TestFingerprintSeparatesRuns(t *testing.T) {
-	parse := func(args ...string) *Flags {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		f := Register(fs)
-		if err := fs.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	g, err := GraphSource{Gen: "grid:3:3", Seed: 1}.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := []string{"-program", "sssp", "-workers", "2", "-param", "src=0", "-param", "x=1"}
-	fp := func(src string, g *graph.Graph, args ...string) uint64 {
-		return parse(append(append([]string{}, base...), args...)...).Fingerprint(src, g)
-	}
-	ref := fp("prog", g)
-	if got := parse("-param", "x=1", "-param", "src=0", "-program", "sssp", "-workers", "2").Fingerprint("prog", g); got != ref {
-		t.Fatal("-param order changed the fingerprint")
-	}
-	g2, err := GraphSource{Gen: "grid:3:3", Seed: 2}.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]uint64{
-		"graph":    fp("prog", g2),
-		"source":   fp("prog2", g),
-		"mode":     fp("prog", g, "-mode", "memotable"),
-		"epsilon":  fp("prog", g, "-epsilon", "1e-9"),
-		"param":    fp("prog", g, "-param", "src=1"),
-		"workers":  fp("prog", g, "-workers", "3"),
-		"queue":    fp("prog", g, "-queue"),
-		"combine":  fp("prog", g, "-combine=false"),
-		"newparam": fp("prog", g, "-param", "y=0"),
-	} {
-		if got == ref {
-			t.Errorf("changing the %s left the fingerprint unchanged", name)
 		}
 	}
 }

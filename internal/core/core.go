@@ -77,8 +77,8 @@ type Options struct {
 	Mode Mode
 	// Epsilon is the §9 "allowable slop": a float field counts as changed
 	// only when it differs from the most recently sent value by more than
-	// Epsilon. Zero is the paper's exact policy. Only meaningful in
-	// Incremental mode.
+	// Epsilon. Zero is the paper's exact policy; a negative or NaN slop is
+	// refused. Only meaningful in Incremental mode.
 	Epsilon float64
 	// MaxIterations bounds every iter statement (safety net for
 	// non-terminating until conditions). Defaults to 10_000.
@@ -329,6 +329,9 @@ func CompileAST(prog *ast.Program, opts Options) (*Program, error) {
 	info, err := typer.Check(prog)
 	if err != nil {
 		return nil, err
+	}
+	if !(opts.Epsilon >= 0) {
+		return nil, fmt.Errorf("core: ε = %g: want an allowable slop of 0 or more", opts.Epsilon)
 	}
 	if opts.MaxIterations <= 0 {
 		opts.MaxIterations = 10_000

@@ -254,6 +254,13 @@ step { w = * [ u.w | u <- #in ] }`,
 			}
 		})
 	}
+	// A negative slop would make every float changed at every call, a NaN
+	// one no float ever.
+	for _, eps := range []float64{-1, math.NaN()} {
+		if _, err := Compile(programs.MustSource("sssp"), Options{Epsilon: eps}); err == nil || !strings.Contains(err.Error(), "ε") {
+			t.Errorf("ε = %g: err = %v, want the slop refused", eps, err)
+		}
+	}
 	// int product in Baseline mode is scratch and therefore fine.
 	if _, err := Compile(`init { local w : int = 2 };
 step { w = * [ u.w | u <- #in ] }`, Options{Mode: Baseline}); err != nil {

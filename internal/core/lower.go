@@ -19,8 +19,10 @@ import (
 //   - a Δ payload carries a second copy of its aggregand that reads the
 //     site's $old slots (Eq. 11's old message), so no field read is
 //     redirected at run time;
-//   - changed(f) is an exact != or, for a float field under ε > 0, the
-//     |f − $old| > ε test (§9);
+//   - changed(f) of a float field is the |f − $old| > ε test (§9), at
+//     ε = 0 too: for numbers it is f != $old, and a NaN that stays NaN
+//     (NaN − NaN is NaN, never above ε) is unchanged; changed(f) of an int
+//     or bool field is f != $old;
 //   - a send whose payload does not read the edge weight is a broadcast of
 //     one message (the Eq. 7 lift); one that does is built per arc;
 //   - init{} is preceded by the synthesized fields' defaults (§6.1, §6.3,
@@ -73,7 +75,7 @@ const (
 	OpMax
 	OpSame // X and Y have the same bits (a wake guard, see wake.go)
 
-	OpChanged // |field A − field B| > K: changed(f) of a float field under ε = K > 0
+	OpChanged // |field A − field B| > K: changed(f) of a float field under ε = K ≥ 0
 	OpIf      // if X then Y else Z (Z may be NoRef: 0)
 	OpSeq     // Args in order; the value of the last (0 when empty)
 	OpHalt    // vote to halt → 0
@@ -345,8 +347,8 @@ func (l *lowerer) expr(e ast.Expr) Ref {
 	case *ast.OldField:
 		return l.load(n.Slot)
 	case *ast.Changed:
-		if eps := l.p.Opts.Epsilon; eps > 0 && l.p.Layout.Fields[n.Slot].Type == types.Float {
-			return l.add(Node{Op: OpChanged, A: int32(n.Slot), B: int32(n.OldSlot), K: eps})
+		if l.p.Layout.Fields[n.Slot].Type == types.Float {
+			return l.add(Node{Op: OpChanged, A: int32(n.Slot), B: int32(n.OldSlot), K: l.p.Opts.Epsilon})
 		}
 		return l.op(OpNe, l.load(n.Slot), l.load(n.OldSlot))
 	case *ast.Unary:

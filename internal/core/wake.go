@@ -284,7 +284,7 @@ func (pr *prover) eval(r Ref) abs {
 		return pr.binary(n.Op, pr.eval(n.X), pr.eval(n.Y))
 	case OpChanged:
 		// |f − $old| > ε is false when both hold the same value: 0, or
-		// NaN for a NaN or infinite one, is never above ε > 0.
+		// NaN for a NaN or infinite one, is never above ε ≥ 0.
 		if pr.st.slots[n.A].same(pr.st.slots[n.B]) && pr.st.slots[n.A].kind != absUnknown {
 			return zero
 		}

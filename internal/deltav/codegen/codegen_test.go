@@ -51,11 +51,11 @@ func TestGeneratedPageRankShowsPaperConstructs(t *testing.T) {
 	src := generateT(t, "pagerank", core.Incremental)
 	for _, want := range []string{
 		"func computeDelta0(oldMsg, newMsg float64) float64 {",
-		"return newMsg - oldMsg",             // §3.3's computeDelta
-		"v.dirtyG0 = b2f(v.pr != v.oldG0Pr)", // §6.3 change check
-		"ctx.VoteToHalt()",                   // Eq. 12
-		"msg := Message{Group: 0}",           // Δ-message assembly
-		"type VertexState struct",            // §6.2 state
+		"return newMsg - oldMsg",                          // §3.3's computeDelta
+		"v.dirtyG0 = b2f(math.Abs(v.pr-v.oldG0Pr) > 0.0)", // §6.3 change check
+		"ctx.VoteToHalt()",                                // Eq. 12
+		"msg := Message{Group: 0}",                        // Δ-message assembly
+		"type VertexState struct",                         // §6.2 state
 	} {
 		if !strings.Contains(src, want) {
 			t.Fatalf("generated source missing %q:\n%s", want, src)
@@ -76,8 +76,8 @@ func TestGeneratedProdHasTaggedDelta(t *testing.T) {
 	}
 }
 
-// The change check is the VM's: |f − $old| > ε for a float field under
-// ε > 0 (§9), exact for every other field and for ε = 0.
+// The change check is the VM's: |f − $old| > ε for a float field (§9), at
+// ε = 0 too, and exact for every other field.
 func TestGeneratedChangeCheckHonoursEpsilon(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -85,7 +85,7 @@ func TestGeneratedChangeCheckHonoursEpsilon(t *testing.T) {
 		want string
 	}{
 		{"pagerank", 0.01, "v.dirtyG0 = b2f(math.Abs(v.pr-v.oldG0Pr) > 0.01)"},
-		{"pagerank", 0, "v.dirtyG0 = b2f(v.pr != v.oldG0Pr)"},
+		{"pagerank", 0, "v.dirtyG0 = b2f(math.Abs(v.pr-v.oldG0Pr) > 0.0)"},
 		{"reach", 0.01, "v.dirtyG0 = b2f(v.reach != v.oldG0Reach)"}, // a bool field
 	} {
 		src := generateOpts(t, tc.name, core.Options{Epsilon: tc.eps}, "dvgen")

@@ -174,8 +174,8 @@ func (m *Machine) validateDelta(opts *DeltaRunOptions) error {
 		// Vertex additions are repairable when the profile says so: the
 		// planner runs init{} for the new vertices and injects their arcs.
 		// Otherwise wrap ErrSnapshotMismatch so long-lived callers (dvserve,
-		// dvrun -warm-start) can detect the case programmatically and fall
-		// back to a from-scratch run instead of dying.
+		// a dvrun warm start) can detect the case programmatically and
+		// fall back to a from-scratch run instead of dying.
 		if v := rp.Verdict(core.DeltaVertexAdd); v.Cap != core.Repairable {
 			return fmt.Errorf("vm: %w: delta adds %d vertices: %s",
 				pregel.ErrSnapshotMismatch, opts.Changes.NewVertices, v.Reason)

@@ -189,9 +189,7 @@ const nonFiniteSink = 35
 
 // nonFiniteGraph is a seeded random weighted multigraph of 40 vertices
 // whose last ten are sinks; every other arc into a sink weighs w. A sum
-// that reaches a sink through w can be NaN, and a NaN vertex is changed at
-// every call (NaN != NaN), so only sinks may hold one if the run is to
-// converge.
+// that reaches a sink through w can be NaN.
 func nonFiniteGraph(w float64) *graph.Graph {
 	rng := rand.New(rand.NewSource(23))
 	const n, sinks = 40, 10

@@ -129,6 +129,47 @@ func TestSSSPDirectedWithInfinities(t *testing.T) {
 	}
 }
 
+// TestNaNCycleSettles: a NaN that reaches a cycle settles at ε = 0 as it
+// does under ε > 0 — |NaN − NaN| is NaN, never above ε, so a vertex that
+// stays NaN is unchanged — where NaN != NaN woke it at every superstep
+// until the iteration limit, in every mode.
+func TestNaNCycleSettles(t *testing.T) {
+	b := graph.NewBuilder(3, true)
+	b.AddWeightedEdge(0, 1, 1)
+	b.AddWeightedEdge(1, 2, math.NaN())
+	b.AddWeightedEdge(2, 0, 1)
+	g := b.Finalize()
+	opts := RunOptions{Workers: 2, Combine: true, Params: map[string]float64{"src": 0}}
+	for _, mode := range allModes {
+		var runs [2]*Result
+		for i, eps := range []float64{0, 1e-9} {
+			prog, err := core.Compile(programs.MustSource("sssp"), core.Options{Mode: mode, Epsilon: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runs[i], err = Run(prog, g, opts); err != nil {
+				t.Fatalf("%v ε=%g: %v", mode, eps, err)
+			}
+		}
+		got, err := runs[0].FieldVector("dist")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := runs[1].FieldVector("dist")
+		for u := range got {
+			if math.Float64bits(got[u]) != math.Float64bits(want[u]) {
+				t.Errorf("%v: dist[%d] = %g at ε = 0, %g at ε = 1e-9", mode, u, got[u], want[u])
+			}
+		}
+		if !(got[0] == 0 && got[1] == 1 && math.IsNaN(got[2])) {
+			t.Errorf("%v: dist = %v, want [0 1 NaN]", mode, got)
+		}
+		if s0, s1 := runs[0].Stats.Supersteps, runs[1].Stats.Supersteps; s0 != s1 {
+			t.Errorf("%v: %d supersteps at ε = 0, %d at ε = 1e-9", mode, s0, s1)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // CC: modes agree with the DFS oracle; ΔV ≡ ΔV★ in messages.
 

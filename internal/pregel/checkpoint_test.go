@@ -6,8 +6,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/graph"
@@ -386,19 +384,5 @@ func TestAppendValuesZeroSize(t *testing.T) {
 		if got := appendValues(nil, pod, vs); len(got) != 0 {
 			t.Errorf("n=%d: POD codec appended %x for zero-size values", n, got)
 		}
-	}
-}
-
-// TestReadSnapshotFileErrors covers the file-level error paths.
-func TestReadSnapshotFileErrors(t *testing.T) {
-	if _, err := ReadSnapshotFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("missing file read successfully")
-	}
-	p := filepath.Join(t.TempDir(), "junk")
-	if err := os.WriteFile(p, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshotFile(p); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("err = %v, want ErrSnapshotCorrupt", err)
 	}
 }

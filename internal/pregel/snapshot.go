@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"reflect"
 	"slices"
 	"unsafe"
@@ -274,20 +273,6 @@ func DecodeSnapshot(b []byte) (*Snapshot, []byte, error) {
 	c := new(Snapshot)
 	c.copyFrom(s)
 	return c, rest, nil
-}
-
-// ReadSnapshotFile decodes the one DVSNAP snapshot stored in path (the
-// bytes a CheckpointOptions.Sink receives for one capture).
-func ReadSnapshotFile(path string) (*Snapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, _, err := DecodeSnapshot(b)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 // ---------------------------------------------------------------------------

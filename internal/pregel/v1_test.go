@@ -26,8 +26,6 @@ func TestV1FilesRefusedByVersion(t *testing.T) {
 	}
 	_, _, err = DecodeSnapshot(b)
 	refused("DecodeSnapshot", err)
-	_, err = ReadSnapshotFile(snap)
-	refused("ReadSnapshotFile", err)
 
 	chain := filepath.Join("testdata", "v1", "chain")
 	if !IsChainDir(chain) {

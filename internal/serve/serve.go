@@ -56,7 +56,7 @@
 //
 // # Quarantine semantics
 //
-// With Config.Quarantine set (the default in dvserve), a vertex program
+// With Config.Quarantine set (dvserve always sets it), a vertex program
 // that panics during a repair or rerun is contained to that vertex
 // (pregel.Options.Quarantine): its partial sends are retracted, the
 // vertex is removed from the computation, and the run — and therefore the
@@ -97,11 +97,10 @@ type Config struct {
 
 	// Params override program parameter defaults by name.
 	Params map[string]float64
-	// Workers, Scheduler and Combine configure every run the server
-	// performs, exactly as in vm.RunOptions.
-	Workers   int
-	Scheduler pregel.Scheduler
-	Combine   bool
+	// Workers and Combine configure every run the server performs,
+	// exactly as in vm.RunOptions; the runs use the ScanAll scheduler.
+	Workers int
+	Combine bool
 	// Quarantine contains vertex-program panics to the panicking vertex
 	// instead of failing the batch (see pregel.Options.Quarantine).
 	Quarantine bool
@@ -573,7 +572,6 @@ func (s *Server) runOpts() vm.RunOptions {
 		MaxSupersteps: maxSupersteps,
 		Params:        s.cfg.Params,
 		Workers:       s.cfg.Workers,
-		Scheduler:     s.cfg.Scheduler,
 		Combine:       s.cfg.Combine,
 		Quarantine:    s.cfg.Quarantine,
 	}

@@ -191,7 +191,7 @@ func run(f *mainFlags, args []string) error {
 			return err
 		}
 		if diags.HasErrors() {
-			return fmt.Errorf("vet rejected the program (bypass with -vet=false):\n%s", diags.Error())
+			return fmt.Errorf("vet rejected the program (bypass with -vet=false):\n%s", diags.Filter(diag.Error).Error())
 		}
 		// Info findings (the repairability matrix) are vet-only output;
 		// compiling prints warnings and up.

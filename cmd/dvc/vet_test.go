@@ -203,6 +203,22 @@ func TestVetRefusesEpsilon(t *testing.T) {
 	}
 }
 
+// TestCompileRejectionListsOnlyErrors: when vet stops a compile, the
+// rejection lists exactly the error diagnostics, not the info-level
+// repairability findings vet also makes.
+func TestCompileRejectionListsOnlyErrors(t *testing.T) {
+	bin := buildTool(t, "repro/cmd/dvc")
+	out, err := runTool(t, bin, "-program", "pagerank", "-epsilon", "-1")
+	if ec := exitCode(err); ec != 1 {
+		t.Fatalf("exit %d, want 1:\n%s", ec, out)
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "vet rejected the program") ||
+		!strings.HasPrefix(lines[1], "error[epsilon]: core: ε = -1") {
+		t.Fatalf("rejection is not the header and the one error:\n%s", out)
+	}
+}
+
 func TestListSorted(t *testing.T) {
 	bin := buildTool(t, "repro/cmd/dvc")
 	out, err := runTool(t, bin, "-list")

@@ -11,7 +11,7 @@ import (
 // TestSteadyStateAllocs pins the engine's zero-allocation invariant: once
 // the per-run scratch is warm (superstep >= 2), a superstep performs no
 // heap allocation on the PageRank and SSSP message paths, under
-// both schedulers.
+// both schedulers, with and without Quarantine's undo log.
 //
 // Measuring "allocations per superstep" directly is awkward because Run
 // drives the whole superstep loop, so the test measures the marginal cost:
@@ -32,6 +32,20 @@ func TestSteadyStateAllocs(t *testing.T) {
 			run := func(rounds int) func() int {
 				return func() int {
 					e := New[prVal, float64](g, Options{Workers: 4, Scheduler: sched, MaxSupersteps: 32})
+					e.SetCombiner(CombinerFunc[float64](func(a, b float64) float64 { return a + b }))
+					stats, err := e.Run(prProgram{rounds: rounds})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return stats.Supersteps
+				}
+			}
+			checkMarginalAllocs(t, run(5), run(9))
+		})
+		t.Run("pagerank/"+schedName(sched)+"/quarantine", func(t *testing.T) {
+			run := func(rounds int) func() int {
+				return func() int {
+					e := New[prVal, float64](g, Options{Workers: 4, Scheduler: sched, MaxSupersteps: 32, Quarantine: true})
 					e.SetCombiner(CombinerFunc[float64](func(a, b float64) float64 { return a + b }))
 					stats, err := e.Run(prProgram{rounds: rounds})
 					if err != nil {

@@ -288,95 +288,67 @@ func BenchmarkMessagePlane(b *testing.B) {
 	}
 }
 
-// fillOutboxes replays a full broadcast round into every worker's
-// outboxes: each vertex sends along all its out-edges from its owning
-// worker's context, exactly as a compute phase would. The payload is the arc
-// index mod 3, which benchClassCombiner reads as the message's class.
+// fillOutboxes replays a full uncombined broadcast round into every
+// worker's outboxes: each vertex sends along all its out-edges from its
+// owning worker's context, exactly as a compute phase would.
 func fillOutboxes(e *Engine[sumVal, float64]) {
 	for _, w := range e.workers {
-		for d := range w.outTo {
-			w.outTo[d] = w.outTo[d][:0]
-			w.outMsg[d] = w.outMsg[d][:0]
-		}
+		w.clearOutboxes()
 		ctx := &w.ctx
 		for u := w.lo; u < w.hi; u++ {
-			for i, v := range e.g.OutNeighbors(VertexID(u)) {
-				ctx.Send(v, float64(i%3))
+			for _, v := range e.g.OutNeighbors(VertexID(u)) {
+				ctx.Send(v, 1)
 			}
 		}
 	}
 }
 
-// BenchmarkSend measures the raw Send path (owner lookup + SoA appends)
-// into warm outboxes, per graph shape.
+// BenchmarkSend measures Context.Send into warm outboxes: worker 0's share
+// of a full broadcast round per graph shape, appended as sent (none),
+// folded at send through a CombinerFunc (dense), and folded per class
+// through the Combiner interface (classes=3; the payload is the arc index
+// mod 3, which benchClassCombiner reads as the class). Each round starts as
+// a compute phase does, buckets emptied and the fold table's epoch
+// advanced, so it includes all the combining a superstep does.
 func BenchmarkSend(b *testing.B) {
-	for _, gs := range messagePlaneGraphs() {
-		gs := gs
-		b.Run(gs.name, func(b *testing.B) {
-			e := New[sumVal, float64](gs.g, Options{Workers: 4})
-			fillOutboxes(e) // warm outbox capacity
-			w := e.workers[0]
-			ctx := &w.ctx
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for d := range w.outTo {
-					w.outTo[d] = w.outTo[d][:0]
-					w.outMsg[d] = w.outMsg[d][:0]
-				}
-				for u := w.lo; u < w.hi; u++ {
-					for _, v := range gs.g.OutNeighbors(VertexID(u)) {
-						ctx.Send(v, 1)
-					}
-				}
-			}
-			b.ReportMetric(float64(w.sent)/float64(b.N), "sends/op")
-		})
-	}
-}
-
-// BenchmarkCombine measures one worker's sender-side combining pass over a
-// full broadcast round, with one class and with three, per graph shape.
-func BenchmarkCombine(b *testing.B) {
-	type cfg struct {
+	sum := CombinerFunc[float64](func(a, b float64) float64 { return a + b })
+	combiners := []struct {
 		name string
 		c    Combiner[float64]
-	}
-	sum := CombinerFunc[float64](func(a, b float64) float64 { return a + b })
+	}{{"none", nil}, {"dense", sum}, {"classes=3", benchClassCombiner{}}}
 	for _, gs := range messagePlaneGraphs() {
-		for _, tc := range []cfg{{"dense", sum}, {"classes=3", benchClassCombiner{}}} {
+		for _, tc := range combiners {
 			gs, tc := gs, tc
 			b.Run(gs.name+"/"+tc.name, func(b *testing.B) {
 				e := New[sumVal, float64](gs.g, Options{Workers: 4})
-				e.SetCombiner(tc.c)
 				w := e.workers[0]
-				w.combTab = make([]combEntry, e.block*tc.c.Classes())
-				fillOutboxes(e)
-				// Snapshot worker 0's outboxes: combining compacts them
-				// in place, so each iteration restores from the copy.
-				to := make([][]VertexID, len(w.outTo))
-				msg := make([][]float64, len(w.outMsg))
-				for d := range w.outTo {
-					to[d] = append([]VertexID(nil), w.outTo[d]...)
-					msg[d] = append([]float64(nil), w.outMsg[d]...)
+				if tc.c != nil {
+					e.SetCombiner(tc.c)
+					w.useCombiner(tc.c)
 				}
+				ctx := &w.ctx
+				round := func() {
+					w.clearOutboxes()
+					w.sent = 0
+					for u := w.lo; u < w.hi; u++ {
+						for i, v := range gs.g.OutNeighbors(VertexID(u)) {
+							ctx.Send(v, float64(i%3))
+						}
+					}
+				}
+				round() // warm outbox capacity
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					for d := range to {
-						w.outTo[d] = append(w.outTo[d][:0], to[d]...)
-						w.outMsg[d] = append(w.outMsg[d][:0], msg[d]...)
-					}
-					for d := range w.outTo {
-						w.combineBucket(d)
-					}
+					round()
 				}
+				b.ReportMetric(float64(w.sent), "sends/op")
 			})
 		}
 	}
 }
 
-// benchClassCombiner splits fillOutboxes' traffic into three classes by
+// benchClassCombiner splits BenchmarkSend's traffic into three classes by
 // payload; min keeps a payload, and so its class, unchanged.
 type benchClassCombiner struct{}
 

@@ -37,31 +37,52 @@ type cmVal struct{ In []cmInbox }
 // whose class and payload depend only on (sender, arc index, superstep) —
 // so a run sends the same messages whether or not they are combined — and
 // records every inbox. The poison vertex, if any, panics at poisonStep after
-// it has sent, having noted in *compacted whether its worker's buckets held
-// fewer envelopes than the worker had sent this superstep.
+// it has sent, having noted in *probe what its combined sends did.
 type cmProgram struct {
 	rounds, classes int
 	poison          int
 	poisonStep      int
-	compacted       *bool
+	probe           *foldProbe
 }
+
+// foldProbe records what the poison vertex's combined sends did to its
+// worker's buckets: folded into an envelope an earlier vertex opened,
+// opened an envelope, and folded into an envelope it had opened itself.
+type foldProbe struct{ intoEarlier, opened, intoOwn bool }
 
 func (p cmProgram) send(ctx *Context[cmVal, cmMsg]) {
 	id, s := int(ctx.ID()), ctx.Superstep()
+	w := ctx.w
+	probing := id == p.poison && s == p.poisonStep && w.foldTab != nil
+	var mark []int
+	if probing {
+		for _, bucket := range w.outTo {
+			mark = append(mark, len(bucket))
+		}
+	}
 	k := 0
 	for it := ctx.OutArcs(); it.Next(); k++ {
-		ctx.Send(it.To(), cmMsg{
+		to, m := it.To(), cmMsg{
 			From:  ctx.ID(),
 			Class: cmClass(id+k+s, p.classes),
 			H:     uint64(id)<<40 | uint64(k)<<8 | uint64(s),
-		})
+		}
+		d := ctx.eng.ownerOf(to)
+		held := len(w.outTo[d])
+		ctx.Send(to, m)
+		if !probing || m.Class < 0 {
+			continue
+		}
+		switch slot := int(w.foldTab[int(to)*p.classes+int(m.Class)].slot); {
+		case len(w.outTo[d]) > held:
+			p.probe.opened = true
+		case slot < mark[d]:
+			p.probe.intoEarlier = true
+		default:
+			p.probe.intoOwn = true
+		}
 	}
 	if id == p.poison && s == p.poisonStep {
-		held := 0
-		for _, bucket := range ctx.w.outTo {
-			held += len(bucket)
-		}
-		*p.compacted = *p.compacted || held < ctx.w.sent
 		panic("poisoned after sending")
 	}
 }
@@ -109,9 +130,8 @@ func foldInbox(raw []cmMsg, block int, c cmCombiner) []cmMsg {
 
 // checkCombinedRun runs prog over g with and without the combiner and
 // compares every inbox of the combined run, bit for bit, to the uncombined
-// run's folded by foldInbox. A fresh engine's buckets start empty, so they
-// fill and are compacted at vertex boundaries many times per superstep on
-// the way up; the fold must not be able to tell.
+// run's folded by foldInbox: folding each message as it is sent must not be
+// told from folding the uncombined outbox afterwards.
 func checkCombinedRun(g *graph.Graph, opts Options, prog cmProgram) error {
 	comb := cmCombiner{prog.classes}
 	run := func(combine bool) (*Engine[cmVal, cmMsg], *Stats, error) {
@@ -191,25 +211,36 @@ func TestCombinedInboxIsSendOrderFoldProperty(t *testing.T) {
 	}
 }
 
-// TestQuarantineRollsBackIntoCompactedBucket: a vertex late in its worker's
-// range sends into buckets that were compacted earlier in the same
-// superstep and then panics. Its sends, and only its sends, are retracted —
-// the envelopes earlier vertices' messages were folded into stay as they
-// were.
-func TestQuarantineRollsBackIntoCompactedBucket(t *testing.T) {
-	g := randomMultigraph(rand.New(rand.NewSource(13))) // 34 vertices, 801 arcs
-	n := g.NumVertices()
+// TestQuarantineRollsBackFoldedSends: a vertex late in its worker's range
+// folds into envelopes that earlier vertices opened, opens envelopes of its
+// own, sends twice to one (destination, class) pair and then panics. Its
+// sends, and only its sends, are retracted — the envelopes earlier
+// vertices' messages were folded into hold exactly those messages again.
+func TestQuarantineRollsBackFoldedSends(t *testing.T) {
+	const n = 34
 	for _, workers := range []int{1, 2} {
 		poison := (n+workers-1)/workers - 1 // the last vertex worker 0 runs
+		// 800 random arcs among vertices 1..n-1, and four parallel arcs
+		// from the poisoned vertex to vertex 0, which hears from no one
+		// else: the pairs it opens there are its own.
+		rng := rand.New(rand.NewSource(13))
+		b := graph.NewBuilder(n, true)
+		for i := 0; i < 800; i++ {
+			b.AddEdge(graph.VertexID(1+rng.Intn(n-1)), graph.VertexID(1+rng.Intn(n-1)))
+		}
+		for i := 0; i < 4; i++ {
+			b.AddEdge(graph.VertexID(poison), 0)
+		}
+		g := b.Finalize()
 		for _, sched := range []Scheduler{ScanAll, WorkQueue} {
-			var compacted bool
-			prog := cmProgram{rounds: 3, classes: 2, poison: poison, poisonStep: 1, compacted: &compacted}
+			var probe foldProbe
+			prog := cmProgram{rounds: 3, classes: 2, poison: poison, poisonStep: 1, probe: &probe}
 			opts := Options{Workers: workers, Scheduler: sched, Quarantine: true}
 			if err := checkCombinedRun(g, opts, prog); err != nil {
 				t.Fatalf("workers %d %s: %v", workers, schedName(sched), err)
 			}
-			if !compacted {
-				t.Fatalf("workers %d %s: no bucket was compacted before vertex %d ran", workers, schedName(sched), poison)
+			if probe != (foldProbe{intoEarlier: true, opened: true, intoOwn: true}) {
+				t.Fatalf("workers %d %s: vertex %d's sends did not fold every way: %+v", workers, schedName(sched), poison, probe)
 			}
 			// checkCombinedRun compared against an uncombined run with the
 			// same poison; make sure that reference is itself a rollback.
@@ -233,9 +264,9 @@ func TestQuarantineRollsBackIntoCompactedBucket(t *testing.T) {
 }
 
 // TestOutboxBoundedByDistinctDestinations: 2000 senders with 8 arcs each
-// into 16 hubs put 16000 messages per superstep through one bucket that
-// never needs more than 16 combined envelopes; the bucket must end sized by
-// the 16 (and a vertex's burst of 8), not by the 16000.
+// into 16 hubs put 16000 messages per superstep through one bucket. Each
+// message folds as it is sent, so the bucket never holds more than the 16
+// distinct destinations and ends sized by them, not by the 16000.
 func TestOutboxBoundedByDistinctDestinations(t *testing.T) {
 	const hubs, senders, fan = 16, 2000, 8
 	b := graph.NewBuilder(hubs+senders, true)
@@ -253,7 +284,7 @@ func TestOutboxBoundedByDistinctDestinations(t *testing.T) {
 	if want := int64(senders * fan * 3); stats.MessagesSent != want {
 		t.Fatalf("sent %d, want %d", stats.MessagesSent, want)
 	}
-	if c := cap(e.workers[0].outTo[0]); c > 16*hubs {
+	if c := cap(e.workers[0].outTo[0]); c > 2*hubs {
 		t.Fatalf("bucket capacity %d after %d sends per superstep to %d destinations", c, senders*fan, hubs)
 	}
 }

@@ -45,14 +45,10 @@ func (c *Context[V, M]) InArcs() graph.ArcIter { return c.eng.g.InArcs(c.id) }
 // OutDegree returns this vertex's out-degree.
 func (c *Context[V, M]) OutDegree() int { return c.eng.g.OutDegree(c.id) }
 
-// Send sends m to vertex `to`, to be received next superstep.
-func (c *Context[V, M]) Send(to VertexID, m M) {
-	w := c.w
-	d := c.eng.ownerOf(to)
-	w.outTo[d] = append(w.outTo[d], to)
-	w.outMsg[d] = append(w.outMsg[d], m)
-	w.sent++
-}
+// Send sends m to vertex `to`, to be received next superstep: it appends
+// an envelope to the bucket of to's worker or, with a combiner, folds m
+// into the one that bucket holds for its (destination, class) pair.
+func (c *Context[V, M]) Send(to VertexID, m M) { c.w.send(to, m) }
 
 // BroadcastOut sends m along every out-edge. The flat path ranges over
 // the shared adjacency slice; the compact path decodes through an

@@ -97,16 +97,18 @@ type worker[V, M any] struct {
 	queued    []uint32
 	stamp     uint32
 
-	// Combining scratch: combTab[li*classes+cl] locates, in the combined
-	// prefix of the bucket being combined, the envelope of class cl
-	// addressed to local destination slot li; an entry is valid only while
-	// its stamp equals combEpoch, so the table is never cleared.
-	combTab   []combEntry
-	combEpoch uint32
-	// compactAt is the value of sent at which the vertex loop next looks
-	// for buckets to compact (see compactFilled); no bucket can reach three
-	// quarters of its capacity sooner.
-	compactAt int
+	// Fold-at-send state (see send and useCombiner): sum is comb when it
+	// is a CombinerFunc; foldTab[t*classes+cl] locates the envelope of
+	// class cl to vertex t in bucket ownerOf(t) while its stamp is
+	// foldEpoch; pend is the message the combiner reads; combining is set
+	// while a quarantined run's combiner runs.
+	comb      Combiner[M]
+	sum       CombinerFunc[M]
+	classes   int
+	foldTab   []combEntry
+	foldEpoch uint32
+	pend      M
+	combining bool
 
 	ctx Context[V, M]
 
@@ -119,11 +121,13 @@ type worker[V, M any] struct {
 	inVertex bool
 
 	// Quarantine scratch (Options.Quarantine only): sendMark records the
-	// per-destination outbox lengths before each vertex call so a
-	// panicking vertex's partial sends can be rolled back, and
-	// quarantined collects the vertices recovered this superstep (the
-	// master drains it after the compute barrier).
+	// per-destination outbox lengths before each vertex call, and the undo
+	// log that call's folds and opened cells, so a panicking vertex's sends
+	// can be retracted; quarantined collects the vertices recovered this
+	// superstep (the master drains it after the compute barrier).
 	sendMark    []int
+	undoFolds   []foldUndo[M]
+	undoCells   []int
 	quarantined []VertexID
 
 	// Per-superstep partial stats.
@@ -138,10 +142,16 @@ type worker[V, M any] struct {
 	aggSeen []bool
 }
 
-// combEntry is one cell of a worker's combining table.
+// combEntry is one cell of a worker's fold table.
 type combEntry struct {
 	stamp uint32
 	slot  int32
+}
+
+// foldUndo is an undo-log entry: slot of bucket d held old before a fold.
+type foldUndo[M any] struct {
+	d, slot int32
+	old     M
 }
 
 // New creates an Engine over g with the given options.
@@ -345,7 +355,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 		wk.aggPend = make([]float64, len(e.aggList))
 		wk.aggSeen = make([]bool, len(e.aggList))
 		if e.combiner != nil && e.shard.owns(wk.id) {
-			wk.combTab = make([]combEntry, e.block*e.combiner.Classes())
+			wk.useCombiner(e.combiner)
 		}
 		if e.opts.Quarantine {
 			wk.sendMark = make([]int, e.opts.Workers)
@@ -635,15 +645,12 @@ func (e *Engine[V, M]) mergeAggregators() {
 	}
 }
 
-// compute runs Init/Compute over this worker's runnable vertices and
-// flushes (and optionally combines) outgoing messages.
+// compute runs Init/Compute over this worker's runnable vertices, whose
+// sends fill (and, with a combiner, fold into) the outboxes.
 func (w *worker[V, M]) compute(prog Program[V, M]) {
 	e := w.eng
-	w.sent, w.ran, w.compactAt = 0, 0, 0
-	for d := range w.outTo {
-		w.outTo[d] = w.outTo[d][:0]
-		w.outMsg[d] = w.outMsg[d][:0]
-	}
+	w.sent, w.ran = 0, 0
+	w.clearOutboxes()
 	queue := e.opts.Scheduler == WorkQueue
 	if queue {
 		w.stamp++
@@ -651,9 +658,6 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 	}
 	quarantine := e.opts.Quarantine
 	runVertex := func(u int) {
-		if w.sent >= w.compactAt {
-			w.compactFilled()
-		}
 		w.ran++
 		ctx := &w.ctx
 		ctx.id = VertexID(u)
@@ -708,31 +712,48 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 			}
 		}
 	}
-	if e.combiner != nil {
-		for d := range w.outTo {
-			w.combineBucket(d)
+}
+
+// clearOutboxes empties every bucket and retires every fold-table cell.
+func (w *worker[V, M]) clearOutboxes() {
+	for d := range w.outTo {
+		w.outTo[d] = w.outTo[d][:0]
+		w.outMsg[d] = w.outMsg[d][:0]
+	}
+	if w.foldTab != nil {
+		if w.foldEpoch++; w.foldEpoch == 0 { // uint32 wrap: stale stamps would alias
+			clear(w.foldTab)
+			w.foldEpoch = 1
 		}
 	}
 }
 
 // runGuarded invokes the vertex program under Options.Quarantine: a panic
 // raised by Init/Compute is recovered here — at vertex granularity rather
-// than at the superstep barrier — the vertex's partial sends are rolled
-// back to the marks taken before the call, its message count is restored,
-// and the vertex is removed from the computation. The worker loop then
-// continues with the next vertex, so one poisoned vertex cannot abort a
-// resident run. Returns whether the vertex panicked.
+// than at the superstep barrier — the vertex's partial sends are retracted
+// (folds undone in reverse, cells unstamped, buckets truncated to the
+// marks), its message count is restored, and the vertex is removed from
+// the computation. The worker loop then continues with the next vertex, so
+// one poisoned vertex cannot abort a resident run (a combiner's panic still
+// does). Returns whether the vertex panicked.
 func (w *worker[V, M]) runGuarded(prog Program[V, M], u int) (panicked bool) {
 	for d := range w.outTo {
 		w.sendMark[d] = len(w.outTo[d])
 	}
+	w.undoFolds, w.undoCells = w.undoFolds[:0], w.undoCells[:0]
 	sent := w.sent
 	defer func() {
-		r := recover()
-		if r == nil {
+		if w.combining || recover() == nil {
 			return
 		}
 		panicked = true
+		for i := len(w.undoFolds) - 1; i >= 0; i-- {
+			f := &w.undoFolds[i]
+			w.outMsg[f.d][f.slot] = f.old
+		}
+		for _, cell := range w.undoCells {
+			w.foldTab[cell].stamp = 0 // no epoch is 0
+		}
 		for d := range w.outTo {
 			w.outTo[d] = w.outTo[d][:w.sendMark[d]]
 			w.outMsg[d] = w.outMsg[d][:w.sendMark[d]]
@@ -770,97 +791,77 @@ func liveMask(n, i int) uint64 {
 	return math.MaxUint64
 }
 
-// minLook is the fewest sends between two looks at the buckets, so that a
-// worker with many small or unused buckets does not look at every vertex; a
-// bucket of a few hundred envelopes is left to append's own growth.
-const minLook = 64
-
-// compactFilled runs at a vertex boundary once sent has reached compactAt. A
-// bucket at three quarters of its capacity is combined down to its distinct
-// (destination, class) pairs and grown only if that leaves it more than a
-// quarter full: a bucket's size follows the pairs it holds, not the messages
-// sent into it, and between two combines of a bucket at least twice its
-// combined prefix arrives, which keeps re-stamping that prefix (see
-// combineBucket) under half a table write per message. The next look is due
-// when the tightest bucket could first reach its mark. Never inside a vertex
-// call: Quarantine rolls a panicking vertex's sends back by truncating to
-// marks taken at the boundary.
-func (w *worker[V, M]) compactFilled() {
-	if w.eng.combiner == nil {
-		w.compactAt = math.MaxInt
-		return
+// useCombiner sizes this worker's fold table for c: one cell per
+// destination vertex and class. A quarantined run folds through c guarded.
+func (w *worker[V, M]) useCombiner(c Combiner[M]) {
+	if w.eng.opts.Quarantine {
+		c = guardedCombiner[M]{c, &w.combining}
 	}
-	next := math.MaxInt
-	for d := range w.outTo {
-		n, c := len(w.outTo[d]), cap(w.outTo[d])
-		if n > 0 && n >= c-c/4 {
-			w.combineBucket(d)
-			if n = len(w.outTo[d]); 4*n > c {
-				for c < 4*n {
-					c *= 2
-				}
-				w.outTo[d] = append(make([]VertexID, 0, c), w.outTo[d]...)
-				w.outMsg[d] = append(make([]M, 0, c), w.outMsg[d]...)
-			}
-		}
-		next = min(next, max(c-c/4-n, minLook))
-	}
-	w.compactAt = w.sent + next
+	w.comb, w.classes = c, c.Classes()
+	w.sum, _ = c.(CombinerFunc[M])
+	w.foldTab = make([]combEntry, w.eng.g.NumVertices()*w.classes)
 }
 
-// combineBucket folds bucket d in place down to one envelope per
-// (destination, class), leaving pass-through messages where they are. The
-// combined prefix [0, j) only ever trails the read position, so no second
-// buffer is needed; an envelope keeps the position of its first occurrence
-// and each slot is a left fold in send order, so combining a bucket again
-// after more sends (its prefix is simply re-stamped) yields exactly what one
-// pass over all of them would.
-func (w *worker[V, M]) combineBucket(d int) {
-	to, msg := w.outTo[d], w.outMsg[d]
-	if len(to) <= 1 {
-		return
-	}
-	c := w.eng.combiner
-	// A CombinerFunc has one class and passes nothing through: its cell is
-	// the local destination. Not asking it per envelope is worth a seventh of
-	// a handwritten PageRank superstep.
-	_, scalar := c.(CombinerFunc[M])
-	classes := len(w.combTab) / w.eng.block
-	w.combEpoch++
-	if w.combEpoch == 0 { // uint32 wrap: stale stamps would alias
-		clear(w.combTab)
-		w.combEpoch = 1
-	}
-	epoch := w.combEpoch
-	base := d * w.eng.block
-	j := 0
-	for i, t := range to {
-		cell := int(t) - base // the envelope's table cell; negative: pass through
-		if !scalar {
-			cl := c.Class(&msg[i])
-			if cl >= classes {
-				panic(fmt.Sprintf("pregel: Combiner.Class returned %d, Classes is %d", cl, classes))
+// send appends m to the bucket of to's worker or, with a combiner, folds it
+// into the envelope its (destination, class) pair has there, appending one
+// only for the pair's first message (or a negative class): an envelope keeps
+// its pair's first position and a slot is a left fold in send order. Not
+// asking a CombinerFunc its one class is worth a seventh of a PageRank step.
+func (w *worker[V, M]) send(to VertexID, m M) {
+	d := w.eng.ownerOf(to)
+	w.sent++
+	if w.foldTab != nil {
+		cell := int(to)
+		if w.sum == nil {
+			w.pend = m
+			cl := w.comb.Class(&w.pend)
+			if cl >= w.classes {
+				w.combining = true
+				panic(fmt.Sprintf("pregel: Combiner.Class returned %d, Classes is %d", cl, w.classes))
 			}
-			cell = cell*classes + cl
+			cell = cell*w.classes + cl
 			if cl < 0 {
 				cell = -1
 			}
 		}
 		if cell >= 0 {
-			e := &w.combTab[cell]
-			if e.stamp == epoch {
-				c.Combine(&msg[e.slot], &msg[i])
-				continue
+			e := &w.foldTab[cell]
+			if e.stamp == w.foldEpoch {
+				acc := &w.outMsg[d][e.slot]
+				if w.eng.opts.Quarantine {
+					w.undoFolds = append(w.undoFolds, foldUndo[M]{int32(d), e.slot, *acc})
+				}
+				if w.sum != nil {
+					*acc = w.sum(*acc, m)
+				} else {
+					w.comb.Combine(acc, &w.pend)
+				}
+				return
 			}
-			e.stamp, e.slot = epoch, int32(j)
+			if w.eng.opts.Quarantine {
+				w.undoCells = append(w.undoCells, cell)
+			}
+			e.stamp, e.slot = w.foldEpoch, int32(len(w.outTo[d]))
 		}
-		if i != j {
-			to[j], msg[j] = t, msg[i]
-		}
-		j++
 	}
-	w.outTo[d] = to[:j]
-	w.outMsg[d] = msg[:j]
+	w.outTo[d] = append(w.outTo[d], to)
+	w.outMsg[d] = append(w.outMsg[d], m)
+}
+
+// guardedCombiner sets *on while a quarantined run's combiner runs, so
+// runGuarded lets its panic abort the run rather than blame the sender.
+type guardedCombiner[M any] struct {
+	c  Combiner[M]
+	on *bool
+}
+
+func (g guardedCombiner[M]) Combine(acc, m *M) { *g.on = true; g.c.Combine(acc, m); *g.on = false }
+func (g guardedCombiner[M]) Classes() int      { return g.c.Classes() }
+func (g guardedCombiner[M]) Class(m *M) (cl int) {
+	*g.on = true
+	cl = g.c.Class(m)
+	*g.on = false
+	return
 }
 
 // exchange gathers inbound envelopes into the per-vertex inboxes, wakes

@@ -148,8 +148,9 @@ func TestQuarantineMasterHookStillAborts(t *testing.T) {
 	})
 }
 
-// A panicking combiner runs in the worker's combine phase, outside any one
-// vertex call, so Quarantine must not swallow it.
+// A panicking combiner runs inside the vertex call whose send it folds, but
+// the fault is the combiner's, not that vertex's, so Quarantine must not
+// swallow it.
 func TestQuarantineCombinerStillAborts(t *testing.T) {
 	g := graph.Complete(8, true)
 	withGoroutineCheck(t, func() {

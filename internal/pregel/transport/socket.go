@@ -172,7 +172,7 @@ func DialMesh(cfg SocketConfig) (*Socket, error) {
 				return
 			}
 			var c net.Conn
-			for {
+			for attempt := 0; ; attempt++ {
 				c, err = net.DialTimeout(pnet, paddr, 250*time.Millisecond)
 				if err == nil {
 					break
@@ -181,7 +181,7 @@ func DialMesh(cfg SocketConfig) (*Socket, error) {
 					errc <- fmt.Errorf("transport: shard %d dial shard %d (%s): %w", cfg.Shard, peer, cfg.Addrs[peer], err)
 					return
 				}
-				time.Sleep(50 * time.Millisecond)
+				time.Sleep(dialRetryDelay(attempt))
 			}
 			got, err := s.handshake(c, deadline, true)
 			if err != nil {
@@ -217,6 +217,14 @@ func DialMesh(cfg SocketConfig) (*Socket, error) {
 		}
 	}
 	return s, nil
+}
+
+// dialRetryDelay is how long a dialer waits after its attempt-th failed
+// dial (from 0) before the next: 1 ms, doubling up to 50 ms, so a peer
+// whose listener comes up a moment late costs about that moment, and one
+// that is slow to start costs at most 20 dials a second.
+func dialRetryDelay(attempt int) time.Duration {
+	return min(time.Millisecond<<min(attempt, 6), 50*time.Millisecond)
 }
 
 // handshake exchanges hello frames on a fresh conn. The dialer speaks

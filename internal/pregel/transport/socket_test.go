@@ -25,13 +25,15 @@ func unixAddrs(t *testing.T, count int) []string {
 }
 
 // dialAll establishes a full mesh of count shards concurrently and
-// returns the transports indexed by shard.
+// returns the transports indexed by shard. Shards start from the highest,
+// a few milliseconds apart, so each shard's dials to lower shards mostly
+// find no listener yet and take the retry path.
 func dialAll(t *testing.T, count int, addrs []string, fp uint64) []*Socket {
 	t.Helper()
 	socks := make([]*Socket, count)
 	errs := make([]error, count)
 	var wg sync.WaitGroup
-	for i := 0; i < count; i++ {
+	for i := count - 1; i >= 0; i-- {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -40,6 +42,7 @@ func dialAll(t *testing.T, count int, addrs []string, fp uint64) []*Socket {
 				Fingerprint: fp, Timeout: 10 * time.Second,
 			})
 		}(i)
+		time.Sleep(5 * time.Millisecond)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -53,6 +56,20 @@ func dialAll(t *testing.T, count int, addrs []string, fp uint64) []*Socket {
 		}
 	})
 	return socks
+}
+
+// TestDialRetryDelay pins the dialer's retry schedule: it starts at 1 ms
+// and doubles up to 50 ms, where it stays.
+func TestDialRetryDelay(t *testing.T) {
+	want := []time.Duration{1, 2, 4, 8, 16, 32, 50, 50, 50}
+	for attempt, ms := range want {
+		if got := dialRetryDelay(attempt); got != ms*time.Millisecond {
+			t.Errorf("dialRetryDelay(%d) = %v, want %v", attempt, got, ms*time.Millisecond)
+		}
+	}
+	if got := dialRetryDelay(1 << 20); got != 50*time.Millisecond {
+		t.Errorf("dialRetryDelay(1<<20) = %v, want 50ms", got)
+	}
 }
 
 // TestSocketMeshBarrier drives a 3-shard mesh through several

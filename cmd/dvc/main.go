@@ -16,7 +16,8 @@
 // program in the paper's pseudo-syntax: receive loops, change checks,
 // Δ-message sends and halts, then whether each phase's first body superstep
 // wakes every vertex and, when it does, what blocks the proof that it need
-// not. -emit go prints generated Go source for the
+// not, then what each receive and send runs as in the VM: a fused kernel
+// (core.Kernel) or its closures. -emit go prints generated Go source for the
 // vertex program. -program selects one of the embedded benchmark programs
 // (see `dvc -list`).
 //
@@ -208,6 +209,9 @@ func run(f *mainFlags, args []string) error {
 		fmt.Print(compiled.String())
 		for i := range compiled.Phases {
 			fmt.Printf("phase %d start: %s\n", i, compiled.WakeString(i))
+		}
+		for _, line := range compiled.KernelLines() {
+			fmt.Println(line)
 		}
 	case "layout":
 		fmt.Printf("vertex state: %d bytes\n", compiled.Layout.ByteSize())

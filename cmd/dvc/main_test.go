@@ -69,13 +69,21 @@ func TestDVC(t *testing.T) {
 			}
 		}
 	})
+	// The wake verdicts, and the kernel lines after them.
 	t.Run("emit-compiled-wake", func(t *testing.T) {
 		for _, tc := range []struct {
 			program string
 			want    []string
 		}{
-			{"sssp", []string{"phase 0 start: wakes only the vertices the prime's messages reach; the prime halts a vertex only if dist == dist\n"}},
-			{"pagerank", []string{"phase 0 start: wakes every vertex: vl depends on |V|\n"}},
+			{"sssp", []string{
+				"phase 0 start: wakes only the vertices the prime's messages reach; the prime halts a vertex only if dist == dist\n",
+				"phase 0 body: send group 0 over #out: kernel: per-arc Δ-min x + w\n",
+			}},
+			{"pagerank", []string{
+				"phase 0 start: wakes every vertex: vl depends on |V|\n",
+				"phase 0 body: recv group 0: kernel: fold sum\n",
+				"phase 0 body: send group 0 over #out: kernel: closure\n",
+			}},
 			{"twophase", []string{
 				"phase 0 start: wakes every vertex: s becomes 0\n",
 				"phase 1 start: wakes only the vertices the prime's messages reach; the prime halts a vertex only if t == t && s == s\n",

@@ -10,6 +10,7 @@ import (
 	"context"
 	"math"
 
+	"repro/internal/fmath"
 	"repro/internal/graph"
 	"repro/internal/pregel"
 )
@@ -169,7 +170,7 @@ func RunSSSP(g *graph.Graph, source graph.VertexID, opts RunOptions) (*pregel.En
 	e.SetValueCodec(ssspStateCodec{})
 	e.SetMessageCodec(pregel.Float64Codec{})
 	if opts.Combine {
-		e.SetCombiner(pregel.CombinerFunc[float64](math.Min))
+		e.SetCombiner(pregel.CombinerFunc[float64](fmath.Min))
 	}
 	stats, err := e.RunContext(opts.ctx(), &SSSP{Source: source})
 	return e, stats, err
@@ -215,7 +216,7 @@ func RunCC(g *graph.Graph, opts RunOptions) (*pregel.Engine[CCState, float64], *
 	e.SetValueCodec(ccStateCodec{})
 	e.SetMessageCodec(pregel.Float64Codec{})
 	if opts.Combine {
-		e.SetCombiner(pregel.CombinerFunc[float64](math.Min))
+		e.SetCombiner(pregel.CombinerFunc[float64](fmath.Min))
 	}
 	stats, err := e.RunContext(opts.ctx(), CC{})
 	return e, stats, err

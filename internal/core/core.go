@@ -39,6 +39,7 @@ import (
 	"repro/internal/deltav/token"
 	"repro/internal/deltav/typer"
 	"repro/internal/deltav/types"
+	"repro/internal/fmath"
 )
 
 // Mode selects the compilation variant.
@@ -402,9 +403,9 @@ func Apply(op ast.AggOp, a, b float64) float64 {
 	case ast.AggProd:
 		return a * b
 	case ast.AggMin:
-		return math.Min(a, b)
+		return fmath.Min(a, b)
 	case ast.AggMax:
-		return math.Max(a, b)
+		return fmath.Max(a, b)
 	case ast.AggOr:
 		if a != 0 || b != 0 {
 			return 1

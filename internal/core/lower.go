@@ -188,25 +188,40 @@ func (l *Lowered) Uses(r Ref, op Opcode) bool {
 	if r == NoRef {
 		return false
 	}
-	n := &l.Nodes[r]
-	if n.Op == op {
+	if l.Nodes[r].Op == op {
 		return true
 	}
-	kids := n.Args
-	switch {
-	case n.Op == OpIf:
-		kids = []Ref{n.X, n.Y, n.Z}
-	case n.Op == OpDelta || n.Op >= OpNeg && n.Op <= OpSame:
-		kids = []Ref{n.X, n.Y} // OpNeg and OpNot: Y is NoRef
-	case n.Op == OpStore || n.Op == OpStoreUser || n.Op == OpSetLet || n.Op == OpRecv || n.Op == OpFull:
-		kids = []Ref{n.X}
-	}
-	for _, k := range kids {
+	for _, k := range l.kids(r) {
 		if l.Uses(k, op) {
 			return true
 		}
 	}
 	return false
+}
+
+// walk visits the subtree at r in preorder.
+func (l *Lowered) walk(r Ref, visit func(Ref)) {
+	if r == NoRef {
+		return
+	}
+	visit(r)
+	for _, k := range l.kids(r) {
+		l.walk(k, visit)
+	}
+}
+
+// kids lists the operands of the node at r (NoRef where one is absent).
+func (l *Lowered) kids(r Ref) []Ref {
+	n := &l.Nodes[r]
+	switch {
+	case n.Op == OpIf:
+		return []Ref{n.X, n.Y, n.Z}
+	case n.Op == OpDelta || n.Op >= OpNeg && n.Op <= OpSame:
+		return []Ref{n.X, n.Y} // OpNeg and OpNot: Y is NoRef
+	case n.Op == OpStore || n.Op == OpStoreUser || n.Op == OpSetLet || n.Op == OpRecv || n.Op == OpFull:
+		return []Ref{n.X}
+	}
+	return n.Args
 }
 
 type lowerer struct {

@@ -9,24 +9,30 @@ import (
 
 // BenchmarkVertexBody times the vertex calls of the two benchmark programs,
 // pagerank.dv and sssp.dv, on a compact R-MAT 12×8 graph with one worker
-// and combining on. It reports ns per vertex call: a whole run's wall time
-// over the vertex calls it made (Stats.TotalActive) — the lowered body, its
-// sends, and the engine's per-call share.
+// and combining on, and sssp.dv on a compact weighted 300×300 grid with two
+// (sssp-grid: converge-sparse's shape, a thin frontier over 600 supersteps).
+// It reports ns per vertex call: a whole run's wall time over the vertex
+// calls it made (Stats.TotalActive) — the lowered body, its sends, and the
+// engine's per-call share.
 func BenchmarkVertexBody(b *testing.B) {
-	g := graph.MustCompact(graph.RMAT(12, 8, 0.57, 0.19, 0.19, true, 1))
-	g.BuildReverse()
+	rmat := graph.MustCompact(graph.RMAT(12, 8, 0.57, 0.19, 0.19, true, 1))
+	rmat.BuildReverse()
+	src := map[string]float64{"src": 0}
 	for _, tc := range []struct {
-		name   string
-		params map[string]float64
+		name, program string
+		g             *graph.Graph
+		workers       int
+		params        map[string]float64
 	}{
-		{"pagerank", nil},
-		{"sssp", map[string]float64{"src": 0}},
+		{"pagerank", "pagerank", rmat, 1, nil},
+		{"sssp", "sssp", rmat, 1, src},
+		{"sssp-grid", "sssp", graph.MustCompact(graph.Grid(300, 300, 2, 1)), 2, src},
 	} {
-		prog := mustCompile(tc.name, core.Incremental)
+		prog := mustCompile(tc.program, core.Incremental)
 		b.Run(tc.name, func(b *testing.B) {
 			var calls int64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(prog, g, RunOptions{Workers: 1, Combine: true, Params: tc.params})
+				res, err := Run(prog, tc.g, RunOptions{Workers: tc.workers, Combine: true, Params: tc.params})
 				if err != nil {
 					b.Fatal(err)
 				}

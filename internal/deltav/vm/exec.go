@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/deltav/ast"
+	"repro/internal/fmath"
 	"repro/internal/graph"
 	"repro/internal/pregel"
 )
@@ -17,7 +18,9 @@ import (
 // per-worker frame. Everything is generic in the engine's message type M,
 // and the closures that touch a message come from M's kind (kind.go): a
 // one-group program exchanges bare 8-byte payloads, every other program
-// Msg[P] at the narrowest width P that fits: one slot or MaxSlots.
+// Msg[P] at the narrowest width P that fits: one slot or MaxSlots. A receive
+// or send core classifies as a kernel (core.Kernel) compiles to one fused
+// loop instead, where the kind runs it.
 
 // payload is the set of Msg widths a machine is instantiated at: the
 // widest send group's slot count, rounded up to 1 or MaxSlots.
@@ -46,7 +49,7 @@ type runner interface {
 
 func newRunner(m *Machine) runner {
 	rows := groupRows(m)
-	if op, ok := bareOp(m.prog, rows); ok {
+	if op, ok := m.prog.BareOp(); ok {
 		return newExec[float64](m, bareKind(op), rows)
 	}
 	if m.prog.MaxSlotsPerGroup <= 1 {
@@ -402,6 +405,9 @@ func (c *compiler[M]) fn(r core.Ref) fn[M] {
 	case core.OpHalt:
 		return func(f *frame[M]) float64 { f.ctx.VoteToHalt(); return 0 }
 	case core.OpRecv:
+		if k := c.kernel(r); k != nil {
+			return k
+		}
 		return c.k.recv(uint8(n.A), c.fn(n.X))
 	case core.OpMsgVal:
 		return c.k.val(int(n.A))
@@ -413,9 +419,54 @@ func (c *compiler[M]) fn(r core.Ref) fn[M] {
 		site := int(n.A)
 		return func(f *frame[M]) float64 { return f.tableFold(site) }
 	case core.OpBroadcast, core.OpSendEach:
+		if k := c.kernel(r); k != nil {
+			return k
+		}
 		return c.send(n)
 	}
 	panic("vm: no closure for a lowered opcode")
+}
+
+// kernelsOff makes every machine compiled while it is set run its receives
+// and sends as closures: the baseline the kernel tests compare against.
+var kernelsOff bool
+
+// kernel compiles the receive or send at r as the kernel core classifies it
+// as, if M's kind runs that kernel; nil leaves it to the closures.
+func (c *compiler[M]) kernel(r core.Ref) fn[M] {
+	if kernelsOff {
+		return nil
+	}
+	switch k := c.m.prog.Kernel(r); k.Kind {
+	case core.KernelFold:
+		return c.k.fold(k)
+	case core.KernelArc:
+		a := &arcKernel[M]{Kernel: k, m: c.m, x: c.fn(k.Arc.X), arcs: c.arcs(&c.code.Nodes[r]),
+			id: core.Identity(k.Op)}
+		if k.Delta {
+			a.old = c.fn(k.Old)
+		}
+		return c.k.arcSend(a)
+	}
+	return nil
+}
+
+// arcKernel is a core.KernelArc send compiled for a kind: the slot's x (and
+// the old x of a Δ), the arcs the send goes out on, and ⊞'s identity.
+type arcKernel[M any] struct {
+	core.Kernel
+	m      *Machine
+	x, old fn[M]
+	arcs   func(*graph.ArcIter, graph.VertexID)
+	id     float64
+}
+
+// arcs is the arc cursor a send of push direction ast.GraphDir(n.B) starts.
+func (c *compiler[M]) arcs(n *core.Node) func(*graph.ArcIter, graph.VertexID) {
+	if ast.GraphDir(n.B) == ast.DirIn {
+		return c.m.g.InArcsInto
+	}
+	return c.m.g.OutArcsInto // DirOut, and DirNeighbors of an undirected graph
 }
 
 // binary compiles the pure two-operand operators.
@@ -443,11 +494,11 @@ func (c *compiler[M]) binary(n *core.Node) fn[M] {
 	case core.OpNe:
 		return func(f *frame[M]) float64 { return boolTo01(x(f) != y(f)) }
 	case core.OpMin:
-		return func(f *frame[M]) float64 { return math.Min(x(f), y(f)) }
+		return func(f *frame[M]) float64 { return fmath.Min(x(f), y(f)) }
 	case core.OpSame:
 		return func(f *frame[M]) float64 { return boolTo01(math.Float64bits(x(f)) == math.Float64bits(y(f))) }
 	}
-	return func(f *frame[M]) float64 { return math.Max(x(f), y(f)) }
+	return func(f *frame[M]) float64 { return fmath.Max(x(f), y(f)) }
 }
 
 func (c *compiler[M]) seq(args []core.Ref) fn[M] {
@@ -483,11 +534,7 @@ func (c *compiler[M]) send(n *core.Node) fn[M] {
 	for i, r := range n.Args {
 		slots[i] = c.slot(r)
 	}
-	build := c.k.build(uint8(n.A), slots)
-	arcs := c.m.g.OutArcsInto // DirOut, and DirNeighbors of an undirected graph
-	if ast.GraphDir(n.B) == ast.DirIn {
-		arcs = c.m.g.InArcsInto
-	}
+	build, arcs := c.k.build(uint8(n.A), slots), c.arcs(n)
 	if n.Op == core.OpBroadcast {
 		return func(f *frame[M]) float64 {
 			f.weight = 1
@@ -521,17 +568,16 @@ func (c *compiler[M]) send(n *core.Node) fn[M] {
 }
 
 // deadScan returns, for a per-arc send whose every slot is a full value
-// x + w, w + x, x − w or w − x (w the arc's weight, x weight-free), a test
-// that holds when the send is a no-op on every arc, so its loop can be
-// skipped: x is infinite, so the slot is ±x for every finite weight, and
-// that is the site's identity. It never holds on a graph with a non-finite
-// weight, since ∞ + (−∞) and ∞ + NaN are NaN and go out. It returns nil for
-// any other send. SSSP's prime is the case: dist + w from every vertex at
-// dist = ∞.
+// core.ArcSum, a test that holds when the send is a no-op on every arc, so
+// its loop can be skipped: x is infinite, so the slot is ±x for every finite
+// weight, and that is the site's identity (core.ArcSum.Dead). It never holds
+// on a graph with a non-finite weight, since ∞ + (−∞) and ∞ + NaN are NaN
+// and go out. It returns nil for any other send. SSSP's prime is the case:
+// dist + w from every vertex at dist = ∞.
 func (c *compiler[M]) deadScan(n *core.Node) func(*frame[M]) bool {
 	type head struct {
 		x   fn[M]
-		neg bool
+		arc core.ArcSum
 		id  float64
 	}
 	heads := make([]head, len(n.Args))
@@ -540,34 +586,16 @@ func (c *compiler[M]) deadScan(n *core.Node) func(*frame[M]) bool {
 		if full.Op != core.OpFull {
 			return nil
 		}
-		sum := &c.code.Nodes[full.X]
-		if sum.Op != core.OpAdd && sum.Op != core.OpSub {
+		arc, ok := c.code.ArcSum(full.X)
+		if !ok {
 			return nil
 		}
-		x, neg := sum.X, false
-		switch {
-		case c.code.Nodes[sum.Y].Op == core.OpWeight:
-		case c.code.Nodes[sum.X].Op == core.OpWeight:
-			x, neg = sum.Y, sum.Op == core.OpSub
-		default:
-			return nil
-		}
-		if c.code.Uses(x, core.OpWeight) {
-			return nil
-		}
-		heads[i] = head{c.fn(x), neg, core.Identity(c.m.prog.Sites[full.A].Op)}
+		heads[i] = head{c.fn(arc.X), arc, core.Identity(c.m.prog.Sites[full.A].Op)}
 	}
 	g := c.m.g
 	return func(f *frame[M]) bool {
 		for _, h := range heads {
-			v := h.x(f)
-			if !math.IsInf(v, 0) {
-				return false
-			}
-			if h.neg {
-				v = -v
-			}
-			if v != h.id {
+			if !h.arc.Dead(h.x(f), h.id) {
 				return false
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/deltav/ast"
+	"repro/internal/fmath"
 	"repro/internal/graph"
 	"repro/internal/pregel"
 )
@@ -14,9 +15,11 @@ import (
 // The two message kinds. A program whose one send group has one site,
 // combinable with sum, min or max, outside memo-table mode, needs no group
 // byte, tag or sender: its engine runs at the bare float64 payload, combined
-// by a pregel.CombinerFunc of that ⊞. Every other program runs at Msg[P]. A
-// kind supplies exactly the parts of a machine that touch a message; the
-// compiler, the message-free opcodes and the record codec are shared.
+// by a pregel.CombinerFunc of that ⊞ (core.Program.BareOp). Every other
+// program runs at Msg[P]. A kind supplies exactly the parts of a machine that
+// touch a message; the compiler, the message-free opcodes and the record
+// codec are shared. Only the bare kind runs core's kernels: typed loops over
+// its []float64 inbox and float64 sends.
 
 // kind is one message kind's half of the compiler and the engine setup.
 type kind[M any] interface {
@@ -31,6 +34,10 @@ type kind[M any] interface {
 	// build compiles a send's message: it writes f.msg from the slots and
 	// reports whether the message can change an accumulator.
 	build(grp uint8, slots []slotFn[M]) func(*frame[M]) bool
+	// fold compiles a core.KernelFold receive and arcSend a core.KernelArc
+	// send; nil when the kind leaves them to the closures.
+	fold(k core.Kernel) fn[M]
+	arcSend(a *arcKernel[M]) fn[M]
 	// narrow and widen convert from and to the record every message is
 	// checkpointed and wired as (the repair planner builds records too).
 	narrow(w *wideMsg) M
@@ -81,15 +88,6 @@ func groupRows(m *Machine) []groupRow {
 		}
 	}
 	return rows
-}
-
-// bareOp reports the ⊞ a program's messages travel bare under, if any.
-func bareOp(p *core.Program, rows []groupRow) (ast.AggOp, bool) {
-	if len(rows) != 1 || rows[0].nvals != 1 || rows[0].class < 0 || p.Mode == core.MemoTable {
-		return 0, false
-	}
-	op := rows[0].ops[0]
-	return op, op == ast.AggSum || op == ast.AggMin || op == ast.AggMax
 }
 
 // ---------------------------------------------------------------------------
@@ -147,6 +145,10 @@ func (wideKind[P]) build(grp uint8, slots []slotFn[Msg[P]]) func(*frame[Msg[P]])
 	}
 }
 
+func (wideKind[P]) fold(core.Kernel) fn[Msg[P]] { return nil }
+
+func (wideKind[P]) arcSend(*arcKernel[Msg[P]]) fn[Msg[P]] { return nil }
+
 func (wideKind[P]) narrow(w *wideMsg) Msg[P] {
 	m := Msg[P]{Group: w.Group, NVals: w.NVals, TagNull: w.TagNull, TagPrev: w.TagPrev, Sender: w.Sender}
 	for i := 0; i < len(m.Vals); i++ {
@@ -195,9 +197,9 @@ func (c *vmCombiner[P]) Combine(acc, m *Msg[P]) {
 		case ast.AggSum:
 			acc.Vals[i] = a + b
 		case ast.AggMin:
-			acc.Vals[i] = math.Min(a, b)
+			acc.Vals[i] = fmath.Min(a, b)
 		case ast.AggMax:
-			acc.Vals[i] = math.Max(a, b)
+			acc.Vals[i] = fmath.Max(a, b)
 		default:
 			acc.Vals[i] = core.Apply(g.ops[i], a, b)
 		}
@@ -246,9 +248,88 @@ func (k bareKind) combiner() pregel.Combiner[float64] {
 	case ast.AggSum:
 		return pregel.CombinerFunc[float64](func(a, b float64) float64 { return a + b })
 	case ast.AggMin:
-		return pregel.CombinerFunc[float64](math.Min)
+		return pregel.CombinerFunc[float64](fmath.Min)
 	}
-	return pregel.CombinerFunc[float64](math.Max)
+	return pregel.CombinerFunc[float64](fmath.Max)
+}
+
+// fold runs acc = acc ⊕ m over the inbox in a register, in the closures'
+// operand order.
+func (bareKind) fold(k core.Kernel) fn[float64] {
+	s := k.Slot
+	switch k.Op {
+	case ast.AggSum:
+		return func(f *frame[float64]) float64 {
+			acc := f.row[s]
+			for _, m := range f.msgs {
+				acc += m
+			}
+			f.row[s] = acc
+			return 0
+		}
+	case ast.AggMin:
+		return func(f *frame[float64]) float64 {
+			acc := f.row[s]
+			for _, m := range f.msgs {
+				acc = fmath.Min(acc, m)
+			}
+			f.row[s] = acc
+			return 0
+		}
+	}
+	return func(f *frame[float64]) float64 {
+		acc := f.row[s]
+		for _, m := range f.msgs {
+			acc = fmath.Max(acc, m)
+		}
+		f.row[s] = acc
+		return 0
+	}
+}
+
+// arcSend evaluates the slot's x once per call and sends x ⊕ w per arc. A
+// full value is a no-op on an arc where it is ⊞'s identity, and on every arc
+// when x makes it the identity for any finite weight (deadScan's test). A
+// Δ is a no-op where the new and old values are equal; otherwise it sends
+// the new value, counting a move against ⊞, or for a sum the difference.
+func (bareKind) arcSend(a *arcKernel[float64]) fn[float64] {
+	arc, id, g := a.Arc, a.id, a.m.g
+	if !a.Delta {
+		return func(f *frame[float64]) float64 {
+			x := a.x(f)
+			if arc.Dead(x, id) && g.FiniteWeights() {
+				return 0
+			}
+			for a.arcs(&f.arcs, f.u); f.arcs.Next(); {
+				if v := arc.At(x, f.arcs.Weight()); v != id {
+					f.ctx.Send(f.arcs.To(), v)
+				}
+			}
+			return 0
+		}
+	}
+	sum, isMin := a.Op == ast.AggSum, a.Op == ast.AggMin
+	return func(f *frame[float64]) float64 {
+		xNew, xOld := a.x(f), a.old(f)
+		var against int64
+		for a.arcs(&f.arcs, f.u); f.arcs.Next(); {
+			w := f.arcs.Weight()
+			v, old := arc.At(xNew, w), arc.At(xOld, w)
+			switch {
+			case v == old:
+				continue
+			case sum:
+				v -= old
+			case isMin && v > old || !isMin && v < old:
+				against++
+			}
+			f.ctx.Send(f.arcs.To(), v)
+		}
+		if against != 0 {
+			a.m.nonMonotone.Add(against)
+		}
+		return 0
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -338,15 +338,20 @@ type ChainState struct {
 }
 
 // LoadChain loads the checkpoint chain path names and replays its records:
-// a base snapshot loads whole, each delta record patches the snapshot
-// loaded so far in place, and graph logs are collected for the caller to
-// re-apply. Given the chain's directory it replays every record, to the
-// tip. Given the path of one of the chain's snapshot records — what
-// Stats.CheckpointPath and ChainWriter's appends return — it replays the
-// manifest through that record; a file the manifest does not commit, or a
-// mutation log, is refused. Every record is CRC- and identity-checked
-// against its manifest row, and its sections against its vertex count; any
-// mismatch fails the load, naming the record.
+// the newest base snapshot at or before the target loads whole, each delta
+// record after it patches the snapshot loaded so far in place, and every
+// graph log, from the first entry on, is collected for the caller to
+// re-apply. Given the chain's directory the target is the tip. Given the
+// path of one of the chain's snapshot records — what Stats.CheckpointPath
+// and ChainWriter's appends return — the target is that record; a file the
+// manifest does not commit, or a mutation log, is refused. Every record read
+// is CRC- and identity-checked against its manifest row, and its sections
+// against its vertex count; any mismatch fails the load, naming the record.
+//
+// The snapshot records before the target's base are never opened, so a
+// base and the deltas on it may be deleted once a newer base is committed:
+// the chain still loads to every record from that base on. The graph logs
+// are what a chain may never lose.
 func LoadChain(path string) (*ChainState, error) {
 	dir, name := path, ""
 	mb, err := os.ReadFile(filepath.Join(dir, ChainManifestName))
@@ -377,8 +382,17 @@ func LoadChain(path string) (*ChainState, error) {
 		}
 		entries = entries[:i+1]
 	}
+	from := 0 // the newest base: the snapshot records before it are superseded
+	for i, e := range entries {
+		if e.Kind == ChainBase {
+			from = i
+		}
+	}
 	st := &ChainState{Dir: dir, Entries: entries}
 	for i, e := range entries {
+		if i < from && e.Kind != ChainGraphDelta {
+			continue
+		}
 		b, err := os.ReadFile(filepath.Join(dir, e.Name))
 		if err != nil {
 			return nil, fmt.Errorf("chain entry %d (%s): %w", i, e.Kind, err)

@@ -209,6 +209,72 @@ func TestChainWriterTipFollowsEveryAppend(t *testing.T) {
 	}
 }
 
+// TestLoadChainStartsAtNewestBase builds a chain of several bases
+// (rebaseEvery 2) and loads its tip and every record path to the snapshot
+// appended there, with every graph log before it. It then deletes, base by
+// base, the snapshot records each newer base supersedes: every record from
+// that base on, and the tip, must still load the same, since LoadChain
+// reads snapshot records only from the newest base at or before its target.
+func TestLoadChainStartsAtNewestBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	snaps := chainTestSnapshots(rng, 30, 8)
+	dir := t.TempDir()
+	w, err := NewChainWriter(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, len(snaps))
+	var logs [][]byte
+	for i, s := range snaps {
+		if i == 0 {
+			paths[i], _, err = w.AppendSnapshot(s)
+		} else {
+			logs = append(logs, []byte(fmt.Sprintf("# delta: flush %d\nadd %d %d 1.5\n", i, i, i+1)))
+			paths[i], _, err = w.AppendBatch(logs[i-1], s)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	load := func(label, path string, want int) {
+		t.Helper()
+		st, err := LoadChain(path)
+		if err != nil {
+			t.Fatalf("%s: loading %s: %v", label, filepath.Base(path), err)
+		}
+		if !sameSnapshot(snaps[want], st.Snapshot) {
+			t.Fatalf("%s: %s does not load snapshot %d", label, filepath.Base(path), want)
+		}
+		if !slices.EqualFunc(st.GraphDeltas, logs[:want], bytes.Equal) {
+			t.Fatalf("%s: %s loads %d graph logs, want the %d before it", label, filepath.Base(path), len(st.GraphDeltas), want)
+		}
+	}
+	var bases []int // the snapshots written as bases
+	for i, p := range paths {
+		if strings.HasSuffix(p, ".base") {
+			bases = append(bases, i)
+		}
+	}
+	if len(bases) < 3 {
+		t.Fatalf("bases at snapshots %v: want a chain of at least three", bases)
+	}
+	for round, b := range bases {
+		label := "whole chain"
+		if round > 0 {
+			label = fmt.Sprintf("records before snapshot %d deleted", b)
+			for _, p := range paths[bases[round-1]:b] {
+				if err := os.Remove(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := b; i < len(paths); i++ {
+			load(label, paths[i], i)
+		}
+		load(label, dir, len(snaps)-1)
+	}
+}
+
 // TestChainCrashAtEveryCommitStage snapshots the chain directory at every
 // commit stage of every append — after the record write but before the
 // manifest rename, and after the rename — and asserts each copy loads to

@@ -2,9 +2,7 @@ package algorithms
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 )
@@ -39,142 +37,6 @@ func TestPageRankMatchesOracle(t *testing.T) {
 		if stats.MessagesSent == 0 {
 			t.Fatal("no messages sent")
 		}
-	}
-}
-
-func TestSSSPMatchesDijkstra(t *testing.T) {
-	g := graph.Grid(12, 15, 9, 3)
-	e, stats, err := RunSSSP(g, 0, RunOptions{Workers: 4, Combine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := SSSPOracle(g, 0)
-	for u := range want {
-		got := e.Value(graph.VertexID(u)).Dist
-		if !almostEqual(got, want[u], 1e-12) {
-			t.Fatalf("dist[%d] = %g, want %g", u, got, want[u])
-		}
-	}
-	if stats.MessagesSent == 0 {
-		t.Fatal("no messages")
-	}
-}
-
-func TestSSSPUnreachable(t *testing.T) {
-	// Two disconnected directed paths; distances in the far component stay ∞.
-	b := graph.NewBuilder(4, true)
-	b.AddEdge(0, 1)
-	b.AddEdge(2, 3)
-	g := b.Finalize()
-	e, _, err := RunSSSP(g, 0, RunOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(e.Value(2).Dist, 1) || !math.IsInf(e.Value(3).Dist, 1) {
-		t.Fatalf("unreachable distances = %v, %v; want +Inf", e.Value(2).Dist, e.Value(3).Dist)
-	}
-	if e.Value(1).Dist != 1 {
-		t.Fatalf("dist[1] = %v, want 1", e.Value(1).Dist)
-	}
-}
-
-func TestCCMatchesOracle(t *testing.T) {
-	g := graph.PreferentialAttachment(300, 2, 5)
-	// Add some isolated structure: PA graphs are connected, so also test a
-	// multi-component graph.
-	b := graph.NewBuilder(10, false)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(5, 6)
-	multi := b.Finalize()
-	for name, gr := range map[string]*graph.Graph{"connected": g, "multi": multi} {
-		e, _, err := RunCC(gr, RunOptions{Workers: 3, Combine: true})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, _ := graph.ConnectedComponents(gr)
-		for u := range want {
-			if got := e.Value(graph.VertexID(u)).Comp; got != int64(want[u]) {
-				t.Fatalf("%s: comp[%d] = %d, want %d", name, u, got, want[u])
-			}
-		}
-	}
-}
-
-func TestHITSMatchesOracle(t *testing.T) {
-	g := graph.RMAT(7, 5, 0.57, 0.19, 0.19, true, 9)
-	g.BuildReverse()
-	wantHub, wantAuth := HITSOracle(g, 7)
-	for _, combine := range []bool{false, true} {
-		e, _, err := RunHITS(g, 7, RunOptions{Workers: 4, Combine: combine})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for u := range wantHub {
-			v := e.Value(graph.VertexID(u))
-			if !almostEqual(v.Hub, wantHub[u], 1e-9) || !almostEqual(v.Auth, wantAuth[u], 1e-9) {
-				t.Fatalf("combine=%v: hits[%d] = (%g,%g), want (%g,%g)",
-					combine, u, v.Hub, v.Auth, wantHub[u], wantAuth[u])
-			}
-		}
-	}
-}
-
-// Property: SSSP distances from the Pregel program equal Dijkstra on random
-// weighted graphs.
-func TestSSSPProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(40)
-		m := rng.Intn(4 * n)
-		b := graph.NewBuilder(n, true)
-		for i := 0; i < m; i++ {
-			b.AddWeightedEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)), 1+rng.Float64()*9)
-		}
-		g := b.Finalize()
-		src := graph.VertexID(rng.Intn(n))
-		e, _, err := RunSSSP(g, src, RunOptions{Workers: 1 + rng.Intn(4), Combine: rng.Intn(2) == 0})
-		if err != nil {
-			return false
-		}
-		want := SSSPOracle(g, src)
-		for u := range want {
-			if !almostEqual(e.Value(graph.VertexID(u)).Dist, want[u], 1e-12) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: CC labels equal the DFS oracle on random undirected graphs.
-func TestCCProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(60)
-		m := rng.Intn(3 * n)
-		b := graph.NewBuilder(n, false)
-		for i := 0; i < m; i++ {
-			b.AddEdge(graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n)))
-		}
-		g := b.Finalize()
-		e, _, err := RunCC(g, RunOptions{Workers: 1 + rng.Intn(4)})
-		if err != nil {
-			return false
-		}
-		want, _ := graph.ConnectedComponents(g)
-		for u := range want {
-			if e.Value(graph.VertexID(u)).Comp != int64(want[u]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

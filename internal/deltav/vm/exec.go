@@ -427,14 +427,10 @@ func (c *compiler[M]) fn(r core.Ref) fn[M] {
 	panic("vm: no closure for a lowered opcode")
 }
 
-// kernelsOff makes every machine compiled while it is set run its receives
-// and sends as closures: the baseline the kernel tests compare against.
-var kernelsOff bool
-
 // kernel compiles the receive or send at r as the kernel core classifies it
 // as, if M's kind runs that kernel; nil leaves it to the closures.
 func (c *compiler[M]) kernel(r core.Ref) fn[M] {
-	if kernelsOff {
+	if c.m.closures {
 		return nil
 	}
 	switch k := c.m.prog.Kernel(r); k.Kind {

@@ -4,38 +4,12 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/pregel"
 )
 
 // End-to-end integration scenarios combining generators, schedulers and
 // programs in ways no single unit test does.
-
-func TestSSSPOnSmallWorldAllConfigurations(t *testing.T) {
-	g := graph.WithRandomWeights(graph.WattsStrogatz(400, 6, 0.05, 11), 1, 5, 12)
-	want := algorithms.SSSPOracle(g, 7)
-	for _, mode := range allModes {
-		for _, sched := range []pregel.Scheduler{pregel.ScanAll, pregel.WorkQueue} {
-			res, err := Run(mustCompile("sssp", mode), g, RunOptions{
-				Params:    map[string]float64{"src": 7},
-				Workers:   5,
-				Scheduler: sched,
-				Combine:   true,
-			})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", mode, sched, err)
-			}
-			for u := range want {
-				if !almostEqual(res.Field("dist", graph.VertexID(u)), want[u], 1e-9) {
-					t.Fatalf("%v/%v: dist[%d] = %g, want %g",
-						mode, sched, u, res.Field("dist", graph.VertexID(u)), want[u])
-				}
-			}
-		}
-	}
-}
 
 func TestTwoPhaseIterationAccounting(t *testing.T) {
 	g := graph.RMAT(6, 3, 0.5, 0.2, 0.2, true, 13)

@@ -91,6 +91,8 @@ type RunOptions struct {
 	// every shard. Requires an explicit Workers value identical on every
 	// shard.
 	Shard *pregel.ShardOptions
+	// closures compiles every receive and send to closures, not kernels.
+	closures bool
 }
 
 // ErrUnknownField is wrapped by the error returned when a field name does
@@ -181,6 +183,7 @@ type Machine struct {
 	unchangedAgg int
 
 	iterations  []int
+	closures    bool // RunOptions.closures
 	nonMonotone atomic.Int64
 	masterErr   error
 	runCtx      context.Context // run's context, visible to the master hook
@@ -211,9 +214,10 @@ func NewMachine(prog *core.Program, g *graph.Graph, opts RunOptions) (*Machine, 
 		g.BuildReverse()
 	}
 	m := &Machine{
-		prog:   prog,
-		g:      g,
-		stride: len(prog.Layout.Fields),
+		prog:     prog,
+		g:        g,
+		stride:   len(prog.Layout.Fields),
+		closures: opts.closures,
 	}
 	m.params = make([]float64, len(prog.Params))
 	for i, p := range prog.Params {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -343,73 +342,6 @@ func (p *poisonedMass) Compute(ctx *Context[shardVal, float64], msgs []float64) 
 func (p *poisonedMass) poison(ctx *Context[shardVal, float64]) {
 	if step, ok := p.victims[ctx.ID()]; ok && step == ctx.Superstep() {
 		panic("poisoned")
-	}
-}
-
-// TestShardedQuarantineBitIdentical: Quarantine composes with sharding.
-// Every worker holds a victim that sends and then panics; over 2 and 3
-// shards of 5 workers, every shard must report the in-process run's
-// values, aggregator, merged statistics and quarantined vertices, in the
-// same order.
-func TestShardedQuarantineBitIdentical(t *testing.T) {
-	g := graph.RMAT(8, 4, 0.57, 0.19, 0.19, true, 42)
-	const workers, rounds = 5, 5
-	victims := map[VertexID]int{}
-	block := (g.NumVertices() + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		found := 0
-		for u := w * block; u < min((w+1)*block, g.NumVertices()) && found < 2; u++ {
-			if g.OutDegree(VertexID(u)) > 0 {
-				victims[VertexID(u)] = (w + found) % 3
-				found++
-			}
-		}
-	}
-	prog := func() Program[shardVal, float64] {
-		return &poisonedMass{massProgram{rounds: rounds}, victims}
-	}
-	for _, tc := range []struct {
-		name    string
-		shards  int
-		sched   Scheduler
-		combine bool
-	}{
-		{"2x5-scan-combine", 2, ScanAll, true},
-		{"3x5-queue", 3, WorkQueue, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Workers: workers, Scheduler: tc.sched, Quarantine: true}
-			engine := func(o Options) *Engine[shardVal, float64] { return massEngine(g, o, tc.combine) }
-			ref := engine(opts)
-			refStats, err := ref.Run(prog())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if refStats.Quarantined != len(victims) {
-				t.Fatalf("reference quarantined %d vertices, want %d", refStats.Quarantined, len(victims))
-			}
-			outs := runSharded(t, g, opts, tc.shards, nil, nil, engine, prog)
-			for i, o := range outs {
-				if o.err != nil {
-					t.Fatalf("shard %d: %v", i, o.err)
-				}
-				requireBitIdentical(t, fmt.Sprintf("shard %d", i), o.eng.Values(), ref.Values())
-				if got, want := o.eng.AggregatorValue("mass"), ref.AggregatorValue("mass"); got != want {
-					t.Fatalf("shard %d: mass aggregator = %v, want %v (bitwise)", i, got, want)
-				}
-				if o.stats.Supersteps != refStats.Supersteps ||
-					o.stats.MessagesSent != refStats.MessagesSent ||
-					o.stats.CombinedMessages != refStats.CombinedMessages ||
-					o.stats.CrossWorker != refStats.CrossWorker ||
-					o.stats.TotalActive != refStats.TotalActive ||
-					o.stats.Quarantined != refStats.Quarantined {
-					t.Fatalf("shard %d merged stats diverge:\n got %v\nwant %v", i, o.stats, refStats)
-				}
-				if !slices.Equal(o.stats.QuarantinedVertices, refStats.QuarantinedVertices) {
-					t.Fatalf("shard %d quarantined %v, want %v", i, o.stats.QuarantinedVertices, refStats.QuarantinedVertices)
-				}
-			}
-		})
 	}
 }
 

@@ -14,12 +14,13 @@
 //
 // With -emit compiled (the default) it prints the fully transformed
 // program in the paper's pseudo-syntax: receive loops, change checks,
-// Δ-message sends and halts, then whether each phase's first body superstep
-// wakes every vertex and, when it does, what blocks the proof that it need
-// not, then what each receive and send runs as in the VM: a fused kernel
-// (core.Kernel) or its closures. -emit go prints generated Go source for the
-// vertex program. -program selects one of the embedded benchmark programs
-// (see `dvc -list`).
+// Δ-message sends and halts, then which vertices run init at superstep 0
+// (the others start from one constant row), then whether each phase's
+// first body superstep wakes every vertex and, when it does, what blocks
+// the proof that it need not, then what each receive and send runs as in
+// the VM: a fused kernel (core.Kernel) or its closures. -emit go prints
+// generated Go source for the vertex program. -program selects one of the
+// embedded benchmark programs (see `dvc -list`).
 //
 // The vet subcommand runs the static-analysis suite of
 // internal/deltav/analysis and prints every finding (syntax and type
@@ -207,6 +208,7 @@ func run(f *mainFlags, args []string) error {
 	switch *f.emit {
 	case "compiled":
 		fmt.Print(compiled.String())
+		fmt.Printf("start: %s\n", compiled.StartString())
 		for i := range compiled.Phases {
 			fmt.Printf("phase %d start: %s\n", i, compiled.WakeString(i))
 		}

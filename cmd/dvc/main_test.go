@@ -69,17 +69,19 @@ func TestDVC(t *testing.T) {
 			}
 		}
 	})
-	// The wake verdicts, and the kernel lines after them.
+	// The start and wake verdicts, and the kernel lines after them.
 	t.Run("emit-compiled-wake", func(t *testing.T) {
 		for _, tc := range []struct {
 			program string
 			want    []string
 		}{
 			{"sssp", []string{
+				"start: id == src runs init; every other vertex starts halted at dist = ∞, $old_g0_dist = ∞, $dirty_g0 = 0, $acc_s0 = ∞ (while every weight is finite)\n",
 				"phase 0 start: wakes only the vertices the prime's messages reach; the prime halts a vertex only if dist == dist\n",
 				"phase 0 body: send group 0 over #out: kernel: per-arc Δ-min x + w\n",
 			}},
 			{"pagerank", []string{
+				"start: every vertex runs init: the prime may send group 0: its value depends on a degree\n",
 				"phase 0 start: wakes every vertex: vl depends on |V|\n",
 				"phase 0 body: recv group 0: kernel: fold sum\n",
 				"phase 0 body: send group 0 over #out: kernel: closure\n",

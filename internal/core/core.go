@@ -314,6 +314,8 @@ type Program struct {
 	// Lowered is the executable form of every body above (see lower.go):
 	// what the VM runs and codegen prints.
 	Lowered *Lowered
+	// Start is what superstep 0 may copy instead of running Lowered.Init.
+	Start Start
 }
 
 // Compile parses, type-checks and compiles ΔV source text.

@@ -96,6 +96,7 @@ func (c *compiler) run() (err error) {
 		}
 	}
 	c.out.Lowered = lower(c.out)
+	c.out.Start = startProof(c.out, c.out.Lowered)
 	return nil
 }
 

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -36,6 +38,8 @@ import (
 //
 // Only idempotent self-updates (min, max, ||, &&) can pass: P6 adds no halt
 // to a body with f = f + acc, and a phase without one is never quiet.
+//
+// The same evaluator proves a run's start (Start).
 
 // guard is one per-vertex condition the proof relies on: field slot's
 // barrier value is not a NaN (op == OpEq), or op(slot, k) is that value bit
@@ -82,10 +86,11 @@ func (a abs) truth() abs { return abs{kind: absConst, k: b2f(a.k != 0)} }
 // absState is what a body run has done so far.
 type absState struct {
 	slots, lets []abs
+	halted      bool // the run voted to halt
 }
 
 func (s absState) clone() absState {
-	return absState{append([]abs(nil), s.slots...), append([]abs(nil), s.lets...)}
+	return absState{append([]abs(nil), s.slots...), append([]abs(nil), s.lets...), s.halted}
 }
 
 // join merges the state after either branch of a condition that may go
@@ -101,9 +106,11 @@ func (s *absState) join(o absState, why string) {
 			s.lets[i] = abs{why: why}
 		}
 	}
+	s.halted = s.halted && o.halted
 }
 
-// prover runs the proof over one phase's lowered body.
+// prover runs the proof over one phase's lowered body, or with start set
+// over Lowered.Init.
 type prover struct {
 	p      *Program
 	code   *Lowered
@@ -111,6 +118,23 @@ type prover struct {
 	st     absState
 	guards []guard
 	block  string // the first reason the proof fails
+	// The start proof's findings (Start's Keys and Finite).
+	start  bool
+	keys   []Ref
+	finite bool
+}
+
+// newProver starts a proof over code with each slot s at at(s) and no let
+// set.
+func newProver(p *Program, code *Lowered, at func(s int32) abs) *prover {
+	pr := &prover{p: p, code: code, st: absState{slots: make([]abs, len(p.Layout.Fields)), lets: make([]abs, code.Lets)}}
+	for s := range pr.st.slots {
+		pr.st.slots[s] = at(int32(s))
+	}
+	for i := range pr.st.lets {
+		pr.st.lets[i] = abs{why: "an unset let"}
+	}
+	return pr
 }
 
 // quiet proves phase pi wake-free; it returns the guards the proof needs,
@@ -120,15 +144,8 @@ func quiet(p *Program, code *Lowered, pi int, body Ref) ([]guard, string) {
 	if !ph.Halts {
 		return nil, "the body does not halt"
 	}
-	pr := &prover{p: p, code: code, phase: pi}
-	pr.st.slots = make([]abs, len(p.Layout.Fields))
-	pr.st.lets = make([]abs, code.Lets)
-	for s := range pr.st.slots {
-		pr.st.slots[s] = abs{kind: absSlot, slot: int32(s)}
-	}
-	for i := range pr.st.lets {
-		pr.st.lets[i] = abs{why: "an unset let"}
-	}
+	pr := newProver(p, code, func(s int32) abs { return abs{kind: absSlot, slot: s} })
+	pr.phase = pi
 	for _, gid := range ph.Groups {
 		g := p.Groups[gid]
 		if g.DirtySlot >= 0 {
@@ -280,7 +297,12 @@ func (pr *prover) eval(r Ref) abs {
 		}
 	case OpAnd, OpOr:
 		return pr.logic(n)
-	case OpAdd, OpSub, OpMul, OpDiv, OpLt, OpGt, OpLe, OpGe, OpEq, OpNe, OpMin, OpMax:
+	case OpEq, OpNe:
+		if v, ok := pr.idTest(n); ok {
+			return v
+		}
+		return pr.binary(n.Op, pr.eval(n.X), pr.eval(n.Y))
+	case OpAdd, OpSub, OpMul, OpDiv, OpLt, OpGt, OpLe, OpGe, OpMin, OpMax, OpSame:
 		return pr.binary(n.Op, pr.eval(n.X), pr.eval(n.Y))
 	case OpChanged:
 		// |f − $old| > ε is false when both hold the same value: 0, or
@@ -304,12 +326,16 @@ func (pr *prover) eval(r Ref) abs {
 			v = pr.eval(it)
 		}
 		return v
-	case OpHalt, OpRecv, OpTableUpdate:
-		// P6's halt ends every body of a phase that Halts. Without
-		// messages a receive loop's body never runs.
+	case OpHalt:
+		pr.st.halted = true // P6's halt ends every body of a phase that Halts
+	case OpRecv, OpTableUpdate:
+		// Without messages a receive loop's body never runs.
 	case OpTableFold:
 		return abs{kind: absConst, k: Identity(pr.p.Sites[n.A].Op)}
 	case OpBroadcast, OpSendEach:
+		if pr.start {
+			return pr.deadSend(n)
+		}
 		return pr.fail("it may send group %d", n.A)
 	default:
 		return pr.fail("it reaches opcode %d", n.Op)
@@ -405,4 +431,122 @@ func (p *Program) WakeString(pi int) string {
 		conds[i] = p.Layout.guardString(g)
 	}
 	return "wakes only the vertices the prime's messages reach; the prime halts a vertex only if " + strings.Join(conds, " && ")
+}
+
+// Start is the start proof's verdict on Lowered.Init: Row is the state init
+// leaves every vertex whose id equals none of Keys (the OpParam and OpConst
+// nodes init compares the id with by == or !=), which also ends superstep
+// 0 halted, having sent nothing; Finite, that Row holds only while every
+// arc weight is finite (a per-arc prime dead by ArcSum.Dead). Row is nil
+// when the proof fails, and Why says what blocks it.
+type Start struct {
+	Row    []float64
+	Why    string
+	Keys   []Ref
+	Finite bool
+}
+
+// startProof proves Lowered.Init for the vertices whose id matches no key.
+func startProof(p *Program, code *Lowered) Start {
+	pr := newProver(p, code, func(int32) abs { return abs{kind: absConst} }) // fields start at zero
+	pr.start = true
+	pr.eval(code.Init)
+	if !pr.st.halted {
+		pr.fail("a vertex may stay awake")
+	}
+	row := make([]float64, len(pr.st.slots))
+	for s, v := range pr.st.slots {
+		if v.kind != absConst {
+			pr.fail("%s", pr.describe(int32(s), v))
+		}
+		row[s] = v.k
+	}
+	if pr.block != "" {
+		return Start{Why: pr.block}
+	}
+	return Start{Row: row, Keys: pr.keys, Finite: pr.finite}
+}
+
+// idTest folds, in the start proof, id == k and id != k for k a parameter
+// or a constant to their value for an id other than k, and records k as a
+// key. ok is false for any other node.
+func (pr *prover) idTest(n *Node) (v abs, ok bool) {
+	nodes := pr.code.Nodes
+	x, k := n.X, n.Y
+	if nodes[k].Op == OpVertexID {
+		x, k = k, x
+	}
+	if !pr.start || nodes[x].Op != OpVertexID || nodes[k].Op != OpParam && nodes[k].Op != OpConst {
+		return abs{}, false
+	}
+	if !slices.ContainsFunc(pr.keys, func(r Ref) bool {
+		return nodes[r].Op == nodes[k].Op && nodes[r].A == nodes[k].A && nodes[r].K == nodes[k].K
+	}) {
+		pr.keys = append(pr.keys, k)
+	}
+	return abs{kind: absConst, k: b2f(n.Op == OpNe)}, true
+}
+
+// deadSend proves, in the start proof, that a prime's send at n sends
+// nothing: each slot is a full value that is ⊞'s identity, as the VM's full
+// slot tests it (a multiplicative site's absorbing element, which goes out
+// as a nullary tag, is never the identity), or a full x ± w dead on every
+// arc of finite weight.
+func (pr *prover) deadSend(n *Node) abs {
+	for _, r := range n.Args {
+		slot := &pr.code.Nodes[r]
+		if slot.Op != OpFull {
+			return pr.fail("the prime sends group %d: a lookup table records every value", n.A)
+		}
+		s := pr.p.Sites[slot.A]
+		x := slot.X
+		arc, perArc := pr.code.ArcSum(x)
+		if perArc {
+			x = arc.X // the weight-free operand, once for every arc
+		}
+		switch v := pr.eval(x); {
+		case perArc && v.kind == absConst && arc.Dead(v.k, Identity(s.Op)):
+			pr.finite = true
+		case v.kind != absConst:
+			return pr.fail("the prime may send group %d: its value depends on %s", n.A, v.why)
+		case perArc || v.k != Identity(s.Op):
+			return pr.fail("the prime sends group %d: %s is not %s's identity", n.A, num(v.k), s.Op)
+		}
+	}
+	return abs{kind: absConst}
+}
+
+// StartString describes superstep 0: the vertices that run init and the
+// state every other one starts in, or what blocks the proof.
+func (p *Program) StartString() string {
+	st := &p.Start
+	if st.Row == nil {
+		return "every vertex runs init: " + st.Why
+	}
+	var tests, vals []string
+	for _, r := range st.Keys {
+		k := p.Lowered.Nodes[r]
+		name := num(k.K)
+		if k.Op == OpParam {
+			name = p.Params[k.A].Name
+		}
+		tests = append(tests, "id == "+name)
+	}
+	who := "every vertex"
+	if len(tests) > 0 {
+		who = strings.Join(tests, " or ") + " runs init; every other vertex"
+	}
+	for s, v := range st.Row {
+		vals = append(vals, p.Layout.Fields[s].Name+" = "+num(v))
+	}
+	out := who + " starts halted at " + strings.Join(vals, ", ")
+	if st.Finite {
+		out += " (while every weight is finite)"
+	}
+	return out
+}
+
+// num spells a value as dvc prints it, ∞ for +Inf.
+func num(v float64) string {
+	return strings.NewReplacer("+Inf", "∞", "-Inf", "-∞").Replace(strconv.FormatFloat(v, 'g', -1, 64))
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/programs"
 )
 
 // TestWakeProof pins the wake-freedom verdict, and the guard or the
@@ -45,6 +47,73 @@ func TestWakeProof(t *testing.T) {
 		}
 		if p.Phases[0].Quiet != strings.HasPrefix(tc.want, "wakes only") {
 			t.Errorf("%s: Quiet = %v", tc.body, p.Phases[0].Quiet)
+		}
+	}
+}
+
+// TestStartProof pins the start verdict dvc prints for every corpus
+// program, and for bodies that exercise each rule of the start proof.
+func TestStartProof(t *testing.T) {
+	prime := func(what string) string { return "every vertex runs init: the prime " + what }
+	corpus := map[string]string{
+		"sssp":      "id == src runs init; every other vertex starts halted at dist = ∞, $old_g0_dist = ∞, $dirty_g0 = 0, $acc_s0 = ∞ (while every weight is finite)",
+		"bfs":       "id == src runs init; every other vertex starts halted at hop = ∞, $old_g0_hop = ∞, $dirty_g0 = 0, $acc_s0 = ∞",
+		"reach":     "id == src runs init; every other vertex starts halted at reach = 0, $old_g0_reach = 0, $dirty_g0 = 0, $acc_s0 = 0, $nn_s0 = 0, $nulls_s0 = 0",
+		"allreach":  prime("sends group 0: 0 is not &&'s identity"), // its absorbing element: a nullary tag
+		"cc":        prime("may send group 0: its value depends on the vertex id"),
+		"wcc":       prime("may send group 0: its value depends on the vertex id"),
+		"maxval":    prime("may send group 0: its value depends on the vertex id"),
+		"twophase":  prime("may send group 0: its value depends on the vertex id"),
+		"prod":      prime("may send group 0: its value depends on the vertex id"),
+		"degreesum": prime("may send group 0: its value depends on a degree"),
+		"pagerank":  prime("may send group 0: its value depends on a degree"),
+		"hits":      prime("sends group 0: 1 is not +'s identity"),
+	}
+	for _, name := range programs.Names() {
+		want, ok := corpus[name]
+		if !ok {
+			t.Errorf("%s: no verdict pinned", name)
+		}
+		p, err := Compile(programs.MustSource(name), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.StartString(); got != want {
+			t.Errorf("%s:\n got %s\nwant %s", name, got, want)
+		}
+		// A lookup table records every sender's value, identity or not.
+		if p, _ = Compile(programs.MustSource(name), Options{Mode: MemoTable}); p.Start.Row != nil {
+			t.Errorf("%s/dV-memotable: a template row", name)
+		}
+	}
+	for _, tc := range []struct{ init, want string }{
+		// A constant key, and two keys from a short-circuit ||.
+		{"local d : float = if id == 3 then 0.0 else infty",
+			"id == 3 runs init; every other vertex starts halted at d = ∞, $old_g0_d = ∞, $dirty_g0 = 0, $acc_s0 = ∞"},
+		{"local d : float = if id == 0 || id == src then 0.0 else infty",
+			"id == 0 or id == src runs init; every other vertex starts halted at d = ∞, $old_g0_d = ∞, $dirty_g0 = 0, $acc_s0 = ∞"},
+		// id != k folds to true; no key at all leaves every vertex alike.
+		{"local d : float = if id != src then infty else 0.0",
+			"id == src runs init; every other vertex starts halted at d = ∞, $old_g0_d = ∞, $dirty_g0 = 0, $acc_s0 = ∞"},
+		{"local d : float = infty",
+			"every vertex starts halted at d = ∞, $old_g0_d = ∞, $dirty_g0 = 0, $acc_s0 = ∞"},
+		// A parameter, |V| or the id read as a value blocks the proof.
+		{"local d : float = if id == src then 0.0 else 1.0 * src",
+			"every vertex runs init: the prime may send group 0: its value depends on the parameter src"},
+		{"local d : float = 1.0 * graphSize",
+			"every vertex runs init: the prime may send group 0: its value depends on |V|"},
+		{"local d : float = if id == src + 1 then 0.0 else infty",
+			"every vertex runs init: the prime may send group 0: its value depends on the vertex id"},
+		{"local d : float = 0.5",
+			"every vertex runs init: the prime sends group 0: 1.5 is not min's identity"},
+	} {
+		src := "param src : int = 0;\ninit { " + tc.init + " };\niter k { let m : float = min [ u.d + 1.0 | u <- #in ] in d = min d m } until { fixpoint }"
+		p, err := Compile(src, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.init, err)
+		}
+		if got := p.StartString(); got != tc.want {
+			t.Errorf("%s:\n got %s\nwant %s", tc.init, got, tc.want)
 		}
 	}
 }

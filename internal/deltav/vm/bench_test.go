@@ -2,6 +2,7 @@ package vm
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -13,7 +14,8 @@ import (
 // (sssp-grid: converge-sparse's shape, a thin frontier over 600 supersteps).
 // It reports ns per vertex call: a whole run's wall time over the vertex
 // calls it made (Stats.TotalActive) — the lowered body, its sends, and the
-// engine's per-call share.
+// engine's per-call share — and superstep 0's time per run, init and the
+// phase-0 prime (ms/superstep0).
 func BenchmarkVertexBody(b *testing.B) {
 	rmat := graph.MustCompact(graph.RMAT(12, 8, 0.57, 0.19, 0.19, true, 1))
 	rmat.BuildReverse()
@@ -31,14 +33,17 @@ func BenchmarkVertexBody(b *testing.B) {
 		prog := mustCompile(tc.program, core.Incremental)
 		b.Run(tc.name, func(b *testing.B) {
 			var calls int64
+			var step0 time.Duration
 			for i := 0; i < b.N; i++ {
 				res, err := Run(prog, tc.g, RunOptions{Workers: tc.workers, Combine: true, Params: tc.params})
 				if err != nil {
 					b.Fatal(err)
 				}
 				calls += res.Stats.TotalActive
+				step0 += res.Stats.Steps[0].Duration
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(calls), "ns/vertex-call")
+			b.ReportMetric(step0.Seconds()*1000/float64(b.N), "ms/superstep0")
 		})
 	}
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -112,6 +113,10 @@ type exec[M any] struct {
 	// added vertices).
 	frames []frame[M]
 	aux    frame[M]
+	// start is core.Program.Start's row when superstep 0 copies it
+	// (InitRange); exceptions, ascending, are the vertices that run init.
+	start      []float64
+	exceptions []graph.VertexID
 }
 
 func newExec[M any](m *Machine, k kind[M], rows []groupRow) *exec[M] {
@@ -143,9 +148,28 @@ func (x *exec[M]) aim(ctx *pregel.Context[VState, M], msgs []M, iter int) *frame
 	return f
 }
 
-// Init runs Lowered.Init at superstep 0 on every vertex.
+// Init runs Lowered.Init at superstep 0 on a vertex InitRange leaves to it.
 func (x *exec[M]) Init(ctx *pregel.Context[VState, M]) {
 	x.init(x.aim(ctx, nil, 0))
+}
+
+// InitRange copies the start template over block [lo, hi) and returns the
+// block's exceptions, their rows zeroed for Init; ok is false without one.
+func (x *exec[M]) InitRange(_ int, lo, hi graph.VertexID) (run []graph.VertexID, ok bool) {
+	if x.start == nil {
+		return nil, false
+	}
+	m := x.m
+	rows := m.state[int(lo)*m.stride : int(hi)*m.stride]
+	for n := copy(rows, x.start); n < len(rows); n *= 2 {
+		copy(rows[n:], rows[:n])
+	}
+	i, _ := slices.BinarySearch(x.exceptions, lo)
+	j, _ := slices.BinarySearch(x.exceptions, hi)
+	for _, u := range x.exceptions[i:j] {
+		clear(m.state[int(u)*m.stride : int(u+1)*m.stride])
+	}
+	return x.exceptions[i:j], true
 }
 
 // Compute runs a vertex at supersteps >= 1.
@@ -160,7 +184,9 @@ func (x *exec[M]) Compute(ctx *pregel.Context[VState, M], msgs []M) {
 	case modeBody:
 		f := x.aim(ctx, msgs, gl.Iter)
 		x.body[gl.Phase](f)
-		ctx.Aggregate(m.unchangedAgg, boolTo01(!f.changed))
+		if f.changed { // $unchanged is an AND from 1: only a change moves it
+			ctx.Aggregate(m.unchangedAgg, 0)
+		}
 		// Halting is performed by the lowered halt for incremental
 		// programs; non-halting programs stay active for the next body
 		// superstep.
@@ -245,6 +271,22 @@ func (x *exec[M]) execute(ctx context.Context, opts RunOptions, seed *pregel.See
 	x.frames = make([]frame[M], eng.Workers())
 	for w := range x.frames {
 		x.frames[w] = x.newFrame()
+	}
+	// A cold run copies the start template unless closures or a non-finite
+	// weight rule it out; u runs init where float64(u) == key, as OpEq has it.
+	if st := m.prog.Start; seed == nil && st.Row != nil && !m.closures && (!st.Finite || m.g.FiniteWeights()) {
+		x.start = st.Row
+		for _, r := range st.Keys {
+			key := m.prog.Lowered.Nodes[r]
+			if key.Op == core.OpParam {
+				key.K = m.params[key.A]
+			}
+			if key.K >= 0 && key.K < float64(m.g.NumVertices()) && key.K == math.Trunc(key.K) {
+				x.exceptions = append(x.exceptions, graph.VertexID(key.K))
+			}
+		}
+		slices.Sort(x.exceptions)
+		x.exceptions = slices.Compact(x.exceptions)
 	}
 	if opts.Combine {
 		if c := x.k.combiner(); c != nil {
@@ -542,7 +584,7 @@ func (c *compiler[M]) send(n *core.Node) fn[M] {
 			return 0
 		}
 	}
-	each := func(f *frame[M]) float64 {
+	return func(f *frame[M]) float64 {
 		for arcs(&f.arcs, f.u); f.arcs.Next(); {
 			f.weight = f.arcs.Weight()
 			if build(f) {
@@ -550,52 +592,6 @@ func (c *compiler[M]) send(n *core.Node) fn[M] {
 			}
 		}
 		return 0
-	}
-	dead := c.deadScan(n)
-	if dead == nil {
-		return each
-	}
-	return func(f *frame[M]) float64 {
-		if dead(f) {
-			return 0
-		}
-		return each(f)
-	}
-}
-
-// deadScan returns, for a per-arc send whose every slot is a full value
-// core.ArcSum, a test that holds when the send is a no-op on every arc, so
-// its loop can be skipped: x is infinite, so the slot is ±x for every finite
-// weight, and that is the site's identity (core.ArcSum.Dead). It never holds
-// on a graph with a non-finite weight, since ∞ + (−∞) and ∞ + NaN are NaN
-// and go out. It returns nil for any other send. SSSP's prime is the case:
-// dist + w from every vertex at dist = ∞.
-func (c *compiler[M]) deadScan(n *core.Node) func(*frame[M]) bool {
-	type head struct {
-		x   fn[M]
-		arc core.ArcSum
-		id  float64
-	}
-	heads := make([]head, len(n.Args))
-	for i, r := range n.Args {
-		full := &c.code.Nodes[r]
-		if full.Op != core.OpFull {
-			return nil
-		}
-		arc, ok := c.code.ArcSum(full.X)
-		if !ok {
-			return nil
-		}
-		heads[i] = head{c.fn(arc.X), arc, core.Identity(c.m.prog.Sites[full.A].Op)}
-	}
-	g := c.m.g
-	return func(f *frame[M]) bool {
-		for _, h := range heads {
-			if !h.arc.Dead(h.x(f), h.id) {
-				return false
-			}
-		}
-		return g.FiniteWeights()
 	}
 }
 

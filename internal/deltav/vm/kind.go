@@ -289,7 +289,7 @@ func (bareKind) fold(k core.Kernel) fn[float64] {
 
 // arcSend evaluates the slot's x once per call and sends x ⊕ w per arc. A
 // full value is a no-op on an arc where it is ⊞'s identity, and on every arc
-// when x makes it the identity for any finite weight (deadScan's test). A
+// when x makes it the identity for any finite weight (core.ArcSum.Dead). A
 // Δ is a no-op where the new and old values are equal; otherwise it sends
 // the new value, counting a move against ⊞, or for a sum the difference.
 func (bareKind) arcSend(a *arcKernel[float64]) fn[float64] {

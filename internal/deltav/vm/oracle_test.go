@@ -31,18 +31,19 @@ import (
 // incrementalized program computes what the from-scratch program computes,
 // whatever configuration runs it. Each case draws a program, a graph, a
 // mutation batch and one point of workers × scheduler × combine ×
-// quarantine × victims × closures × representation × shards × start, and
-// holds the point to three layers:
+// quarantine × victims × closures × src × representation × shards × start,
+// and holds the point to three layers:
 //
 //   - Configuration invariance. The point is bit-identical to the canonical
 //     run — in-process, flat, uninterrupted, with the kernels on, and the
-//     same program, mode, params, workers, scheduler, combine, victims and
+//     same program, mode, src, workers, scheduler, combine, victims and
 //     start (cold or warm) — in every user field or engine value, every
 //     aggregator, the per-phase iteration counts, Supersteps, MessagesSent,
 //     CombinedMessages, CrossWorker, TotalActive, Quarantined and every
 //     StepStats but its Duration. A point resumed at barrier k matches the
 //     canonical Steps after k. A closures point runs every receive and send
-//     on closures; cold, it also matches the kernels in every layout field,
+//     on closures, and init on every vertex (no start template); cold, it
+//     also matches the kernels and the template in every layout field,
 //     every barrier's snapshot bytes, the statistics, the non-monotone count
 //     and the error text.
 //   - Incremental correctness. A warm canonical run of a compiled program
@@ -134,6 +135,33 @@ var startNames = [numStarts]string{"cold", "resume-tip", "resume-record", "warm"
 // atAll resumes from every barrier in turn.
 const atAll = 255
 
+// srcKind is the src parameter of a corpus program that has one: vertex
+// 0, a vertex at an edge of the worker blocks, or a value no vertex id
+// equals (the start template's exceptions, core.Program.Start). A worker
+// count does not move it: ⌈n/2⌉ starts worker 1's block of two and worker
+// 2's of four when 4 divides n, and ⌈n/3⌉ worker 1's of three.
+type srcKind uint8
+
+const (
+	srcZero    srcKind = iota
+	srcThird           // ⌈n/3⌉
+	srcHalf            // ⌈n/2⌉
+	srcHalfEnd         // ⌈n/2⌉ − 1
+	srcLast            // n − 1
+	srcPast            // n: no vertex
+	srcFrac            // 1.5: no vertex
+	srcNegZero         // −0, which equals vertex 0
+	numSrcs
+)
+
+var srcNames = [numSrcs]string{"", "src-third", "src-half", "src-half-end", "src-last", "src-past", "src-frac", "src-negzero"}
+
+// srcValue is the point's src on g.
+func (p point) srcValue(g *graph.Graph) float64 {
+	n := g.NumVertices()
+	return [numSrcs]float64{0, float64((n + 2) / 3), float64((n + 1) / 2), float64((n+1)/2 - 1), float64(n - 1), float64(n), 1.5, math.Copysign(0, -1)}[p.src]
+}
+
 // vmSource is a compiled program famCorpus draws, with the ε it runs at.
 type vmSource struct {
 	name, src string
@@ -143,7 +171,8 @@ type vmSource struct {
 // vmSources is the corpus; PageRank with until{fixpoint} (the corpus one
 // is iteration-bounded, which no delta run accepts); then programs whose
 // sends reach the kernel branches the corpus does not: each shape x ± w,
-// w ± x of a per-arc slot, under min, max and sum sites.
+// w ± x of a per-arc slot, under min, max and sum sites; and one whose
+// init writes a field on the start template's path only.
 var vmSources = func() []vmSource {
 	var out []vmSource
 	for _, n := range programs.Names() {
@@ -159,7 +188,11 @@ iter k { let m : float = max [ u.r + ew | u <- #in ] in r = max r (m * 0.5) } un
 		vmSource{"sum-w-x", `init { local x : float = 1.0 + 1.0 * id / graphSize };
 iter k { let s : float = + [ ew + u.x | u <- #in ] in x = 0.25 * s / graphSize } until { k >= 5 }`, 0},
 		vmSource{"sum-w-minus-x", `init { local x : float = 1.0 + 1.0 * id / graphSize };
-iter k { let s : float = + [ ew - u.x | u <- #in ] in x = 0.5 + 0.25 * s / graphSize } until { k >= 5 }`, 0})
+iter k { let s : float = + [ ew - u.x | u <- #in ] in x = 0.5 + 0.25 * s / graphSize } until { k >= 5 }`, 0},
+		// The start template sets e, which the source's init never writes.
+		vmSource{"src-local", `param src : int = 0;
+init { local d : float = infty; if id != src then { local e : float = 2.0 } else { d = 0.0 } };
+iter k { let m : float = min [ u.d + 1.0 | u <- #in ] in d = min d m } until { fixpoint }`, 0})
 }()
 
 // handNames are the algorithms baselines famHand draws.
@@ -265,13 +298,14 @@ type point struct {
 	workers, shards                   uint8
 	queue, combine, quarantine, xrepr bool
 	closures, victims                 bool
+	src                               srcKind
 	repr                              repr
 	start                             startKind
 	at                                uint8
 	ops                               []byte
 }
 
-const pointHeader = 10
+const pointHeader = 11
 
 func (p point) encode() []byte {
 	flags := 0
@@ -284,7 +318,7 @@ func (p point) encode() []byte {
 	if int(g) >= fixedGraphs {
 		g += 128 - uint8(fixedGraphs)
 	}
-	h := []byte{byte(p.fam), p.prog, p.mode, g, p.workers - 1, p.shards - 1, byte(flags), byte(p.repr), byte(p.start), p.at}
+	h := []byte{byte(p.fam), p.prog, p.mode, g, p.workers - 1, p.shards - 1, byte(flags), byte(p.repr), byte(p.start), p.at, byte(p.src)}
 	return append(h, p.ops...)
 }
 
@@ -301,6 +335,7 @@ func decodePoint(b []byte) point {
 		queue: h[6]&1 != 0, combine: h[6]&2 != 0, quarantine: h[6]&4 != 0, xrepr: h[6]&8 != 0,
 		closures: h[6]&16 != 0, victims: h[6]&32 != 0,
 		repr: repr(h[7] % byte(numReprs)), start: startKind(h[8] % byte(numStarts)), at: h[9],
+		src: srcKind(h[10] % byte(numSrcs)),
 	}
 	if h[3] >= 128 {
 		p.graph = uint8(fixedGraphs) + h[3] - 128
@@ -330,6 +365,9 @@ func decodePoint(b []byte) point {
 	case famMass:
 		p.prog, p.mode = 0, 0
 		p.quarantine = p.quarantine || p.victims // a victim panics; only quarantine contains it
+	}
+	if p.fam != famCorpus || !strings.Contains(vmSources[p.prog].src, "param src") {
+		p.src = srcZero
 	}
 	// A resumed run counts only its own quarantines, which no StepStats
 	// records, so victims start cold or warm.
@@ -375,7 +413,7 @@ var flagNames = []string{"combine", "quarantine", "victims", "closures"}
 func (p *point) flags() []*bool { return []*bool{&p.combine, &p.quarantine, &p.victims, &p.closures} }
 
 // String names the point: program/mode/graph/wW/scheduler[/combine]
-// [/quarantine][/victims][/closures]/repr/shardsS/start, the form
+// [/quarantine][/victims][/closures][/src-…]/repr/shardsS/start, the form
 // parsePoint reads back.
 func (p point) String() string {
 	parts := []string{p.progName(), p.modeName(), oracleGraphs[p.graph].name, "w" + strconv.Itoa(int(p.workers)), "scan"}
@@ -386,6 +424,9 @@ func (p point) String() string {
 		if *on {
 			parts = append(parts, flagNames[i])
 		}
+	}
+	if p.src != srcZero {
+		parts = append(parts, srcNames[p.src])
 	}
 	start := startNames[p.start]
 	if p.xrepr {
@@ -429,6 +470,9 @@ func parsePoint(name string, ops ...[]byte) point {
 		if rest[0] == flagNames[i] {
 			*on, rest = true, rest[1:]
 		}
+	}
+	if i := slices.Index(srcNames[:], rest[0]); i > 0 {
+		p.src, rest = srcKind(i), rest[1:]
 	}
 	p.repr = repr(slices.Index(reprNames[:], rest[0]))
 	s, _ := strconv.Atoi(strings.TrimPrefix(rest[1], "shards"))
@@ -574,7 +618,7 @@ func (p point) subject(t *testing.T) subject {
 			MaxSupersteps: o.maxSteps, Checkpoint: o.ckpt, Shard: o.shard, closures: o.closures,
 		}
 		if _, ok := paramIndex(prog, "src"); ok {
-			ro.Params = map[string]float64{"src": 0}
+			ro.Params = map[string]float64{"src": p.srcValue(g)}
 		}
 		var res *Result
 		var err error
@@ -1014,7 +1058,14 @@ func (p point) reference(s subject, g *graph.Graph) (want []uint64, exact, ok bo
 		if !g.FiniteWeights() {
 			return nil, false, false // Dijkstra needs non-negative real weights
 		}
-		f["dist"], order, exact = algorithms.SSSPOracle(g, 0), []string{"dist"}, true
+		order, exact = []string{"dist"}, true
+		if src, v := p.srcValue(g), graph.VertexID(p.srcValue(g)); float64(v) == src && int(v) < n {
+			f["dist"] = algorithms.SSSPOracle(g, v)
+		} else {
+			for range n { // no vertex is the source
+				f["dist"] = append(f["dist"], math.Inf(1))
+			}
+		}
 	case "cc", "wcc":
 		if hand && g.Directed() {
 			return nil, false, false // HashMin along out-arcs labels no weak components
@@ -1558,6 +1609,31 @@ func bitIdentitySeeds() []point {
 			}
 		}
 	}
+	// The start template against init on every vertex (closures): src at
+	// the edges of the worker blocks (grid has 180 vertices), naming no
+	// vertex, and as −0; a non-finite weight that keeps a per-arc prime
+	// alive; the programs with a template and allreach, which has none, on
+	// random graphs; and src on a shard boundary, against the in-process
+	// run.
+	for i := srcThird; i < numSrcs; i++ {
+		add("sssp/dV/grid/w4/scan/closures/" + srcNames[i] + "/flat/shards1/cold")
+	}
+	add("sssp/dV*/grid/w3/queue/closures/src-third/flat/shards1/cold")
+	add("sssp/dV/grid/w2/queue/quarantine/closures/src-half-end/flat/shards1/cold")
+	for _, g := range []string{"nan40", "pinf40"} {
+		add("sssp/dV/" + g + "/w3/scan/closures/src-last/flat/shards1/cold")
+	}
+	for k := range 4 {
+		r := "/rnd" + strconv.Itoa(40+k) + "/w" + strconv.Itoa(2+k) + []string{"/scan", "/queue/quarantine"}[k%2]
+		for _, prog := range []string{"bfs", "reach"} {
+			add(prog + "/dV" + r + "/closures" + []string{"", "/src-last", "/src-frac", "/src-half"}[k] + "/flat/shards1/cold")
+		}
+		add("allreach/dV" + r + "/closures/flat/shards1/cold")
+	}
+	add("sssp/dV/grid/w2/scan/combine/src-half/flat/shards2/cold")
+	add("sssp/dV/grid/w4/queue/src-half-end/compact/shards2/cold")
+	add("bfs/dV/grid/w3/scan/src-third/flat/shards3/cold")
+	add("sssp/dV/rmat9w/w3/queue/src-third/flat/shards3/cold")
 	// Quarantine over shards: every worker holds a victim that sends and
 	// then panics.
 	add("mass/pregel/rmat8/w5/scan/combine/quarantine/victims/flat/shards2/cold")

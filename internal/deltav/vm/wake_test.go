@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -200,4 +201,69 @@ iter k {
 			}
 		}
 	}
+}
+
+// TestStartTemplateGates pins when superstep 0 copies the start template
+// (core.Program.Start) and which vertices still run init: the source
+// vertex, by the float compare OpEq makes, and none where a non-finite
+// weight keeps SSSP's prime alive, under closures, on a resumed run or for
+// a program without a template. Superstep 0 counts every vertex as run
+// either way.
+func TestStartTemplateGates(t *testing.T) {
+	grid := graph.Grid(12, 15, 9, 3)
+	nan := graph.NewBuilder(4, true)
+	nan.AddWeightedEdge(0, 1, 1)
+	nan.AddWeightedEdge(1, 2, math.NaN())
+	nanG := nan.Finalize()
+	for _, tc := range []struct {
+		name, program string
+		g             *graph.Graph
+		src           float64
+		closures      bool
+		want          []graph.VertexID // nil: no template
+	}{
+		{"sssp", "sssp", grid, 37, false, []graph.VertexID{37}},
+		{"sssp-negzero", "sssp", grid, math.Copysign(0, -1), false, []graph.VertexID{0}},
+		{"sssp-frac", "sssp", grid, 1.5, false, []graph.VertexID{}},
+		{"sssp-past", "sssp", grid, 180, false, []graph.VertexID{}},
+		{"sssp-nan", "sssp", nanG, 0, false, nil},
+		{"sssp-closures", "sssp", grid, 0, true, nil},
+		{"bfs-nan", "bfs", nanG, 2, false, []graph.VertexID{2}},
+		{"reach", "reach", grid, 5, false, []graph.VertexID{5}},
+		{"allreach", "allreach", grid, 0, false, nil},
+	} {
+		prog := mustCompile(tc.program, core.Incremental)
+		opts := RunOptions{Workers: 3, closures: tc.closures}
+		if _, ok := paramIndex(prog, "src"); ok {
+			opts.Params = map[string]float64{"src": tc.src}
+		}
+		res, err := Run(prog, tc.g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, exceptions := startOf(res.machine)
+		if (row != nil) != (tc.want != nil) || row != nil && fmt.Sprint(exceptions) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: template %v, exceptions %v; want exceptions %v", tc.name, row, exceptions, tc.want)
+		}
+		if n := tc.g.NumVertices(); res.Stats.Steps[0].ActiveVertices != n {
+			t.Errorf("%s: superstep 0 ran %d vertices, want all %d", tc.name, res.Stats.Steps[0].ActiveVertices, n)
+		}
+		if tc.want != nil {
+			res, err = ResumeContext(context.Background(), prog, tc.g, opts, res.Snapshot())
+			if row, _ := startOf(res.machine); err != nil || row != nil {
+				t.Errorf("%s: resumed with template %v (%v)", tc.name, row, err)
+			}
+		}
+	}
+}
+
+// startOf is a machine's start template and exceptions.
+func startOf(m *Machine) ([]float64, []graph.VertexID) {
+	switch x := m.x.(type) {
+	case *exec[float64]:
+		return x.start, x.exceptions
+	case *exec[Msg[[1]float64]]:
+		return x.start, x.exceptions
+	}
+	return nil, nil
 }

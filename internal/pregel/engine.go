@@ -687,6 +687,19 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 			}
 		}
 	}
+	// A cold superstep 0 lets the program start the block itself
+	// (InitRange); then only the vertices it returns run Init.
+	if ri, ok := prog.(interface {
+		InitRange(worker int, lo, hi VertexID) (run []VertexID, ok bool)
+	}); ok && e.superstep == 0 {
+		if run, ok := ri.InitRange(w.id, VertexID(w.lo), VertexID(w.hi)); ok {
+			w.ran += w.hi - w.lo - len(run)
+			for _, u := range run {
+				runVertex(int(u))
+			}
+			return
+		}
+	}
 	// WorkQueue runs its queue. ScanAll, and either scheduler when every
 	// vertex is activated, sweeps the bitsets a word at a time, reading a
 	// word's bits once before running its vertices: a vertex only ever

@@ -29,7 +29,12 @@ import (
 // VertexID aliases graph.VertexID for convenience.
 type VertexID = graph.VertexID
 
-// Program is a vertex-centric computation.
+// Program is a vertex-centric computation. A cold superstep 0 calls its
+// optional InitRange(worker int, lo, hi VertexID) (run []VertexID, ok bool)
+// once per worker block [lo, hi) instead of Init: with ok, the program has
+// put every vertex of the block but run's (ascending) in the state Init
+// leaves, halted and unsent, and the engine counts the block as run and
+// calls Init on run only.
 type Program[V, M any] interface {
 	// Init runs on every vertex at superstep 0, before any communication.
 	Init(ctx *Context[V, M])
@@ -134,7 +139,7 @@ type Options struct {
 // StepStats records one superstep.
 type StepStats struct {
 	Superstep        int
-	ActiveVertices   int // vertices that ran Compute (or Init)
+	ActiveVertices   int // vertices that ran Compute (or Init, or at superstep 0 that InitRange started)
 	MessagesSent     int // vertex-level sends
 	CombinedMessages int // envelopes delivered after combining
 	CrossWorker      int // delivered envelopes that crossed workers
@@ -183,7 +188,10 @@ type Stats struct {
 	// Options.Quarantine and were skipped + removed instead of aborting
 	// the run; QuarantinedVertices lists them in the order they were
 	// recorded (worker order within a superstep, supersteps in run
-	// order). Both stay zero when Quarantine is off.
+	// order). Both stay zero when Quarantine is off. A run resumed from a
+	// snapshot (Continue) counts only the vertices quarantined after its
+	// seed barrier: the snapshot does not say which removed vertices were
+	// quarantined before it.
 	Quarantined         int
 	QuarantinedVertices []VertexID
 }

@@ -4,13 +4,13 @@
 // Usage:
 //
 //	dvc [-mode dv|dvstar|memotable] [-emit source|compiled|layout|go]
-//	    [-epsilon ε] [-vet=false] (-program name | -file prog.dv)
+//	    [-epsilon ε] (-program name | -file prog.dv)
 //	dvc vet [-mode m] [-epsilon ε] [-json] [-severity info|warn|error]
 //	    [-analyzers a,b,...] (-program name | -file prog.dv)
 //	dvc -list
 //
-// -mode, -program, -file and -epsilon are the flags dvrun and dvserve name
-// a program with; vet's findings apply to the program compiled in -mode.
+// -mode, -program, -file and -epsilon name a program as in dvrun and
+// dvserve, and it compiles as there; vet's findings apply to that program.
 //
 // With -emit compiled (the default) it prints the fully transformed
 // program in the paper's pseudo-syntax: receive loops, change checks,
@@ -28,12 +28,11 @@
 // default or as a JSON report with -json. -severity info|warn|error sets
 // the minimum severity shown (info adds the repairability capability
 // matrix); -analyzers selects a comma-separated subset of passes. The
-// exit status is 1 when any error-severity finding exists, 0 otherwise
-// (info findings and warnings do not fail the run), 2 on usage or I/O
-// problems.
+// exit status is 1 when any error-severity finding exists (a syntax or
+// type error, or an ε the compiler refuses), 0 otherwise (info findings
+// and warnings do not fail the run), 2 on usage or I/O problems.
 //
-// Compiling with -emit compiled or -emit go vets the program first:
-// error findings abort the compile (bypass with -vet=false), warnings go
+// Compiling with -emit compiled or -emit go also prints vet's warnings
 // to standard error.
 package main
 
@@ -41,11 +40,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/deltav/analysis"
 	"repro/internal/deltav/ast"
 	"repro/internal/deltav/codegen"
@@ -61,7 +60,6 @@ type mainFlags struct {
 	*cli.Program
 	emit *string
 	list *bool
-	vet  *bool
 }
 
 func registerMainFlags(fs *flag.FlagSet) *mainFlags {
@@ -69,7 +67,6 @@ func registerMainFlags(fs *flag.FlagSet) *mainFlags {
 		Program: cli.RegisterProgram(fs),
 		emit:    fs.String("emit", "compiled", "stage to print: source, compiled, layout, go"),
 		list:    fs.Bool("list", false, "list embedded programs and exit"),
-		vet:     fs.Bool("vet", true, "run the static-analysis suite before compiling"),
 	}
 }
 
@@ -91,50 +88,62 @@ func registerVetFlags(fs *flag.FlagSet) *vetFlags {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "vet" {
-		os.Exit(vetMain(os.Args[2:]))
-	}
-	f := registerMainFlags(flag.CommandLine)
-	flag.Parse()
-
-	if *f.list {
-		fmt.Println(strings.Join(programs.Names(), "\n"))
-		return
-	}
-	if err := run(f, flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, "dvc:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// source resolves the program input -program or -file names. A source
-// file is named with -file, as in every other command: a leftover
-// argument is refused.
-func source(p *cli.Program, args []string) (string, core.Options, error) {
-	if len(args) > 0 {
-		return "", core.Options{}, fmt.Errorf("unexpected argument %q (name a source file with -file)", args[0])
+// run executes one dvc invocation and returns its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "vet" {
+		return vetMain(args[1:], stdout, stderr)
 	}
-	opts, err := p.Options()
-	if err != nil {
-		return "", opts, err
+	fs := flag.NewFlagSet("dvc", flag.ContinueOnError)
+	f := registerMainFlags(fs)
+	if !parse(fs, args, stderr) {
+		return 2
 	}
-	src, err := p.Source()
-	return src, opts, err
+	if *f.list {
+		fmt.Fprintln(stdout, strings.Join(programs.Names(), "\n"))
+		return 0
+	}
+	if err := compile(f, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "dvc:", err)
+		return 1
+	}
+	return 0
+}
+
+// parse parses args into fs, reporting to stderr, and refuses a leftover
+// argument: a source file is named with -file, as in every other command.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) bool {
+	fs.SetOutput(stderr)
+	if fs.Parse(args) != nil {
+		return false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "%s: unexpected argument %q (name a source file with -file)\n", fs.Name(), fs.Arg(0))
+	}
+	return fs.NArg() == 0
 }
 
 // vetMain implements `dvc vet` and returns the process exit code: 0 for
 // clean or warnings-only, 1 when error findings exist, 2 on usage or I/O
 // problems.
-func vetMain(args []string) int {
-	fs := flag.NewFlagSet("dvc vet", flag.ExitOnError)
+func vetMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dvc vet", flag.ContinueOnError)
 	f := registerVetFlags(fs)
-	fs.Parse(args)
-
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "dvc vet:", err)
+	if !parse(fs, args, stderr) {
 		return 2
 	}
-	src, opts, err := source(f.Program, fs.Args())
+
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "dvc vet:", err)
+		return 2
+	}
+	opts, err := f.Options()
+	if err != nil {
+		return fail(err)
+	}
+	src, err := f.Source()
 	if err != nil {
 		return fail(err)
 	}
@@ -162,10 +171,10 @@ func vetMain(args []string) int {
 	}
 	shown := diags.Filter(minSev)
 	if *f.jsonOut {
-		fmt.Println(shown.JSON())
+		fmt.Fprintln(stdout, shown.JSON())
 	} else {
 		for _, d := range shown {
-			fmt.Println(d.String())
+			fmt.Fprintln(stdout, d.String())
 		}
 	}
 	if diags.HasErrors() {
@@ -174,59 +183,61 @@ func vetMain(args []string) int {
 	return 0
 }
 
-func run(f *mainFlags, args []string) error {
-	src, opts, err := source(f.Program, args)
-	if err != nil {
-		return err
-	}
+// compile prints the stage -emit names of the program f names, compiled
+// as dvrun and dvserve compile it.
+func compile(f *mainFlags, stdout, stderr io.Writer) error {
 	if *f.emit == "source" {
+		if _, err := f.Options(); err != nil {
+			return err
+		}
+		src, err := f.Source()
+		if err != nil {
+			return err
+		}
 		prog, err := parser.Parse(src)
 		if err != nil {
 			return err
 		}
-		fmt.Print(ast.Print(prog))
+		fmt.Fprint(stdout, ast.Print(prog))
 		return nil
 	}
-	if *f.vet && (*f.emit == "compiled" || *f.emit == "go") {
-		diags, err := analysis.VetSource(src, analysis.Config{Mode: opts.Mode, Epsilon: opts.Epsilon}, nil)
-		if err != nil {
-			return err
-		}
-		if diags.HasErrors() {
-			return fmt.Errorf("vet rejected the program (bypass with -vet=false):\n%s", diags.Filter(diag.Error).Error())
-		}
-		// Info findings (the repairability matrix) are vet-only output;
-		// compiling prints warnings and up.
-		for _, d := range diags.Filter(diag.Warning) {
-			fmt.Fprintln(os.Stderr, "dvc vet:", d.String())
-		}
-	}
-	compiled, err := core.Compile(src, opts)
+	compiled, src, err := f.Compile()
 	if err != nil {
 		return err
 	}
+	if *f.emit == "compiled" || *f.emit == "go" {
+		// Compiled, the program has no vet error left; info findings (the
+		// repairability matrix) are vet-only output.
+		diags, err := analysis.VetSource(src, analysis.Config{Mode: compiled.Mode, Epsilon: f.Epsilon}, nil)
+		if err != nil {
+			return err
+		}
+		for _, d := range diags.Filter(diag.Warning) {
+			fmt.Fprintln(stderr, "dvc vet:", d.String())
+		}
+	}
 	switch *f.emit {
 	case "compiled":
-		fmt.Print(compiled.String())
-		fmt.Printf("start: %s\n", compiled.StartString())
+		fmt.Fprint(stdout, compiled.String())
+		fmt.Fprintf(stdout, "start: %s\n", compiled.StartString())
 		for i := range compiled.Phases {
-			fmt.Printf("phase %d start: %s\n", i, compiled.WakeString(i))
+			fmt.Fprintf(stdout, "phase %d start: %s\n", i, compiled.WakeString(i))
 		}
 		for _, line := range compiled.KernelLines() {
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
 	case "layout":
-		fmt.Printf("vertex state: %d bytes\n", compiled.Layout.ByteSize())
+		fmt.Fprintf(stdout, "vertex state: %d bytes\n", compiled.Layout.ByteSize())
 		for i, fld := range compiled.Layout.Fields {
-			fmt.Printf("  [%d] %-16s %-5s %s\n", i, fld.Name, fld.Type, fld.Kind)
+			fmt.Fprintf(stdout, "  [%d] %-16s %-5s %s\n", i, fld.Name, fld.Type, fld.Kind)
 		}
-		fmt.Printf("message: %d bytes, %d slot(s)\n", vm.MessageBytes(compiled), compiled.MaxSlotsPerGroup)
+		fmt.Fprintf(stdout, "message: %d bytes, %d slot(s)\n", vm.MessageBytes(compiled), compiled.MaxSlotsPerGroup)
 	case "go":
 		gosrc, err := codegen.Generate(compiled, "main")
 		if err != nil {
 			return err
 		}
-		fmt.Print(gosrc)
+		fmt.Fprint(stdout, gosrc)
 	default:
 		return fmt.Errorf("unknown -emit %q (want source, compiled, layout, go)", *f.emit)
 	}

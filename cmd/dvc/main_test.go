@@ -2,56 +2,34 @@ package main
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/programs"
 )
 
-// buildOnce builds the dvc binary for subprocess tests.
-func buildTool(t *testing.T, pkg string) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "tool")
-	cmd := exec.Command("go", "build", "-o", bin, pkg)
-	cmd.Dir = findModuleRoot(t)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
+// dvc runs the command in-process with args and returns its exit status
+// and what it wrote to standard output and standard error.
+func dvc(args ...string) (code int, stdout, stderr string) {
+	var out, errOut strings.Builder
+	code = run(args, &out, &errOut)
+	return code, out.String(), errOut.String()
 }
 
-func findModuleRoot(t *testing.T) string {
+// mustDVC is dvc for an invocation that must exit 0; it returns stdout.
+func mustDVC(t *testing.T, args ...string) string {
 	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
+	code, out, errOut := dvc(args...)
+	if code != 0 {
+		t.Fatalf("dvc %v: exit %d\n%s%s", args, code, out, errOut)
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("go.mod not found")
-		}
-		dir = parent
-	}
-}
-
-func runTool(t *testing.T, bin string, args ...string) (string, error) {
-	t.Helper()
-	out, err := exec.Command(bin, args...).CombinedOutput()
-	return string(out), err
+	return out
 }
 
 func TestDVC(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
-
 	t.Run("list", func(t *testing.T) {
-		out, err := runTool(t, bin, "-list")
-		if err != nil {
-			t.Fatal(err, out)
-		}
+		out := mustDVC(t, "-list")
 		for _, want := range []string{"pagerank", "sssp", "cc", "hits"} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("-list missing %q:\n%s", want, out)
@@ -59,10 +37,7 @@ func TestDVC(t *testing.T) {
 		}
 	})
 	t.Run("emit-compiled", func(t *testing.T) {
-		out, err := runTool(t, bin, "-program", "pagerank", "-emit", "compiled")
-		if err != nil {
-			t.Fatal(err, out)
-		}
+		out := mustDVC(t, "-program", "pagerank", "-emit", "compiled")
 		for _, want := range []string{"delta<0>(pr)", "$dirty_g0", "halt"} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("compiled output missing %q:\n%s", want, out)
@@ -91,10 +66,7 @@ func TestDVC(t *testing.T) {
 				"phase 1 start: wakes only the vertices the prime's messages reach; the prime halts a vertex only if t == t && s == s\n",
 			}},
 		} {
-			out, err := runTool(t, bin, "-program", tc.program, "-vet=false", "-emit", "compiled")
-			if err != nil {
-				t.Fatal(err, out)
-			}
+			out := mustDVC(t, "-program", tc.program, "-emit", "compiled")
 			for _, want := range tc.want {
 				if !strings.Contains(out, want) {
 					t.Fatalf("%s: compiled output missing %q:\n%s", tc.program, want, out)
@@ -103,30 +75,28 @@ func TestDVC(t *testing.T) {
 		}
 	})
 	t.Run("emit-source-roundtrip", func(t *testing.T) {
-		out, err := runTool(t, bin, "-program", "sssp", "-emit", "source")
-		if err != nil {
-			t.Fatal(err, out)
-		}
+		out := mustDVC(t, "-program", "sssp", "-emit", "source")
 		if !strings.Contains(out, "min [ u.dist + ew | u <- #in ]") {
 			t.Fatalf("source output unexpected:\n%s", out)
 		}
 	})
 	t.Run("emit-layout", func(t *testing.T) {
-		out, err := runTool(t, bin, "-program", "pagerank", "-emit", "layout")
-		if err != nil {
-			t.Fatal(err, out)
-		}
+		out := mustDVC(t, "-program", "pagerank", "-emit", "layout")
 		if !strings.Contains(out, "vertex state: 48 bytes") {
 			t.Fatalf("layout output unexpected:\n%s", out)
 		}
 	})
 	t.Run("emit-go", func(t *testing.T) {
-		out, err := runTool(t, bin, "-program", "pagerank", "-emit", "go", "-mode", "dvstar")
-		if err != nil {
-			t.Fatal(err, out)
-		}
+		out := mustDVC(t, "-program", "pagerank", "-emit", "go", "-mode", "dvstar")
 		if !strings.Contains(out, "func ComputePhase0") {
 			t.Fatalf("go output unexpected:\n%s", out)
+		}
+	})
+	// Generated code has no §4.2.1 table: the generator refuses.
+	t.Run("emit-go-memotable", func(t *testing.T) {
+		code, out, errOut := dvc("-program", "sssp", "-emit", "go", "-mode", "memotable")
+		if code != 1 || out != "" || !strings.Contains(errOut, "§4.2.1") {
+			t.Fatalf("exit %d, want 1 and a refusal naming §4.2.1:\n%s%s", code, out, errOut)
 		}
 	})
 	t.Run("file-input", func(t *testing.T) {
@@ -135,10 +105,7 @@ func TestDVC(t *testing.T) {
 		if err := os.WriteFile(f, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		out, err := runTool(t, bin, "-emit", "compiled", "-file", f)
-		if err != nil {
-			t.Fatal(err, out)
-		}
+		out := mustDVC(t, "-emit", "compiled", "-file", f)
 		if !strings.Contains(out, "site 0") {
 			t.Fatalf("file compile output unexpected:\n%s", out)
 		}
@@ -147,13 +114,55 @@ func TestDVC(t *testing.T) {
 		for _, args := range [][]string{
 			{"-program", "nope"},
 			{"-mode", "bogus", "-program", "pagerank"},
+			{"-mode", "bogus", "-program", "pagerank", "-emit", "source"},
 			{"-emit", "bogus", "-program", "pagerank"},
 			{},                               // no input
 			{"-program", "pagerank", "p.dv"}, // a source file is named with -file
 		} {
-			if out, err := runTool(t, bin, args...); err == nil {
-				t.Fatalf("dvc %v succeeded, want error:\n%s", args, out)
+			if code, out, errOut := dvc(args...); code == 0 {
+				t.Fatalf("dvc %v succeeded, want error:\n%s%s", args, out, errOut)
 			}
 		}
 	})
+}
+
+// TestCompileWholeCorpus: every embedded program compiles in every mode,
+// as dvrun and dvserve compile it, and compiling prints the warnings vet
+// pins for it (prod's only) on standard error.
+func TestCompileWholeCorpus(t *testing.T) {
+	for _, name := range programs.Names() {
+		warns, err := os.ReadFile(filepath.Join("testdata", "vet", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ""
+		if len(warns) > 0 {
+			want = "dvc vet: " + string(warns)
+		}
+		for _, mode := range matrixModes {
+			code, out, errOut := dvc("-program", name, "-mode", mode)
+			if code != 0 || !strings.HasPrefix(out, "mode: ") || errOut != want {
+				t.Fatalf("dvc -program %s -mode %s: exit %d\n%s--- standard error ---\n%s--- want ---\n%s",
+					name, mode, code, out, errOut, want)
+			}
+		}
+	}
+}
+
+// TestMinMaxCompilesAlikeInDVAndDVStar: a min/max site is its own Δ
+// (DESIGN §6.5), so a program whose only aggregations are min/max compiles
+// to the same program in dv and dvstar, apart from the mode line.
+func TestMinMaxCompilesAlikeInDVAndDVStar(t *testing.T) {
+	for _, name := range []string{"bfs", "cc", "maxval", "sssp", "wcc"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			dv := mustDVC(t, "-program", name, "-mode", "dv", "-emit", "compiled")
+			star := mustDVC(t, "-program", name, "-mode", "dvstar", "-emit", "compiled")
+			_, dvBody, _ := strings.Cut(dv, "\n")
+			_, starBody, _ := strings.Cut(star, "\n")
+			if !strings.HasPrefix(dv, "mode: ") || !strings.HasPrefix(star, "mode: ") || dvBody != starBody {
+				t.Fatalf("dv and dvstar compile %s differently:\n--- dv ---\n%s--- dvstar ---\n%s", name, dv, star)
+			}
+		})
+	}
 }

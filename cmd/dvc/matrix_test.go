@@ -23,16 +23,12 @@ var matrixModes = []string{"dv", "dvstar", "memotable"}
 // `dvc vet -analyzers repairability -severity info` — for every embedded
 // program × mode.
 func TestVetCapabilityMatrixGoldens(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
 	for _, name := range programs.Names() {
 		for _, mode := range matrixModes {
 			name, mode := name, mode
 			t.Run(name+"/"+mode, func(t *testing.T) {
-				out, err := runTool(t, bin, "vet", "-program", name, "-mode", mode,
+				out := mustDVC(t, "vet", "-program", name, "-mode", mode,
 					"-severity", "info", "-analyzers", "repairability")
-				if err != nil {
-					t.Fatalf("vet failed (exit %d):\n%s", exitCode(err), out)
-				}
 				golden := filepath.Join("testdata", "vet", "matrix", name+"."+mode+".golden")
 				if *updateMatrix {
 					if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
@@ -57,12 +53,8 @@ func TestVetCapabilityMatrixGoldens(t *testing.T) {
 // info findings, one per delta class, each attributed to the
 // repairability analyzer.
 func TestVetMatrixJSON(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
-	out, err := runTool(t, bin, "vet", "-program", "sssp", "-mode", "memotable",
+	out := mustDVC(t, "vet", "-program", "sssp", "-mode", "memotable",
 		"-severity", "info", "-analyzers", "repairability", "-json")
-	if err != nil {
-		t.Fatal(err, out)
-	}
 	var rep jsonReport
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out)
@@ -89,9 +81,9 @@ func TestVetMatrixJSON(t *testing.T) {
 	}
 	// The default severity hides the matrix: same invocation minus
 	// -severity info reports nothing.
-	out, err = runTool(t, bin, "vet", "-program", "sssp", "-mode", "memotable",
+	out = mustDVC(t, "vet", "-program", "sssp", "-mode", "memotable",
 		"-analyzers", "repairability")
-	if err != nil || strings.TrimSpace(out) != "" {
-		t.Fatalf("matrix leaked at default severity: %v\n%s", err, out)
+	if strings.TrimSpace(out) != "" {
+		t.Fatalf("matrix leaked at default severity:\n%s", out)
 	}
 }

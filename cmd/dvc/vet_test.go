@@ -3,9 +3,10 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -13,39 +14,17 @@ import (
 	"repro/internal/programs"
 )
 
-// intendedMode maps each embedded program to the compile mode its
-// min/max usage requires: idempotent aggregations are rejected under
-// -mode dv by the invertibility analyzer, so those programs target the
-// §4.2.1 memo-table scheme. Mirrors the CI vet gate.
-func intendedMode(name string) string {
-	switch name {
-	case "bfs", "cc", "maxval", "sssp", "twophase", "wcc":
-		return "memotable"
-	}
-	return "dv"
-}
-
-func exitCode(err error) int {
-	if err == nil {
-		return 0
-	}
-	if ee, ok := err.(*exec.ExitError); ok {
-		return ee.ExitCode()
-	}
-	return -1
-}
-
 // TestVetCorpusGoldens pins `dvc vet` output for every embedded program
-// under its intended mode. Every program must be free of error findings;
-// warnings are pinned in the goldens (only prod carries one).
+// in the default mode, the one dvrun and dvserve run. Every program must
+// be free of error findings; warnings are pinned in the goldens (only
+// prod carries one).
 func TestVetCorpusGoldens(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
 	for _, name := range programs.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			out, err := runTool(t, bin, "vet", "-program", name, "-mode", intendedMode(name))
-			if err != nil {
-				t.Fatalf("vet failed (exit %d):\n%s", exitCode(err), out)
+			code, out, errOut := dvc("vet", "-program", name)
+			if code != 0 {
+				t.Fatalf("vet failed (exit %d):\n%s%s", code, out, errOut)
 			}
 			golden := filepath.Join("testdata", "vet", name+".golden")
 			want, err := os.ReadFile(golden)
@@ -69,14 +48,11 @@ type jsonReport struct {
 	} `json:"diagnostics"`
 }
 
+// TestVetJSON pins the -json report: empty for a clean program, and one
+// structured error finding for a value the compiler refuses.
 func TestVetJSON(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
-
 	t.Run("clean-program-empty-report", func(t *testing.T) {
-		out, err := runTool(t, bin, "vet", "-program", "pagerank", "-json")
-		if err != nil {
-			t.Fatal(err, out)
-		}
+		out := mustDVC(t, "vet", "-program", "pagerank", "-json")
 		var rep jsonReport
 		if err := json.Unmarshal([]byte(out), &rep); err != nil {
 			t.Fatalf("bad JSON: %v\n%s", err, out)
@@ -85,10 +61,10 @@ func TestVetJSON(t *testing.T) {
 			t.Fatalf("pagerank diagnostics = %+v, want none", rep.Diagnostics)
 		}
 	})
-	t.Run("invertibility-error-structured", func(t *testing.T) {
-		out, err := runTool(t, bin, "vet", "-program", "maxval", "-mode", "dv", "-json")
-		if ec := exitCode(err); ec != 1 {
-			t.Fatalf("exit = %d, want 1\n%s", ec, out)
+	t.Run("epsilon-error-structured", func(t *testing.T) {
+		code, out, _ := dvc("vet", "-program", "pagerank", "-epsilon", "-1", "-json")
+		if code != 1 {
+			t.Fatalf("exit = %d, want 1\n%s", code, out)
 		}
 		var rep jsonReport
 		if err := json.Unmarshal([]byte(out), &rep); err != nil {
@@ -98,50 +74,23 @@ func TestVetJSON(t *testing.T) {
 			t.Fatalf("diagnostics = %+v, want 1", rep.Diagnostics)
 		}
 		d := rep.Diagnostics[0]
-		if d.Severity != "error" || d.Code != "invertibility" ||
-			d.Pos.Line == 0 || d.Pos.Col == 0 ||
-			!strings.Contains(d.Suggestion, "-mode memotable") {
+		if d.Severity != "error" || d.Code != "epsilon" || !strings.HasPrefix(d.Message, "core: ε = -1") {
 			t.Fatalf("diagnostic = %+v", d)
 		}
 	})
 }
 
-func TestVetRejectsBeforeEmit(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
-	out, err := runTool(t, bin, "-program", "maxval", "-mode", "dv", "-emit", "compiled")
-	if err == nil {
-		t.Fatalf("compile of maxval under dv succeeded, want vet rejection:\n%s", out)
-	}
-	for _, want := range []string{"invertibility", "-mode memotable", "-vet=false"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("rejection missing %q:\n%s", want, out)
-		}
-	}
-	out, err = runTool(t, bin, "-program", "maxval", "-mode", "dv", "-emit", "compiled", "-vet=false")
-	if err != nil {
-		t.Fatalf("-vet=false bypass failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(out, "mode: dV") {
-		t.Fatalf("bypassed compile output unexpected:\n%s", out)
-	}
-	// -emit source and -emit layout never vet.
-	if out, err := runTool(t, bin, "-program", "maxval", "-mode", "dv", "-emit", "source"); err != nil {
-		t.Fatalf("-emit source should not vet: %v\n%s", err, out)
-	}
-}
-
 // TestVetMultipleTypeErrors pins the acceptance criterion: a program with
 // two type errors reports both findings, each with a line:col position.
 func TestVetMultipleTypeErrors(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
 	f := filepath.Join(t.TempDir(), "bad.dv")
 	src := "init { local x : int = 1.5;\nlocal y : bool = not 3 };\nstep { x = 1 }\n"
 	if err := os.WriteFile(f, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := runTool(t, bin, "vet", "-file", f)
-	if ec := exitCode(err); ec != 1 {
-		t.Fatalf("exit = %d, want 1\n%s", ec, out)
+	code, out, _ := dvc("vet", "-file", f)
+	if code != 1 {
+		t.Fatalf("exit = %d, want 1\n%s", code, out)
 	}
 	for _, want := range []string{
 		"1:8: error[typecheck]: local x : int initialized with float",
@@ -152,80 +101,62 @@ func TestVetMultipleTypeErrors(t *testing.T) {
 		}
 	}
 	// The same two findings, structured.
-	out, _ = runTool(t, bin, "vet", "-json", "-file", f)
+	code, out, _ = dvc("vet", "-json", "-file", f)
 	var rep jsonReport
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out)
 	}
-	if len(rep.Diagnostics) != 2 || rep.Diagnostics[0].Pos.Line != 1 || rep.Diagnostics[1].Pos.Line != 2 {
-		t.Fatalf("JSON diagnostics = %+v, want two positioned errors", rep.Diagnostics)
+	if code != 1 || len(rep.Diagnostics) != 2 || rep.Diagnostics[0].Pos.Line != 1 || rep.Diagnostics[1].Pos.Line != 2 {
+		t.Fatalf("exit %d, JSON diagnostics = %+v, want 1 and two positioned errors", code, rep.Diagnostics)
 	}
 }
 
 func TestVetSeverityFilter(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
 	// prod has one warning; -severity error hides it but keeps exit 0.
-	out, err := runTool(t, bin, "vet", "-program", "prod", "-severity", "error")
-	if err != nil || strings.TrimSpace(out) != "" {
-		t.Fatalf("severity-filtered vet = %v:\n%s", err, out)
+	if out := mustDVC(t, "vet", "-program", "prod", "-severity", "error"); strings.TrimSpace(out) != "" {
+		t.Fatalf("severity-filtered vet:\n%s", out)
 	}
-	out, err = runTool(t, bin, "vet", "-program", "prod")
-	if err != nil || !strings.Contains(out, "warn[initonly]") {
-		t.Fatalf("unfiltered vet = %v:\n%s", err, out)
+	if out := mustDVC(t, "vet", "-program", "prod"); !strings.Contains(out, "warn[initonly]") {
+		t.Fatalf("unfiltered vet:\n%s", out)
 	}
 }
 
 func TestVetAnalyzersFlag(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
-	// Restricting to an unrelated analyzer suppresses the maxval error.
-	out, err := runTool(t, bin, "vet", "-program", "maxval", "-mode", "dv", "-analyzers", "shadow")
-	if err != nil || strings.TrimSpace(out) != "" {
-		t.Fatalf("restricted vet = %v:\n%s", err, out)
+	// Restricting to an unrelated analyzer suppresses prod's warning.
+	if out := mustDVC(t, "vet", "-program", "prod", "-analyzers", "shadow"); strings.TrimSpace(out) != "" {
+		t.Fatalf("restricted vet:\n%s", out)
 	}
-	out, err = runTool(t, bin, "vet", "-program", "maxval", "-analyzers", "bogus")
-	if ec := exitCode(err); ec != 2 || !strings.Contains(out, "unknown analyzer") {
-		t.Fatalf("bogus analyzer: exit %d:\n%s", ec, out)
+	code, out, errOut := dvc("vet", "-program", "prod", "-analyzers", "bogus")
+	if code != 2 || !strings.Contains(errOut, "unknown analyzer") {
+		t.Fatalf("bogus analyzer: exit %d:\n%s%s", code, out, errOut)
 	}
 }
 
 // TestVetRefusesEpsilon: vet fails on the ε the compiler refuses, with the
 // compiler's reason, whichever analyzers run.
 func TestVetRefusesEpsilon(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
 	for _, args := range [][]string{
 		{"vet", "-program", "pagerank", "-epsilon", "-1"},
 		{"vet", "-program", "pagerank", "-epsilon", "NaN", "-analyzers", "shadow"},
 	} {
-		out, err := runTool(t, bin, args...)
-		if ec := exitCode(err); ec != 1 || !strings.Contains(out, "error[epsilon]: core: ε = ") {
-			t.Errorf("%v: exit %d:\n%s", args, ec, out)
+		code, out, _ := dvc(args...)
+		if code != 1 || !strings.Contains(out, "error[epsilon]: core: ε = ") {
+			t.Errorf("%v: exit %d:\n%s", args, code, out)
 		}
 	}
 }
 
-// TestCompileRejectionListsOnlyErrors: when vet stops a compile, the
-// rejection lists exactly the error diagnostics, not the info-level
-// repairability findings vet also makes.
-func TestCompileRejectionListsOnlyErrors(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
-	out, err := runTool(t, bin, "-program", "pagerank", "-epsilon", "-1")
-	if ec := exitCode(err); ec != 1 {
-		t.Fatalf("exit %d, want 1:\n%s", ec, out)
-	}
-	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
-	if len(lines) != 2 || !strings.Contains(lines[0], "vet rejected the program") ||
-		!strings.HasPrefix(lines[1], "error[epsilon]: core: ε = -1") {
-		t.Fatalf("rejection is not the header and the one error:\n%s", out)
+// TestCompileRefusesEpsilon: the compile driver's refusal is the
+// compiler's own error, one line, and nothing else.
+func TestCompileRefusesEpsilon(t *testing.T) {
+	code, out, errOut := dvc("-program", "pagerank", "-epsilon", "-1")
+	if code != 1 || out != "" || !strings.HasPrefix(errOut, "dvc: core: ε = -1") || strings.Count(errOut, "\n") != 1 {
+		t.Fatalf("exit %d, want 1 and the compiler's one-line refusal:\n%s%s", code, out, errOut)
 	}
 }
 
 func TestListSorted(t *testing.T) {
-	bin := buildTool(t, "repro/cmd/dvc")
-	out, err := runTool(t, bin, "-list")
-	if err != nil {
-		t.Fatal(err, out)
-	}
-	names := strings.Fields(strings.TrimSpace(out))
+	names := strings.Fields(mustDVC(t, "-list"))
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("-list not sorted: %v", names)
 	}
@@ -234,8 +165,11 @@ func TestListSorted(t *testing.T) {
 	}
 }
 
-// TestDocCommentListsAllFlags keeps the package doc comment in sync with
-// the actual flags of both the compile driver and the vet subcommand.
+// TestDocCommentListsAllFlags guards against doc drift both ways: every
+// flag of the compile driver and of the vet subcommand is mentioned as
+// "-name" in this file's package doc comment, every -name in its Usage
+// block is a flag of one of them, and every dvc command README.md shows
+// parses with its flag set.
 func TestDocCommentListsAllFlags(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
@@ -245,20 +179,58 @@ func TestDocCommentListsAllFlags(t *testing.T) {
 	if !ok {
 		t.Fatal("package clause not found")
 	}
-	check := func(fs *flag.FlagSet) {
+	flagSet := func(vet bool) *flag.FlagSet {
+		if vet {
+			fs := flag.NewFlagSet("dvc vet", flag.ContinueOnError)
+			registerVetFlags(fs)
+			return fs
+		}
+		fs := flag.NewFlagSet("dvc", flag.ContinueOnError)
+		registerMainFlags(fs)
+		return fs
+	}
+	mainFS, vetFS := flagSet(false), flagSet(true)
+	for _, fs := range []*flag.FlagSet{mainFS, vetFS} {
 		fs.VisitAll(func(fl *flag.Flag) {
 			if !strings.Contains(doc, "-"+fl.Name) {
 				t.Errorf("doc comment does not mention -%s", fl.Name)
 			}
 		})
 	}
-	mainFS := flag.NewFlagSet("dvc", flag.ContinueOnError)
-	registerMainFlags(mainFS)
-	check(mainFS)
-	vetFS := flag.NewFlagSet("dvc vet", flag.ContinueOnError)
-	registerVetFlags(vetFS)
-	check(vetFS)
 	if !strings.Contains(doc, "dvc vet") {
 		t.Error("doc comment does not document the vet subcommand")
+	}
+	_, usage, _ := strings.Cut(doc, "// Usage:\n//\n")
+	usage, _, _ = strings.Cut(usage, "\n//\n")
+	names := regexp.MustCompile(`[\s\[(|]-([a-z][a-z-]*)`).FindAllStringSubmatch(usage, -1)
+	if len(names) == 0 {
+		t.Fatal("main.go has no Usage block naming flags")
+	}
+	for _, m := range names {
+		if mainFS.Lookup(m[1]) == nil && vetFS.Lookup(m[1]) == nil {
+			t.Errorf("the Usage block names -%s, which is not a flag", m[1])
+		}
+	}
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmds := regexp.MustCompile(`(?m)^\$ go run \./cmd/dvc (.*)`).FindAllStringSubmatch(string(readme), -1)
+	if len(cmds) == 0 {
+		t.Fatal("README.md shows no dvc command")
+	}
+	for _, m := range cmds {
+		// The shell's part (a comment, a redirection, a pipe) cut.
+		args := strings.Fields(m[1][:strings.IndexAny(m[1]+"#", "#&|<>;")])
+		vet := len(args) > 0 && args[0] == "vet"
+		if vet {
+			args = args[1:]
+		}
+		fs := flagSet(vet)
+		fs.SetOutput(io.Discard)
+		if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+			t.Errorf("README.md: dvc %s: %v, arguments left %q", m[1], err, fs.Args())
+		}
 	}
 }

@@ -254,6 +254,9 @@ func run(ctx context.Context, f *flags, out io.Writer) error {
 		if prog, src, err = f.Compile(); err != nil {
 			return err
 		}
+		if f.show != "" && prog.Layout.Slot(f.show) < 0 {
+			return fmt.Errorf("-show: %w %q", vm.ErrUnknownField, f.show)
+		}
 	}
 
 	g, err := f.Graph.Load()

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/deltav/vm"
 	"repro/internal/graph"
 	"repro/internal/pregel"
 	"repro/internal/programs"
@@ -138,6 +139,19 @@ func TestRunErrorPaths(t *testing.T) {
 	}
 	if _, err := runArgs(t, "-program", "sssp", "-gen", "grid:3:3", "-top", "-1"); err == nil || !strings.Contains(err.Error(), "-top") {
 		t.Fatalf("-top -1: err = %v, want it named", err)
+	}
+}
+
+// TestRunShowCheckedBeforeWork: a -show field the program lacks is
+// refused right after compiling, before the graph loads or a superstep
+// runs.
+func TestRunShowCheckedBeforeWork(t *testing.T) {
+	out, err := runArgs(t, "-program", "sssp", "-gen", "grid:3:3", "-show", "bogus")
+	if !errors.Is(err, vm.ErrUnknownField) || !strings.Contains(err.Error(), `"bogus"`) {
+		t.Fatalf("err = %v, want vm.ErrUnknownField naming the field", err)
+	}
+	if strings.Contains(out, "graph:") {
+		t.Fatalf("the refusal came after work:\n%s", out)
 	}
 }
 

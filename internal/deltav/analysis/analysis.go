@@ -8,8 +8,9 @@
 // Analyzers are pure: they never mutate the program, so the driver can
 // hand every analyzer the same tree.
 //
-// Severity policy: an Error marks a program/mode combination the compiler
-// must reject (today only invertibility, §4.2.2); a Warning marks a
+// Severity policy: whether a program compiles is the compiler's verdict
+// alone, so no analyzer reports an Error (the errors a vet run carries
+// are the front end's and the ε the compiler refuses). A Warning marks a
 // program that compiles but likely does not do what its author intended
 // (degenerate incrementalization, disabled halt-by-default, dead state,
 // shadowing); an Info finding describes a healthy program (the
@@ -40,7 +41,7 @@ type Analyzer struct {
 }
 
 // Config parameterizes a vet run with the compilation options the program
-// is headed for: some findings depend on the target mode (invertibility)
+// is headed for: some findings depend on the target mode (repairability)
 // or on option values (the ε-slop check).
 type Config struct {
 	// Mode is the compilation mode the program will be compiled with.
@@ -64,11 +65,6 @@ type Pass struct {
 func (p *Pass) Report(d diag.Diagnostic) {
 	d.Code = p.Analyzer.Name
 	p.diags.Add(d)
-}
-
-// Errorf reports an error-severity finding anchored to a node.
-func (p *Pass) Errorf(n ast.Node, suggestion, format string, args ...any) {
-	p.reportAt(n.Pos(), n.End(), diag.Error, suggestion, format, args...)
 }
 
 // Warnf reports a warning-severity finding anchored to a node.
@@ -98,7 +94,6 @@ func (p *Pass) reportAt(pos, end token.Pos, sev diag.Severity, suggestion, forma
 
 // registry holds the built-in analyzers in a fixed order.
 var registry = []*Analyzer{
-	invertibilityAnalyzer,
 	meaningfulnessAnalyzer,
 	convergenceAnalyzer,
 	deadfieldAnalyzer,

@@ -34,35 +34,6 @@ func assignedFields(prog *ast.Program) map[string]bool {
 	return out
 }
 
-// invertibility rejects non-invertible aggregations under -mode dv. The
-// ΔV scheme turns each state change into a Δ-message that updates a
-// memoized accumulator in place (§4.2.2); that needs the operator to be
-// invertible (+, and * with the §6.4.1 nullary tracking) so the old
-// contribution can be retracted. min/max have no inverse: once a
-// neighbour's value moves away from the extremum the accumulator cannot
-// forget the stale contribution unless every update happens to be
-// monotone, which no static check of the aggregand can guarantee.
-var invertibilityAnalyzer = &Analyzer{
-	Name: "invertibility",
-	Doc:  "reject min/max aggregations under -mode dv (no inverse; §4.2.2)",
-	Run: func(p *Pass) {
-		if p.Config.Mode != core.Incremental {
-			return
-		}
-		eachBody(p.Program, func(body ast.Expr, _ *ast.Iter) {
-			ast.Walk(body, func(e ast.Expr) bool {
-				if agg, ok := e.(*ast.Agg); ok && agg.Op.Idempotent() {
-					p.Errorf(agg,
-						"compile with -mode memotable (the §4.2.1 per-neighbour lookup-table scheme supports non-invertible operators)",
-						"%s aggregation is not invertible under -mode dv: a memoized accumulator cannot retract a neighbour's previous contribution (§4.2.2)",
-						agg.Op)
-				}
-				return true
-			})
-		})
-	},
-}
-
 // meaningfulness flags aggregations inside iter loops whose input can
 // never change after init{}: every re-aggregation then yields the value
 // of the first superstep, so the incremental machinery maintains a

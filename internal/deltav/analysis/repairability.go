@@ -21,8 +21,8 @@ var repairabilityAnalyzer = &Analyzer{
 	Run: func(p *Pass) {
 		prog, err := core.CompileAST(p.Program, core.Options{Mode: p.Config.Mode})
 		if err != nil {
-			// Compilation failures are reported by the driver and the
-			// error-severity analyzers; there is no profile to render.
+			// Compilation failures are the compiler's to report; there is
+			// no profile to render.
 			return
 		}
 		for _, v := range prog.Repairability().Classes {

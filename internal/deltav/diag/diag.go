@@ -67,7 +67,7 @@ type Diagnostic struct {
 
 // String renders the diagnostic on one line:
 //
-//	3:7: error[invertibility]: message (suggestion: compile with -mode memotable)
+//	3:7: error[typecheck]: until condition has type float, want bool (suggestion: compare it, as in i >= 30)
 func (d Diagnostic) String() string {
 	var b strings.Builder
 	if d.Pos.IsValid() {

@@ -13,11 +13,11 @@ func pos(l, c int) token.Pos { return token.Pos{Line: l, Col: c} }
 func TestDiagnosticString(t *testing.T) {
 	d := Diagnostic{
 		Pos: pos(3, 7), End: pos(3, 12), Severity: Error,
-		Code: "invertibility", Message: "max is not invertible",
-		Suggestion: "compile with -mode memotable",
+		Code: "typecheck", Message: "until condition has type float, want bool",
+		Suggestion: "compare it, as in i >= 30",
 	}
 	got := d.String()
-	for _, want := range []string{"3:7:", "error[invertibility]", "max is not invertible", "suggestion: compile with -mode memotable"} {
+	for _, want := range []string{"3:7:", "error[typecheck]", "until condition has type float, want bool", "suggestion: compare it, as in i >= 30"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("String() = %q, missing %q", got, want)
 		}
@@ -75,8 +75,8 @@ func TestErrOrNil(t *testing.T) {
 
 func TestJSONShape(t *testing.T) {
 	var l List
-	l.Errorf(pos(3, 7), pos(3, 12), "invertibility", "nope")
-	l[0].Suggestion = "use -mode memotable"
+	l.Errorf(pos(3, 7), pos(3, 12), "typecheck", "until condition has type float, want bool")
+	l[0].Suggestion = "compare it, as in i >= 30"
 	var rep struct {
 		Diagnostics []struct {
 			Pos        struct{ Line, Col int }  `json:"pos"`
@@ -92,7 +92,7 @@ func TestJSONShape(t *testing.T) {
 	}
 	d := rep.Diagnostics[0]
 	if d.Pos.Line != 3 || d.Pos.Col != 7 || d.End == nil || d.End.Col != 12 ||
-		d.Severity != "error" || d.Code != "invertibility" || d.Suggestion == "" {
+		d.Severity != "error" || d.Code != "typecheck" || d.Suggestion == "" {
 		t.Fatalf("JSON diagnostic = %+v", d)
 	}
 	// An empty list still renders a diagnostics array, not null.

@@ -385,8 +385,8 @@ func randWeighted(n, m int, seed int64) *graph.Graph {
 func firstArc(t *testing.T, g *graph.Graph) (u, v graph.VertexID) {
 	t.Helper()
 	for x := 0; x < g.NumVertices(); x++ {
-		if adj := g.OutNeighbors(graph.VertexID(x)); len(adj) > 0 {
-			return graph.VertexID(x), adj[0]
+		if it := g.OutArcs(graph.VertexID(x)); it.Next() {
+			return graph.VertexID(x), it.To()
 		}
 	}
 	t.Fatal("graph has no arcs")

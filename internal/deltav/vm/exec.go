@@ -566,13 +566,22 @@ func (c *compiler[M]) seq(args []core.Ref) fn[M] {
 }
 
 // send compiles an OpBroadcast or OpSendEach: the message goes out unless
-// every slot is a no-op.
+// every slot is a no-op. A broadcast over out-arcs is one BroadcastOut.
 func (c *compiler[M]) send(n *core.Node) fn[M] {
 	slots := make([]slotFn[M], len(n.Args))
 	for i, r := range n.Args {
 		slots[i] = c.slot(r)
 	}
 	build, arcs := c.k.build(uint8(n.A), slots), c.arcs(n)
+	if n.Op == core.OpBroadcast && ast.GraphDir(n.B) != ast.DirIn {
+		return func(f *frame[M]) float64 {
+			f.weight = 1
+			if build(f) {
+				f.ctx.BroadcastOut(f.msg)
+			}
+			return 0
+		}
+	}
 	if n.Op == core.OpBroadcast {
 		return func(f *frame[M]) float64 {
 			f.weight = 1

@@ -1120,8 +1120,8 @@ func prodOracle(g *graph.Graph, iters int) (w, p []float64) {
 		np := make([]float64, n)
 		for u := 0; u < n; u++ {
 			prod := 1.0
-			for _, v := range g.InNeighbors(graph.VertexID(u)) {
-				prod *= w[v]
+			for it := g.InArcs(graph.VertexID(u)); it.Next(); {
+				prod *= w[it.To()]
 			}
 			np[u] = prod
 			if u == 0 {

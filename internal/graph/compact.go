@@ -19,8 +19,8 @@ import (
 // weight arrays of the flat CSR, and adds a per-vertex byte-offset array
 // (cOutIdx/cInIdx) into the stream, so degrees, weight lookup, and
 // Fingerprint are representation-independent. Adjacency is consumed
-// through the ArcIter cursor or the ForEach helpers; OutNeighbors /
-// InNeighbors still work but return freshly allocated copies.
+// through the ArcIter cursor, the ForEach helpers or OutList, which decodes
+// one list into caller scratch.
 //
 // Compact directed graphs additionally defer BuildReverse: the reverse
 // adjacency is materialized on first in-side access rather than when

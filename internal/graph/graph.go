@@ -150,51 +150,21 @@ func (g *Graph) InDegree(u VertexID) int {
 	return int(g.inOff[u+1] - g.inOff[u])
 }
 
-// OutNeighbors returns the out-adjacency list of u. For flat graphs the
-// slice is shared and must not be modified; for compact graphs it is a
-// freshly allocated copy — hot paths should iterate with OutArcs or
-// ForEachOutNeighbor instead.
-func (g *Graph) OutNeighbors(u VertexID) []VertexID {
-	if g.cOutIdx != nil {
-		return decodeList(g.cOut[g.cOutIdx[u]:g.cOutIdx[u+1]], g.OutDegree(u))
+// OutList returns u's out-adjacency list without allocating once *scratch
+// has held it: on a flat graph the shared adjacency slice itself (not to be
+// modified), on a compact graph the list decoded in one pass into *scratch,
+// which it grows as needed. The result is valid until the next call with
+// the same scratch.
+func (g *Graph) OutList(u VertexID, scratch *[]VertexID) []VertexID {
+	lo, hi := g.outOff[u], g.outOff[u+1]
+	if g.cOutIdx == nil {
+		return g.outAdj[lo:hi:hi]
 	}
-	return g.outAdj[g.outOff[u]:g.outOff[u+1]]
-}
-
-// OutWeights returns the weights parallel to OutNeighbors(u), or nil when
-// the graph is unweighted.
-func (g *Graph) OutWeights(u VertexID) []float64 {
-	if g.outW == nil {
-		return nil
+	deg := int(hi - lo)
+	if cap(*scratch) < deg {
+		*scratch = make([]VertexID, deg)
 	}
-	return g.outW[g.outOff[u]:g.outOff[u+1]]
-}
-
-// InNeighbors returns the in-adjacency list of u. The reverse adjacency
-// must be available (BuildReverse for directed graphs). For flat graphs
-// the slice is shared and must not be modified; for compact graphs it
-// is a freshly allocated copy — hot paths should iterate with InArcs or
-// ForEachInNeighbor instead.
-func (g *Graph) InNeighbors(u VertexID) []VertexID {
-	if !g.ensureIn() {
-		panic("graph: InNeighbors requires reverse adjacency; call BuildReverse")
-	}
-	if g.cInIdx != nil {
-		return decodeList(g.cIn[g.cInIdx[u]:g.cInIdx[u+1]], g.InDegree(u))
-	}
-	return g.inAdj[g.inOff[u]:g.inOff[u+1]]
-}
-
-// InWeights returns the weights parallel to InNeighbors(u), or nil when the
-// graph is unweighted.
-func (g *Graph) InWeights(u VertexID) []float64 {
-	if g.lazyIn && g.outW != nil {
-		g.inOnce.Do(g.materializeIn)
-	}
-	if g.inW == nil {
-		return nil
-	}
-	return g.inW[g.inOff[u]:g.inOff[u+1]]
+	return decodeList((*scratch)[:deg], g.cOut[g.cOutIdx[u]:g.cOutIdx[u+1]])
 }
 
 // HasReverse reports whether the in-adjacency is available (including a
@@ -453,12 +423,12 @@ func (g *Graph) doUnmap() error {
 	return g.unmap()
 }
 
-// decodeList decodes one gap-varint neighbour stream into a fresh slice.
-func decodeList(b []byte, deg int) []VertexID {
-	out := make([]VertexID, deg)
+// decodeList decodes one gap-varint neighbour stream into out, whose
+// length is the list's degree, and returns out.
+func decodeList(out []VertexID, b []byte) []VertexID {
 	p := 0
 	prev := uint32(0)
-	for k := 0; k < deg; k++ {
+	for k := range out {
 		var x uint32
 		var s uint
 		for {

@@ -11,7 +11,8 @@ import (
 // TestSteadyStateAllocs pins the engine's zero-allocation invariant: once
 // the per-run scratch is warm (superstep >= 2), a superstep performs no
 // heap allocation on the PageRank and SSSP message paths, under
-// both schedulers, with and without Quarantine's undo log.
+// both schedulers, with and without Quarantine's undo log, and for
+// PageRank's broadcasts delivered by pull and by push.
 //
 // Measuring "allocations per superstep" directly is awkward because Run
 // drives the whole superstep loop, so the test measures the marginal cost:
@@ -28,20 +29,40 @@ func TestSteadyStateAllocs(t *testing.T) {
 	ring := graph.Cycle(64, true)
 	for _, sched := range []Scheduler{ScanAll, WorkQueue} {
 		sched := sched
-		t.Run("pagerank/"+schedName(sched), func(t *testing.T) {
-			run := func(rounds int) func() int {
-				return func() int {
-					e := New[prVal, float64](g, Options{Workers: 4, Scheduler: sched, MaxSupersteps: 32})
-					e.SetCombiner(CombinerFunc[float64](func(a, b float64) float64 { return a + b }))
-					stats, err := e.Run(prProgram{rounds: rounds})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return stats.Supersteps
+		// ScanAll pagerank pulls every superstep it broadcasts in (the
+		// in-source index is built at the first); its push twin and
+		// WorkQueue push.
+		for _, mode := range []delivery{deliverAuto, deliverPush} {
+			name := "pagerank/" + schedName(sched)
+			if mode == deliverPush {
+				if sched == WorkQueue {
+					continue
 				}
+				name += "/push"
 			}
-			checkMarginalAllocs(t, run(5), run(9))
-		})
+			t.Run(name, func(t *testing.T) {
+				run := func(rounds int) func() int {
+					return func() int {
+						e := New[prVal, float64](g, Options{Workers: 4, Scheduler: sched, MaxSupersteps: 32})
+						e.SetCombiner(CombinerFunc[float64](func(a, b float64) float64 { return a + b }))
+						e.deliver = mode
+						stats, err := e.Run(prProgram{rounds: rounds})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := rounds // prProgram broadcasts in supersteps 0 to rounds-1
+						if sched == WorkQueue || mode == deliverPush {
+							want = 0
+						}
+						if e.pulls != want {
+							t.Fatalf("%d pull supersteps, want %d", e.pulls, want)
+						}
+						return stats.Supersteps
+					}
+				}
+				checkMarginalAllocs(t, run(5), run(9))
+			})
+		}
 		t.Run("pagerank/"+schedName(sched)+"/quarantine", func(t *testing.T) {
 			run := func(rounds int) func() int {
 				return func() int {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -296,7 +297,7 @@ func fillOutboxes(e *Engine[sumVal, float64]) {
 		w.clearOutboxes()
 		ctx := &w.ctx
 		for u := w.lo; u < w.hi; u++ {
-			for _, v := range e.g.OutNeighbors(VertexID(u)) {
+			for _, v := range e.g.OutList(VertexID(u), &w.arcBuf) {
 				ctx.Send(v, 1)
 			}
 		}
@@ -331,7 +332,7 @@ func BenchmarkSend(b *testing.B) {
 					w.clearOutboxes()
 					w.sent = 0
 					for u := w.lo; u < w.hi; u++ {
-						for i, v := range gs.g.OutNeighbors(VertexID(u)) {
+						for i, v := range gs.g.OutList(VertexID(u), &w.arcBuf) {
 							ctx.Send(v, float64(i%3))
 						}
 					}
@@ -355,6 +356,79 @@ type benchClassCombiner struct{}
 func (benchClassCombiner) Combine(acc, m *float64) { *acc = math.Min(*acc, *m) }
 func (benchClassCombiner) Classes() int            { return 3 }
 func (benchClassCombiner) Class(m *float64) int    { return int(*m) }
+
+// shareProgram keeps every vertex active for rounds supersteps, summing its
+// inbox; in each, the vertices whose hash mod 8 is below eighths broadcast.
+type shareProgram struct {
+	rounds  int
+	eighths uint64
+}
+
+func (p shareProgram) Init(ctx *Context[sumVal, float64]) { p.Compute(ctx, nil) }
+
+func (p shareProgram) Compute(ctx *Context[sumVal, float64], msgs []float64) {
+	for _, m := range msgs {
+		ctx.Value().Sum += m
+	}
+	if ctx.Superstep() >= p.rounds {
+		ctx.VoteToHalt()
+		return
+	}
+	if inboxMix(uint64(ctx.ID())^uint64(ctx.Superstep())<<32)%8 < p.eighths {
+		ctx.BroadcastOut(1 / float64(ctx.ID()+1))
+	}
+}
+
+// broadcastGraph is R-MAT 16×8, converge-dense's shape, built once.
+var broadcastGraph = sync.OnceValue(func() *graph.Graph {
+	return graph.RMAT(16, 8, 0.57, 0.19, 0.19, true, 1)
+})
+
+// BenchmarkBroadcast measures a combined broadcast superstep delivered by
+// push and by pull, on R-MAT 16×8 flat and compact, with eighths/8 of the
+// vertices broadcasting: ns/message is the time of the supersteps after
+// the first (which builds pull's in-source index) over their messages.
+// The share sweep is what pullSlack was read off.
+func BenchmarkBroadcast(b *testing.B) {
+	const rounds = 4
+	sum := CombinerFunc[float64](func(a, b float64) float64 { return a + b })
+	for _, repr := range []string{"compact", "flat"} {
+		g := broadcastGraph()
+		if repr == "compact" {
+			g = graph.MustCompact(g)
+		}
+		for _, eighths := range []uint64{8, 7, 6, 4, 1} {
+			for _, mode := range []delivery{deliverPush, deliverPull} {
+				how := "push"
+				if mode == deliverPull {
+					how = "pull"
+				}
+				name := fmt.Sprintf("%s/share=%d:8/%s", repr, eighths, how)
+				b.Run(name, func(b *testing.B) {
+					var took time.Duration
+					msgs := 0
+					for i := 0; i < b.N; i++ {
+						e := New[sumVal, float64](g, Options{Workers: 4})
+						e.SetCombiner(sum)
+						e.deliver = mode
+						st, err := e.Run(shareProgram{rounds: rounds, eighths: eighths})
+						if err != nil {
+							b.Fatal(err)
+						}
+						if (e.pulls > 0) != (mode == deliverPull) {
+							b.Fatalf("%d pull supersteps under %s", e.pulls, name)
+						}
+						for _, s := range st.Steps[1:] {
+							took += s.Duration
+							msgs += s.MessagesSent
+						}
+					}
+					b.ReportMetric(float64(took.Nanoseconds())/float64(msgs), "ns/message")
+				})
+			}
+		}
+	}
+}
 
 // BenchmarkExchange measures the count/scatter/wake delivery pass over a
 // full uncombined broadcast round, per graph shape and scheduler. Outboxes

@@ -47,25 +47,22 @@ func (c *Context[V, M]) OutDegree() int { return c.eng.g.OutDegree(c.id) }
 
 // Send sends m to vertex `to`, to be received next superstep: it appends
 // an envelope to the bucket of to's worker or, with a combiner, folds m
-// into the one that bucket holds for its (destination, class) pair.
+// into the one that bucket holds for its (destination, class) pair. A
+// worker's first Send in a superstep first pushes the broadcasts it has
+// recorded, in order, and that superstep pushes (see BroadcastOut).
 func (c *Context[V, M]) Send(to VertexID, m M) { c.w.send(to, m) }
 
-// BroadcastOut sends m along every out-edge. The flat path ranges over
-// the shared adjacency slice; the compact path decodes through an
-// ArcIter — neither allocates.
-func (c *Context[V, M]) BroadcastOut(m M) {
-	g := c.eng.g
-	if !g.IsCompact() {
-		for _, v := range g.OutNeighbors(c.id) {
-			c.Send(v, m)
-		}
-		return
-	}
-	it := g.OutArcs(c.id)
-	for it.Next() {
-		c.Send(it.To(), m)
-	}
-}
+// BroadcastOut sends m along every out-edge, as Send per edge would: the
+// receivers' inboxes, the counts and every snapshot are the same. The
+// engine records m once for the vertex and picks the delivery for the
+// whole superstep at the barrier. The superstep pulls — each receiver
+// folds its broadcasting in-neighbours' values per owner worker — when the
+// run is in-process, without Quarantine, under ScanAll and a CombinerFunc,
+// no vertex called Send or broadcast twice in it, and at most an eighth of
+// the arcs leave vertices that did not broadcast. Otherwise each value is
+// pushed along the out-list, decoded once. Neither allocates in steady
+// state.
+func (c *Context[V, M]) BroadcastOut(m M) { c.w.broadcast(c.id, m) }
 
 // VoteToHalt deactivates this vertex until a message arrives for it.
 func (c *Context[V, M]) VoteToHalt() { c.votedHalt = true }

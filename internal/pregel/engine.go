@@ -60,6 +60,16 @@ type Engine[V, M any] struct {
 	// Sharding state (see shard.go). Always non-nil once RunContext
 	// starts; an unsharded run is count 1, whose barriers do nothing.
 	shard *shardState
+
+	// Broadcast delivery (see broadcast.go): canPull is fixed when the run
+	// starts, pull is this superstep's decision and pulls counts the pull
+	// supersteps; inOff/inSrc is the in-source index, built at the first.
+	// deliver is deliverAuto outside tests and benchmarks.
+	canPull, pull bool
+	deliver       delivery
+	pulls         int
+	inOff         []int32
+	inSrc         []uint32
 }
 
 // worker owns a contiguous vertex range and all the scratch its superstep
@@ -109,6 +119,18 @@ type worker[V, M any] struct {
 	foldEpoch uint32
 	pend      M
 	combining bool
+
+	// Broadcast record (see broadcast.go): while recording, bval[li] is the
+	// value vertex lo+li broadcast if its bmark bit is set, blist lists the
+	// marked vertices in record order and barcs sums their out-degrees.
+	// Sized at the worker's first broadcast; arcBuf is pushOut's decode
+	// scratch.
+	recording bool
+	bval      []M
+	bmark     []uint64
+	blist     []VertexID
+	barcs     int
+	arcBuf    []VertexID
 
 	ctx Context[V, M]
 
@@ -269,6 +291,7 @@ type workerCmd int
 
 const (
 	cmdCompute workerCmd = iota
+	cmdReplay            // push the recorded broadcasts (see broadcast.go)
 	cmdExchange
 	cmdStop
 )
@@ -362,6 +385,7 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 		}
 	}
 	e.stats.Steps = make([]StepStats, 0, min(e.opts.MaxSupersteps, 4096))
+	e.canPull = e.pullable()
 
 	// One start: a cold run begins at superstep 0, where Init runs on every
 	// vertex; a seeded run begins where its seed says, with the active set
@@ -445,6 +469,12 @@ func (e *Engine[V, M]) RunContext(ctx context.Context, prog Program[V, M]) (*Sta
 			// Sharded runs always drain to the post-exchange barrier so
 			// every shard aborts at the same consistent cut.
 			pendingAbort = err
+		}
+		if e.decideDelivery() {
+			broadcast(cmdReplay)
+			if re := e.workerPanic(); re != nil {
+				return abort(re)
+			}
 		}
 		broadcast(cmdExchange)
 		if re := e.workerPanic(); re != nil {
@@ -604,7 +634,7 @@ func (w *worker[V, M]) step(cmd workerCmd, prog Program[V, M]) {
 			Value:     r,
 			Stack:     debug.Stack(),
 		}
-		if cmd == cmdCompute {
+		if cmd != cmdExchange { // a replay pushes compute's sends
 			re.Phase = "compute"
 			if w.inVertex {
 				re.Vertex, re.HasVertex = w.ctx.id, true
@@ -613,9 +643,12 @@ func (w *worker[V, M]) step(cmd workerCmd, prog Program[V, M]) {
 		}
 		w.panicErr = re
 	}()
-	if cmd == cmdCompute {
+	switch cmd {
+	case cmdCompute:
 		w.compute(prog)
-	} else {
+	case cmdReplay:
+		w.flushBroadcasts()
+	default:
 		w.exchange()
 	}
 }
@@ -651,6 +684,8 @@ func (w *worker[V, M]) compute(prog Program[V, M]) {
 	e := w.eng
 	w.sent, w.ran = 0, 0
 	w.clearOutboxes()
+	w.clearRecord()
+	w.recording = e.canPull
 	queue := e.opts.Scheduler == WorkQueue
 	if queue {
 		w.stamp++
@@ -820,9 +855,14 @@ func (w *worker[V, M]) useCombiner(c Combiner[M]) {
 // only for the pair's first message (or a negative class): an envelope keeps
 // its pair's first position and a slot is a left fold in send order. Not
 // asking a CombinerFunc its one class is worth a seventh of a PageRank step.
+// The worker's first send of a superstep pushes its recorded broadcasts
+// first (see broadcast.go).
 func (w *worker[V, M]) send(to VertexID, m M) {
-	d := w.eng.ownerOf(to)
 	w.sent++
+	if w.recording {
+		w.flushBroadcasts()
+	}
+	d := w.eng.ownerOf(to)
 	if w.foldTab != nil {
 		cell := int(to)
 		if w.sum == nil {
@@ -902,6 +942,33 @@ func (w *worker[V, M]) exchange() {
 			off[li], end[li] = 0, 0
 		}
 	}
+	if e.pull {
+		w.pullInbox()
+	} else {
+		w.pushInbox()
+	}
+	// Count the vertices runnable next superstep: the queue's length, or
+	// in ScanAll — which still visits every vertex's state, the per-step
+	// cost the paper's §9 points out for a non-halt-by-default runtime — a
+	// popcount per word of the active set.
+	if queue {
+		w.nextActive = len(w.next)
+	} else {
+		live, rem := 0, w.rem[:len(w.act)]
+		for i, a := range w.act {
+			live += bits.OnesCount64(a &^ rem[i])
+		}
+		w.nextActive = live
+	}
+	w.cur, w.next = w.next, w.cur
+}
+
+// pushInbox is exchange's delivery of the envelopes in every worker's
+// bucket for w.
+func (w *worker[V, M]) pushInbox() {
+	e := w.eng
+	queue := e.opts.Scheduler == WorkQueue
+	off, end := w.msgOff, w.msgEnd
 	// Count into end. A receiver's first envelope marks it in got and
 	// wakes it; in WorkQueue mode it joins the queue built during compute,
 	// in envelope order.
@@ -952,20 +1019,6 @@ func (w *worker[V, M]) exchange() {
 			end[li]++
 		}
 	}
-	// Count the vertices runnable next superstep: the queue's length, or
-	// in ScanAll — which still visits every vertex's state, the per-step
-	// cost the paper's §9 points out for a non-halt-by-default runtime — a
-	// popcount per word of the active set.
-	if queue {
-		w.nextActive = len(w.next)
-	} else {
-		live, rem := 0, w.rem[:len(w.act)]
-		for i, a := range w.act {
-			live += bits.OnesCount64(a &^ rem[i])
-		}
-		w.nextActive = live
-	}
-	w.cur, w.next = w.next, w.cur
 }
 
 // enqueue adds local vertex u to the next-superstep queue, at most once.

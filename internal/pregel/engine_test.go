@@ -421,8 +421,8 @@ func TestExactlyOnceDeliveryProperty(t *testing.T) {
 		}
 		for u := 0; u < n; u++ {
 			want := 0.0
-			for _, v := range g.InNeighbors(graph.VertexID(u)) {
-				want += float64(v) + 1
+			for it := g.InArcs(graph.VertexID(u)); it.Next(); {
+				want += float64(it.To()) + 1
 			}
 			if e.Value(graph.VertexID(u)).Sum != want {
 				return false
@@ -553,13 +553,18 @@ func TestContextAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Vertex 4 is the grid centre: degree 4, weights drawn from [1, 5).
+	// Vertex 4 is the grid centre: degree 4, weights drawn from [1, 5). Its
+	// in-weights are summed from the other vertices' out-arcs into it.
 	var outW, inW float64
-	for _, w := range flat.OutWeights(4) {
-		outW += w
+	for it := flat.OutArcs(4); it.Next(); {
+		outW += it.Weight()
 	}
-	for _, w := range flat.InWeights(4) {
-		inW += w
+	for u := 0; u < flat.NumVertices(); u++ {
+		for it := flat.OutArcs(graph.VertexID(u)); it.Next(); {
+			if it.To() == 4 {
+				inW += it.Weight()
+			}
+		}
 	}
 	for _, g := range []*graph.Graph{flat, compact} {
 		e := New[probeVal, float64](g, Options{Workers: 2})
